@@ -106,9 +106,6 @@ class PresentedAlgebra:
     def one(self) -> "AlgebraElement":
         return self.element(1)
 
-    def gens_by_kind(self, *kinds: str) -> tuple[str, ...]:
-        return tuple(g for g in self.gens if self.roles[g].kind in kinds)
-
 
 class AlgebraElement:
     __slots__ = ("owner", "poly")

@@ -97,7 +97,10 @@ def _solver_payload(space: AffineSolutionSpace) -> dict:
 
 
 def _load(path: str, char: int | None) -> Workspace:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise WorkspaceError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     return parse_workspace(text, char_override=char)
 
 
@@ -312,6 +315,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return (2 if exc.code else 0), ""
+    if getattr(args, "degree", 0) < 0:
+        return 2, "error: --degree must be nonnegative"
     try:
         report = COMMANDS[args.command](args)
     except WorkspaceError as exc:
@@ -325,7 +330,7 @@ def run(argv: list[str]) -> tuple[int, str]:
             text = report.to_json() if args.json else report.to_text()
             return 1, text
         return 2, f"error: {exc}"
-    except (KcxError, FileNotFoundError) as exc:
+    except (KcxError, OSError) as exc:
         return 2, f"error: {exc}"
     text = report.to_json() if args.json else report.to_text()
     return report.exit_code, text

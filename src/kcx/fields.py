@@ -78,9 +78,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero field element")
         return 1 / a if self.char == 0 else pow(a, -1, self.char)
 
-    def div(self, a: Coef, b: Coef) -> Coef:
-        return self.mul(a, self.inv(b))
-
     def render(self, a: Coef) -> str:
         return str(a)
 

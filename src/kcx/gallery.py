@@ -98,18 +98,6 @@ def sphere_canonical_connection(sphere):
     return make_connection(omega, images)
 
 
-def sphere_section(sphere):
-    """Section of the quotient onto the rank-3 free module, from the unit row."""
-    omega = kahler_module(sphere)
-    fr = free_module(sphere, 3)
-    xs = sphere.gens
-    images = {}
-    for i in range(3):
-        comps = [f"1 - {xs[i]}*{xs[j]}" if i == j else f"-{xs[i]}*{xs[j]}" for j in range(3)]
-        images[omega.gens[i]] = fr.element(comps)
-    return fr, ModuleMorphism(omega, fr, images, name="s")
-
-
 def elliptic_connection(elliptic):
     """Connection on the curve's differentials via a section of the free cover.
 

@@ -1,18 +1,21 @@
 """Buchberger's algorithm and normal forms, for ideals and submodules.
 
 Everything downstream that asks "is this zero in the quotient?" funnels into
-the two normal-form functions here.  Ideal bases use grevlex; module bases use
-position-over-term with grevlex underneath (earlier generator = larger).  Both
-compute reduced bases: auto-reduced, monic leading coefficients, deterministic
-for a fixed input order.
+the one reducer here.  The engine works on submodules of a free module of
+rank r, ordered position-over-term (POT) with grevlex underneath (earlier
+position = larger); an ideal is the rank-1 case, where POT is plain grevlex.
+Bases are reduced (auto-reduced, monic), so unique for the term order.
 
-Pair selection is lowest lcm total degree, ties broken by the lexicographic
-exponent vector of the lcm.  The coprime-leading-terms criterion and the chain
-criterion prune pairs for ideals; modules use the chain criterion only (the
-coprime criterion is unsound for module tails).
+Pairs are taken lowest lcm total degree first, ties broken by the lcm's
+exponent vector and then the pair's indices.  The chain criterion prunes
+pairs at every rank, the coprime-leading-terms criterion only at rank 1 (it
+is unsound for module tails).  Every basis element carries a certificate
+degree: a bound on the degree of some representation of it over the inputs.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .fields import Coef, Field
 from .poly import (
@@ -26,48 +29,8 @@ from .poly import (
 )
 
 Vector = tuple[Polynomial, ...]
-
-
-# ---------------------------------------------------------------------------
-# ideals
-# ---------------------------------------------------------------------------
-
-
-def reduce_poly(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
-    """Full normal form of p modulo a list of monic polynomials."""
-    if not basis or p.is_zero():
-        return p
-    f = p.field
-    lts = [(g.leading_exponent(), g.terms) for g in basis]
-    remainder: dict[Exponent, Coef] = {}
-    work = dict(p.terms)
-    while work:
-        lead = max(work, key=grevlex_key)
-        coef = work[lead]
-        for lt, gterms in lts:
-            if exp_divides(lt, lead):
-                delta = exp_div(lead, lt)
-                for e, c in gterms.items():
-                    e2 = exp_mul(e, delta)
-                    s = f.sub(work.get(e2, f.zero()), f.mul(coef, c))
-                    if s:
-                        work[e2] = s
-                    else:
-                        work.pop(e2, None)
-                break
-        else:
-            remainder[lead] = coef
-            del work[lead]
-    return Polynomial(f, p.vars, remainder)
-
-
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    lf, lg = f.leading_exponent(), g.leading_exponent()
-    lcm = exp_lcm(lf, lg)
-    a = f.mul_monomial(exp_div(lcm, lf), f.field.inv(f.leading_coefficient()))
-    b = g.mul_monomial(exp_div(lcm, lg), g.field.inv(g.leading_coefficient()))
-    return a - b
-
+Row = list[dict[Exponent, Coef]]  # a vector as one term dict per position
+Index = list[list[tuple[Exponent, Row, int]]]  # per position: (lt, row, cert) of basis rows
 
 Grading = list[tuple[int, ...]]  # one grade tuple per ambient variable
 
@@ -88,94 +51,200 @@ def _grade_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+# ---------------------------------------------------------------------------
+# the engine
+# ---------------------------------------------------------------------------
+
+
+def _leading(row: Row) -> tuple[int, Exponent] | None:
+    for pos, comp in enumerate(row):
+        if comp:
+            return pos, max(comp, key=grevlex_key)
+    return None
+
+
+def vector_leading(v: Vector) -> tuple[int, Exponent] | None:
+    """POT leading (position, exponent) of a vector, None for zero."""
+    return _leading([c.terms for c in v])
+
+
+def _row_degree(row: Row) -> int:
+    return max((sum(e) for comp in row for e in comp), default=0)
+
+
+def _sub_multiple(work: Row, g: Row, pos: int, delta: Exponent, coef: Coef, field: Field) -> None:
+    """work -= coef * x^delta * g in place; g is zero before `pos`."""
+    zero = field.zero()
+    for q in range(pos, len(g)):
+        target = work[q]
+        for e, c in g[q].items():
+            e2 = exp_mul(e, delta)
+            s = field.sub(target.get(e2, zero), field.mul(coef, c))
+            if s:
+                target[e2] = s
+            else:
+                target.pop(e2, None)
+
+
+def _reduce(work: Row, index: Index, field: Field) -> tuple[Row, int]:
+    """Full normal form of `work` (consumed) plus its certificate degree.
+
+    Positions are reduced in order, each component in place, always by the
+    first indexed basis row whose leading term divides the current one.
+    """
+    remainder: Row = [{} for _ in work]
+    cert = 0
+    for pos, comp in enumerate(work):
+        rem = remainder[pos]
+        candidates = index[pos]
+        while comp:
+            lead = max(comp, key=grevlex_key)
+            coef = comp[lead]
+            for lt, g, g_cert in candidates:
+                if exp_divides(lt, lead):
+                    delta = exp_div(lead, lt)
+                    _sub_multiple(work, g, pos, delta, coef, field)
+                    cert = max(cert, sum(delta) + g_cert)
+                    break
+            else:
+                rem[lead] = coef
+                del comp[lead]
+    return remainder, cert
+
+
+def _index(rows: list[Row], certs: list[int], rank: int) -> Index:
+    index: Index = [[] for _ in range(rank)]
+    for row, cert in zip(rows, certs):
+        pos, lt = _leading(row)
+        index[pos].append((lt, row, cert))
+    return index
+
+
+def _groebner(
+    rows: list[Row],
+    rank: int,
+    field: Field,
+    grading: Grading | None = None,
+    cap: tuple[int, ...] | None = None,
+) -> tuple[list[Row], list[int]]:
+    """Reduced basis of the submodule spanned by `rows`, with certificate degrees.
+
+    With `grading`/`cap` (for inputs homogeneous in an N^k-grading) the run is
+    truncated: S-pairs whose lcm grade exceeds the cap are skipped.  The result
+    then decides membership exactly for all elements of grade <= cap.
+    """
+    truncate = grading is not None and cap is not None
+    one = field.one()
+    G: list[Row] = []
+    leads: list[tuple[int, Exponent]] = []
+    certs: list[int] = []
+    index: Index = [[] for _ in range(rank)]
+    heap: list[tuple[int, Exponent, int, int]] = []
+    pending: set[tuple[int, int]] = set()
+
+    def add(row: Row, cert: int) -> None:
+        pos, lt = _leading(row)
+        inv = field.inv(row[pos][lt])
+        row = [{e: field.mul(c, inv) for e, c in comp.items()} for comp in row]
+        new = len(G)
+        G.append(row)
+        leads.append((pos, lt))
+        certs.append(cert)
+        index[pos].append((lt, row, cert))
+        for k in range(new):
+            if leads[k][0] != pos:
+                continue
+            lcm = exp_lcm(leads[k][1], lt)
+            if truncate and not _grade_leq(monomial_grade(lcm, grading), cap):
+                continue
+            heapq.heappush(heap, (sum(lcm), lcm, k, new))
+            pending.add((k, new))
+
+    for row in rows:
+        if any(row):
+            add(row, _row_degree(row))
+
+    while heap:
+        _, lcm, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        pos, lt_i = leads[i]
+        lt_j = leads[j][1]
+        if rank == 1 and lcm == exp_mul(lt_i, lt_j):  # coprime leading terms
+            continue
+        if any(
+            k != i and k != j
+            and leads[k][0] == pos
+            and exp_divides(leads[k][1], lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(G))
+        ):
+            continue
+        d_i, d_j = exp_div(lcm, lt_i), exp_div(lcm, lt_j)
+        s: Row = [{} for _ in range(rank)]
+        _sub_multiple(s, G[i], pos, d_i, field.neg(one), field)
+        _sub_multiple(s, G[j], pos, d_j, one, field)
+        form_cert = max(sum(d_i) + certs[i], sum(d_j) + certs[j])
+        r, red_cert = _reduce(s, index, field)
+        if any(r):
+            add(r, max(form_cert, red_cert, _row_degree(r)))
+
+    # Interreduction: keep the minimal leading terms, then reduce each tail.
+    # A tail term lies below its own leading term, so reducing by the full
+    # index never divides by the element itself; leading terms, and hence the
+    # POT order of the result, are unchanged.
+    minimal: list[int] = []
+    for k in sorted(range(len(G)), key=lambda k: (-leads[k][0], grevlex_key(leads[k][1]))):
+        pos, lt = leads[k]
+        if not any(leads[m][0] == pos and exp_divides(leads[m][1], lt) for m in minimal):
+            minimal.append(k)
+    index = _index([G[k] for k in minimal], [certs[k] for k in minimal], rank)
+    basis: list[Row] = []
+    basis_certs: list[int] = []
+    for k in minimal:
+        pos, lt = leads[k]
+        tail = [dict(comp) for comp in G[k]]
+        del tail[pos][lt]
+        r, red_cert = _reduce(tail, index, field)
+        r[pos][lt] = one
+        basis.append(r)
+        basis_certs.append(max(certs[k], red_cert))
+    return basis, basis_certs
+
+
+# ---------------------------------------------------------------------------
+# ideals: the rank-1 case
+# ---------------------------------------------------------------------------
+
+
 def buchberger(
     gens: list[Polynomial],
     grading: Grading | None = None,
     cap: tuple[int, ...] | None = None,
 ) -> tuple[list[Polynomial], int]:
-    """Reduced Groebner basis plus a certificate-degree excess bound.
-
-    With `grading`/`cap` (for ideals homogeneous in an N^k-grading) the run is
-    truncated: S-pairs whose lcm grade exceeds the cap are skipped.  The result
-    then decides membership exactly for all elements of grade <= cap, which is
-    all the engine ever reduces in the graded presentations.
-
-    The excess bounds, over every basis element g, the difference between the
-    degree of some representation g = sum(q_i * f_i) over the input generators
-    and deg(g).  Because grevlex is degree-compatible, any p with normal form 0
-    then has a representation with all products of degree <= deg(p) + excess,
-    which is what the dense linear-algebra membership oracle needs.
-    """
-    truncate = grading is not None and cap is not None
-    G: list[Polynomial] = []
-    for g in gens:
-        if g and not g.is_zero():
-            G.append(g.monic())
-    lts: list[Exponent] = [g.leading_exponent() for g in G]
-    excess = 0
-    pairs: dict[tuple[int, int], Exponent] = {}
-
-    def add_pair(i: int, j: int):
-        lcm = exp_lcm(lts[i], lts[j])
-        if truncate and not _grade_leq(monomial_grade(lcm, grading), cap):
-            return
-        pairs[(i, j)] = lcm
-
-    n0 = len(G)
-    for i in range(n0):
-        for j in range(i + 1, n0):
-            add_pair(i, j)
-
-    while pairs:
-        (i, j), lcm = min(pairs.items(), key=lambda kv: (sum(kv[1]), kv[1], kv[0]))
-        del pairs[(i, j)]
-        if lcm == exp_mul(lts[i], lts[j]):  # coprime leading terms
-            continue
-        if any(
-            k != i and k != j
-            and exp_divides(lts[k], lcm)
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
-            for k in range(len(G))
-        ):
-            continue
-        s = _spoly(G[i], G[j])
-        r = reduce_poly(s, G)
-        if not r.is_zero():
-            # Forming s and reducing it uses products of degree <= deg(lcm) + excess.
-            excess = max(excess, sum(lcm) + excess - r.total_degree())
-            G.append(r.monic())
-            lts.append(r.leading_exponent())
-            new = len(G) - 1
-            for k in range(new):
-                add_pair(k, new)
-
-    # Interreduction only rewrites tails, so leading degrees and excess survive.
-    return _interreduce(G), excess
-
-
-def _interreduce(G: list[Polynomial]) -> list[Polynomial]:
-    minimal: list[Polynomial] = []
-    for g in sorted(G, key=lambda h: grevlex_key(h.leading_exponent())):
-        if not any(exp_divides(h.leading_exponent(), g.leading_exponent()) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = reduce_poly(g, others) if others else g
-        reduced.append(r.monic())
-    reduced.sort(key=lambda h: grevlex_key(h.leading_exponent()))
-    return reduced
+    """Reduced Groebner basis plus a certificate-degree excess bound."""
+    if not gens:
+        return [], 0
+    basis = IdealBasis(gens[0].field, gens[0].vars, gens, grading, cap)
+    return basis.basis, basis.cert_excess
 
 
 class IdealBasis:
     """Reduced Groebner basis of an ideal, with its ambient ring data.
 
+    `cert_excess` bounds, over every basis element g, the difference between
+    the degree of some representation g = sum(q_i * f_i) over the generators
+    and deg(g).  Because grevlex is degree-compatible, any p with normal form 0
+    then has a representation with all products of degree <= deg(p) + excess,
+    which is what the dense linear-algebra membership oracle needs.
+
     A graded basis (grading + cap) is only valid for elements whose grade
     stays within the cap; `normal_form` enforces that.
     """
 
-    __slots__ = ("field", "vars", "generators", "basis", "cert_excess", "order", "grading", "cap")
+    __slots__ = (
+        "field", "vars", "generators", "basis", "cert_excess", "order", "grading", "cap", "_index"
+    )
 
     def __init__(
         self,
@@ -193,7 +262,10 @@ class IdealBasis:
         self.generators = list(generators)
         self.grading = grading
         self.cap = cap
-        self.basis, self.cert_excess = buchberger(generators, grading, cap)
+        rows, certs = _groebner([[g.terms] for g in generators], 1, field, grading, cap)
+        self.basis = [Polynomial(field, variables, row[0]) for row in rows]
+        self.cert_excess = max((c - _row_degree(r) for r, c in zip(rows, certs)), default=0)
+        self._index = _index(rows, certs, 1)
         self.order = "grevlex"
 
     def normal_form(self, p: Polynomial) -> Polynomial:
@@ -203,7 +275,10 @@ class IdealBasis:
             for exp in p.terms:
                 if not _grade_leq(monomial_grade(exp, self.grading), self.cap):
                     raise ValueError("element exceeds the graded truncation bound of this basis")
-        return reduce_poly(p, self.basis)
+        if not self.basis or p.is_zero():
+            return p
+        (nf,), _ = _reduce([dict(p.terms)], self._index, self.field)
+        return Polynomial(self.field, self.vars, nf)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -225,166 +300,14 @@ def normal_form(p: Polynomial, basis: IdealBasis) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# submodules of free modules (position-over-term)
+# submodules of free modules
 # ---------------------------------------------------------------------------
-
-
-def _pot_key(pos: int, exp: Exponent):
-    return (-pos, grevlex_key(exp))
-
-
-def vector_leading(v: Vector) -> tuple[int, Exponent] | None:
-    best = None
-    for pos, comp in enumerate(v):
-        for e in comp.terms:
-            if best is None or _pot_key(pos, e) > _pot_key(*best):
-                best = (pos, e)
-    return best
-
-
-def _vec_is_zero(v: Vector) -> bool:
-    return all(c.is_zero() for c in v)
-
-
-def _vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vec_mul_monomial(v: Vector, exp: Exponent, coef: Coef) -> Vector:
-    return tuple(c.mul_monomial(exp, coef) for c in v)
-
-
-def _vec_monic(v: Vector, field: Field) -> Vector:
-    pos, exp = vector_leading(v)  # nonzero by contract
-    inv = field.inv(v[pos].terms[exp])
-    return tuple(c.scale(inv) for c in v)
-
-
-def reduce_vector(
-    v: Vector,
-    basis: list[Vector],
-    field: Field,
-    variables: tuple[str, ...],
-    cert_degrees: list[int] | None = None,
-) -> Vector | tuple[Vector, int]:
-    """Full normal form of v w.r.t. monic basis vectors under POT.
-
-    With `cert_degrees` (one entry per basis vector: the degree of some
-    representation of that vector over the module's original generators) the
-    realized certificate degree of this reduction is returned as well; POT is
-    not degree-compatible, so the bound must be measured, not inferred.
-    """
-    lts = [(vector_leading(b), b) for b in basis]
-    remainder = [dict() for _ in v]
-    work = v
-    cert = 0
-    while True:
-        lead = vector_leading(work)
-        if lead is None:
-            break
-        pos, exp = lead
-        coef = work[pos].terms[exp]
-        for k, ((bpos, bexp), b) in enumerate(lts):
-            if bpos == pos and exp_divides(bexp, exp):
-                delta = exp_div(exp, bexp)
-                work = _vec_sub(work, _vec_mul_monomial(b, delta, coef))
-                if cert_degrees is not None:
-                    cert = max(cert, sum(delta) + cert_degrees[k])
-                break
-        else:
-            remainder[pos][exp] = coef
-            comp = dict(work[pos].terms)
-            del comp[exp]
-            work = tuple(
-                Polynomial(field, variables, comp) if i == pos else c for i, c in enumerate(work)
-            )
-    result = tuple(Polynomial(field, variables, r) for r in remainder)
-    return (result, cert) if cert_degrees is not None else result
-
-
-def _vec_degree(v: Vector) -> int:
-    return max((c.total_degree() for c in v if not c.is_zero()), default=0)
-
-
-def module_buchberger(
-    gens: list[Vector], field: Field, variables: tuple[str, ...]
-) -> tuple[list[Vector], list[int]]:
-    """Reduced module basis plus per-element certificate degrees."""
-    G = [_vec_monic(v, field) for v in gens if not _vec_is_zero(v)]
-    certs = [_vec_degree(v) for v in G]
-    pairs = {
-        (i, j)
-        for i in range(len(G))
-        for j in range(i + 1, len(G))
-        if vector_leading(G[i])[0] == vector_leading(G[j])[0]
-    }
-
-    def lcm_of(i: int, j: int) -> Exponent:
-        return exp_lcm(vector_leading(G[i])[1], vector_leading(G[j])[1])
-
-    while pairs:
-        i, j = min(pairs, key=lambda p: (sum(lcm_of(*p)), lcm_of(*p)))
-        pairs.discard((i, j))
-        pos_i, lt_i = vector_leading(G[i])
-        _, lt_j = vector_leading(G[j])
-        lcm = exp_lcm(lt_i, lt_j)
-        if any(
-            k != i and k != j
-            and vector_leading(G[k])[0] == pos_i
-            and exp_divides(vector_leading(G[k])[1], lcm)
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
-            for k in range(len(G))
-        ):
-            continue
-        a = _vec_mul_monomial(G[i], exp_div(lcm, lt_i), field.one())
-        b = _vec_mul_monomial(G[j], exp_div(lcm, lt_j), field.one())
-        s = _vec_sub(a, b)
-        form_cert = max(sum(lcm) - sum(lt_i) + certs[i], sum(lcm) - sum(lt_j) + certs[j])
-        r, red_cert = reduce_vector(s, G, field, variables, certs)
-        if not _vec_is_zero(r):
-            G.append(_vec_monic(r, field))
-            certs.append(max(form_cert, red_cert, _vec_degree(r)))
-            new = len(G) - 1
-            pairs.update(
-                (k, new) for k in range(new) if vector_leading(G[k])[0] == vector_leading(G[new])[0]
-            )
-
-    return _module_interreduce(G, certs, field, variables)
-
-
-def _module_interreduce(
-    G: list[Vector], certs: list[int], field: Field, variables: tuple[str, ...]
-) -> tuple[list[Vector], list[int]]:
-    def sort_key(item):
-        return _pot_key(*vector_leading(item[0]))
-
-    pairs_sorted = sorted(zip(G, certs), key=sort_key)
-    minimal: list[tuple[Vector, int]] = []
-    for g, c in pairs_sorted:
-        gpos, gexp = vector_leading(g)
-        if not any(
-            vector_leading(h)[0] == gpos and exp_divides(vector_leading(h)[1], gexp)
-            for h, _ in minimal
-        ):
-            minimal.append((g, c))
-    reduced: list[tuple[Vector, int]] = []
-    for i, (g, c) in enumerate(minimal):
-        others = [h for j, (h, _) in enumerate(minimal) if j != i]
-        other_certs = [d for j, (_, d) in enumerate(minimal) if j != i]
-        if others:
-            r, red_cert = reduce_vector(g, others, field, variables, other_certs)
-            reduced.append((_vec_monic(r, field), max(c, red_cert)))
-        else:
-            reduced.append((g, c))
-    reduced.sort(key=sort_key)
-    return [g for g, _ in reduced], [c for _, c in reduced]
 
 
 class ModuleBasis:
     """Groebner basis of a submodule of a free module over a polynomial ring."""
 
-    __slots__ = ("field", "vars", "rank", "generators", "basis", "cert_degrees")
+    __slots__ = ("field", "vars", "rank", "generators", "basis", "cert_degrees", "_index")
 
     def __init__(self, field: Field, variables: tuple[str, ...], rank: int, generators: list[Vector]):
         for v in generators:
@@ -397,20 +320,28 @@ class ModuleBasis:
         self.vars = variables
         self.rank = rank
         self.generators = list(generators)
-        self.basis, self.cert_degrees = module_buchberger(generators, field, variables)
+        rows, self.cert_degrees = _groebner([[c.terms for c in v] for v in generators], rank, field)
+        self.basis = [self._vector(row) for row in rows]
+        self._index = _index(rows, self.cert_degrees, rank)
+
+    def _vector(self, row: Row) -> Vector:
+        return tuple(Polynomial(self.field, self.vars, comp) for comp in row)
 
     def normal_form(self, v: Vector) -> Vector:
         if len(v) != self.rank:
             raise ValueError("rank mismatch")
-        return reduce_vector(v, self.basis, self.field, self.vars)
+        nf, _ = _reduce([dict(c.terms) for c in v], self._index, self.field)
+        return self._vector(nf)
 
     def normal_form_with_bound(self, v: Vector) -> tuple[Vector, int]:
         """Normal form plus a degree bound covering this reduction's certificate."""
-        nf, cert = reduce_vector(v, self.basis, self.field, self.vars, self.cert_degrees)
-        return nf, max(cert, _vec_degree(v))
+        row = [dict(c.terms) for c in v]
+        degree = _row_degree(row)
+        nf, cert = _reduce(row, self._index, self.field)
+        return self._vector(nf), max(cert, degree)
 
     def contains(self, v: Vector) -> bool:
-        return _vec_is_zero(self.normal_form(v))
+        return all(c.is_zero() for c in self.normal_form(v))
 
 
 def module_groebner_basis(gens: list[Vector], field: Field, variables: tuple[str, ...], rank: int) -> ModuleBasis:

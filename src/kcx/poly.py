@@ -13,7 +13,7 @@ declared variable order.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .fields import Coef, Field
 
@@ -86,10 +86,6 @@ class Polynomial:
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, indices: Iterable[int]) -> int:
-        idx = tuple(indices)
-        return max((sum(e[i] for i in idx) for e in self.terms), default=0)
 
     def leading_exponent(self) -> Exponent:
         return max(self.terms, key=grevlex_key)

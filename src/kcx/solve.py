@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraMorphism, PresentedAlgebra, compose_morphisms, localize, make_morphism
 from .connections import AxiomCheck, AxiomReport, Connection, apply_connection
 from .errors import KcxError
-from .fields import Coef
+from .fields import Coef, Field
 from .linsolve import AffineSolutionSpace, LinearEquation, affine_linear_solve
 from .modules import (
     ModuleElement,
@@ -77,6 +77,39 @@ def _gamma_from_units(M, target, entries: dict[tuple[str, int, tuple], Coef]):
     return gamma
 
 
+def _affine_equations(residues, layout: dict, f: Field) -> list[LinearEquation]:
+    """The exact linear system of residues that are affine-linear in the unknowns.
+
+    `residues(entries)` evaluates every residue row with the unknowns set to
+    `entries` (a layout key -> value map, missing keys zero).  Rows are
+    evaluated at zero and at each unit; every (row, position, monomial) in
+    their joint support gives one equation.
+    """
+    base = residues({})
+    columns: dict[str, list[ModuleElement]] = {}
+    for key, name in layout.items():
+        columns[name] = [r - r0 for r, r0 in zip(residues({key: f.one()}), base)]
+
+    equations: list[LinearEquation] = []
+    for row_idx in range(len(base)):
+        support = set()
+        for pos, comp in enumerate(base[row_idx].comps):
+            support.update((pos, e) for e in comp.terms)
+        for col in columns.values():
+            for pos, comp in enumerate(col[row_idx].comps):
+                support.update((pos, e) for e in comp.terms)
+        for pos, e in support:
+            coeffs = {}
+            for name, col in columns.items():
+                c = col[row_idx].comps[pos].terms.get(e)
+                if c:
+                    coeffs[name] = c
+            equations.append(
+                LinearEquation(coeffs, base[row_idx].comps[pos].terms.get(e, f.zero()))
+            )
+    return equations
+
+
 def solve_connection_space(M: PresentedModule, degree_bound: int) -> ConnectionSpace:
     """Exact solution space of Christoffel coefficients up to a degree bound."""
     if degree_bound < 0:
@@ -95,32 +128,10 @@ def solve_connection_space(M: PresentedModule, degree_bound: int) -> ConnectionS
             layout[(g, idx, exp)] = name
             names.append(name)
 
-    zero_gamma = _gamma_from_units(M, target, {})
-    base_res = [r for _, r in connection_residues(M, zero_gamma)]
-    columns: dict[str, list[ModuleElement]] = {}
-    for key, name in layout.items():
-        gamma = _gamma_from_units(M, target, {key: f.one()})
-        col = [r - r0 for (_, r), r0 in zip(connection_residues(M, gamma), base_res)]
-        columns[name] = col
+    def residues(entries) -> list[ModuleElement]:
+        return [r for _, r in connection_residues(M, _gamma_from_units(M, target, entries))]
 
-    equations: list[LinearEquation] = []
-    for rel_idx in range(len(base_res)):
-        support = set()
-        for pos, comp in enumerate(base_res[rel_idx].comps):
-            support.update((pos, e) for e in comp.terms)
-        for col in columns.values():
-            for pos, comp in enumerate(col[rel_idx].comps):
-                support.update((pos, e) for e in comp.terms)
-        for pos, e in support:
-            coeffs = {}
-            for name, col in columns.items():
-                c = col[rel_idx].comps[pos].terms.get(e)
-                if c:
-                    coeffs[name] = c
-            equations.append(
-                LinearEquation(coeffs, base_res[rel_idx].comps[pos].terms.get(e, f.zero()))
-            )
-
+    equations = _affine_equations(residues, layout, f)
     return ConnectionSpace(M, degree_bound, layout, affine_linear_solve(equations, tuple(names), f))
 
 
@@ -259,6 +270,8 @@ def glued_connection_check(
     degree at most `degree`) become unknowns and the combined system of chart
     well-definedness and gluing constraints is solved exactly.
     """
+    if degree < 0:
+        raise ValueError("degree bound must be nonnegative")
     from .connections import connection_residues
 
     L1, L2 = localize(A1, u1), localize(A2, u2)
@@ -319,30 +332,7 @@ def glued_connection_check(
         rows += _glue_residues(A1, L1, A2, L2, t, omega_t, g1, g2)
         return rows
 
-    base = all_residues({})
-    columns: dict[str, list[ModuleElement]] = {}
-    for key, name in layout.items():
-        col = all_residues({key: f.one()})
-        columns[name] = [r - r0 for r, r0 in zip(col, base)]
-
-    equations: list[LinearEquation] = []
-    for row_idx in range(len(base)):
-        support = set()
-        for pos, comp in enumerate(base[row_idx].comps):
-            support.update((pos, e) for e in comp.terms)
-        for col in columns.values():
-            for pos, comp in enumerate(col[row_idx].comps):
-                support.update((pos, e) for e in comp.terms)
-        for pos, e in support:
-            coeffs = {}
-            for name, col in columns.items():
-                c = col[row_idx].comps[pos].terms.get(e)
-                if c:
-                    coeffs[name] = c
-            equations.append(
-                LinearEquation(coeffs, base[row_idx].comps[pos].terms.get(e, f.zero()))
-            )
-
+    equations = _affine_equations(all_residues, layout, f)
     return GlueResult(
         space=affine_linear_solve(equations, tuple(names), f), layout=layout
     )

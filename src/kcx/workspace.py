@@ -77,9 +77,6 @@ class Workspace:
     connection_module: dict[str, str] = dfield(default_factory=dict)
     morphism_ends: dict[str, tuple[str, str]] = dfield(default_factory=dict)
 
-    def module_of_connection(self, name: str) -> PresentedModule:
-        return self.modules[self.connection_module[name]]
-
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _GEN = rf"(?:{_NAME}|d\(\s*{_NAME}\s*\))"
@@ -125,10 +122,6 @@ class _Cursor:
         if not self.text.startswith(literal, self.pos):
             raise self.error(f"expected {literal!r}")
         self.pos += len(literal)
-
-    def peek_is(self, literal: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(literal, self.pos)
 
     def take_block_entries(self) -> list[tuple[str, int]]:
         """Entries of a `{ ...; ...; }` block, with their start positions."""

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -170,7 +171,32 @@ def test_module_membership_matches_dense_oracle():
 
 
 def test_buchberger_deterministic():
-    gens = [P("x^2 + y^2 - 1"), P("x*y - 1")]
+    gens = [P("x^2 + y^2 - 1"), P("x*y - 1"), P("x^3 - y")]
     b1, _ = buchberger(gens)
-    b2, _ = buchberger(gens)
-    assert b1 == b2
+    for order in itertools.permutations(gens):
+        assert buchberger(list(order))[0] == b1
+
+
+def test_module_basis_independent_of_generator_order():
+    rng = random.Random(303)
+    for _ in range(20):
+        gens = [tuple(random_poly(rng, degree=2) for _ in range(2)) for _ in range(3)]
+        gens = [v for v in gens if any(v)]
+        expected = ModuleBasis(QQ, ("x", "y"), 2, gens).basis
+        rng.shuffle(gens)
+        assert ModuleBasis(QQ, ("x", "y"), 2, gens).basis == expected
+
+
+def test_module_pairs_with_coprime_leads_are_not_skipped():
+    # the S-vector y*(x, 1) - x*(y, 0) = (0, y) lives only in the tails
+    x, y, one, zero = P("x"), P("y"), P("1"), P("0")
+    mb = ModuleBasis(QQ, ("x", "y"), 2, [(x, one), (y, zero)])
+    assert mb.contains((zero, y))
+
+
+def test_capped_ideal_basis_refuses_elements_above_the_cap():
+    variables = ("x", "dx")
+    basis = IdealBasis(QQ, variables, [P("dx^2", variables=variables)], grading=[(0,), (1,)], cap=(1,))
+    assert basis.normal_form(P("x*dx", variables=variables)) == P("x*dx", variables=variables)
+    with pytest.raises(ValueError):
+        basis.normal_form(P("dx^2", variables=variables))

@@ -173,9 +173,21 @@ def test_cli_naive_circle_reports_residue(tmp_path):
     assert payload["checks"][0]["residue"] == "2*d(x)@d(x) + 2*d(y)@d(y)"
 
 
-def test_cli_exit_codes():
+def test_cli_exit_codes(tmp_path):
     code, text = run(["check", "/nonexistent/file.kcx"])
     assert code == 2
+    latin1 = tmp_path / "latin1.kcx"
+    latin1.write_bytes("# caf\xe9\n".encode("latin-1"))
+    usage_errors = [
+        ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", "-1"],
+        ["glue", str(FILES / "p1.kcx"), "--degree", "-1"],
+        ["check", str(latin1)],
+        ["check", str(FILES)],
+    ]
+    for argv in usage_errors:
+        code, text = run(argv)
+        assert code == 2, argv
+        assert text.startswith("error: "), argv
     code, _ = run(["solve", str(FILES / "circle.kcx"), "--module", "Missing"])
     assert code == 2
     # a failing check exits 1
