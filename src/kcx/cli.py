@@ -23,11 +23,7 @@ from pathlib import Path
 
 from .connections import to_horizontal, to_vertical, verify_connection_axioms
 from .connections import connection_equal, from_horizontal
-from .curvature import (
-    check_curvature_correspondence,
-    check_torsion_correspondence,
-    tangent_torsion,
-)
+from .curvature import check_curvature_correspondence, check_torsion_correspondence
 from .errors import KcxError
 from .gallery import run_gallery
 from .linsolve import AffineSolutionSpace
@@ -144,52 +140,44 @@ def cmd_solve(args) -> Report:
     return report
 
 
-def cmd_curvature(args) -> Report:
+def _correspondence_report(args, command: str, check, verdicts: tuple[str, str]) -> Report:
+    """Per connection: the verdict (`verdicts` is the vanishing and the
+    non-vanishing label), one correspondence check per generator, and the
+    module images."""
     ws = _load(args.file, args.char)
-    report = Report("curvature")
+    report = Report(command)
     for name in _pick_connections(ws, args.connection):
-        nabla = ws.connections[name]
-        result = check_curvature_correspondence(nabla)
-        flatness = "flat" if result.flat else "not flat"
-        report.checks.append(Check(f"curvature[{name}]", "pass", flatness))
+        result = check(ws.connections[name])
+        if command == "torsion":
+            # check_torsion_correspondence raises if the two bundle routes disagree
+            report.checks.append(Check(f"torsion-routes-agree[{name}]", "pass"))
+        verdict = verdicts[0] if result.vanishes else verdicts[1]
+        report.checks.append(Check(f"{command}[{name}]", "pass", verdict))
         for g, residuals in result.residuals.items():
             bad = [r for r in residuals if not r.is_zero()]
             report.checks.append(
                 Check(
-                    f"curvature-correspondence[{name}][{g}]",
+                    f"{command}-correspondence[{name}][{g}]",
                     "pass" if not bad else "fail",
                     g,
                     "; ".join(r.render() for r in bad),
                 )
             )
         for g, img in result.images.items():
-            report.lines.append(f"curvature[{name}] {g} -> {img.render()}")
+            report.lines.append(f"{command}[{name}] {g} -> {img.render()}")
     return report
+
+
+def cmd_curvature(args) -> Report:
+    return _correspondence_report(
+        args, "curvature", check_curvature_correspondence, ("flat", "not flat")
+    )
 
 
 def cmd_torsion(args) -> Report:
-    ws = _load(args.file, args.char)
-    report = Report("torsion")
-    for name in _pick_connections(ws, args.connection):
-        nabla = ws.connections[name]
-        result = check_torsion_correspondence(nabla)
-        tangent_torsion(nabla)  # raises if the two bundle routes disagree
-        report.checks.append(Check(f"torsion-routes-agree[{name}]", "pass"))
-        freeness = "torsion-free" if result.torsion_free else "has torsion"
-        report.checks.append(Check(f"torsion[{name}]", "pass", freeness))
-        for g, residuals in result.residuals.items():
-            bad = [r for r in residuals if not r.is_zero()]
-            report.checks.append(
-                Check(
-                    f"torsion-correspondence[{name}][{g}]",
-                    "pass" if not bad else "fail",
-                    g,
-                    "; ".join(r.render() for r in bad),
-                )
-            )
-        for g, img in result.images.items():
-            report.lines.append(f"torsion[{name}] {g} -> {img.render()}")
-    return report
+    return _correspondence_report(
+        args, "torsion", check_torsion_correspondence, ("torsion-free", "has torsion")
+    )
 
 
 def cmd_convert(args) -> Report:

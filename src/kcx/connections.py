@@ -337,9 +337,7 @@ def verify_connection_axioms(
 
 def free_canonical_connection(A: PresentedAlgebra, n: int) -> Connection:
     """Gamma = 0 on a rank-n free module; Leibniz gives componentwise d."""
-    M = free_module(A, n)
-    ctx = bundle_context(M)
-    return make_connection(M, {g: ctx.omega_tensor_M.zero() for g in M.gens})
+    return zero_gamma_connection(free_module(A, n))
 
 
 def zero_gamma_connection(M: PresentedModule) -> Connection:
@@ -360,18 +358,11 @@ def pullback_connection(nabla: Connection, f: AlgebraMorphism) -> Connection:
         f.certify()
     M, A, B = nabla.module, nabla.base, f.cod
     pulled = make_module(B, M.gens, [[f(A.element(c)) for c in row] for row in M.relations])
-    ctx = bundle_context(pulled)
-    omega_B = kahler_module(B)
-    target = ctx.omega_tensor_M
+    target = bundle_context(pulled).omega_tensor_M
     images = {}
     for g in M.gens:
-        src = nabla.gamma[g]
         out = target.zero()
-        n = M.rank
-        for idx, coef in enumerate(src.comps):
-            if coef.is_zero():
-                continue
-            i, l = divmod(idx, n)
+        for i, l, coef in nabla.ctx.omega_tensor_M.entries(nabla.gamma[g]):
             d_image = universal_derivation(B, f(A.gen(A.gens[i])))
             out = out + target.pair(d_image, pulled.gen(M.gens[l])).scaled(f(A.element(coef)))
         images[g] = out
@@ -389,15 +380,11 @@ def retract_connection(nabla: Connection, s: ModuleMorphism, r: ModuleMorphism) 
             raise SectionRetractionFailure(f"r(s({g})) != {g}")
     omega = kahler_module(M.base)
     target = tensor_modules(omega, Mp)
-    n = M.rank
     images = {}
     for g in Mp.gens:
         full = apply_connection(nabla, s(Mp.gen(g)))
         out = target.zero()
-        for idx, coef in enumerate(full.comps):
-            if coef.is_zero():
-                continue
-            i, l = divmod(idx, n)
+        for i, l, coef in nabla.ctx.omega_tensor_M.entries(full):
             out = out + target.pair(omega.gen(omega.gens[i]), r(M.gen(M.gens[l]))).scaled(coef)
         images[g] = out
     return make_connection(Mp, images)

@@ -16,13 +16,21 @@ that identity holds on the nose on the generator basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from typing import Callable, Iterator
 
-from .algebra import AlgebraElement, AlgebraMorphism, compose_chain, compose_morphisms
+from .algebra import (
+    AlgebraElement,
+    AlgebraMorphism,
+    PresentedAlgebra,
+    compose_chain,
+    compose_morphisms,
+)
 from .connections import Connection, apply_connection, to_horizontal, to_vertical
 from .errors import KcxError, ModuleNotKahler
 from .modules import ModuleElement, kahler_module, tensor_modules, wedge_square
 from .poly import Polynomial
 from .tangent import (
+    TangentPresentation,
     affine_flip,
     affine_swap,
     bracketing,
@@ -32,27 +40,40 @@ from .tangent import (
 
 
 @dataclass
-class CurvatureResult:
-    images: dict[str, ModuleElement]  # per module generator, in Omega^2 (x) M
-    flat: bool
+class CorrespondenceResult:
+    """Module images of curvature or torsion, per generator.
+
+    The correspondence checks fill in the bundle images and, per generator,
+    the residuals of the factor-of-two identities.
+    """
+
+    images: dict[str, ModuleElement]
     tangent_images: dict[str, AlgebraElement] | None = None
     residuals: dict[str, list] = dfield(default_factory=dict)
+
+    @property
+    def vanishes(self) -> bool:
+        return all(v.is_zero() for v in self.images.values())
 
     @property
     def residuals_zero(self) -> bool:
         return all(r.is_zero() for rs in self.residuals.values() for r in rs)
 
 
-@dataclass
-class TorsionResult:
-    images: dict[str, ModuleElement]  # per Omega generator, in Omega^2
-    torsion_free: bool
-    tangent_images: dict[str, AlgebraElement] | None = None
-    residuals: dict[str, list] = dfield(default_factory=dict)
+class CurvatureResult(CorrespondenceResult):
+    """Images per module generator, in Omega^2 (x) M."""
 
     @property
-    def residuals_zero(self) -> bool:
-        return all(r.is_zero() for rs in self.residuals.values() for r in rs)
+    def flat(self) -> bool:
+        return self.vanishes
+
+
+class TorsionResult(CorrespondenceResult):
+    """Images per Omega generator, in Omega^2."""
+
+    @property
+    def torsion_free(self) -> bool:
+        return self.vanishes
 
 
 # ---------------------------------------------------------------------------
@@ -65,47 +86,43 @@ def curvature_target(nabla: Connection):
     return tensor_modules(wedge_square(omega), nabla.module)
 
 
+def _wedge_tensor(nabla: Connection, terms) -> ModuleElement:
+    """sum c * (d(x_i) ^ d(x_j)) (x) m_l over (i, j, l, c), in Omega^2 (x) M."""
+    target = curvature_target(nabla)
+    w2 = target.factors[0]
+    by_gen: list[list] = [[] for _ in nabla.module.gens]
+    for i, j, l, c in terms:
+        by_gen[l].append((i, j, c))
+    comps = [None] * target.rank
+    for l, gen_terms in enumerate(by_gen):
+        for p, c in enumerate(w2.collect(gen_terms)):
+            comps[target.pair_index(p, l)] = c
+    return ModuleElement(target, tuple(comps))
+
+
 def curvature_of_element(nabla: Connection, e: ModuleElement) -> ModuleElement:
     """Apply the connection twice and collapse the two form slots to a wedge."""
     M = nabla.module
-    omega = kahler_module(nabla.base)
-    w2 = wedge_square(omega)
-    target = curvature_target(nabla)
-    first = apply_connection(nabla, e)
-    n = M.rank
-    out = target.zero()
-    for idx, coef in enumerate(first.comps):
-        if coef.is_zero():
-            continue
-        i, l = divmod(idx, n)
+    T = nabla.ctx.omega_tensor_M
+    terms = []
+    for i, l, coef in T.entries(apply_connection(nabla, e)):
         second = apply_connection(nabla, M.gen(M.gens[l]).scaled(coef))
-        for idx2, coef2 in enumerate(second.comps):
-            if coef2.is_zero():
-                continue
-            k, target_gen = divmod(idx2, n)
-            if i == k:
-                continue
-            if i < k:
-                wedge = w2.gen(w2.gens[w2.pairs.index((i, k))])
-            else:
-                wedge = -w2.gen(w2.gens[w2.pairs.index((k, i))])
-            out = out + target.pair(wedge, M.gen(M.gens[target_gen])).scaled(coef2)
-    return out
+        terms.extend((i, k, t, c) for k, t, c in T.entries(second))
+    return _wedge_tensor(nabla, terms)
 
 
 def module_curvature(nabla: Connection) -> CurvatureResult:
-    images = {g: curvature_of_element(nabla, nabla.module.gen(g)) for g in nabla.module.gens}
-    return CurvatureResult(images, flat=all(v.is_zero() for v in images.values()))
+    return CurvatureResult(
+        {g: curvature_of_element(nabla, nabla.module.gen(g)) for g in nabla.module.gens}
+    )
 
 
 def module_torsion(nabla: Connection) -> TorsionResult:
     """Wedge collapse of the Christoffel images; needs a Kahler-module bundle."""
     if nabla.module.provenance != "kahler":
         raise ModuleNotKahler("torsion is defined for connections on the differentials module")
-    omega = nabla.module
-    w2 = wedge_square(omega)
-    images = {g: w2.from_tensor(nabla.gamma[g]) for g in omega.gens}
-    return TorsionResult(images, torsion_free=all(v.is_zero() for v in images.values()))
+    w2 = wedge_square(nabla.module)
+    return TorsionResult({g: w2.from_tensor(nabla.gamma[g]) for g in nabla.module.gens})
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +166,46 @@ def embed_wedge_curvature(nabla: Connection, e: ModuleElement) -> Polynomial:
     target = curvature_target(nabla)
     if e.module is not target:
         raise ValueError("expected an element of Omega^2 (x) M")
-    w2 = wedge_square(kahler_module(nabla.base))
+    w2 = target.factors[0]
     var = lambda name: Polynomial.variable(T2S.field, T2S.gens, name)
     out = Polynomial.zero(T2S.field, T2S.gens)
-    for idx, coef in enumerate(e.comps):
-        if coef.is_zero():
-            continue
-        p, l = divmod(idx, M.rank)
+    for p, l, coef in target.entries(e):
         i, j = w2.pairs[p]
         m = var(M.gens[l])
         d_i, d_j = var(TS.dmap[ctx.A.gens[i]]), var(TS.dmap[ctx.A.gens[j]])
         dp_i, dp_j = var(T2S.dmap[ctx.A.gens[i]]), var(T2S.dmap[ctx.A.gens[j]])
         out = out + coef.change_vars(T2S.gens) * m * (d_i * dp_j - dp_i * d_j)
     return out
+
+
+def _shapes(
+    P: TangentPresentation, A: PresentedAlgebra, poly, kinds: tuple[str, ...]
+) -> Iterator[tuple[list[str], Polynomial]]:
+    """The monomials of `poly` with one degree-1 generator of each sort in
+    `kinds` and only base generators besides; all others are dropped.
+
+    Yields those generators in the order of `kinds`, and the rest of the term
+    as a polynomial over A.
+    """
+    if isinstance(poly, AlgebraElement):
+        poly = poly.poly
+    kind_at = [P.roles[g].kind for g in P.gens]
+    back = {g: g for g in A.gens}
+    for exp, coef in poly.terms.items():
+        found: dict[str, str] = {}
+        rest = list(exp)
+        for pos, vdeg in enumerate(exp):
+            kind = kind_at[pos]
+            if not vdeg or kind == "base":
+                continue
+            if vdeg != 1 or kind not in kinds or kind in found:
+                break
+            found[kind] = P.gens[pos]
+            rest[pos] = 0
+        else:
+            if len(found) == len(kinds):
+                rest_poly = Polynomial(P.field, P.gens, {tuple(rest): coef})
+                yield [found[k] for k in kinds], rest_poly.change_vars(A.gens, back)
 
 
 def project_wedge_curvature(nabla: Connection, poly) -> ModuleElement:
@@ -171,55 +215,15 @@ def project_wedge_curvature(nabla: Connection, poly) -> ModuleElement:
     one second-level base differential (no mixed sorts); accepts an element or
     a raw polynomial.
     """
-    ctx = nabla.ctx
-    T2S, M = ctx.T2S, nabla.module
-    if isinstance(poly, AlgebraElement):
-        poly = poly.poly
-    target = curvature_target(nabla)
-    w2 = wedge_square(kahler_module(nabla.base))
-    kinds = {g: T2S.roles[g].kind for g in T2S.gens}
-    idx_of = {g: i for i, g in enumerate(T2S.gens)}
-    base_back = {g: g for g in ctx.A.gens}
-    comps = [Polynomial.zero(ctx.A.field, ctx.A.gens)] * target.rank
-    for exp, coef in poly.terms.items():
-        m_vars, d_vars, dp_vars, bad = [], [], [], False
-        rest = list(exp)
-        for g, pos in idx_of.items():
-            vdeg = exp[pos]
-            if not vdeg:
-                continue
-            kind = kinds[g]
-            if kind == "base":
-                continue
-            if kind == "module" and vdeg == 1:
-                m_vars.append(g)
-            elif kind == "d" and vdeg == 1:
-                d_vars.append(g)
-            elif kind == "dp" and vdeg == 1:
-                dp_vars.append(g)
-            else:
-                bad = True
-                break
-        if bad or len(m_vars) != 1 or len(d_vars) != 1 or len(dp_vars) != 1:
-            continue
-        i = ctx.A.gens.index(T2S.roles[d_vars[0]].origin)
-        j = ctx.A.gens.index(T2S.roles[dp_vars[0]].origin)
-        if i == j:
-            continue
-        rest[idx_of[m_vars[0]]] -= 1
-        rest[idx_of[d_vars[0]]] -= 1
-        rest[idx_of[dp_vars[0]]] -= 1
-        base_coef = Polynomial(T2S.field, T2S.gens, {tuple(rest): coef}).change_vars(
-            ctx.A.gens, base_back
-        )
-        l = M.gens.index(m_vars[0])
-        if i < j:
-            k = target.pair_index(w2.pairs.index((i, j)), l)
-            comps[k] = comps[k] + base_coef
-        else:
-            k = target.pair_index(w2.pairs.index((j, i)), l)
-            comps[k] = comps[k] - base_coef
-    return target.element(tuple(comps))
+    T2S, A, M = nabla.ctx.T2S, nabla.base, nabla.module
+    origin = lambda g: A.gens.index(T2S.roles[g].origin)
+    return _wedge_tensor(
+        nabla,
+        [
+            (origin(d), origin(dp), M.gens.index(m), c)
+            for (m, d, dp), c in _shapes(T2S, A, poly, ("module", "d", "dp"))
+        ],
+    )
 
 
 def embed_wedge_torsion(nabla: Connection, e: ModuleElement) -> Polynomial:
@@ -243,49 +247,13 @@ def embed_wedge_torsion(nabla: Connection, e: ModuleElement) -> Polynomial:
 
 def project_wedge_torsion(nabla: Connection, poly) -> ModuleElement:
     """phi-hat: T(S_A(Omega)) -> Omega^2; keeps module-times-differential monomials."""
-    ctx = nabla.ctx
-    TS, M = ctx.TS, nabla.module
-    if isinstance(poly, AlgebraElement):
-        poly = poly.poly
-    w2 = wedge_square(kahler_module(nabla.base))
-    kinds = {g: TS.roles[g].kind for g in TS.gens}
-    idx_of = {g: i for i, g in enumerate(TS.gens)}
-    comps = [Polynomial.zero(ctx.A.field, ctx.A.gens)] * w2.rank
-    for exp, coef in poly.terms.items():
-        m_vars, d_vars, bad = [], [], False
-        rest = list(exp)
-        for g, pos in idx_of.items():
-            vdeg = exp[pos]
-            if not vdeg:
-                continue
-            kind = kinds[g]
-            if kind == "base":
-                continue
-            if kind == "module" and vdeg == 1:
-                m_vars.append(g)
-            elif kind == "d" and vdeg == 1:
-                d_vars.append(g)
-            else:
-                bad = True
-                break
-        if bad or len(m_vars) != 1 or len(d_vars) != 1:
-            continue
-        i = M.gens.index(m_vars[0])
-        j = ctx.A.gens.index(TS.roles[d_vars[0]].origin)
-        if i == j:
-            continue
-        rest[idx_of[m_vars[0]]] -= 1
-        rest[idx_of[d_vars[0]]] -= 1
-        base_coef = Polynomial(TS.field, TS.gens, {tuple(rest): coef}).change_vars(
-            ctx.A.gens, {g: g for g in ctx.A.gens}
-        )
-        if i < j:
-            k = w2.pairs.index((i, j))
-            comps[k] = comps[k] + base_coef
-        else:
-            k = w2.pairs.index((j, i))
-            comps[k] = comps[k] - base_coef
-    return w2.element(tuple(comps))
+    TS, A, M = nabla.ctx.TS, nabla.base, nabla.module
+    w2 = wedge_square(kahler_module(A))
+    terms = (
+        (M.gens.index(m), A.gens.index(TS.roles[d].origin), c)
+        for (m, d), c in _shapes(TS, A, poly, ("module", "d"))
+    )
+    return ModuleElement(w2, w2.collect(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -334,51 +302,51 @@ def torsionfree_horizontal_criterion(nabla: Connection) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_curvature_correspondence(nabla: Connection) -> CurvatureResult:
-    """Verify the bundle curvature against the module curvature per generator.
+def _correspond(
+    nabla: Connection,
+    result: CorrespondenceResult,
+    bundle_map: AlgebraMorphism,
+    P: TangentPresentation,
+    embed: Callable,
+    project: Callable,
+) -> CorrespondenceResult:
+    """Compare the bundle map V with the module images w, per generator m.
 
-    Residuals recorded per generator: the difference of the bundle image and
-    the embedded module image; twice the module image minus the projection of
-    the bundle image; and away from characteristic two, the module image minus
-    half the projection.
+    Residuals recorded per generator: V(m) - psi(w); 2w - phi(V(m)); and,
+    away from characteristic two, w - phi(V(m))/2.
     """
-    ctx = nabla.ctx
-    result = module_curvature(nabla)
-    C = tangent_curvature(nabla)
-    result.tangent_images = {m: C.image_of(m) for m in nabla.module.gens}
-    half = None
-    if nabla.base.field.char != 2:
-        half = nabla.base.field.of(1) / 2 if nabla.base.field.char == 0 else nabla.base.field.inv(2)
-    for m in nabla.module.gens:
-        c_img = result.tangent_images[m]
-        psi_img = ctx.T2S.element(embed_wedge_curvature(nabla, result.images[m]))
-        res1 = c_img - psi_img
-        phi_img = project_wedge_curvature(nabla, c_img)
-        res2 = result.images[m].scaled(2) - phi_img
-        residuals = [res1, res2]
+    field = nabla.base.field
+    half = None if field.char == 2 else field.inv(field.of(2))
+    result.tangent_images = {m: bundle_map.image_of(m) for m in nabla.module.gens}
+    for m, v_img in result.tangent_images.items():
+        w = result.images[m]
+        phi_img = project(nabla, v_img)
+        residuals = [v_img - P.element(embed(nabla, w)), w.scaled(2) - phi_img]
         if half is not None:
-            residuals.append(result.images[m] - phi_img.scaled(half))
+            residuals.append(w - phi_img.scaled(half))
         result.residuals[m] = residuals
     return result
+
+
+def check_curvature_correspondence(nabla: Connection) -> CurvatureResult:
+    """Verify the bundle curvature against the module curvature per generator."""
+    return _correspond(
+        nabla,
+        module_curvature(nabla),
+        tangent_curvature(nabla),
+        nabla.ctx.T2S,
+        embed_wedge_curvature,
+        project_wedge_curvature,
+    )
 
 
 def check_torsion_correspondence(nabla: Connection) -> TorsionResult:
     """Verify the bundle torsion against the module torsion per generator."""
-    ctx = nabla.ctx
-    result = module_torsion(nabla)
-    V = tangent_torsion(nabla)
-    result.tangent_images = {m: V.image_of(m) for m in nabla.module.gens}
-    half = None
-    if nabla.base.field.char != 2:
-        half = nabla.base.field.of(1) / 2 if nabla.base.field.char == 0 else nabla.base.field.inv(2)
-    for m in nabla.module.gens:
-        v_img = result.tangent_images[m]
-        psi_img = ctx.TS.element(embed_wedge_torsion(nabla, result.images[m]))
-        res1 = v_img - psi_img
-        phi_img = project_wedge_torsion(nabla, v_img)
-        res2 = result.images[m].scaled(2) - phi_img
-        residuals = [res1, res2]
-        if half is not None:
-            residuals.append(result.images[m] - phi_img.scaled(half))
-        result.residuals[m] = residuals
-    return result
+    return _correspond(
+        nabla,
+        module_torsion(nabla),
+        tangent_torsion(nabla),
+        nabla.ctx.TS,
+        embed_wedge_torsion,
+        project_wedge_torsion,
+    )

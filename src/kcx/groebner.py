@@ -243,7 +243,7 @@ class IdealBasis:
     """
 
     __slots__ = (
-        "field", "vars", "generators", "basis", "cert_excess", "order", "grading", "cap", "_index"
+        "field", "vars", "generators", "basis", "cert_excess", "grading", "cap", "_index"
     )
 
     def __init__(
@@ -266,7 +266,6 @@ class IdealBasis:
         self.basis = [Polynomial(field, variables, row[0]) for row in rows]
         self.cert_excess = max((c - _row_degree(r) for r, c in zip(rows, certs)), default=0)
         self._index = _index(rows, certs, 1)
-        self.order = "grevlex"
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.vars != self.vars or p.field != self.field:

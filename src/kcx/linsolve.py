@@ -23,12 +23,15 @@ class AffineSolutionSpace:
     """Solution set of an affine-linear system, exactly.
 
     `particular` is None iff the system is inconsistent; `basis` spans the
-    homogeneous solutions, so the dimension is len(basis).
+    homogeneous solutions, so the dimension is len(basis).  Basis vector k is
+    1 on unknown `free[k]` and 0 on the other free unknowns, and `particular`
+    is 0 on all of them.
     """
 
     unknowns: tuple[str, ...]
     particular: list[Coef] | None
     basis: list[list[Coef]] = dfield(default_factory=list)
+    free: list[int] = dfield(default_factory=list)
 
     @property
     def is_empty(self) -> bool:
@@ -43,32 +46,17 @@ class AffineSolutionSpace:
         return self.particular is not None and not self.basis
 
     def contains(self, values: dict[str, Coef], fieldobj: Field) -> bool:
-        """Exact membership: values - particular must lie in span(basis)."""
+        """Exact membership: a point is determined by its free coordinates, so
+        x lies in the space iff x == particular + sum over k of x[free[k]] * basis[k]."""
         if self.is_empty:
             return False
         f = fieldobj
-        diff = [f.sub(f.of(values.get(u, 0)), self.particular[i]) for i, u in enumerate(self.unknowns)]
-        # Solve  basis^T * t = diff  by elimination over the columns.
-        cols = [list(b) for b in self.basis]
-        rhs = list(diff)
-        used_rows: set[int] = set()
-        for col in cols:
-            pivot_row = next((r for r in range(len(rhs)) if r not in used_rows and col[r]), None)
-            if pivot_row is None:
-                continue
-            used_rows.add(pivot_row)
-            inv = f.inv(col[pivot_row])
-            factor = f.mul(rhs[pivot_row], inv)
-            for r in range(len(rhs)):
-                rhs[r] = f.sub(rhs[r], f.mul(col[r], factor))
-            for other in cols:
-                if other is col:
-                    continue
-                ratio = f.mul(other[pivot_row], inv)
-                if ratio:
-                    for r in range(len(rhs)):
-                        other[r] = f.sub(other[r], f.mul(col[r], ratio))
-        return all(not r for r in rhs)
+        x = [f.of(values.get(u, 0)) for u in self.unknowns]
+        expected = list(self.particular)
+        for col, vec in zip(self.free, self.basis):
+            if x[col]:
+                expected = [f.add(e, f.mul(x[col], b)) for e, b in zip(expected, vec)]
+        return x == expected
 
 
 def affine_linear_solve(
@@ -122,4 +110,4 @@ def affine_linear_solve(
             vec[col] = f.neg(rows[row_i][fc])
         basis.append(vec)
 
-    return AffineSolutionSpace(unknowns, particular, basis)
+    return AffineSolutionSpace(unknowns, particular, basis, free_cols)

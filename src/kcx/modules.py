@@ -14,7 +14,7 @@ module morphisms (used for section/retraction data).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .algebra import AlgebraElement, ElementLike, PresentedAlgebra
 from .errors import OwnerMismatch, WellDefinednessFailure
@@ -220,20 +220,28 @@ class TensorModule(PresentedModule):
         rows: list[Vector] = []
         for rel in M.relations:
             for j in range(N.rank):
-                row = [zero] * (M.rank * N.rank)
+                row = [zero] * len(gens)
                 for k in range(M.rank):
-                    row[k * N.rank + j] = rel[k]
+                    row[self.pair_index(k, j)] = rel[k]
                 rows.append(tuple(row))
         for rel in N.relations:
             for i in range(M.rank):
-                row = [zero] * (M.rank * N.rank)
+                row = [zero] * len(gens)
                 for l in range(N.rank):
-                    row[i * N.rank + l] = rel[l]
+                    row[self.pair_index(i, l)] = rel[l]
                 rows.append(tuple(row))
         super().__init__(A, gens, rows, provenance="tensor")
 
     def pair_index(self, i: int, j: int) -> int:
         return i * self.factors[1].rank + j
+
+    def entries(self, e: ModuleElement) -> Iterator[tuple[int, int, Polynomial]]:
+        """(i, l, coef) for each nonzero component coef * (g_i @ h_l) of e."""
+        n = self.factors[1].rank
+        for idx, coef in enumerate(e.comps):
+            if not coef.is_zero():
+                i, l = divmod(idx, n)
+                yield i, l, coef
 
     def pair(self, u: VectorLike, v: VectorLike) -> ModuleElement:
         """The simple tensor u (x) v, expanded over pair generators."""
@@ -265,45 +273,36 @@ class WedgeSquare(PresentedModule):
     def __init__(self, M: PresentedModule):
         A = M.base
         self.source = M
-        pairs = [(i, j) for i in range(M.rank) for j in range(i + 1, M.rank)]
-        self.pairs = pairs
-        gens = tuple(f"{M.gens[i]}^{M.gens[j]}" for i, j in pairs)
-        zero = Polynomial.zero(A.field, A.gens)
-        rows: list[Vector] = []
-        for rel in M.relations:
-            for j in range(M.rank):
-                row = [zero] * len(pairs)
-                for k in range(M.rank):
-                    c = rel[k]
-                    if c.is_zero() or k == j:
-                        continue
-                    if k < j:
-                        row[pairs.index((k, j))] = row[pairs.index((k, j))] + c
-                    else:
-                        row[pairs.index((j, k))] = row[pairs.index((j, k))] - c
-                rows.append(tuple(row))
+        self.pairs = [(i, j) for i in range(M.rank) for j in range(i + 1, M.rank)]
+        self._index = {ij: p for p, ij in enumerate(self.pairs)}
+        gens = tuple(f"{M.gens[i]}^{M.gens[j]}" for i, j in self.pairs)
+        rows = [
+            self.collect((k, j, rel[k]) for k in range(M.rank))
+            for rel in M.relations
+            for j in range(M.rank)
+        ]
         super().__init__(A, gens, rows, provenance="wedge2")
+
+    def collect(self, terms: Iterable[tuple[int, int, Polynomial]]) -> tuple[Polynomial, ...]:
+        """Components of sum c * (g_i ^ g_j) over (i, j, c), using
+        g_i ^ g_i = 0 and g_j ^ g_i = -(g_i ^ g_j)."""
+        A = self.source.base
+        comps = [Polynomial.zero(A.field, A.gens)] * len(self.pairs)
+        for i, j, c in terms:
+            if i < j:
+                p = self._index[(i, j)]
+                comps[p] = comps[p] + c
+            elif i > j:
+                p = self._index[(j, i)]
+                comps[p] = comps[p] - c
+        return tuple(comps)
 
     def from_tensor(self, e: ModuleElement) -> ModuleElement:
         """Alternation: gi @ gj -> gi^gj, with sign for i > j and zero on the diagonal."""
         T = e.module
         if not isinstance(T, TensorModule) or T.factors != (self.source, self.source):
             raise ValueError("expected an element of the matching tensor square")
-        n = self.source.rank
-        comps = [Polynomial.zero(self.base.field, self.base.gens)] * len(self.pairs)
-        for idx, c in enumerate(e.comps):
-            if c.is_zero():
-                continue
-            i, j = divmod(idx, n)
-            if i == j:
-                continue
-            if i < j:
-                k = self.pairs.index((i, j))
-                comps[k] = comps[k] + c
-            else:
-                k = self.pairs.index((j, i))
-                comps[k] = comps[k] - c
-        return ModuleElement(self, tuple(comps))
+        return ModuleElement(self, self.collect(T.entries(e)))
 
 
 def wedge_square(M: PresentedModule) -> WedgeSquare:

@@ -87,12 +87,6 @@ class Polynomial:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def leading_exponent(self) -> Exponent:
-        return max(self.terms, key=grevlex_key)
-
-    def leading_coefficient(self) -> Coef:
-        return self.terms[self.leading_exponent()]
-
     def sorted_exponents(self) -> list[Exponent]:
         return sorted(self.terms, key=grevlex_key, reverse=True)
 
@@ -168,11 +162,6 @@ class Polynomial:
         f = self.field
         c = f.of(c)
         return Polynomial(f, self.vars, {e: f.mul(v, c) for e, v in self.terms.items()})
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        return self.scale(self.field.inv(self.leading_coefficient()))
 
     def mul_monomial(self, exp: Exponent, coef: Coef) -> "Polynomial":
         f = self.field

@@ -140,40 +140,13 @@ def solve_connection_space(M: PresentedModule, degree_bound: int) -> ConnectionS
 # ---------------------------------------------------------------------------
 
 
-class SemilinearModuleMap:
-    """A map of modules over an algebra morphism f: g(a m) = f(a) g(m)."""
-
-    def __init__(self, f: AlgebraMorphism, dom: PresentedModule, cod: PresentedModule, images):
-        if dom.base is not f.dom or cod.base is not f.cod:
-            raise ValueError("module bases must match the morphism's ends")
-        self.f = f
-        self.dom = dom
-        self.cod = cod
-        self.images = {g: cod.element(v) for g, v in images.items()}
-        for row in dom.relations:
-            total = cod.zero()
-            for coef, g in zip(row, dom.gens):
-                total = total + self.images[g].scaled(f(f.dom.element(coef)))
-            if not total.is_zero():
-                raise KcxError("semilinear map does not respect a module relation")
-
-    def __call__(self, e: ModuleElement) -> ModuleElement:
-        e = self.dom.element(e)
-        out = self.cod.zero()
-        for coef, g in zip(e.comps, self.dom.gens):
-            if not coef.is_zero():
-                out = out + self.images[g].scaled(self.f(self.f.dom.element(coef)))
-        return out
-
-
-def kahler_map(f: AlgebraMorphism) -> SemilinearModuleMap:
-    """Functorial map of differential modules over f: d(v) -> d(f(v))."""
+def kahler_map(f: AlgebraMorphism) -> dict[str, ModuleElement]:
+    """The functorial map of differential modules over f on generators:
+    d(v) -> d(f(v)), with images in Omega(cod f)."""
     omega_dom = kahler_module(f.dom)
-    omega_cod = kahler_module(f.cod)
-    images = {}
-    for v, dv in zip(f.dom.gens, omega_dom.gens):
-        images[dv] = universal_derivation(f.cod, f(f.dom.gen(v)))
-    return SemilinearModuleMap(f, omega_dom, omega_cod, images)
+    return {
+        dv: universal_derivation(f.cod, f(f.dom.gen(v))) for v, dv in zip(f.dom.gens, omega_dom.gens)
+    }
 
 
 def localized_gamma(
@@ -187,19 +160,16 @@ def localized_gamma(
     identically, so the extension is well defined whenever the input is.
     """
     src = kahler_module(A)
+    t_src = tensor_modules(src, src)
     _, u, inv = L._memo["localization_of"]
     omega_L = kahler_module(L)
     t_L = tensor_modules(omega_L, omega_L)
-    n_src = len(A.gens)
     out: dict[str, ModuleElement] = {}
 
     def push(e: ModuleElement) -> ModuleElement:
         comps = [Polynomial.zero(L.field, L.gens)] * t_L.rank
-        for idx, coef in enumerate(e.comps):
-            if coef.is_zero():
-                continue
-            i, l = divmod(idx, n_src)
-            comps[i * omega_L.rank + l] = coef.change_vars(L.gens)
+        for i, l, coef in t_src.entries(e):
+            comps[t_L.pair_index(i, l)] = coef.change_vars(L.gens)
         return t_L.element(tuple(comps))
 
     for v, dv in zip(A.gens, src.gens):
@@ -224,7 +194,7 @@ class GlueResult:
 
 
 def _glue_residues(
-    A1, L1, A2, L2, t: AlgebraMorphism, omega_t: SemilinearModuleMap, gamma1, gamma2
+    A1, L1, A2, L2, t: AlgebraMorphism, omega_t: dict[str, ModuleElement], gamma1, gamma2
 ) -> list[ModuleElement]:
     """Both composites on each Omega(L1) generator; zero means compatible."""
     g1_loc = localized_gamma(A1, L1, gamma1)
@@ -237,17 +207,10 @@ def _glue_residues(
     for g in omega_L1.gens:
         first = apply_connection(nabla1, omega_L1.gen(g))
         route1 = t2.zero()
-        n = omega_L1.rank
-        for idx, coef in enumerate(first.comps):
-            if coef.is_zero():
-                continue
-            i, l = divmod(idx, n)
-            li = L1.element(coef)
-            route1 = route1 + t2.pair(
-                omega_t(omega_L1.gen(omega_L1.gens[i])),
-                omega_t(omega_L1.gen(omega_L1.gens[l])),
-            ).scaled(t(li))
-        route2 = apply_connection(nabla2, omega_t(omega_L1.gen(g)))
+        for i, l, coef in nabla1.ctx.omega_tensor_M.entries(first):
+            dx_i, dx_l = omega_t[omega_L1.gens[i]], omega_t[omega_L1.gens[l]]
+            route1 = route1 + t2.pair(dx_i, dx_l).scaled(t(L1.element(coef)))
+        route2 = apply_connection(nabla2, omega_t[g])
         out.append(route1 - route2)
     return out
 

@@ -428,11 +428,7 @@ class BundleContext:
         T = self.TAS
         base_rename = {g: f"{g}#1" for g in self.A.gens}
         out = Polynomial.zero(T.field, T.gens)
-        n = self.M.rank
-        for idx, coef in enumerate(e.comps):
-            if coef.is_zero():
-                continue
-            i, l = divmod(idx, n)
+        for i, l, coef in self.omega_tensor_M.entries(e):
             dxi = f"{self.TA.dmap[self.A.gens[i]]}#0"
             ml = f"{self.M.gens[l]}#1"
             out = out + (
@@ -453,8 +449,7 @@ class BundleContext:
         poly = T.element(e).poly
         d_idx = [T.gens.index(f"{self.TA.dmap[g]}#0") for g in self.A.gens]
         m_idx = [T.gens.index(f"{m}#1") for m in self.M.gens]
-        n = self.M.rank
-        comps = [Polynomial.zero(self.A.field, self.A.gens)] * (len(self.A.gens) * n)
+        comps = [Polynomial.zero(self.A.field, self.A.gens)] * self.omega_tensor_M.rank
         stray = Polynomial.zero(T.field, T.gens)
         for exp, coef in poly.terms.items():
             ddeg = sum(exp[i] for i in d_idx)
@@ -468,7 +463,7 @@ class BundleContext:
                 base = Polynomial(T.field, T.gens, {tuple(rest): coef}).change_vars(
                     self.A.gens, {f"{g}#1": g for g in self.A.gens} | {f"{g}#0": g for g in self.A.gens}
                 )
-                k = i * n + l
+                k = self.omega_tensor_M.pair_index(i, l)
                 comps[k] = comps[k] + base
             else:
                 stray = stray + Polynomial(T.field, T.gens, {exp: coef})

@@ -31,6 +31,7 @@ from .modules import (
     free_module,
     kahler_module,
     make_module,
+    tensor_modules,
     universal_derivation,
 )
 from .parse import poly_normalize
@@ -232,7 +233,7 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                 m = re.match(rf"({_NAME})\s*:\s*(.*)$", entry, re.DOTALL)
                 key, val = (m.group(1), m.group(2).strip()) if m else (entry, "")
                 if key == "char":
-                    char = int(val)
+                    char = _int_entry(cur, key, val, pos)
                 elif key == "vars":
                     variables = tuple(v.strip() for v in val.split(","))
                 elif key == "rel":
@@ -272,7 +273,7 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                     kind = "kahler"
                 elif key == "free":
                     kind = "free"
-                    free_rank = int(val)
+                    free_rank = _int_entry(cur, key, val, pos)
                 elif key == "gens":
                     kind = kind or "presented"
                     gens = tuple(v.strip() for v in val.split(","))
@@ -280,16 +281,19 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                     rels.append(val)
                 else:
                     raise cur.error(f"unknown module entry {entry!r}", pos)
-            if kind == "kahler":
-                w.modules[name] = kahler_module(A)
-                w.module_specs[name] = (alg_name, "kahler", None, [])
-            elif kind == "free":
-                w.modules[name] = free_module(A, free_rank)
-                w.module_specs[name] = (alg_name, "free", free_rank, [])
-            else:
-                rows = [_parse_module_relation(r, A, gens, cur, at) for r in rels]
-                w.modules[name] = make_module(A, gens, rows)
-                w.module_specs[name] = (alg_name, "presented", gens, rels)
+            try:
+                if kind == "kahler":
+                    w.modules[name] = kahler_module(A)
+                    w.module_specs[name] = (alg_name, "kahler", None, [])
+                elif kind == "free":
+                    w.modules[name] = free_module(A, free_rank)
+                    w.module_specs[name] = (alg_name, "free", free_rank, [])
+                else:
+                    rows = [_parse_module_relation(r, A, gens, cur, at) for r in rels]
+                    w.modules[name] = make_module(A, gens, rows)
+                    w.module_specs[name] = (alg_name, "presented", gens, rels)
+            except ValueError as exc:
+                raise cur.error(f"bad module {name!r}: {exc}", at)
         elif keyword == "connection":
             name = cur.take_word()
             cur.expect("on")
@@ -349,7 +353,13 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                 v = lhs.strip()
                 if v not in dom.gens:
                     raise cur.error(f"unknown generator {v!r}", pos)
-                images[v] = rhs.strip()
+                try:
+                    images[v] = cod.element(rhs.strip())
+                except ValueError as exc:
+                    raise cur.error(f"bad image of {v!r}: {exc}", pos)
+            missing = set(dom.gens) - set(images)
+            if missing:
+                raise cur.error(f"morphism {name!r} missing images for {sorted(missing)}", at)
             try:
                 w.morphisms[name] = make_morphism(dom, cod, images, name=name)
             except WellDefinednessFailure as exc:
@@ -389,6 +399,13 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
     return ws
 
 
+def _int_entry(cur: _Cursor, key: str, val: str, pos: int) -> int:
+    try:
+        return int(val)
+    except ValueError:
+        raise cur.error(f"{key} must be an integer, got {val!r}", pos)
+
+
 def _parse_module_relation(text: str, A, gens, cur, pos):
     combined = A.gens + tuple(gens)
     try:
@@ -420,15 +437,10 @@ def _render_coef(c: Polynomial) -> str:
 
 
 def render_connection_image(M: PresentedModule, e: ModuleElement) -> str:
-    omega = kahler_module(M.base)
-    parts = []
-    n = M.rank
-    for idx, coef in enumerate(e.comps):
-        if coef.is_zero():
-            continue
-        i, l = divmod(idx, n)
-        base_var = M.base.gens[i]
-        parts.append(f"{_render_coef(coef)} * d({base_var}) @ {M.gens[l]}")
+    parts = [
+        f"{_render_coef(coef)} * d({M.base.gens[i]}) @ {M.gens[l]}"
+        for i, l, coef in tensor_modules(kahler_module(M.base), M).entries(e)
+    ]
     return " + ".join(parts) if parts else "0"
 
 

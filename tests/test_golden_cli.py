@@ -14,13 +14,16 @@ from kcx.cli import run
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
-# golden file stem -> argv; the seven README command lines plus the gallery
+# golden file stem -> argv; the seven README command lines, the gallery, and
+# the flat-with-torsion twist example (the "flat" and "has torsion" branches)
 COMMANDS = {
     "gallery": ["gallery"],
     "check_circle": ["check", "examples_kcx/circle.kcx"],
     "solve_fatpoint": ["solve", "examples_kcx/fatpoint.kcx", "--module", "Omega", "--degree", "3"],
     "curvature_plane": ["curvature", "examples_kcx/plane.kcx"],
     "torsion_plane": ["torsion", "examples_kcx/plane.kcx"],
+    "curvature_twist": ["curvature", "examples_kcx/twist.kcx"],
+    "torsion_twist": ["torsion", "examples_kcx/twist.kcx"],
     "convert_circle": ["convert", "examples_kcx/circle.kcx"],
     "glue_p1": ["glue", "examples_kcx/p1.kcx", "--degree", "6"],
     "glue_p1_char2": ["glue", "examples_kcx/p1.kcx", "--degree", "6", "--char", "2"],

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from kcx.fields import GF, QQ
@@ -59,3 +60,46 @@ def test_no_equations_full_space():
     s = affine_linear_solve([], ("a", "b"), QQ)
     assert s.dimension == 2
     assert s.particular == [0, 0]
+
+
+def _satisfies(eqs, values, field) -> bool:
+    """Direct evaluation of every equation at the point."""
+    for eq in eqs:
+        total = field.of(eq.const)
+        for u, coef in eq.coeffs.items():
+            total = field.add(total, field.mul(field.of(coef), values[u]))
+        if total:
+            return False
+    return True
+
+
+def test_contains_agrees_with_direct_evaluation():
+    rng = random.Random(20241)
+    for field in (QQ, GF(3), GF(7)):
+        for _ in range(60):
+            unknowns = tuple(f"u{i}" for i in range(rng.randint(1, 6)))
+            eqs = []
+            for _ in range(rng.randint(0, 5)):
+                coeffs = {u: rng.randint(-2, 2) for u in unknowns if rng.random() < 0.6}
+                eqs.append(LinearEquation(coeffs, rng.randint(-2, 2)))
+            if eqs and rng.random() < 0.5:
+                # a repeated combination makes the system rank-deficient
+                a, b = rng.choice(eqs), rng.choice(eqs)
+                coeffs = {u: a.coeffs.get(u, 0) + b.coeffs.get(u, 0) for u in unknowns}
+                eqs.append(LinearEquation(coeffs, a.const + b.const))
+            space = affine_linear_solve(eqs, unknowns, field)
+            points = [[field.of(rng.randint(-2, 2)) for _ in unknowns] for _ in range(4)]
+            if not space.is_empty:
+                for _ in range(4):
+                    point = list(space.particular)
+                    for vec in space.basis:
+                        t = field.of(rng.randint(-3, 3))
+                        point = [field.add(p, field.mul(t, v)) for p, v in zip(point, vec)]
+                    points.append(point)
+                    nudged = list(point)
+                    k = rng.randrange(len(nudged))
+                    nudged[k] = field.add(nudged[k], field.one())
+                    points.append(nudged)
+            for point in points:
+                values = dict(zip(unknowns, point))
+                assert space.contains(values, field) == _satisfies(eqs, values, field)

@@ -190,6 +190,24 @@ def test_cli_exit_codes(tmp_path):
         assert text.startswith("error: "), argv
     code, _ = run(["solve", str(FILES / "circle.kcx"), "--module", "Missing"])
     assert code == 2
+    # malformed definition files name the failing block's or entry's location
+    one_var = "algebra A { char: 0; vars: x; }\n"
+    two_algebras = "algebra A { char: 0; vars: x, y; }\nalgebra B { char: 0; vars: t; }\n"
+    malformed = [
+        ("algebra A {\n  char: zz;\n}\n", "(line 2, column 3)"),
+        (one_var + "module M over A {\n  free: x;\n}\n", "(line 3, column 3)"),
+        (one_var + "module M over A {\n  free: -1;\n}\n", "(line 2, column 1)"),
+        (one_var + "module M over A {\n  gens: u, u;\n}\n", "(line 2, column 1)"),
+        (two_algebras + "morphism f : A -> B {\n  x -> t;\n}\n", "(line 3, column 1)"),
+        (two_algebras + "morphism f : A -> B {\n  y -> t;\n  x -> t^;\n}\n", "(line 5, column 3)"),
+        (two_algebras + "morphism f : A -> B {\n  y -> t;\n  x -> z;\n}\n", "(line 5, column 3)"),
+    ]
+    for i, (source, where) in enumerate(malformed):
+        path = tmp_path / f"malformed{i}.kcx"
+        path.write_text(source)
+        code, text = run(["check", str(path)])
+        assert code == 2, source
+        assert text.startswith("error: ") and text.endswith(where), text
     # a failing check exits 1
     bad = FILES / ".." / "examples_kcx"  # reuse plane file with a broken glue-free check
     code, text = run(["check", str(FILES / "p1.kcx")])
