@@ -68,25 +68,26 @@ class Connection:
         return f"<connection {rows}>"
 
 
+def _leibniz(
+    M: PresentedModule, target: PresentedModule, comps, gamma: dict[str, ModuleElement]
+) -> ModuleElement:
+    """sum over generators g of d(c_g) (x) g + c_g * Gamma(g), for c = comps."""
+    A = M.base
+    out = target.zero()
+    for coef, g in zip(comps, M.gens):
+        if coef.is_zero():
+            continue
+        out = out + target.pair(universal_derivation(A, A.element(coef)), M.gen(g))
+        out = out + gamma[g].scaled(coef)
+    return out
+
+
 def connection_residues(
     M: PresentedModule, gamma: dict[str, ModuleElement]
 ) -> list[tuple[tuple, ModuleElement]]:
     """Per-relation Leibniz residues of candidate Christoffel data (no raise)."""
-    A = M.base
-    ctx = bundle_context(M)
-    target = ctx.omega_tensor_M
-    out = []
-    for row in M.relations:
-        residue = target.zero()
-        for coef, g in zip(row, M.gens):
-            if coef.is_zero():
-                continue
-            residue = residue + target.pair(
-                universal_derivation(A, A.element(coef)), M.gen(g)
-            )
-            residue = residue + gamma[g].scaled(coef)
-        out.append((row, residue))
-    return out
+    target = bundle_context(M).omega_tensor_M
+    return [(row, _leibniz(M, target, row, gamma)) for row in M.relations]
 
 
 def make_connection(M: PresentedModule, images: dict[str, object]) -> Connection:
@@ -107,15 +108,7 @@ def make_connection(M: PresentedModule, images: dict[str, object]) -> Connection
 def apply_connection(nabla: Connection, e: ModuleElement) -> ModuleElement:
     """Leibniz extension: nabla(sum a_j g_j) = sum (d(a_j) (x) g_j + a_j Gamma(g_j))."""
     M = nabla.module
-    e = M.element(e)
-    target = nabla.ctx.omega_tensor_M
-    out = target.zero()
-    for coef, g in zip(e.comps, M.gens):
-        if coef.is_zero():
-            continue
-        out = out + target.pair(universal_derivation(M.base, M.base.element(coef)), M.gen(g))
-        out = out + nabla.gamma[g].scaled(coef)
-    return out
+    return _leibniz(M, nabla.ctx.omega_tensor_M, M.element(e).comps, nabla.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraMorphism, GenRole, PresentedAlgebra, make_morphism
-from .fields import Coef
-from .linsolve import AffineSolutionSpace, LinearEquation, affine_linear_solve
+from .linsolve import AffineSolutionSpace, affine_linear_solve
 from .modules import PresentedModule, module_standard_monomials
 from .poly import Polynomial
+from .solve import _affine_equations, _relation_columns, _unknowns
 
 
 def _fresh(base: tuple[str, ...], name: str) -> str:
@@ -177,43 +177,12 @@ def dual_connection_solve(
         raise ValueError("module is not over the given algebra")
     dual_bundle(A, M)  # materialize and certify the bundle presentations
     basis = module_standard_monomials(M, degree_bound)
-    unknown_names: list[str] = []
-    layout: dict[tuple[str, int, tuple], str] = {}
-    for target in list(M.gens) + ["'"]:  # n per module generator plus n'
-        for k, exp in basis:
-            name = f"c[{target}][{k}][{','.join(map(str, exp))}]"
-            layout[(target, k, exp)] = name
-            unknown_names.append(name)
-
-    equations: list[LinearEquation] = []
-    f = A.field
+    # n per module generator plus n', over M's standard monomials
+    layout = _unknowns("c", M.gens + ("'",), range(M.rank), basis)
     # K(lambda(m eps)) = m eps collapses to 0 = m eps: every generator of M
-    # must be zero in the quotient (constant equations).
-    for g in M.gens:
-        nf = M.gen(g)
-        for pos, comp in enumerate(nf.comps):
-            for exp, coef in comp.terms.items():
-                equations.append(LinearEquation({}, coef))
-    # K respects each module relation row: sum_k r_k n_k = 0 in M (linear).
-    for row in M.relations:
-        accum: dict[tuple[int, tuple], dict[str, Coef]] = {}
-        for coef_poly, g in zip(row, M.gens):
-            if coef_poly.is_zero():
-                continue
-            for k, exp in basis:
-                name = layout[(g, k, exp)]
-                mono = Polynomial.monomial(f, A.gens, exp, 1)
-                scaled = M.element(
-                    tuple(
-                        coef_poly * mono if i == k else Polynomial.zero(f, A.gens)
-                        for i in range(M.rank)
-                    )
-                )
-                for pos, comp in enumerate(scaled.comps):
-                    for e2, c2 in comp.terms.items():
-                        accum.setdefault((pos, e2), {}).setdefault(name, f.zero())
-                        accum[(pos, e2)][name] = f.add(accum[(pos, e2)][name], c2)
-        for coeffs in accum.values():
-            equations.append(LinearEquation(coeffs, f.zero()))
-
-    return affine_linear_solve(equations, tuple(unknown_names), f)
+    # must be zero in the quotient (constant rows).  K respects each module
+    # relation row: sum_k r_k n_k = 0 in M (rows with no constant).
+    constants = [M.gen(g) for g in M.gens] + [M.zero()] * len(M.relations)
+    columns = _relation_columns(M, M, layout, len(M.gens))
+    equations = _affine_equations(constants, columns, A.field)
+    return affine_linear_solve(equations, tuple(layout.values()), A.field)

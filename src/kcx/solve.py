@@ -1,11 +1,12 @@
 """Bounded-degree existence solvers for connections, and two-chart gluing.
 
-Everything here exploits that the Leibniz residues of candidate Christoffel
-data are affine-linear in the unknown coefficients: evaluating the residues at
-the zero candidate and at each coordinate unit produces an exact linear
-system, solved over the coefficient field.  Unknowns are the coefficients of
-each generator image over the standard monomials of the target quotient
-module, up to the requested degree.
+Unknowns are the coefficients of each generator image over the standard
+monomials of the target quotient module, up to the requested degree.  On a
+relation row r the Leibniz residue, the sum over g of d(r_g) (x) g + r_g * Gamma(g),
+is affine in them: its constant is the residue of the zero candidate, and
+unknown (g, idx, exp) enters it as r_g * x^exp * e_idx, read off the row.  Only
+the gluing rows, which pass through localization and the transition, are
+evaluated once per unknown.  The exact system is solved over the coefficient field.
 """
 
 from __future__ import annotations
@@ -65,49 +66,60 @@ class ConnectionSpace:
         return self.space.contains(values, self.module.base.field)
 
 
-def _gamma_from_units(M, target, entries: dict[tuple[str, int, tuple], Coef]):
-    f = M.base.field
-    gamma = {}
-    for g in M.gens:
-        comps = [Polynomial.zero(f, M.base.gens)] * target.rank
-        for (gen, idx, exp), coef in entries.items():
-            if gen == g:
-                comps[idx] = comps[idx] + Polynomial.monomial(f, M.base.gens, exp, coef)
-        gamma[g] = target.element(tuple(comps))
-    return gamma
+def _unknowns(prefix: str, gens, labels, basis) -> dict[tuple[str, int, tuple], str]:
+    """One unknown per generator and standard (position, monomial) pair, named
+    `prefix[generator][position label][exponent]`, in generator-major order."""
+    return {
+        (g, idx, exp): f"{prefix}[{g}][{labels[idx]}][{','.join(map(str, exp))}]"
+        for g in gens
+        for idx, exp in basis
+    }
 
 
-def _affine_equations(residues, layout: dict, f: Field) -> list[LinearEquation]:
-    """The exact linear system of residues that are affine-linear in the unknowns.
+def _relation_columns(
+    M: PresentedModule, target: PresentedModule, layout: dict, first_row: int = 0
+) -> dict[str, dict[int, ModuleElement]]:
+    """Columns of the unknowns on M's relation rows, numbered from `first_row`.
 
-    `residues(entries)` evaluates every residue row with the unknowns set to
-    `entries` (a layout key -> value map, missing keys zero).  Rows are
-    evaluated at zero and at each unit; every (row, position, monomial) in
-    their joint support gives one equation.
+    Unknown (g, idx, exp) is the coefficient of x^exp * e_idx in the image of
+    g, so on row r it contributes r_g * x^exp * e_idx, reduced in `target`.
     """
-    base = residues({})
-    columns: dict[str, list[ModuleElement]] = {}
-    for key, name in layout.items():
-        columns[name] = [r - r0 for r, r0 in zip(residues({key: f.one()}), base)]
+    A = M.base
+    units = [target.gen(h) for h in target.gens]
+    columns: dict[str, dict[int, ModuleElement]] = {name: {} for name in layout.values()}
+    for r, row in enumerate(M.relations, first_row):
+        coefs = dict(zip(M.gens, row))
+        for (g, idx, exp), name in layout.items():
+            if g in coefs and not coefs[g].is_zero():
+                mono = Polynomial.monomial(A.field, A.gens, exp, 1)
+                columns[name][r] = units[idx].scaled(coefs[g] * mono)
+    return columns
 
-    equations: list[LinearEquation] = []
-    for row_idx in range(len(base)):
-        support = set()
-        for pos, comp in enumerate(base[row_idx].comps):
-            support.update((pos, e) for e in comp.terms)
-        for col in columns.values():
-            for pos, comp in enumerate(col[row_idx].comps):
-                support.update((pos, e) for e in comp.terms)
-        for pos, e in support:
-            coeffs = {}
-            for name, col in columns.items():
-                c = col[row_idx].comps[pos].terms.get(e)
-                if c:
-                    coeffs[name] = c
-            equations.append(
-                LinearEquation(coeffs, base[row_idx].comps[pos].terms.get(e, f.zero()))
-            )
-    return equations
+
+def _affine_equations(
+    constants: list[ModuleElement], columns: dict[str, dict[int, ModuleElement]], f: Field
+) -> list[LinearEquation]:
+    """The exact linear system  constants[r] + sum over u of u * columns[u][r] = 0.
+
+    `constants` holds each row's residue with every unknown zero, and
+    `columns[u]` maps the rows that unknown u enters to its contribution
+    there; every (row, position, monomial) in their joint support gives one
+    equation.
+    """
+    rows = [
+        {(pos, exp): {} for pos, comp in enumerate(const.comps) for exp in comp.terms}
+        for const in constants
+    ]
+    for name, col in columns.items():
+        for r, element in col.items():
+            for pos, comp in enumerate(element.comps):
+                for exp, c in comp.terms.items():
+                    rows[r].setdefault((pos, exp), {})[name] = c
+    return [
+        LinearEquation(coeffs, const.comps[pos].terms.get(exp, f.zero()))
+        for const, support in zip(constants, rows)
+        for (pos, exp), coeffs in support.items()
+    ]
 
 
 def solve_connection_space(M: PresentedModule, degree_bound: int) -> ConnectionSpace:
@@ -116,23 +128,13 @@ def solve_connection_space(M: PresentedModule, degree_bound: int) -> ConnectionS
         raise ValueError("degree bound must be nonnegative")
     from .connections import connection_residues
 
-    ctx = bundle_context(M)
-    target = ctx.omega_tensor_M
+    target = bundle_context(M).omega_tensor_M
     f = M.base.field
-    basis = module_standard_monomials(target, degree_bound)
-    layout: dict[tuple[str, int, tuple], str] = {}
-    names: list[str] = []
-    for g in M.gens:
-        for idx, exp in basis:
-            name = f"c[{g}][{target.gens[idx]}][{','.join(map(str, exp))}]"
-            layout[(g, idx, exp)] = name
-            names.append(name)
-
-    def residues(entries) -> list[ModuleElement]:
-        return [r for _, r in connection_residues(M, _gamma_from_units(M, target, entries))]
-
-    equations = _affine_equations(residues, layout, f)
-    return ConnectionSpace(M, degree_bound, layout, affine_linear_solve(equations, tuple(names), f))
+    layout = _unknowns("c", M.gens, target.gens, module_standard_monomials(target, degree_bound))
+    constants = [r for _, r in connection_residues(M, {g: target.zero() for g in M.gens})]
+    equations = _affine_equations(constants, _relation_columns(M, target, layout), f)
+    space = affine_linear_solve(equations, tuple(layout.values()), f)
+    return ConnectionSpace(M, degree_bound, layout, space)
 
 
 # ---------------------------------------------------------------------------
@@ -263,39 +265,35 @@ def glued_connection_check(
 
     f = A1.field
     layout: dict[tuple[int, str, int, tuple], str] = {}
-    names: list[str] = []
-    charts = []
+    charts = []  # (omega, target, chart unknowns, zero Christoffel data)
     for chart_no, A in ((1, A1), (2, A2)):
         omega = kahler_module(A)
         target = tensor_modules(omega, omega)
         basis = module_standard_monomials(target, degree)
-        for g in omega.gens:
-            for idx, exp in basis:
-                name = f"c{chart_no}[{g}][{target.gens[idx]}][{','.join(map(str, exp))}]"
-                layout[(chart_no, g, idx, exp)] = name
-                names.append(name)
-        charts.append((A, omega, target, basis))
+        names = _unknowns(f"c{chart_no}", omega.gens, target.gens, basis)
+        layout.update(((chart_no, *key), name) for key, name in names.items())
+        charts.append((omega, target, names, {g: target.zero() for g in omega.gens}))
 
-    def gammas(entries: dict[tuple[int, str, int, tuple], Coef]):
-        out = []
-        for chart_no, (A, omega, target, basis) in zip((1, 2), charts):
-            sub = {
-                (g, idx, exp): c
-                for (cn, g, idx, exp), c in entries.items()
-                if cn == chart_no
-            }
-            out.append(_gamma_from_units(omega, target, sub))
-        return out
+    constants: list[ModuleElement] = []
+    columns: dict[str, dict[int, ModuleElement]] = {}
+    for omega, target, names, zero in charts:
+        columns.update(_relation_columns(omega, target, names, len(constants)))
+        constants += [r for _, r in connection_residues(omega, zero)]
+    # The gluing rows pass through localization and the transition, so an
+    # unknown's column there is the residue at its unit less the one at zero.
+    zeros = [zero for *_, zero in charts]
+    glue0 = _glue_residues(A1, L1, A2, L2, t, omega_t, *zeros)
+    first = len(constants)
+    constants += glue0
+    for chart, (omega, target, names, zero) in enumerate(charts):
+        for (g, idx, exp), name in names.items():
+            mono = Polynomial.monomial(f, omega.base.gens, exp, 1)
+            unit = target.gen(target.gens[idx]).scaled(mono)
+            gammas = [{**z, g: unit} if c == chart else z for c, z in enumerate(zeros)]
+            rows = _glue_residues(A1, L1, A2, L2, t, omega_t, *gammas)
+            columns[name].update((first + k, r - r0) for k, (r, r0) in enumerate(zip(rows, glue0)))
 
-    def all_residues(entries) -> list[ModuleElement]:
-        g1, g2 = gammas(entries)
-        rows: list[ModuleElement] = []
-        rows += [r for _, r in connection_residues(kahler_module(A1), g1)]
-        rows += [r for _, r in connection_residues(kahler_module(A2), g2)]
-        rows += _glue_residues(A1, L1, A2, L2, t, omega_t, g1, g2)
-        return rows
-
-    equations = _affine_equations(all_residues, layout, f)
+    equations = _affine_equations(constants, columns, f)
     return GlueResult(
-        space=affine_linear_solve(equations, tuple(names), f), layout=layout
+        space=affine_linear_solve(equations, tuple(layout.values()), f), layout=layout
     )

@@ -235,7 +235,7 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                 if key == "char":
                     char = _int_entry(cur, key, val, pos)
                 elif key == "vars":
-                    variables = tuple(v.strip() for v in val.split(","))
+                    variables = _names_entry(cur, key, val, pos)
                 elif key == "rel":
                     rels.append(val)
                 else:
@@ -276,7 +276,7 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                     free_rank = _int_entry(cur, key, val, pos)
                 elif key == "gens":
                     kind = kind or "presented"
-                    gens = tuple(v.strip() for v in val.split(","))
+                    gens = _names_entry(cur, key, val, pos)
                 elif key == "rel":
                     rels.append(val)
                 else:
@@ -404,6 +404,14 @@ def _int_entry(cur: _Cursor, key: str, val: str, pos: int) -> int:
         return int(val)
     except ValueError:
         raise cur.error(f"{key} must be an integer, got {val!r}", pos)
+
+
+def _names_entry(cur: _Cursor, key: str, val: str, pos: int) -> tuple[str, ...]:
+    names = tuple(v.strip() for v in val.split(","))
+    for n in names:
+        if not re.fullmatch(_NAME, n):
+            raise cur.error(f"{key} must be comma-separated names, got {n!r}", pos)
+    return names
 
 
 def _parse_module_relation(text: str, A, gens, cur, pos):

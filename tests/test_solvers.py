@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
+import kcx.connections
 from kcx.algebra import make_algebra
+from kcx.connections import make_connection
 from kcx.dualnum import dual_bundle, dual_connection_solve, dual_numbers_structure
-from kcx.errors import KcxError
+from kcx.errors import KcxError, WellDefinednessFailure
 from kcx.fields import GF, QQ
 from kcx.modules import free_module, kahler_module, make_module, module_standard_monomials
+from kcx.poly import Polynomial
+from kcx.tangent import bundle_context
 from kcx.solve import glued_connection_check, solve_connection_space
 
 import helpers
@@ -51,6 +57,57 @@ def test_solve_plane_contains_everything(plane):
     result = solve_connection_space(kahler_module(plane), 2)
     assert result.contains_connection(helpers.plane_twisted(plane))
     assert result.contains_connection(helpers.plane_zero(plane))
+
+
+def _connection_at(result, point):
+    """make_connection on the Christoffel data of one point of the space."""
+    M = result.module
+    A = M.base
+    target = bundle_context(M).omega_tensor_M
+    comps = {g: [Polynomial.zero(A.field, A.gens)] * target.rank for g in M.gens}
+    for (g, idx, exp), name in result.layout.items():
+        value = point[result.space.unknowns.index(name)]
+        comps[g][idx] = comps[g][idx] + Polynomial.monomial(A.field, A.gens, exp, value)
+    return make_connection(M, {g: target.element(tuple(c)) for g, c in comps.items()})
+
+
+def test_solution_points_certify_and_nudged_points_fail(plane, circle, sphere2):
+    rng = random.Random(20240)
+    for A in (plane, circle, sphere2):
+        result = solve_connection_space(kahler_module(A), 1)
+        space, f = result.space, A.field
+        pivots = [i for i in range(len(space.unknowns)) if i not in space.free]
+        for _ in range(3):
+            point = list(space.particular)
+            for vec in space.basis:
+                t = f.of(rng.randint(-5, 5))
+                point = [f.add(p, f.mul(t, b)) for p, b in zip(point, vec)]
+            _connection_at(result, point)
+            if not pivots:  # no relations: every point is a connection
+                assert A is plane
+                continue
+            nudged = list(point)
+            k = rng.choice(pivots)
+            nudged[k] = f.add(nudged[k], f.one())
+            with pytest.raises(WellDefinednessFailure):
+                _connection_at(result, nudged)
+
+
+def test_solvers_evaluate_relation_residues_once_per_module(circle, monkeypatch):
+    calls = []
+    original = kcx.connections.connection_residues
+
+    def counting(M, gamma):
+        calls.append(M)
+        return original(M, gamma)
+
+    monkeypatch.setattr(kcx.connections, "connection_residues", counting)
+    solve_connection_space(kahler_module(circle), 1)
+    assert len(calls) == 1
+    calls.clear()
+    A1, A2, t, tinv = _p1_charts(QQ)
+    glued_connection_check(A1, "x", A2, "y", t, tinv, degree=2)
+    assert calls == [kahler_module(A1), kahler_module(A2)]
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +159,13 @@ def test_dual_solver_zero_module_solvable():
     assert not dual_connection_solve(line, collapsed, 2).is_empty
 
 
+def test_dual_solver_presented_nonzero_module_empty():
+    line = make_algebra(QQ, ("x",))
+    # v = -x*u presents a free rank-1 module, which is nonzero
+    presented = make_module(line, ("u", "v"), [["x", "1"]])
+    assert dual_connection_solve(line, presented, 2).is_empty
+
+
 # ---------------------------------------------------------------------------
 # projective line gluing
 # ---------------------------------------------------------------------------
@@ -130,6 +194,18 @@ def test_p1_char2_unique_zero():
     assert not space.is_empty
     assert space.is_unique
     assert all(v == 0 for v in space.particular)
+
+
+@pytest.mark.parametrize("degree", [0, 2, 6])
+def test_identity_gluing_solve_matches_one_chart(degree):
+    # the two charts must carry the same Christoffel polynomial of degree <= d
+    A1 = make_algebra(QQ, ("x",))
+    A2 = make_algebra(QQ, ("y",))
+    result = glued_connection_check(
+        A1, "x", A2, "y", {"x": "y", "x_inv": "y_inv"}, {"y": "x", "y_inv": "x_inv"},
+        degree=degree,
+    )
+    assert result.space.dimension == degree + 1
 
 
 def test_identity_gluing_plane_passes(plane):

@@ -201,6 +201,10 @@ def test_cli_exit_codes(tmp_path):
         (two_algebras + "morphism f : A -> B {\n  x -> t;\n}\n", "(line 3, column 1)"),
         (two_algebras + "morphism f : A -> B {\n  y -> t;\n  x -> t^;\n}\n", "(line 5, column 3)"),
         (two_algebras + "morphism f : A -> B {\n  y -> t;\n  x -> z;\n}\n", "(line 5, column 3)"),
+        ("algebra A {\n  char: 0;\n  vars: x,;\n}\n", "(line 3, column 3)"),
+        ("algebra A {\n  char: 0;\n  vars: x, 2y;\n}\n", "(line 3, column 3)"),
+        (one_var + "module M over A {\n  gens: u v;\n}\n", "(line 3, column 3)"),
+        (one_var + "module M over A {\n  gens: u,;\n}\n", "(line 3, column 3)"),
     ]
     for i, (source, where) in enumerate(malformed):
         path = tmp_path / f"malformed{i}.kcx"
