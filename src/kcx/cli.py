@@ -286,6 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The largest accepted --degree.  The unknowns of a bounded-degree solve grow
+# polynomially with it, so a huge degree would run without end; every example
+# and stored result uses degree 14 or less.
+MAX_DEGREE = 64
+
 COMMANDS = {
     "check": cmd_check,
     "solve": cmd_solve,
@@ -303,8 +308,11 @@ def run(argv: list[str]) -> tuple[int, str]:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return (2 if exc.code else 0), ""
-    if getattr(args, "degree", 0) < 0:
+    degree = getattr(args, "degree", 0)
+    if degree < 0:
         return 2, "error: --degree must be nonnegative"
+    if degree > MAX_DEGREE:
+        return 2, f"error: --degree must be at most {MAX_DEGREE}"
     try:
         report = COMMANDS[args.command](args)
     except WorkspaceError as exc:

@@ -12,6 +12,7 @@ the two compatibility equations as morphism identities on generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 
 from .algebra import (
     AlgebraMorphism,
@@ -31,10 +32,10 @@ from .modules import (
     ModuleElement,
     ModuleMorphism,
     PresentedModule,
+    christoffel_target,
     free_module,
     kahler_module,
     make_module,
-    tensor_modules,
     universal_derivation,
 )
 from .poly import Polynomial
@@ -49,12 +50,19 @@ from .tangent import (
 
 
 class Connection:
-    """Christoffel data for nabla: M -> Omega(A) (x)_A M, certified."""
+    """Christoffel data for nabla: M -> Omega(A) (x)_A M, certified.
+
+    The bundle context is built on first use: bundle forms, curvature and
+    torsion need it, the module-side Leibniz rule and the solvers do not.
+    """
 
     def __init__(self, M: PresentedModule, gamma: dict[str, ModuleElement]):
         self.module = M
-        self.ctx = bundle_context(M)
         self.gamma = gamma
+
+    @cached_property
+    def ctx(self) -> BundleContext:
+        return bundle_context(self.module)
 
     @property
     def base(self) -> PresentedAlgebra:
@@ -86,14 +94,13 @@ def connection_residues(
     M: PresentedModule, gamma: dict[str, ModuleElement]
 ) -> list[tuple[tuple, ModuleElement]]:
     """Per-relation Leibniz residues of candidate Christoffel data (no raise)."""
-    target = bundle_context(M).omega_tensor_M
+    target = christoffel_target(M)
     return [(row, _leibniz(M, target, row, gamma)) for row in M.relations]
 
 
 def make_connection(M: PresentedModule, images: dict[str, object]) -> Connection:
     """Build and certify a connection from generator images in Omega(A) (x) M."""
-    ctx = bundle_context(M)
-    target = ctx.omega_tensor_M
+    target = christoffel_target(M)
     if set(images) != set(M.gens):
         raise ValueError("need exactly one image per module generator")
     gamma = {g: target.element(v) for g, v in images.items()}
@@ -108,7 +115,7 @@ def make_connection(M: PresentedModule, images: dict[str, object]) -> Connection
 def apply_connection(nabla: Connection, e: ModuleElement) -> ModuleElement:
     """Leibniz extension: nabla(sum a_j g_j) = sum (d(a_j) (x) g_j + a_j Gamma(g_j))."""
     M = nabla.module
-    return _leibniz(M, nabla.ctx.omega_tensor_M, M.element(e).comps, nabla.gamma)
+    return _leibniz(M, christoffel_target(M), M.element(e).comps, nabla.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +342,7 @@ def free_canonical_connection(A: PresentedAlgebra, n: int) -> Connection:
 
 def zero_gamma_connection(M: PresentedModule) -> Connection:
     """Gamma = 0 on any module (certified, so rejected when not admissible)."""
-    ctx = bundle_context(M)
-    return make_connection(M, {g: ctx.omega_tensor_M.zero() for g in M.gens})
+    return make_connection(M, {g: christoffel_target(M).zero() for g in M.gens})
 
 
 def pullback_connection(nabla: Connection, f: AlgebraMorphism) -> Connection:
@@ -351,11 +357,11 @@ def pullback_connection(nabla: Connection, f: AlgebraMorphism) -> Connection:
         f.certify()
     M, A, B = nabla.module, nabla.base, f.cod
     pulled = make_module(B, M.gens, [[f(A.element(c)) for c in row] for row in M.relations])
-    target = bundle_context(pulled).omega_tensor_M
+    target = christoffel_target(pulled)
     images = {}
     for g in M.gens:
         out = target.zero()
-        for i, l, coef in nabla.ctx.omega_tensor_M.entries(nabla.gamma[g]):
+        for i, l, coef in christoffel_target(M).entries(nabla.gamma[g]):
             d_image = universal_derivation(B, f(A.gen(A.gens[i])))
             out = out + target.pair(d_image, pulled.gen(M.gens[l])).scaled(f(A.element(coef)))
         images[g] = out
@@ -372,12 +378,12 @@ def retract_connection(nabla: Connection, s: ModuleMorphism, r: ModuleMorphism) 
         if r(s(Mp.gen(g))) != Mp.gen(g):
             raise SectionRetractionFailure(f"r(s({g})) != {g}")
     omega = kahler_module(M.base)
-    target = tensor_modules(omega, Mp)
+    target = christoffel_target(Mp)
     images = {}
     for g in Mp.gens:
         full = apply_connection(nabla, s(Mp.gen(g)))
         out = target.zero()
-        for i, l, coef in nabla.ctx.omega_tensor_M.entries(full):
+        for i, l, coef in christoffel_target(M).entries(full):
             out = out + target.pair(omega.gen(omega.gens[i]), r(M.gen(M.gens[l]))).scaled(coef)
         images[g] = out
     return make_connection(Mp, images)

@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .connections import Connection, apply_connection, to_horizontal, to_vertical
 from .errors import KcxError, ModuleNotKahler
-from .modules import ModuleElement, kahler_module, tensor_modules, wedge_square
+from .modules import ModuleElement, christoffel_target, kahler_module, tensor_modules, wedge_square
 from .poly import Polynomial
 from .tangent import (
     TangentPresentation,
@@ -103,7 +103,7 @@ def _wedge_tensor(nabla: Connection, terms) -> ModuleElement:
 def curvature_of_element(nabla: Connection, e: ModuleElement) -> ModuleElement:
     """Apply the connection twice and collapse the two form slots to a wedge."""
     M = nabla.module
-    T = nabla.ctx.omega_tensor_M
+    T = christoffel_target(M)
     terms = []
     for i, l, coef in T.entries(apply_connection(nabla, e)):
         second = apply_connection(nabla, M.gen(M.gens[l]).scaled(coef))

@@ -31,9 +31,8 @@ from .curvature import (
 from .dualnum import dual_connection_solve
 from .errors import WellDefinednessFailure
 from .fields import GF, QQ
-from .modules import ModuleMorphism, free_module, kahler_module
+from .modules import ModuleMorphism, christoffel_target, free_module, kahler_module
 from .solve import glued_connection_check, solve_connection_space
-from .tangent import bundle_context
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +118,7 @@ def elliptic_connection(elliptic):
         name="s",
     )
     r = ModuleMorphism(fr, omega, {"e1": omega.gen("d(x)"), "e2": omega.gen("d(y)")}, name="r")
-    ctx = bundle_context(fr)
-    base = make_connection(fr, {g: ctx.omega_tensor_M.zero() for g in fr.gens})
+    base = zero_gamma_connection(fr)
     return retract_connection(base, s, r)
 
 
@@ -150,7 +148,7 @@ def _plane_canonical():
     plane = plane_algebra()
     nabla = plane_zero_connection(plane)
     omega = nabla.module
-    t = nabla.ctx.omega_tensor_M
+    t = christoffel_target(omega)
     value = apply_connection(nabla, omega.element(["x1^3", "0"]))
     assert value == t.element(["3*x1^2", "0", "0", "0"]), "Leibniz value"
     report = verify_connection_axioms(to_vertical(nabla), to_horizontal(nabla), omega)
@@ -247,8 +245,7 @@ def _retract_circle():
     r = ModuleMorphism(fr, omega, {"e1": omega.gen("d(x)"), "e2": omega.gen("d(y)")})
     from .connections import retract_connection
 
-    ctx = bundle_context(fr)
-    base = make_connection(fr, {g: ctx.omega_tensor_M.zero() for g in fr.gens})
+    base = zero_gamma_connection(fr)
     nabla = retract_connection(base, s, r)
     assert connection_equal(nabla, circle_canonical_connection(circle))
     return "section through the free cover reproduces the canonical connection"

@@ -2,7 +2,11 @@
 
 Systems arrive as `LinearEquation`s, each meaning  sum(coeffs[u] * u) + const = 0.
 Gauss-Jordan elimination over the exact field yields either "empty" or a
-particular solution plus a basis of the homogeneous solution space.
+particular solution plus a basis of the homogeneous solution space.  Rows are
+sparse (column -> nonzero coefficient, the constant at column n), and an
+elimination step touches only the pivot row's nonzeros.  The reduced row
+echelon form is unique for the column order of `unknowns`, so the result does
+not depend on the order of the equations.
 """
 
 from __future__ import annotations
@@ -62,52 +66,64 @@ class AffineSolutionSpace:
 def affine_linear_solve(
     equations: list[LinearEquation], unknowns: tuple[str, ...], fieldobj: Field
 ) -> AffineSolutionSpace:
-    """Exact Gauss-Jordan; returns empty / unique / parametrized family."""
+    """Exact sparse Gauss-Jordan; returns empty / unique / parametrized family."""
     f = fieldobj
     n = len(unknowns)
     index = {u: i for i, u in enumerate(unknowns)}
-    rows: list[list[Coef]] = []
+    rows: list[dict[int, Coef]] = []
     for eq in equations:
-        row = [f.zero()] * n + [f.of(eq.const)]
+        row = {n: f.of(eq.const)}
         for u, c in eq.coeffs.items():
             if u not in index:
                 raise KeyError(f"unknown {u!r} not declared")
-            row[index[u]] = f.add(row[index[u]], f.of(c))
-        rows.append(row)
+            row[index[u]] = f.of(c)
+        rows.append({j: c for j, c in row.items() if c})
 
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = f.inv(rows[r][col])
-        rows[r] = [f.mul(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
+    # Forward pass: each new pivot row is scaled to 1 at its smallest column.
+    pivots: dict[int, dict[int, Coef]] = {}
+    for row in rows:
+        while len(row) > (n in row):  # an unknown is left in the row
+            col = min(j for j in row if j != n)
+            if col not in pivots:
+                inv = f.inv(row[col])
+                pivots[col] = {j: f.mul(c, inv) for j, c in row.items()}
+                break
+            _eliminate(row, col, pivots[col], f)
+        else:
+            if row:  # 0 = nonzero constant
+                return AffineSolutionSpace(unknowns, None)
 
-    for i in range(r, len(rows)):
-        if rows[i][n]:
-            return AffineSolutionSpace(unknowns, None)
+    # Backward pass, last pivot first: a reduced row holds no other pivot
+    # column, so subtracting it brings none in.
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for j in [j for j in row if j != col and j in pivots]:
+            _eliminate(row, j, pivots[j], f)
 
-    particular = [f.zero()] * n
-    for row_i, col in enumerate(pivots):
-        particular[col] = f.neg(rows[row_i][n])
-
+    # Each pivot row now reads x_col + sum over free fc of c * x_fc + c_n = 0.
+    zero = f.zero()
+    particular = [zero] * n
     free_cols = [c for c in range(n) if c not in pivots]
-    basis: list[list[Coef]] = []
-    for fc in free_cols:
-        vec = [f.zero()] * n
+    basis = [[zero] * n for _ in free_cols]
+    for fc, vec in zip(free_cols, basis):
         vec[fc] = f.one()
-        for row_i, col in enumerate(pivots):
-            vec[col] = f.neg(rows[row_i][fc])
-        basis.append(vec)
-
+    free_vec = dict(zip(free_cols, basis))
+    for col, row in pivots.items():
+        for j, c in row.items():
+            if j == n:
+                particular[col] = f.neg(c)
+            elif j != col:
+                free_vec[j][col] = f.neg(c)
     return AffineSolutionSpace(unknowns, particular, basis, free_cols)
+
+
+def _eliminate(row: dict[int, Coef], col: int, pivot: dict[int, Coef], f: Field) -> None:
+    """row -= row[col] * pivot in place, where pivot[col] is 1; touches only the
+    pivot row's nonzeros and drops the entries that cancel (row[col] among them)."""
+    factor = row[col]
+    for j, c in pivot.items():
+        v = f.sub(row[j], f.mul(factor, c)) if j in row else f.neg(f.mul(factor, c))
+        if v:
+            row[j] = v
+        else:
+            del row[j]

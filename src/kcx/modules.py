@@ -267,6 +267,11 @@ def tensor_modules(M: PresentedModule, N: PresentedModule) -> TensorModule:
     return M._memo[key]
 
 
+def christoffel_target(M: PresentedModule) -> TensorModule:
+    """Omega(A) (x)_A M, where the Christoffel images of a connection on M live."""
+    return tensor_modules(kahler_module(M.base), M)
+
+
 class WedgeSquare(PresentedModule):
     """Second exterior power on ordered pair generators gi^gj (i < j)."""
 

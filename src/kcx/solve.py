@@ -4,9 +4,13 @@ Unknowns are the coefficients of each generator image over the standard
 monomials of the target quotient module, up to the requested degree.  On a
 relation row r the Leibniz residue, the sum over g of d(r_g) (x) g + r_g * Gamma(g),
 is affine in them: its constant is the residue of the zero candidate, and
-unknown (g, idx, exp) enters it as r_g * x^exp * e_idx, read off the row.  Only
-the gluing rows, which pass through localization and the transition, are
-evaluated once per unknown.  The exact system is solved over the coefficient field.
+unknown (g, idx, exp) enters it as r_g * x^exp * e_idx, read off the row.  The
+gluing rows pass through localization and the transition, which are linear
+over the chart rings: they are evaluated at zero and once per generator and
+unit e_idx, and unknown (g, idx, exp) enters them as that unit's column scaled
+by t(x^exp) on chart 1 and by y^exp on chart 2.  The exact sparse system is
+solved over the coefficient field.  The solvers work in Omega(A) (x) M alone
+and never build the tangent bundle.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ from .linsolve import AffineSolutionSpace, LinearEquation, affine_linear_solve
 from .modules import (
     ModuleElement,
     PresentedModule,
+    christoffel_target,
     kahler_module,
     module_standard_monomials,
-    tensor_modules,
     universal_derivation,
 )
 from .poly import Polynomial
-from .tangent import bundle_context
 
 
 @dataclass
@@ -128,7 +131,7 @@ def solve_connection_space(M: PresentedModule, degree_bound: int) -> ConnectionS
         raise ValueError("degree bound must be nonnegative")
     from .connections import connection_residues
 
-    target = bundle_context(M).omega_tensor_M
+    target = christoffel_target(M)
     f = M.base.field
     layout = _unknowns("c", M.gens, target.gens, module_standard_monomials(target, degree_bound))
     constants = [r for _, r in connection_residues(M, {g: target.zero() for g in M.gens})]
@@ -162,10 +165,10 @@ def localized_gamma(
     identically, so the extension is well defined whenever the input is.
     """
     src = kahler_module(A)
-    t_src = tensor_modules(src, src)
+    t_src = christoffel_target(src)
     _, u, inv = L._memo["localization_of"]
     omega_L = kahler_module(L)
-    t_L = tensor_modules(omega_L, omega_L)
+    t_L = christoffel_target(omega_L)
     out: dict[str, ModuleElement] = {}
 
     def push(e: ModuleElement) -> ModuleElement:
@@ -204,12 +207,12 @@ def _glue_residues(
     omega_L1, omega_L2 = kahler_module(L1), kahler_module(L2)
     nabla1 = Connection(omega_L1, g1_loc)
     nabla2 = Connection(omega_L2, g2_loc)
-    t2 = tensor_modules(omega_L2, omega_L2)
+    t1, t2 = christoffel_target(omega_L1), christoffel_target(omega_L2)
     out = []
     for g in omega_L1.gens:
         first = apply_connection(nabla1, omega_L1.gen(g))
         route1 = t2.zero()
-        for i, l, coef in nabla1.ctx.omega_tensor_M.entries(first):
+        for i, l, coef in t1.entries(first):
             dx_i, dx_l = omega_t[omega_L1.gens[i]], omega_t[omega_L1.gens[l]]
             route1 = route1 + t2.pair(dx_i, dx_l).scaled(t(L1.element(coef)))
         route2 = apply_connection(nabla2, omega_t[g])
@@ -268,7 +271,7 @@ def glued_connection_check(
     charts = []  # (omega, target, chart unknowns, zero Christoffel data)
     for chart_no, A in ((1, A1), (2, A2)):
         omega = kahler_module(A)
-        target = tensor_modules(omega, omega)
+        target = christoffel_target(omega)
         basis = module_standard_monomials(target, degree)
         names = _unknowns(f"c{chart_no}", omega.gens, target.gens, basis)
         layout.update(((chart_no, *key), name) for key, name in names.items())
@@ -279,19 +282,25 @@ def glued_connection_check(
     for omega, target, names, zero in charts:
         columns.update(_relation_columns(omega, target, names, len(constants)))
         constants += [r for _, r in connection_residues(omega, zero)]
-    # The gluing rows pass through localization and the transition, so an
-    # unknown's column there is the residue at its unit less the one at zero.
+    # The gluing rows are affine in the Christoffel data and linear over the
+    # chart rings (chart 1's through t): the column of unit e_idx in the image
+    # of g is the residue there less the one at zero, and the column of
+    # x^exp * e_idx is that one scaled by t(x^exp) on chart 1, y^exp on chart 2.
     zeros = [zero for *_, zero in charts]
     glue0 = _glue_residues(A1, L1, A2, L2, t, omega_t, *zeros)
     first = len(constants)
     constants += glue0
-    for chart, (omega, target, names, zero) in enumerate(charts):
+    for chart, ((_, target, names, _), L) in enumerate(zip(charts, (L1, L2))):
+        units: dict[tuple[str, int], list[ModuleElement]] = {}
         for (g, idx, exp), name in names.items():
-            mono = Polynomial.monomial(f, omega.base.gens, exp, 1)
-            unit = target.gen(target.gens[idx]).scaled(mono)
-            gammas = [{**z, g: unit} if c == chart else z for c, z in enumerate(zeros)]
-            rows = _glue_residues(A1, L1, A2, L2, t, omega_t, *gammas)
-            columns[name].update((first + k, r - r0) for k, (r, r0) in enumerate(zip(rows, glue0)))
+            if (g, idx) not in units:
+                unit = target.gen(target.gens[idx])
+                gammas = [{**z, g: unit} if c == chart else z for c, z in enumerate(zeros)]
+                rows = _glue_residues(A1, L1, A2, L2, t, omega_t, *gammas)
+                units[g, idx] = [r - r0 for r, r0 in zip(rows, glue0)]
+            mono = Polynomial.monomial(f, L.gens, (*exp, 0), 1)
+            scale = t(mono) if chart == 0 else mono
+            columns[name].update((first + k, r.scaled(scale)) for k, r in enumerate(units[g, idx]))
 
     equations = _affine_equations(constants, columns, f)
     return GlueResult(

@@ -30,7 +30,7 @@ from .algebra import (
     tensor_over_base,
 )
 from .errors import BaseMismatch, BracketingConditionFailure
-from .modules import ModuleElement, PresentedModule, kahler_module, tensor_modules
+from .modules import ModuleElement, PresentedModule, christoffel_target, kahler_module
 from .poly import Polynomial
 
 
@@ -346,7 +346,7 @@ class BundleContext:
             self.A, self.TA, self.S, self.p_A, self.bundle.q, concat_grading=True
         )
         self.omega = kahler_module(self.A)
-        self.omega_tensor_M = tensor_modules(self.omega, M)
+        self.omega_tensor_M = christoffel_target(M)
         u_images: dict[str, Polynomial] = {}
         for g in self.A.gens:
             u_images[f"{g}#0"] = Polynomial.variable(self.TS.field, self.TS.gens, g)

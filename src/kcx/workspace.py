@@ -28,15 +28,14 @@ from .fields import Field
 from .modules import (
     ModuleElement,
     PresentedModule,
+    christoffel_target,
     free_module,
     kahler_module,
     make_module,
-    tensor_modules,
     universal_derivation,
 )
 from .parse import poly_normalize
 from .poly import Polynomial
-from .tangent import bundle_context
 
 
 class WorkspaceError(KcxError):
@@ -306,7 +305,7 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                 raise cur.error(f"redefinition of connection {name!r}", at)
             M = w.modules[mod_name]
             A = M.base
-            target = bundle_context(M).omega_tensor_M
+            target = christoffel_target(M)
             images: dict[str, ModuleElement] = {}
             for entry, pos in entries:
                 if "->" not in entry:
@@ -447,7 +446,7 @@ def _render_coef(c: Polynomial) -> str:
 def render_connection_image(M: PresentedModule, e: ModuleElement) -> str:
     parts = [
         f"{_render_coef(coef)} * d({M.base.gens[i]}) @ {M.gens[l]}"
-        for i, l, coef in tensor_modules(kahler_module(M.base), M).entries(e)
+        for i, l, coef in christoffel_target(M).entries(e)
     ]
     return " + ".join(parts) if parts else "0"
 

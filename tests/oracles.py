@@ -1,17 +1,73 @@
-"""Independent brute-force oracles used to cross-check the Groebner engine.
+"""Independent brute-force oracles used to cross-check the engine.
 
-Membership is decided by dense exact linear algebra over the monomial basis:
-p lies in the span of { x^a * g : deg(x^a * g) <= bound } iff the column space
-of those products contains p's coefficient vector.  No normal forms involved.
+`dense_affine_solve` is plain dense Gauss-Jordan on lists of field values; it
+checks the engine's sparse `affine_linear_solve`.  Membership is decided by
+that dense exact linear algebra over the monomial basis: p lies in the span of
+{ x^a * g : deg(x^a * g) <= bound } iff the column space of those products
+contains p's coefficient vector.  No normal forms involved.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from kcx.fields import Field
-from kcx.linsolve import LinearEquation, affine_linear_solve
+from kcx.fields import Coef, Field
+from kcx.linsolve import AffineSolutionSpace, LinearEquation
 from kcx.poly import Polynomial
+
+
+def dense_affine_solve(
+    equations: list[LinearEquation], unknowns: tuple[str, ...], fieldobj: Field
+) -> AffineSolutionSpace:
+    """Exact Gauss-Jordan on dense rows; returns empty / unique / parametrized family."""
+    f = fieldobj
+    n = len(unknowns)
+    index = {u: i for i, u in enumerate(unknowns)}
+    rows: list[list[Coef]] = []
+    for eq in equations:
+        row = [f.zero()] * n + [f.of(eq.const)]
+        for u, c in eq.coeffs.items():
+            if u not in index:
+                raise KeyError(f"unknown {u!r} not declared")
+            row[index[u]] = f.add(row[index[u]], f.of(c))
+        rows.append(row)
+
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = f.inv(rows[r][col])
+        rows[r] = [f.mul(x, inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+
+    for i in range(r, len(rows)):
+        if rows[i][n]:
+            return AffineSolutionSpace(unknowns, None)
+
+    particular = [f.zero()] * n
+    for row_i, col in enumerate(pivots):
+        particular[col] = f.neg(rows[row_i][n])
+
+    free_cols = [c for c in range(n) if c not in pivots]
+    basis: list[list[Coef]] = []
+    for fc in free_cols:
+        vec = [f.zero()] * n
+        vec[fc] = f.one()
+        for row_i, col in enumerate(pivots):
+            vec[col] = f.neg(rows[row_i][fc])
+        basis.append(vec)
+
+    return AffineSolutionSpace(unknowns, particular, basis, free_cols)
 
 
 def monomials_up_to(nvars: int, degree: int):
@@ -48,7 +104,7 @@ def span_contains(p: Polynomial, gens: list[Polynomial], bound: int) -> bool:
             if c:
                 coeffs[unknowns[j]] = c
         equations.append(LinearEquation(coeffs, field.neg(p.terms.get(mono, field.zero()))))
-    return not affine_linear_solve(equations, unknowns, field).is_empty
+    return not dense_affine_solve(equations, unknowns, field).is_empty
 
 
 def module_span_contains(v, gens, bound: int, field: Field) -> bool:
@@ -76,4 +132,4 @@ def module_span_contains(v, gens, bound: int, field: Field) -> bool:
             if c:
                 coeffs[unknowns[j]] = c
         equations.append(LinearEquation(coeffs, field.neg(v[pos].terms.get(mono, field.zero()))))
-    return not affine_linear_solve(equations, unknowns, field).is_empty
+    return not dense_affine_solve(equations, unknowns, field).is_empty

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from kcx.fields import GF, QQ
 from kcx.linsolve import LinearEquation, affine_linear_solve
+
+from oracles import dense_affine_solve
 
 
 def test_inconsistent_system_is_empty():
@@ -103,3 +107,68 @@ def test_contains_agrees_with_direct_evaluation():
             for point in points:
                 values = dict(zip(unknowns, point))
                 assert space.contains(values, field) == _satisfies(eqs, values, field)
+
+
+def test_undeclared_unknown_raises_key_error():
+    with pytest.raises(KeyError):
+        affine_linear_solve([LinearEquation({"a": 1, "z": 1}, 0)], ("a",), QQ)
+    # also when an earlier equation is already inconsistent
+    eqs = [LinearEquation({}, 1), LinearEquation({"z": 1}, 0)]
+    with pytest.raises(KeyError):
+        affine_linear_solve(eqs, ("a",), QQ)
+
+
+def _random_system(rng, field):
+    """A small system, wide or tall, with entries that vanish in the field,
+    empty rows, repeated rows and combinations that cancel or contradict."""
+    n = rng.randint(1, 9)
+    m = rng.choice([rng.randint(0, max(n - 1, 1)), rng.randint(n, 2 * n + 3)])
+    unknowns = tuple(f"u{i}" for i in range(n))
+    # 0, the characteristic and 7ths all exercise entries the row must drop
+    values = [-2, -1, 0, 1, 2, 3, Fraction(1, 7), Fraction(-3, 7), field.char]
+    density = rng.choice([0.2, 0.5, 0.9])
+    eqs = []
+    for _ in range(m):
+        roll = rng.random()
+        if roll < 0.08:
+            eqs.append(LinearEquation({}, 0))
+        elif roll < 0.12:
+            eqs.append(LinearEquation({}, rng.choice([1, 2, 3])))
+        else:
+            coeffs = {u: rng.choice(values) for u in unknowns if rng.random() < density}
+            eqs.append(LinearEquation(coeffs, rng.choice(values)))
+    for _ in range(rng.randint(0, 3)):
+        if not eqs:
+            break
+        a, b = rng.choice(eqs), rng.choice(eqs)
+        k = rng.choice([1, -1, 2])
+        coeffs = {u: a.coeffs.get(u, 0) + k * b.coeffs.get(u, 0) for u in unknowns}
+        shift = rng.choice([0, 0, 1])  # 1 makes the combination contradict
+        eqs.append(LinearEquation(coeffs, a.const + k * b.const + shift))
+        eqs.append(rng.choice(eqs))
+    return eqs, unknowns
+
+
+def _shape(space):
+    return (
+        space.particular,
+        [type(c) for c in space.particular or ()],
+        space.basis,
+        [type(c) for vec in space.basis for c in vec],
+        space.free,
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(32003)], ids=repr)
+def test_sparse_solve_matches_dense_oracle(field):
+    rng = random.Random(20245 + field.char)
+    kinds = set()
+    for _ in range(250):
+        eqs, unknowns = _random_system(rng, field)
+        space = affine_linear_solve(eqs, unknowns, field)
+        assert _shape(space) == _shape(dense_affine_solve(eqs, unknowns, field))
+        kinds.add("empty" if space.is_empty else "unique" if space.is_unique else "family")
+        shuffled = list(eqs)
+        rng.shuffle(shuffled)
+        assert _shape(affine_linear_solve(shuffled, unknowns, field)) == _shape(space)
+    assert kinds == {"empty", "unique", "family"}

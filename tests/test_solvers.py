@@ -3,14 +3,20 @@ import random
 import pytest
 
 import kcx.connections
+import kcx.solve
 from kcx.algebra import make_algebra
 from kcx.connections import make_connection
 from kcx.dualnum import dual_bundle, dual_connection_solve, dual_numbers_structure
 from kcx.errors import KcxError, WellDefinednessFailure
 from kcx.fields import GF, QQ
-from kcx.modules import free_module, kahler_module, make_module, module_standard_monomials
+from kcx.modules import (
+    christoffel_target,
+    free_module,
+    kahler_module,
+    make_module,
+    module_standard_monomials,
+)
 from kcx.poly import Polynomial
-from kcx.tangent import bundle_context
 from kcx.solve import glued_connection_check, solve_connection_space
 
 import helpers
@@ -59,16 +65,32 @@ def test_solve_plane_contains_everything(plane):
     assert result.contains_connection(helpers.plane_zero(plane))
 
 
-def _connection_at(result, point):
-    """make_connection on the Christoffel data of one point of the space."""
-    M = result.module
+def _christoffel(M, terms):
+    """make_connection on the Christoffel data sum value * x^exp * e_idx in the
+    image of g, over the (g, idx, exp, value) in `terms`."""
     A = M.base
-    target = bundle_context(M).omega_tensor_M
+    target = christoffel_target(M)
     comps = {g: [Polynomial.zero(A.field, A.gens)] * target.rank for g in M.gens}
-    for (g, idx, exp), name in result.layout.items():
-        value = point[result.space.unknowns.index(name)]
+    for g, idx, exp, value in terms:
         comps[g][idx] = comps[g][idx] + Polynomial.monomial(A.field, A.gens, exp, value)
     return make_connection(M, {g: target.element(tuple(c)) for g, c in comps.items()})
+
+
+def _connection_at(result, point):
+    """make_connection on the Christoffel data of one point of the space."""
+    index = {name: i for i, name in enumerate(result.space.unknowns)}
+    return _christoffel(
+        result.module,
+        [(g, idx, exp, point[index[name]]) for (g, idx, exp), name in result.layout.items()],
+    )
+
+
+def _random_point(space, f, rng):
+    point = list(space.particular)
+    for vec in space.basis:
+        t = f.of(rng.randint(-5, 5))
+        point = [f.add(p, f.mul(t, b)) for p, b in zip(point, vec)]
+    return point
 
 
 def test_solution_points_certify_and_nudged_points_fail(plane, circle, sphere2):
@@ -78,10 +100,7 @@ def test_solution_points_certify_and_nudged_points_fail(plane, circle, sphere2):
         space, f = result.space, A.field
         pivots = [i for i in range(len(space.unknowns)) if i not in space.free]
         for _ in range(3):
-            point = list(space.particular)
-            for vec in space.basis:
-                t = f.of(rng.randint(-5, 5))
-                point = [f.add(p, f.mul(t, b)) for p, b in zip(point, vec)]
+            point = _random_point(space, f, rng)
             _connection_at(result, point)
             if not pivots:  # no relations: every point is a connection
                 assert A is plane
@@ -108,6 +127,32 @@ def test_solvers_evaluate_relation_residues_once_per_module(circle, monkeypatch)
     A1, A2, t, tinv = _p1_charts(QQ)
     glued_connection_check(A1, "x", A2, "y", t, tinv, degree=2)
     assert calls == [kahler_module(A1), kahler_module(A2)]
+
+
+@pytest.mark.parametrize("degree", [2, 14])
+def test_gluing_evaluates_glue_residues_once_per_unit(degree, monkeypatch):
+    # once at zero and once per chart unit d(x)@d(x), d(y)@d(y), at any degree
+    calls = []
+    original = kcx.solve._glue_residues
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kcx.solve, "_glue_residues", counting)
+    A1, A2, t, tinv = _p1_charts(QQ)
+    assert glued_connection_check(A1, "x", A2, "y", t, tinv, degree=degree).space.is_empty
+    assert len(calls) == 3
+
+
+def test_solve_and_make_connection_build_no_bundle():
+    sphere = make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"])
+    omega = kahler_module(sphere)
+    result = solve_connection_space(omega, 1)
+    nabla = _connection_at(result, result.space.particular)
+    assert "bundle_ctx" not in omega._memo
+    assert nabla.ctx is nabla.ctx  # built on first use, then kept
+    assert "bundle_ctx" in omega._memo
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +222,65 @@ def _p1_charts(field):
     transition = {"x": "y_inv", "x_inv": "y"}
     inverse = {"y": "x_inv", "y_inv": "x"}
     return A1, A2, transition, inverse
+
+
+def _circle_charts(field):
+    A1 = make_algebra(field, ("x", "y"), ["x^2 + y^2 - 1"])
+    A2 = make_algebra(field, ("u", "v"), ["u^2 + v^2 - 1"])
+    transition = {"x": "u", "y": "-v", "x_inv": "u_inv"}
+    inverse = {"u": "x", "v": "-y", "u_inv": "x_inv"}
+    return A1, A2, transition, inverse
+
+
+def _shear_charts(field):
+    A1 = make_algebra(field, ("x", "y"))
+    A2 = make_algebra(field, ("u", "v"))
+    transition = {"x": "u", "y": "v + u^2", "x_inv": "u_inv"}
+    inverse = {"u": "x", "v": "y - x^2", "u_inv": "x_inv"}
+    return A1, A2, transition, inverse
+
+
+@pytest.mark.parametrize("charts", [_circle_charts, _shear_charts])
+def test_glued_space_points_glue_and_nudged_points_fail(charts):
+    # points of the solved space pass the concrete-connection check, which
+    # evaluates the gluing residues directly rather than through columns
+    rng = random.Random(20246)
+    A1, A2, t, tinv = charts(QQ)
+    omegas = {1: kahler_module(A1), 2: kahler_module(A2)}
+    for degree in (1, 2):
+        result = glued_connection_check(A1, "x", A2, "u", t, tinv, degree=degree)
+        space = result.space
+        assert space.dimension > 0
+        index = {name: i for i, name in enumerate(space.unknowns)}
+        pivots = [i for i in range(len(space.unknowns)) if i not in space.free]
+
+        def glue_at(point):
+            n1, n2 = (
+                _christoffel(
+                    omegas[chart],
+                    [
+                        (g, idx, exp, point[index[name]])
+                        for (c, g, idx, exp), name in result.layout.items()
+                        if c == chart
+                    ],
+                )
+                for chart in (1, 2)
+            )
+            return glued_connection_check(A1, "x", A2, "u", t, tinv, nabla1=n1, nabla2=n2)
+
+        for _ in range(3):
+            point = _random_point(space, QQ, rng)
+            assert glue_at(point).passed
+            nudged = list(point)
+            k = rng.choice(pivots)
+            nudged[k] += 1
+            try:
+                report = glue_at(nudged).report
+            except WellDefinednessFailure:
+                continue
+            assert any(
+                e.status == "fail" and e.axiom_id.startswith("glue[") for e in report.entries
+            )
 
 
 def test_p1_char0_empty():

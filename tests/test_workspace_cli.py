@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from kcx.cli import run
+from kcx.cli import MAX_DEGREE, run
 from kcx.workspace import WorkspaceError, parse_workspace, render_workspace
 
 FILES = Path(__file__).parent.parent / "examples_kcx"
@@ -181,6 +181,8 @@ def test_cli_exit_codes(tmp_path):
     usage_errors = [
         ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", "-1"],
         ["glue", str(FILES / "p1.kcx"), "--degree", "-1"],
+        ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", "1000000000"],
+        ["glue", str(FILES / "p1.kcx"), "--degree", str(MAX_DEGREE + 1)],
         ["check", str(latin1)],
         ["check", str(FILES)],
     ]
