@@ -261,10 +261,38 @@ def make_morphism(
     return AlgebraMorphism(dom, cod, polys, certify=certify, name=name)
 
 
+def relabel(
+    dom: PresentedAlgebra,
+    cod: PresentedAlgebra,
+    table: Mapping[str, str | tuple[str, ...] | None],
+    name: str = "",
+    certify: bool = True,
+) -> AlgebraMorphism:
+    """Morphism sending each generator to a sum of signed codomain generators.
+
+    `table[g]` is a codomain generator name, that name prefixed with '-' for
+    its negative, a tuple of such names for their sum, or None for zero.  A
+    generator absent from the table keeps its own name in the codomain.
+    Nearly every tangent and bundle structure map has this shape.
+    """
+
+    def signed(n: str) -> Polynomial:
+        if n.startswith("-") and n not in cod.gens:
+            return -Polynomial.variable(cod.field, cod.gens, n[1:])
+        return Polynomial.variable(cod.field, cod.gens, n)
+
+    if not set(table) <= set(dom.gens):
+        raise ValueError(f"not domain generators: {sorted(set(table) - set(dom.gens))}")
+    images = {}
+    for g in dom.gens:
+        target = table.get(g, g)
+        names = () if target is None else (target,) if isinstance(target, str) else target
+        images[g] = sum(map(signed, names), Polynomial.zero(cod.field, cod.gens))
+    return AlgebraMorphism(dom, cod, images, certify=certify, name=name)
+
+
 def identity_morphism(A: PresentedAlgebra) -> AlgebraMorphism:
-    return AlgebraMorphism(
-        A, A, {g: Polynomial.variable(A.field, A.gens, g) for g in A.gens}, certify=False, name="id"
-    )
+    return relabel(A, A, {}, "id", certify=False)
 
 
 def apply_morphism(f: AlgebraMorphism, e: AlgebraElement) -> AlgebraElement:
@@ -310,14 +338,8 @@ class TensorAlgebra(PresentedAlgebra):
         self.factors = (left, right)
         self.structural = (f_left, f_right)
         self.rename = (dict(rename0), dict(rename1))
-        self.i0 = AlgebraMorphism(
-            left, self, {g: Polynomial.variable(self.field, gens, rename0[g]) for g in left.gens},
-            certify=False, name="i0",
-        )
-        self.i1 = AlgebraMorphism(
-            right, self, {g: Polynomial.variable(self.field, gens, rename1[g]) for g in right.gens},
-            certify=False, name="i1",
-        )
+        self.i0 = relabel(left, self, rename0, "i0", certify=False)
+        self.i1 = relabel(right, self, rename1, "i1", certify=False)
 
     def pair(self, w: ElementLike, v: ElementLike) -> AlgebraElement:
         """The simple tensor w (x) v."""
@@ -380,13 +402,18 @@ def tensor_over_base(
     )
 
 
+def fresh_name(taken: tuple[str, ...], name: str) -> str:
+    """`name` with underscores appended until it is not in `taken`."""
+    while name in taken:
+        name += "_"
+    return name
+
+
 def localize(A: PresentedAlgebra, u: str) -> PresentedAlgebra:
     """Adjoin a fresh inverse generator for u with relation u*u_inv = 1."""
     if u not in A.gens:
         raise ValueError(f"{u!r} is not a generator")
-    inv = f"{u}_inv"
-    while inv in A.gens:
-        inv += "_"
+    inv = fresh_name(A.gens, f"{u}_inv")
     gens = A.gens + (inv,)
     relations = [r.change_vars(gens) for r in A.relations]
     relations.append(

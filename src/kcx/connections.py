@@ -20,7 +20,7 @@ from .algebra import (
     compose_chain,
     compose_morphisms,
     identity_morphism,
-    make_morphism,
+    relabel,
 )
 from .errors import (
     AxiomFailure,
@@ -41,11 +41,12 @@ from .modules import (
 from .poly import Polynomial
 from .tangent import (
     BundleContext,
-    TangentPresentation,
     bracketing,
     bundle_combine,
     bundle_context,
     tangent_apply_functor,
+    vertical_lift,
+    zero_map,
 )
 
 
@@ -207,57 +208,29 @@ class AxiomReport:
         self.entries.append(AxiomCheck(axiom_id, "pass"))
 
 
-def _vertical_lift_map(T2B: TangentPresentation) -> AlgebraMorphism:
-    """l: T(T(B)) -> T(B): kills both single levels, folds the mixed sort."""
-    TB = T2B.source
-    images = {}
-    for g in T2B.gens:
-        kind = T2B.roles[g].kind
-        if g in TB.source.gens:
-            images[g] = Polynomial.variable(TB.field, TB.gens, g)
-        elif kind in ("dpd", "dpdm"):
-            images[g] = Polynomial.variable(TB.field, TB.gens, TB.dmap[T2B.roles[g].origin])
-        else:
-            images[g] = Polynomial.zero(TB.field, TB.gens)
-    return AlgebraMorphism(T2B, TB, images, certify=True, name="l")
-
-
-def _zero_map(TB: TangentPresentation) -> AlgebraMorphism:
-    """0: T(B) -> B: identity on B, kills the differentials."""
-    B = TB.source
-    images = {}
-    for g in B.gens:
-        images[g] = Polynomial.variable(B.field, B.gens, g)
-        images[TB.dmap[g]] = Polynomial.zero(B.field, B.gens)
-    return AlgebraMorphism(TB, B, images, certify=True, name="0")
-
-
 def _ctx_maps(ctx: BundleContext) -> dict:
     """Morphisms shared by the axiom checks, built once per module."""
     if "axiom_maps" in ctx._lazy:
         return ctx._lazy["axiom_maps"]
     TS, S = ctx.TS, ctx.S
     maps = {}
-    maps["p_S"] = make_morphism(S, TS, {g: TS.gen(g) for g in S.gens}, name="p")
-    maps["zero_S"] = _zero_map(TS)
+    maps["p_S"] = relabel(S, TS, {}, "p")
+    maps["zero_S"] = zero_map(TS)
     maps["Tq"] = tangent_apply_functor(ctx.bundle.q, certify=True)
-    maps["lift_S"] = _vertical_lift_map(ctx.T2S)
+    maps["lift_S"] = vertical_lift(ctx.T2S)
     maps["T_lam"] = tangent_apply_functor(ctx.bundle.lam, certify=True)
-    # H.3 downward map: vertical lift on the T^2(A) factor, zero on the T(S) factor
     big = ctx.T2A_tensor_TS
-    lift_A = _vertical_lift_map(ctx.T2A)
-    zero_S_side = _zero_map(TS)
-    h3 = {}
-    h4 = {}
-    zero_TA = _zero_map(ctx.T2A)  # T(T(A)) -> T(A): kills the outer level
-    for g in ctx.T2A.gens:
-        h3[f"{g}#0"] = ctx.TAS.i0.apply_raw(lift_A.images[g])
-        h4[f"{g}#0"] = ctx.TAS.i0.apply_raw(zero_TA.images[g])
-    for g in TS.gens:
-        h3[f"{g}#1"] = ctx.TAS.i1.apply_raw(zero_S_side.images[g])
-        h4[f"{g}#1"] = ctx.TAS.i1.apply_raw(ctx.bundle.lam.images[g])
-    maps["h3_down"] = AlgebraMorphism(big, ctx.TAS, h3, certify=True, name="l(x)0")
-    maps["h4_down"] = AlgebraMorphism(big, ctx.TAS, h4, certify=True, name="0(x)lam")
+
+    def down(f0: AlgebraMorphism, f1: AlgebraMorphism, name: str) -> AlgebraMorphism:
+        """f0 (x) f1: T^2(A) (x)_{T(A)} T(S) -> T(A) (x)_A S, factor by factor."""
+        images = {f"{g}#0": ctx.TAS.i0.apply_raw(p) for g, p in f0.images.items()}
+        images.update({f"{g}#1": ctx.TAS.i1.apply_raw(p) for g, p in f1.images.items()})
+        return AlgebraMorphism(big, ctx.TAS, images, certify=True, name=name)
+
+    # H.3: vertical lift on the T^2(A) factor, zero on the T(S) factor; H.4:
+    # zero on T^2(A), which kills the outer level, and lambda on T(S)
+    maps["h3_down"] = down(vertical_lift(ctx.T2A), maps["zero_S"], "l(x)0")
+    maps["h4_down"] = down(zero_map(ctx.T2A), ctx.bundle.lam, "0(x)lam")
     ctx._lazy["axiom_maps"] = maps
     return maps
 

@@ -144,8 +144,7 @@ def tangent_curvature_is_flat(nabla: Connection, C: AlgebraMorphism) -> bool:
     """Flat bundle curvature: identity on the base, zero on module generators."""
     ctx = nabla.ctx
     return all(C.image_of(m).is_zero() for m in nabla.module.gens) and all(
-        C(ctx.S.gen(x)) == ctx.T2S.element(Polynomial.variable(ctx.T2S.field, ctx.T2S.gens, x))
-        for x in ctx.A.gens
+        C(ctx.S.gen(x)) == ctx.T2S.gen(x) for x in ctx.A.gens
     )
 
 

@@ -12,34 +12,31 @@ constraint, which is linear and (for nonzero M) inconsistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
-from .algebra import AlgebraMorphism, GenRole, PresentedAlgebra, make_morphism
+from .algebra import AlgebraMorphism, GenRole, PresentedAlgebra, fresh_name, make_morphism, relabel
 from .linsolve import AffineSolutionSpace, affine_linear_solve
-from .modules import PresentedModule, module_standard_monomials
+from .modules import PresentedModule, linear_form, module_standard_monomials
 from .poly import Polynomial
 from .solve import _affine_equations, _relation_columns, _unknowns
 
 
-def _fresh(base: tuple[str, ...], name: str) -> str:
-    while name in base:
-        name += "_"
-    return name
-
-
 def _square_zero_extension(
-    A: PresentedAlgebra, new_gens: list[str], nilpotent: list[str], provenance: str
+    A: PresentedAlgebra, new_gens: tuple[str, ...], provenance: str
 ) -> PresentedAlgebra:
-    """Adjoin generators with all pairwise products of `nilpotent` ones zero."""
-    gens = A.gens + tuple(new_gens)
+    """Adjoin generators whose pairwise products, squares included, are zero."""
+    gens = A.gens + new_gens
+    var = lambda g: Polynomial.variable(A.field, gens, g)
     relations = [r.change_vars(gens) for r in A.relations]
-    for i, a in enumerate(nilpotent):
-        for b in nilpotent[i:]:
-            relations.append(
-                Polynomial.variable(A.field, gens, a) * Polynomial.variable(A.field, gens, b)
-            )
-    roles = {g: A.roles.get(g, GenRole("base", g)) for g in A.gens}
-    roles.update({g: GenRole("base", g) for g in new_gens})
+    relations += [var(a) * var(b) for a, b in combinations_with_replacement(new_gens, 2)]
+    roles = {**A.roles, **{g: GenRole("base", g) for g in new_gens}}
     return PresentedAlgebra(A.field, gens, relations, provenance=provenance, roles=roles)
+
+
+def _lift(B: PresentedAlgebra, TB: PresentedAlgebra, fibre, epsp: str, name: str) -> AlgebraMorphism:
+    """B -> TB: fixes the other generators and multiplies each fibre one by epsp."""
+    images = {g: TB.gen(g) * TB.gen(epsp) if g in fibre else TB.gen(g) for g in B.gens}
+    return make_morphism(B, TB, images, name=name)
 
 
 @dataclass
@@ -63,41 +60,21 @@ class DualNumbers:
 def dual_numbers_structure(A: PresentedAlgebra) -> DualNumbers:
     if "dual_numbers" in A._memo:
         return A._memo["dual_numbers"]
-    eps = _fresh(A.gens, "eps")
-    TA = _square_zero_extension(A, [eps], [eps], "dualnum")
-    epsp = _fresh(TA.gens, "epsp")
+    eps = fresh_name(A.gens, "eps")
+    TA = _square_zero_extension(A, (eps,), "dualnum")
+    epsp = fresh_name(TA.gens, "epsp")
     # epsilon and epsilon-prime square to zero but their product survives
-    gens2 = TA.gens + (epsp,)
-    relations2 = [r.change_vars(gens2) for r in TA.relations]
-    relations2.append(Polynomial.variable(A.field, gens2, epsp) ** 2)
-    TTA = PresentedAlgebra(A.field, gens2, relations2, provenance="dualnum2")
-    eps1 = _fresh(A.gens, "eps1")
-    eps2 = _fresh(A.gens + (eps1,), "eps2")
-    T2 = _square_zero_extension(A, [eps1, eps2], [eps1, eps2], "dualnum-width2")
+    TTA = _square_zero_extension(TA, (epsp,), "dualnum2")
+    eps1 = fresh_name(A.gens, "eps1")
+    eps2 = fresh_name(A.gens + (eps1,), "eps2")
+    T2 = _square_zero_extension(A, (eps1, eps2), "dualnum-width2")
 
-    p = make_morphism(TA, A, {**{g: A.gen(g) for g in A.gens}, eps: A.zero()}, name="p")
-    zero = make_morphism(A, TA, {g: TA.gen(g) for g in A.gens}, name="0")
-    plus = make_morphism(
-        T2,
-        TA,
-        {**{g: TA.gen(g) for g in A.gens}, eps1: TA.gen(eps), eps2: TA.gen(eps)},
-        name="+",
-    )
-    minus = make_morphism(
-        TA, TA, {**{g: TA.gen(g) for g in A.gens}, eps: -TA.gen(eps)}, name="-"
-    )
-    lift = make_morphism(
-        TA,
-        TTA,
-        {**{g: TTA.gen(g) for g in A.gens}, eps: TTA.gen(eps) * TTA.gen(epsp)},
-        name="l",
-    )
-    flip = make_morphism(
-        TTA,
-        TTA,
-        {**{g: TTA.gen(g) for g in A.gens}, eps: TTA.gen(epsp), epsp: TTA.gen(eps)},
-        name="c",
-    )
+    p = relabel(TA, A, {eps: None}, "p")
+    zero = relabel(A, TA, {}, "0")
+    plus = relabel(T2, TA, {eps1: eps, eps2: eps}, "+")
+    minus = relabel(TA, TA, {eps: f"-{eps}"}, "-")
+    lift = _lift(TA, TTA, (eps,), epsp, "l")
+    flip = relabel(TTA, TTA, {eps: epsp, epsp: eps}, "c")
     out = DualNumbers(A, TA, TTA, T2, eps, epsp, p, zero, plus, minus, lift, flip)
     A._memo["dual_numbers"] = out
     return out
@@ -124,37 +101,17 @@ def dual_bundle(A: PresentedAlgebra, M: PresentedModule) -> DualBundle:
         raise ValueError("module is not over the given algebra")
     if "dual_bundle" in M._memo:
         return M._memo["dual_bundle"]
-    eps_gens = tuple(_fresh(A.gens, f"{m}_eps") for m in M.gens)
-    E = _square_zero_extension(A, list(eps_gens), list(eps_gens), "dual-bundle")
+    eps_gens = tuple(fresh_name(A.gens, f"{m}_eps") for m in M.gens)
+    E = _square_zero_extension(A, eps_gens, "dual-bundle")
     # module relation rows hold on the epsilon part
-    extra = []
-    for row in M.relations:
-        poly = Polynomial.zero(A.field, E.gens)
-        for coef, m_eps in zip(row, eps_gens):
-            poly = poly + coef.change_vars(E.gens) * Polynomial.variable(A.field, E.gens, m_eps)
-        extra.append(poly)
+    extra = [linear_form(A.field, E.gens, row, eps_gens) for row in M.relations]
     E = PresentedAlgebra(A.field, E.gens, list(E.relations) + extra, provenance="dual-bundle")
-    epsp = _fresh(E.gens, "epsp")
-    gens2 = E.gens + (epsp,)
-    relations2 = [r.change_vars(gens2) for r in E.relations]
-    relations2.append(Polynomial.variable(A.field, gens2, epsp) ** 2)
-    TE = PresentedAlgebra(A.field, gens2, relations2, provenance="dual-bundle2")
-    q = make_morphism(
-        E, A, {**{g: A.gen(g) for g in A.gens}, **{m: A.zero() for m in eps_gens}}, name="q"
-    )
-    z = make_morphism(A, E, {g: E.gen(g) for g in A.gens}, name="z")
-    iota = make_morphism(
-        E, E, {**{g: E.gen(g) for g in A.gens}, **{m: -E.gen(m) for m in eps_gens}}, name="iota"
-    )
-    lam = make_morphism(
-        E,
-        TE,
-        {
-            **{g: TE.gen(g) for g in A.gens},
-            **{m: TE.gen(m) * TE.gen(epsp) for m in eps_gens},
-        },
-        name="lambda",
-    )
+    epsp = fresh_name(E.gens, "epsp")
+    TE = _square_zero_extension(E, (epsp,), "dual-bundle2")
+    q = relabel(E, A, dict.fromkeys(eps_gens), "q")
+    z = relabel(A, E, {}, "z")
+    iota = relabel(E, E, {m: f"-{m}" for m in eps_gens}, "iota")
+    lam = _lift(E, TE, eps_gens, epsp, "lambda")
     out = DualBundle(A, M, E, TE, eps_gens, epsp, q, z, iota, lam)
     M._memo["dual_bundle"] = out
     return out
@@ -175,7 +132,6 @@ def dual_connection_solve(
     """
     if M.base is not A:
         raise ValueError("module is not over the given algebra")
-    dual_bundle(A, M)  # materialize and certify the bundle presentations
     basis = module_standard_monomials(M, degree_bound)
     # n per module generator plus n', over M's standard monomials
     layout = _unknowns("c", M.gens + ("'",), range(M.rank), basis)

@@ -166,6 +166,14 @@ def element_is_zero(e: ModuleElement) -> bool:
     return e.is_zero()
 
 
+def linear_form(field, gens: tuple[str, ...], comps, names: tuple[str, ...]) -> Polynomial:
+    """sum_k comps[k] * names[k] over `gens`, which extend the components' ring."""
+    out = Polynomial.zero(field, gens)
+    for coef, n in zip(comps, names):
+        out = out + coef.change_vars(gens) * Polynomial.variable(field, gens, n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ Grammar (no implicit multiplication):
 
 INT is a nonnegative integer literal, NAME matches [A-Za-z][A-Za-z0-9_]*.
 Rationals are written a/b; '/' is accepted only when the divisor reduces to a
-nonzero constant.  Exponents must be nonnegative integer literals.
+nonzero constant.  Exponents must be integer literals from 0 to MAX_EXPONENT.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ class ParseError(ValueError):
         self.text = text
         super().__init__(f"{message} at column {position + 1} in {text!r}")
 
+
+# Powers are expanded eagerly, so a huge exponent would not finish; every
+# example, test and benchmark input uses exponent 4 or less.
+MAX_EXPONENT = 64
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))")
 
@@ -115,6 +119,8 @@ class _Parser:
             etok = self.take()
             if etok[0] != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", etok[2], self.text)
+            if int(etok[1]) > MAX_EXPONENT:
+                raise ParseError(f"exponent must be at most {MAX_EXPONENT}", etok[2], self.text)
             p = p ** int(etok[1])
         return p
 

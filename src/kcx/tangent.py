@@ -13,6 +13,10 @@ and torsion extraction on canonical shapes.
 
 S_A(M) is presented on A's generators plus M's generator names, with M's
 relation rows imposed as degree-one relations.
+
+T(A) and S_A(M) are additive bundles over A, so `_additive_bundle` builds both
+their p/0/-/+ and q/z/iota/sigma.  These maps, the flips, zero maps, vertical
+lifts, lambda and U are `algebra.relabel` tables of signed generators.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from .algebra import (
     PresentedAlgebra,
     TensorAlgebra,
     _ROLE_RANK,
-    make_morphism,
+    relabel,
     tensor_over_base,
 )
 from .errors import BaseMismatch, BracketingConditionFailure
-from .modules import ModuleElement, PresentedModule, christoffel_target, kahler_module
+from .modules import ModuleElement, PresentedModule, christoffel_target, linear_form
 from .poly import Polynomial
 
 
@@ -123,15 +127,46 @@ def generic_flip(T2B: TangentPresentation) -> AlgebraMorphism:
     TB = T2B.source
     if not isinstance(TB, TangentPresentation):
         raise ValueError("flip needs a double tangent presentation")
-    B = TB.source
-    images = {g: Polynomial.variable(T2B.field, T2B.gens, g) for g in T2B.gens}
-    for g in B.gens:
-        first = TB.dmap[g]
-        second = T2B.dmap[g]
-        images[first] = Polynomial.variable(T2B.field, T2B.gens, second)
-        images[second] = Polynomial.variable(T2B.field, T2B.gens, first)
-        # the mixed sort T2B.dmap[first] is fixed
-    return AlgebraMorphism(T2B, T2B, images, certify=True, name="flip")
+    table = {}
+    for g in TB.source.gens:  # the mixed sort T2B.dmap[TB.dmap[g]] is fixed
+        table[TB.dmap[g]] = T2B.dmap[g]
+        table[T2B.dmap[g]] = TB.dmap[g]
+    return relabel(T2B, T2B, table, "flip")
+
+
+def zero_map(TB: TangentPresentation) -> AlgebraMorphism:
+    """0: T(B) -> B: identity on B, kills the differentials."""
+    return relabel(TB, TB.source, dict.fromkeys(TB.dmap.values()), "0")
+
+
+def vertical_lift(T2B: TangentPresentation) -> AlgebraMorphism:
+    """l: T(T(B)) -> T(B): kills both single levels, folds the mixed sort."""
+    TB = T2B.source
+    table = {
+        g: TB.dmap[role.origin] if role.kind in ("dpd", "dpdm") else None
+        for g, role in T2B.roles.items()
+        if g not in TB.source.gens
+    }
+    return relabel(T2B, TB, table, "l")
+
+
+def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, fibre, names: tuple[str, ...]):
+    """(B (x)_A B, include, zero, negate, add) for an additive bundle B over A.
+
+    B is presented on A's generators plus the fibre generators.  T(A) (fibre:
+    the differentials) and S_A(M) (fibre: M's generators) are both of this
+    kind, so their p/0/-/+ and q/z/iota/sigma come from here, all certified.
+    """
+    include = relabel(A, B, {}, names[0])
+    B2 = tensor_over_base(A, B, B, include, include, concat_grading=True)
+    add = {**B2.rename[0], **{m: (f"{m}#0", f"{m}#1") for m in fibre}}
+    return (
+        B2,
+        include,
+        relabel(B, A, dict.fromkeys(fibre), names[1]),
+        relabel(B, B, {m: f"-{m}" for m in fibre}, names[2]),
+        relabel(B, B2, add, names[3]),
+    )
 
 
 def tangent_structure_maps(A: PresentedAlgebra) -> TangentMaps:
@@ -139,36 +174,10 @@ def tangent_structure_maps(A: PresentedAlgebra) -> TangentMaps:
         return A._memo["tangent_maps"]
     TA = tangent_algebra(A)
     TTA = tangent_algebra(TA)
-    p = make_morphism(A, TA, {g: TA.gen(g) for g in A.gens}, name="p")
-    zero_images = {g: TA.source.gen(g) for g in A.gens}
-    zero_images.update({TA.dmap[g]: TA.source.zero() for g in A.gens})
-    zero = make_morphism(TA, A, zero_images, name="0")
-    minus_images = {g: TA.gen(g) for g in A.gens}
-    minus_images.update({TA.dmap[g]: -TA.gen(TA.dmap[g]) for g in A.gens})
-    minus = make_morphism(TA, TA, minus_images, name="-")
-    T2 = tensor_over_base(A, TA, TA, p, p, concat_grading=True)
-    plus_images = {g: T2.i0(TA.gen(g)) for g in A.gens}
-    plus_images.update(
-        {TA.dmap[g]: T2.i0(TA.gen(TA.dmap[g])) + T2.i1(TA.gen(TA.dmap[g])) for g in A.gens}
-    )
-    plus = make_morphism(TA, T2, plus_images, name="+")
-    lift_images = {}
-    for g in TTA.gens:
-        kind = TTA.roles[g].kind
-        if kind == "base":
-            lift_images[g] = TA.gen(g)
-        elif kind == "dpd":
-            lift_images[g] = TA.gen(TA.dmap[TTA.roles[g].origin])
-        else:  # d or dp sorts die under the vertical lift
-            lift_images[g] = TA.zero()
-    lift = make_morphism(TTA, TA, lift_images, name="l")
-    flip = generic_flip(TTA)
-    tau_images = {}
-    for g in TA.gens:
-        tau_images[f"{g}#0"] = T2.element(Polynomial.variable(T2.field, T2.gens, f"{g}#1"))
-        tau_images[f"{g}#1"] = T2.element(Polynomial.variable(T2.field, T2.gens, f"{g}#0"))
-    tau = make_morphism(T2, T2, tau_images, name="tau")
-    maps = TangentMaps(TA, TTA, T2, p, zero, plus, minus, lift, flip, tau)
+    T2, p, zero, minus, plus = _additive_bundle(A, TA, TA.dmap.values(), ("p", "0", "-", "+"))
+    swap = {f"{g}#{i}": f"{g}#{1 - i}" for g in TA.gens for i in (0, 1)}
+    tau = relabel(T2, T2, swap, "tau")
+    maps = TangentMaps(TA, TTA, T2, p, zero, plus, minus, vertical_lift(TTA), generic_flip(TTA), tau)
     A._memo["tangent_maps"] = maps
     return maps
 
@@ -191,11 +200,7 @@ class SymBundle(PresentedAlgebra):
         grading = {g: (0,) for g in A.gens}
         grading.update({m: (1,) for m in M.gens})
         relations = [r.change_vars(gens) for r in A.relations]
-        for row in M.relations:
-            poly = Polynomial.zero(A.field, gens)
-            for coef, m in zip(row, M.gens):
-                poly = poly + coef.change_vars(gens) * Polynomial.variable(A.field, gens, m)
-            relations.append(poly)
+        relations += [linear_form(A.field, gens, row, M.gens) for row in M.relations]
         # no cap: S_A(M) itself carries arbitrary symmetric degrees
         super().__init__(A.field, gens, relations, provenance="sym", roles=roles, grading=grading)
 
@@ -203,10 +208,7 @@ class SymBundle(PresentedAlgebra):
         """An M-element as the corresponding degree-one element of S_A(M)."""
         if e.module is not self.M:
             raise ValueError("element of a different module")
-        poly = Polynomial.zero(self.field, self.gens)
-        for coef, m in zip(e.comps, self.M.gens):
-            poly = poly + coef.change_vars(self.gens) * Polynomial.variable(self.field, self.gens, m)
-        return self.element(poly)
+        return self.element(linear_form(self.field, self.gens, e.comps, self.M.gens))
 
 
 @dataclass
@@ -228,27 +230,14 @@ def sym_algebra_bundle(A: PresentedAlgebra, M: PresentedModule) -> BundleMaps:
         return M._memo["sym_bundle"]
     S = SymBundle(M)
     TS = tangent_algebra(S)
-    q = make_morphism(A, S, {g: S.gen(g) for g in A.gens}, name="q")
-    z_images = {g: A.gen(g) for g in A.gens}
-    z_images.update({m: A.zero() for m in M.gens})
-    z = make_morphism(S, A, z_images, name="z")
-    iota_images = {g: S.gen(g) for g in A.gens}
-    iota_images.update({m: -S.gen(m) for m in M.gens})
-    iota = make_morphism(S, S, iota_images, name="iota")
-    S2 = tensor_over_base(A, S, S, q, q, concat_grading=True)
-    sigma_images = {g: S2.i0(S.gen(g)) for g in A.gens}
-    sigma_images.update({m: S2.i0(S.gen(m)) + S2.i1(S.gen(m)) for m in M.gens})
-    sigma = make_morphism(S, S2, sigma_images, name="sigma")
-    lam_images = {}
-    for g in TS.gens:
-        kind = TS.roles[g].kind
-        if kind == "base":
-            lam_images[g] = S.gen(g)
-        elif kind == "dm":
-            lam_images[g] = S.gen(TS.roles[g].origin)
-        else:  # module generators and d-of-base die under the bundle lift
-            lam_images[g] = S.zero()
-    lam = make_morphism(TS, S, lam_images, name="lambda")
+    S2, q, z, iota, sigma = _additive_bundle(A, S, M.gens, ("q", "z", "iota", "sigma"))
+    # module generators and d-of-base die under the bundle lift
+    lam_table = {
+        g: role.origin if role.kind == "dm" else None
+        for g, role in TS.roles.items()
+        if role.kind != "base"
+    }
+    lam = relabel(TS, S, lam_table, "lambda")
     maps = BundleMaps(S, TS, q, z, iota, sigma, S2, lam)
     M._memo["sym_bundle"] = maps
     return maps
@@ -340,22 +329,16 @@ class BundleContext:
         self.S = self.bundle.S
         self.TS = self.bundle.TS
         self.TA = tangent_algebra(self.A)
-        self.p_A = make_morphism(self.A, self.TA, {g: self.TA.gen(g) for g in self.A.gens}, name="p")
+        self.p_A = relabel(self.A, self.TA, {}, "p")
         # T(A) (x)_A S_A(M), with its two injections
         self.TAS = tensor_over_base(
             self.A, self.TA, self.S, self.p_A, self.bundle.q, concat_grading=True
         )
-        self.omega = kahler_module(self.A)
         self.omega_tensor_M = christoffel_target(M)
-        u_images: dict[str, Polynomial] = {}
+        u_table = {f"{g}#1": g for g in self.S.gens}
         for g in self.A.gens:
-            u_images[f"{g}#0"] = Polynomial.variable(self.TS.field, self.TS.gens, g)
-            u_images[f"{self.TA.dmap[g]}#0"] = Polynomial.variable(
-                self.TS.field, self.TS.gens, self.TS.dmap[g]
-            )
-        for g in self.S.gens:
-            u_images[f"{g}#1"] = Polynomial.variable(self.TS.field, self.TS.gens, g)
-        self.U = AlgebraMorphism(self.TAS, self.TS, u_images, certify=True, name="U")
+            u_table.update({f"{g}#0": g, f"{self.TA.dmap[g]}#0": self.TS.dmap[g]})
+        self.U = relabel(self.TAS, self.TS, u_table, "U")
         self._lazy: dict = {}
 
     # -- lazy double-tangent data ------------------------------------------
@@ -414,9 +397,7 @@ class BundleContext:
         d'(w)(x)v + w(x)d(v) is then literally a relabeling.
         """
         if "iso" not in self._lazy:
-            dom, cod = self.T_TAS, self.T2A_tensor_TS
-            images = {g: Polynomial.variable(cod.field, cod.gens, g) for g in dom.gens}
-            self._lazy["iso"] = AlgebraMorphism(dom, cod, images, certify=False, name="iso")
+            self._lazy["iso"] = relabel(self.T_TAS, self.T2A_tensor_TS, {}, "iso", certify=False)
         return self._lazy["iso"]
 
     # -- embeddings between module world and algebra world ------------------
@@ -498,14 +479,10 @@ def affine_flip(ctx: BundleContext) -> AlgebraMorphism:
         raise ValueError("affine flip needs the Kahler module as the bundle")
     if "affine_flip" not in ctx._lazy:
         TS = ctx.TS
-        images: dict[str, Polynomial] = {}
-        for i, x in enumerate(ctx.A.gens):
-            m = ctx.M.gens[i]
-            images[x] = Polynomial.variable(TS.field, TS.gens, x)
-            images[m] = Polynomial.variable(TS.field, TS.gens, TS.dmap[x])
-            images[TS.dmap[x]] = Polynomial.variable(TS.field, TS.gens, m)
-            images[TS.dmap[m]] = Polynomial.variable(TS.field, TS.gens, TS.dmap[m])
-        ctx._lazy["affine_flip"] = AlgebraMorphism(TS, TS, images, certify=True, name="c")
+        table = {}
+        for x, m in zip(ctx.A.gens, ctx.M.gens):
+            table.update({m: TS.dmap[x], TS.dmap[x]: m})
+        ctx._lazy["affine_flip"] = relabel(TS, TS, table, "c")
     return ctx._lazy["affine_flip"]
 
 
@@ -514,13 +491,9 @@ def affine_swap(ctx: BundleContext) -> AlgebraMorphism:
     if ctx.M.provenance != "kahler":
         raise ValueError("affine swap needs the Kahler module as the bundle")
     if "affine_swap" not in ctx._lazy:
-        T = ctx.TAS
-        images: dict[str, Polynomial] = {}
-        for i, x in enumerate(ctx.A.gens):
-            m = ctx.M.gens[i]
-            images[f"{x}#0"] = Polynomial.variable(T.field, T.gens, f"{x}#1")
-            images[f"{x}#1"] = Polynomial.variable(T.field, T.gens, f"{x}#0")
-            images[f"{ctx.TA.dmap[x]}#0"] = Polynomial.variable(T.field, T.gens, f"{m}#1")
-            images[f"{m}#1"] = Polynomial.variable(T.field, T.gens, f"{ctx.TA.dmap[x]}#0")
-        ctx._lazy["affine_swap"] = AlgebraMorphism(T, T, images, certify=True, name="tau")
+        table = {}
+        for x, m in zip(ctx.A.gens, ctx.M.gens):
+            dx = f"{ctx.TA.dmap[x]}#0"
+            table.update({f"{x}#0": f"{x}#1", f"{x}#1": f"{x}#0", dx: f"{m}#1", f"{m}#1": dx})
+        ctx._lazy["affine_swap"] = relabel(ctx.TAS, ctx.TAS, table, "tau")
     return ctx._lazy["affine_swap"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dfield
 
-from .algebra import AlgebraMorphism, PresentedAlgebra, make_algebra, make_morphism
+from .algebra import AlgebraMorphism, PresentedAlgebra, make_morphism
 from .connections import Connection, make_connection
 from .errors import KcxError, WellDefinednessFailure
 from .fields import Field
@@ -34,7 +34,7 @@ from .modules import (
     make_module,
     universal_derivation,
 )
-from .parse import poly_normalize
+from .parse import ParseError, poly_normalize
 from .poly import Polynomial
 
 
@@ -79,6 +79,9 @@ class Workspace:
 
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
+# `free: n` builds all n generator names up front; every example uses rank 3
+# or less.
+MAX_FREE_RANK = 64
 _GEN = rf"(?:{_NAME}|d\(\s*{_NAME}\s*\))"
 
 
@@ -227,7 +230,7 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
             entries = cur.take_block_entries()
             char: int | None = None
             variables: tuple[str, ...] = ()
-            rels: list[str] = []
+            rels: list[tuple[str, int]] = []
             for entry, pos in entries:
                 m = re.match(rf"({_NAME})\s*:\s*(.*)$", entry, re.DOTALL)
                 key, val = (m.group(1), m.group(2).strip()) if m else (entry, "")
@@ -236,7 +239,7 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                 elif key == "vars":
                     variables = _names_entry(cur, key, val, pos)
                 elif key == "rel":
-                    rels.append(val)
+                    rels.append((val, pos))
                 else:
                     raise cur.error(f"unknown algebra entry {entry!r}", pos)
             if char is None:
@@ -247,9 +250,11 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
             if name in w.algebras:
                 raise cur.error(f"redefinition of algebra {name!r}", at)
             try:
-                w.algebras[name] = make_algebra(Field(w.char), variables, rels)
-            except Exception as exc:
+                field = Field(w.char)
+            except ValueError as exc:
                 raise cur.error(f"bad algebra {name!r}: {exc}", at)
+            polys = [_relation_entry(cur, r, field, variables, pos) for r, pos in rels]
+            w.algebras[name] = PresentedAlgebra(field, variables, polys)
         elif keyword == "module":
             name = cur.take_word()
             cur.expect("over")
@@ -263,7 +268,7 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
             A = w.algebras[alg_name]
             kind = None
             gens: tuple[str, ...] = ()
-            rels: list[str] = []
+            rels: list[tuple[str, int]] = []
             free_rank = 0
             for entry, pos in entries:
                 m = re.match(rf"({_NAME})\s*:\s*(.*)$", entry, re.DOTALL)
@@ -273,11 +278,13 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                 elif key == "free":
                     kind = "free"
                     free_rank = _int_entry(cur, key, val, pos)
+                    if not 0 <= free_rank <= MAX_FREE_RANK:
+                        raise cur.error(f"free rank must be between 0 and {MAX_FREE_RANK}", pos)
                 elif key == "gens":
                     kind = kind or "presented"
                     gens = _names_entry(cur, key, val, pos)
                 elif key == "rel":
-                    rels.append(val)
+                    rels.append((val, pos))
                 else:
                     raise cur.error(f"unknown module entry {entry!r}", pos)
             try:
@@ -288,9 +295,9 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                     w.modules[name] = free_module(A, free_rank)
                     w.module_specs[name] = (alg_name, "free", free_rank, [])
                 else:
-                    rows = [_parse_module_relation(r, A, gens, cur, at) for r in rels]
+                    rows = [_parse_module_relation(r, A, gens, cur, pos) for r, pos in rels]
                     w.modules[name] = make_module(A, gens, rows)
-                    w.module_specs[name] = (alg_name, "presented", gens, rels)
+                    w.module_specs[name] = (alg_name, "presented", gens, [r for r, _ in rels])
             except ValueError as exc:
                 raise cur.error(f"bad module {name!r}: {exc}", at)
         elif keyword == "connection":
@@ -410,15 +417,21 @@ def _names_entry(cur: _Cursor, key: str, val: str, pos: int) -> tuple[str, ...]:
     for n in names:
         if not re.fullmatch(_NAME, n):
             raise cur.error(f"{key} must be comma-separated names, got {n!r}", pos)
+    if len(set(names)) != len(names):
+        raise cur.error(f"{key} repeats a name", pos)
     return names
+
+
+def _relation_entry(cur: _Cursor, text: str, field: Field, variables, pos: int) -> Polynomial:
+    try:
+        return poly_normalize(text, field, variables)
+    except (ParseError, RecursionError) as exc:  # deep nesting overflows the parser
+        raise cur.error(f"bad relation: {exc}", pos)
 
 
 def _parse_module_relation(text: str, A, gens, cur, pos):
     combined = A.gens + tuple(gens)
-    try:
-        poly = poly_normalize(text, A.field, combined)
-    except Exception as exc:
-        raise cur.error(f"bad module relation: {exc}", pos)
+    poly = _relation_entry(cur, text, A.field, combined, pos)
     gen_idx = [combined.index(g) for g in gens]
     rows = [Polynomial.zero(A.field, A.gens) for _ in gens]
     for exp, coef in poly.terms.items():

@@ -8,8 +8,10 @@ from kcx.algebra import (
     localize,
     make_algebra,
     make_morphism,
+    relabel,
     tensor_over_base,
 )
+from kcx.dualnum import dual_numbers_structure
 from kcx.errors import OwnerMismatch, WellDefinednessFailure
 from kcx.fields import GF, QQ
 from kcx.poly import Polynomial
@@ -32,6 +34,25 @@ def test_element_equal(circle, plane, fat_point):
     assert fat_point.element("x^3") == fat_point.zero()
     with pytest.raises(OwnerMismatch):
         circle.element("x") == plane.element("x1")  # noqa: B015
+
+
+def test_relabel_tables():
+    A = make_algebra(QQ, ("x", "y"))
+    f = relabel(A, A, {"x": "-y", "y": ("x", "x", "-y")}, "f")
+    assert f(A.gen("x")) == -A.gen("y")
+    assert f(A.gen("y")) == A.element("2*x - y")
+    assert relabel(A, A, {"x": None}, "kill x")(A.element("x + y")) == A.gen("y")
+    with pytest.raises(ValueError):
+        relabel(A, A, {"z": "x"})  # not a domain generator
+    with pytest.raises(ValueError):
+        relabel(A, A, {"x": "z"})  # not a codomain generator
+
+
+def test_fresh_names_avoid_existing_generators():
+    A = make_algebra(QQ, ("x", "x_inv", "eps", "epsp"))
+    assert localize(A, "x").gens[-1] == "x_inv_"
+    dn = dual_numbers_structure(A)
+    assert (dn.eps, dn.epsp) == ("eps_", "epsp_")
 
 
 def test_identity_and_composition(circle):

@@ -183,12 +183,15 @@ def test_dual_bundle_lift(circle):
     m_eps = b.eps_gens[0]
     assert b.lam(b.E.gen(m_eps)) == b.TE.gen(m_eps) * b.TE.gen(b.epsp)
     assert b.q(b.E.gen(m_eps)).is_zero()
+    for m in (b.q, b.z, b.iota, b.lam):
+        assert m.certified
 
 
 def test_dual_solver_no_go():
     line = make_algebra(QQ, ("x",))
     free1 = free_module(line, 1)
     assert dual_connection_solve(line, free1, 2).is_empty
+    assert "dual_bundle" not in free1._memo  # the solve needs no bundle presentation
 
     point = make_algebra(QQ, ())
     qq_rank1 = free_module(point, 1)

@@ -1,6 +1,8 @@
 import pytest
 
 from kcx.algebra import compose_morphisms, identity_morphism, localize, make_algebra, make_morphism
+from kcx.connections import _ctx_maps
+from kcx.dualnum import dual_numbers_structure
 from kcx.errors import BaseMismatch, BracketingConditionFailure
 from kcx.fields import QQ
 from kcx.modules import free_module, kahler_module, make_module
@@ -15,6 +17,8 @@ from kcx.tangent import (
     tangent_apply_functor,
     tangent_structure_maps,
     u_map,
+    vertical_lift,
+    zero_map,
 )
 
 
@@ -72,6 +76,21 @@ def test_structure_maps_certified_on_gallery(plane, circle, fat_point, elliptic,
         maps = tangent_structure_maps(A)
         for m in (maps.p, maps.zero, maps.plus, maps.minus, maps.lift, maps.flip, maps.tau):
             assert m.certified
+
+
+def test_shared_structure_map_builders(plane, circle, fat_point, sphere2):
+    for A in (plane, circle, fat_point, sphere2):
+        maps = tangent_structure_maps(A)
+        assert maps.zero == zero_map(maps.TA)
+        assert maps.lift == vertical_lift(maps.TTA)
+        M = kahler_module(A)
+        ctx = bundle_context(M)
+        assert ctx.p_A == maps.p
+        b = sym_algebra_bundle(A, M)
+        assert {g for g in b.S.gens if b.z.image_of(g).is_zero()} == set(M.gens)
+        assert all(m.certified for m in _ctx_maps(ctx).values())
+        dn = dual_numbers_structure(A)
+        assert all(m.certified for m in (dn.p, dn.zero, dn.plus, dn.minus, dn.lift, dn.flip))
 
 
 def test_sym_bundle_basics(circle):

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from kcx.cli import MAX_DEGREE, run
-from kcx.workspace import WorkspaceError, parse_workspace, render_workspace
+from kcx.parse import MAX_EXPONENT
+from kcx.workspace import MAX_FREE_RANK, WorkspaceError, parse_workspace, render_workspace
 
 FILES = Path(__file__).parent.parent / "examples_kcx"
 
@@ -198,8 +199,13 @@ def test_cli_exit_codes(tmp_path):
     malformed = [
         ("algebra A {\n  char: zz;\n}\n", "(line 2, column 3)"),
         (one_var + "module M over A {\n  free: x;\n}\n", "(line 3, column 3)"),
-        (one_var + "module M over A {\n  free: -1;\n}\n", "(line 2, column 1)"),
-        (one_var + "module M over A {\n  gens: u, u;\n}\n", "(line 2, column 1)"),
+        (one_var + "module M over A {\n  free: -1;\n}\n", "(line 3, column 3)"),
+        (one_var + f"module M over A {{\n  free: {MAX_FREE_RANK + 1};\n}}\n", "(line 3, column 3)"),
+        (one_var + "module M over A {\n  gens: u, u;\n}\n", "(line 3, column 3)"),
+        (one_var + "module M over A {\n  gens: u;\n  rel: x*u +;\n}\n", "(line 4, column 3)"),
+        (f"algebra A {{\n  char: 0;\n  vars: x;\n  rel: x^{MAX_EXPONENT + 1};\n}}\n", "(line 4, column 3)"),
+        ("algebra A {\n  char: 0;\n  vars: x;\n  rel: " + "(" * 3000 + "x" + ")" * 3000 + ";\n}\n", "(line 4, column 3)"),
+        (two_algebras + f"morphism f : A -> B {{\n  y -> t;\n  x -> t^{MAX_EXPONENT + 1};\n}}\n", "(line 5, column 3)"),
         (two_algebras + "morphism f : A -> B {\n  x -> t;\n}\n", "(line 3, column 1)"),
         (two_algebras + "morphism f : A -> B {\n  y -> t;\n  x -> t^;\n}\n", "(line 5, column 3)"),
         (two_algebras + "morphism f : A -> B {\n  y -> t;\n  x -> z;\n}\n", "(line 5, column 3)"),
