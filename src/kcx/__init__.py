@@ -54,6 +54,7 @@ from .errors import (
     MembershipFailure,
     ModuleNotKahler,
     SectionRetractionFailure,
+    SolverTooLarge,
     WellDefinednessFailure,
 )
 from .fields import GF, QQ, Field

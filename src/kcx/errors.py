@@ -17,6 +17,10 @@ class WellDefinednessFailure(KcxError):
         super().__init__(f"{what}: relation {relation} has nonzero residue {residue}")
 
 
+class SolverTooLarge(KcxError, ValueError):
+    """A linear system would have more unknowns than the solvers accept."""
+
+
 class OwnerMismatch(KcxError):
     pass
 

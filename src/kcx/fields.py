@@ -1,10 +1,18 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Coefficients are plain Python values (`fractions.Fraction` in characteristic
-zero, ints in ``[0, p)`` in characteristic p); a `Field` instance supplies the
+Coefficients are plain Python values; a `Field` instance supplies the
 arithmetic so the rest of the engine never branches on the characteristic.
-Rationals are always in lowest terms with positive denominator (Fraction
-guarantees this), GF(p) values are always reduced mod p.
+Every value is kept in one canonical form:
+
+- a rational is an `int` exactly when it is integral and a
+  `fractions.Fraction` (lowest terms, positive denominator) otherwise, so
+  `QQ.of("6/3")`, `QQ.mul(Fraction(1, 2), 2)` and `QQ.inv(1)` are all ints;
+- a GF(p) value is an int in ``[0, p)``.
+
+Almost every coefficient the engine meets is a small integer, and int
+arithmetic is several times cheaper than `Fraction` arithmetic.  Equal values
+compare and hash equal in either form and render the same, so the form is
+invisible outside this module.
 """
 
 from __future__ import annotations
@@ -13,6 +21,11 @@ from fractions import Fraction
 from typing import Union
 
 Coef = Union[Fraction, int]
+
+
+def _canonical(q: Fraction | int) -> Coef:
+    """A rational result in canonical form: an int iff it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _is_prime(n: int) -> bool:
@@ -50,25 +63,25 @@ class Field:
     def of(self, value) -> Coef:
         """Coerce an int, Fraction or decimal-free string into the field."""
         if self.char == 0:
-            return Fraction(value)
+            return value if type(value) is int else _canonical(Fraction(value))
         if isinstance(value, Fraction):
             return self.of(value.numerator) * pow(value.denominator, -1, self.char) % self.char
         return int(value) % self.char
 
     def zero(self) -> Coef:
-        return Fraction(0) if self.char == 0 else 0
+        return 0
 
     def one(self) -> Coef:
-        return Fraction(1) if self.char == 0 else 1
+        return 1
 
     def add(self, a: Coef, b: Coef) -> Coef:
-        return a + b if self.char == 0 else (a + b) % self.char
+        return _canonical(a + b) if self.char == 0 else (a + b) % self.char
 
     def sub(self, a: Coef, b: Coef) -> Coef:
-        return a - b if self.char == 0 else (a - b) % self.char
+        return _canonical(a - b) if self.char == 0 else (a - b) % self.char
 
     def mul(self, a: Coef, b: Coef) -> Coef:
-        return a * b if self.char == 0 else (a * b) % self.char
+        return _canonical(a * b) if self.char == 0 else (a * b) % self.char
 
     def neg(self, a: Coef) -> Coef:
         return -a if self.char == 0 else (-a) % self.char
@@ -76,7 +89,9 @@ class Field:
     def inv(self, a: Coef) -> Coef:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
-        return 1 / a if self.char == 0 else pow(a, -1, self.char)
+        if self.char == 0:
+            return _canonical(Fraction(a.denominator, a.numerator))
+        return pow(a, -1, self.char)
 
     def render(self, a: Coef) -> str:
         return str(a)

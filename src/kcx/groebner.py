@@ -72,38 +72,64 @@ def _row_degree(row: Row) -> int:
     return max((sum(e) for comp in row for e in comp), default=0)
 
 
-def _sub_multiple(work: Row, g: Row, pos: int, delta: Exponent, coef: Coef, field: Field) -> None:
-    """work -= coef * x^delta * g in place; g is zero before `pos`."""
-    zero = field.zero()
-    for q in range(pos, len(g)):
+def _sub_multiple(work: Row, g: Row, start: int, delta: Exponent, coef: Coef, field: Field) -> None:
+    """work -= coef * x^delta * g in place, on positions `start` onwards."""
+    for q in range(start, len(g)):
         target = work[q]
         for e, c in g[q].items():
             e2 = exp_mul(e, delta)
-            s = field.sub(target.get(e2, zero), field.mul(coef, c))
+            s = field.sub(target.get(e2, 0), field.mul(coef, c))
             if s:
                 target[e2] = s
             else:
                 target.pop(e2, None)
 
 
+def _term_key(e: Exponent) -> tuple[int, Exponent, Exponent]:
+    """Min-heap entry for a term: the grevlex-largest monomial comes first."""
+    return (-sum(e), e[::-1], e)
+
+
 def _reduce(work: Row, index: Index, field: Field) -> tuple[Row, int]:
     """Full normal form of `work` (consumed) plus its certificate degree.
 
     Positions are reduced in order, each component in place, always by the
-    first indexed basis row whose leading term divides the current one.
+    first indexed basis row whose leading term divides the current one.  The
+    current leading term comes off a heap of the component's terms
+    (Monagan & Pearce's heap division): a term is pushed when it enters the
+    component, and an entry whose term has since cancelled is skipped when
+    popped.  Basis rows are monic, so each step cancels its leading term and
+    only brings in smaller ones.
     """
     remainder: Row = [{} for _ in work]
     cert = 0
+    mul, sub = field.mul, field.sub
     for pos, comp in enumerate(work):
         rem = remainder[pos]
         candidates = index[pos]
-        while comp:
-            lead = max(comp, key=grevlex_key)
-            coef = comp[lead]
+        heap = [_term_key(e) for e in comp]
+        heapq.heapify(heap)
+        while heap:
+            lead = heapq.heappop(heap)[2]
+            coef = comp.get(lead)
+            if coef is None:
+                continue
             for lt, g, g_cert in candidates:
                 if exp_divides(lt, lead):
                     delta = exp_div(lead, lt)
-                    _sub_multiple(work, g, pos, delta, coef, field)
+                    for e, c in g[pos].items():
+                        e2 = exp_mul(e, delta)
+                        old = comp.get(e2)
+                        if old is None:
+                            comp[e2] = sub(0, mul(coef, c))
+                            heapq.heappush(heap, _term_key(e2))
+                        else:
+                            s = sub(old, mul(coef, c))
+                            if s:
+                                comp[e2] = s
+                            else:
+                                del comp[e2]
+                    _sub_multiple(work, g, pos + 1, delta, coef, field)
                     cert = max(cert, sum(delta) + g_cert)
                     break
             else:
@@ -263,7 +289,7 @@ class IdealBasis:
         self.grading = grading
         self.cap = cap
         rows, certs = _groebner([[g.terms] for g in generators], 1, field, grading, cap)
-        self.basis = [Polynomial(field, variables, row[0]) for row in rows]
+        self.basis = [Polynomial._of_terms(field, variables, row[0]) for row in rows]
         self.cert_excess = max((c - _row_degree(r) for r, c in zip(rows, certs)), default=0)
         self._index = _index(rows, certs, 1)
 
@@ -277,7 +303,7 @@ class IdealBasis:
         if not self.basis or p.is_zero():
             return p
         (nf,), _ = _reduce([dict(p.terms)], self._index, self.field)
-        return Polynomial(self.field, self.vars, nf)
+        return Polynomial._of_terms(self.field, self.vars, nf)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -324,7 +350,7 @@ class ModuleBasis:
         self._index = _index(rows, self.cert_degrees, rank)
 
     def _vector(self, row: Row) -> Vector:
-        return tuple(Polynomial(self.field, self.vars, comp) for comp in row)
+        return tuple(Polynomial._of_terms(self.field, self.vars, comp) for comp in row)
 
     def normal_form(self, v: Vector) -> Vector:
         if len(v) != self.rank:

@@ -9,7 +9,8 @@ Grammar (no implicit multiplication):
 
 INT is a nonnegative integer literal, NAME matches [A-Za-z][A-Za-z0-9_]*.
 Rationals are written a/b; '/' is accepted only when the divisor reduces to a
-nonzero constant.  Exponents must be integer literals from 0 to MAX_EXPONENT.
+nonzero constant.  Exponents must be integer literals from 0 to MAX_EXPONENT,
+and parentheses nest at most MAX_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ class ParseError(ValueError):
 # Powers are expanded eagerly, so a huge exponent would not finish; every
 # example, test and benchmark input uses exponent 4 or less.
 MAX_EXPONENT = 64
+
+# The parser recurses once per parenthesis, so unbounded nesting would
+# overflow the interpreter's stack; the example files nest at most 1 deep.
+MAX_DEPTH = 100
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))")
 
@@ -57,6 +62,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
         self.field = field
         self.vars = variables
 
@@ -104,12 +110,12 @@ class _Parser:
         return p
 
     def unary(self) -> Polynomial:
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
+        negate = False
+        while (tok := self.peek()) and tok[0] == "op" and tok[1] in "+-":
             self.take()
-            p = self.unary()
-            return p if tok[1] == "+" else -p
-        return self.power()
+            negate ^= tok[1] == "-"
+        p = self.power()
+        return -p if negate else p
 
     def power(self) -> Polynomial:
         p = self.atom()
@@ -133,8 +139,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {tok[1]!r}", tok[2], self.text)
             return Polynomial.variable(self.field, self.vars, tok[1])
         if tok[1] == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nest deeper than {MAX_DEPTH}", tok[2], self.text)
+            self.depth += 1
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], self.text)
 

@@ -3,44 +3,66 @@
 A polynomial is a map from exponent tuples to nonzero coefficients, together
 with its ambient ordered variable list and coefficient field:
 
-    x^2*y + 3  over vars ("x", "y")  ->  {(2, 1): Fraction(1), (0, 0): Fraction(3)}
+    x^2*y + 3  over vars ("x", "y")  ->  {(2, 1): 1, (0, 0): 3}
 
-Zero-coefficient terms are never stored, so two polynomials over the same
-variable list are equal iff their term dicts are equal.  The canonical term
-order everywhere is graded reverse lexicographic (grevlex) with respect to the
-declared variable order.
+Coefficients are in the field's canonical form (`fields.py`: a rational is an
+int iff it is integral).  Zero-coefficient terms are never stored, so two
+polynomials over the same variable list are equal iff their term dicts are
+equal.  The public constructor brings each coefficient into the field and
+drops zeros; the arithmetic here builds canonical zero-free dicts itself and
+wraps them with `Polynomial._of_terms`.  The canonical term order everywhere
+is graded reverse lexicographic (grevlex) with respect to the declared
+variable order.
 """
 
 from __future__ import annotations
 
+from operator import add, le, neg, sub
 from typing import Iterator, Mapping
 
 from .fields import Coef, Field
 
 Exponent = tuple[int, ...]
 
+# The exponent helpers map C-level operators over the tuples; they sit under
+# every monomial comparison and product in the engine.
+
 
 def grevlex_key(exp: Exponent):
     """Sort key: larger key = larger monomial in grevlex."""
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, reversed(exp))))
 
 
 def exp_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_divides(a: Exponent, b: Exponent) -> bool:
     """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_div(a: Exponent, b: Exponent) -> Exponent:
     """Exponent of a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+def _mul_terms(a: dict[Exponent, Coef], b: dict[Exponent, Coef], f: Field) -> dict[Exponent, Coef]:
+    """Term dict of the product of two term dicts, zero-free."""
+    out: dict[Exponent, Coef] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = exp_mul(e1, e2)
+            s = f.add(out.get(e, 0), f.mul(c1, c2))
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
 
 
 class Polynomial:
@@ -49,9 +71,23 @@ class Polynomial:
     def __init__(self, field: Field, variables: tuple[str, ...], terms: Mapping[Exponent, Coef]):
         self.field = field
         self.vars = variables
-        self.terms: dict[Exponent, Coef] = {e: c for e, c in terms.items() if c}
+        of = field.of
+        self.terms: dict[Exponent, Coef] = {e: v for e, c in terms.items() if (v := of(c))}
 
     # ---------- constructors ----------
+
+    @classmethod
+    def _of_terms(cls, field: Field, variables: tuple[str, ...], terms: dict[Exponent, Coef]) -> "Polynomial":
+        """Wrap a zero-free term dict without copying or filtering it.
+
+        Only for dicts the engine has just built itself; the dict is owned by
+        the result from then on.
+        """
+        p = cls.__new__(cls)
+        p.field = field
+        p.vars = variables
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, field: Field, variables: tuple[str, ...]) -> "Polynomial":
@@ -59,8 +95,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, field: Field, variables: tuple[str, ...], value) -> "Polynomial":
-        c = field.of(value)
-        return cls(field, variables, {(0,) * len(variables): c} if c else {})
+        return cls(field, variables, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, field: Field, variables: tuple[str, ...], name: str) -> "Polynomial":
@@ -70,7 +105,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, field: Field, variables: tuple[str, ...], exp: Exponent, coef) -> "Polynomial":
-        return cls(field, variables, {exp: field.of(coef)})
+        return cls(field, variables, {exp: coef})
 
     # ---------- basic queries ----------
 
@@ -118,33 +153,23 @@ class Polynomial:
         f = self.field
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = f.add(out.get(e, f.zero()), c)
+            s = f.add(out.get(e, 0), c)
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Polynomial(f, self.vars, out)
+        return Polynomial._of_terms(f, self.vars, out)
 
     def __neg__(self) -> "Polynomial":
         f = self.field
-        return Polynomial(f, self.vars, {e: f.neg(c) for e, c in self.terms.items()})
+        return Polynomial._of_terms(f, self.vars, {e: f.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        f = self.field
-        out: dict[Exponent, Coef] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = exp_mul(e1, e2)
-                s = f.add(out.get(e, f.zero()), f.mul(c1, c2))
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(f, self.vars, out)
+        return Polynomial._of_terms(self.field, self.vars, _mul_terms(self.terms, other.terms, self.field))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -161,11 +186,15 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         f = self.field
         c = f.of(c)
-        return Polynomial(f, self.vars, {e: f.mul(v, c) for e, v in self.terms.items()})
+        if not c:
+            return Polynomial.zero(f, self.vars)
+        return Polynomial._of_terms(f, self.vars, {e: f.mul(v, c) for e, v in self.terms.items()})
 
     def mul_monomial(self, exp: Exponent, coef: Coef) -> "Polynomial":
         f = self.field
-        return Polynomial(f, self.vars, {exp_mul(e, exp): f.mul(c, coef) for e, c in self.terms.items()})
+        if not coef:
+            return Polynomial.zero(f, self.vars)
+        return Polynomial._of_terms(f, self.vars, {exp_mul(e, exp): f.mul(c, coef) for e, c in self.terms.items()})
 
     # ---------- calculus and substitution ----------
 
@@ -181,38 +210,48 @@ class Polynomial:
             if not d:
                 continue
             e2 = tuple(v - 1 if j == i else v for j, v in enumerate(e))
-            s = f.add(out.get(e2, f.zero()), d)
+            s = f.add(out.get(e2, 0), d)
             if s:
                 out[e2] = s
             else:
                 out.pop(e2, None)
-        return Polynomial(f, self.vars, out)
+        return Polynomial._of_terms(f, self.vars, out)
 
     def substitute(self, images: Mapping[str, "Polynomial"], target_vars: tuple[str, ...]) -> "Polynomial":
         """Ring-homomorphic substitution into the ring on `target_vars`.
 
         Every variable of self that actually occurs must have an image; images
-        must all live in the target ring.
+        must all live in the target ring.  Each term's image is added into one
+        result dict.
         """
         f = self.field
-        cache: dict[tuple[int, int], Polynomial] = {}
+        cache: dict[tuple[int, int], dict[Exponent, Coef]] = {}
 
-        def power(i: int, n: int) -> Polynomial:
+        def power(i: int, n: int) -> dict[Exponent, Coef]:
             key = (i, n)
             if key not in cache:
-                cache[key] = images[self.vars[i]] ** n
+                image = images[self.vars[i]]
+                if image.field != f or image.vars != target_vars:
+                    raise ValueError("polynomials live in different rings")
+                cache[key] = image.terms if n == 1 else (image ** n).terms
             return cache[key]
 
-        out = Polynomial.zero(f, target_vars)
+        one = (0,) * len(target_vars)
+        out: dict[Exponent, Coef] = {}
         for e, c in self.terms.items():
-            term = Polynomial.const(f, target_vars, c)
+            term = {one: c}
             for i, n in enumerate(e):
                 if n:
                     if self.vars[i] not in images:
                         raise KeyError(f"no image for variable {self.vars[i]!r}")
-                    term = term * power(i, n)
-            out = out + term
-        return out
+                    term = _mul_terms(term, power(i, n), f)
+            for e2, c2 in term.items():
+                s = f.add(out.get(e2, 0), c2)
+                if s:
+                    out[e2] = s
+                else:
+                    out.pop(e2, None)
+        return Polynomial._of_terms(f, target_vars, out)
 
     def change_vars(self, target_vars: tuple[str, ...], rename: Mapping[str, str] | None = None) -> "Polynomial":
         """Re-express over a different variable list (by name, optionally renamed).
@@ -235,7 +274,7 @@ class Polynomial:
                         raise KeyError(f"variable {self.vars[i]!r} missing from target ring")
                     new[pos[i]] = v
             out[tuple(new)] = c
-        return Polynomial(self.field, target_vars, out)
+        return Polynomial._of_terms(self.field, target_vars, out)
 
     # ---------- rendering ----------
 

@@ -16,10 +16,11 @@ and never build the tangent bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .algebra import AlgebraMorphism, PresentedAlgebra, compose_morphisms, localize, make_morphism
 from .connections import AxiomCheck, AxiomReport, Connection, apply_connection
-from .errors import KcxError
+from .errors import KcxError, SolverTooLarge
 from .fields import Coef, Field
 from .linsolve import AffineSolutionSpace, LinearEquation, affine_linear_solve
 from .modules import (
@@ -67,6 +68,29 @@ class ConnectionSpace:
         if values is None:
             return False
         return self.space.contains(values, self.module.base.field)
+
+
+# Solution-space basis vectors are dense, so memory grows with the square of
+# the unknowns: a relation-free solve (every unknown counted is real) with
+# 4,455 unknowns peaks at 170 MiB, and one with 13,440 at 1.4 GiB.  The
+# largest solve of any example, golden, gallery case or benchmark op counts
+# 540 unknowns (S^2 at degree 3).
+MAX_UNKNOWNS = 5000
+
+
+def _check_size(degree_bound: int, charts: list[tuple[int, int]]) -> None:
+    """Refuse up front a system with more than MAX_UNKNOWNS unknowns.
+
+    `charts` holds a (slots, variables) pair per ring: a slot is a (generator,
+    target position) pair, with at most one unknown per monomial of degree
+    <= degree_bound in that many variables.  The count is taken before any
+    column is built.
+    """
+    count = sum(slots * comb(nvars + degree_bound, degree_bound) for slots, nvars in charts)
+    if count > MAX_UNKNOWNS:
+        raise SolverTooLarge(
+            f"degree bound {degree_bound} allows {count} unknowns; at most {MAX_UNKNOWNS} are solved"
+        )
 
 
 def _unknowns(prefix: str, gens, labels, basis) -> dict[tuple[str, int, tuple], str]:
@@ -132,6 +156,7 @@ def solve_connection_space(M: PresentedModule, degree_bound: int) -> ConnectionS
     from .connections import connection_residues
 
     target = christoffel_target(M)
+    _check_size(degree_bound, [(len(M.gens) * target.rank, len(M.base.gens))])
     f = M.base.field
     layout = _unknowns("c", M.gens, target.gens, module_standard_monomials(target, degree_bound))
     constants = [r for _, r in connection_residues(M, {g: target.zero() for g in M.gens})]
@@ -267,10 +292,11 @@ def glued_connection_check(
         return GlueResult(report=report)
 
     f = A1.field
+    omegas = [kahler_module(A) for A in (A1, A2)]
+    _check_size(degree, [(len(o.gens) * christoffel_target(o).rank, len(o.base.gens)) for o in omegas])
     layout: dict[tuple[int, str, int, tuple], str] = {}
     charts = []  # (omega, target, chart unknowns, zero Christoffel data)
-    for chart_no, A in ((1, A1), (2, A2)):
-        omega = kahler_module(A)
+    for chart_no, omega in enumerate(omegas, 1):
         target = christoffel_target(omega)
         basis = module_standard_monomials(target, degree)
         names = _unknowns(f"c{chart_no}", omega.gens, target.gens, basis)

@@ -425,7 +425,7 @@ def _names_entry(cur: _Cursor, key: str, val: str, pos: int) -> tuple[str, ...]:
 def _relation_entry(cur: _Cursor, text: str, field: Field, variables, pos: int) -> Polynomial:
     try:
         return poly_normalize(text, field, variables)
-    except (ParseError, RecursionError) as exc:  # deep nesting overflows the parser
+    except ParseError as exc:
         raise cur.error(f"bad relation: {exc}", pos)
 
 

@@ -1,10 +1,13 @@
 """Independent brute-force oracles used to cross-check the engine.
 
 `dense_affine_solve` is plain dense Gauss-Jordan on lists of field values; it
-checks the engine's sparse `affine_linear_solve`.  Membership is decided by
-that dense exact linear algebra over the monomial basis: p lies in the span of
-{ x^a * g : deg(x^a * g) <= bound } iff the column space of those products
-contains p's coefficient vector.  No normal forms involved.
+checks the engine's sparse `affine_linear_solve`.  `rescan_reduce` is the
+reducer that finds each leading term by rescanning the whole component, with
+the tuple `grevlex_key`; it checks the engine's heap-ordered `_reduce`.
+Membership is decided by that dense exact linear algebra over the monomial
+basis: p lies in the span of { x^a * g : deg(x^a * g) <= bound } iff the
+column space of those products contains p's coefficient vector.  No normal
+forms involved.
 """
 
 from __future__ import annotations
@@ -14,6 +17,45 @@ import itertools
 from kcx.fields import Coef, Field
 from kcx.linsolve import AffineSolutionSpace, LinearEquation
 from kcx.poly import Polynomial
+
+
+def grevlex_key(exp: tuple[int, ...]):
+    """Sort key: larger key = larger monomial in grevlex."""
+    return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def rescan_reduce(work, index, field: Field):
+    """Full normal form of a row (consumed) plus its certificate degree.
+
+    Same contract and step order as `kcx.groebner._reduce`: positions in
+    order, each step reducing the current leading term by the first indexed
+    basis row whose leading term divides it.  The leading term is found by a
+    rescan of the component at every step.
+    """
+    remainder = [{} for _ in work]
+    cert = 0
+    for pos, comp in enumerate(work):
+        while comp:
+            lead = max(comp, key=grevlex_key)
+            coef = comp[lead]
+            for lt, g, g_cert in index[pos]:
+                if all(x <= y for x, y in zip(lt, lead)):
+                    delta = tuple(x - y for x, y in zip(lead, lt))
+                    for q in range(pos, len(g)):
+                        target = work[q]
+                        for e, c in g[q].items():
+                            e2 = tuple(x + y for x, y in zip(e, delta))
+                            s = field.sub(target.get(e2, field.zero()), field.mul(coef, c))
+                            if s:
+                                target[e2] = s
+                            else:
+                                target.pop(e2, None)
+                    cert = max(cert, sum(delta) + g_cert)
+                    break
+            else:
+                remainder[pos][lead] = coef
+                del comp[lead]
+    return remainder, cert
 
 
 def dense_affine_solve(

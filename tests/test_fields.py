@@ -1,0 +1,106 @@
+"""Canonical coefficients: a rational is an int exactly when it is integral."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from kcx import groebner
+from kcx.fields import GF, QQ
+from kcx.gallery import run_gallery
+from kcx.poly import Polynomial, exp_div, exp_divides, exp_lcm, exp_mul, grevlex_key
+
+import oracles
+
+
+def canonical(field, c) -> bool:
+    if field.char:
+        return type(c) is int and 0 <= c < field.char
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_qq_results_are_int_iff_integral():
+    assert type(QQ.of("6/3")) is int and QQ.of("6/3") == 2
+    assert type(QQ.of(Fraction(4, 2))) is int and QQ.of(Fraction(4, 2)) == 2
+    assert type(QQ.of(True)) is int
+    assert QQ.of("1/3") == Fraction(1, 3)
+    assert type(QQ.inv(1)) is int and QQ.inv(1) == 1
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(-1, 3)) == -3
+    assert QQ.inv(2) == Fraction(1, 2) and QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert QQ.zero() == 0 and type(QQ.zero()) is int
+    assert QQ.one() == 1 and type(QQ.one()) is int
+    values = [0, 1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-2, 3),
+              Fraction(4, 3), Fraction(5, 6)]
+    for a in values:
+        assert canonical(QQ, QQ.of(a)) and QQ.of(a) == a
+        assert canonical(QQ, QQ.neg(a)) and QQ.neg(a) == -a
+        if a:
+            assert canonical(QQ, QQ.inv(a)) and QQ.inv(a) == 1 / Fraction(a)
+        for b in values:
+            for op, exact in ((QQ.add, a + b), (QQ.sub, a - b), (QQ.mul, a * b)):
+                got = op(a, b)
+                assert got == exact and canonical(QQ, got), (op, a, b, got)
+
+
+def test_prime_field_values_stay_reduced():
+    F = GF(7)
+    assert F.of(Fraction(1, 2)) == 4 and F.inv(3) == 5 and F.of(-1) == 6
+    for a in range(7):
+        for b in range(7):
+            for got in (F.add(a, b), F.sub(a, b), F.mul(a, b)):
+                assert canonical(F, got)
+
+
+def test_render_is_the_same_for_equal_int_and_fraction_coefficients():
+    variables = ("x", "y")
+    for a, b in ((3, Fraction(3)), (-1, Fraction(-1)), (1, Fraction(2, 2)), (-12, Fraction(-24, 2))):
+        assert QQ.render(a) == QQ.render(b)
+        as_int = Polynomial(QQ, variables, {(1, 0): a, (0, 0): a, (0, 2): -a})
+        as_fraction = Polynomial(QQ, variables, {(1, 0): b, (0, 0): b, (0, 2): -b})
+        assert as_int == as_fraction
+        assert as_int.render() == as_fraction.render()
+
+
+def test_public_construction_stores_canonical_coefficients():
+    p = Polynomial(QQ, ("x",), {(1,): Fraction(4, 2), (0,): Fraction(1, 2), (2,): Fraction(0)})
+    assert p.terms == {(1,): 2, (0,): Fraction(1, 2)} and type(p.terms[(1,)]) is int
+    q = Polynomial(GF(3), ("x",), {(1,): 5, (0,): 3})
+    assert q.terms == {(1,): 2}
+
+
+def test_gallery_bases_hold_only_canonical_coefficients(monkeypatch):
+    built = []
+    engine = groebner._groebner
+
+    def recording(rows, rank, field, *rest):
+        basis, certs = engine(rows, rank, field, *rest)
+        built.append((field, basis))
+        return basis, certs
+
+    monkeypatch.setattr(groebner, "_groebner", recording)
+    cases = run_gallery()
+    assert all(case.passed for case in cases)
+    fields = {field for field, _ in built}
+    assert QQ in fields and GF(2) in fields
+    coefficients = [
+        (field, c) for field, basis in built for row in basis for comp in row for c in comp.values()
+    ]
+    assert any(type(c) is Fraction for _, c in coefficients)
+    assert all(canonical(field, c) for field, c in coefficients)
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 5])
+def test_exponent_helpers_match_their_definitions(nvars):
+    rng = random.Random(40 + nvars)
+    for _ in range(300):
+        a = tuple(rng.randint(0, 4) for _ in range(nvars))
+        b = tuple(rng.randint(0, 4) for _ in range(nvars))
+        assert grevlex_key(a) == oracles.grevlex_key(a)
+        assert exp_mul(a, b) == tuple(x + y for x, y in zip(a, b))
+        assert exp_divides(a, b) == all(x <= y for x, y in zip(a, b))
+        assert exp_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+        lcm = exp_lcm(a, b)
+        assert exp_div(lcm, a) == tuple(x - y for x, y in zip(lcm, a))
+        assert (grevlex_key(a) < grevlex_key(b)) == (oracles.grevlex_key(a) < oracles.grevlex_key(b))
+        assert (groebner._term_key(a) < groebner._term_key(b)) == (grevlex_key(a) > grevlex_key(b))

@@ -1,8 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from kcx import groebner
 from kcx.fields import GF, QQ
 from kcx.groebner import (
     IdealBasis,
@@ -14,7 +16,7 @@ from kcx.groebner import (
 from kcx.parse import poly_normalize
 from kcx.poly import Polynomial
 
-from oracles import module_span_contains, span_contains
+from oracles import module_span_contains, rescan_reduce, span_contains
 
 
 def P(text, field=QQ, variables=("x", "y")):
@@ -200,3 +202,81 @@ def test_capped_ideal_basis_refuses_elements_above_the_cap():
     assert basis.normal_form(P("x*dx", variables=variables)) == P("x*dx", variables=variables)
     with pytest.raises(ValueError):
         basis.normal_form(P("dx^2", variables=variables))
+
+
+def _random_row(rng, field, nvars, rank, monomials):
+    """A rank-`rank` row with up to five terms drawn from `monomials`."""
+    values = [1, -1, 2, 3, -5] + ([Fraction(1, 2), Fraction(-2, 3)] if field.char == 0 else [])
+    row = [{} for _ in range(rank)]
+    for _ in range(rng.randint(1, 5)):
+        c = field.of(rng.choice(values))
+        if c:
+            row[rng.randrange(rank)][rng.choice(monomials)] = c
+    return row
+
+
+def _reducer_cases(rng, field):
+    """(rows, rank, grading, cap, probe rows): random ideals in 2-3 variables,
+    rank-2/3 modules in 2 variables, and ideals homogeneous in an N^2-grading
+    truncated at a cap."""
+    cases = []
+    for _ in range(30):
+        nvars = rng.randint(2, 3)
+        monos = [m for m in itertools.product(range(4), repeat=nvars) if sum(m) <= 3]
+        gens = [_random_row(rng, field, nvars, 1, monos) for _ in range(rng.randint(2, 3))]
+        probes = [_random_row(rng, field, nvars, 1, monos) for _ in range(3)]
+        cases.append((gens, 1, None, None, probes))
+    for _ in range(30):
+        rank = rng.randint(2, 3)
+        monos = [m for m in itertools.product(range(3), repeat=2) if sum(m) <= 2]
+        gens = [_random_row(rng, field, 2, rank, monos) for _ in range(rng.randint(2, 4))]
+        probes = [_random_row(rng, field, 2, rank, monos) for _ in range(3)]
+        cases.append((gens, rank, None, None, probes))
+    grading = [(1, 0), (1, 0), (0, 1), (0, 1)]
+    for _ in range(20):
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            grade = rng.choice([(1, 1), (2, 0), (1, 2), (0, 2), (2, 1)])
+            monos = [
+                m for m in itertools.product(range(3), repeat=4)
+                if groebner.monomial_grade(m, grading) == grade
+            ]
+            gens.append(_random_row(rng, field, 4, 1, monos))
+        monos = [m for m in itertools.product(range(3), repeat=4) if sum(m) <= 4]
+        probes = [_random_row(rng, field, 4, 1, monos) for _ in range(3)]
+        cases.append((gens, 1, grading, (3, 3), probes))
+    return cases
+
+
+def _items(row):
+    return [[(e, type(c), c) for e, c in comp.items()] for comp in row]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(32003)], ids=repr)
+def test_heap_reducer_matches_rescan_oracle(field, monkeypatch):
+    """Bases, certificate degrees and normal forms, term order included, equal
+    those of the reducer that rescans for each leading term."""
+    rng = random.Random(7300 + field.char)
+    cases = _reducer_cases(rng, field)
+    engine_reduce = groebner._reduce
+
+    def bases():
+        return [groebner._groebner(gens, rank, field, grading, cap) for gens, rank, grading, cap, _ in cases]
+
+    monkeypatch.setattr(groebner, "_reduce", rescan_reduce)
+    expected = bases()
+    # normal forms over the oracle's bases first: a wrong reduction order
+    # shows in the remainder's term order long before it slows a basis build
+    for (basis, certs), (_, rank, _, _, probes) in zip(expected, cases):
+        index = groebner._index(basis, certs, rank)
+        for p in probes:
+            got = engine_reduce([dict(c) for c in p], index, field)
+            want = rescan_reduce([dict(c) for c in p], index, field)
+            assert (_items(got[0]), got[1]) == (_items(want[0]), want[1])
+    monkeypatch.setattr(groebner, "_reduce", engine_reduce)
+    got = bases()
+    assert [([_items(r) for r in b], c) for b, c in got] == [
+        ([_items(r) for r in b], c) for b, c in expected
+    ]
+    grown = sum(len(basis) > len(gens) for (basis, _), (gens, *_) in zip(got, cases))
+    assert grown >= len(cases) // 4  # S-pairs added elements, not just interreduction

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kcx.fields import GF, QQ, Field
-from kcx.parse import ParseError, poly_normalize
+from kcx.parse import MAX_DEPTH, ParseError, poly_normalize
 from kcx.poly import Polynomial, grevlex_key
 
 
@@ -138,3 +138,12 @@ def test_nonprime_characteristic_rejected():
         Field(6)
     with pytest.raises(ValueError):
         Field(2**31 + 11)
+
+
+def test_nesting_limit_counts_parentheses_not_signs():
+    at_limit = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+    assert P(at_limit) == P("x")
+    with pytest.raises(ParseError, match=f"nest deeper than {MAX_DEPTH}"):
+        P("(" + at_limit + ")")
+    assert P("-" * 5001 + "x") == P("-x")
+    assert P("-+" * 3000 + "(x - y)^2") == P("(x - y)^2")

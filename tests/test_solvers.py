@@ -3,11 +3,12 @@ import random
 import pytest
 
 import kcx.connections
+import kcx.dualnum
 import kcx.solve
 from kcx.algebra import make_algebra
 from kcx.connections import make_connection
 from kcx.dualnum import dual_bundle, dual_connection_solve, dual_numbers_structure
-from kcx.errors import KcxError, WellDefinednessFailure
+from kcx.errors import KcxError, SolverTooLarge, WellDefinednessFailure
 from kcx.fields import GF, QQ
 from kcx.modules import (
     christoffel_target,
@@ -355,3 +356,28 @@ def test_non_invertible_transition_rejected():
         glued_connection_check(
             A1, "x", A2, "y", {"x": "y", "x_inv": "y_inv"}, {"y": "x_inv", "y_inv": "x"}
         )
+
+
+def test_solves_over_the_unknown_limit_are_refused_before_any_column(monkeypatch):
+    def no_columns(*args):
+        raise AssertionError("the system was built")
+
+    A = make_algebra(QQ, ("x",))
+    M = free_module(A, 1)  # one unknown per monomial: count = degree + 1
+    limit = kcx.solve.MAX_UNKNOWNS
+    assert solve_connection_space(M, 5).space.dimension == 6
+    monkeypatch.setattr(kcx.solve, "module_standard_monomials", no_columns)
+    with pytest.raises(SolverTooLarge, match=f"{limit + 1} unknowns") as exc:
+        solve_connection_space(M, limit)
+    assert isinstance(exc.value, ValueError)
+    # the gluing counts both charts: 2 * (degree + 1) unknowns on P^1
+    B = make_algebra(QQ, ("y",))
+    with pytest.raises(SolverTooLarge, match=f"{limit + 2} unknowns"):
+        glued_connection_check(
+            A, "x", B, "y", {"x": "y_inv", "x_inv": "y"}, {"y": "x_inv", "y_inv": "x"},
+            degree=limit // 2,
+        )
+    # the dual-numbers solve: (generators + 1) * rank slots, here 2 * 1
+    monkeypatch.setattr(kcx.dualnum, "module_standard_monomials", no_columns)
+    with pytest.raises(SolverTooLarge, match=f"{limit + 2} unknowns"):
+        dual_connection_solve(A, M, limit // 2)

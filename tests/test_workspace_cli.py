@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from kcx.cli import MAX_DEGREE, run
-from kcx.parse import MAX_EXPONENT
+from kcx.parse import MAX_DEPTH, MAX_EXPONENT
 from kcx.workspace import MAX_FREE_RANK, WorkspaceError, parse_workspace, render_workspace
 
 FILES = Path(__file__).parent.parent / "examples_kcx"
@@ -183,6 +183,7 @@ def test_cli_exit_codes(tmp_path):
         ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", "-1"],
         ["glue", str(FILES / "p1.kcx"), "--degree", "-1"],
         ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", "1000000000"],
+        ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", str(MAX_DEGREE)],
         ["glue", str(FILES / "p1.kcx"), "--degree", str(MAX_DEGREE + 1)],
         ["check", str(latin1)],
         ["check", str(FILES)],
@@ -224,3 +225,29 @@ def test_cli_exit_codes(tmp_path):
     bad = FILES / ".." / "examples_kcx"  # reuse plane file with a broken glue-free check
     code, text = run(["check", str(FILES / "p1.kcx")])
     assert code == 1  # no connections in the file
+
+
+def test_parentheses_nest_up_to_the_parser_limit(tmp_path):
+    def sources(depth: int) -> dict[str, str]:
+        expr = "(" * depth + "t" + ")" * depth
+        return {
+            "morphism": "algebra A { char: 0; vars: x; }\nalgebra B { char: 0; vars: t; }\n"
+            f"morphism f : A -> B {{\n  x -> {expr};\n}}\n",
+            "rel": f"algebra A {{\n  char: 0;\n  vars: t;\n  rel: {expr};\n}}\n",
+        }
+
+    at_limit = sources(MAX_DEPTH)
+    ws = parse_workspace(at_limit["morphism"])
+    assert ws.morphisms["f"].image_of("x").render() == "t"
+    assert [r.render() for r in parse_workspace(at_limit["rel"]).algebras["A"].relations] == ["t"]
+    for kind, source in at_limit.items():
+        path = tmp_path / f"{kind}_at_limit.kcx"
+        path.write_text(source)
+        assert run(["check", str(path)])[0] == 1  # parsed; the file has no connection
+    for kind, source in sources(MAX_DEPTH + 1).items():
+        path = tmp_path / f"{kind}_past_limit.kcx"
+        path.write_text(source)
+        code, text = run(["check", str(path)])
+        assert code == 2, kind
+        assert text.startswith("error: ") and text.endswith("(line 4, column 3)"), text
+        assert f"nest deeper than {MAX_DEPTH}" in text
