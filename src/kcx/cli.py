@@ -21,12 +21,14 @@ import sys
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
 
+from .algebra import localize
 from .connections import to_horizontal, to_vertical, verify_connection_axioms
 from .connections import connection_equal, from_horizontal
 from .curvature import check_curvature_correspondence, check_torsion_correspondence
 from .errors import KcxError
 from .gallery import run_gallery
 from .linsolve import AffineSolutionSpace
+from .modules import kahler_module
 from .solve import glued_connection_check, solve_connection_space
 from .workspace import (
     Workspace,
@@ -217,9 +219,6 @@ def cmd_glue(args) -> Report:
     A1, A2 = ws.algebras[spec.chart1], ws.algebras[spec.chart2]
     t = ws.morphisms[spec.transition]
     tinv = ws.morphisms[spec.inverse]
-    from .algebra import localize
-    from .modules import kahler_module
-
     L1, L2 = localize(A1, spec.at1), localize(A2, spec.at2)
     for f, dom, cod, label in ((t, L1, L2, spec.transition), (tinv, L2, L1, spec.inverse)):
         if f.dom.gens != dom.gens or f.cod.gens != cod.gens:

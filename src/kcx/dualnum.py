@@ -16,9 +16,9 @@ from itertools import combinations_with_replacement
 
 from .algebra import AlgebraMorphism, GenRole, PresentedAlgebra, fresh_name, make_morphism, relabel
 from .linsolve import AffineSolutionSpace, affine_linear_solve
-from .modules import PresentedModule, linear_form, module_standard_monomials
+from .modules import PresentedModule, linear_form
 from .poly import Polynomial
-from .solve import _affine_equations, _check_size, _relation_columns, _unknowns
+from .solve import _affine_equations, _relation_columns, _unknowns
 
 
 def _square_zero_extension(
@@ -132,10 +132,8 @@ def dual_connection_solve(
     """
     if M.base is not A:
         raise ValueError("module is not over the given algebra")
-    _check_size(degree_bound, [((len(M.gens) + 1) * M.rank, len(A.gens))])
-    basis = module_standard_monomials(M, degree_bound)
     # n per module generator plus n', over M's standard monomials
-    layout = _unknowns("c", M.gens + ("'",), range(M.rank), basis)
+    layout = _unknowns("c", M.gens + ("'",), range(M.rank), M, degree_bound)
     # K(lambda(m eps)) = m eps collapses to 0 = m eps: every generator of M
     # must be zero in the quotient (constant rows).  K respects each module
     # relation row: sum_k r_k n_k = 0 in M (rows with no constant).

@@ -17,6 +17,8 @@ from .connections import (
     free_canonical_connection,
     from_horizontal,
     make_connection,
+    pullback_connection,
+    retract_connection,
     to_horizontal,
     to_vertical,
     verify_connection_axioms,
@@ -104,8 +106,6 @@ def elliptic_connection(elliptic):
     curve; the retract of the componentwise derivative along that splitting is
     a certified connection.
     """
-    from .connections import retract_connection
-
     omega = kahler_module(elliptic)
     fr = free_module(elliptic, 2)
     s = ModuleMorphism(
@@ -243,8 +243,6 @@ def _retract_circle():
         {"d(x)": fr.element(["y^2", "-x*y"]), "d(y)": fr.element(["-x*y", "x^2"])},
     )
     r = ModuleMorphism(fr, omega, {"e1": omega.gen("d(x)"), "e2": omega.gen("d(y)")})
-    from .connections import retract_connection
-
     base = zero_gamma_connection(fr)
     nabla = retract_connection(base, s, r)
     assert connection_equal(nabla, circle_canonical_connection(circle))
@@ -254,8 +252,6 @@ def _retract_circle():
 def _pullback_free():
     plane = plane_algebra()
     rationals = make_algebra(QQ, ())
-    from .connections import pullback_connection
-
     nabla = free_canonical_connection(rationals, 2)
     pulled = pullback_connection(nabla, make_morphism(rationals, plane, {}))
     assert connection_equal(pulled, free_canonical_connection(plane, 2))

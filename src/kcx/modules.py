@@ -13,7 +13,6 @@ module morphisms (used for section/retraction data).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .algebra import AlgebraElement, ElementLike, PresentedAlgebra
@@ -324,30 +323,33 @@ def wedge_square(M: PresentedModule) -> WedgeSquare:
     return M._memo["wedge2"]
 
 
-def module_standard_monomials(M: PresentedModule, degree_bound: int) -> list[tuple[int, tuple]]:
+def _shifted(exp: tuple, step: int) -> Iterator[tuple]:
+    """exp with one exponent moved by `step`, for each variable it keeps nonnegative."""
+    return (exp[:i] + (e + step,) + exp[i + 1 :] for i, e in enumerate(exp) if e + step >= 0)
+
+
+def module_standard_monomials(M: PresentedModule, degree_bound: int) -> Iterator[tuple[int, tuple]]:
     """Standard (position, monomial) pairs of the quotient up to a degree.
 
     These are the monomial module elements not divisible by any leading term
     of the lifted basis: a vector-space basis of the quotient in low degrees,
-    used as solver coordinates.
+    used as solver coordinates.  At each position they form an order ideal
+    (every divisor of a standard monomial is standard), so the walk grows them
+    one degree at a time: a monomial of degree d+1 is standard exactly when it
+    is not itself a leading term and each of its divisors of degree d is
+    standard.  Pairs come by position, then degree, with exponents
+    lex-descending within a degree, and lazily, so a caller may stop early.
     """
-    A = M.base
-    leads = [vector_leading(v) for v in M.lifted.basis]
-    nvars = len(A.gens)
-    out: list[tuple[int, tuple]] = []
+    leads = {vector_leading(v) for v in M.lifted.basis}
     for k in range(M.rank):
-        for total in range(degree_bound + 1):
-            for combo in itertools.combinations_with_replacement(range(nvars), total):
-                exp = [0] * nvars
-                for i in combo:
-                    exp[i] += 1
-                expt = tuple(exp)
-                if any(
-                    pos == k and all(a <= b for a, b in zip(lead, expt)) for pos, lead in leads
-                ):
-                    continue
-                out.append((k, expt))
-    return out
+        below, grown = set(), {(0,) * len(M.base.gens)}
+        for _ in range(degree_bound + 1):
+            level = [exp for exp in grown if (k, exp) not in leads and below.issuperset(_shifted(exp, -1))]
+            if not level:
+                break
+            level.sort(reverse=True)
+            yield from ((k, exp) for exp in level)
+            below, grown = set(level), {up for exp in level for up in _shifted(exp, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Bounded-degree existence solvers for connections, and two-chart gluing.
 
 Unknowns are the coefficients of each generator image over the standard
-monomials of the target quotient module, up to the requested degree.  On a
+monomials of the target quotient module, up to the requested degree; the
+layout takes them from one walk over that order ideal and counts them exactly,
+refusing a system past MAX_UNKNOWNS before any column is built.  On a
 relation row r the Leibniz residue, the sum over g of d(r_g) (x) g + r_g * Gamma(g),
 is affine in them: its constant is the residue of the zero candidate, and
-unknown (g, idx, exp) enters it as r_g * x^exp * e_idx, read off the row.  The
+unknown (g, idx, exp) enters it as r_g * x^exp * e_idx, reduced once.  The
 gluing rows pass through localization and the transition, which are linear
 over the chart rings: they are evaluated at zero and once per generator and
 unit e_idx, and unknown (g, idx, exp) enters them as that unit's column scaled
@@ -16,9 +18,9 @@ and never build the tangent bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .algebra import AlgebraMorphism, PresentedAlgebra, compose_morphisms, localize, make_morphism
+from .algebra import AlgebraMorphism, PresentedAlgebra, compose_morphisms, identity_morphism
+from .algebra import localize, make_morphism
 from .connections import AxiomCheck, AxiomReport, Connection, apply_connection
 from .errors import KcxError, SolverTooLarge
 from .fields import Coef, Field
@@ -71,31 +73,29 @@ class ConnectionSpace:
 
 
 # Solution-space basis vectors are dense, so memory grows with the square of
-# the unknowns: a relation-free solve (every unknown counted is real) with
-# 4,455 unknowns peaks at 170 MiB, and one with 13,440 at 1.4 GiB.  The
-# largest solve of any example, golden, gallery case or benchmark op counts
-# 540 unknowns (S^2 at degree 3).
+# the unknowns: a relation-free solve with 4,455 unknowns peaks at 170 MiB, and
+# one with 13,440 at 1.4 GiB.  The count is exact (generators times standard
+# monomials of the target); the largest of any example, golden, gallery case
+# or benchmark op is 288 (S^3 at degree 1).
 MAX_UNKNOWNS = 5000
 
 
-def _check_size(degree_bound: int, charts: list[tuple[int, int]]) -> None:
-    """Refuse up front a system with more than MAX_UNKNOWNS unknowns.
+def _unknowns(
+    prefix: str, gens, labels, target: PresentedModule, degree_bound: int, taken: int = 0
+) -> dict[tuple[str, int, tuple], str]:
+    """One unknown per generator and standard (position, monomial) pair of
+    `target` up to the degree bound, named `prefix[generator][position
+    label][exponent]`, in generator-major order.
 
-    `charts` holds a (slots, variables) pair per ring: a slot is a (generator,
-    target position) pair, with at most one unknown per monomial of degree
-    <= degree_bound in that many variables.  The count is taken before any
-    column is built.
+    The unknowns are counted as the walk yields them, on top of `taken` laid
+    out already; past MAX_UNKNOWNS the solve is refused before any column is
+    built.
     """
-    count = sum(slots * comb(nvars + degree_bound, degree_bound) for slots, nvars in charts)
-    if count > MAX_UNKNOWNS:
-        raise SolverTooLarge(
-            f"degree bound {degree_bound} allows {count} unknowns; at most {MAX_UNKNOWNS} are solved"
-        )
-
-
-def _unknowns(prefix: str, gens, labels, basis) -> dict[tuple[str, int, tuple], str]:
-    """One unknown per generator and standard (position, monomial) pair, named
-    `prefix[generator][position label][exponent]`, in generator-major order."""
+    basis = []
+    for pair in module_standard_monomials(target, degree_bound):
+        basis.append(pair)
+        if taken + len(gens) * len(basis) > MAX_UNKNOWNS:
+            raise SolverTooLarge(f"degree bound {degree_bound} needs more than {MAX_UNKNOWNS} unknowns, the limit")
     return {
         (g, idx, exp): f"{prefix}[{g}][{labels[idx]}][{','.join(map(str, exp))}]"
         for g in gens
@@ -109,17 +109,17 @@ def _relation_columns(
     """Columns of the unknowns on M's relation rows, numbered from `first_row`.
 
     Unknown (g, idx, exp) is the coefficient of x^exp * e_idx in the image of
-    g, so on row r it contributes r_g * x^exp * e_idx, reduced in `target`.
+    g, so on row r it contributes r_g * x^exp * e_idx, reduced once in `target`.
     """
     A = M.base
-    units = [target.gen(h) for h in target.gens]
+    zero, one = Polynomial.zero(A.field, A.gens), A.field.one()
     columns: dict[str, dict[int, ModuleElement]] = {name: {} for name in layout.values()}
     for r, row in enumerate(M.relations, first_row):
         coefs = dict(zip(M.gens, row))
         for (g, idx, exp), name in layout.items():
             if g in coefs and not coefs[g].is_zero():
-                mono = Polynomial.monomial(A.field, A.gens, exp, 1)
-                columns[name][r] = units[idx].scaled(coefs[g] * mono)
+                comps = (coefs[g].mul_monomial(exp, one) if i == idx else zero for i in range(target.rank))
+                columns[name][r] = ModuleElement(target, tuple(comps))
     return columns
 
 
@@ -153,12 +153,12 @@ def solve_connection_space(M: PresentedModule, degree_bound: int) -> ConnectionS
     """Exact solution space of Christoffel coefficients up to a degree bound."""
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
+    # looked up per call: tests count residue evaluations by patching kcx.connections
     from .connections import connection_residues
 
     target = christoffel_target(M)
-    _check_size(degree_bound, [(len(M.gens) * target.rank, len(M.base.gens))])
     f = M.base.field
-    layout = _unknowns("c", M.gens, target.gens, module_standard_monomials(target, degree_bound))
+    layout = _unknowns("c", M.gens, target.gens, target, degree_bound)
     constants = [r for _, r in connection_residues(M, {g: target.zero() for g in M.gens})]
     equations = _affine_equations(constants, _relation_columns(M, target, layout), f)
     space = affine_linear_solve(equations, tuple(layout.values()), f)
@@ -265,13 +265,12 @@ def glued_connection_check(
     """
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
+    # looked up per call: tests count residue evaluations by patching kcx.connections
     from .connections import connection_residues
 
     L1, L2 = localize(A1, u1), localize(A2, u2)
     t = make_morphism(L1, L2, transition_images, name="t")
     tinv = make_morphism(L2, L1, inverse_images, name="t_inv")
-    from .algebra import identity_morphism
-
     if compose_morphisms(tinv, t) != identity_morphism(L1) or compose_morphisms(
         t, tinv
     ) != identity_morphism(L2):
@@ -293,13 +292,11 @@ def glued_connection_check(
 
     f = A1.field
     omegas = [kahler_module(A) for A in (A1, A2)]
-    _check_size(degree, [(len(o.gens) * christoffel_target(o).rank, len(o.base.gens)) for o in omegas])
     layout: dict[tuple[int, str, int, tuple], str] = {}
     charts = []  # (omega, target, chart unknowns, zero Christoffel data)
     for chart_no, omega in enumerate(omegas, 1):
         target = christoffel_target(omega)
-        basis = module_standard_monomials(target, degree)
-        names = _unknowns(f"c{chart_no}", omega.gens, target.gens, basis)
+        names = _unknowns(f"c{chart_no}", omega.gens, target.gens, target, degree, len(layout))
         layout.update(((chart_no, *key), name) for key, name in names.items())
         charts.append((omega, target, names, {g: target.zero() for g in omega.gens}))
 

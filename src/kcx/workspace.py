@@ -377,12 +377,12 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
             w = ensure_ws(0)
             if w.glue is not None:
                 raise cur.error("only one glue block is allowed", at)
-            fields = {}
+            fields, places = {}, {}
             for entry, pos in entries:
                 if ":" not in entry:
                     raise cur.error(f"glue entry needs ':': {entry!r}", pos)
                 key, val = (s.strip() for s in entry.split(":", 1))
-                fields[key] = val
+                fields[key], places[key] = val, pos
             needed = {"chart1", "chart2", "transition", "inverse"}
             if set(fields) != needed:
                 raise cur.error(f"glue block needs exactly {sorted(needed)}", at)
@@ -391,9 +391,11 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                 chart2, at2 = re.split(r"\s+at\s+", fields["chart2"].strip())
             except ValueError:
                 raise cur.error("chart entries must look like 'NAME at VAR'", at)
-            for n in (chart1, chart2):
+            for key, n, v in (("chart1", chart1, at1), ("chart2", chart2, at2)):
                 if n not in w.algebras:
                     raise cur.error(f"unknown algebra {n!r}", at)
+                if v not in w.algebras[n].gens:
+                    raise cur.error(f"{v!r} is not a generator of {n!r}", places[key])
             for n in (fields["transition"], fields["inverse"]):
                 if n not in w.morphisms:
                     raise cur.error(f"unknown morphism {n!r}", at)
@@ -482,12 +484,13 @@ def render_workspace(ws: Workspace) -> str:
         elif kind == "free":
             lines.append(f"  free: {payload};")
         else:
-            lines.append(f"  gens: {', '.join(payload)};")
+            if payload:
+                lines.append(f"  gens: {', '.join(payload)};")
             for row in M.relations:
                 terms = [
                     f"{_render_coef(c)}*{g}" for c, g in zip(row, M.gens) if not c.is_zero()
                 ]
-                lines.append(f"  rel: {' + '.join(terms)};")
+                lines.append(f"  rel: {' + '.join(terms) or '0'};")
         lines.append("}")
         out.append("\n".join(lines))
     for name, f in ws.morphisms.items():

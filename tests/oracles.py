@@ -7,7 +7,8 @@ the tuple `grevlex_key`; it checks the engine's heap-ordered `_reduce`.
 Membership is decided by that dense exact linear algebra over the monomial
 basis: p lies in the span of { x^a * g : deg(x^a * g) <= bound } iff the
 column space of those products contains p's coefficient vector.  No normal
-forms involved.
+forms involved.  `brute_standard_monomials` tests every monomial up to the
+degree against every leading term; it checks the engine's order-ideal walk.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 
 from kcx.fields import Coef, Field
+from kcx.groebner import vector_leading
 from kcx.linsolve import AffineSolutionSpace, LinearEquation
 from kcx.poly import Polynomial
 
@@ -119,6 +121,18 @@ def monomials_up_to(nvars: int, degree: int):
             for i in exp:
                 vec[i] += 1
             yield tuple(vec)
+
+
+def brute_standard_monomials(M, degree_bound: int) -> list[tuple[int, tuple]]:
+    """(position, monomial) pairs up to the degree that no leading term of M's
+    lifted basis divides: by position, then degree, then lex-descending."""
+    leads = [vector_leading(v) for v in M.lifted.basis]
+    return [
+        (k, exp)
+        for k in range(M.rank)
+        for exp in monomials_up_to(len(M.base.gens), degree_bound)
+        if not any(pos == k and all(a <= b for a, b in zip(lead, exp)) for pos, lead in leads)
+    ]
 
 
 def span_contains(p: Polynomial, gens: list[Polynomial], bound: int) -> bool:

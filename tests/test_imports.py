@@ -1,4 +1,5 @@
-"""No module of the engine imports a name it never uses.
+"""No module of the engine imports a name it never uses, or imports inside a
+function without a reason.
 
 No linter ships with the project, so this walks each module's syntax tree with
 the standard library.  `__init__.py` is skipped: its imports are re-exports.
@@ -11,6 +12,11 @@ import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "kcx"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# (file, imported module): why the import stays inside a function
+LOCAL_IMPORTS = {
+    ("solve.py", "connections"): "tests count residue evaluations by patching "
+    "kcx.connections.connection_residues, which a module-level import would bypass",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +44,28 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def local_imports(source: str) -> list[tuple[str, int]]:
+    """(module, line) of each package-relative import inside a function."""
+    return sorted(
+        {
+            (node.module or "", node.lineno)
+            for func in ast.walk(ast.parse(source))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+        },
+        key=lambda found: found[1],
+    )
+
+
+def test_detector_flags_a_local_import():
+    source = "from .a import b\ndef f():\n    from .c import d\n    def g():\n        from . import e\n"
+    assert local_imports(source) == [("c", 3), ("", 5)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unexplained_function_local_imports(path):
+    found = local_imports(path.read_text())
+    assert [(m, line) for m, line in found if (path.name, m) not in LOCAL_IMPORTS] == []

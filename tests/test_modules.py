@@ -2,18 +2,25 @@ import random
 
 import pytest
 
+from kcx import gallery
+from kcx.algebra import PresentedAlgebra, make_algebra
 from kcx.errors import WellDefinednessFailure
+from kcx.fields import GF, QQ
 from kcx.modules import (
     ModuleMorphism,
+    christoffel_target,
     element_is_zero,
     free_module,
     kahler_module,
     make_module,
+    module_standard_monomials,
     tensor_modules,
     universal_derivation,
     wedge_square,
 )
 from kcx.poly import Polynomial
+
+from oracles import brute_standard_monomials
 
 
 def random_element(rng, A):
@@ -165,3 +172,30 @@ def test_module_morphism_certification(circle):
     # the naive 'identity' from omega to the free module is NOT well defined
     with pytest.raises(WellDefinednessFailure):
         ModuleMorphism(omega, fr, {"d(x)": fr.gen("e1"), "d(y)": fr.gen("e2")})
+
+
+def test_standard_monomial_walk_matches_brute_force():
+    # the walk grows each degree from the one below; the oracle tests every
+    # monomial against every leading term, so both lists must agree in order
+    rng = random.Random(8)
+    gallery_algebras = [
+        gallery.plane_algebra(),
+        gallery.circle_algebra(),
+        gallery.sphere_algebra(),
+        gallery.elliptic_algebra(),
+        gallery.fat_point_algebra(),
+    ]
+    for field in (QQ, GF(2), GF(3), GF(32003)):
+        algebras = [make_algebra(field, A.gens, [r.render() for r in A.relations]) for A in gallery_algebras]
+        for nvars in (1, 2, 3):
+            gens = ("x", "y", "z")[:nvars]
+            rels = [random_element(rng, PresentedAlgebra(field, gens, [])).poly for _ in range(2)]
+            algebras.append(PresentedAlgebra(field, gens, rels[: rng.randint(1, 2)]))
+        for A in algebras:
+            omega = kahler_module(A)
+            presented = make_module(A, ("u", "v"), [[random_element(rng, A), random_element(rng, A)]])
+            modules = [omega, free_module(A, 2), presented, christoffel_target(presented)]
+            for M in modules:
+                for degree in range(5):
+                    walk = list(module_standard_monomials(M, degree))
+                    assert walk == brute_standard_monomials(M, degree), (A, M, degree)

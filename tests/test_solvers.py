@@ -26,7 +26,7 @@ import helpers
 def test_standard_monomials_fat_point(fat_point):
     omega = kahler_module(fat_point)
     t = __import__("kcx.modules", fromlist=["tensor_modules"]).tensor_modules(omega, omega)
-    basis = module_standard_monomials(t, 3)
+    basis = list(module_standard_monomials(t, 3))
     # x d(x)(x)d(x) reduces away, so only the constant monomial survives
     assert basis == [(0, (0,))]
 
@@ -365,19 +365,22 @@ def test_solves_over_the_unknown_limit_are_refused_before_any_column(monkeypatch
     A = make_algebra(QQ, ("x",))
     M = free_module(A, 1)  # one unknown per monomial: count = degree + 1
     limit = kcx.solve.MAX_UNKNOWNS
+    too_many = f"more than {limit} unknowns"
     assert solve_connection_space(M, 5).space.dimension == 6
-    monkeypatch.setattr(kcx.solve, "module_standard_monomials", no_columns)
-    with pytest.raises(SolverTooLarge, match=f"{limit + 1} unknowns") as exc:
+    monkeypatch.setattr(kcx.solve, "_relation_columns", no_columns)
+    with pytest.raises(SolverTooLarge, match=too_many) as exc:
         solve_connection_space(M, limit)
     assert isinstance(exc.value, ValueError)
+    with pytest.raises(AssertionError, match="was built"):  # exactly the limit is admitted
+        solve_connection_space(M, limit - 1)
     # the gluing counts both charts: 2 * (degree + 1) unknowns on P^1
     B = make_algebra(QQ, ("y",))
-    with pytest.raises(SolverTooLarge, match=f"{limit + 2} unknowns"):
+    with pytest.raises(SolverTooLarge, match=too_many):
         glued_connection_check(
             A, "x", B, "y", {"x": "y_inv", "x_inv": "y"}, {"y": "x_inv", "y_inv": "x"},
             degree=limit // 2,
         )
-    # the dual-numbers solve: (generators + 1) * rank slots, here 2 * 1
-    monkeypatch.setattr(kcx.dualnum, "module_standard_monomials", no_columns)
-    with pytest.raises(SolverTooLarge, match=f"{limit + 2} unknowns"):
+    # the dual-numbers solve: (generators + 1) unknowns per standard monomial, here 2
+    monkeypatch.setattr(kcx.dualnum, "_relation_columns", no_columns)
+    with pytest.raises(SolverTooLarge, match=too_many):
         dual_connection_solve(A, M, limit // 2)

@@ -107,9 +107,13 @@ def test_cli_solve_fatpoint_empty():
 
 
 def test_cli_solve_circle_family():
-    code, text = run(["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", "1", "--json"])
-    assert code == 0
-    assert json.loads(text)["solver"]["status"] == "family"
+    # the unknowns are exactly the standard monomials, so even the largest
+    # degree stays small on the circle: the dimension is 2 * degree + 3
+    for degree in (1, MAX_DEGREE):
+        argv = ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", str(degree)]
+        code, text = run([*argv, "--json"])
+        assert code == 0
+        assert json.loads(text)["solver"] == {"status": "family", "dim": 2 * degree + 3}
 
 
 def test_cli_curvature_plane():
@@ -183,7 +187,7 @@ def test_cli_exit_codes(tmp_path):
         ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", "-1"],
         ["glue", str(FILES / "p1.kcx"), "--degree", "-1"],
         ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", "1000000000"],
-        ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", str(MAX_DEGREE)],
+        ["solve", str(FILES / "plane.kcx"), "--module", "Omega", "--degree", str(MAX_DEGREE)],
         ["glue", str(FILES / "p1.kcx"), "--degree", str(MAX_DEGREE + 1)],
         ["check", str(latin1)],
         ["check", str(FILES)],
@@ -214,6 +218,8 @@ def test_cli_exit_codes(tmp_path):
         ("algebra A {\n  char: 0;\n  vars: x, 2y;\n}\n", "(line 3, column 3)"),
         (one_var + "module M over A {\n  gens: u v;\n}\n", "(line 3, column 3)"),
         (one_var + "module M over A {\n  gens: u,;\n}\n", "(line 3, column 3)"),
+        (read("p1.kcx").replace("A1 at x", "A1 at z"), "(line 18, column 3)"),
+        (read("p1.kcx").replace("A2 at y", "A2 at x"), "(line 19, column 3)"),
     ]
     for i, (source, where) in enumerate(malformed):
         path = tmp_path / f"malformed{i}.kcx"
@@ -222,7 +228,6 @@ def test_cli_exit_codes(tmp_path):
         assert code == 2, source
         assert text.startswith("error: ") and text.endswith(where), text
     # a failing check exits 1
-    bad = FILES / ".." / "examples_kcx"  # reuse plane file with a broken glue-free check
     code, text = run(["check", str(FILES / "p1.kcx")])
     assert code == 1  # no connections in the file
 
