@@ -15,7 +15,8 @@ one); the tangent machinery relies on them for deterministic naming.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import OwnerMismatch, WellDefinednessFailure
 from .fields import Field
@@ -31,6 +32,25 @@ class GenRole:
 
 
 ElementLike = Union["AlgebraElement", Polynomial, str, int]
+
+
+def memoized(build: Callable) -> Callable:
+    """Run `build(owner, *others)` once per owner and others.
+
+    The result is kept in `owner._memo`, keyed by `build` and the other
+    arguments themselves, so a derived structure lives exactly as long as the
+    algebra or module it was derived from.
+    """
+
+    @wraps(build)
+    def cached(owner, *others):
+        key = (build, *others)
+        if key not in owner._memo:
+            owner._memo[key] = build(owner, *others)
+        return owner._memo[key]
+
+    return cached
+
 
 # Variable-order ranks for tangent presentations.  Normal forms prefer late
 # (grevlex-small) monomials, so pure differential sorts go last: reductions
@@ -66,19 +86,12 @@ class PresentedAlgebra:
         # basis is truncated to the grades the engine actually reduces.
         self.grading = dict(grading) if grading else None
         self.cap = cap
-        self._basis: IdealBasis | None = None
-        self._memo: dict = {}  # once-only published derived structures
+        self._memo: dict = {}  # derived structures, filled by `memoized`
 
-    # The basis is computed at most once and then published; concurrent
-    # readers may race to compute it but always observe a complete value.
-    @property
+    @cached_property
     def basis(self) -> IdealBasis:
-        if self._basis is None:
-            grading_list = [self.grading[g] for g in self.gens] if self.grading else None
-            self._basis = IdealBasis(
-                self.field, self.gens, list(self.relations), grading_list, self.cap
-            )
-        return self._basis
+        grading_list = [self.grading[g] for g in self.gens] if self.grading else None
+        return IdealBasis(self.field, self.gens, list(self.relations), grading_list, self.cap)
 
     def __repr__(self) -> str:
         rels = "; ".join(r.render() for r in self.relations) or "0"
@@ -423,5 +436,5 @@ def localize(A: PresentedAlgebra, u: str) -> PresentedAlgebra:
     roles = {g: A.roles[g] for g in A.gens}
     roles[inv] = GenRole("base", inv)
     L = PresentedAlgebra(A.field, gens, relations, provenance="localization", roles=roles)
-    L._memo["localization_of"] = (A, u, inv)
+    L.localization_of = (A, u, inv)
     return L

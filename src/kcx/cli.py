@@ -226,22 +226,20 @@ def cmd_glue(args) -> Report:
                 f"morphism {label!r} must go between the localized charts "
                 f"(expected generators {dom.gens} -> {cod.gens})"
             )
-    transition_images = {g: t.image_of(g).render() for g in t.dom.gens}
-    inverse_images = {g: tinv.image_of(g).render() for g in tinv.dom.gens}
     omega1 = kahler_module(A1)
     omega2 = kahler_module(A2)
     chart1 = [n for n, m in ws.connection_module.items() if ws.modules[m] is omega1]
     chart2 = [n for n, m in ws.connection_module.items() if ws.modules[m] is omega2]
     if chart1 and chart2:
         result = glued_connection_check(
-            A1, spec.at1, A2, spec.at2, transition_images, inverse_images,
+            A1, spec.at1, A2, spec.at2, t.images, tinv.images,
             nabla1=ws.connections[chart1[0]], nabla2=ws.connections[chart2[0]],
             degree=args.degree,
         )
         report.checks.extend(_axiom_checks("", result.report))
     else:
         result = glued_connection_check(
-            A1, spec.at1, A2, spec.at2, transition_images, inverse_images, degree=args.degree
+            A1, spec.at1, A2, spec.at2, t.images, tinv.images, degree=args.degree
         )
         report.solver = _solver_payload(result.space)
     return report

@@ -20,7 +20,6 @@ from .algebra import (
     compose_chain,
     compose_morphisms,
     identity_morphism,
-    relabel,
 )
 from .errors import (
     AxiomFailure,
@@ -45,8 +44,6 @@ from .tangent import (
     bundle_combine,
     bundle_context,
     tangent_apply_functor,
-    vertical_lift,
-    zero_map,
 )
 
 
@@ -172,7 +169,7 @@ def vertical_from_horizontal(H: AlgebraMorphism, M: PresentedModule) -> AlgebraM
     UH = compose_morphisms(ctx.U, H)
     fibre = {ctx.TS.dmap[g] for g in ctx.S.gens}
     k_flat = bundle_combine(identity_morphism(ctx.TS), UH, "minus", fibre)
-    return bracketing(ctx.bundle, k_flat)
+    return bracketing(ctx, k_flat)
 
 
 # ---------------------------------------------------------------------------
@@ -208,72 +205,32 @@ class AxiomReport:
         self.entries.append(AxiomCheck(axiom_id, "pass"))
 
 
-def _ctx_maps(ctx: BundleContext) -> dict:
-    """Morphisms shared by the axiom checks, built once per module."""
-    if "axiom_maps" in ctx._lazy:
-        return ctx._lazy["axiom_maps"]
-    TS, S = ctx.TS, ctx.S
-    maps = {}
-    maps["p_S"] = relabel(S, TS, {}, "p")
-    maps["zero_S"] = zero_map(TS)
-    maps["Tq"] = tangent_apply_functor(ctx.bundle.q, certify=True)
-    maps["lift_S"] = vertical_lift(ctx.T2S)
-    maps["T_lam"] = tangent_apply_functor(ctx.bundle.lam, certify=True)
-    big = ctx.T2A_tensor_TS
-
-    def down(f0: AlgebraMorphism, f1: AlgebraMorphism, name: str) -> AlgebraMorphism:
-        """f0 (x) f1: T^2(A) (x)_{T(A)} T(S) -> T(A) (x)_A S, factor by factor."""
-        images = {f"{g}#0": ctx.TAS.i0.apply_raw(p) for g, p in f0.images.items()}
-        images.update({f"{g}#1": ctx.TAS.i1.apply_raw(p) for g, p in f1.images.items()})
-        return AlgebraMorphism(big, ctx.TAS, images, certify=True, name=name)
-
-    # H.3: vertical lift on the T^2(A) factor, zero on the T(S) factor; H.4:
-    # zero on T^2(A), which kills the outer level, and lambda on T(S)
-    maps["h3_down"] = down(vertical_lift(ctx.T2A), maps["zero_S"], "l(x)0")
-    maps["h4_down"] = down(zero_map(ctx.T2A), ctx.bundle.lam, "0(x)lam")
-    ctx._lazy["axiom_maps"] = maps
-    return maps
-
-
 def verify_horizontal_axioms(H: AlgebraMorphism, M: PresentedModule) -> AxiomReport:
     ctx = bundle_context(M)
-    maps = _ctx_maps(ctx)
     report = AxiomReport()
     TH = tangent_apply_functor(H)
+    report.add_morphism_equality("H.1", compose_chain([ctx.Tq, H]), ctx.TAS.i0)
+    report.add_morphism_equality("H.2", compose_chain([ctx.p_S, H]), ctx.TAS.i1)
     report.add_morphism_equality(
-        "H.1", compose_chain([maps["Tq"], H]), ctx.TAS.i0
-    )
-    report.add_morphism_equality(
-        "H.2", compose_chain([maps["p_S"], H]), ctx.TAS.i1
-    )
-    report.add_morphism_equality(
-        "H.3",
-        compose_chain([maps["lift_S"], H]),
-        compose_chain([TH, ctx.leibniz_iso, maps["h3_down"]]),
+        "H.3", compose_chain([ctx.lift_S, H]), compose_chain([TH, ctx.leibniz_iso, ctx.h3_down])
     )
     report.add_morphism_equality(
         "H.4",
-        compose_chain([ctx.flip_S, maps["T_lam"], H]),
-        compose_chain([TH, ctx.leibniz_iso, maps["h4_down"]]),
+        compose_chain([ctx.flip_S, ctx.T_lam, H]),
+        compose_chain([TH, ctx.leibniz_iso, ctx.h4_down]),
     )
     return report
 
 
 def verify_vertical_axioms(K: AlgebraMorphism, M: PresentedModule) -> AxiomReport:
     ctx = bundle_context(M)
-    maps = _ctx_maps(ctx)
-    lam = ctx.bundle.lam
     report = AxiomReport()
     TK = tangent_apply_functor(K)
-    report.add_morphism_equality("K.1", compose_chain([K, lam]), identity_morphism(ctx.S))
-    report.add_morphism_equality(
-        "K.2", compose_chain([ctx.bundle.q, K]), compose_chain([ctx.bundle.q, maps["p_S"]])
-    )
-    lhs34 = compose_chain([lam, K])
-    report.add_morphism_equality("K.3", lhs34, compose_chain([TK, maps["lift_S"]]))
-    report.add_morphism_equality(
-        "K.4", lhs34, compose_chain([TK, ctx.flip_S, maps["T_lam"]])
-    )
+    report.add_morphism_equality("K.1", compose_chain([K, ctx.lam]), identity_morphism(ctx.S))
+    report.add_morphism_equality("K.2", compose_chain([ctx.q, K]), compose_chain([ctx.q, ctx.p_S]))
+    lhs34 = compose_chain([ctx.lam, K])
+    report.add_morphism_equality("K.3", lhs34, compose_chain([TK, ctx.lift_S]))
+    report.add_morphism_equality("K.4", lhs34, compose_chain([TK, ctx.flip_S, ctx.T_lam]))
     return report
 
 
@@ -282,19 +239,18 @@ def verify_connection_axioms(
 ) -> AxiomReport:
     """Full suite: H.1-H.4, K.1-K.4 and the two compatibility equations."""
     ctx = bundle_context(M)
-    maps = _ctx_maps(ctx)
     report = AxiomReport()
     report.entries.extend(verify_horizontal_axioms(H, M).entries)
     report.entries.extend(verify_vertical_axioms(K, M).entries)
     # C.1: following K then H is the zero section over the bundle projection.
-    rhs = compose_chain([ctx.bundle.z, ctx.bundle.q, ctx.TAS.i1])
+    rhs = compose_chain([ctx.z, ctx.q, ctx.TAS.i1])
     report.add_morphism_equality("C.1", compose_chain([K, H]), rhs)
     # C.2: vertical part plus horizontal part reassemble the identity of T(S).
     module_fibre = set(M.gens) | {ctx.TS.dmap[m] for m in M.gens}
     d_fibre = {ctx.TS.dmap[g] for g in ctx.S.gens}
     vertical = bundle_combine(
-        compose_chain([ctx.bundle.lam, K]),
-        compose_chain([maps["zero_S"], maps["p_S"]]),
+        compose_chain([ctx.lam, K]),
+        compose_chain([ctx.zero_S, ctx.p_S]),
         "plus",
         module_fibre,
     )

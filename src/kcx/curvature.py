@@ -281,7 +281,7 @@ def tangent_torsion(nabla: Connection) -> AlgebraMorphism:
     v_flat = bundle_combine(
         compose_chain([UH, c]), compose_chain([c, UH]), "minus", d_fibre
     )
-    v_h = bracketing(ctx.bundle, v_flat)
+    v_h = bracketing(ctx, v_flat)
     if v_k != v_h:
         raise KcxError("torsion routes disagree (internal consistency failure)")
     return v_k

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .algebra import AlgebraMorphism, GenRole, PresentedAlgebra, fresh_name, make_morphism, relabel
+from .algebra import AlgebraMorphism, GenRole, PresentedAlgebra, fresh_name, make_morphism, memoized, relabel
 from .linsolve import AffineSolutionSpace, affine_linear_solve
 from .modules import PresentedModule, linear_form
 from .poly import Polynomial
@@ -57,9 +57,8 @@ class DualNumbers:
     flip: AlgebraMorphism  # TTA -> TTA
 
 
+@memoized
 def dual_numbers_structure(A: PresentedAlgebra) -> DualNumbers:
-    if "dual_numbers" in A._memo:
-        return A._memo["dual_numbers"]
     eps = fresh_name(A.gens, "eps")
     TA = _square_zero_extension(A, (eps,), "dualnum")
     epsp = fresh_name(TA.gens, "epsp")
@@ -75,9 +74,7 @@ def dual_numbers_structure(A: PresentedAlgebra) -> DualNumbers:
     minus = relabel(TA, TA, {eps: f"-{eps}"}, "-")
     lift = _lift(TA, TTA, (eps,), epsp, "l")
     flip = relabel(TTA, TTA, {eps: epsp, epsp: eps}, "c")
-    out = DualNumbers(A, TA, TTA, T2, eps, epsp, p, zero, plus, minus, lift, flip)
-    A._memo["dual_numbers"] = out
-    return out
+    return DualNumbers(A, TA, TTA, T2, eps, epsp, p, zero, plus, minus, lift, flip)
 
 
 @dataclass
@@ -96,11 +93,10 @@ class DualBundle:
     lam: AlgebraMorphism  # E -> TE
 
 
+@memoized
 def dual_bundle(A: PresentedAlgebra, M: PresentedModule) -> DualBundle:
     if M.base is not A:
         raise ValueError("module is not over the given algebra")
-    if "dual_bundle" in M._memo:
-        return M._memo["dual_bundle"]
     eps_gens = tuple(fresh_name(A.gens, f"{m}_eps") for m in M.gens)
     E = _square_zero_extension(A, eps_gens, "dual-bundle")
     # module relation rows hold on the epsilon part
@@ -112,9 +108,7 @@ def dual_bundle(A: PresentedAlgebra, M: PresentedModule) -> DualBundle:
     z = relabel(A, E, {}, "z")
     iota = relabel(E, E, {m: f"-{m}" for m in eps_gens}, "iota")
     lam = _lift(E, TE, eps_gens, epsp, "lambda")
-    out = DualBundle(A, M, E, TE, eps_gens, epsp, q, z, iota, lam)
-    M._memo["dual_bundle"] = out
-    return out
+    return DualBundle(A, M, E, TE, eps_gens, epsp, q, z, iota, lam)
 
 
 def dual_connection_solve(

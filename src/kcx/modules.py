@@ -13,9 +13,10 @@ module morphisms (used for section/retraction data).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .algebra import AlgebraElement, ElementLike, PresentedAlgebra
+from .algebra import AlgebraElement, ElementLike, PresentedAlgebra, memoized
 from .errors import OwnerMismatch, WellDefinednessFailure
 from .groebner import ModuleBasis, Vector, vector_leading
 from .poly import Polynomial
@@ -42,26 +43,22 @@ class PresentedModule:
             rels.append(tuple(base.element(c).poly for c in rel))
         self.relations: tuple[Vector, ...] = tuple(rels)
         self.provenance = provenance
-        self._lifted: ModuleBasis | None = None
-        self._memo: dict = {}
+        self._memo: dict = {}  # derived structures, filled by `memoized`
 
     @property
     def rank(self) -> int:
         return len(self.gens)
 
-    # Lifted submodule N + I*e_1 + ... + I*e_m of the free polynomial module;
-    # published once, idempotent to recompute.
-    @property
+    @cached_property
     def lifted(self) -> ModuleBasis:
-        if self._lifted is None:
-            A = self.base
-            gens: list[Vector] = [tuple(rel) for rel in self.relations]
-            zero = Polynomial.zero(A.field, A.gens)
-            for b in A.basis.basis:
-                for k in range(self.rank):
-                    gens.append(tuple(b if i == k else zero for i in range(self.rank)))
-            self._lifted = ModuleBasis(A.field, A.gens, self.rank, gens)
-        return self._lifted
+        """Basis of N + I*e_1 + ... + I*e_m in the free polynomial module."""
+        A = self.base
+        gens: list[Vector] = [tuple(rel) for rel in self.relations]
+        zero = Polynomial.zero(A.field, A.gens)
+        for b in A.basis.basis:
+            for k in range(self.rank):
+                gens.append(tuple(b if i == k else zero for i in range(self.rank)))
+        return ModuleBasis(A.field, A.gens, self.rank, gens)
 
     def __repr__(self) -> str:
         return f"<module rank {self.rank} over {self.base!r} ({self.provenance})>"
@@ -193,18 +190,13 @@ def make_module(
     return PresentedModule(A, tuple(gens), relations, provenance="presented")
 
 
+@memoized
 def kahler_module(A: PresentedAlgebra) -> PresentedModule:
     """Module of Kahler-style differentials: one d(x) per generator, one
-    Jacobian row per relation.  Cached on the algebra."""
-    if "kahler" not in A._memo:
-        gens = tuple(f"d({x})" for x in A.gens)
-        rows = []
-        for rel in A.relations:
-            rows.append(tuple(rel.partial(x) for x in A.gens))
-        M = PresentedModule(A, gens, rows, provenance="kahler")
-        M._memo["kahler_of"] = A
-        A._memo["kahler"] = M
-    return A._memo["kahler"]
+    Jacobian row per relation."""
+    gens = tuple(f"d({x})" for x in A.gens)
+    rows = [tuple(rel.partial(x) for x in A.gens) for rel in A.relations]
+    return PresentedModule(A, gens, rows, provenance="kahler")
 
 
 def universal_derivation(A: PresentedAlgebra, a: ElementLike) -> ModuleElement:
@@ -267,11 +259,9 @@ class TensorModule(PresentedModule):
         return ModuleElement(self, tuple(comps))
 
 
+@memoized
 def tensor_modules(M: PresentedModule, N: PresentedModule) -> TensorModule:
-    key = ("tensor", id(N))
-    if key not in M._memo:
-        M._memo[key] = TensorModule(M, N)
-    return M._memo[key]
+    return TensorModule(M, N)
 
 
 def christoffel_target(M: PresentedModule) -> TensorModule:
@@ -317,10 +307,9 @@ class WedgeSquare(PresentedModule):
         return ModuleElement(self, self.collect(T.entries(e)))
 
 
+@memoized
 def wedge_square(M: PresentedModule) -> WedgeSquare:
-    if "wedge2" not in M._memo:
-        M._memo["wedge2"] = WedgeSquare(M)
-    return M._memo["wedge2"]
+    return WedgeSquare(M)
 
 
 def _shifted(exp: tuple, step: int) -> Iterator[tuple]:

@@ -191,7 +191,7 @@ def localized_gamma(
     """
     src = kahler_module(A)
     t_src = christoffel_target(src)
-    _, u, inv = L._memo["localization_of"]
+    _, u, inv = L.localization_of
     omega_L = kahler_module(L)
     t_L = christoffel_target(omega_L)
     out: dict[str, ModuleElement] = {}
@@ -261,7 +261,9 @@ def glued_connection_check(
     With concrete connections the two composites are compared per generator;
     with no connections given, Christoffel coefficients on both charts (of
     degree at most `degree`) become unknowns and the combined system of chart
-    well-definedness and gluing constraints is solved exactly.
+    well-definedness and gluing constraints is solved exactly.  The images
+    of the transition and its inverse are expressions, elements or
+    polynomials over the localized charts' generators (`make_morphism`).
     """
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")

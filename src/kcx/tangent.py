@@ -22,6 +22,7 @@ lifts, lambda and U are `algebra.relabel` tables of signed generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     AlgebraMorphism,
@@ -30,6 +31,7 @@ from .algebra import (
     PresentedAlgebra,
     TensorAlgebra,
     _ROLE_RANK,
+    memoized,
     relabel,
     tensor_over_base,
 )
@@ -100,10 +102,9 @@ class TangentPresentation(PresentedAlgebra):
         return self.element(self.differential(self.source.element(e).poly))
 
 
+@memoized
 def tangent_algebra(B: PresentedAlgebra) -> TangentPresentation:
-    if "tangent" not in B._memo:
-        B._memo["tangent"] = TangentPresentation(B)
-    return B._memo["tangent"]
+    return TangentPresentation(B)
 
 
 @dataclass
@@ -169,17 +170,14 @@ def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, fibre, names: tup
     )
 
 
+@memoized
 def tangent_structure_maps(A: PresentedAlgebra) -> TangentMaps:
-    if "tangent_maps" in A._memo:
-        return A._memo["tangent_maps"]
     TA = tangent_algebra(A)
     TTA = tangent_algebra(TA)
     T2, p, zero, minus, plus = _additive_bundle(A, TA, TA.dmap.values(), ("p", "0", "-", "+"))
     swap = {f"{g}#{i}": f"{g}#{1 - i}" for g in TA.gens for i in (0, 1)}
     tau = relabel(T2, T2, swap, "tau")
-    maps = TangentMaps(TA, TTA, T2, p, zero, plus, minus, vertical_lift(TTA), generic_flip(TTA), tau)
-    A._memo["tangent_maps"] = maps
-    return maps
+    return TangentMaps(TA, TTA, T2, p, zero, plus, minus, vertical_lift(TTA), generic_flip(TTA), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -209,38 +207,6 @@ class SymBundle(PresentedAlgebra):
         if e.module is not self.M:
             raise ValueError("element of a different module")
         return self.element(linear_form(self.field, self.gens, e.comps, self.M.gens))
-
-
-@dataclass
-class BundleMaps:
-    S: SymBundle
-    TS: TangentPresentation
-    q: AlgebraMorphism  # A -> S
-    z: AlgebraMorphism  # S -> A
-    iota: AlgebraMorphism  # S -> S
-    sigma: AlgebraMorphism  # S -> S (x)_A S
-    sigma_codomain: TensorAlgebra
-    lam: AlgebraMorphism  # T(S) -> S
-
-
-def sym_algebra_bundle(A: PresentedAlgebra, M: PresentedModule) -> BundleMaps:
-    if M.base is not A:
-        raise ValueError("module is not over the given algebra")
-    if "sym_bundle" in M._memo:
-        return M._memo["sym_bundle"]
-    S = SymBundle(M)
-    TS = tangent_algebra(S)
-    S2, q, z, iota, sigma = _additive_bundle(A, S, M.gens, ("q", "z", "iota", "sigma"))
-    # module generators and d-of-base die under the bundle lift
-    lam_table = {
-        g: role.origin if role.kind == "dm" else None
-        for g, role in TS.roles.items()
-        if role.kind != "base"
-    }
-    lam = relabel(TS, S, lam_table, "lambda")
-    maps = BundleMaps(S, TS, q, z, iota, sigma, S2, lam)
-    M._memo["sym_bundle"] = maps
-    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +260,9 @@ def bundle_combine(
     return out
 
 
-def bracketing(bundle: BundleMaps, h: AlgebraMorphism) -> AlgebraMorphism:
+def bracketing(ctx: BundleContext, h: AlgebraMorphism) -> AlgebraMorphism:
     """Extract S_A(M) -> B from h: T(S_A(M)) -> B killing base differentials."""
-    TS, S = bundle.TS, bundle.S
+    TS, S = ctx.TS, ctx.S
     if h.dom is not TS:
         raise ValueError("bracketing expects a map out of the tangent of the bundle")
     for x in S.A.gens:
@@ -316,79 +282,76 @@ def bracketing(bundle: BundleMaps, h: AlgebraMorphism) -> AlgebraMorphism:
 
 
 class BundleContext:
-    """Everything the connection machinery needs for one module M over A.
+    """The bundle S_A(M) of one module M over A, with everything the
+    connection machinery needs: its tangent, q/z/iota/sigma and lambda, the
+    tensor T(A) (x)_A S_A(M) with U, the double-tangent data and the maps the
+    axiom checks share.
 
-    Built lazily and memoized on the module; all presentations and maps are
-    shared by every connection on M.
+    One per module (`bundle_context`), shared by every connection on M.  The
+    double-tangent data and the axiom maps are built on first use.
     """
 
     def __init__(self, M: PresentedModule):
+        A = self.A = M.base
         self.M = M
-        self.A = M.base
-        self.bundle = sym_algebra_bundle(self.A, M)
-        self.S = self.bundle.S
-        self.TS = self.bundle.TS
-        self.TA = tangent_algebra(self.A)
-        self.p_A = relabel(self.A, self.TA, {}, "p")
-        # T(A) (x)_A S_A(M), with its two injections
-        self.TAS = tensor_over_base(
-            self.A, self.TA, self.S, self.p_A, self.bundle.q, concat_grading=True
+        self.S = SymBundle(M)
+        self.TS = tangent_algebra(self.S)
+        self.sigma_codomain, self.q, self.z, self.iota, self.sigma = _additive_bundle(
+            A, self.S, M.gens, ("q", "z", "iota", "sigma")
         )
+        # module generators and d-of-base die under the bundle lift
+        lam_table = {
+            g: role.origin if role.kind == "dm" else None
+            for g, role in self.TS.roles.items()
+            if role.kind != "base"
+        }
+        self.lam = relabel(self.TS, self.S, lam_table, "lambda")
+        self.TA = tangent_algebra(A)
+        self.p_A = relabel(A, self.TA, {}, "p")
+        # T(A) (x)_A S_A(M), with its two injections
+        self.TAS = tensor_over_base(A, self.TA, self.S, self.p_A, self.q, concat_grading=True)
         self.omega_tensor_M = christoffel_target(M)
         u_table = {f"{g}#1": g for g in self.S.gens}
-        for g in self.A.gens:
+        for g in A.gens:
             u_table.update({f"{g}#0": g, f"{self.TA.dmap[g]}#0": self.TS.dmap[g]})
         self.U = relabel(self.TAS, self.TS, u_table, "U")
-        self._lazy: dict = {}
 
-    # -- lazy double-tangent data ------------------------------------------
+    # -- double-tangent data -------------------------------------------------
 
-    @property
+    @cached_property
     def T2S(self) -> TangentPresentation:
-        if "T2S" not in self._lazy:
-            self._lazy["T2S"] = tangent_algebra(self.TS)
-        return self._lazy["T2S"]
+        return tangent_algebra(self.TS)
 
-    @property
+    @cached_property
     def flip_S(self) -> AlgebraMorphism:
-        if "flip_S" not in self._lazy:
-            self._lazy["flip_S"] = generic_flip(self.T2S)
-        return self._lazy["flip_S"]
+        return generic_flip(self.T2S)
 
-    @property
+    @cached_property
     def T2A(self) -> TangentPresentation:
-        if "T2A" not in self._lazy:
-            self._lazy["T2A"] = tangent_algebra(self.TA)
-        return self._lazy["T2A"]
+        return tangent_algebra(self.TA)
 
-    @property
+    @cached_property
     def T_TAS(self) -> TangentPresentation:
-        if "T_TAS" not in self._lazy:
-            self._lazy["T_TAS"] = tangent_algebra(self.TAS)
-        return self._lazy["T_TAS"]
+        return tangent_algebra(self.TAS)
 
-    @property
+    @cached_property
     def T2A_tensor_TS(self) -> TensorAlgebra:
         """T^2(A) (x)_{T(A)} T(S_A(M)) along T(p_A) and T(q_M)."""
-        if "T2A_TS" not in self._lazy:
-            Tp = tangent_apply_functor(self.p_A)
-            Tq = tangent_apply_functor(self.bundle.q)
-            # sort grading (module, inner tangent, shared outer tangent); the
-            # structural maps send T(A)'s differential to the outer level on
-            # both sides, so concatenation would not be homogeneous here.
-            grading = {}
-            for g in self.T2A.gens:
-                m_in, m_out = self.T2A.grading[g]
-                grading[f"{g}#0"] = (0, m_in, m_out)
-            for g in self.TS.gens:
-                mod, tan = self.TS.grading[g]
-                grading[f"{g}#1"] = (mod, 0, tan)
-            self._lazy["T2A_TS"] = tensor_over_base(
-                self.TA, self.T2A, self.TS, Tp, Tq, grading=grading, cap=(1, 1, 1)
-            )
-        return self._lazy["T2A_TS"]
+        Tp = tangent_apply_functor(self.p_A)
+        Tq = tangent_apply_functor(self.q)
+        # sort grading (module, inner tangent, shared outer tangent); the
+        # structural maps send T(A)'s differential to the outer level on
+        # both sides, so concatenation would not be homogeneous here.
+        grading = {}
+        for g in self.T2A.gens:
+            m_in, m_out = self.T2A.grading[g]
+            grading[f"{g}#0"] = (0, m_in, m_out)
+        for g in self.TS.gens:
+            mod, tan = self.TS.grading[g]
+            grading[f"{g}#1"] = (mod, 0, tan)
+        return tensor_over_base(self.TA, self.T2A, self.TS, Tp, Tq, grading=grading, cap=(1, 1, 1))
 
-    @property
+    @cached_property
     def leibniz_iso(self) -> AlgebraMorphism:
         """T(T(A) (x)_A S) -> T^2(A) (x)_{T(A)} T(S): identity on generator names.
 
@@ -396,9 +359,45 @@ class BundleContext:
         same generator name set; the map w(x)v -> w(x)v, d(w(x)v) ->
         d'(w)(x)v + w(x)d(v) is then literally a relabeling.
         """
-        if "iso" not in self._lazy:
-            self._lazy["iso"] = relabel(self.T_TAS, self.T2A_tensor_TS, {}, "iso", certify=False)
-        return self._lazy["iso"]
+        return relabel(self.T_TAS, self.T2A_tensor_TS, {}, "iso", certify=False)
+
+    # -- maps shared by the axiom checks -----------------------------------
+
+    @cached_property
+    def p_S(self) -> AlgebraMorphism:
+        return relabel(self.S, self.TS, {}, "p")
+
+    @cached_property
+    def zero_S(self) -> AlgebraMorphism:
+        return zero_map(self.TS)
+
+    @cached_property
+    def Tq(self) -> AlgebraMorphism:
+        return tangent_apply_functor(self.q, certify=True)
+
+    @cached_property
+    def lift_S(self) -> AlgebraMorphism:
+        return vertical_lift(self.T2S)
+
+    @cached_property
+    def T_lam(self) -> AlgebraMorphism:
+        return tangent_apply_functor(self.lam, certify=True)
+
+    def _down(self, f0: AlgebraMorphism, f1: AlgebraMorphism, name: str) -> AlgebraMorphism:
+        """f0 (x) f1: T^2(A) (x)_{T(A)} T(S) -> T(A) (x)_A S, factor by factor."""
+        images = {f"{g}#0": self.TAS.i0.apply_raw(p) for g, p in f0.images.items()}
+        images.update({f"{g}#1": self.TAS.i1.apply_raw(p) for g, p in f1.images.items()})
+        return AlgebraMorphism(self.T2A_tensor_TS, self.TAS, images, certify=True, name=name)
+
+    @cached_property
+    def h3_down(self) -> AlgebraMorphism:
+        """H.3: the vertical lift on T^2(A), zero on T(S)."""
+        return self._down(vertical_lift(self.T2A), self.zero_S, "l(x)0")
+
+    @cached_property
+    def h4_down(self) -> AlgebraMorphism:
+        """H.4: zero on T^2(A), which kills the outer level, and lambda on T(S)."""
+        return self._down(zero_map(self.T2A), self.lam, "0(x)lam")
 
     # -- embeddings between module world and algebra world ------------------
 
@@ -450,18 +449,39 @@ class BundleContext:
                 stray = stray + Polynomial(T.field, T.gens, {exp: coef})
         return self.omega_tensor_M.element(tuple(comps)), stray
 
+    # -- affine identifications (Kahler modules only; see affine_flip) -----
 
+    @cached_property
+    def _affine_flip(self) -> AlgebraMorphism:
+        table = {}
+        for x, m in zip(self.A.gens, self.M.gens):
+            table.update({m: self.TS.dmap[x], self.TS.dmap[x]: m})
+        return relabel(self.TS, self.TS, table, "c")
+
+    @cached_property
+    def _affine_swap(self) -> AlgebraMorphism:
+        table = {}
+        for x, m in zip(self.A.gens, self.M.gens):
+            dx = f"{self.TA.dmap[x]}#0"
+            table.update({f"{x}#0": f"{x}#1", f"{x}#1": f"{x}#0", dx: f"{m}#1", f"{m}#1": dx})
+        return relabel(self.TAS, self.TAS, table, "tau")
+
+
+@memoized
 def bundle_context(M: PresentedModule) -> BundleContext:
-    if "bundle_ctx" not in M._memo:
-        M._memo["bundle_ctx"] = BundleContext(M)
-    return M._memo["bundle_ctx"]
+    return BundleContext(M)
+
+
+def sym_algebra_bundle(A: PresentedAlgebra, M: PresentedModule) -> BundleContext:
+    """S_A(M) with its tangent and structure maps: M's bundle context."""
+    if M.base is not A:
+        raise ValueError("module is not over the given algebra")
+    return bundle_context(M)
 
 
 def u_map(A: PresentedAlgebra, M: PresentedModule) -> AlgebraMorphism:
     """U: T(A) (x)_A S_A(M) -> T(S_A(M)), given by multiplication."""
-    if M.base is not A:
-        raise ValueError("module is not over the given algebra")
-    return bundle_context(M).U
+    return sym_algebra_bundle(A, M).U
 
 
 # ---------------------------------------------------------------------------
@@ -477,23 +497,11 @@ def affine_flip(ctx: BundleContext) -> AlgebraMorphism:
     """
     if ctx.M.provenance != "kahler":
         raise ValueError("affine flip needs the Kahler module as the bundle")
-    if "affine_flip" not in ctx._lazy:
-        TS = ctx.TS
-        table = {}
-        for x, m in zip(ctx.A.gens, ctx.M.gens):
-            table.update({m: TS.dmap[x], TS.dmap[x]: m})
-        ctx._lazy["affine_flip"] = relabel(TS, TS, table, "c")
-    return ctx._lazy["affine_flip"]
+    return ctx._affine_flip
 
 
 def affine_swap(ctx: BundleContext) -> AlgebraMorphism:
     """The factor swap of T(A) (x)_A T(A) transported to T(A) (x)_A S_A(Omega)."""
     if ctx.M.provenance != "kahler":
         raise ValueError("affine swap needs the Kahler module as the bundle")
-    if "affine_swap" not in ctx._lazy:
-        table = {}
-        for x, m in zip(ctx.A.gens, ctx.M.gens):
-            dx = f"{ctx.TA.dmap[x]}#0"
-            table.update({f"{x}#0": f"{x}#1", f"{x}#1": f"{x}#0", dx: f"{m}#1", f"{m}#1": dx})
-        ctx._lazy["affine_swap"] = relabel(ctx.TAS, ctx.TAS, table, "tau")
-    return ctx._lazy["affine_swap"]
+    return ctx._affine_swap

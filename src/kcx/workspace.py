@@ -83,6 +83,9 @@ _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 # or less.
 MAX_FREE_RANK = 64
 _GEN = rf"(?:{_NAME}|d\(\s*{_NAME}\s*\))"
+# The tangent construction names the differentials of a generator x d_x, dp_x
+# and dpd_x, so no variable or module generator may start with these prefixes.
+RESERVED_PREFIXES = ("d_", "dp_", "dpd_")
 
 
 def _strip_comments(text: str) -> str:
@@ -280,9 +283,10 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                     free_rank = _int_entry(cur, key, val, pos)
                     if not 0 <= free_rank <= MAX_FREE_RANK:
                         raise cur.error(f"free rank must be between 0 and {MAX_FREE_RANK}", pos)
+                    _refuse_variables(cur, free_module(A, free_rank).gens, A, alg_name, pos)
                 elif key == "gens":
                     kind = kind or "presented"
-                    gens = _names_entry(cur, key, val, pos)
+                    gens = _refuse_variables(cur, _names_entry(cur, key, val, pos), A, alg_name, pos)
                 elif key == "rel":
                     rels.append((val, pos))
                 else:
@@ -419,9 +423,19 @@ def _names_entry(cur: _Cursor, key: str, val: str, pos: int) -> tuple[str, ...]:
     for n in names:
         if not re.fullmatch(_NAME, n):
             raise cur.error(f"{key} must be comma-separated names, got {n!r}", pos)
+        if n.startswith(RESERVED_PREFIXES):
+            raise cur.error(f"{key} name {n!r} starts with a prefix reserved for differentials", pos)
     if len(set(names)) != len(names):
         raise cur.error(f"{key} repeats a name", pos)
     return names
+
+
+def _refuse_variables(cur: _Cursor, gens, A, alg_name: str, pos: int) -> tuple[str, ...]:
+    """Module generator names, refused when one is a variable of the algebra."""
+    for g in gens:
+        if g in A.gens:
+            raise cur.error(f"module generator {g!r} is a variable of {alg_name!r}", pos)
+    return gens
 
 
 def _relation_entry(cur: _Cursor, text: str, field: Field, variables, pos: int) -> Polynomial:

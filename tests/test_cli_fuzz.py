@@ -12,6 +12,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcx.cli import run
 from kcx.errors import KcxError
@@ -68,3 +70,78 @@ def test_mutated_examples_keep_the_cli_contract(tmp_path):
             except KcxError:
                 continue
             assert render_workspace(parse_workspace(rendered)) == rendered, text
+
+
+# ---------------------------------------------------------------------------
+# generated files
+# ---------------------------------------------------------------------------
+
+# Names include ones the engine makes itself: d_x and dp_y are reserved for
+# differentials, e1 is the first generator of a free module, and a module
+# generator may repeat a variable of its algebra.  Plain names are listed
+# twice, so most files get past the parser.
+VARIABLE_POOL = ["x", "y", "x", "y", "t", "d_x", "dp_y", "e1"]
+GENERATOR_POOL = ["u", "v", "u", "v", "x", "d_u", "e1"]
+GENERATED_COMMANDS = [["check"], ["curvature"], ["torsion"], ["convert"], ["solve", "--module", "M", "--degree", "1"]]
+
+
+@st.composite
+def polynomials(draw, names: list[str], max_terms: int = 3) -> str:
+    """Up to `max_terms` terms with small coefficients and exponents at most 2."""
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        powers = [f"{n}^{e}" for n in names if (e := draw(st.integers(0, 2)))]
+        terms.append("*".join([f"({draw(st.integers(-2, 2))})", *powers]))
+    return " + ".join(terms) or "0"
+
+
+@st.composite
+def definition_files(draw) -> str:
+    """One algebra in at most 2 variables, one Kahler, free or presented module
+    over it, and maybe a connection on the module."""
+    variables = draw(st.lists(st.sampled_from(VARIABLE_POOL), min_size=1, max_size=2, unique=True))
+    relations = "".join(f" rel: {r};" for r in draw(st.lists(polynomials(variables), max_size=1)))
+    kind = draw(st.sampled_from(["kahler", "free", "presented"]))
+    if kind == "kahler":
+        body, gens = "kahler;", [f"d({v})" for v in variables]
+    elif kind == "free":
+        rank = draw(st.integers(0, 2))
+        body, gens = f"free: {rank};", [f"e{i + 1}" for i in range(rank)]
+    else:
+        gens = draw(st.lists(st.sampled_from(GENERATOR_POOL), min_size=1, max_size=2, unique=True))
+        rows = [
+            " + ".join(f"({draw(polynomials(variables, 2))})*{g}" for g in gens)
+            for _ in range(draw(st.integers(0, 1)))
+        ]
+        body = f"gens: {', '.join(gens)};" + "".join(f" rel: {r};" for r in rows)
+    lines = [
+        f"algebra A {{ char: {draw(st.sampled_from([0, 2, 3]))}; vars: {', '.join(variables)};{relations} }}",
+        f"module M over A {{ {body} }}",
+    ]
+    if gens and draw(st.booleans()):
+        images = []
+        for g in gens:
+            term = st.tuples(polynomials(variables, 1), st.sampled_from(variables), st.sampled_from(gens))
+            parts = [f"({c}) * d({v}) @ {h}" for c, v, h in draw(st.lists(term, max_size=2))]
+            images.append(f"{g} -> {' + '.join(parts) or '0'};")
+        lines.append(f"connection c on M {{ {' '.join(images)} }}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(text=definition_files())
+def test_generated_files_keep_the_cli_contract(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("generated") / "file.kcx"
+    path.write_text(text)
+    for command in GENERATED_COMMANDS:
+        try:
+            code, out = run([command[0], str(path), *command[1:]])
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure
+            pytest.fail(f"{command[0]} raised {exc!r} on:\n{text}")
+        assert code in (0, 1, 2), (command, text)
+        assert code != 2 or out.startswith("error: "), (command, out, text)
+    try:
+        rendered = render_workspace(parse_workspace(text))
+    except KcxError:
+        return
+    assert render_workspace(parse_workspace(rendered)) == rendered, text

@@ -1,5 +1,5 @@
-"""No module of the engine imports a name it never uses, or imports inside a
-function without a reason.
+"""No module of the engine imports a name it never uses, imports inside a
+function without a reason, or caches outside the one cache idiom.
 
 No linter ships with the project, so this walks each module's syntax tree with
 the standard library.  `__init__.py` is skipped: its imports are re-exports.
@@ -69,3 +69,45 @@ def test_detector_flags_a_local_import():
 def test_no_unexplained_function_local_imports(path):
     found = local_imports(path.read_text())
     assert [(m, line) for m, line in found if (path.name, m) not in LOCAL_IMPORTS] == []
+
+
+def cache_violations(source: str) -> list[str]:
+    """Reads of `._memo` outside `memoized`, and any `_lazy` attribute.
+
+    Derived structures are cached by `algebra.memoized`, which alone reads an
+    owner's `_memo`, or by `functools.cached_property`; assigning the empty
+    `_memo` in a constructor is the only other use.
+    """
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and func.name == "memoized"
+        for node in ast.walk(func)
+    }
+    found = sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and id(node) not in allowed
+        if node.attr == "_lazy" or (node.attr == "_memo" and isinstance(node.ctx, ast.Load))
+    )
+    return [f"{attr} (line {line})" for line, attr in found]
+
+
+def test_detector_flags_a_second_cache_idiom():
+    source = (
+        "def memoized(build):\n    def cached(owner):\n        return owner._memo[build]\n\n"
+        "class C:\n    def __init__(self):\n        self._memo = {}\n        self._lazy = {}\n\n"
+        "def kahler(A):\n    if 'k' not in A._memo:\n        A._memo['k'] = 1\n    return A._memo['k']\n"
+    )
+    assert cache_violations(source) == [
+        "_lazy (line 8)",
+        "_memo (line 11)",
+        "_memo (line 12)",
+        "_memo (line 13)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_cache_idiom(path):
+    assert cache_violations(path.read_text()) == []

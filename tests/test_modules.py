@@ -199,3 +199,11 @@ def test_standard_monomial_walk_matches_brute_force():
                 for degree in range(5):
                     walk = list(module_standard_monomials(M, degree))
                     assert walk == brute_standard_monomials(M, degree), (A, M, degree)
+
+
+def test_tensor_modules_memoized_per_pair(circle):
+    omega, free2 = kahler_module(circle), free_module(circle, 2)
+    t = tensor_modules(omega, omega)
+    assert tensor_modules(omega, omega) is t
+    assert tensor_modules(omega, free2) is not t
+    assert tensor_modules(omega, free2).factors == (omega, free2)

@@ -7,7 +7,7 @@ import kcx.dualnum
 import kcx.solve
 from kcx.algebra import make_algebra
 from kcx.connections import make_connection
-from kcx.dualnum import dual_bundle, dual_connection_solve, dual_numbers_structure
+from kcx.dualnum import DualBundle, dual_bundle, dual_connection_solve, dual_numbers_structure
 from kcx.errors import KcxError, SolverTooLarge, WellDefinednessFailure
 from kcx.fields import GF, QQ
 from kcx.modules import (
@@ -19,6 +19,7 @@ from kcx.modules import (
 )
 from kcx.poly import Polynomial
 from kcx.solve import glued_connection_check, solve_connection_space
+from kcx.tangent import BundleContext
 
 import helpers
 
@@ -151,9 +152,9 @@ def test_solve_and_make_connection_build_no_bundle():
     omega = kahler_module(sphere)
     result = solve_connection_space(omega, 1)
     nabla = _connection_at(result, result.space.particular)
-    assert "bundle_ctx" not in omega._memo
+    assert not any(isinstance(v, BundleContext) for v in omega._memo.values())
     assert nabla.ctx is nabla.ctx  # built on first use, then kept
-    assert "bundle_ctx" in omega._memo
+    assert nabla.ctx in omega._memo.values()
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +193,8 @@ def test_dual_solver_no_go():
     line = make_algebra(QQ, ("x",))
     free1 = free_module(line, 1)
     assert dual_connection_solve(line, free1, 2).is_empty
-    assert "dual_bundle" not in free1._memo  # the solve needs no bundle presentation
+    # the solve needs no bundle presentation
+    assert not any(isinstance(v, DualBundle) for o in (line, free1) for v in o._memo.values())
 
     point = make_algebra(QQ, ())
     qq_rank1 = free_module(point, 1)

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import pytest
 
 from kcx.algebra import compose_morphisms, identity_morphism, localize, make_algebra, make_morphism
-from kcx.connections import _ctx_maps
+from kcx.connections import free_canonical_connection, to_horizontal, to_vertical
+from kcx.connections import verify_horizontal_axioms, verify_vertical_axioms
 from kcx.dualnum import dual_numbers_structure
 from kcx.errors import BaseMismatch, BracketingConditionFailure
 from kcx.fields import QQ
@@ -20,6 +24,10 @@ from kcx.tangent import (
     vertical_lift,
     zero_map,
 )
+
+
+# the maps the axiom checks share, built once per module on its bundle context
+AXIOM_MAPS = ("p_S", "zero_S", "Tq", "lift_S", "T_lam", "h3_down", "h4_down")
 
 
 def test_tangent_plane_free(plane):
@@ -88,7 +96,7 @@ def test_shared_structure_map_builders(plane, circle, fat_point, sphere2):
         assert ctx.p_A == maps.p
         b = sym_algebra_bundle(A, M)
         assert {g for g in b.S.gens if b.z.image_of(g).is_zero()} == set(M.gens)
-        assert all(m.certified for m in _ctx_maps(ctx).values())
+        assert all(getattr(ctx, name).certified for name in AXIOM_MAPS)
         dn = dual_numbers_structure(A)
         assert all(m.certified for m in (dn.p, dn.zero, dn.plus, dn.minus, dn.lift, dn.flip))
 
@@ -122,6 +130,36 @@ def test_lambda_values_and_lift_embedding(circle):
     # The composite m -> lam(d(m)) is the identity embedding of the module.
     for m in omega.gens:
         assert b.lam(TS.d(b.S.gen(m))) == b.S.gen(m)
+
+
+def test_sym_algebra_bundle_is_the_bundle_context(circle, plane):
+    omega = kahler_module(circle)
+    assert sym_algebra_bundle(circle, omega) is bundle_context(omega)
+    with pytest.raises(ValueError):
+        sym_algebra_bundle(plane, omega)
+
+
+def test_derived_structures_die_with_their_algebra():
+    A = make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"])
+    ctx = bundle_context(kahler_module(A))
+    assert ctx.T2S is tangent_algebra(ctx.TS)
+    tangent_structure_maps(A)
+    dead = weakref.ref(A)
+    del A, ctx
+    gc.collect()
+    assert dead() is None  # no cache outside the algebra holds it
+
+
+def test_each_axiom_suite_builds_only_the_maps_it_uses():
+    A = make_algebra(QQ, ("x1", "x2"))
+    nabla = free_canonical_connection(A, 1)
+    ctx = nabla.ctx
+    assert verify_vertical_axioms(to_vertical(nabla), nabla.module).all_pass
+    assert {"lift_S", "T_lam", "p_S"} <= set(vars(ctx))
+    assert not {"T2A", "T2A_tensor_TS", "h3_down", "h4_down"} & set(vars(ctx))
+    assert not ctx.TA._memo  # T(T(A)) was never built
+    assert verify_horizontal_axioms(to_horizontal(nabla), nabla.module).all_pass
+    assert {"T2A_tensor_TS", "h3_down", "h4_down"} <= set(vars(ctx))
 
 
 def test_u_map_values(circle):

@@ -220,6 +220,14 @@ def test_cli_exit_codes(tmp_path):
         (one_var + "module M over A {\n  gens: u,;\n}\n", "(line 3, column 3)"),
         (read("p1.kcx").replace("A1 at x", "A1 at z"), "(line 18, column 3)"),
         (read("p1.kcx").replace("A2 at y", "A2 at x"), "(line 19, column 3)"),
+        # names the engine makes itself: S_A(M) joins the variables and the
+        # module generators, and T(B) names differentials d_x, dp_x and dpd_x
+        (one_var + "module M over A {\n  gens: x;\n}\nconnection c on M { x -> 0; }\n", "(line 3, column 3)"),
+        ("algebra A {\n  char: 0;\n  vars: x, d_x;\n}\nmodule M over A { kahler; }\n"
+         "connection c on M { d(x) -> 0; d(d_x) -> 0; }\n", "(line 3, column 3)"),
+        (one_var + "module M over A {\n  gens: d_x;\n}\nconnection c on M { d_x -> 0; }\n", "(line 3, column 3)"),
+        ("algebra A {\n  char: 0;\n  vars: e1;\n}\nmodule M over A {\n  free: 1;\n}\n", "(line 6, column 3)"),
+        ("algebra A {\n  char: 0;\n  vars: dpd_x;\n}\n", "(line 3, column 3)"),
     ]
     for i, (source, where) in enumerate(malformed):
         path = tmp_path / f"malformed{i}.kcx"
