@@ -5,7 +5,9 @@ element equality is canonical normal-form equality.  Morphisms are stored by
 raw generator images; applying one substitutes and then reduces in the
 codomain.  Certification (all domain relations map to zero) happens eagerly
 for user-built morphisms and lazily/never for maps whose well-definedness is
-forced by construction.
+forced by construction.  It first matches each relation's raw image against
+zero and the codomain's relations up to sign, and builds the codomain's basis
+only for an image that matches neither.
 
 Generator roles record how a generator arose (plain base, module generator of
 a symmetric-algebra bundle, or a first/second-level tangent differential of
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 from .errors import OwnerMismatch, WellDefinednessFailure
 from .fields import Field
-from .groebner import IdealBasis
+from .groebner import IdealBasis, fits_cap, grade_columns
 from .parse import poly_normalize
 from .poly import Polynomial
 
@@ -90,8 +92,25 @@ class PresentedAlgebra:
 
     @cached_property
     def basis(self) -> IdealBasis:
-        grading_list = [self.grading[g] for g in self.gens] if self.grading else None
-        return IdealBasis(self.field, self.gens, list(self.relations), grading_list, self.cap)
+        return IdealBasis(self.field, self.gens, list(self.relations), self._grading_list, self.cap)
+
+    @property
+    def _grading_list(self) -> list[tuple[int, ...]] | None:
+        return [self.grading[g] for g in self.gens] if self.grading else None
+
+    @cached_property
+    def signed_relations(self) -> frozenset[Polynomial]:
+        """Every relation and its negative, each zero here with no normal form.
+
+        With a grade cap, only relations within the cap: the truncated basis
+        decides nothing above it, so an image equal to such a relation must
+        reach `IdealBasis.normal_form`, which refuses it.
+        """
+        rels = self.relations
+        if self.grading and self.cap is not None:
+            columns = grade_columns(self._grading_list)
+            rels = [r for r in rels if fits_cap(r.terms, columns, self.cap)]
+        return frozenset(rels) | frozenset(-r for r in rels)
 
     def __repr__(self) -> str:
         rels = "; ".join(r.render() for r in self.relations) or "0"
@@ -125,7 +144,12 @@ class AlgebraElement:
 
     def __init__(self, owner: PresentedAlgebra, poly: Polynomial):
         self.owner = owner
-        self.poly = owner.basis.normal_form(poly)
+        if poly.is_zero():  # already normal: no need to build the owner's basis
+            if poly.vars != owner.gens or poly.field != owner.field:
+                raise ValueError("polynomial is not in the ambient ring")
+            self.poly = poly
+        else:
+            self.poly = owner.basis.normal_form(poly)
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -222,14 +246,32 @@ class AlgebraMorphism:
         if certify:
             self.certify()
 
-    def certificate(self) -> list[tuple[Polynomial, AlgebraElement]]:
-        """Normal forms of all relation images; all zero iff well defined."""
-        return [(rel, self.apply_poly(rel)) for rel in self.dom.relations]
+    def certificate(
+        self, raw: list[Polynomial] | None = None
+    ) -> list[tuple[Polynomial, AlgebraElement]]:
+        """Normal forms of all relation images; all zero iff well defined.
+
+        `raw` holds the relation images already substituted, in relation order.
+        """
+        if raw is None:
+            raw = [self.apply_raw(rel) for rel in self.dom.relations]
+        return [(rel, AlgebraElement(self.cod, p)) for rel, p in zip(self.dom.relations, raw)]
 
     def certify(self) -> "AlgebraMorphism":
-        for rel, residue in self.certificate():
-            if not residue.is_zero():
-                raise WellDefinednessFailure(self.name or "morphism", rel.render(), residue.render())
+        """Prove that every domain relation maps to zero in the codomain.
+
+        A raw image that is zero, or a codomain relation up to sign, is zero
+        there by definition.  Most structure maps send every relation to one
+        of those, and are then certified with no codomain basis.  Otherwise
+        the same images go through `certificate`, whose first nonzero residue
+        is the failure.
+        """
+        raw = [self.apply_raw(rel) for rel in self.dom.relations]
+        known = self.cod.signed_relations
+        if not all(p.is_zero() or p in known for p in raw):
+            for rel, residue in self.certificate(raw):
+                if not residue.is_zero():
+                    raise WellDefinednessFailure(self.name or "morphism", rel.render(), residue.render())
         self.certified = True
         return self
 

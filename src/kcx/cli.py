@@ -110,6 +110,13 @@ def _pick_connections(ws: Workspace, name: str | None) -> list[str]:
     return list(ws.connections)
 
 
+def _require_connections(report: Report) -> Report:
+    """A command over a file's connections fails when the file has none."""
+    if not report.checks:
+        report.checks.append(Check("no-connections", "fail", "", "file defines no connection"))
+    return report
+
+
 def _axiom_checks(prefix: str, report) -> list[Check]:
     return [
         Check(f"{prefix}{e.axiom_id}", e.status, e.witness, f"{e.lhs} != {e.rhs}" if e.status != "pass" else "")
@@ -127,9 +134,7 @@ def cmd_check(args) -> Report:
             to_vertical(nabla), to_horizontal(nabla), nabla.module
         )
         report.checks.extend(_axiom_checks(f"{name}:", axioms))
-    if not report.checks:
-        report.checks.append(Check("no-connections", "fail", "", "file defines no connection"))
-    return report
+    return _require_connections(report)
 
 
 def cmd_solve(args) -> Report:
@@ -167,7 +172,7 @@ def _correspondence_report(args, command: str, check, verdicts: tuple[str, str])
             )
         for g, img in result.images.items():
             report.lines.append(f"{command}[{name}] {g} -> {img.render()}")
-    return report
+    return _require_connections(report)
 
 
 def cmd_curvature(args) -> Report:
@@ -207,7 +212,7 @@ def cmd_convert(args) -> Report:
             report.lines.append(
                 f"  {g} -> {render_connection_image(nabla.module, recovered.gamma[g])}"
             )
-    return report
+    return _require_connections(report)
 
 
 def cmd_glue(args) -> Report:

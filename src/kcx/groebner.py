@@ -16,6 +16,8 @@ degree: a bound on the degree of some representation of it over the inputs.
 from __future__ import annotations
 
 import heapq
+from operator import mul
+from typing import Iterable
 
 from .fields import Coef, Field
 from .poly import (
@@ -35,20 +37,21 @@ Index = list[list[tuple[Exponent, Row, int]]]  # per position: (lt, row, cert) o
 Grading = list[tuple[int, ...]]  # one grade tuple per ambient variable
 
 
+def grade_columns(grading: Grading) -> list[tuple[int, ...]]:
+    """The grading as one weight column per grade coordinate."""
+    return list(zip(*grading))
+
+
 def monomial_grade(exp: Exponent, grading: Grading) -> tuple[int, ...]:
-    if not grading:
-        return ()
-    k = len(grading[0])
-    out = [0] * k
-    for e, g in zip(exp, grading):
-        if e:
-            for t in range(k):
-                out[t] += e * g[t]
-    return tuple(out)
+    return tuple(sum(map(mul, exp, column)) for column in grade_columns(grading))
 
 
-def _grade_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def fits_cap(exps: Iterable[Exponent], columns: list[tuple[int, ...]], cap: tuple[int, ...]) -> bool:
+    """True iff the grade of every monomial in `exps` is at most `cap`.
+
+    `columns` comes from `grade_columns`, worked out once per grading.
+    """
+    return all(sum(map(mul, e, column)) <= c for e in exps for column, c in zip(columns, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +162,7 @@ def _groebner(
     truncated: S-pairs whose lcm grade exceeds the cap are skipped.  The result
     then decides membership exactly for all elements of grade <= cap.
     """
-    truncate = grading is not None and cap is not None
+    columns = grade_columns(grading) if grading is not None and cap is not None else None
     one = field.one()
     G: list[Row] = []
     leads: list[tuple[int, Exponent]] = []
@@ -181,7 +184,7 @@ def _groebner(
             if leads[k][0] != pos:
                 continue
             lcm = exp_lcm(leads[k][1], lt)
-            if truncate and not _grade_leq(monomial_grade(lcm, grading), cap):
+            if columns is not None and not fits_cap((lcm,), columns, cap):
                 continue
             heapq.heappush(heap, (sum(lcm), lcm, k, new))
             pending.add((k, new))
@@ -269,7 +272,7 @@ class IdealBasis:
     """
 
     __slots__ = (
-        "field", "vars", "generators", "basis", "cert_excess", "grading", "cap", "_index"
+        "field", "vars", "generators", "basis", "cert_excess", "grading", "cap", "_columns", "_index"
     )
 
     def __init__(
@@ -288,6 +291,7 @@ class IdealBasis:
         self.generators = list(generators)
         self.grading = grading
         self.cap = cap
+        self._columns = grade_columns(grading) if grading is not None and cap is not None else None
         rows, certs = _groebner([[g.terms] for g in generators], 1, field, grading, cap)
         self.basis = [Polynomial._of_terms(field, variables, row[0]) for row in rows]
         self.cert_excess = max((c - _row_degree(r) for r, c in zip(rows, certs)), default=0)
@@ -296,10 +300,8 @@ class IdealBasis:
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.vars != self.vars or p.field != self.field:
             raise ValueError("polynomial is not in the ambient ring")
-        if self.grading is not None and self.cap is not None:
-            for exp in p.terms:
-                if not _grade_leq(monomial_grade(exp, self.grading), self.cap):
-                    raise ValueError("element exceeds the graded truncation bound of this basis")
+        if self._columns is not None and not fits_cap(p.terms, self._columns, self.cap):
+            raise ValueError("element exceeds the graded truncation bound of this basis")
         if not self.basis or p.is_zero():
             return p
         (nf,), _ = _reduce([dict(p.terms)], self._index, self.field)

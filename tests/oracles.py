@@ -9,6 +9,8 @@ basis: p lies in the span of { x^a * g : deg(x^a * g) <= bound } iff the
 column space of those products contains p's coefficient vector.  No normal
 forms involved.  `brute_standard_monomials` tests every monomial up to the
 degree against every leading term; it checks the engine's order-ideal walk.
+`loop_monomial_grade` sums each grade coordinate in a double loop over the
+grading rows; it checks the engine's precomputed weight columns.
 """
 
 from __future__ import annotations
@@ -24,6 +26,17 @@ from kcx.poly import Polynomial
 def grevlex_key(exp: tuple[int, ...]):
     """Sort key: larger key = larger monomial in grevlex."""
     return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def loop_monomial_grade(exp: tuple[int, ...], grading: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Grade of a monomial, one variable's grade row at a time."""
+    if not grading:
+        return ()
+    out = [0] * len(grading[0])
+    for e, g in zip(exp, grading):
+        for t in range(len(out)):
+            out[t] += e * g[t]
+    return tuple(out)
 
 
 def rescan_reduce(work, index, field: Field):

@@ -3,6 +3,9 @@ import random
 import pytest
 
 from kcx.algebra import (
+    AlgebraElement,
+    AlgebraMorphism,
+    PresentedAlgebra,
     compose_morphisms,
     identity_morphism,
     localize,
@@ -14,6 +17,7 @@ from kcx.algebra import (
 from kcx.dualnum import dual_numbers_structure
 from kcx.errors import OwnerMismatch, WellDefinednessFailure
 from kcx.fields import GF, QQ
+from kcx.parse import poly_normalize
 from kcx.poly import Polynomial
 
 
@@ -135,6 +139,56 @@ def test_localize_basics():
     loc2 = localize(loc, "x")
     inv2 = loc2.gens[-1]
     assert loc2.element(inv2) == loc2.element("x_inv")
+
+
+def raw_morphism(dom, cod, images: dict[str, str]) -> AlgebraMorphism:
+    """A morphism from unreduced image expressions, so no codomain basis is built."""
+    polys = {g: poly_normalize(v, cod.field, cod.gens) for g, v in images.items()}
+    return AlgebraMorphism(dom, cod, polys)
+
+
+def test_zero_elements_leave_the_basis_unbuilt():
+    A = make_algebra(QQ, ("x", "y"), ["x*y"])
+    line = make_algebra(QQ, ("t",))
+    assert A.zero().is_zero() and "basis" not in A.__dict__
+    f = raw_morphism(A, line, {"x": "t", "y": "0"})  # the relation's image is 0
+    assert f.certified and "basis" not in line.__dict__
+    assert f.apply_poly(A.relations[0]).is_zero() and "basis" not in line.__dict__
+    with pytest.raises(ValueError):
+        AlgebraElement(line, Polynomial.zero(QQ, A.gens))  # the ring check stays
+    assert A.element("x^2 + x*y").render() == "x^2" and "basis" in A.__dict__
+
+
+def test_images_matching_relations_certify_without_a_basis():
+    target = make_algebra(QQ, ("u", "v"), ["u^2 + v^2 - 1"])
+    circle = make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"])
+    for images in ({"x": "v", "y": "u"}, {"x": "-u", "y": "v"}):
+        assert raw_morphism(circle, target, images).certified
+    assert "basis" not in target.__dict__
+    assert -target.relations[0] in target.signed_relations
+    # x -> 2*s sends (x - 2)^2 to 4*(s - 1)^2: not a relation up to sign
+    square = make_algebra(QQ, ("x",), ["x^2 - 4*x + 4"])
+    doubled = make_algebra(QQ, ("s",), ["s^2 - 2*s + 1"])
+    assert raw_morphism(square, doubled, {"x": "2*s"}).certified
+    assert "basis" in doubled.__dict__
+    with pytest.raises(WellDefinednessFailure) as err:
+        raw_morphism(square, doubled, {"x": "s"})
+    assert (err.value.relation, err.value.residue) == ("x^2 - 4*x + 4", "-2*s + 3")
+
+
+def test_matched_images_above_the_grade_cap_are_refused():
+    """A truncated codomain decides nothing above its cap, so an image equal
+    to one of its relations there still reaches the out-of-cap refusal."""
+    gens = ("t", "dt")
+    rel = Polynomial.monomial(QQ, gens, (0, 2), 1)
+    capped = PresentedAlgebra(QQ, gens, [rel], grading={"t": (0,), "dt": (1,)}, cap=(1,))
+    assert capped.signed_relations == frozenset()
+    square = make_algebra(QQ, ("s",), ["s^2"])
+    with pytest.raises(ValueError, match="graded truncation bound"):
+        AlgebraMorphism(square, capped, {"s": Polynomial.variable(QQ, gens, "dt")})
+    within = PresentedAlgebra(QQ, gens, [rel], grading={"t": (0,), "dt": (1,)}, cap=(2,))
+    assert AlgebraMorphism(square, within, {"s": Polynomial.variable(QQ, gens, "dt")}).certified
+    assert "basis" not in within.__dict__
 
 
 def test_well_definedness_certificate_content(circle):

@@ -96,9 +96,23 @@ def polynomials(draw, names: list[str], max_terms: int = 3) -> str:
 
 
 @st.composite
+def morphism_images(draw, names: list[str]) -> str:
+    """A morphism image: a generator, its negative, zero or a product of two."""
+    kind = draw(st.sampled_from(["gen", "signed", "zero", "product"]))
+    if kind == "zero":
+        return "0"
+    if kind == "product":
+        return "*".join(draw(st.lists(st.sampled_from(names), min_size=2, max_size=2)))
+    return ("-" if kind == "signed" else "") + draw(st.sampled_from(names))
+
+
+@st.composite
 def definition_files(draw) -> str:
     """One algebra in at most 2 variables, one Kahler, free or presented module
-    over it, and maybe a connection on the module."""
+    over it, maybe a connection on the module, and maybe a second algebra with
+    a morphism into it.  The second algebra is often a copy of the first, so
+    relation images that match a codomain relation are common."""
+    char = draw(st.sampled_from([0, 2, 3]))
     variables = draw(st.lists(st.sampled_from(VARIABLE_POOL), min_size=1, max_size=2, unique=True))
     relations = "".join(f" rel: {r};" for r in draw(st.lists(polynomials(variables), max_size=1)))
     kind = draw(st.sampled_from(["kahler", "free", "presented"]))
@@ -114,10 +128,17 @@ def definition_files(draw) -> str:
             for _ in range(draw(st.integers(0, 1)))
         ]
         body = f"gens: {', '.join(gens)};" + "".join(f" rel: {r};" for r in rows)
-    lines = [
-        f"algebra A {{ char: {draw(st.sampled_from([0, 2, 3]))}; vars: {', '.join(variables)};{relations} }}",
-        f"module M over A {{ {body} }}",
-    ]
+    lines = [f"algebra A {{ char: {char}; vars: {', '.join(variables)};{relations} }}"]
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            targets, target_relations = variables, relations
+        else:
+            targets = draw(st.lists(st.sampled_from(VARIABLE_POOL), min_size=1, max_size=2, unique=True))
+            target_relations = "".join(f" rel: {r};" for r in draw(st.lists(polynomials(targets), max_size=1)))
+        lines.append(f"algebra B {{ char: {char}; vars: {', '.join(targets)};{target_relations} }}")
+        entries = " ".join(f"{v} -> {draw(morphism_images(targets))};" for v in variables)
+        lines.append(f"morphism f : A -> B {{ {entries} }}")
+    lines.append(f"module M over A {{ {body} }}")
     if gens and draw(st.booleans()):
         images = []
         for g in gens:

@@ -16,7 +16,7 @@ from kcx.groebner import (
 from kcx.parse import poly_normalize
 from kcx.poly import Polynomial
 
-from oracles import module_span_contains, rescan_reduce, span_contains
+from oracles import loop_monomial_grade, module_span_contains, rescan_reduce, span_contains
 
 
 def P(text, field=QQ, variables=("x", "y")):
@@ -202,6 +202,22 @@ def test_capped_ideal_basis_refuses_elements_above_the_cap():
     assert basis.normal_form(P("x*dx", variables=variables)) == P("x*dx", variables=variables)
     with pytest.raises(ValueError):
         basis.normal_form(P("dx^2", variables=variables))
+
+
+def test_grade_columns_match_the_loop_definition():
+    """Grades from precomputed weight columns, and the cap test built on them,
+    equal the per-variable double loop on random exponents and gradings."""
+    rng = random.Random(4411)
+    for _ in range(300):
+        nvars, k = rng.randint(0, 5), rng.randint(1, 3)
+        grading = [tuple(rng.randint(0, 2) for _ in range(k)) for _ in range(nvars)]
+        cap = tuple(rng.randint(0, 4) for _ in range(k))
+        columns = groebner.grade_columns(grading)
+        exps = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(0, 3))]
+        grades = [loop_monomial_grade(e, grading) for e in exps]
+        assert [groebner.monomial_grade(e, grading) for e in exps] == grades
+        fits = all(g <= c for grade in grades for g, c in zip(grade, cap))
+        assert groebner.fits_cap(exps, columns, cap) == fits
 
 
 def _random_row(rng, field, nvars, rank, monomials):

@@ -1,13 +1,18 @@
 import gc
+import random
 import weakref
 
 import pytest
 
-from kcx.algebra import compose_morphisms, identity_morphism, localize, make_algebra, make_morphism
-from kcx.connections import free_canonical_connection, to_horizontal, to_vertical
+from kcx import gallery
+from kcx.algebra import AlgebraMorphism, compose_morphisms, identity_morphism, localize, make_algebra, make_morphism
+from kcx.connections import connection_equal, free_canonical_connection, from_horizontal, to_horizontal, to_vertical
+from kcx.connections import verify_connection_axioms
 from kcx.connections import verify_horizontal_axioms, verify_vertical_axioms
+from kcx.curvature import check_curvature_correspondence, check_torsion_correspondence
+from kcx.curvature import module_curvature, module_torsion
 from kcx.dualnum import dual_numbers_structure
-from kcx.errors import BaseMismatch, BracketingConditionFailure
+from kcx.errors import BaseMismatch, BracketingConditionFailure, WellDefinednessFailure
 from kcx.fields import QQ
 from kcx.modules import free_module, kahler_module, make_module
 from kcx.tangent import (
@@ -264,3 +269,112 @@ def test_dual_numbers_vs_module_presentation(fat_point):
     b2 = sym_algebra_bundle(fat_point, explicit)
     assert b1.S.gens == b2.S.gens
     assert b1.S.relations == b2.S.relations
+
+
+# ---------------------------------------------------------------------------
+# certification by relation matching
+# ---------------------------------------------------------------------------
+
+
+def every_structure_map(A, M) -> list[AlgebraMorphism]:
+    """The tangent, dual-numbers, bundle, axiom, flip and swap maps over A and M."""
+    tm = tangent_structure_maps(A)
+    dn = dual_numbers_structure(A)
+    ctx = bundle_context(M)
+    maps = [tm.p, tm.zero, tm.plus, tm.minus, tm.lift, tm.flip, tm.tau]
+    maps += [dn.p, dn.zero, dn.plus, dn.minus, dn.lift, dn.flip]
+    maps += [ctx.q, ctx.z, ctx.iota, ctx.sigma, ctx.lam, ctx.p_A, ctx.U, ctx.flip_S, ctx.leibniz_iso]
+    maps += [getattr(ctx, name) for name in AXIOM_MAPS]
+    if M.provenance == "kahler":
+        maps += [affine_flip(ctx), affine_swap(ctx)]
+    return maps
+
+
+def matched(m: AlgebraMorphism) -> bool:
+    """Whether every raw relation image is zero or a codomain relation up to sign."""
+    known = m.cod.signed_relations
+    return all(p.is_zero() or p in known for p in map(m.apply_raw, m.dom.relations))
+
+
+def test_maps_certified_by_matching_have_zero_certificates():
+    algebras = {
+        "plane": make_algebra(QQ, ("x1", "x2")),
+        "circle": make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"]),
+        "fat point": make_algebra(QQ, ("x",), ["x^2"]),
+        "S^2": make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"]),
+    }
+    by_matching = reduced = 0
+    for label, A in algebras.items():
+        x = A.gens[0]
+        modules = (kahler_module(A), free_module(A, 2), make_module(A, ("u", "v"), [[x, "1"]]))
+        for M in modules:
+            for m in every_structure_map(A, M):
+                if not matched(m):
+                    reduced += 1
+                    continue
+                by_matching += 1
+                again = AlgebraMorphism(m.dom, m.cod, m.images, name=m.name)
+                assert again.certified
+                assert all(res.is_zero() for _, res in again.certificate()), (label, m.name)
+    assert by_matching > 10 * reduced > 0
+
+
+def test_seeded_wrong_relabel_tables_fail_like_their_certificates():
+    """A flip or sign map with one sign dropped or two targets swapped fails
+    with the relation and residue its full certificate reports first, or with
+    the same out-of-cap refusal."""
+    rng = random.Random(1010)
+    failures = refusals = 0
+    for A in (make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"]), make_algebra(QQ, ("x",), ["x^2"])):
+        maps = tangent_structure_maps(A)
+        for good in (maps.flip, maps.minus, affine_flip(bundle_context(kahler_module(A)))):
+            gens = list(good.dom.gens)
+            for _ in range(8):
+                images = dict(good.images)
+                if rng.random() < 0.5:
+                    g = rng.choice(gens)
+                    images[g] = -images[g]
+                else:
+                    g, h = rng.sample(gens, 2)
+                    images[g], images[h] = images[h], images[g]
+                bad = AlgebraMorphism(good.dom, good.cod, images, certify=False, name="bad")
+                try:
+                    certificate = bad.certificate()
+                except ValueError as exc:
+                    refusals += 1
+                    with pytest.raises(ValueError, match=str(exc)):
+                        bad.certify()
+                    continue
+                residues = [(rel.render(), res.render()) for rel, res in certificate if not res.is_zero()]
+                if not residues:
+                    assert bad.certify().certified
+                    continue
+                failures += 1
+                with pytest.raises(WellDefinednessFailure) as err:
+                    bad.certify()
+                assert (err.value.relation, err.value.residue) == residues[0]
+                assert not bad.certified
+    assert failures >= 10 and refusals >= 1
+
+
+def test_only_maps_built_from_connection_data_reach_normal_forms(monkeypatch):
+    """On the S^2 pipeline every structure map is certified by matching; the
+    normal-form certificate runs only for K, H and sigma."""
+    reached = []
+    certificate = AlgebraMorphism.certificate
+
+    def recording(self, *args):
+        reached.append(self.name)
+        return certificate(self, *args)
+
+    monkeypatch.setattr(AlgebraMorphism, "certificate", recording)
+    A = make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"])
+    nabla = gallery.sphere_canonical_connection(A)
+    H, K = to_horizontal(nabla), to_vertical(nabla)
+    assert verify_connection_axioms(K, H, nabla.module).all_pass
+    assert connection_equal(from_horizontal(H, nabla.module), nabla)
+    assert not module_curvature(nabla).flat
+    assert check_curvature_correspondence(nabla).residuals_zero
+    assert module_torsion(nabla).torsion_free
+    assert check_torsion_correspondence(nabla).residuals_zero
+    assert set(reached) == {"K", "H", "sigma"}

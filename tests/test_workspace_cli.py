@@ -264,3 +264,40 @@ def test_parentheses_nest_up_to_the_parser_limit(tmp_path):
         assert code == 2, kind
         assert text.startswith("error: ") and text.endswith("(line 4, column 3)"), text
         assert f"nest deeper than {MAX_DEPTH}" in text
+
+
+@pytest.mark.parametrize("command", ["check", "curvature", "torsion", "convert"])
+def test_commands_over_connections_fail_on_a_file_without_one(command):
+    code, text = run([command, str(FILES / "p1.kcx")])
+    assert code == 1
+    assert text == f"command: {command}\n[FAIL] no-connections  residue: file defines no connection"
+    code, text = run([command, str(FILES / "p1.kcx"), "--json"])
+    assert code == 1
+    assert json.loads(text) == {
+        "command": command,
+        "checks": [
+            {"id": "no-connections", "status": "fail", "witness": "", "residue": "file defines no connection"}
+        ],
+        "solver": None,
+    }
+
+
+def test_ill_defined_morphism_exits_2_with_its_residue(tmp_path):
+    algebras = "algebra A { char: 0; vars: x, y; rel: x^2 + y^2 - 1; }\n"
+    cases = {
+        "algebra B { char: 0; vars: t; rel: t^3; }\n": "2*t^2 - 1",  # reaches a normal form
+        "algebra B { char: 0; vars: t; }\n": "2*t^2 - 1",  # no codomain relation to match
+    }
+    for codomain, residue in cases.items():
+        path = tmp_path / "ill.kcx"
+        path.write_text(algebras + codomain + "morphism f : A -> B {\n  x -> t;\n  y -> -t;\n}\n")
+        assert run(["check", str(path)]) == (
+            2,
+            "error: morphism 'f' ill-defined: f: relation x^2 + y^2 - 1 has nonzero residue "
+            f"{residue} (line 3, column 1)",
+        )
+    path.write_text(
+        algebras + "algebra B { char: 0; vars: u, v; rel: u^2 + v^2 - 1; }\n"
+        "morphism f : A -> B {\n  x -> -v;\n  y -> u;\n}\n"
+    )
+    assert run(["check", str(path)])[0] == 1  # certified by matching; no connection
