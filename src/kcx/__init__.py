@@ -14,9 +14,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
     PresentedAlgebra,
-    apply_morphism,
     compose_morphisms,
-    element_equal,
     identity_morphism,
     localize,
     make_algebra,
@@ -63,8 +61,6 @@ from .groebner import (
     ModuleBasis,
     groebner_basis,
     module_groebner_basis,
-    module_normal_form,
-    normal_form,
 )
 from .linsolve import AffineSolutionSpace, LinearEquation, affine_linear_solve
 from .modules import (
@@ -80,7 +76,7 @@ from .modules import (
     wedge_square,
 )
 from .parse import ParseError, poly_normalize
-from .poly import Polynomial, formal_partial, poly_substitute
+from .poly import Polynomial
 from .solve import glued_connection_check, solve_connection_space
 from .tangent import (
     bracketing,

@@ -208,10 +208,6 @@ def make_algebra(field: Field, gens: Iterable[str], relations: Iterable[str] = (
     return PresentedAlgebra(field, gens, rels)
 
 
-def element_equal(e1: AlgebraElement, e2: AlgebraElement) -> bool:
-    return e1 == e2
-
-
 # ---------------------------------------------------------------------------
 # morphisms
 # ---------------------------------------------------------------------------
@@ -348,12 +344,6 @@ def relabel(
 
 def identity_morphism(A: PresentedAlgebra) -> AlgebraMorphism:
     return relabel(A, A, {}, "id", certify=False)
-
-
-def apply_morphism(f: AlgebraMorphism, e: AlgebraElement) -> AlgebraElement:
-    if e.owner is not f.dom:
-        raise OwnerMismatch("element not owned by the morphism's domain")
-    return f(e)
 
 
 def compose_morphisms(g: AlgebraMorphism, f: AlgebraMorphism) -> AlgebraMorphism:

@@ -1,10 +1,10 @@
 """Command line interface.
 
-    kcx check FILE [--connection NAME] [--json]
+    kcx check FILE [--connection NAME] [--char p] [--json]
     kcx solve FILE --module NAME [--degree N] [--char p] [--json]
-    kcx curvature FILE [--connection NAME] [--json]
-    kcx torsion FILE [--connection NAME] [--json]
-    kcx convert FILE [--connection NAME] [--json]
+    kcx curvature FILE [--connection NAME] [--char p] [--json]
+    kcx torsion FILE [--connection NAME] [--char p] [--json]
+    kcx convert FILE [--connection NAME] [--char p] [--json]
     kcx glue FILE [--degree N] [--char p] [--json]
     kcx gallery [--json]
 
@@ -233,12 +233,12 @@ def cmd_glue(args) -> Report:
             )
     omega1 = kahler_module(A1)
     omega2 = kahler_module(A2)
-    chart1 = [n for n, m in ws.connection_module.items() if ws.modules[m] is omega1]
-    chart2 = [n for n, m in ws.connection_module.items() if ws.modules[m] is omega2]
+    chart1 = [nabla for nabla in ws.connections.values() if nabla.module is omega1]
+    chart2 = [nabla for nabla in ws.connections.values() if nabla.module is omega2]
     if chart1 and chart2:
         result = glued_connection_check(
             A1, spec.at1, A2, spec.at2, t.images, tinv.images,
-            nabla1=ws.connections[chart1[0]], nabla2=ws.connections[chart2[0]],
+            nabla1=chart1[0], nabla2=chart2[0],
             degree=args.degree,
         )
         report.checks.extend(_axiom_checks("", result.report))
@@ -267,22 +267,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, file=True, degree=None, module=False):
+    # each subcommand takes only the options it reads
+    def common(p, file=True, connection=False, degree=None, module=False):
         if file:
             p.add_argument("file", metavar="FILE")
+            p.add_argument("--char", type=int, default=None)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--char", type=int, default=None)
-        p.add_argument("--connection", default=None)
+        if connection:
+            p.add_argument("--connection", default=None)
         if module:
             p.add_argument("--module", required=True)
         if degree is not None:
             p.add_argument("--degree", type=int, default=degree)
 
-    common(sub.add_parser("check", help="well-definedness plus the full axiom suite"))
+    common(sub.add_parser("check", help="well-definedness plus the full axiom suite"), connection=True)
     common(sub.add_parser("solve", help="solve for all connections up to a degree"), degree=3, module=True)
-    common(sub.add_parser("curvature", help="curvature and its bundle correspondence"))
-    common(sub.add_parser("torsion", help="torsion, both routes, and its correspondence"))
-    common(sub.add_parser("convert", help="print the horizontal/vertical forms and round-trip"))
+    common(sub.add_parser("curvature", help="curvature and its bundle correspondence"), connection=True)
+    common(sub.add_parser("torsion", help="torsion, both routes, and its correspondence"), connection=True)
+    common(sub.add_parser("convert", help="print the horizontal/vertical forms and round-trip"), connection=True)
     common(sub.add_parser("glue", help="check or solve a two-chart gluing"), degree=6)
     common(sub.add_parser("gallery", help="run the built-in example gallery"), file=False)
     return parser

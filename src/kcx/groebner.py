@@ -322,10 +322,6 @@ def groebner_basis(gens: list[Polynomial], field: Field | None = None, variables
     return IdealBasis(field, variables, gens)
 
 
-def normal_form(p: Polynomial, basis: IdealBasis) -> Polynomial:
-    return basis.normal_form(p)
-
-
 # ---------------------------------------------------------------------------
 # submodules of free modules
 # ---------------------------------------------------------------------------
@@ -373,7 +369,3 @@ class ModuleBasis:
 
 def module_groebner_basis(gens: list[Vector], field: Field, variables: tuple[str, ...], rank: int) -> ModuleBasis:
     return ModuleBasis(field, variables, rank, gens)
-
-
-def module_normal_form(v: Vector, basis: ModuleBasis) -> Vector:
-    return basis.normal_form(v)

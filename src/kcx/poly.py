@@ -309,15 +309,3 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<poly {self.render()}>"
-
-
-def poly_substitute(
-    p: Polynomial, images: Mapping[str, Polynomial], target_vars: tuple[str, ...]
-) -> Polynomial:
-    """Function form of `Polynomial.substitute`."""
-    return p.substitute(images, target_vars)
-
-
-def formal_partial(p: Polynomial, name: str) -> Polynomial:
-    """Function form of `Polynomial.partial`."""
-    return p.partial(name)

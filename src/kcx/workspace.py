@@ -11,6 +11,9 @@ semicolons:
     morphism NAME : ALG -> ALG { v -> EXPR; ... }
     glue { chart1: ALG at VAR; chart2: ALG at VAR; transition: M; inverse: M; }
 
+An entry appears at most once in a block (only `rel` repeats), a module is one
+of `kahler`, `free` or `gens`, and `rel` goes only with `gens`.
+
 Every entity is built and certified at load time, so an ill-defined connection
 fails the parse with its residue.  Rendering emits the same grammar and
 round-trips through the parser.
@@ -67,15 +70,15 @@ class GlueSpec:
 
 @dataclass
 class Workspace:
-    char: int
+    char: int | None  # None only until the first algebra block is read
     algebras: dict[str, PresentedAlgebra] = dfield(default_factory=dict)
     modules: dict[str, PresentedModule] = dfield(default_factory=dict)
     connections: dict[str, Connection] = dfield(default_factory=dict)
     morphisms: dict[str, AlgebraMorphism] = dfield(default_factory=dict)
     glue: GlueSpec | None = None
-    module_specs: dict[str, tuple] = dfield(default_factory=dict)
+    # kahler_module is memoized, so two `kahler;` modules over one algebra
+    # are one object: a connection's module name is kept, not looked up
     connection_module: dict[str, str] = dfield(default_factory=dict)
-    morphism_ends: dict[str, tuple[str, str]] = dfield(default_factory=dict)
 
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
@@ -103,9 +106,8 @@ class _Cursor:
         col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
         return line, col
 
-    def error(self, message: str, pos: int | None = None) -> WorkspaceError:
-        line, col = self.location(pos)
-        return WorkspaceError(message, line, col)
+    def error(self, message: str, pos: int | None = None, **kwargs) -> WorkspaceError:
+        return WorkspaceError(message, *self.location(pos), **kwargs)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
@@ -214,17 +216,9 @@ def _parse_connection_sum(
 
 def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
     cur = _Cursor(_strip_comments(text))
-    ws: Workspace | None = None
-    declared_char: int | None = char_override
-
-    def ensure_ws(char: int) -> Workspace:
-        nonlocal ws, declared_char
-        if declared_char is None:
-            declared_char = char
-        if ws is None:
-            ws = Workspace(declared_char)
-        return ws
-
+    if cur.done():
+        raise WorkspaceError("empty definition file")
+    ws = Workspace(char_override)
     while not cur.done():
         at = cur.pos
         keyword = cur.take_word()
@@ -234,9 +228,7 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
             char: int | None = None
             variables: tuple[str, ...] = ()
             rels: list[tuple[str, int]] = []
-            for entry, pos in entries:
-                m = re.match(rf"({_NAME})\s*:\s*(.*)$", entry, re.DOTALL)
-                key, val = (m.group(1), m.group(2).strip()) if m else (entry, "")
+            for entry, key, val, pos in _key_values(cur, entries, "algebra"):
                 if key == "char":
                     char = _int_entry(cur, key, val, pos)
                 elif key == "vars":
@@ -247,61 +239,53 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                     raise cur.error(f"unknown algebra entry {entry!r}", pos)
             if char is None:
                 raise cur.error("algebra block needs a char entry", at)
-            w = ensure_ws(char if char_override is None else char_override)
-            if w.char != (char if char_override is None else char_override):
+            if ws.char is None:
+                ws.char = char
+            if char_override is None and char != ws.char:
                 raise cur.error("all algebras in one file must share the characteristic", at)
-            if name in w.algebras:
-                raise cur.error(f"redefinition of algebra {name!r}", at)
+            _fresh(cur, ws.algebras, "algebra", name, at)
             try:
-                field = Field(w.char)
+                field = Field(ws.char)
             except ValueError as exc:
                 raise cur.error(f"bad algebra {name!r}: {exc}", at)
             polys = [_relation_entry(cur, r, field, variables, pos) for r, pos in rels]
-            w.algebras[name] = PresentedAlgebra(field, variables, polys)
+            ws.algebras[name] = PresentedAlgebra(field, variables, polys)
         elif keyword == "module":
             name = cur.take_word()
             cur.expect("over")
             alg_name = cur.take_word()
             entries = cur.take_block_entries()
-            w = ensure_ws(0)
-            if alg_name not in w.algebras:
-                raise cur.error(f"unknown algebra {alg_name!r}", at)
-            if name in w.modules:
-                raise cur.error(f"redefinition of module {name!r}", at)
-            A = w.algebras[alg_name]
-            kind = None
+            A = _lookup(cur, ws.algebras, "algebra", alg_name, at)
+            _fresh(cur, ws.modules, "module", name, at)
+            kind = None  # at most one of kahler, free and gens
             gens: tuple[str, ...] = ()
-            rels: list[tuple[str, int]] = []
-            free_rank = 0
-            for entry, pos in entries:
-                m = re.match(rf"({_NAME})\s*:\s*(.*)$", entry, re.DOTALL)
-                key, val = (m.group(1), m.group(2).strip()) if m else (entry, "")
-                if entry == "kahler":
-                    kind = "kahler"
-                elif key == "free":
-                    kind = "free"
+            rels = []
+            for entry, key, val, pos in _key_values(cur, entries, "module"):
+                if key == "rel":
+                    rels.append((val, pos))
+                    continue
+                if key not in ("free", "gens") and entry != "kahler":
+                    raise cur.error(f"unknown module entry {entry!r}", pos)
+                if kind is not None:
+                    raise cur.error(f"module {name!r} cannot be both {kind} and {key}", pos)
+                kind = key
+                if key == "free":
                     free_rank = _int_entry(cur, key, val, pos)
                     if not 0 <= free_rank <= MAX_FREE_RANK:
                         raise cur.error(f"free rank must be between 0 and {MAX_FREE_RANK}", pos)
                     _refuse_variables(cur, free_module(A, free_rank).gens, A, alg_name, pos)
                 elif key == "gens":
-                    kind = kind or "presented"
                     gens = _refuse_variables(cur, _names_entry(cur, key, val, pos), A, alg_name, pos)
-                elif key == "rel":
-                    rels.append((val, pos))
-                else:
-                    raise cur.error(f"unknown module entry {entry!r}", pos)
+            if rels and kind != "gens":
+                raise cur.error("a module rel: entry needs a gens: entry", rels[0][1])
             try:
                 if kind == "kahler":
-                    w.modules[name] = kahler_module(A)
-                    w.module_specs[name] = (alg_name, "kahler", None, [])
+                    ws.modules[name] = kahler_module(A)
                 elif kind == "free":
-                    w.modules[name] = free_module(A, free_rank)
-                    w.module_specs[name] = (alg_name, "free", free_rank, [])
+                    ws.modules[name] = free_module(A, free_rank)
                 else:
                     rows = [_parse_module_relation(r, A, gens, cur, pos) for r, pos in rels]
-                    w.modules[name] = make_module(A, gens, rows)
-                    w.module_specs[name] = (alg_name, "presented", gens, [r for r, _ in rels])
+                    ws.modules[name] = make_module(A, gens, rows)
             except ValueError as exc:
                 raise cur.error(f"bad module {name!r}: {exc}", at)
         elif keyword == "connection":
@@ -309,38 +293,21 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
             cur.expect("on")
             mod_name = cur.take_word()
             entries = cur.take_block_entries()
-            w = ensure_ws(0)
-            if mod_name not in w.modules:
-                raise cur.error(f"unknown module {mod_name!r}", at)
-            if name in w.connections:
-                raise cur.error(f"redefinition of connection {name!r}", at)
-            M = w.modules[mod_name]
-            A = M.base
+            M = _lookup(cur, ws.modules, "module", mod_name, at)
+            _fresh(cur, ws.connections, "connection", name, at)
             target = christoffel_target(M)
-            images: dict[str, ModuleElement] = {}
-            for entry, pos in entries:
-                if "->" not in entry:
-                    raise cur.error(f"connection entry needs '->': {entry!r}", pos)
-                lhs, rhs = entry.split("->", 1)
-                gen = re.sub(r"\s+", "", lhs)
-                if gen not in M.gens:
-                    raise cur.error(f"unknown module generator {gen!r}", pos)
-                images[gen] = _parse_connection_sum(rhs.strip(), cur, pos, A, M, target)
-            missing = set(M.gens) - set(images)
-            if missing:
-                raise cur.error(f"connection {name!r} missing images for {sorted(missing)}", at)
+            images = _images(
+                cur, entries, at, "connection", name, M.gens,
+                lambda rhs, pos: _parse_connection_sum(rhs, cur, pos, M.base, M, target),
+            )
             try:
-                w.connections[name] = make_connection(M, images)
+                ws.connections[name] = make_connection(M, images)
             except WellDefinednessFailure as exc:
-                line, col = cur.location(at)
-                raise WorkspaceError(
+                raise cur.error(
                     f"connection {name!r} is not well defined: residue {exc.residue}",
-                    line,
-                    col,
-                    entity=name,
-                    residue=str(exc.residue),
+                    at, entity=name, residue=str(exc.residue),
                 )
-            w.connection_module[name] = mod_name
+            ws.connection_module[name] = mod_name
         elif keyword == "morphism":
             name = cur.take_word()
             cur.expect(":")
@@ -348,67 +315,93 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
             cur.expect("->")
             cod_name = cur.take_word()
             entries = cur.take_block_entries()
-            w = ensure_ws(0)
-            for n in (dom_name, cod_name):
-                if n not in w.algebras:
-                    raise cur.error(f"unknown algebra {n!r}", at)
-            if name in w.morphisms:
-                raise cur.error(f"redefinition of morphism {name!r}", at)
-            dom, cod = w.algebras[dom_name], w.algebras[cod_name]
-            images = {}
-            for entry, pos in entries:
-                if "->" not in entry:
-                    raise cur.error(f"morphism entry needs '->': {entry!r}", pos)
-                lhs, rhs = entry.split("->", 1)
-                v = lhs.strip()
-                if v not in dom.gens:
-                    raise cur.error(f"unknown generator {v!r}", pos)
-                try:
-                    images[v] = cod.element(rhs.strip())
-                except ValueError as exc:
-                    raise cur.error(f"bad image of {v!r}: {exc}", pos)
-            missing = set(dom.gens) - set(images)
-            if missing:
-                raise cur.error(f"morphism {name!r} missing images for {sorted(missing)}", at)
+            dom, cod = (_lookup(cur, ws.algebras, "algebra", n, at) for n in (dom_name, cod_name))
+            _fresh(cur, ws.morphisms, "morphism", name, at)
+            images = _images(cur, entries, at, "morphism", name, dom.gens, lambda rhs, _: cod.element(rhs))
             try:
-                w.morphisms[name] = make_morphism(dom, cod, images, name=name)
+                ws.morphisms[name] = make_morphism(dom, cod, images, name=name)
             except WellDefinednessFailure as exc:
-                line, col = cur.location(at)
-                raise WorkspaceError(f"morphism {name!r} ill-defined: {exc}", line, col)
-            w.morphism_ends[name] = (dom_name, cod_name)
+                raise cur.error(f"morphism {name!r} ill-defined: {exc}", at)
         elif keyword == "glue":
             entries = cur.take_block_entries()
-            w = ensure_ws(0)
-            if w.glue is not None:
+            if ws.glue is not None:
                 raise cur.error("only one glue block is allowed", at)
             fields, places = {}, {}
-            for entry, pos in entries:
+            for entry, key, val, pos in _key_values(cur, entries, "glue"):
                 if ":" not in entry:
                     raise cur.error(f"glue entry needs ':': {entry!r}", pos)
-                key, val = (s.strip() for s in entry.split(":", 1))
                 fields[key], places[key] = val, pos
             needed = {"chart1", "chart2", "transition", "inverse"}
             if set(fields) != needed:
                 raise cur.error(f"glue block needs exactly {sorted(needed)}", at)
             try:
-                chart1, at1 = re.split(r"\s+at\s+", fields["chart1"].strip())
-                chart2, at2 = re.split(r"\s+at\s+", fields["chart2"].strip())
+                chart1, at1 = re.split(r"\s+at\s+", fields["chart1"])
+                chart2, at2 = re.split(r"\s+at\s+", fields["chart2"])
             except ValueError:
                 raise cur.error("chart entries must look like 'NAME at VAR'", at)
             for key, n, v in (("chart1", chart1, at1), ("chart2", chart2, at2)):
-                if n not in w.algebras:
-                    raise cur.error(f"unknown algebra {n!r}", at)
-                if v not in w.algebras[n].gens:
+                if v not in _lookup(cur, ws.algebras, "algebra", n, at).gens:
                     raise cur.error(f"{v!r} is not a generator of {n!r}", places[key])
             for n in (fields["transition"], fields["inverse"]):
-                if n not in w.morphisms:
-                    raise cur.error(f"unknown morphism {n!r}", at)
-            w.glue = GlueSpec(chart1, at1, chart2, at2, fields["transition"], fields["inverse"])
+                _lookup(cur, ws.morphisms, "morphism", n, at)
+            ws.glue = GlueSpec(chart1, at1, chart2, at2, fields["transition"], fields["inverse"])
         else:
             raise cur.error(f"unknown keyword {keyword!r}", at)
-    if ws is None:
-        raise WorkspaceError("empty definition file")
     return ws
+
+
+def _lookup(cur: _Cursor, table: dict, kind: str, name: str, at: int):
+    if name not in table:
+        raise cur.error(f"unknown {kind} {name!r}", at)
+    return table[name]
+
+
+def _fresh(cur: _Cursor, table: dict, kind: str, name: str, at: int):
+    if name in table:
+        raise cur.error(f"redefinition of {kind} {name!r}", at)
+
+
+def _key_values(cur: _Cursor, entries, kind: str):
+    """(entry, key, value, pos) per `key: value` entry, in file order; an entry
+    without ':' is its own key with an empty value.  Only `rel` may repeat."""
+    seen = set()
+    for entry, pos in entries:
+        key, colon, val = entry.partition(":")
+        key = key.strip() if colon else entry
+        if key in seen and key != "rel":
+            raise cur.error(f"repeated {kind} entry {key!r}", pos)
+        seen.add(key)
+        yield entry, key, val.strip(), pos
+
+
+def _images(cur: _Cursor, entries, at: int, kind: str, name: str, gens, read) -> dict:
+    """One `GEN -> IMAGE` entry per generator of a connection or morphism;
+    `read(rhs, pos)` parses an image.  A missing image points at the block
+    header `at`, as there is no entry to point at."""
+    # a module generator may be d(x), written with spaces inside
+    label, gen_of = (
+        ("module generator", lambda s: re.sub(r"\s+", "", s))
+        if kind == "connection"
+        else ("generator", str.strip)
+    )
+    images = {}
+    for entry, pos in entries:
+        if "->" not in entry:
+            raise cur.error(f"{kind} entry needs '->': {entry!r}", pos)
+        lhs, rhs = entry.split("->", 1)
+        gen = gen_of(lhs)
+        if gen not in gens:
+            raise cur.error(f"unknown {label} {gen!r}", pos)
+        if gen in images:
+            raise cur.error(f"repeated image of {label} {gen!r}", pos)
+        try:
+            images[gen] = read(rhs.strip(), pos)
+        except ValueError as exc:
+            raise cur.error(f"bad image of {gen!r}: {exc}", pos)
+    missing = set(gens) - set(images)
+    if missing:
+        raise cur.error(f"{kind} {name!r} missing images for {sorted(missing)}", at)
+    return images
 
 
 def _int_entry(cur: _Cursor, key: str, val: str, pos: int) -> int:
@@ -481,6 +474,9 @@ def render_connection_image(M: PresentedModule, e: ModuleElement) -> str:
 
 
 def render_workspace(ws: Workspace) -> str:
+    def algebra_name(A: PresentedAlgebra) -> str:
+        return next(n for n, B in ws.algebras.items() if B is A)
+
     out: list[str] = []
     for name, A in ws.algebras.items():
         lines = [f"algebra {name} {{", f"  char: {ws.char};"]
@@ -491,15 +487,14 @@ def render_workspace(ws: Workspace) -> str:
         lines.append("}")
         out.append("\n".join(lines))
     for name, M in ws.modules.items():
-        alg_name, kind, payload, rels = ws.module_specs[name]
-        lines = [f"module {name} over {alg_name} {{"]
-        if kind == "kahler":
+        lines = [f"module {name} over {algebra_name(M.base)} {{"]
+        if M.provenance == "kahler":
             lines.append("  kahler;")
-        elif kind == "free":
-            lines.append(f"  free: {payload};")
+        elif M.provenance == "free":
+            lines.append(f"  free: {M.rank};")
         else:
-            if payload:
-                lines.append(f"  gens: {', '.join(payload)};")
+            if M.gens:
+                lines.append(f"  gens: {', '.join(M.gens)};")
             for row in M.relations:
                 terms = [
                     f"{_render_coef(c)}*{g}" for c, g in zip(row, M.gens) if not c.is_zero()
@@ -508,8 +503,7 @@ def render_workspace(ws: Workspace) -> str:
         lines.append("}")
         out.append("\n".join(lines))
     for name, f in ws.morphisms.items():
-        dom_name, cod_name = ws.morphism_ends[name]
-        lines = [f"morphism {name} : {dom_name} -> {cod_name} {{"]
+        lines = [f"morphism {name} : {algebra_name(f.dom)} -> {algebra_name(f.cod)} {{"]
         for g in f.dom.gens:
             lines.append(f"  {g} -> {f.image_of(g).render()};")
         lines.append("}")

@@ -82,7 +82,15 @@ def test_mutated_examples_keep_the_cli_contract(tmp_path):
 # twice, so most files get past the parser.
 VARIABLE_POOL = ["x", "y", "x", "y", "t", "d_x", "dp_y", "e1"]
 GENERATOR_POOL = ["u", "v", "u", "v", "x", "d_u", "e1"]
-GENERATED_COMMANDS = [["check"], ["curvature"], ["torsion"], ["convert"], ["solve", "--module", "M", "--degree", "1"]]
+CHART2_VARIABLES = ["s", "r"]  # s is the variable chart 2 is localized at
+GENERATED_COMMANDS = [
+    ["check"],
+    ["curvature"],
+    ["torsion"],
+    ["convert"],
+    ["solve", "--module", "M", "--degree", "1"],
+    ["glue", "--degree", "1"],
+]
 
 
 @st.composite
@@ -107,11 +115,39 @@ def morphism_images(draw, names: list[str]) -> str:
 
 
 @st.composite
+def glue_blocks(draw, variables: list[str], relations: str, char: int) -> list[str]:
+    """A second chart B, both charts localized at a variable, a transition and
+    an inverse between the localizations, and a glue block.
+
+    The transition sends the localized variable u to s_inv, u_inv to s and
+    the other variable of A, if any, to r.  The pair is often wrong: an inverse that is well defined but not
+    inverse (s -> u), or a transition that is ill-defined (u_inv -> s_inv).
+    A relation of A is kept in its localization but not carried to B, so the
+    transition of a chart with a relation is ill-defined too."""
+    u = draw(st.sampled_from(variables))
+    rest = [v for v in variables if v != u]
+    chart2 = CHART2_VARIABLES[: len(variables)]
+    kind = draw(st.sampled_from(["inverse", "not-inverse", "ill-defined"]))
+    forward = {u: "s_inv", f"{u}_inv": "s_inv" if kind == "ill-defined" else "s", **dict(zip(rest, chart2[1:]))}
+    backward = {"s": u, "s_inv": f"{u}_inv"} if kind == "not-inverse" else {"s": f"{u}_inv", "s_inv": u}
+    backward.update(zip(chart2[1:], rest))
+    return [
+        f"algebra B {{ char: {char}; vars: {', '.join(chart2)}; }}",
+        f"algebra L1 {{ char: {char}; vars: {', '.join(variables)}, {u}_inv;{relations} rel: {u}*{u}_inv - 1; }}",
+        f"algebra L2 {{ char: {char}; vars: {', '.join(chart2)}, s_inv; rel: s*s_inv - 1; }}",
+        f"morphism t : L1 -> L2 {{ {' '.join(f'{v} -> {w};' for v, w in forward.items())} }}",
+        f"morphism tinv : L2 -> L1 {{ {' '.join(f'{v} -> {w};' for v, w in backward.items())} }}",
+        f"glue {{ chart1: A at {u}; chart2: B at s; transition: t; inverse: tinv; }}",
+    ]
+
+
+@st.composite
 def definition_files(draw) -> str:
-    """One algebra in at most 2 variables, one Kahler, free or presented module
-    over it, maybe a connection on the module, and maybe a second algebra with
-    a morphism into it.  The second algebra is often a copy of the first, so
-    relation images that match a codomain relation are common."""
+    """One algebra A in at most 2 variables, one Kahler, free or presented
+    module over it, maybe a connection on the module, and maybe either a
+    second algebra with a morphism into it or a second chart glued to A.  The
+    second algebra is often a copy of the first, so relation images that match
+    a codomain relation are common."""
     char = draw(st.sampled_from([0, 2, 3]))
     variables = draw(st.lists(st.sampled_from(VARIABLE_POOL), min_size=1, max_size=2, unique=True))
     relations = "".join(f" rel: {r};" for r in draw(st.lists(polynomials(variables), max_size=1)))
@@ -128,8 +164,13 @@ def definition_files(draw) -> str:
             for _ in range(draw(st.integers(0, 1)))
         ]
         body = f"gens: {', '.join(gens)};" + "".join(f" rel: {r};" for r in rows)
+    extra = draw(st.sampled_from(["none", "morphism", "glue"]))
+    if extra == "glue" and draw(st.booleans()):
+        relations = ""  # so that some transitions are well defined
     lines = [f"algebra A {{ char: {char}; vars: {', '.join(variables)};{relations} }}"]
-    if draw(st.booleans()):
+    if extra == "glue":
+        lines.extend(draw(glue_blocks(variables, relations, char)))
+    elif extra == "morphism":
         if draw(st.booleans()):
             targets, target_relations = variables, relations
         else:
@@ -146,6 +187,11 @@ def definition_files(draw) -> str:
             parts = [f"({c}) * d({v}) @ {h}" for c, v, h in draw(st.lists(term, max_size=2))]
             images.append(f"{g} -> {' + '.join(parts) or '0'};")
         lines.append(f"connection c on M {{ {' '.join(images)} }}")
+    if extra == "glue" and draw(st.booleans()):
+        # zero connections on the differentials of both charts: glue compares them
+        for chart, names in (("A", variables), ("B", CHART2_VARIABLES[: len(variables)])):
+            lines.append(f"module O{chart} over {chart} {{ kahler; }}")
+            lines.append(f"connection c{chart} on O{chart} {{ {' '.join(f'd({v}) -> 0;' for v in names)} }}")
     return "\n".join(lines) + "\n"
 
 

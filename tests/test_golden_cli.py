@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI output, text and --json, against stored golden files.
+"""Byte-for-byte CLI output, text and --json, and the canonical rendering of
+definition files, against stored golden files.
 
 Regenerate after an intended output change with
 
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from kcx.cli import run
+from kcx.workspace import parse_workspace, render_workspace
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,6 +38,26 @@ CASES = [
 ]
 
 
+# golden file stem -> definition file rendered by `render_workspace`: the
+# examples, and one file with every module kind where two `kahler;` modules
+# over one algebra are one object and the connection is on the second name
+RENDERED = {
+    f"render_{p.stem}": p.read_text(encoding="utf-8") for p in sorted((ROOT / "examples_kcx").glob("*.kcx"))
+}
+RENDERED["render_module_kinds"] = """\
+algebra A { char: 0; vars: x, y; rel: x^2 + y^2 - 1; }
+algebra B { char: 0; vars: t; }
+module P over A { gens: u, v; rel: x*u + y*v; rel: (y - 1)*u; }
+module F over B { free: 2; }
+module Omega over A { kahler; }
+module Omega2 over A { kahler; }
+connection canonical on Omega2 {
+  d(x) -> -x * d(x) @ d(x) - x * d(y) @ d(y);
+  d(y) -> -y * d(x) @ d(x) - y * d(y) @ d(y);
+}
+"""
+
+
 def render(argv: list[str]) -> str:
     argv = [str(ROOT / a) if a.startswith("examples_kcx/") else a for a in argv]
     code, text = run(argv)
@@ -47,6 +69,14 @@ def test_cli_output_matches_golden(name, argv):
     assert render(argv) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("stem", RENDERED)
+def test_rendering_matches_golden(stem):
+    rendered = render_workspace(parse_workspace(RENDERED[stem]))
+    assert rendered == (GOLDEN / f"{stem}.kcx").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     for name, argv in CASES:
         (GOLDEN / name).write_text(render(argv), encoding="utf-8")
+    for stem, source in RENDERED.items():
+        (GOLDEN / f"{stem}.kcx").write_text(render_workspace(parse_workspace(source)), encoding="utf-8")

@@ -228,6 +228,19 @@ def test_cli_exit_codes(tmp_path):
         (one_var + "module M over A {\n  gens: d_x;\n}\nconnection c on M { d_x -> 0; }\n", "(line 3, column 3)"),
         ("algebra A {\n  char: 0;\n  vars: e1;\n}\nmodule M over A {\n  free: 1;\n}\n", "(line 6, column 3)"),
         ("algebra A {\n  char: 0;\n  vars: dpd_x;\n}\n", "(line 3, column 3)"),
+        # an entry given twice, or module kinds mixed, names the later entry
+        ("algebra A {\n  char: 0;\n  char: 2;\n  vars: x;\n}\n", "(line 3, column 3)"),
+        ("algebra A {\n  char: 0;\n  vars: x;\n  vars: y;\n}\n", "(line 4, column 3)"),
+        (one_var + "module M over A {\n  kahler;\n  rel: x*d(x);\n}\n", "(line 4, column 3)"),
+        (one_var + "module M over A {\n  free: 1;\n  rel: x*e1;\n}\n", "(line 4, column 3)"),
+        (one_var + "module M over A {\n  rel: 0;\n}\n", "(line 3, column 3)"),
+        (one_var + "module M over A {\n  gens: u;\n  free: 2;\n}\n", "(line 4, column 3)"),
+        (one_var + "module M over A {\n  kahler;\n  gens: u;\n}\n", "(line 4, column 3)"),
+        (one_var + "module M over A {\n  kahler;\n  kahler;\n}\n", "(line 4, column 3)"),
+        (one_var + "module M over A { kahler; }\nconnection c on M {\n  d(x) -> 0;\n  d( x ) -> d(x) @ d(x);\n}\n",
+         "(line 5, column 3)"),
+        (two_algebras + "morphism f : A -> B {\n  x -> t;\n  y -> t;\n  x -> 0;\n}\n", "(line 6, column 3)"),
+        (read("p1.kcx").replace("  inverse: tinv;\n", "  inverse: tinv;\n  inverse: t;\n"), "(line 22, column 3)"),
     ]
     for i, (source, where) in enumerate(malformed):
         path = tmp_path / f"malformed{i}.kcx"
@@ -238,6 +251,31 @@ def test_cli_exit_codes(tmp_path):
     # a failing check exits 1
     code, text = run(["check", str(FILES / "p1.kcx")])
     assert code == 1  # no connections in the file
+
+
+def test_a_kahler_module_refuses_a_relation(tmp_path):
+    path = tmp_path / "omega.kcx"
+    path.write_text(read("circle.kcx").replace("  kahler;\n", "  kahler;\n  rel: x*d(x);\n"))
+    assert run(["check", str(path)]) == (2, "error: a module rel: entry needs a gens: entry (line 10, column 3)")
+    path.write_text(read("circle.kcx").replace("  kahler;\n", "  kahler;\n  free: 2;\n"))
+    assert run(["check", str(path)]) == (2, "error: module 'Omega' cannot be both kahler and free (line 10, column 3)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gallery", "--char", "3", "--connection", "zz"],
+        ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--connection", "nope"],
+        ["glue", str(FILES / "p1.kcx"), "--connection", "nope"],
+    ],
+)
+def test_subcommands_refuse_options_they_do_not_read(argv):
+    assert run(argv) == (2, "")
+
+
+@pytest.mark.parametrize("command", ["check", "curvature", "torsion", "convert"])
+def test_connection_commands_read_char(command):
+    assert run([command, str(FILES / "circle.kcx"), "--char", "5", "--connection", "canonical"])[0] == 0
 
 
 def test_parentheses_nest_up_to_the_parser_limit(tmp_path):
