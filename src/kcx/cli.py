@@ -21,11 +21,11 @@ import sys
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
 
-from .algebra import localize
+from .algebra import PresentedAlgebra, localize
 from .connections import to_horizontal, to_vertical, verify_connection_axioms
 from .connections import connection_equal, from_horizontal
 from .curvature import check_curvature_correspondence, check_torsion_correspondence
-from .errors import KcxError
+from .errors import KcxError, NotInverse
 from .gallery import run_gallery
 from .linsolve import AffineSolutionSpace
 from .modules import kahler_module
@@ -215,6 +215,13 @@ def cmd_convert(args) -> Report:
     return _require_connections(report)
 
 
+def _same_ideal(A: PresentedAlgebra, B: PresentedAlgebra) -> bool:
+    """True iff the relations of A and B, over one ring, generate one ideal."""
+    return all(B.basis.contains(r) for r in A.relations) and all(
+        A.basis.contains(r) for r in B.relations
+    )
+
+
 def cmd_glue(args) -> Report:
     ws = _load(args.file, args.char)
     report = Report("glue")
@@ -225,27 +232,38 @@ def cmd_glue(args) -> Report:
     t = ws.morphisms[spec.transition]
     tinv = ws.morphisms[spec.inverse]
     L1, L2 = localize(A1, spec.at1), localize(A2, spec.at2)
-    for f, dom, cod, label in ((t, L1, L2, spec.transition), (tinv, L2, L1, spec.inverse)):
+    # the gluing is solved over the true localizations, so the file's
+    # algebras must present exactly those
+    for f, dom, cod, key in ((t, L1, L2, "transition"), (tinv, L2, L1, "inverse")):
+        label = getattr(spec, key)
         if f.dom.gens != dom.gens or f.cod.gens != cod.gens:
             raise WorkspaceError(
                 f"morphism {label!r} must go between the localized charts "
-                f"(expected generators {dom.gens} -> {cod.gens})"
+                f"(expected generators {dom.gens} -> {cod.gens})",
+                *spec.places[key],
             )
+        for end, localized, side in ((f.dom, dom, "domain"), (f.cod, cod, "codomain")):
+            if not _same_ideal(end, localized):
+                relations = ", ".join(r.render() for r in localized.relations)
+                raise WorkspaceError(
+                    f"morphism {label!r} must go between the localized charts, but the "
+                    f"relations of its {side} do not generate the ideal ({relations})",
+                    *spec.places[key],
+                )
     omega1 = kahler_module(A1)
     omega2 = kahler_module(A2)
     chart1 = [nabla for nabla in ws.connections.values() if nabla.module is omega1]
     chart2 = [nabla for nabla in ws.connections.values() if nabla.module is omega2]
-    if chart1 and chart2:
+    connections = {"nabla1": chart1[0], "nabla2": chart2[0]} if chart1 and chart2 else {}
+    try:
         result = glued_connection_check(
-            A1, spec.at1, A2, spec.at2, t.images, tinv.images,
-            nabla1=chart1[0], nabla2=chart2[0],
-            degree=args.degree,
+            A1, spec.at1, A2, spec.at2, t.images, tinv.images, degree=args.degree, **connections
         )
+    except NotInverse as exc:
+        raise WorkspaceError(str(exc), *spec.places["inverse"]) from None
+    if connections:
         report.checks.extend(_axiom_checks("", result.report))
     else:
-        result = glued_connection_check(
-            A1, spec.at1, A2, spec.at2, t.images, tinv.images, degree=args.degree
-        )
         report.solver = _solver_payload(result.space)
     return report
 

@@ -21,6 +21,10 @@ class SolverTooLarge(KcxError, ValueError):
     """A linear system would have more unknowns than the solvers accept."""
 
 
+class NotInverse(KcxError):
+    """A gluing's transition and inverse do not compose to the identities."""
+
+
 class OwnerMismatch(KcxError):
     pass
 

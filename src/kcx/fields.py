@@ -83,6 +83,13 @@ class Field:
     def mul(self, a: Coef, b: Coef) -> Coef:
         return _canonical(a * b) if self.char == 0 else (a * b) % self.char
 
+    def addmul(self, a: Coef, b: Coef, c: Coef) -> Coef:
+        """``a + b*c`` in one step: the update in every product and reduction loop."""
+        s = a + b * c
+        if self.char:
+            return s % self.char
+        return s if type(s) is int else _canonical(s)
+
     def neg(self, a: Coef) -> Coef:
         return -a if self.char == 0 else (-a) % self.char
 

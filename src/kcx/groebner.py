@@ -26,13 +26,15 @@ from .poly import (
     exp_div,
     exp_divides,
     exp_lcm,
+    exp_mask,
     exp_mul,
     grevlex_key,
 )
 
 Vector = tuple[Polynomial, ...]
 Row = list[dict[Exponent, Coef]]  # a vector as one term dict per position
-Index = list[list[tuple[Exponent, Row, int]]]  # per position: (lt, row, cert) of basis rows
+# per position: (lt, exp_mask(lt), row, cert) of basis rows
+Index = list[list[tuple[Exponent, int, Row, int]]]
 
 Grading = list[tuple[int, ...]]  # one grade tuple per ambient variable
 
@@ -75,13 +77,14 @@ def _row_degree(row: Row) -> int:
     return max((sum(e) for comp in row for e in comp), default=0)
 
 
-def _sub_multiple(work: Row, g: Row, start: int, delta: Exponent, coef: Coef, field: Field) -> None:
-    """work -= coef * x^delta * g in place, on positions `start` onwards."""
+def _add_multiple(work: Row, g: Row, start: int, delta: Exponent, coef: Coef, field: Field) -> None:
+    """work += coef * x^delta * g in place, on positions `start` onwards."""
+    addmul = field.addmul
     for q in range(start, len(g)):
         target = work[q]
         for e, c in g[q].items():
             e2 = exp_mul(e, delta)
-            s = field.sub(target.get(e2, 0), field.mul(coef, c))
+            s = addmul(target.get(e2, 0), coef, c)
             if s:
                 target[e2] = s
             else:
@@ -101,12 +104,14 @@ def _reduce(work: Row, index: Index, field: Field) -> tuple[Row, int]:
     current leading term comes off a heap of the component's terms
     (Monagan & Pearce's heap division): a term is pushed when it enters the
     component, and an entry whose term has since cancelled is skipped when
-    popped.  Basis rows are monic, so each step cancels its leading term and
-    only brings in smaller ones.
+    popped.  A row whose leading term has a variable the current term lacks
+    is passed over on its variable mask alone, before `exp_divides`.  Basis
+    rows are monic, so each step cancels its leading term and only brings in
+    smaller ones.
     """
     remainder: Row = [{} for _ in work]
     cert = 0
-    mul, sub = field.mul, field.sub
+    mul, neg, addmul = field.mul, field.neg, field.addmul
     for pos, comp in enumerate(work):
         rem = remainder[pos]
         candidates = index[pos]
@@ -117,22 +122,24 @@ def _reduce(work: Row, index: Index, field: Field) -> tuple[Row, int]:
             coef = comp.get(lead)
             if coef is None:
                 continue
-            for lt, g, g_cert in candidates:
-                if exp_divides(lt, lead):
+            absent = ~exp_mask(lead)
+            for lt, mask, g, g_cert in candidates:
+                if not mask & absent and exp_divides(lt, lead):
                     delta = exp_div(lead, lt)
+                    factor = neg(coef)
                     for e, c in g[pos].items():
                         e2 = exp_mul(e, delta)
                         old = comp.get(e2)
                         if old is None:
-                            comp[e2] = sub(0, mul(coef, c))
+                            comp[e2] = mul(factor, c)
                             heapq.heappush(heap, _term_key(e2))
                         else:
-                            s = sub(old, mul(coef, c))
+                            s = addmul(old, factor, c)
                             if s:
                                 comp[e2] = s
                             else:
                                 del comp[e2]
-                    _sub_multiple(work, g, pos + 1, delta, coef, field)
+                    _add_multiple(work, g, pos + 1, delta, factor, field)
                     cert = max(cert, sum(delta) + g_cert)
                     break
             else:
@@ -145,7 +152,7 @@ def _index(rows: list[Row], certs: list[int], rank: int) -> Index:
     index: Index = [[] for _ in range(rank)]
     for row, cert in zip(rows, certs):
         pos, lt = _leading(row)
-        index[pos].append((lt, row, cert))
+        index[pos].append((lt, exp_mask(lt), row, cert))
     return index
 
 
@@ -179,7 +186,7 @@ def _groebner(
         G.append(row)
         leads.append((pos, lt))
         certs.append(cert)
-        index[pos].append((lt, row, cert))
+        index[pos].append((lt, exp_mask(lt), row, cert))
         for k in range(new):
             if leads[k][0] != pos:
                 continue
@@ -211,8 +218,8 @@ def _groebner(
             continue
         d_i, d_j = exp_div(lcm, lt_i), exp_div(lcm, lt_j)
         s: Row = [{} for _ in range(rank)]
-        _sub_multiple(s, G[i], pos, d_i, field.neg(one), field)
-        _sub_multiple(s, G[j], pos, d_j, one, field)
+        _add_multiple(s, G[i], pos, d_i, one, field)
+        _add_multiple(s, G[j], pos, d_j, field.neg(one), field)
         form_cert = max(sum(d_i) + certs[i], sum(d_j) + certs[j])
         r, red_cert = _reduce(s, index, field)
         if any(r):

@@ -59,7 +59,7 @@ class AffineSolutionSpace:
         expected = list(self.particular)
         for col, vec in zip(self.free, self.basis):
             if x[col]:
-                expected = [f.add(e, f.mul(x[col], b)) for e, b in zip(expected, vec)]
+                expected = [f.addmul(e, x[col], b) for e, b in zip(expected, vec)]
         return x == expected
 
 
@@ -120,9 +120,9 @@ def affine_linear_solve(
 def _eliminate(row: dict[int, Coef], col: int, pivot: dict[int, Coef], f: Field) -> None:
     """row -= row[col] * pivot in place, where pivot[col] is 1; touches only the
     pivot row's nonzeros and drops the entries that cancel (row[col] among them)."""
-    factor = row[col]
+    factor = f.neg(row[col])
     for j, c in pivot.items():
-        v = f.sub(row[j], f.mul(factor, c)) if j in row else f.neg(f.mul(factor, c))
+        v = f.addmul(row[j], factor, c) if j in row else f.mul(factor, c)
         if v:
             row[j] = v
         else:

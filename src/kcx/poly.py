@@ -17,6 +17,7 @@ variable order.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import add, le, neg, sub
 from typing import Iterator, Mapping
 
@@ -42,6 +43,19 @@ def exp_divides(a: Exponent, b: Exponent) -> bool:
     return all(map(le, a, b))
 
 
+_VARIABLE_BITS = tuple(1 << i for i in range(256))
+
+
+def exp_mask(exp: Exponent) -> int:
+    """Bitmask of the variables occurring in `exp`.
+
+    If a divides b then ``exp_mask(a) & ~exp_mask(b) == 0``, so one integer
+    test rejects most non-divisors before `exp_divides` runs.  A variable
+    past the first 256 is left out of the mask, which only weakens the test.
+    """
+    return sum(compress(_VARIABLE_BITS, exp))
+
+
 def exp_div(a: Exponent, b: Exponent) -> Exponent:
     """Exponent of a/b; caller guarantees divisibility."""
     return tuple(map(sub, a, b))
@@ -57,7 +71,7 @@ def _mul_terms(a: dict[Exponent, Coef], b: dict[Exponent, Coef], f: Field) -> di
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = exp_mul(e1, e2)
-            s = f.add(out.get(e, 0), f.mul(c1, c2))
+            s = f.addmul(out.get(e, 0), c1, c2)
             if s:
                 out[e] = s
             else:
@@ -207,22 +221,17 @@ class Polynomial:
             if e[i] == 0:
                 continue
             d = f.mul(c, f.of(e[i]))
-            if not d:
-                continue
-            e2 = tuple(v - 1 if j == i else v for j, v in enumerate(e))
-            s = f.add(out.get(e2, 0), d)
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
+            if d:  # distinct terms differentiate to distinct monomials
+                out[tuple(v - 1 if j == i else v for j, v in enumerate(e))] = d
         return Polynomial._of_terms(f, self.vars, out)
 
     def substitute(self, images: Mapping[str, "Polynomial"], target_vars: tuple[str, ...]) -> "Polynomial":
         """Ring-homomorphic substitution into the ring on `target_vars`.
 
         Every variable of self that actually occurs must have an image; images
-        must all live in the target ring.  Each term's image is added into one
-        result dict.
+        must all live in the target ring.  Each term's image is the product of
+        its variables' image powers, added times the term's coefficient into
+        one result dict.
         """
         f = self.field
         cache: dict[tuple[int, int], dict[Exponent, Coef]] = {}
@@ -236,17 +245,17 @@ class Polynomial:
                 cache[key] = image.terms if n == 1 else (image ** n).terms
             return cache[key]
 
-        one = (0,) * len(target_vars)
+        unit = {(0,) * len(target_vars): f.one()}
         out: dict[Exponent, Coef] = {}
         for e, c in self.terms.items():
-            term = {one: c}
+            term = unit
             for i, n in enumerate(e):
                 if n:
                     if self.vars[i] not in images:
                         raise KeyError(f"no image for variable {self.vars[i]!r}")
                     term = _mul_terms(term, power(i, n), f)
             for e2, c2 in term.items():
-                s = f.add(out.get(e2, 0), c2)
+                s = f.addmul(out.get(e2, 0), c, c2)
                 if s:
                     out[e2] = s
                 else:

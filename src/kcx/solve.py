@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraMorphism, PresentedAlgebra, compose_morphisms, identity_morphism
 from .algebra import localize, make_morphism
 from .connections import AxiomCheck, AxiomReport, Connection, apply_connection
-from .errors import KcxError, SolverTooLarge
+from .errors import KcxError, NotInverse, SolverTooLarge
 from .fields import Coef, Field
 from .linsolve import AffineSolutionSpace, LinearEquation, affine_linear_solve
 from .modules import (
@@ -276,7 +276,7 @@ def glued_connection_check(
     if compose_morphisms(tinv, t) != identity_morphism(L1) or compose_morphisms(
         t, tinv
     ) != identity_morphism(L2):
-        raise KcxError("transition is not invertible against the supplied inverse")
+        raise NotInverse("transition is not invertible against the supplied inverse")
     omega_t = kahler_map(t)
 
     if (nabla1 is None) != (nabla2 is None):

@@ -66,6 +66,8 @@ class GlueSpec:
     at2: str
     transition: str
     inverse: str
+    # (line, column) of each entry, for errors found when the gluing runs
+    places: dict[str, tuple[int, int]]
 
 
 @dataclass
@@ -344,7 +346,10 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                     raise cur.error(f"{v!r} is not a generator of {n!r}", places[key])
             for n in (fields["transition"], fields["inverse"]):
                 _lookup(cur, ws.morphisms, "morphism", n, at)
-            ws.glue = GlueSpec(chart1, at1, chart2, at2, fields["transition"], fields["inverse"])
+            ws.glue = GlueSpec(
+                chart1, at1, chart2, at2, fields["transition"], fields["inverse"],
+                {key: cur.location(pos) for key, pos in places.items()},
+            )
         else:
             raise cur.error(f"unknown keyword {keyword!r}", at)
     return ws

@@ -53,7 +53,7 @@ def rescan_reduce(work, index, field: Field):
         while comp:
             lead = max(comp, key=grevlex_key)
             coef = comp[lead]
-            for lt, g, g_cert in index[pos]:
+            for lt, _, g, g_cert in index[pos]:
                 if all(x <= y for x, y in zip(lt, lead)):
                     delta = tuple(x - y for x, y in zip(lead, lt))
                     for q in range(pos, len(g)):

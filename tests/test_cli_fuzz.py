@@ -3,7 +3,8 @@
 Each mutant of an `examples_kcx/` file swaps one or two identifiers for another
 identifier of the file or a fresh name, or inserts or deletes one token.  Every
 command that reads a file runs on it: the exit code is 0, 1 or 2, an exit 2
-prints an `error: ` line, and no exception escapes.  A mutant that parses
+prints an `error: ` line, and no exception escapes.  On a file with a glue
+block, an exit-2 `glue` error names its line and column.  A mutant that parses
 renders to text that parses back to the same rendering.
 """
 
@@ -30,6 +31,18 @@ COMMANDS = [
     ["glue", "--degree", "1"],
 ]
 MUTANTS_PER_FILE = 40
+LOCATION = re.compile(r"\(line \d+, column \d+\)$")
+
+
+def keeps_the_contract(command: list[str], path: Path, text: str) -> None:
+    try:
+        code, out = run([command[0], str(path), *command[1:]])
+    except Exception as exc:  # noqa: BLE001 - any escape is the failure
+        pytest.fail(f"{command[0]} raised {exc!r} on:\n{text}")
+    assert code in (0, 1, 2), (command, text)
+    assert code != 2 or out.startswith("error: "), (command, out, text)
+    if code == 2 and command[0] == "glue" and any(m.group() == "glue" for m in TOKEN.finditer(text)):
+        assert LOCATION.search(out), (out, text)
 
 
 def mutate(text: str, rng: random.Random) -> str:
@@ -59,12 +72,7 @@ def test_mutated_examples_keep_the_cli_contract(tmp_path):
             path = tmp_path / f"{source.stem}{i}.kcx"
             path.write_text(text)
             for command in COMMANDS:
-                try:
-                    code, out = run([command[0], str(path), *command[1:]])
-                except Exception as exc:  # noqa: BLE001 - any escape is the failure
-                    pytest.fail(f"{command[0]} raised {exc!r} on:\n{text}")
-                assert code in (0, 1, 2), (command, text)
-                assert code != 2 or out.startswith("error: "), (command, out, text)
+                keeps_the_contract(command, path, text)
             try:
                 rendered = render_workspace(parse_workspace(text))
             except KcxError:
@@ -201,12 +209,7 @@ def test_generated_files_keep_the_cli_contract(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("generated") / "file.kcx"
     path.write_text(text)
     for command in GENERATED_COMMANDS:
-        try:
-            code, out = run([command[0], str(path), *command[1:]])
-        except Exception as exc:  # noqa: BLE001 - any escape is the failure
-            pytest.fail(f"{command[0]} raised {exc!r} on:\n{text}")
-        assert code in (0, 1, 2), (command, text)
-        assert code != 2 or out.startswith("error: "), (command, out, text)
+        keeps_the_contract(command, path, text)
     try:
         rendered = render_workspace(parse_workspace(text))
     except KcxError:

@@ -8,7 +8,7 @@ import pytest
 from kcx import groebner
 from kcx.fields import GF, QQ
 from kcx.gallery import run_gallery
-from kcx.poly import Polynomial, exp_div, exp_divides, exp_lcm, exp_mul, grevlex_key
+from kcx.poly import Polynomial, exp_div, exp_divides, exp_lcm, exp_mask, exp_mul, grevlex_key
 
 import oracles
 
@@ -41,6 +41,21 @@ def test_qq_results_are_int_iff_integral():
             for op, exact in ((QQ.add, a + b), (QQ.sub, a - b), (QQ.mul, a * b)):
                 got = op(a, b)
                 assert got == exact and canonical(QQ, got), (op, a, b, got)
+            for c in values:
+                got = QQ.addmul(a, b, c)
+                assert got == a + b * c and canonical(QQ, got), (a, b, c, got)
+
+
+def test_qq_fused_step_is_int_when_the_result_is_integral():
+    for a, b, c, exact in (
+        (0, Fraction(1, 2), 2, 1),
+        (Fraction(1, 3), Fraction(2, 3), 1, 1),
+        (Fraction(1, 2), Fraction(-1, 4), 2, 0),
+        (3, -2, 5, -7),
+        (Fraction(1, 2), 1, 1, Fraction(3, 2)),
+    ):
+        got = QQ.addmul(a, b, c)
+        assert got == exact and canonical(QQ, got), (a, b, c, got)
 
 
 def test_prime_field_values_stay_reduced():
@@ -50,6 +65,20 @@ def test_prime_field_values_stay_reduced():
         for b in range(7):
             for got in (F.add(a, b), F.sub(a, b), F.mul(a, b)):
                 assert canonical(F, got)
+            for c in range(7):
+                got = F.addmul(a, b, c)
+                assert got == (a + b * c) % 7 and canonical(F, got)
+
+
+def test_large_prime_field_fused_step_stays_reduced():
+    F = GF(32003)
+    rng = random.Random(32003)
+    values = [0, 1, 2, 32002, 16001] + [rng.randrange(32003) for _ in range(20)]
+    for a in values:
+        for b in values:
+            for c in values:
+                got = F.addmul(a, b, c)
+                assert got == F.add(a, F.mul(b, c)) and canonical(F, got), (a, b, c, got)
 
 
 def test_render_is_the_same_for_equal_int_and_fraction_coefficients():
@@ -90,7 +119,7 @@ def test_gallery_bases_hold_only_canonical_coefficients(monkeypatch):
     assert all(canonical(field, c) for field, c in coefficients)
 
 
-@pytest.mark.parametrize("nvars", [1, 3, 5])
+@pytest.mark.parametrize("nvars", [1, 3, 5, 16, 32, 40])
 def test_exponent_helpers_match_their_definitions(nvars):
     rng = random.Random(40 + nvars)
     for _ in range(300):
@@ -99,6 +128,12 @@ def test_exponent_helpers_match_their_definitions(nvars):
         assert grevlex_key(a) == oracles.grevlex_key(a)
         assert exp_mul(a, b) == tuple(x + y for x, y in zip(a, b))
         assert exp_divides(a, b) == all(x <= y for x, y in zip(a, b))
+        assert exp_mask(a) == sum(1 << i for i, x in enumerate(a) if x)
+        # mostly-zero exponents, as in the engine's rings, so divisors are common;
+        # the mask test may pass over a candidate only when it cannot divide
+        c, e = (tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(nvars)) for _ in range(2))
+        for d, m in ((a, b), (a, exp_mul(a, b)), (c, e), (c, exp_lcm(c, e))):
+            assert not (exp_mask(d) & ~exp_mask(m) and exp_divides(d, m)), (d, m)
         assert exp_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
         lcm = exp_lcm(a, b)
         assert exp_div(lcm, a) == tuple(x - y for x, y in zip(lcm, a))

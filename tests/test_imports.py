@@ -1,5 +1,6 @@
 """No module of the engine imports a name it never uses, imports inside a
-function without a reason, or caches outside the one cache idiom.
+function without a reason, or caches outside the one cache idiom, and the
+Groebner and linear-algebra kernels leave field arithmetic to `fields.py`.
 
 No linter ships with the project, so this walks each module's syntax tree with
 the standard library.  `__init__.py` is skipped: its imports are re-exports.
@@ -111,3 +112,30 @@ def test_detector_flags_a_second_cache_idiom():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_one_cache_idiom(path):
     assert cache_violations(path.read_text()) == []
+
+
+# Modules whose term loops call `Field` methods and never branch on the field.
+FIELD_BLIND = ["groebner.py", "linsolve.py"]
+
+
+def characteristic_reads(source: str) -> list[str]:
+    """Line of each read of a `.char` attribute."""
+    return [
+        f"char (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "char" and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_detector_flags_a_characteristic_read():
+    source = (
+        "def addmul(field, a, b, c):\n    if field.char == 0:\n        return a + b * c\n"
+        "    return (a + b * c) % field.char\n"
+        "def make(field):\n    field.char = 3\n    return field.addmul(0, 1, 2)\n"
+    )
+    assert characteristic_reads(source) == ["char (line 2)", "char (line 4)"]
+
+
+@pytest.mark.parametrize("name", FIELD_BLIND)
+def test_kernels_never_read_the_characteristic(name):
+    assert characteristic_reads((SRC / name).read_text()) == []

@@ -148,6 +148,41 @@ def test_cli_glue_p1_char2():
     assert payload["solver"]["status"] == "unique"
 
 
+def test_glue_refuses_charts_that_are_not_the_localizations(tmp_path):
+    p1 = read("p1.kcx")
+    cases = [
+        # L1 and L2 keep the localizations' generators but not their ideals
+        (
+            p1.replace("x*x_inv - 1", "x*x_inv - 2").replace("y*y_inv - 1", "y*y_inv - 2"),
+            "error: morphism 't' must go between the localized charts, but the relations of "
+            "its domain do not generate the ideal (x*x_inv - 1) (line 20, column 3)",
+        ),
+        # tinv lands in a copy of L1 with one more relation
+        (
+            p1.replace("tinv : L2 -> L1", "tinv : L2 -> L1b").replace(
+                "\nmorphism t ", "algebra L1b { char: 0; vars: x, x_inv; rel: x*x_inv - 1; rel: x - 1; }"
+                "\n\nmorphism t "
+            ),
+            "error: morphism 'tinv' must go between the localized charts, but the relations of "
+            "its codomain do not generate the ideal (x*x_inv - 1) (line 22, column 3)",
+        ),
+        # well defined both ways, but tinv(t(x)) = x_inv
+        (
+            p1.replace("  y -> x_inv;\n  y_inv -> x;", "  y -> x;\n  y_inv -> x_inv;"),
+            "error: transition is not invertible against the supplied inverse (line 21, column 3)",
+        ),
+    ]
+    for i, (source, message) in enumerate(cases):
+        path = tmp_path / f"glue{i}.kcx"
+        path.write_text(source)
+        assert source != p1
+        assert run(["glue", str(path), "--degree", "6"]) == (2, message)
+    # the same relations written another way present the same ideal
+    path = tmp_path / "scaled.kcx"
+    path.write_text(p1.replace("x*x_inv - 1", "2*x*x_inv - 2"))
+    assert run(["glue", str(path), "--degree", "6"]) == run(["glue", str(FILES / "p1.kcx"), "--degree", "6"])
+
+
 def test_cli_gallery():
     code, text = run(["gallery", "--json"])
     assert code == 0
