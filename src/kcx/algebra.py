@@ -21,10 +21,10 @@ from functools import cached_property, wraps
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import OwnerMismatch, WellDefinednessFailure
-from .fields import Field
+from .fields import Coef, Field
 from .groebner import IdealBasis, fits_cap, grade_columns
 from .parse import poly_normalize
-from .poly import Polynomial
+from .poly import Exponent, Polynomial
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,15 @@ class PresentedAlgebra:
         return [self.grading[g] for g in self.gens] if self.grading else None
 
     @cached_property
+    def cap_columns(self) -> list[tuple[int, ...]] | None:
+        """The grading's weight columns when a cap truncates the basis, else None."""
+        return grade_columns(self._grading_list) if self.grading and self.cap is not None else None
+
+    def within_cap(self, p: Polynomial) -> bool:
+        """Whether `p` lies within the grade cap, where the basis decides equality."""
+        return self.cap_columns is None or fits_cap(p.terms, self.cap_columns, self.cap)
+
+    @cached_property
     def signed_relations(self) -> frozenset[Polynomial]:
         """Every relation and its negative, each zero here with no normal form.
 
@@ -106,10 +115,7 @@ class PresentedAlgebra:
         decides nothing above it, so an image equal to such a relation must
         reach `IdealBasis.normal_form`, which refuses it.
         """
-        rels = self.relations
-        if self.grading and self.cap is not None:
-            columns = grade_columns(self._grading_list)
-            rels = [r for r in rels if fits_cap(r.terms, columns, self.cap)]
+        rels = [r for r in self.relations if self.within_cap(r)]
         return frozenset(rels) | frozenset(-r for r in rels)
 
     def __repr__(self) -> str:
@@ -285,12 +291,24 @@ class AlgebraMorphism:
     def image_of(self, gen: str) -> AlgebraElement:
         return AlgebraElement(self.cod, self.images[gen])
 
+    def agrees_on(self, other: "AlgebraMorphism", gen: str) -> bool:
+        """Whether both maps send `gen` to the same codomain element.
+
+        Identical raw images within the codomain's grade cap agree with no
+        normal form; any other pair is compared by normal forms, so an image
+        above the cap is refused as `image_of` refuses it.
+        """
+        mine, theirs = self.images[gen], other.images[gen]
+        if other.cod is self.cod and mine.terms == theirs.terms and self.cod.within_cap(mine):
+            return True
+        return self.image_of(gen) == other.image_of(gen)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraMorphism):
             return NotImplemented
         if self.dom is not other.dom or self.cod is not other.cod:
             return False
-        return all(self.image_of(g) == other.image_of(g) for g in self.dom.gens)
+        return all(self.agrees_on(other, g) for g in self.dom.gens)
 
     def __hash__(self):
         return hash((id(self.dom), id(self.cod)))
@@ -324,21 +342,33 @@ def relabel(
     `table[g]` is a codomain generator name, that name prefixed with '-' for
     its negative, a tuple of such names for their sum, or None for zero.  A
     generator absent from the table keeps its own name in the codomain.
-    Nearly every tangent and bundle structure map has this shape.
+    Nearly every tangent and bundle structure map has this shape.  Repeated
+    names add up, and a name that starts with '-' but is itself a codomain
+    generator stays literal.
     """
-
-    def signed(n: str) -> Polynomial:
-        if n.startswith("-") and n not in cod.gens:
-            return -Polynomial.variable(cod.field, cod.gens, n[1:])
-        return Polynomial.variable(cod.field, cod.gens, n)
-
     if not set(table) <= set(dom.gens):
         raise ValueError(f"not domain generators: {sorted(set(table) - set(dom.gens))}")
+    f, n = cod.field, len(cod.gens)
+    position = {c: i for i, c in enumerate(cod.gens)}
     images = {}
     for g in dom.gens:
         target = table.get(g, g)
         names = () if target is None else (target,) if isinstance(target, str) else target
-        images[g] = sum(map(signed, names), Polynomial.zero(cod.field, cod.gens))
+        terms: dict[Exponent, Coef] = {}
+        for c in names:
+            coef = f.one()
+            if c not in position and c.startswith("-"):
+                c, coef = c[1:], f.neg(coef)
+            if c not in position:
+                raise ValueError(f"{c!r} is not a generator of the codomain")
+            i = position[c]
+            exp = (0,) * i + (1,) + (0,) * (n - i - 1)
+            s = f.add(terms.get(exp, 0), coef)
+            if s:
+                terms[exp] = s
+            else:
+                terms.pop(exp, None)
+        images[g] = Polynomial._of_terms(f, cod.gens, terms)
     return AlgebraMorphism(dom, cod, images, certify=certify, name=name)
 
 
@@ -454,8 +484,12 @@ def fresh_name(taken: tuple[str, ...], name: str) -> str:
     return name
 
 
+@memoized
 def localize(A: PresentedAlgebra, u: str) -> PresentedAlgebra:
-    """Adjoin a fresh inverse generator for u with relation u*u_inv = 1."""
+    """Adjoin a fresh inverse generator for u with relation u*u_inv = 1.
+
+    One localization per (algebra, generator), shared by every caller.
+    """
     if u not in A.gens:
         raise ValueError(f"{u!r} is not a generator")
     inv = fresh_name(A.gens, f"{u}_inv")

@@ -196,8 +196,8 @@ class AxiomReport:
 
     def add_morphism_equality(self, axiom_id: str, lhs: AlgebraMorphism, rhs: AlgebraMorphism):
         for gen in lhs.dom.gens:
-            left, right = lhs.image_of(gen), rhs.image_of(gen)
-            if left != right:
+            if not lhs.agrees_on(rhs, gen):
+                left, right = lhs.image_of(gen), rhs.image_of(gen)
                 self.entries.append(
                     AxiomCheck(axiom_id, "fail", gen, left.render(), right.render())
                 )

@@ -114,8 +114,8 @@ class Polynomial:
     @classmethod
     def variable(cls, field: Field, variables: tuple[str, ...], name: str) -> "Polynomial":
         i = variables.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(field, variables, {exp: field.one()})
+        exp = (0,) * i + (1,) + (0,) * (len(variables) - i - 1)
+        return cls._of_terms(field, variables, {exp: field.one()})
 
     @classmethod
     def monomial(cls, field: Field, variables: tuple[str, ...], exp: Exponent, coef) -> "Polynomial":
@@ -231,7 +231,8 @@ class Polynomial:
         Every variable of self that actually occurs must have an image; images
         must all live in the target ring.  Each term's image is the product of
         its variables' image powers, added times the term's coefficient into
-        one result dict.
+        one result dict.  A term starts from its first variable's power, and
+        the cached power dicts are only read, never written.
         """
         f = self.field
         cache: dict[tuple[int, int], dict[Exponent, Coef]] = {}
@@ -248,12 +249,14 @@ class Polynomial:
         unit = {(0,) * len(target_vars): f.one()}
         out: dict[Exponent, Coef] = {}
         for e, c in self.terms.items():
-            term = unit
+            term = None
             for i, n in enumerate(e):
                 if n:
                     if self.vars[i] not in images:
                         raise KeyError(f"no image for variable {self.vars[i]!r}")
-                    term = _mul_terms(term, power(i, n), f)
+                    term = power(i, n) if term is None else _mul_terms(term, power(i, n), f)
+            if term is None:
+                term = unit
             for e2, c2 in term.items():
                 s = f.addmul(out.get(e2, 0), c, c2)
                 if s:

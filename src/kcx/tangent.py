@@ -14,9 +14,10 @@ and torsion extraction on canonical shapes.
 S_A(M) is presented on A's generators plus M's generator names, with M's
 relation rows imposed as degree-one relations.
 
-T(A) and S_A(M) are additive bundles over A, so `_additive_bundle` builds both
-their p/0/-/+ and q/z/iota/sigma.  These maps, the flips, zero maps, vertical
-lifts, lambda and U are `algebra.relabel` tables of signed generators.
+T(A) and S_A(M) are additive bundles over A, so `_additive_bundle` builds
+T(A)'s p/0/-/+ and, on first use, S_A(M)'s sigma; no verdict reads sigma.
+These maps, q/z/iota, the flips, zero maps, vertical lifts, lambda and U are
+`algebra.relabel` tables of signed generators.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ class TangentPresentation(PresentedAlgebra):
             grading[g] = base + (0,)
             grading[self.dmap[g]] = base + (1,)
         relations = [r.change_vars(gens) for r in B.relations]
+        # where each source generator and its differential sit in `gens`
+        self._slots = [(gens.index(g), gens.index(self.dmap[g])) for g in B.gens]
         super().__init__(
             B.field, gens, [], provenance="tangent", roles=roles,
             grading=grading, cap=(1,) * (k + 1),
@@ -88,14 +91,28 @@ class TangentPresentation(PresentedAlgebra):
         self.relations = tuple(relations)
 
     def differential(self, p: Polynomial) -> Polynomial:
-        """Formal differential of a source-ring polynomial, inside T(B)."""
-        out = Polynomial.zero(self.field, self.gens)
-        for g in self.source.gens:
-            dg = p.partial(g)
-            if dg.is_zero():
-                continue
-            out = out + dg.change_vars(self.gens) * Polynomial.variable(self.field, self.gens, self.dmap[g])
-        return out
+        """Formal differential of a source-ring polynomial, inside T(B).
+
+        Each term c*x^e and source generator x_i with e_i > 0 give the one
+        monomial c*e_i * x^(e - 1_i) * d(x_i), dropped when c*e_i vanishes
+        in the field.  Distinct pairs give distinct monomials, so the result
+        dict is written once per pair, with nothing to add up.
+        """
+        if p.vars != self.source.gens or p.field != self.field:
+            raise ValueError("polynomial is not in the source ring")
+        f, n = self.field, len(self.gens)
+        out = {}
+        for e, c in p.terms.items():
+            row = [0] * n
+            for (pos, _), k in zip(self._slots, e):
+                row[pos] = k
+            for (pos, dpos), k in zip(self._slots, e):
+                if k and (coef := f.mul(c, f.of(k))):
+                    exp = row.copy()
+                    exp[pos] -= 1
+                    exp[dpos] = 1
+                    out[tuple(exp)] = coef
+        return Polynomial._of_terms(f, self.gens, out)
 
     def d(self, e: ElementLike):
         """d of a source-algebra element, as an element of T(B)."""
@@ -156,7 +173,7 @@ def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, fibre, names: tup
 
     B is presented on A's generators plus the fibre generators.  T(A) (fibre:
     the differentials) and S_A(M) (fibre: M's generators) are both of this
-    kind, so their p/0/-/+ and q/z/iota/sigma come from here, all certified.
+    kind, so their p/0/-/+ and sigma come from here, all certified.
     """
     include = relabel(A, B, {}, names[0])
     B2 = tensor_over_base(A, B, B, include, include, concat_grading=True)
@@ -251,9 +268,8 @@ def bundle_combine(
             a, b = f.images[gen], g.images[gen]
             images[gen] = a + b if sign == "plus" else a - b
         else:
-            left, right = f.image_of(gen), g.image_of(gen)
-            if left != right:
-                raise BaseMismatch(gen, left.render(), right.render())
+            if not f.agrees_on(g, gen):
+                raise BaseMismatch(gen, f.image_of(gen).render(), g.image_of(gen).render())
             images[gen] = f.images[gen]
     out = AlgebraMorphism(f.dom, f.cod, images, certify=False, name=f"({f.name}{'+' if sign == 'plus' else '-'}{g.name})")
     out.certified = f.certified and g.certified
@@ -288,7 +304,7 @@ class BundleContext:
     axiom checks share.
 
     One per module (`bundle_context`), shared by every connection on M.  The
-    double-tangent data and the axiom maps are built on first use.
+    double-tangent data, the axiom maps and sigma are built on first use.
     """
 
     def __init__(self, M: PresentedModule):
@@ -296,9 +312,9 @@ class BundleContext:
         self.M = M
         self.S = SymBundle(M)
         self.TS = tangent_algebra(self.S)
-        self.sigma_codomain, self.q, self.z, self.iota, self.sigma = _additive_bundle(
-            A, self.S, M.gens, ("q", "z", "iota", "sigma")
-        )
+        self.q = relabel(A, self.S, {}, "q")
+        self.z = relabel(self.S, A, dict.fromkeys(M.gens), "z")
+        self.iota = relabel(self.S, self.S, {m: f"-{m}" for m in M.gens}, "iota")
         # module generators and d-of-base die under the bundle lift
         lam_table = {
             g: role.origin if role.kind == "dm" else None
@@ -315,6 +331,15 @@ class BundleContext:
         for g in A.gens:
             u_table.update({f"{g}#0": g, f"{self.TA.dmap[g]}#0": self.TS.dmap[g]})
         self.U = relabel(self.TAS, self.TS, u_table, "U")
+
+    @cached_property
+    def sigma(self) -> AlgebraMorphism:
+        """sigma: S -> S (x)_A S, the fibrewise sum; no axiom check reads it."""
+        return _additive_bundle(self.A, self.S, self.M.gens, ("q", "z", "iota", "sigma"))[4]
+
+    @cached_property
+    def sigma_codomain(self) -> TensorAlgebra:
+        return self.sigma.cod
 
     # -- double-tangent data -------------------------------------------------
 

@@ -11,6 +11,11 @@ forms involved.  `brute_standard_monomials` tests every monomial up to the
 degree against every leading term; it checks the engine's order-ideal walk.
 `loop_monomial_grade` sums each grade coordinate in a double loop over the
 grading rows; it checks the engine's precomputed weight columns.
+`partial_differential` builds d(p) as a sum of partial derivatives times
+differentials; it checks the one-pass `TangentPresentation.differential`.
+`signed_sum_images` adds each relabel image up from signed variables; it
+checks `relabel`'s term dicts.  `normal_form_agrees` compares two maps'
+images by normal forms alone; it checks `AlgebraMorphism.agrees_on`.
 """
 
 from __future__ import annotations
@@ -202,3 +207,36 @@ def module_span_contains(v, gens, bound: int, field: Field) -> bool:
                 coeffs[unknowns[j]] = c
         equations.append(LinearEquation(coeffs, field.neg(v[pos].terms.get(mono, field.zero()))))
     return not dense_affine_solve(equations, unknowns, field).is_empty
+
+
+def partial_differential(T, p: Polynomial) -> Polynomial:
+    """d(p) in the tangent presentation T: sum over T's source generators g of
+    partial(p, g) * d(g), by `Polynomial` arithmetic."""
+    out = Polynomial.zero(T.field, T.gens)
+    for g in T.source.gens:
+        dg = p.partial(g)
+        if dg.is_zero():
+            continue
+        out = out + dg.change_vars(T.gens) * Polynomial.variable(T.field, T.gens, T.dmap[g])
+    return out
+
+
+def signed_sum_images(dom_gens, cod, table) -> dict[str, Polynomial]:
+    """Images of `relabel(dom, cod, table)`: each a sum of signed variables."""
+
+    def signed(n: str) -> Polynomial:
+        if n.startswith("-") and n not in cod.gens:
+            return -Polynomial.variable(cod.field, cod.gens, n[1:])
+        return Polynomial.variable(cod.field, cod.gens, n)
+
+    images = {}
+    for g in dom_gens:
+        target = table.get(g, g)
+        names = () if target is None else (target,) if isinstance(target, str) else target
+        images[g] = sum(map(signed, names), Polynomial.zero(cod.field, cod.gens))
+    return images
+
+
+def normal_form_agrees(f, g, gen: str) -> bool:
+    """Whether two maps send `gen` to the same element, by normal forms alone."""
+    return f.image_of(gen) == g.image_of(gen)

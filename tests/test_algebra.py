@@ -20,6 +20,8 @@ from kcx.fields import GF, QQ
 from kcx.parse import poly_normalize
 from kcx.poly import Polynomial
 
+from oracles import signed_sum_images
+
 
 def test_make_algebra_gallery(circle, fat_point, plane):
     assert circle.element("x^2 + y^2") == circle.one()
@@ -50,6 +52,41 @@ def test_relabel_tables():
         relabel(A, A, {"z": "x"})  # not a domain generator
     with pytest.raises(ValueError):
         relabel(A, A, {"x": "z"})  # not a codomain generator
+
+
+def test_relabel_images_match_signed_sums():
+    """Seeded tables of single names, tuples with repeats, a with -a, None and
+    absent generators give the images of the sum-of-signed-variables definition;
+    "-b" is a codomain generator of its own and stays literal."""
+    rng = random.Random(2121)
+    dom_gens = ("a", "b", "c", "e")
+    names = ["a", "b", "c", "d", "-a", "-b", "-c", "-d"]
+    for field in (QQ, GF(2), GF(3)):
+        dom = PresentedAlgebra(field, dom_gens, [])
+        cod = PresentedAlgebra(field, ("a", "b", "c", "d", "e", "-b"), [])
+        for _ in range(60):
+            table = {}
+            for g in rng.sample(dom_gens, rng.randint(0, len(dom_gens))):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    table[g] = None
+                elif kind == 1:
+                    table[g] = rng.choice(names)
+                elif kind == 2:
+                    x = rng.choice("abcd")
+                    table[g] = (x, f"-{x}", rng.choice(names))
+                else:
+                    table[g] = tuple(rng.choices(names, k=rng.randint(0, 4)))
+            got = relabel(dom, cod, table, certify=False).images
+            want = signed_sum_images(dom_gens, cod, table)
+            assert {g: p.terms for g, p in got.items()} == {g: p.terms for g, p in want.items()}, table
+        literal = relabel(dom, cod, {"a": "-b"}, certify=False).images["a"]
+        assert literal == Polynomial.variable(field, cod.gens, "-b")
+    for target in ("z", "-z", ("a", "z"), "-"):
+        with pytest.raises(ValueError):
+            relabel(dom, cod, {"a": target})
+    with pytest.raises(ValueError):
+        relabel(cod, dom, {})  # "d" is absent from the table and from the codomain
 
 
 def test_fresh_names_avoid_existing_generators():
@@ -141,6 +178,16 @@ def test_localize_basics():
     assert loc2.element(inv2) == loc2.element("x_inv")
 
 
+def test_localize_builds_one_localization_per_generator():
+    A = make_algebra(QQ, ("x", "y"))
+    assert localize(A, "x") is localize(A, "x")
+    assert localize(A, "y") is not localize(A, "x")
+    memo = dict(A._memo)
+    with pytest.raises(ValueError):
+        localize(A, "z")
+    assert A._memo == memo
+
+
 def raw_morphism(dom, cod, images: dict[str, str]) -> AlgebraMorphism:
     """A morphism from unreduced image expressions, so no codomain basis is built."""
     polys = {g: poly_normalize(v, cod.field, cod.gens) for g, v in images.items()}
@@ -194,3 +241,41 @@ def test_matched_images_above_the_grade_cap_are_refused():
 def test_well_definedness_certificate_content(circle):
     m = make_morphism(circle, circle, {"x": "y", "y": "x"})
     assert all(res.is_zero() for _, res in m.certificate())
+
+
+def test_identical_images_within_the_cap_agree_with_no_basis():
+    line = make_algebra(QQ, ("t",))
+    for cod in (
+        make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"]),
+        PresentedAlgebra(QQ, ("t", "dt"), [Polynomial.monomial(QQ, ("t", "dt"), (0, 2), 1)],
+                         grading={"t": (0,), "dt": (1,)}, cap=(1,)),
+    ):
+        image = {"t": "x + y" if "x" in cod.gens else "t*dt - 1"}
+        f, g = raw_morphism(line, cod, image), raw_morphism(line, cod, image)
+        assert f.images["t"] is not g.images["t"]
+        assert f.agrees_on(g, "t") and f == g
+        assert "basis" not in cod.__dict__
+
+
+def test_identical_images_above_the_cap_are_refused_like_image_of():
+    gens = ("t", "dt")
+    capped = PresentedAlgebra(QQ, gens, [], grading={"t": (0,), "dt": (1,)}, cap=(1,))
+    line = make_algebra(QQ, ("s",))
+    f, g = (raw_morphism(line, capped, {"s": "dt^2"}) for _ in range(2))
+    with pytest.raises(ValueError) as refused:
+        f.image_of("s")
+    with pytest.raises(ValueError) as err:
+        f.agrees_on(g, "s")
+    assert str(err.value) == str(refused.value)
+    with pytest.raises(ValueError):
+        f == g  # noqa: B015
+
+
+def test_images_equal_modulo_the_ideal_agree():
+    circle = make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"])
+    line = make_algebra(QQ, ("t",))
+    f = raw_morphism(line, circle, {"t": "x^2 + y^2"})
+    assert f.agrees_on(raw_morphism(line, circle, {"t": "1"}), "t")
+    assert "basis" in circle.__dict__
+    assert not f.agrees_on(raw_morphism(line, circle, {"t": "x"}), "t")
+    assert f != raw_morphism(line, circle, {"t": "x"})

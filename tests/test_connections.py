@@ -15,17 +15,19 @@ from kcx.connections import (
     to_vertical,
     verify_connection_axioms,
     verify_horizontal_axioms,
+    verify_vertical_axioms,
     vertical_from_horizontal,
     zero_gamma_connection,
 )
 from kcx.algebra import AlgebraMorphism
-from kcx.errors import AxiomFailure, SectionRetractionFailure, WellDefinednessFailure
+from kcx.errors import AxiomFailure, BaseMismatch, SectionRetractionFailure, WellDefinednessFailure
 from kcx.fields import QQ
 from kcx.modules import ModuleMorphism, free_module, kahler_module
 from kcx.tangent import bundle_context
 from kcx.poly import Polynomial
 
 import helpers
+from oracles import normal_form_agrees
 
 
 def test_circle_canonical_accepted(circle):
@@ -221,6 +223,64 @@ def test_degenerate_vertical_fails_k1(circle):
     )])
     report = verify_vertical_axioms(K_bad, nabla.module)
     assert any(e.axiom_id == "K.1" and e.status == "fail" for e in report.entries)
+
+
+def perturbed(f: AlgebraMorphism, rng: random.Random) -> AlgebraMorphism:
+    """f with one image changed: plus a signed codomain generator, plus a base
+    generator times a codomain relation (the same element), or swapped with
+    another image.  Every change stays within the codomain's grade cap."""
+    cod, images = f.cod, dict(f.images)
+    gen = rng.choice(f.dom.gens)
+    kind = rng.randrange(3)
+    if kind == 0:
+        v = Polynomial.variable(cod.field, cod.gens, rng.choice(cod.gens))
+        images[gen] = images[gen] + v.scale(rng.choice((-1, 1)))
+    elif kind == 1:
+        base = [g for g in cod.gens if cod.roles[g].kind == "base"]
+        x = Polynomial.variable(cod.field, cod.gens, rng.choice(base))
+        images[gen] = images[gen] + x * rng.choice(cod.relations)
+    else:
+        other = rng.choice(f.dom.gens)
+        images[gen], images[other] = images[other], images[gen]
+    return AlgebraMorphism(f.dom, cod, images, certify=False, name=f.name)
+
+
+def test_seeded_broken_bundle_maps_fail_like_normal_form_comparisons(circle, elliptic, monkeypatch):
+    """K or H with one image broken gives the same axiom entries, or the same
+    error, as suites whose images are compared by normal forms alone.  A
+    composite of a broken map may leave the grade cap; both suites then
+    refuse it alike."""
+    rng = random.Random(4242)
+    seen = set()
+    for nabla in (helpers.circle_canonical(circle), helpers.elliptic_connection(elliptic)):
+        M = nabla.module
+        K, H = to_vertical(nabla), to_horizontal(nabla)
+        for _ in range(20):
+            if rng.random() < 0.5:
+                K_bad, H_bad = perturbed(K, rng), H
+            else:
+                K_bad, H_bad = K, perturbed(H, rng)
+
+            def outcomes():
+                out = []
+                for run in (
+                    lambda: verify_horizontal_axioms(H_bad, M),
+                    lambda: verify_vertical_axioms(K_bad, M),
+                    lambda: verify_connection_axioms(K_bad, H_bad, M),
+                ):
+                    try:
+                        out.append(run().entries)
+                    except (BaseMismatch, ValueError) as err:  # C.2's bundle_combine; out of cap
+                        out.append((type(err).__name__, str(err)))
+                return out
+
+            got = outcomes()
+            with monkeypatch.context() as patch:
+                patch.setattr(AlgebraMorphism, "agrees_on", normal_form_agrees)
+                assert outcomes() == got
+            for entries in got:
+                seen.update(e.status for e in entries) if isinstance(entries, list) else seen.add(entries[0])
+    assert seen == {"pass", "fail", "BaseMismatch", "ValueError"}
 
 
 def test_membership_failure_on_alien_horizontal(plane):

@@ -13,8 +13,10 @@ from kcx.curvature import check_curvature_correspondence, check_torsion_correspo
 from kcx.curvature import module_curvature, module_torsion
 from kcx.dualnum import dual_numbers_structure
 from kcx.errors import BaseMismatch, BracketingConditionFailure, WellDefinednessFailure
-from kcx.fields import QQ
+from kcx.fields import GF, QQ
+from kcx.groebner import IdealBasis
 from kcx.modules import free_module, kahler_module, make_module
+from kcx.poly import Polynomial
 from kcx.tangent import (
     affine_flip,
     affine_swap,
@@ -30,6 +32,8 @@ from kcx.tangent import (
     zero_map,
 )
 
+from oracles import partial_differential
+
 
 # the maps the axiom checks share, built once per module on its bundle context
 AXIOM_MAPS = ("p_S", "zero_S", "Tq", "lift_S", "T_lam", "h3_down", "h4_down")
@@ -39,6 +43,38 @@ def test_tangent_plane_free(plane):
     T = tangent_algebra(plane)
     assert set(T.gens) == {"x1", "x2", "d_x1", "d_x2"}
     assert T.relations == ()
+
+
+def random_polynomial(rng: random.Random, field, gens, terms: int = 6) -> Polynomial:
+    """Seeded polynomial with exponents up to 6, so over GF(2) and GF(3) many
+    exponents are multiples of p and their terms differentiate to zero."""
+    exps = [tuple(rng.choice((0, 0, 1, 2, 3, 4, 6)) for _ in gens) for _ in range(terms)]
+    return Polynomial(field, gens, {e: rng.randint(-5, 5) for e in exps})
+
+
+def test_differential_matches_the_sum_of_partials():
+    rng = random.Random(1313)
+    vanished = 0
+    for field in (QQ, GF(2), GF(3), GF(32003)):
+        for gens, rels in ((("x", "y", "z"), []), (("x", "y"), ["x^2 + y^2 - 1"])):
+            T = tangent_algebra(make_algebra(field, gens, rels))
+            for _ in range(40):
+                p = random_polynomial(rng, field, gens)
+                got = T.differential(p)
+                assert got.terms == partial_differential(T, p).terms, (field, p.render())
+                vanished += sum(1 for e in p.terms for k in e if k and not field.of(k))
+    assert vanished > 0
+    with pytest.raises(ValueError):
+        T.differential(Polynomial.variable(QQ, ("x", "y"), "x"))  # GF(32003) presentation
+
+
+def test_differential_matches_the_sum_of_partials_on_gallery_relations():
+    for A in (gallery.plane_algebra(), gallery.circle_algebra(), gallery.sphere_algebra(),
+              gallery.elliptic_algebra(), gallery.fat_point_algebra()):
+        ctx = bundle_context(kahler_module(A))
+        for T in (tangent_algebra(A), tangent_algebra(tangent_algebra(A)), ctx.TS, ctx.T2S):
+            for r in T.source.relations:
+                assert T.differential(r).terms == partial_differential(T, r).terms
 
 
 def test_tangent_circle_relations(circle):
@@ -357,18 +393,8 @@ def test_seeded_wrong_relabel_tables_fail_like_their_certificates():
     assert failures >= 10 and refusals >= 1
 
 
-def test_only_maps_built_from_connection_data_reach_normal_forms(monkeypatch):
-    """On the S^2 pipeline every structure map is certified by matching; the
-    normal-form certificate runs only for K, H and sigma."""
-    reached = []
-    certificate = AlgebraMorphism.certificate
-
-    def recording(self, *args):
-        reached.append(self.name)
-        return certificate(self, *args)
-
-    monkeypatch.setattr(AlgebraMorphism, "certificate", recording)
-    A = make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"])
+def run_sphere_pipeline(A):
+    """The benchmark's pipeline steps on the canonical connection over A."""
     nabla = gallery.sphere_canonical_connection(A)
     H, K = to_horizontal(nabla), to_vertical(nabla)
     assert verify_connection_axioms(K, H, nabla.module).all_pass
@@ -377,4 +403,41 @@ def test_only_maps_built_from_connection_data_reach_normal_forms(monkeypatch):
     assert check_curvature_correspondence(nabla).residuals_zero
     assert module_torsion(nabla).torsion_free
     assert check_torsion_correspondence(nabla).residuals_zero
-    assert set(reached) == {"K", "H", "sigma"}
+    return nabla
+
+
+def test_only_maps_built_from_connection_data_reach_normal_forms(monkeypatch):
+    """On the S^2 pipeline every structure map is certified by matching; the
+    normal-form certificate runs only for K and H."""
+    reached = []
+    certificate = AlgebraMorphism.certificate
+
+    def recording(self, *args):
+        reached.append(self.name)
+        return certificate(self, *args)
+
+    monkeypatch.setattr(AlgebraMorphism, "certificate", recording)
+    run_sphere_pipeline(make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"]))
+    assert set(reached) == {"K", "H"}
+
+
+def test_sigma_and_its_codomain_are_built_only_when_asked(monkeypatch):
+    """The S^2 pipeline builds no sigma, no S (x)_A S and no basis of it;
+    asking for sigma afterwards still builds and certifies it."""
+    rings = []
+    init = IdealBasis.__init__
+
+    def recording(self, field, variables, *args):
+        rings.append(variables)
+        init(self, field, variables, *args)
+
+    monkeypatch.setattr(IdealBasis, "__init__", recording)
+    nabla = run_sphere_pipeline(make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"]))
+    ctx = nabla.ctx
+    assert "sigma" not in vars(ctx) and "sigma_codomain" not in vars(ctx)
+    s_tensor_s = tuple(f"{g}#{i}" for i in (0, 1) for g in ctx.S.gens)
+    assert s_tensor_s not in rings
+    assert ctx.sigma.certified
+    assert ctx.sigma_codomain is ctx.sigma.cod
+    assert ctx.sigma_codomain.gens == s_tensor_s
+    assert s_tensor_s in rings  # certifying sigma reduces there, so the check above can fail
