@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
+from typing import Iterator
 
 from .algebra import (
     AlgebraMorphism,
@@ -31,11 +32,10 @@ from .modules import (
     ModuleElement,
     ModuleMorphism,
     PresentedModule,
+    TensorModule,
     christoffel_target,
     free_module,
-    kahler_module,
     make_module,
-    universal_derivation,
 )
 from .poly import Polynomial
 from .tangent import (
@@ -74,18 +74,23 @@ class Connection:
         return f"<connection {rows}>"
 
 
-def _leibniz(
-    M: PresentedModule, target: PresentedModule, comps, gamma: dict[str, ModuleElement]
-) -> ModuleElement:
-    """sum over generators g of d(c_g) (x) g + c_g * Gamma(g), for c = comps."""
-    A = M.base
-    out = target.zero()
-    for coef, g in zip(comps, M.gens):
+def leibniz_terms(
+    M: PresentedModule, target: TensorModule, entries, gamma: dict[str, ModuleElement]
+) -> Iterator[tuple[int, Polynomial]]:
+    """`combine` terms of sum d(c) (x) g_l + c * Gamma(g_l) over (l, c) in `entries`.
+
+    d(c) (x) g_l is written raw, as partial(c, x_i) at pair (i, l): c is any
+    representative of its class, and Gamma(g_l) is scaled component by
+    component.
+    """
+    for l, coef in entries:
         if coef.is_zero():
             continue
-        out = out + target.pair(universal_derivation(A, A.element(coef)), M.gen(g))
-        out = out + gamma[g].scaled(coef)
-    return out
+        for i, x in enumerate(M.base.gens):
+            yield target.pair_index(i, l), coef.partial(x)
+        for k, c in enumerate(gamma[M.gens[l]].comps):
+            if c:
+                yield k, coef * c
 
 
 def connection_residues(
@@ -93,7 +98,7 @@ def connection_residues(
 ) -> list[tuple[tuple, ModuleElement]]:
     """Per-relation Leibniz residues of candidate Christoffel data (no raise)."""
     target = christoffel_target(M)
-    return [(row, _leibniz(M, target, row, gamma)) for row in M.relations]
+    return [(row, target.combine(leibniz_terms(M, target, enumerate(row), gamma))) for row in M.relations]
 
 
 def make_connection(M: PresentedModule, images: dict[str, object]) -> Connection:
@@ -113,7 +118,8 @@ def make_connection(M: PresentedModule, images: dict[str, object]) -> Connection
 def apply_connection(nabla: Connection, e: ModuleElement) -> ModuleElement:
     """Leibniz extension: nabla(sum a_j g_j) = sum (d(a_j) (x) g_j + a_j Gamma(g_j))."""
     M = nabla.module
-    return _leibniz(M, christoffel_target(M), M.element(e).comps, nabla.gamma)
+    target = christoffel_target(M)
+    return target.combine(leibniz_terms(M, target, enumerate(M.element(e).comps), nabla.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +217,9 @@ def verify_horizontal_axioms(H: AlgebraMorphism, M: PresentedModule) -> AxiomRep
     TH = tangent_apply_functor(H)
     report.add_morphism_equality("H.1", compose_chain([ctx.Tq, H]), ctx.TAS.i0)
     report.add_morphism_equality("H.2", compose_chain([ctx.p_S, H]), ctx.TAS.i1)
+    report.add_morphism_equality("H.3", compose_chain([ctx.lift_S, H]), compose_chain([TH, ctx.h3_down]))
     report.add_morphism_equality(
-        "H.3", compose_chain([ctx.lift_S, H]), compose_chain([TH, ctx.leibniz_iso, ctx.h3_down])
-    )
-    report.add_morphism_equality(
-        "H.4",
-        compose_chain([ctx.flip_S, ctx.T_lam, H]),
-        compose_chain([TH, ctx.leibniz_iso, ctx.h4_down]),
+        "H.4", compose_chain([ctx.flip_S, ctx.T_lam, H]), compose_chain([TH, ctx.h4_down])
     )
     return report
 
@@ -289,11 +291,11 @@ def pullback_connection(nabla: Connection, f: AlgebraMorphism) -> Connection:
     target = christoffel_target(pulled)
     images = {}
     for g in M.gens:
-        out = target.zero()
+        terms = []
         for i, l, coef in christoffel_target(M).entries(nabla.gamma[g]):
-            d_image = universal_derivation(B, f(A.gen(A.gens[i])))
-            out = out + target.pair(d_image, pulled.gen(M.gens[l])).scaled(f(A.element(coef)))
-        images[g] = out
+            fc, fx = f.apply_raw(coef), f.images[A.gens[i]]
+            terms += [(target.pair_index(j, l), fc * fx.partial(y)) for j, y in enumerate(B.gens)]
+        images[g] = target.combine(terms)
     return make_connection(pulled, images)
 
 
@@ -306,15 +308,16 @@ def retract_connection(nabla: Connection, s: ModuleMorphism, r: ModuleMorphism) 
     for g in Mp.gens:
         if r(s(Mp.gen(g))) != Mp.gen(g):
             raise SectionRetractionFailure(f"r(s({g})) != {g}")
-    omega = kahler_module(M.base)
     target = christoffel_target(Mp)
     images = {}
     for g in Mp.gens:
-        full = apply_connection(nabla, s(Mp.gen(g)))
-        out = target.zero()
-        for i, l, coef in christoffel_target(M).entries(full):
-            out = out + target.pair(omega.gen(omega.gens[i]), r(M.gen(M.gens[l]))).scaled(coef)
-        images[g] = out
+        full = apply_connection(nabla, s.images[g])
+        images[g] = target.combine(
+            (target.pair_index(i, k), coef * c)
+            for i, l, coef in christoffel_target(M).entries(full)
+            for k, c in enumerate(r.images[M.gens[l]].comps)
+            if c
+        )
     return make_connection(Mp, images)
 
 

@@ -16,16 +16,15 @@ that identity holds on the nose on the generator basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import Callable, Iterator
+from typing import Callable
 
 from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
-    PresentedAlgebra,
     compose_chain,
     compose_morphisms,
 )
-from .connections import Connection, apply_connection, to_horizontal, to_vertical
+from .connections import Connection, apply_connection, leibniz_terms, to_horizontal, to_vertical
 from .errors import KcxError, ModuleNotKahler
 from .modules import ModuleElement, christoffel_target, kahler_module, tensor_modules, wedge_square
 from .poly import Polynomial
@@ -35,6 +34,7 @@ from .tangent import (
     affine_swap,
     bracketing,
     bundle_combine,
+    split_shapes,
     tangent_apply_functor,
 )
 
@@ -101,13 +101,17 @@ def _wedge_tensor(nabla: Connection, terms) -> ModuleElement:
 
 
 def curvature_of_element(nabla: Connection, e: ModuleElement) -> ModuleElement:
-    """Apply the connection twice and collapse the two form slots to a wedge."""
+    """Apply the connection twice and collapse the two form slots to a wedge.
+
+    The second application stays raw: the collapse d(x_i) (x) v -> d(x_i) ^ v
+    is well defined on the class of v (it kills d(x_i) ^ d(r) for a relation
+    r, M's relations and the ideal), so only the wedge sum is reduced.
+    """
     M = nabla.module
     T = christoffel_target(M)
     terms = []
     for i, l, coef in T.entries(apply_connection(nabla, e)):
-        second = apply_connection(nabla, M.gen(M.gens[l]).scaled(coef))
-        terms.extend((i, k, t, c) for k, t, c in T.entries(second))
+        terms += [(i, *T.pair_slots(k), c) for k, c in leibniz_terms(M, T, [(l, coef)], nabla.gamma)]
     return _wedge_tensor(nabla, terms)
 
 
@@ -130,10 +134,10 @@ def module_torsion(nabla: Connection) -> TorsionResult:
 # ---------------------------------------------------------------------------
 
 
-def tangent_curvature(nabla: Connection, K: AlgebraMorphism | None = None) -> AlgebraMorphism:
+def tangent_curvature(nabla: Connection) -> AlgebraMorphism:
     """Flip-compared double application of the vertical form: S -> T^2(S)."""
     ctx = nabla.ctx
-    K = K if K is not None else to_vertical(nabla)
+    K = to_vertical(nabla)
     TK = tangent_apply_functor(K)
     twice = compose_morphisms(TK, K)
     flipped = compose_morphisms(ctx.flip_S, twice)
@@ -177,36 +181,6 @@ def embed_wedge_curvature(nabla: Connection, e: ModuleElement) -> Polynomial:
     return out
 
 
-def _shapes(
-    P: TangentPresentation, A: PresentedAlgebra, poly, kinds: tuple[str, ...]
-) -> Iterator[tuple[list[str], Polynomial]]:
-    """The monomials of `poly` with one degree-1 generator of each sort in
-    `kinds` and only base generators besides; all others are dropped.
-
-    Yields those generators in the order of `kinds`, and the rest of the term
-    as a polynomial over A.
-    """
-    if isinstance(poly, AlgebraElement):
-        poly = poly.poly
-    kind_at = [P.roles[g].kind for g in P.gens]
-    back = {g: g for g in A.gens}
-    for exp, coef in poly.terms.items():
-        found: dict[str, str] = {}
-        rest = list(exp)
-        for pos, vdeg in enumerate(exp):
-            kind = kind_at[pos]
-            if not vdeg or kind == "base":
-                continue
-            if vdeg != 1 or kind not in kinds or kind in found:
-                break
-            found[kind] = P.gens[pos]
-            rest[pos] = 0
-        else:
-            if len(found) == len(kinds):
-                rest_poly = Polynomial(P.field, P.gens, {tuple(rest): coef})
-                yield [found[k] for k in kinds], rest_poly.change_vars(A.gens, back)
-
-
 def project_wedge_curvature(nabla: Connection, poly) -> ModuleElement:
     """phi: T^2(S_A(M)) -> Omega^2 (x) M, killing monomials of other shapes.
 
@@ -220,7 +194,7 @@ def project_wedge_curvature(nabla: Connection, poly) -> ModuleElement:
         nabla,
         [
             (origin(d), origin(dp), M.gens.index(m), c)
-            for (m, d, dp), c in _shapes(T2S, A, poly, ("module", "d", "dp"))
+            for (m, d, dp), c in split_shapes(T2S, poly, ("module", "d", "dp"), A.gens)[0]
         ],
     )
 
@@ -250,7 +224,7 @@ def project_wedge_torsion(nabla: Connection, poly) -> ModuleElement:
     w2 = wedge_square(kahler_module(A))
     terms = (
         (M.gens.index(m), A.gens.index(TS.roles[d].origin), c)
-        for (m, d), c in _shapes(TS, A, poly, ("module", "d"))
+        for (m, d), c in split_shapes(TS, poly, ("module", "d"), A.gens)[0]
     )
     return ModuleElement(w2, w2.collect(terms))
 

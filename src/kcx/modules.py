@@ -80,14 +80,32 @@ class PresentedModule:
         return ModuleElement(self, tuple(comps))
 
     def gen(self, name: str) -> "ModuleElement":
-        i = self.gens.index(name)
-        one = Polynomial.const(self.base.field, self.base.gens, 1)
-        zero = Polynomial.zero(self.base.field, self.base.gens)
-        return ModuleElement(self, tuple(one if j == i else zero for j in range(self.rank)))
+        return self.combine([(self.gens.index(name), Polynomial.const(self.base.field, self.base.gens, 1))])
 
     def zero(self) -> "ModuleElement":
-        z = Polynomial.zero(self.base.field, self.base.gens)
-        return ModuleElement(self, tuple(z for _ in range(self.rank)))
+        return self.combine(())
+
+    def combine(self, terms: Iterable[tuple[int, Polynomial]]) -> "ModuleElement":
+        """The element sum of p * e_k over (k, p), with one normal form.
+
+        Each p is a raw polynomial over the base ring; the terms are added
+        into one dict per component before the sum is reduced.  Every class
+        has exactly one normal form, so any representatives of the summands
+        give the same element.
+        """
+        f, gens = self.base.field, self.base.gens
+        acc: list[dict] = [{} for _ in self.gens]
+        for k, p in terms:
+            if p.vars is not gens and (p.vars != gens or p.field != f):
+                raise ValueError("component is not in the base ring")
+            comp = acc[k]
+            for e, c in p.terms.items():
+                s = f.add(comp.get(e, 0), c)
+                if s:
+                    comp[e] = s
+                else:
+                    comp.pop(e, None)
+        return ModuleElement(self, tuple(Polynomial._of_terms(f, gens, comp) for comp in acc))
 
 
 class ModuleElement:
@@ -234,29 +252,21 @@ class TensorModule(PresentedModule):
     def pair_index(self, i: int, j: int) -> int:
         return i * self.factors[1].rank + j
 
+    def pair_slots(self, idx: int) -> tuple[int, int]:
+        """(i, l) for the pair generator g_i @ h_l at component idx."""
+        return divmod(idx, self.factors[1].rank)
+
     def entries(self, e: ModuleElement) -> Iterator[tuple[int, int, Polynomial]]:
         """(i, l, coef) for each nonzero component coef * (g_i @ h_l) of e."""
-        n = self.factors[1].rank
-        for idx, coef in enumerate(e.comps):
-            if not coef.is_zero():
-                i, l = divmod(idx, n)
-                yield i, l, coef
+        return ((*self.pair_slots(idx), coef) for idx, coef in enumerate(e.comps) if coef)
 
     def pair(self, u: VectorLike, v: VectorLike) -> ModuleElement:
         """The simple tensor u (x) v, expanded over pair generators."""
         M, N = self.factors
-        u = M.element(u)
-        v = N.element(v)
-        comps = [Polynomial.zero(self.base.field, self.base.gens)] * self.rank
-        for i, cu in enumerate(u.comps):
-            if cu.is_zero():
-                continue
-            for j, cv in enumerate(v.comps):
-                if cv.is_zero():
-                    continue
-                k = self.pair_index(i, j)
-                comps[k] = comps[k] + cu * cv
-        return ModuleElement(self, tuple(comps))
+        u, v = M.element(u), N.element(v)
+        return self.combine(
+            (self.pair_index(i, j), cu * cv) for i, cu in enumerate(u.comps) if cu for j, cv in enumerate(v.comps) if cv
+        )
 
 
 @memoized
@@ -365,9 +375,7 @@ class ModuleMorphism:
         self.images = {g: cod.element(v) for g, v in images.items()}
         if certify:
             for rel in dom.relations:
-                total = cod.zero()
-                for coef, g in zip(rel, dom.gens):
-                    total = total + self.images[g].scaled(coef)
+                total = self._apply(rel)
                 if not total.is_zero():
                     raise WellDefinednessFailure(
                         name or "module morphism",
@@ -375,10 +383,10 @@ class ModuleMorphism:
                         total.render(),
                     )
 
+    def _apply(self, comps) -> ModuleElement:
+        """sum of comps[j] * image(g_j), reduced once in the codomain."""
+        images = (self.images[g].comps for g in self.dom.gens)
+        return self.cod.combine((k, coef * c) for coef, img in zip(comps, images) if coef for k, c in enumerate(img) if c)
+
     def __call__(self, e: VectorLike) -> ModuleElement:
-        e = self.dom.element(e)
-        out = self.cod.zero()
-        for coef, g in zip(e.comps, self.dom.gens):
-            if not coef.is_zero():
-                out = out + self.images[g].scaled(coef)
-        return out
+        return self._apply(self.dom.element(e).comps)

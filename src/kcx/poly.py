@@ -159,7 +159,10 @@ class Polynomial:
     # ---------- arithmetic ----------
 
     def _check(self, other: "Polynomial"):
-        if self.field != other.field or self.vars != other.vars:
+        # identity settles the common case; equal rings built apart still pass
+        if (self.vars is not other.vars or self.field is not other.field) and (
+            self.field != other.field or self.vars != other.vars
+        ):
             raise ValueError("polynomials live in different rings")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -241,7 +244,9 @@ class Polynomial:
             key = (i, n)
             if key not in cache:
                 image = images[self.vars[i]]
-                if image.field != f or image.vars != target_vars:
+                if (image.vars is not target_vars or image.field is not f) and (
+                    image.field != f or image.vars != target_vars
+                ):
                     raise ValueError("polynomials live in different rings")
                 cache[key] = image.terms if n == 1 else (image ** n).terms
             return cache[key]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraMorphism, PresentedAlgebra, compose_morphisms, identity_morphism
 from .algebra import localize, make_morphism
-from .connections import AxiomCheck, AxiomReport, Connection, apply_connection
+from .connections import AxiomCheck, AxiomReport, Connection, apply_connection, leibniz_terms
 from .errors import KcxError, NotInverse, SolverTooLarge
 from .fields import Coef, Field
 from .linsolve import AffineSolutionSpace, LinearEquation, affine_linear_solve
@@ -111,15 +111,13 @@ def _relation_columns(
     Unknown (g, idx, exp) is the coefficient of x^exp * e_idx in the image of
     g, so on row r it contributes r_g * x^exp * e_idx, reduced once in `target`.
     """
-    A = M.base
-    zero, one = Polynomial.zero(A.field, A.gens), A.field.one()
+    one = M.base.field.one()
     columns: dict[str, dict[int, ModuleElement]] = {name: {} for name in layout.values()}
     for r, row in enumerate(M.relations, first_row):
         coefs = dict(zip(M.gens, row))
         for (g, idx, exp), name in layout.items():
             if g in coefs and not coefs[g].is_zero():
-                comps = (coefs[g].mul_monomial(exp, one) if i == idx else zero for i in range(target.rank))
-                columns[name][r] = ModuleElement(target, tuple(comps))
+                columns[name][r] = target.combine([(idx, coefs[g].mul_monomial(exp, one))])
     return columns
 
 
@@ -195,20 +193,15 @@ def localized_gamma(
     omega_L = kahler_module(L)
     t_L = christoffel_target(omega_L)
     out: dict[str, ModuleElement] = {}
-
-    def push(e: ModuleElement) -> ModuleElement:
-        comps = [Polynomial.zero(L.field, L.gens)] * t_L.rank
-        for i, l, coef in t_src.entries(e):
-            comps[t_L.pair_index(i, l)] = coef.change_vars(L.gens)
-        return t_L.element(tuple(comps))
-
-    for v, dv in zip(A.gens, src.gens):
-        out[omega_L.gens[A.gens.index(v)]] = push(gamma[dv])
+    for dv, dv_L in zip(src.gens, omega_L.gens):
+        pushed = ((t_L.pair_index(i, l), c.change_vars(L.gens)) for i, l, c in t_src.entries(gamma[dv]))
+        out[dv_L] = t_L.combine(pushed)
     u_idx = A.gens.index(u)
-    du_L = omega_L.gens[u_idx]
-    inv_el = L.gen(inv)
-    correction = t_L.pair(omega_L.gen(du_L), omega_L.gen(du_L)).scaled(inv_el ** 3 * 2)
-    out[omega_L.gens[-1]] = correction - out[du_L].scaled(inv_el ** 2)
+    inv_sq = Polynomial.variable(L.field, L.gens, inv) ** 2
+    correction = (t_L.pair_index(u_idx, u_idx), (inv_sq * Polynomial.variable(L.field, L.gens, inv)).scale(2))
+    out[omega_L.gens[-1]] = t_L.combine(
+        [correction, *((k, -inv_sq * c) for k, c in enumerate(out[omega_L.gens[u_idx]].comps))]
+    )
     return out
 
 
@@ -226,22 +219,21 @@ class GlueResult:
 def _glue_residues(
     A1, L1, A2, L2, t: AlgebraMorphism, omega_t: dict[str, ModuleElement], gamma1, gamma2
 ) -> list[ModuleElement]:
-    """Both composites on each Omega(L1) generator; zero means compatible."""
-    g1_loc = localized_gamma(A1, L1, gamma1)
-    g2_loc = localized_gamma(A2, L2, gamma2)
+    """Route 1 (nabla1, then t (x) t) minus route 2 (t, then nabla2) on each
+    Omega(L1) generator, reduced once; zero means compatible."""
     omega_L1, omega_L2 = kahler_module(L1), kahler_module(L2)
-    nabla1 = Connection(omega_L1, g1_loc)
-    nabla2 = Connection(omega_L2, g2_loc)
+    nabla1 = Connection(omega_L1, localized_gamma(A1, L1, gamma1))
+    g2_loc = localized_gamma(A2, L2, gamma2)
     t1, t2 = christoffel_target(omega_L1), christoffel_target(omega_L2)
     out = []
     for g in omega_L1.gens:
-        first = apply_connection(nabla1, omega_L1.gen(g))
-        route1 = t2.zero()
-        for i, l, coef in t1.entries(first):
-            dx_i, dx_l = omega_t[omega_L1.gens[i]], omega_t[omega_L1.gens[l]]
-            route1 = route1 + t2.pair(dx_i, dx_l).scaled(t(L1.element(coef)))
-        route2 = apply_connection(nabla2, omega_t[g])
-        out.append(route1 - route2)
+        terms = []  # route 1: t (x) t applied to nabla1(g)
+        for i, l, coef in t1.entries(apply_connection(nabla1, omega_L1.gen(g))):
+            tc = t.apply_raw(coef)
+            u, v = omega_t[omega_L1.gens[i]].comps, omega_t[omega_L1.gens[l]].comps  # images of d(x_i), d(x_l)
+            terms += [(t2.pair_index(a, b), tc * p * q) for a, p in enumerate(u) if p for b, q in enumerate(v) if q]
+        route2 = leibniz_terms(omega_L2, t2, enumerate(omega_t[g].comps), g2_loc)
+        out.append(t2.combine(terms + [(k, -p) for k, p in route2]))
     return out
 
 

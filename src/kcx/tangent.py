@@ -15,17 +15,21 @@ S_A(M) is presented on A's generators plus M's generator names, with M's
 relation rows imposed as degree-one relations.
 
 T(A) and S_A(M) are additive bundles over A, so `_additive_bundle` builds
-T(A)'s p/0/-/+ and, on first use, S_A(M)'s sigma; no verdict reads sigma.
-These maps, q/z/iota, the flips, zero maps, vertical lifts, lambda and U are
-`algebra.relabel` tables of signed generators.
+T(A)'s p/0/- and S_A(M)'s q/z/iota, and `_fibrewise_sum` T(A)'s + and, on
+first use, S_A(M)'s sigma; no verdict reads sigma.  These maps, the flips,
+zero maps, vertical lifts, lambda and U are `algebra.relabel` tables of
+signed generators.  `split_shapes` reads bundle polynomials back: it is the
+one place that splits them into module-side terms and the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Mapping
 
 from .algebra import (
+    AlgebraElement,
     AlgebraMorphism,
     ElementLike,
     GenRole,
@@ -169,29 +173,35 @@ def vertical_lift(T2B: TangentPresentation) -> AlgebraMorphism:
 
 
 def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, fibre, names: tuple[str, ...]):
-    """(B (x)_A B, include, zero, negate, add) for an additive bundle B over A.
+    """(include, zero, negate) for an additive bundle B over A, all certified.
 
     B is presented on A's generators plus the fibre generators.  T(A) (fibre:
     the differentials) and S_A(M) (fibre: M's generators) are both of this
-    kind, so their p/0/-/+ and sigma come from here, all certified.
+    kind, so their p/0/- and q/z/iota come from here, and their + and sigma
+    from `_fibrewise_sum`.
     """
-    include = relabel(A, B, {}, names[0])
-    B2 = tensor_over_base(A, B, B, include, include, concat_grading=True)
-    add = {**B2.rename[0], **{m: (f"{m}#0", f"{m}#1") for m in fibre}}
     return (
-        B2,
-        include,
+        relabel(A, B, {}, names[0]),
         relabel(B, A, dict.fromkeys(fibre), names[1]),
         relabel(B, B, {m: f"-{m}" for m in fibre}, names[2]),
-        relabel(B, B2, add, names[3]),
     )
+
+
+def _fibrewise_sum(include: AlgebraMorphism, fibre, name: str) -> AlgebraMorphism:
+    """B -> B (x)_A B adding the two copies of each fibre generator, for the
+    inclusion A -> B of an additive bundle."""
+    A, B = include.dom, include.cod
+    B2 = tensor_over_base(A, B, B, include, include, concat_grading=True)
+    return relabel(B, B2, {**B2.rename[0], **{m: (f"{m}#0", f"{m}#1") for m in fibre}}, name)
 
 
 @memoized
 def tangent_structure_maps(A: PresentedAlgebra) -> TangentMaps:
     TA = tangent_algebra(A)
     TTA = tangent_algebra(TA)
-    T2, p, zero, minus, plus = _additive_bundle(A, TA, TA.dmap.values(), ("p", "0", "-", "+"))
+    p, zero, minus = _additive_bundle(A, TA, TA.dmap.values(), ("p", "0", "-"))
+    plus = _fibrewise_sum(p, TA.dmap.values(), "+")
+    T2 = plus.cod
     swap = {f"{g}#{i}": f"{g}#{1 - i}" for g in TA.gens for i in (0, 1)}
     tau = relabel(T2, T2, swap, "tau")
     return TangentMaps(TA, TTA, T2, p, zero, plus, minus, vertical_lift(TTA), generic_flip(TTA), tau)
@@ -292,6 +302,41 @@ def bracketing(ctx: BundleContext, h: AlgebraMorphism) -> AlgebraMorphism:
     return out
 
 
+def split_shapes(
+    P: PresentedAlgebra, poly, kinds: tuple[str, ...], base_gens: tuple[str, ...], rename: Mapping[str, str] | None = None
+) -> tuple[list[tuple[list[str], Polynomial]], Polynomial]:
+    """Split `poly` over P into the monomials of one shape and the stray rest.
+
+    A monomial has the shape when it holds one degree-1 generator of each
+    sort in `kinds` and only base generators besides.  Each such monomial
+    gives those generators in the order of `kinds` and the rest of the term,
+    renamed by `rename` into a polynomial over `base_gens`; every other
+    monomial goes to the stray polynomial over P.
+    """
+    if isinstance(poly, AlgebraElement):
+        poly = poly.poly
+    kind_at = [P.roles[g].kind for g in P.gens]
+    found, stray = [], {}
+    for exp, coef in poly.terms.items():
+        names: dict[str, str] = {}
+        rest = list(exp)
+        for pos, vdeg in enumerate(exp):
+            kind = kind_at[pos]
+            if not vdeg or kind == "base":
+                continue
+            if vdeg != 1 or kind not in kinds or kind in names:
+                break
+            names[kind] = P.gens[pos]
+            rest[pos] = 0
+        else:
+            if len(names) == len(kinds):
+                rest_poly = Polynomial._of_terms(P.field, P.gens, {tuple(rest): coef})
+                found.append(([names[k] for k in kinds], rest_poly.change_vars(base_gens, rename)))
+                continue
+        stray[exp] = coef
+    return found, Polynomial._of_terms(P.field, P.gens, stray)
+
+
 # ---------------------------------------------------------------------------
 # the per-module context used by connections, curvature and torsion
 # ---------------------------------------------------------------------------
@@ -312,9 +357,7 @@ class BundleContext:
         self.M = M
         self.S = SymBundle(M)
         self.TS = tangent_algebra(self.S)
-        self.q = relabel(A, self.S, {}, "q")
-        self.z = relabel(self.S, A, dict.fromkeys(M.gens), "z")
-        self.iota = relabel(self.S, self.S, {m: f"-{m}" for m in M.gens}, "iota")
+        self.q, self.z, self.iota = _additive_bundle(A, self.S, M.gens, ("q", "z", "iota"))
         # module generators and d-of-base die under the bundle lift
         lam_table = {
             g: role.origin if role.kind == "dm" else None
@@ -335,11 +378,7 @@ class BundleContext:
     @cached_property
     def sigma(self) -> AlgebraMorphism:
         """sigma: S -> S (x)_A S, the fibrewise sum; no axiom check reads it."""
-        return _additive_bundle(self.A, self.S, self.M.gens, ("q", "z", "iota", "sigma"))[4]
-
-    @cached_property
-    def sigma_codomain(self) -> TensorAlgebra:
-        return self.sigma.cod
+        return _fibrewise_sum(self.q, self.M.gens, "sigma")
 
     # -- double-tangent data -------------------------------------------------
 
@@ -354,37 +393,6 @@ class BundleContext:
     @cached_property
     def T2A(self) -> TangentPresentation:
         return tangent_algebra(self.TA)
-
-    @cached_property
-    def T_TAS(self) -> TangentPresentation:
-        return tangent_algebra(self.TAS)
-
-    @cached_property
-    def T2A_tensor_TS(self) -> TensorAlgebra:
-        """T^2(A) (x)_{T(A)} T(S_A(M)) along T(p_A) and T(q_M)."""
-        Tp = tangent_apply_functor(self.p_A)
-        Tq = tangent_apply_functor(self.q)
-        # sort grading (module, inner tangent, shared outer tangent); the
-        # structural maps send T(A)'s differential to the outer level on
-        # both sides, so concatenation would not be homogeneous here.
-        grading = {}
-        for g in self.T2A.gens:
-            m_in, m_out = self.T2A.grading[g]
-            grading[f"{g}#0"] = (0, m_in, m_out)
-        for g in self.TS.gens:
-            mod, tan = self.TS.grading[g]
-            grading[f"{g}#1"] = (mod, 0, tan)
-        return tensor_over_base(self.TA, self.T2A, self.TS, Tp, Tq, grading=grading, cap=(1, 1, 1))
-
-    @cached_property
-    def leibniz_iso(self) -> AlgebraMorphism:
-        """T(T(A) (x)_A S) -> T^2(A) (x)_{T(A)} T(S): identity on generator names.
-
-        The deterministic differential naming makes both presentations use the
-        same generator name set; the map w(x)v -> w(x)v, d(w(x)v) ->
-        d'(w)(x)v + w(x)d(v) is then literally a relabeling.
-        """
-        return relabel(self.T_TAS, self.T2A_tensor_TS, {}, "iso", certify=False)
 
     # -- maps shared by the axiom checks -----------------------------------
 
@@ -409,10 +417,18 @@ class BundleContext:
         return tangent_apply_functor(self.lam, certify=True)
 
     def _down(self, f0: AlgebraMorphism, f1: AlgebraMorphism, name: str) -> AlgebraMorphism:
-        """f0 (x) f1: T^2(A) (x)_{T(A)} T(S) -> T(A) (x)_A S, factor by factor."""
+        """f0 (x) f1: T(T(A) (x)_A S) -> T(A) (x)_A S, factor by factor.
+
+        T(T(A) (x)_A S) is T^2(A) (x)_{T(A)} T(S) (Leibniz: d(w (x) v) is
+        d'(w) (x) v + w (x) d(v)), and the deterministic differential naming
+        makes the two presentations share their generator names: those of
+        T(T(A) (x)_A S) are exactly g#0 for g in T^2(A) and g#1 for g in T(S).
+        So f0 (x) f1 is defined on T(T(A) (x)_A S) itself, with no
+        identification in between.
+        """
         images = {f"{g}#0": self.TAS.i0.apply_raw(p) for g, p in f0.images.items()}
         images.update({f"{g}#1": self.TAS.i1.apply_raw(p) for g, p in f1.images.items()})
-        return AlgebraMorphism(self.T2A_tensor_TS, self.TAS, images, certify=True, name=name)
+        return AlgebraMorphism(tangent_algebra(self.TAS), self.TAS, images, certify=True, name=name)
 
     @cached_property
     def h3_down(self) -> AlgebraMorphism:
@@ -450,29 +466,13 @@ class BundleContext:
         presentation: the ideal is bihomogeneous, so normal forms split by
         bidegree and the (1,1) part is well defined.
         """
-        T = self.TAS
-        poly = T.element(e).poly
-        d_idx = [T.gens.index(f"{self.TA.dmap[g]}#0") for g in self.A.gens]
-        m_idx = [T.gens.index(f"{m}#1") for m in self.M.gens]
-        comps = [Polynomial.zero(self.A.field, self.A.gens)] * self.omega_tensor_M.rank
-        stray = Polynomial.zero(T.field, T.gens)
-        for exp, coef in poly.terms.items():
-            ddeg = sum(exp[i] for i in d_idx)
-            mdeg = sum(exp[i] for i in m_idx)
-            if ddeg == 1 and mdeg == 1:
-                i = next(k for k, pos in enumerate(d_idx) if exp[pos])
-                l = next(k for k, pos in enumerate(m_idx) if exp[pos])
-                rest = list(exp)
-                rest[d_idx[i]] -= 1
-                rest[m_idx[l]] -= 1
-                base = Polynomial(T.field, T.gens, {tuple(rest): coef}).change_vars(
-                    self.A.gens, {f"{g}#1": g for g in self.A.gens} | {f"{g}#0": g for g in self.A.gens}
-                )
-                k = self.omega_tensor_M.pair_index(i, l)
-                comps[k] = comps[k] + base
-            else:
-                stray = stray + Polynomial(T.field, T.gens, {exp: coef})
-        return self.omega_tensor_M.element(tuple(comps)), stray
+        T, target = self.TAS, self.omega_tensor_M
+        d_pos = {f"{self.TA.dmap[g]}#0": i for i, g in enumerate(self.A.gens)}
+        m_pos = {f"{m}#1": l for l, m in enumerate(self.M.gens)}
+        base = {f"{g}#{k}": g for g in self.A.gens for k in (0, 1)}
+        found, stray = split_shapes(T, T.element(e).poly, ("d", "module"), self.A.gens, base)
+        comps = ((target.pair_index(d_pos[d], m_pos[m]), c) for (d, m), c in found)
+        return target.combine(comps), stray
 
     # -- affine identifications (Kahler modules only; see affine_flip) -----
 

@@ -35,7 +35,6 @@ from .modules import (
     free_module,
     kahler_module,
     make_module,
-    universal_derivation,
 )
 from .parse import ParseError, poly_normalize
 from .poly import Polynomial
@@ -189,7 +188,7 @@ def _parse_connection_sum(
     """`EXPR * d(EXPR) @ GEN` terms combined with +/-; `0` is the zero image."""
     if text.strip() == "0":
         return target.zero()
-    total = target.zero()
+    terms = []
     for sign, term in _split_top_level(text, "+-"):
         if "@" not in term:
             raise cur.error(f"connection term missing '@': {term!r}", pos)
@@ -211,9 +210,10 @@ def _parse_connection_sum(
             inner = poly_normalize(inner_txt, A.field, A.gens)
         except Exception as exc:
             raise cur.error(f"bad expression in connection term: {exc}", pos)
-        piece = target.pair(universal_derivation(A, A.element(inner)), M.gen(gen)).scaled(coef)
-        total = total + piece if sign == "+" else total - piece
-    return total
+        coef = coef if sign == "+" else -coef
+        l = M.gens.index(gen)
+        terms += [(target.pair_index(i, l), coef * inner.partial(x)) for i, x in enumerate(A.gens)]
+    return target.combine(terms)
 
 
 def parse_workspace(text: str, char_override: int | None = None) -> Workspace:

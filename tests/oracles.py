@@ -16,16 +16,29 @@ differentials; it checks the one-pass `TangentPresentation.differential`.
 `signed_sum_images` adds each relabel image up from signed variables; it
 checks `relabel`'s term dicts.  `normal_form_agrees` compares two maps'
 images by normal forms alone; it checks `AlgebraMorphism.agrees_on`.
+
+The `chain_*` oracles build each module value as a chain of `pair`, `scaled`
+and `+`, reducing every link on its own; they check the one-writer
+`PresentedModule.combine` paths (Leibniz, curvature, pullback, retract and
+the P^1 glue residues).  `bidegree_split` sorts the terms of a
+T(A) (x)_A S_A(M) polynomial by their d- and module-degrees; it checks
+`tangent.split_shapes`.  `leibniz_tensor_presentation` builds
+T^2(A) (x)_{T(A)} T(S_A(M)) by the tensor recipe; it checks that
+T(T(A) (x)_A S_A(M)) is the same presentation.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from kcx.algebra import tensor_over_base
+from kcx.curvature import curvature_target
 from kcx.fields import Coef, Field
 from kcx.groebner import vector_leading
 from kcx.linsolve import AffineSolutionSpace, LinearEquation
+from kcx.modules import ModuleElement, christoffel_target, kahler_module, make_module, universal_derivation
 from kcx.poly import Polynomial
+from kcx.tangent import tangent_algebra, tangent_apply_functor
 
 
 def grevlex_key(exp: tuple[int, ...]):
@@ -240,3 +253,139 @@ def signed_sum_images(dom_gens, cod, table) -> dict[str, Polynomial]:
 def normal_form_agrees(f, g, gen: str) -> bool:
     """Whether two maps send `gen` to the same element, by normal forms alone."""
     return f.image_of(gen) == g.image_of(gen)
+
+
+def chain_leibniz(M, target, comps, gamma) -> ModuleElement:
+    """sum over generators g of d(c_g) (x) g + c_g * Gamma(g), for c = comps,
+    with d(c_g) from `universal_derivation` and every link reduced."""
+    A = M.base
+    out = target.zero()
+    for coef, g in zip(comps, M.gens):
+        if coef.is_zero():
+            continue
+        out = out + target.pair(universal_derivation(A, A.element(coef)), M.gen(g))
+        out = out + gamma[g].scaled(coef)
+    return out
+
+
+def chain_curvature_of_element(nabla, e) -> ModuleElement:
+    """Curvature of e: the chain Leibniz rule applied twice, the second time
+    to each reduced c * g_l, then each (d(x_i) ^ d(x_j)) (x) m_l paired in."""
+    M = nabla.module
+    T = christoffel_target(M)
+    target = curvature_target(nabla)
+    wedge = target.factors[0]
+    out = target.zero()
+    for i, l, coef in T.entries(chain_leibniz(M, T, M.element(e).comps, nabla.gamma)):
+        second = chain_leibniz(M, T, M.gen(M.gens[l]).scaled(coef).comps, nabla.gamma)
+        for k, t, c in T.entries(second):
+            w = ModuleElement(wedge, wedge.collect([(i, k, c)]))
+            out = out + target.pair(w, M.gen(M.gens[t]))
+    return out
+
+
+def chain_pullback_images(nabla, f) -> dict[str, ModuleElement]:
+    """Christoffel images of the pullback of nabla along f, by the chain."""
+    M, A, B = nabla.module, nabla.base, f.cod
+    pulled = make_module(B, M.gens, [[f(A.element(c)) for c in row] for row in M.relations])
+    target = christoffel_target(pulled)
+    images = {}
+    for g in M.gens:
+        out = target.zero()
+        for i, l, coef in christoffel_target(M).entries(nabla.gamma[g]):
+            d_image = universal_derivation(B, f(A.gen(A.gens[i])))
+            out = out + target.pair(d_image, pulled.gen(M.gens[l])).scaled(f(A.element(coef)))
+        images[g] = out
+    return images
+
+
+def chain_retract_images(nabla, s, r) -> dict[str, ModuleElement]:
+    """Christoffel images of r . nabla . s, by the chain."""
+    M, Mp = nabla.module, s.dom
+    omega = kahler_module(M.base)
+    target = christoffel_target(Mp)
+    T = christoffel_target(M)
+    images = {}
+    for g in Mp.gens:
+        full = chain_leibniz(M, T, s(Mp.gen(g)).comps, nabla.gamma)
+        out = target.zero()
+        for i, l, coef in T.entries(full):
+            out = out + target.pair(omega.gen(omega.gens[i]), r(M.gen(M.gens[l]))).scaled(coef)
+        images[g] = out
+    return images
+
+
+def chain_localized_gamma(A, L, gamma) -> dict[str, ModuleElement]:
+    """Christoffel data on Omega(A) extended to Omega(L) by the quotient rule."""
+    src = kahler_module(A)
+    t_src = christoffel_target(src)
+    _, u, inv = L.localization_of
+    omega_L = kahler_module(L)
+    t_L = christoffel_target(omega_L)
+    out = {}
+    for v, dv in zip(A.gens, src.gens):
+        comps = [Polynomial.zero(L.field, L.gens)] * t_L.rank
+        for i, l, coef in t_src.entries(gamma[dv]):
+            comps[t_L.pair_index(i, l)] = coef.change_vars(L.gens)
+        out[omega_L.gens[A.gens.index(v)]] = t_L.element(tuple(comps))
+    du_L = omega_L.gens[A.gens.index(u)]
+    inv_el = L.gen(inv)
+    correction = t_L.pair(omega_L.gen(du_L), omega_L.gen(du_L)).scaled(inv_el ** 3 * 2)
+    out[omega_L.gens[-1]] = correction - out[du_L].scaled(inv_el ** 2)
+    return out
+
+
+def chain_glue_residues(A1, L1, A2, L2, t, omega_t, gamma1, gamma2) -> list[ModuleElement]:
+    """Route 1 (t (x) t after nabla1) minus route 2 (nabla2 after t) on each
+    Omega(L1) generator, by the chain."""
+    g1, g2 = chain_localized_gamma(A1, L1, gamma1), chain_localized_gamma(A2, L2, gamma2)
+    omega_L1, omega_L2 = kahler_module(L1), kahler_module(L2)
+    t1, t2 = christoffel_target(omega_L1), christoffel_target(omega_L2)
+    out = []
+    for g in omega_L1.gens:
+        route1 = t2.zero()
+        for i, l, coef in t1.entries(chain_leibniz(omega_L1, t1, omega_L1.gen(g).comps, g1)):
+            dx_i, dx_l = omega_t[omega_L1.gens[i]], omega_t[omega_L1.gens[l]]
+            route1 = route1 + t2.pair(dx_i, dx_l).scaled(t(L1.element(coef)))
+        out.append(route1 - chain_leibniz(omega_L2, t2, omega_t[g].comps, g2))
+    return out
+
+
+def bidegree_split(ctx, poly: Polynomial) -> tuple[tuple[Polynomial, ...], Polynomial]:
+    """Raw Omega(A) (x) M components and stray part of a T(A) (x)_A S_A(M)
+    polynomial: the terms of d-degree 1 and module-degree 1, read by summing
+    exponents over the two lists of generator positions, and the rest."""
+    T = ctx.TAS
+    d_idx = [T.gens.index(f"{ctx.TA.dmap[g]}#0") for g in ctx.A.gens]
+    m_idx = [T.gens.index(f"{m}#1") for m in ctx.M.gens]
+    back = {f"{g}#1": g for g in ctx.A.gens} | {f"{g}#0": g for g in ctx.A.gens}
+    comps = [Polynomial.zero(ctx.A.field, ctx.A.gens)] * ctx.omega_tensor_M.rank
+    stray = Polynomial.zero(T.field, T.gens)
+    for exp, coef in poly.terms.items():
+        if sum(exp[i] for i in d_idx) == 1 and sum(exp[i] for i in m_idx) == 1:
+            i = next(k for k, pos in enumerate(d_idx) if exp[pos])
+            l = next(k for k, pos in enumerate(m_idx) if exp[pos])
+            rest = list(exp)
+            rest[d_idx[i]] -= 1
+            rest[m_idx[l]] -= 1
+            base = Polynomial(T.field, T.gens, {tuple(rest): coef}).change_vars(ctx.A.gens, back)
+            k = ctx.omega_tensor_M.pair_index(i, l)
+            comps[k] = comps[k] + base
+        else:
+            stray = stray + Polynomial(T.field, T.gens, {exp: coef})
+    return tuple(comps), stray
+
+
+def leibniz_tensor_presentation(ctx):
+    """T^2(A) (x)_{T(A)} T(S_A(M)) along T(p_A) and T(q), with the sort
+    grading (module, inner tangent, shared outer tangent)."""
+    T2A = tangent_algebra(ctx.TA)
+    grading = {}
+    for g in T2A.gens:
+        m_in, m_out = T2A.grading[g]
+        grading[f"{g}#0"] = (0, m_in, m_out)
+    for g in ctx.TS.gens:
+        mod, tan = ctx.TS.grading[g]
+        grading[f"{g}#1"] = (mod, 0, tan)
+    Tp, Tq = tangent_apply_functor(ctx.p_A), tangent_apply_functor(ctx.q)
+    return tensor_over_base(ctx.TA, T2A, ctx.TS, Tp, Tq, grading=grading, cap=(1, 1, 1))

@@ -108,6 +108,31 @@ def test_frobenius_in_char_p():
             assert (a + b) ** p_char == a ** p_char + b ** p_char
 
 
+def test_substitute_refuses_images_outside_the_target_ring():
+    target = ("u", "v")
+    p = P("x*y + x^2")
+    good = poly_normalize("u", QQ, target)
+    for bad in (
+        poly_normalize("u", QQ, ("u", "w")),  # another variable list
+        poly_normalize("u", QQ, ("v", "u")),  # the same names in another order
+        poly_normalize("u", GF(3), target),  # another field
+    ):
+        for images in ({"x": bad, "y": good}, {"x": good, "y": bad}):
+            with pytest.raises(ValueError, match="different rings"):
+                p.substitute(images, target)
+    # an equal variable list built apart passes
+    assert p.substitute({"x": good, "y": good}, tuple(list(target))) == poly_normalize("2*u^2", QQ, target)
+
+
+def test_arithmetic_refuses_operands_from_another_ring():
+    a = poly_normalize("x + 1", QQ, ("x", "y"))
+    for b in (poly_normalize("x", QQ, ("y", "x")), poly_normalize("x", GF(5), ("x", "y"))):
+        for op in (lambda: a + b, lambda: a * b, lambda: a - b):
+            with pytest.raises(ValueError, match="different rings"):
+                op()
+    assert a + poly_normalize("x", Field(0), tuple(["x", "y"])) == poly_normalize("2*x + 1", QQ, ("x", "y"))
+
+
 def test_substitute_is_ring_homomorphism():
     target = ("u", "v")
     images = {
