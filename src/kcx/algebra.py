@@ -1,10 +1,14 @@
 """Finitely presented commutative algebras, their elements and morphisms.
 
 A `PresentedAlgebra` is k[g1..gn]/I with a cached reduced Groebner basis, so
-element equality is canonical normal-form equality.  Morphisms are stored by
-raw generator images; applying one substitutes and then reduces in the
-codomain.  Certification (all domain relations map to zero) happens eagerly
-for user-built morphisms and lazily/never for maps whose well-definedness is
+element equality is canonical normal-form equality.  Raw in, reduced once:
+`PresentedAlgebra.polynomial` reads any `ElementLike` without reducing it,
+constructors keep raw values, and only `AlgebraElement` and, in `modules.py`,
+`ModuleElement` and `PresentedModule.combine` reduce.  So morphisms are
+stored by raw generator images, tensor presentations identify raw images, and
+applying a morphism substitutes and then reduces in the codomain.
+Certification (all domain relations map to zero) happens eagerly for
+user-built morphisms and lazily/never for maps whose well-definedness is
 forced by construction.  It first matches each relation's raw image against
 zero and the codomain's relations up to sign, and builds the codomain's basis
 only for an image that matches neither.
@@ -124,16 +128,25 @@ class PresentedAlgebra:
 
     # ---------- elements ----------
 
-    def element(self, value: ElementLike) -> "AlgebraElement":
+    def polynomial(self, value: ElementLike) -> Polynomial:
+        """`value` over the generators, unreduced; an element of another
+        algebra raises `OwnerMismatch`, a polynomial of another ring `ValueError`."""
         if isinstance(value, AlgebraElement):
             if value.owner is not self:
                 raise OwnerMismatch("element belongs to a different algebra")
-            return value
+            return value.poly
         if isinstance(value, Polynomial):
-            return AlgebraElement(self, value)
+            if value.vars != self.gens or value.field != self.field:
+                raise ValueError("polynomial is not in the ambient ring")
+            return value
         if isinstance(value, str):
-            return AlgebraElement(self, poly_normalize(value, self.field, self.gens))
-        return AlgebraElement(self, Polynomial.const(self.field, self.gens, value))
+            return poly_normalize(value, self.field, self.gens)
+        return Polynomial.const(self.field, self.gens, value)
+
+    def element(self, value: ElementLike) -> "AlgebraElement":
+        if isinstance(value, AlgebraElement) and value.owner is self:
+            return value
+        return AlgebraElement(self, self.polynomial(value))
 
     def gen(self, name: str) -> "AlgebraElement":
         return AlgebraElement(self, Polynomial.variable(self.field, self.gens, name))
@@ -160,23 +173,20 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
-    def _coerce(self, other) -> "AlgebraElement":
-        return self.owner.element(other)
-
     def __add__(self, other):
-        return AlgebraElement(self.owner, self.poly + self._coerce(other).poly)
+        return AlgebraElement(self.owner, self.poly + self.owner.polynomial(other))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        return AlgebraElement(self.owner, self.poly - self._coerce(other).poly)
+        return AlgebraElement(self.owner, self.poly - self.owner.polynomial(other))
 
     def __rsub__(self, other):
-        return AlgebraElement(self.owner, self._coerce(other).poly - self.poly)
+        return AlgebraElement(self.owner, self.owner.polynomial(other) - self.poly)
 
     def __mul__(self, other):
-        return AlgebraElement(self.owner, self.poly * self._coerce(other).poly)
+        return AlgebraElement(self.owner, self.poly * self.owner.polynomial(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -190,7 +200,7 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             try:
-                other = self._coerce(other)
+                other = self.owner.element(other)
             except Exception:
                 return NotImplemented
         if other.owner is not self.owner:
@@ -325,8 +335,8 @@ def make_morphism(
     certify: bool = True,
     name: str = "",
 ) -> AlgebraMorphism:
-    """Morphism from generator images (elements, polynomials or expressions)."""
-    polys = {g: cod.element(v).poly for g, v in images.items()}
+    """Morphism from raw generator images (elements, polynomials or expressions)."""
+    polys = {g: cod.polynomial(v) for g, v in images.items()}
     return AlgebraMorphism(dom, cod, polys, certify=certify, name=name)
 
 
@@ -402,23 +412,19 @@ def compose_chain(maps: list[AlgebraMorphism]) -> AlgebraMorphism:
 class TensorAlgebra(PresentedAlgebra):
     """B1 (x)_A B2 presented on renamed generators with A-images identified."""
 
-    def __init__(
-        self, base, left, right, f_left, f_right, gens, relations, roles, rename0, rename1,
-        grading=None, cap=None,
-    ):
+    def __init__(self, left, right, gens, relations, roles, rename0, rename1, grading=None, cap=None):
         super().__init__(
             left.field, gens, relations, provenance="tensor", roles=roles, grading=grading, cap=cap
         )
-        self.base = base
         self.factors = (left, right)
-        self.structural = (f_left, f_right)
         self.rename = (dict(rename0), dict(rename1))
         self.i0 = relabel(left, self, rename0, "i0", certify=False)
         self.i1 = relabel(right, self, rename1, "i1", certify=False)
 
     def pair(self, w: ElementLike, v: ElementLike) -> AlgebraElement:
         """The simple tensor w (x) v."""
-        return self.i0(self.factors[0].element(w)) * self.i1(self.factors[1].element(v))
+        w, v = self.factors[0].polynomial(w), self.factors[1].polynomial(v)
+        return AlgebraElement(self, self.i0.apply_raw(w) * self.i1.apply_raw(v))
 
 
 def tensor_over_base(
@@ -429,52 +435,40 @@ def tensor_over_base(
     f2: AlgebraMorphism,
     grading: Mapping[str, tuple[int, ...]] | None = None,
     cap: tuple[int, ...] | None = None,
-    concat_grading: bool = False,
 ) -> TensorAlgebra:
-    """Pushout presentation of B1 (x)_A B2 along structural maps A -> Bi.
+    """Pushout presentation of B1 (x)_A B2 along the maps A -> Bi.
 
     Generators are the disjoint union (suffixed #0/#1, never user-visible),
     relations are both factors' relations plus the identification of the two
-    A-images.  `concat_grading` juxtaposes the factors' sort gradings (sound
-    when the structural maps hit only grade-zero generators); callers whose
-    structural maps shift sorts pass an explicit grading instead.
+    raw A-images.  Given no grading, the factors' sort gradings are
+    juxtaposed, capped at 1 in each sort by default (sound when the maps
+    hit only grade-zero generators); maps that shift sorts need a grading.
     """
     if f1.dom is not A or f2.dom is not A or f1.cod is not B1 or f2.cod is not B2:
-        raise ValueError("structural maps must go A -> B1 and A -> B2")
+        raise ValueError("factor maps must go A -> B1 and A -> B2")
     if B1.field != B2.field:
         raise ValueError("factors over different fields")
     rename0 = {g: f"{g}#0" for g in B1.gens}
     rename1 = {g: f"{g}#1" for g in B2.gens}
-    gens = tuple(rename0[g] for g in B1.gens) + tuple(rename1[g] for g in B2.gens)
+    gens = tuple(rename0.values()) + tuple(rename1.values())
     if len(set(gens)) != len(gens):
         raise ValueError("generator name collision after renaming")
     roles = {}
-    for g in B1.gens:
-        r = B1.roles[g]
-        roles[rename0[g]] = GenRole(r.kind, f"{r.origin}#0")
-    for g in B2.gens:
-        r = B2.roles[g]
-        roles[rename1[g]] = GenRole(r.kind, f"{r.origin}#1")
-    if concat_grading and grading is None:
-        k0 = len(next(iter(B1.grading.values()))) if B1.grading else 0
-        k1 = len(next(iter(B2.grading.values()))) if B2.grading else 0
-        grading = {}
-        for g in B1.gens:
-            left = B1.grading[g] if B1.grading else ()
-            grading[rename0[g]] = left + (0,) * k1
-        for g in B2.gens:
-            right = B2.grading[g] if B2.grading else ()
-            grading[rename1[g]] = (0,) * k0 + right
+    for B, rename, k in ((B1, rename0, 0), (B2, rename1, 1)):
+        for g in B.gens:
+            roles[rename[g]] = GenRole(B.roles[g].kind, f"{B.roles[g].origin}#{k}")
+    if grading is None and (B1.grading or B2.grading):
+        left, right = (B.grading or dict.fromkeys(B.gens, ()) for B in (B1, B2))
+        k0, k1 = (len(next(iter(g.values()), ())) for g in (left, right))
+        grading = {rename0[g]: left[g] + (0,) * k1 for g in B1.gens}
+        grading.update({rename1[g]: (0,) * k0 + right[g] for g in B2.gens})
         cap = (1,) * (k0 + k1) if cap is None else cap
     relations = [rel.change_vars(gens, rename0) for rel in B1.relations]
     relations += [rel.change_vars(gens, rename1) for rel in B2.relations]
     for a in A.gens:
-        left = f1(A.gen(a)).poly.change_vars(gens, rename0)
-        right = f2(A.gen(a)).poly.change_vars(gens, rename1)
+        left, right = f1.images[a].change_vars(gens, rename0), f2.images[a].change_vars(gens, rename1)
         relations.append(left - right)
-    return TensorAlgebra(
-        A, B1, B2, f1, f2, gens, relations, roles, rename0, rename1, grading=grading, cap=cap
-    )
+    return TensorAlgebra(B1, B2, gens, relations, roles, rename0, rename1, grading=grading, cap=cap)
 
 
 def fresh_name(taken: tuple[str, ...], name: str) -> str:

@@ -287,7 +287,7 @@ def pullback_connection(nabla: Connection, f: AlgebraMorphism) -> Connection:
     if not f.certified:
         f.certify()
     M, A, B = nabla.module, nabla.base, f.cod
-    pulled = make_module(B, M.gens, [[f(A.element(c)) for c in row] for row in M.relations])
+    pulled = make_module(B, M.gens, [[f.apply_raw(c) for c in row] for row in M.relations])
     target = christoffel_target(pulled)
     images = {}
     for g in M.gens:

@@ -19,6 +19,7 @@ from .linsolve import AffineSolutionSpace, affine_linear_solve
 from .modules import PresentedModule, linear_form
 from .poly import Polynomial
 from .solve import _affine_equations, _relation_columns, _unknowns
+from .tangent import _additive_bundle
 
 
 def _square_zero_extension(
@@ -35,7 +36,8 @@ def _square_zero_extension(
 
 def _lift(B: PresentedAlgebra, TB: PresentedAlgebra, fibre, epsp: str, name: str) -> AlgebraMorphism:
     """B -> TB: fixes the other generators and multiplies each fibre one by epsp."""
-    images = {g: TB.gen(g) * TB.gen(epsp) if g in fibre else TB.gen(g) for g in B.gens}
+    var = lambda g: Polynomial.variable(TB.field, TB.gens, g)
+    images = {g: var(g) * var(epsp) if g in fibre else var(g) for g in B.gens}
     return make_morphism(B, TB, images, name=name)
 
 
@@ -68,10 +70,8 @@ def dual_numbers_structure(A: PresentedAlgebra) -> DualNumbers:
     eps2 = fresh_name(A.gens + (eps1,), "eps2")
     T2 = _square_zero_extension(A, (eps1, eps2), "dualnum-width2")
 
-    p = relabel(TA, A, {eps: None}, "p")
-    zero = relabel(A, TA, {}, "0")
+    zero, p, minus = _additive_bundle(A, TA, (eps,), ("0", "p", "-"))
     plus = relabel(T2, TA, {eps1: eps, eps2: eps}, "+")
-    minus = relabel(TA, TA, {eps: f"-{eps}"}, "-")
     lift = _lift(TA, TTA, (eps,), epsp, "l")
     flip = relabel(TTA, TTA, {eps: epsp, epsp: eps}, "c")
     return DualNumbers(A, TA, TTA, T2, eps, epsp, p, zero, plus, minus, lift, flip)
@@ -104,9 +104,7 @@ def dual_bundle(A: PresentedAlgebra, M: PresentedModule) -> DualBundle:
     E = PresentedAlgebra(A.field, E.gens, list(E.relations) + extra, provenance="dual-bundle")
     epsp = fresh_name(E.gens, "epsp")
     TE = _square_zero_extension(E, (epsp,), "dual-bundle2")
-    q = relabel(E, A, dict.fromkeys(eps_gens), "q")
-    z = relabel(A, E, {}, "z")
-    iota = relabel(E, E, {m: f"-{m}" for m in eps_gens}, "iota")
+    z, q, iota = _additive_bundle(A, E, eps_gens, ("z", "q", "iota"))
     lam = _lift(E, TE, eps_gens, epsp, "lambda")
     return DualBundle(A, M, E, TE, eps_gens, epsp, q, z, iota, lam)
 

@@ -4,7 +4,11 @@ A module is A^m / N, stored as generator names plus relation vectors over A.
 Zero-testing lifts to the underlying polynomial ring: N's rows together with
 (ideal Groebner basis) * e_k generate a submodule of k[x]^m whose normal forms
 are canonical representatives.  Module elements reduce eagerly on construction
-since equality is the hot operation everywhere downstream.
+since equality is the hot operation everywhere downstream.  Raw in, reduced
+once: `element`, `scaled`, `combine` and `universal_derivation` read inputs
+unreduced (`PresentedAlgebra.polynomial`), and only the result is reduced.
+Relation rows alone are reduced when a module is built: rendering and
+presentation equality read them.
 
 Also here: Kahler differentials with the universal derivation, tensor products
 of modules, the wedge square with its alternation map, and plain A-linear
@@ -66,18 +70,15 @@ class PresentedModule:
     # ---------- elements ----------
 
     def element(self, value: VectorLike) -> "ModuleElement":
-        A = self.base
         if isinstance(value, ModuleElement):
             if value.module is not self:
                 raise OwnerMismatch("element belongs to a different module")
             return value
         if isinstance(value, Mapping):
-            comps = [A.element(value.get(g, 0)).poly for g in self.gens]
-        else:
-            if len(value) != self.rank:
-                raise ValueError("component vector has wrong length")
-            comps = [A.element(c).poly for c in value]
-        return ModuleElement(self, tuple(comps))
+            value = [value.get(g, 0) for g in self.gens]
+        elif len(value) != self.rank:
+            raise ValueError("component vector has wrong length")
+        return ModuleElement(self, tuple(map(self.base.polynomial, value)))
 
     def gen(self, name: str) -> "ModuleElement":
         return self.combine([(self.gens.index(name), Polynomial.const(self.base.field, self.base.gens, 1))])
@@ -96,7 +97,7 @@ class PresentedModule:
         f, gens = self.base.field, self.base.gens
         acc: list[dict] = [{} for _ in self.gens]
         for k, p in terms:
-            if p.vars is not gens and (p.vars != gens or p.field != f):
+            if (p.vars is not gens and p.vars != gens) or (p.field is not f and p.field != f):
                 raise ValueError("component is not in the base ring")
             comp = acc[k]
             for e, c in p.terms.items():
@@ -133,7 +134,7 @@ class ModuleElement:
         return ModuleElement(self.module, tuple(-a for a in self.comps))
 
     def scaled(self, a: ElementLike) -> "ModuleElement":
-        p = self.module.base.element(a).poly
+        p = self.module.base.polynomial(a)
         return ModuleElement(self.module, tuple(p * c for c in self.comps))
 
     def __mul__(self, a: ElementLike) -> "ModuleElement":
@@ -219,9 +220,8 @@ def kahler_module(A: PresentedAlgebra) -> PresentedModule:
 
 def universal_derivation(A: PresentedAlgebra, a: ElementLike) -> ModuleElement:
     """d(a) = sum of partial(a, x_i) d(x_i); R-linear and Leibniz by construction."""
-    e = A.element(a)
-    omega = kahler_module(A)
-    return omega.element(tuple(e.poly.partial(x) for x in A.gens))
+    p = A.polynomial(a)
+    return kahler_module(A).combine((i, p.partial(x)) for i, x in enumerate(A.gens))
 
 
 class TensorModule(PresentedModule):

@@ -273,15 +273,16 @@ class Polynomial:
     def change_vars(self, target_vars: tuple[str, ...], rename: Mapping[str, str] | None = None) -> "Polynomial":
         """Re-express over a different variable list (by name, optionally renamed).
 
-        Every occurring variable must map to a distinct target variable; this is
-        a monomial-to-monomial relabeling, much cheaper than `substitute`.
+        Every occurring variable must map to a target variable.  This maps
+        monomials to monomials, much cheaper than `substitute`; variables
+        merged into one add their exponents, and merged terms their coefficients.
         """
         pos: dict[int, int] = {}
         for i, v in enumerate(self.vars):
             w = rename.get(v, v) if rename else v
             if w in target_vars:
                 pos[i] = target_vars.index(w)
-        n = len(target_vars)
+        f, n = self.field, len(target_vars)
         out: dict[Exponent, Coef] = {}
         for e, c in self.terms.items():
             new = [0] * n
@@ -289,9 +290,13 @@ class Polynomial:
                 if v:
                     if i not in pos:
                         raise KeyError(f"variable {self.vars[i]!r} missing from target ring")
-                    new[pos[i]] = v
-            out[tuple(new)] = c
-        return Polynomial._of_terms(self.field, target_vars, out)
+                    new[pos[i]] += v
+            exp = tuple(new)
+            if exp in out:
+                c = f.add(out.pop(exp), c)
+            if c:
+                out[exp] = c
+        return Polynomial._of_terms(f, target_vars, out)
 
     # ---------- rendering ----------
 

@@ -173,7 +173,7 @@ def kahler_map(f: AlgebraMorphism) -> dict[str, ModuleElement]:
     d(v) -> d(f(v)), with images in Omega(cod f)."""
     omega_dom = kahler_module(f.dom)
     return {
-        dv: universal_derivation(f.cod, f(f.dom.gen(v))) for v, dv in zip(f.dom.gens, omega_dom.gens)
+        dv: universal_derivation(f.cod, f.images[v]) for v, dv in zip(f.dom.gens, omega_dom.gens)
     }
 
 
@@ -316,7 +316,7 @@ def glued_connection_check(
                 rows = _glue_residues(A1, L1, A2, L2, t, omega_t, *gammas)
                 units[g, idx] = [r - r0 for r, r0 in zip(rows, glue0)]
             mono = Polynomial.monomial(f, L.gens, (*exp, 0), 1)
-            scale = t(mono) if chart == 0 else mono
+            scale = t.apply_raw(mono) if chart == 0 else mono
             columns[name].update((first + k, r.scaled(scale)) for k, r in enumerate(units[g, idx]))
 
     equations = _affine_equations(constants, columns, f)

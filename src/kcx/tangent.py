@@ -120,7 +120,7 @@ class TangentPresentation(PresentedAlgebra):
 
     def d(self, e: ElementLike):
         """d of a source-algebra element, as an element of T(B)."""
-        return self.element(self.differential(self.source.element(e).poly))
+        return self.element(self.differential(self.source.polynomial(e)))
 
 
 @memoized
@@ -175,10 +175,10 @@ def vertical_lift(T2B: TangentPresentation) -> AlgebraMorphism:
 def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, fibre, names: tuple[str, ...]):
     """(include, zero, negate) for an additive bundle B over A, all certified.
 
-    B is presented on A's generators plus the fibre generators.  T(A) (fibre:
-    the differentials) and S_A(M) (fibre: M's generators) are both of this
-    kind, so their p/0/- and q/z/iota come from here, and their + and sigma
-    from `_fibrewise_sum`.
+    B is presented on A's generators plus the fibre generators: T(A) (the
+    differentials), S_A(M) (M's generators) and `dualnum`'s square-zero
+    extensions (the epsilons).  Their p/0/- and q/z/iota come from here, and
+    T(A)'s + and S_A(M)'s sigma from `_fibrewise_sum`.
     """
     return (
         relabel(A, B, {}, names[0]),
@@ -191,7 +191,7 @@ def _fibrewise_sum(include: AlgebraMorphism, fibre, name: str) -> AlgebraMorphis
     """B -> B (x)_A B adding the two copies of each fibre generator, for the
     inclusion A -> B of an additive bundle."""
     A, B = include.dom, include.cod
-    B2 = tensor_over_base(A, B, B, include, include, concat_grading=True)
+    B2 = tensor_over_base(A, B, B, include, include)
     return relabel(B, B2, {**B2.rename[0], **{m: (f"{m}#0", f"{m}#1") for m in fibre}}, name)
 
 
@@ -368,7 +368,7 @@ class BundleContext:
         self.TA = tangent_algebra(A)
         self.p_A = relabel(A, self.TA, {}, "p")
         # T(A) (x)_A S_A(M), with its two injections
-        self.TAS = tensor_over_base(A, self.TA, self.S, self.p_A, self.q, concat_grading=True)
+        self.TAS = tensor_over_base(A, self.TA, self.S, self.p_A, self.q)
         self.omega_tensor_M = christoffel_target(M)
         u_table = {f"{g}#1": g for g in self.S.gens}
         for g in A.gens:

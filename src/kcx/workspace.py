@@ -319,7 +319,7 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
             entries = cur.take_block_entries()
             dom, cod = (_lookup(cur, ws.algebras, "algebra", n, at) for n in (dom_name, cod_name))
             _fresh(cur, ws.morphisms, "morphism", name, at)
-            images = _images(cur, entries, at, "morphism", name, dom.gens, lambda rhs, _: cod.element(rhs))
+            images = _images(cur, entries, at, "morphism", name, dom.gens, lambda rhs, _: cod.polynomial(rhs))
             try:
                 ws.morphisms[name] = make_morphism(dom, cod, images, name=name)
             except WellDefinednessFailure as exc:

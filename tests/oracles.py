@@ -24,14 +24,16 @@ the P^1 glue residues).  `bidegree_split` sorts the terms of a
 T(A) (x)_A S_A(M) polynomial by their d- and module-degrees; it checks
 `tangent.split_shapes`.  `leibniz_tensor_presentation` builds
 T^2(A) (x)_{T(A)} T(S_A(M)) by the tensor recipe; it checks that
-T(T(A) (x)_A S_A(M)) is the same presentation.
+T(T(A) (x)_A S_A(M)) is the same presentation.  `eager_make_morphism`
+reduces every image to its codomain normal form before the map is built; it
+checks that `make_morphism`'s raw images decide the same.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from kcx.algebra import tensor_over_base
+from kcx.algebra import AlgebraMorphism, tensor_over_base
 from kcx.curvature import curvature_target
 from kcx.fields import Coef, Field
 from kcx.groebner import vector_leading
@@ -389,3 +391,10 @@ def leibniz_tensor_presentation(ctx):
         grading[f"{g}#1"] = (mod, 0, tan)
     Tp, Tq = tangent_apply_functor(ctx.p_A), tangent_apply_functor(ctx.q)
     return tensor_over_base(ctx.TA, T2A, ctx.TS, Tp, Tq, grading=grading, cap=(1, 1, 1))
+
+
+def eager_make_morphism(dom, cod, images, certify: bool = True, name: str = "") -> AlgebraMorphism:
+    """A morphism whose images are codomain normal forms, reduced one by one
+    before the map is built."""
+    polys = {g: cod.element(v).poly for g, v in images.items()}
+    return AlgebraMorphism(dom, cod, polys, certify=certify, name=name)

@@ -1,6 +1,7 @@
 """No module of the engine imports a name it never uses, imports inside a
-function without a reason, or caches outside the one cache idiom, and the
-Groebner and linear-algebra kernels leave field arithmetic to `fields.py`.
+function without a reason, caches outside the one cache idiom, or reduces a
+value only to unwrap its polynomial without a reason, and the Groebner and
+linear-algebra kernels leave field arithmetic to `fields.py`.
 
 No linter ships with the project, so this walks each module's syntax tree with
 the standard library.  `__init__.py` is skipped: its imports are re-exports.
@@ -139,3 +140,52 @@ def test_detector_flags_a_characteristic_read():
 @pytest.mark.parametrize("name", FIELD_BLIND)
 def test_kernels_never_read_the_characteristic(name):
     assert characteristic_reads((SRC / name).read_text()) == []
+
+
+# (file, function): why `element(...).poly` reduces there, although values
+# are otherwise read raw with `polynomial(...)` and reduced once by the
+# element that decides
+EAGER_REDUCTIONS = {
+    ("modules.py", "PresentedModule.__init__"): "relation rows are stored reduced, "
+    "because rendering and presentation equality read them",
+    ("tangent.py", "BundleContext.tensor_algebra_to_omega_m"): "the bidegree split "
+    "is defined only on normal forms",
+}
+
+
+def eager_reductions(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each `.poly` read off an `element(...)` call."""
+    found = []
+
+    def walk(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            call = child.value if isinstance(child, ast.Attribute) and child.attr == "poly" else None
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "element":
+                found.append((scope, child.lineno))
+            walk(child, scope)
+
+    walk(ast.parse(source), "")
+    return found
+
+
+def test_detector_flags_reduce_then_unwrap():
+    source = (
+        "def f(A, c):\n    return A.element(c).poly\n"
+        "class M:\n    def g(self, e):\n        return [self.base.element(x).poly for x in e]\n"
+        "    def h(self, e):\n        p = self.base.polynomial(e)\n        return self.element(p), e.poly\n"
+    )
+    assert eager_reductions(source) == [("f", 2), ("M.g", 5)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_values_are_read_raw(path):
+    found = eager_reductions(path.read_text())
+    assert [(f, line) for f, line in found if (path.name, f) not in EAGER_REDUCTIONS] == []
+
+
+def test_every_allowed_reduction_is_still_there():
+    found = {(path.name, f) for path in MODULES for f, _ in eager_reductions(path.read_text())}
+    assert set(EAGER_REDUCTIONS) <= found

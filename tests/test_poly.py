@@ -172,3 +172,18 @@ def test_nesting_limit_counts_parentheses_not_signs():
         P("(" + at_limit + ")")
     assert P("-" * 5001 + "x") == P("-x")
     assert P("-+" * 3000 + "(x - y)^2") == P("(x - y)^2")
+
+
+def test_change_vars_adds_what_a_rename_merges():
+    merged = P("a*b + a - b", variables=("a", "b")).change_vars(("x",), {"a": "x", "b": "x"})
+    assert merged == P("x^2", variables=("x",))
+    with pytest.raises(KeyError):
+        P("x*y").change_vars(("x",))
+    rng = random.Random(2915)
+    source, target = ("a", "b", "c"), ("x", "y")
+    for field in (QQ, GF(3)):
+        for _ in range(40):
+            rename = {v: rng.choice(target) for v in source}
+            p = random_poly(rng, field, source, terms=6)
+            images = {v: Polynomial.variable(field, target, rename[v]) for v in source}
+            assert p.change_vars(target, rename) == p.substitute(images, target)

@@ -5,7 +5,7 @@ import pytest
 import kcx.connections
 import kcx.dualnum
 import kcx.solve
-from kcx.algebra import make_algebra
+from kcx.algebra import make_algebra, relabel
 from kcx.connections import make_connection
 from kcx.dualnum import DualBundle, dual_bundle, dual_connection_solve, dual_numbers_structure
 from kcx.errors import KcxError, SolverTooLarge, WellDefinednessFailure
@@ -22,6 +22,7 @@ from kcx.solve import glued_connection_check, solve_connection_space
 from kcx.tangent import BundleContext
 
 import helpers
+from oracles import eager_make_morphism
 
 
 def test_standard_monomials_fat_point(fat_point):
@@ -187,6 +188,37 @@ def test_dual_bundle_lift(circle):
     assert b.q(b.E.gen(m_eps)).is_zero()
     for m in (b.q, b.z, b.iota, b.lam):
         assert m.certified
+
+
+def test_dual_structure_maps_match_their_relabel_tables(circle):
+    """0/p/- and z/q/iota come from `tangent._additive_bundle`, and the
+    lifts from raw products; each equals the map its own table once built."""
+    dn = dual_numbers_structure(circle)
+    A, TA, TTA, eps = circle, dn.TA, dn.TTA, dn.eps
+    b = dual_bundle(circle, kahler_module(circle))
+    E, TE = b.E, b.TE
+    pairs = [
+        (dn.p, relabel(TA, A, {eps: None}, "p")),
+        (dn.zero, relabel(A, TA, {}, "0")),
+        (dn.minus, relabel(TA, TA, {eps: f"-{eps}"}, "-")),
+        (b.q, relabel(E, A, dict.fromkeys(b.eps_gens), "q")),
+        (b.z, relabel(A, E, {}, "z")),
+        (b.iota, relabel(E, E, {m: f"-{m}" for m in b.eps_gens}, "iota")),
+    ]
+    for built, table in pairs:
+        assert (built.name, built.certified, built.images) == (table.name, table.certified, table.images)
+        assert built.dom is table.dom and built.cod is table.cod
+
+    def eager_lift(B, TB, fibre, epsp, name):
+        images = {g: TB.gen(g) * TB.gen(epsp) if g in fibre else TB.gen(g) for g in B.gens}
+        return eager_make_morphism(B, TB, images, name=name)
+
+    for built, eager in (
+        (dn.lift, eager_lift(TA, TTA, (eps,), dn.epsp, "l")),
+        (b.lam, eager_lift(E, TE, b.eps_gens, b.epsp, "lambda")),
+    ):
+        assert (built.name, built.certified) == (eager.name, eager.certified)
+        assert all(built.image_of(g) == eager.image_of(g) for g in built.dom.gens)
 
 
 def test_dual_solver_no_go():
