@@ -71,7 +71,6 @@ class PresentedAlgebra:
         field: Field,
         gens: tuple[str, ...],
         relations: Iterable[Polynomial],
-        provenance: str = "plain",
         roles: Mapping[str, GenRole] | None = None,
         grading: Mapping[str, tuple[int, ...]] | None = None,
         cap: tuple[int, ...] | None = None,
@@ -84,7 +83,6 @@ class PresentedAlgebra:
         for r in self.relations:
             if r.vars != self.gens or r.field != field:
                 raise ValueError("relation not over the algebra's generators")
-        self.provenance = provenance
         self.roles = dict(roles) if roles else {g: GenRole("base", g) for g in gens}
         if set(self.roles) != set(gens):
             raise ValueError("role table must cover every generator exactly once")
@@ -198,13 +196,14 @@ class AlgebraElement:
         return AlgebraElement(self.owner, self.poly ** n)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            try:
-                other = self.owner.element(other)
-            except Exception:
-                return NotImplemented
-        if other.owner is not self.owner:
+        """Equality of classes; a value the algebra refuses raises, as in `+`,
+        and only an operand of a type `polynomial` cannot read is NotImplemented."""
+        if isinstance(other, AlgebraElement) and other.owner is not self.owner:
             raise OwnerMismatch("comparing elements of different algebras")
+        try:
+            other = self.owner.element(other)
+        except TypeError:
+            return NotImplemented
         return self.poly == other.poly
 
     def __hash__(self):
@@ -413,9 +412,7 @@ class TensorAlgebra(PresentedAlgebra):
     """B1 (x)_A B2 presented on renamed generators with A-images identified."""
 
     def __init__(self, left, right, gens, relations, roles, rename0, rename1, grading=None, cap=None):
-        super().__init__(
-            left.field, gens, relations, provenance="tensor", roles=roles, grading=grading, cap=cap
-        )
+        super().__init__(left.field, gens, relations, roles=roles, grading=grading, cap=cap)
         self.factors = (left, right)
         self.rename = (dict(rename0), dict(rename1))
         self.i0 = relabel(left, self, rename0, "i0", certify=False)
@@ -495,6 +492,6 @@ def localize(A: PresentedAlgebra, u: str) -> PresentedAlgebra:
     )
     roles = {g: A.roles[g] for g in A.gens}
     roles[inv] = GenRole("base", inv)
-    L = PresentedAlgebra(A.field, gens, relations, provenance="localization", roles=roles)
+    L = PresentedAlgebra(A.field, gens, relations, roles=roles)
     L.localization_of = (A, u, inv)
     return L

@@ -137,7 +137,7 @@ def to_horizontal(nabla: Connection) -> AlgebraMorphism:
         images[TS.dmap[x]] = Polynomial.variable(T.field, T.gens, f"{ctx.TA.dmap[x]}#0")
     for m in ctx.M.gens:
         images[m] = Polynomial.variable(T.field, T.gens, f"{m}#1")
-        images[TS.dmap[m]] = ctx.omega_m_to_tensor_algebra(nabla.gamma[m])
+        images[TS.dmap[m]] = ctx.omega_m_shapes.write(nabla.gamma[m])
     return AlgebraMorphism(TS, T, images, certify=True, name="H")
 
 
@@ -150,7 +150,7 @@ def to_vertical(nabla: Connection) -> AlgebraMorphism:
         images[x] = Polynomial.variable(TS.field, TS.gens, x)
     for m in ctx.M.gens:
         dm = Polynomial.variable(TS.field, TS.gens, TS.dmap[m])
-        images[m] = dm - ctx.U.apply_raw(ctx.omega_m_to_tensor_algebra(nabla.gamma[m]))
+        images[m] = dm - ctx.U.apply_raw(ctx.omega_m_shapes.write(nabla.gamma[m]))
     return AlgebraMorphism(S, TS, images, certify=True, name="K")
 
 
@@ -162,7 +162,7 @@ def from_horizontal(H: AlgebraMorphism, M: PresentedModule) -> Connection:
         raise AxiomFailure(report)
     images = {}
     for m in M.gens:
-        elem, stray = ctx.tensor_algebra_to_omega_m(H.image_of(ctx.TS.dmap[m]))
+        elem, stray = ctx.omega_m_shapes.read(H.image_of(ctx.TS.dmap[m]))
         if not stray.is_zero():
             raise MembershipFailure(m, stray.render())
         images[m] = elem

@@ -8,15 +8,16 @@ Bundle side: curvature compares the twice-applied vertical form against its
 canonical flip; torsion compares the vertical form with the affine flip, or
 equivalently runs through the horizontal form and brackets.  The embedding
 psi writes the module quantities inside the double tangent and the projection
-phi comes back; composing the two picks up the commutative-to-anticommutative
-factor: phi(psi(w)) = 2w exactly.  psi produces raw (unreduced) polynomials so
-that identity holds on the nose on the generator basis.
+phi comes back: they are the `write` and `read` of the bundle context's
+`curvature_shapes` (psi-hat and phi-hat of its `torsion_shapes`).  Composing
+the two picks up the commutative-to-anticommutative factor: phi(psi(w)) = 2w
+exactly.  psi produces raw (unreduced) polynomials so that identity holds on
+the nose on the generator basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import Callable
 
 from .algebra import (
     AlgebraElement,
@@ -27,14 +28,12 @@ from .algebra import (
 from .connections import Connection, apply_connection, leibniz_terms, to_horizontal, to_vertical
 from .errors import KcxError, ModuleNotKahler
 from .modules import ModuleElement, christoffel_target, kahler_module, tensor_modules, wedge_square
-from .poly import Polynomial
 from .tangent import (
-    TangentPresentation,
+    ShapeMap,
     affine_flip,
     affine_swap,
     bracketing,
     bundle_combine,
-    split_shapes,
     tangent_apply_functor,
 )
 
@@ -153,83 +152,6 @@ def tangent_curvature_is_flat(nabla: Connection, C: AlgebraMorphism) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# comparison maps: psi / phi and their torsion analogues
-# ---------------------------------------------------------------------------
-
-
-def embed_wedge_curvature(nabla: Connection, e: ModuleElement) -> Polynomial:
-    """psi: Omega^2 (x) M -> T^2(S_A(M)) as a raw polynomial.
-
-    A wedge generator (d(x_i) ^ d(x_j)) (x) m goes to
-    m d(x_i) d'(x_j) - m d'(x_i) d(x_j), with d the first and d' the second
-    tangent level.
-    """
-    ctx = nabla.ctx
-    T2S, TS, M = ctx.T2S, ctx.TS, nabla.module
-    target = curvature_target(nabla)
-    if e.module is not target:
-        raise ValueError("expected an element of Omega^2 (x) M")
-    w2 = target.factors[0]
-    var = lambda name: Polynomial.variable(T2S.field, T2S.gens, name)
-    out = Polynomial.zero(T2S.field, T2S.gens)
-    for p, l, coef in target.entries(e):
-        i, j = w2.pairs[p]
-        m = var(M.gens[l])
-        d_i, d_j = var(TS.dmap[ctx.A.gens[i]]), var(TS.dmap[ctx.A.gens[j]])
-        dp_i, dp_j = var(T2S.dmap[ctx.A.gens[i]]), var(T2S.dmap[ctx.A.gens[j]])
-        out = out + coef.change_vars(T2S.gens) * m * (d_i * dp_j - dp_i * d_j)
-    return out
-
-
-def project_wedge_curvature(nabla: Connection, poly) -> ModuleElement:
-    """phi: T^2(S_A(M)) -> Omega^2 (x) M, killing monomials of other shapes.
-
-    Keeps exactly the monomials with one module generator, one first-level and
-    one second-level base differential (no mixed sorts); accepts an element or
-    a raw polynomial.
-    """
-    T2S, A, M = nabla.ctx.T2S, nabla.base, nabla.module
-    origin = lambda g: A.gens.index(T2S.roles[g].origin)
-    return _wedge_tensor(
-        nabla,
-        [
-            (origin(d), origin(dp), M.gens.index(m), c)
-            for (m, d, dp), c in split_shapes(T2S, poly, ("module", "d", "dp"), A.gens)[0]
-        ],
-    )
-
-
-def embed_wedge_torsion(nabla: Connection, e: ModuleElement) -> Polynomial:
-    """psi-hat: Omega^2 -> T(S_A(Omega)) raw; d(x_i)^d(x_j) -> the d/d' commutator."""
-    ctx = nabla.ctx
-    TS, M = ctx.TS, nabla.module
-    w2 = wedge_square(kahler_module(nabla.base))
-    if e.module is not w2:
-        raise ValueError("expected an element of Omega^2")
-    var = lambda name: Polynomial.variable(TS.field, TS.gens, name)
-    out = Polynomial.zero(TS.field, TS.gens)
-    for p, coef in enumerate(e.comps):
-        if coef.is_zero():
-            continue
-        i, j = w2.pairs[p]
-        m_i, m_j = var(M.gens[i]), var(M.gens[j])
-        d_i, d_j = var(TS.dmap[ctx.A.gens[i]]), var(TS.dmap[ctx.A.gens[j]])
-        out = out + coef.change_vars(TS.gens) * (m_i * d_j - d_i * m_j)
-    return out
-
-
-def project_wedge_torsion(nabla: Connection, poly) -> ModuleElement:
-    """phi-hat: T(S_A(Omega)) -> Omega^2; keeps module-times-differential monomials."""
-    TS, A, M = nabla.ctx.TS, nabla.base, nabla.module
-    w2 = wedge_square(kahler_module(A))
-    terms = (
-        (M.gens.index(m), A.gens.index(TS.roles[d].origin), c)
-        for (m, d), c in split_shapes(TS, poly, ("module", "d"), A.gens)[0]
-    )
-    return ModuleElement(w2, w2.collect(terms))
-
-
-# ---------------------------------------------------------------------------
 # torsion on the bundle side (both routes)
 # ---------------------------------------------------------------------------
 
@@ -276,25 +198,21 @@ def torsionfree_horizontal_criterion(nabla: Connection) -> bool:
 
 
 def _correspond(
-    nabla: Connection,
-    result: CorrespondenceResult,
-    bundle_map: AlgebraMorphism,
-    P: TangentPresentation,
-    embed: Callable,
-    project: Callable,
+    nabla: Connection, result: CorrespondenceResult, bundle_map: AlgebraMorphism, shapes: ShapeMap
 ) -> CorrespondenceResult:
     """Compare the bundle map V with the module images w, per generator m.
 
     Residuals recorded per generator: V(m) - psi(w); 2w - phi(V(m)); and,
-    away from characteristic two, w - phi(V(m))/2.
+    away from characteristic two, w - phi(V(m))/2, with psi and phi the
+    `write` and `read` of `shapes` (phi ignores the stray rest).
     """
     field = nabla.base.field
     half = None if field.char == 2 else field.inv(field.of(2))
     result.tangent_images = {m: bundle_map.image_of(m) for m in nabla.module.gens}
     for m, v_img in result.tangent_images.items():
         w = result.images[m]
-        phi_img = project(nabla, v_img)
-        residuals = [v_img - P.element(embed(nabla, w)), w.scaled(2) - phi_img]
+        phi_img = shapes.read(v_img)[0]
+        residuals = [v_img - shapes.write(w), w.scaled(2) - phi_img]
         if half is not None:
             residuals.append(w - phi_img.scaled(half))
         result.residuals[m] = residuals
@@ -307,9 +225,7 @@ def check_curvature_correspondence(nabla: Connection) -> CurvatureResult:
         nabla,
         module_curvature(nabla),
         tangent_curvature(nabla),
-        nabla.ctx.T2S,
-        embed_wedge_curvature,
-        project_wedge_curvature,
+        nabla.ctx.curvature_shapes,
     )
 
 
@@ -319,7 +235,5 @@ def check_torsion_correspondence(nabla: Connection) -> TorsionResult:
         nabla,
         module_torsion(nabla),
         tangent_torsion(nabla),
-        nabla.ctx.TS,
-        embed_wedge_torsion,
-        project_wedge_torsion,
+        nabla.ctx.torsion_shapes,
     )

@@ -22,16 +22,14 @@ from .solve import _affine_equations, _relation_columns, _unknowns
 from .tangent import _additive_bundle
 
 
-def _square_zero_extension(
-    A: PresentedAlgebra, new_gens: tuple[str, ...], provenance: str
-) -> PresentedAlgebra:
+def _square_zero_extension(A: PresentedAlgebra, new_gens: tuple[str, ...]) -> PresentedAlgebra:
     """Adjoin generators whose pairwise products, squares included, are zero."""
     gens = A.gens + new_gens
     var = lambda g: Polynomial.variable(A.field, gens, g)
     relations = [r.change_vars(gens) for r in A.relations]
     relations += [var(a) * var(b) for a, b in combinations_with_replacement(new_gens, 2)]
     roles = {**A.roles, **{g: GenRole("base", g) for g in new_gens}}
-    return PresentedAlgebra(A.field, gens, relations, provenance=provenance, roles=roles)
+    return PresentedAlgebra(A.field, gens, relations, roles=roles)
 
 
 def _lift(B: PresentedAlgebra, TB: PresentedAlgebra, fibre, epsp: str, name: str) -> AlgebraMorphism:
@@ -62,13 +60,13 @@ class DualNumbers:
 @memoized
 def dual_numbers_structure(A: PresentedAlgebra) -> DualNumbers:
     eps = fresh_name(A.gens, "eps")
-    TA = _square_zero_extension(A, (eps,), "dualnum")
+    TA = _square_zero_extension(A, (eps,))
     epsp = fresh_name(TA.gens, "epsp")
     # epsilon and epsilon-prime square to zero but their product survives
-    TTA = _square_zero_extension(TA, (epsp,), "dualnum2")
+    TTA = _square_zero_extension(TA, (epsp,))
     eps1 = fresh_name(A.gens, "eps1")
     eps2 = fresh_name(A.gens + (eps1,), "eps2")
-    T2 = _square_zero_extension(A, (eps1, eps2), "dualnum-width2")
+    T2 = _square_zero_extension(A, (eps1, eps2))
 
     zero, p, minus = _additive_bundle(A, TA, (eps,), ("0", "p", "-"))
     plus = relabel(T2, TA, {eps1: eps, eps2: eps}, "+")
@@ -98,12 +96,12 @@ def dual_bundle(A: PresentedAlgebra, M: PresentedModule) -> DualBundle:
     if M.base is not A:
         raise ValueError("module is not over the given algebra")
     eps_gens = tuple(fresh_name(A.gens, f"{m}_eps") for m in M.gens)
-    E = _square_zero_extension(A, eps_gens, "dual-bundle")
+    E = _square_zero_extension(A, eps_gens)
     # module relation rows hold on the epsilon part
     extra = [linear_form(A.field, E.gens, row, eps_gens) for row in M.relations]
-    E = PresentedAlgebra(A.field, E.gens, list(E.relations) + extra, provenance="dual-bundle")
+    E = PresentedAlgebra(A.field, E.gens, list(E.relations) + extra)
     epsp = fresh_name(E.gens, "epsp")
-    TE = _square_zero_extension(E, (epsp,), "dual-bundle2")
+    TE = _square_zero_extension(E, (epsp,))
     z, q, iota = _additive_bundle(A, E, eps_gens, ("z", "q", "iota"))
     lam = _lift(E, TE, eps_gens, epsp, "lambda")
     return DualBundle(A, M, E, TE, eps_gens, epsp, q, z, iota, lam)

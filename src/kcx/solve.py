@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraMorphism, PresentedAlgebra, compose_morphisms, identity_morphism
 from .algebra import localize, make_morphism
-from .connections import AxiomCheck, AxiomReport, Connection, apply_connection, leibniz_terms
+from .connections import AxiomCheck, AxiomReport, Connection, apply_connection, connection_residues, leibniz_terms
 from .errors import KcxError, NotInverse, SolverTooLarge
 from .fields import Coef, Field
 from .linsolve import AffineSolutionSpace, LinearEquation, affine_linear_solve
@@ -151,9 +151,6 @@ def solve_connection_space(M: PresentedModule, degree_bound: int) -> ConnectionS
     """Exact solution space of Christoffel coefficients up to a degree bound."""
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    # looked up per call: tests count residue evaluations by patching kcx.connections
-    from .connections import connection_residues
-
     target = christoffel_target(M)
     f = M.base.field
     layout = _unknowns("c", M.gens, target.gens, target, degree_bound)
@@ -259,9 +256,6 @@ def glued_connection_check(
     """
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    # looked up per call: tests count residue evaluations by patching kcx.connections
-    from .connections import connection_residues
-
     L1, L2 = localize(A1, u1), localize(A2, u2)
     t = make_morphism(L1, L2, transition_images, name="t")
     tinv = make_morphism(L2, L1, inverse_images, name="t_inv")

@@ -18,18 +18,22 @@ T(A) and S_A(M) are additive bundles over A, so `_additive_bundle` builds
 T(A)'s p/0/- and S_A(M)'s q/z/iota, and `_fibrewise_sum` T(A)'s + and, on
 first use, S_A(M)'s sigma; no verdict reads sigma.  These maps, the flips,
 zero maps, vertical lifts, lambda and U are `algebra.relabel` tables of
-signed generators.  `split_shapes` reads bundle polynomials back: it is the
-one place that splits them into module-side terms and the rest.
+signed generators.
+
+Module values move into bundle presentations and back through one `ShapeMap`
+per correspondence, each a table of signed products of generators: Omega(A)
+(x) M in T(A) (x)_A S_A(M) (the H and K images), psi/phi between
+Omega^2 (x) M and T^2(S_A(M)) (curvature) and psi-hat/phi-hat between
+Omega^2 and T(S_A(Omega)) (torsion).  `write` is the only writer and `read`
+the only reader of those shapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 from .algebra import (
-    AlgebraElement,
     AlgebraMorphism,
     ElementLike,
     GenRole,
@@ -40,8 +44,16 @@ from .algebra import (
     relabel,
     tensor_over_base,
 )
-from .errors import BaseMismatch, BracketingConditionFailure
-from .modules import ModuleElement, PresentedModule, christoffel_target, linear_form
+from .errors import BaseMismatch, BracketingConditionFailure, ModuleNotKahler
+from .modules import (
+    ModuleElement,
+    PresentedModule,
+    christoffel_target,
+    kahler_module,
+    linear_form,
+    tensor_modules,
+    wedge_square,
+)
 from .poly import Polynomial
 
 
@@ -86,10 +98,7 @@ class TangentPresentation(PresentedAlgebra):
         relations = [r.change_vars(gens) for r in B.relations]
         # where each source generator and its differential sit in `gens`
         self._slots = [(gens.index(g), gens.index(self.dmap[g])) for g in B.gens]
-        super().__init__(
-            B.field, gens, [], provenance="tangent", roles=roles,
-            grading=grading, cap=(1,) * (k + 1),
-        )
+        super().__init__(B.field, gens, [], roles=roles, grading=grading, cap=(1,) * (k + 1))
         # reuse this presentation's own differential to build the new relations
         relations += [self.differential(r) for r in B.relations]
         self.relations = tuple(relations)
@@ -227,7 +236,7 @@ class SymBundle(PresentedAlgebra):
         relations = [r.change_vars(gens) for r in A.relations]
         relations += [linear_form(A.field, gens, row, M.gens) for row in M.relations]
         # no cap: S_A(M) itself carries arbitrary symmetric degrees
-        super().__init__(A.field, gens, relations, provenance="sym", roles=roles, grading=grading)
+        super().__init__(A.field, gens, relations, roles=roles, grading=grading)
 
     def module_element(self, e: ModuleElement) -> "PresentedAlgebra.element":
         """An M-element as the corresponding degree-one element of S_A(M)."""
@@ -302,39 +311,72 @@ def bracketing(ctx: BundleContext, h: AlgebraMorphism) -> AlgebraMorphism:
     return out
 
 
-def split_shapes(
-    P: PresentedAlgebra, poly, kinds: tuple[str, ...], base_gens: tuple[str, ...], rename: Mapping[str, str] | None = None
-) -> tuple[list[tuple[list[str], Polynomial]], Polynomial]:
-    """Split `poly` over P into the monomials of one shape and the stray rest.
+class ShapeMap:
+    """One module-to-bundle correspondence, written and read from one table.
 
-    A monomial has the shape when it holds one degree-1 generator of each
-    sort in `kinds` and only base generators besides.  Each such monomial
-    gives those generators in the order of `kinds` and the rest of the term,
-    renamed by `rename` into a polynomial over `base_gens`; every other
-    monomial goes to the stray polynomial over P.
+    `shapes[k]` lists (sign, names) for module generator k: its bundle image
+    is the sum of sign * prod(names) over P, each product squarefree in the
+    non-base generators of P.  `write` sends sum c_k e_k to the raw sum of
+    c_k times those images, the base generators of c_k renamed into P by
+    `into`.  `read` keys each monomial by its exponents at the non-base
+    generators: a key of some product gives sign * rest at generator k, the
+    rest renamed back by `back`, and every other monomial is stray.  Base
+    generators are those `back` renames, by default A's own names.
     """
-    if isinstance(poly, AlgebraElement):
-        poly = poly.poly
-    kind_at = [P.roles[g].kind for g in P.gens]
-    found, stray = [], {}
-    for exp, coef in poly.terms.items():
-        names: dict[str, str] = {}
-        rest = list(exp)
-        for pos, vdeg in enumerate(exp):
-            kind = kind_at[pos]
-            if not vdeg or kind == "base":
+
+    def __init__(self, P: PresentedAlgebra, module: PresentedModule, shapes, into=None, back=None):
+        self.P, self.module = P, module
+        gens, f = module.base.gens, P.field
+        pos = {g: i for i, g in enumerate(P.gens)}
+        back = back or {g: g for g in gens}
+        self._into = [pos[(into or {}).get(g, g)] for g in gens]
+        self._back = [(pos[g], gens.index(a)) for g, a in back.items()]
+        base = {p for p, _ in self._back}
+        self._free = [i for i in range(len(P.gens)) if i not in base]
+        self._write: list[list] = []  # per generator: (sign, exponent of the product)
+        self._read: dict[tuple, tuple[int, object]] = {}  # key -> (generator, sign)
+        for k, terms in enumerate(shapes):
+            row = []
+            for sign, names in terms:
+                exp, sign = tuple(int(g in names) for g in P.gens), f.of(sign)
+                row.append((sign, exp))
+                self._read[tuple(exp[i] for i in self._free)] = (k, sign)
+            self._write.append(row)
+
+    def write(self, e: ModuleElement) -> Polynomial:
+        """The bundle image of e, raw."""
+        if e.module is not self.module:
+            raise ValueError("element of a different module")
+        f, n = self.P.field, len(self.P.gens)
+        out: dict = {}
+        for coef, row in zip(e.comps, self._write):
+            for a_exp, c in coef.terms.items():
+                base = [0] * n
+                for p, k in zip(self._into, a_exp):
+                    base[p] += k
+                for sign, prod in row:
+                    exp = tuple(b + q for b, q in zip(base, prod))
+                    s = f.addmul(out.get(exp, 0), sign, c)
+                    if s:
+                        out[exp] = s
+                    else:
+                        out.pop(exp, None)
+        return Polynomial._of_terms(f, self.P.gens, out)
+
+    def read(self, value: ElementLike) -> tuple[ModuleElement, Polynomial]:
+        """(module element, stray rest over P) of a bundle value, read as given."""
+        f, gens = self.P.field, self.module.base.gens
+        terms, stray = [], {}
+        for exp, c in self.P.polynomial(value).terms.items():
+            hit = self._read.get(tuple(exp[i] for i in self._free))
+            if hit is None:
+                stray[exp] = c
                 continue
-            if vdeg != 1 or kind not in kinds or kind in names:
-                break
-            names[kind] = P.gens[pos]
-            rest[pos] = 0
-        else:
-            if len(names) == len(kinds):
-                rest_poly = Polynomial._of_terms(P.field, P.gens, {tuple(rest): coef})
-                found.append(([names[k] for k in kinds], rest_poly.change_vars(base_gens, rename)))
-                continue
-        stray[exp] = coef
-    return found, Polynomial._of_terms(P.field, P.gens, stray)
+            rest = [0] * len(gens)
+            for p, a in self._back:
+                rest[a] += exp[p]
+            terms.append((hit[0], Polynomial._of_terms(f, gens, {tuple(rest): f.mul(hit[1], c)})))
+        return self.module.combine(terms), Polynomial._of_terms(f, self.P.gens, stray)
 
 
 # ---------------------------------------------------------------------------
@@ -440,39 +482,36 @@ class BundleContext:
         """H.4: zero on T^2(A), which kills the outer level, and lambda on T(S)."""
         return self._down(zero_map(self.T2A), self.lam, "0(x)lam")
 
-    # -- embeddings between module world and algebra world ------------------
+    # -- module-to-bundle correspondences -------------------------------------
 
-    def omega_m_to_tensor_algebra(self, e: ModuleElement) -> Polynomial:
-        """Element of Omega(A) (x) M as a raw polynomial in T(A) (x)_A S_A(M)."""
-        if e.module is not self.omega_tensor_M:
-            raise ValueError("expected an element of Omega(A) (x) M")
-        T = self.TAS
-        base_rename = {g: f"{g}#1" for g in self.A.gens}
-        out = Polynomial.zero(T.field, T.gens)
-        for i, l, coef in self.omega_tensor_M.entries(e):
-            dxi = f"{self.TA.dmap[self.A.gens[i]]}#0"
-            ml = f"{self.M.gens[l]}#1"
-            out = out + (
-                coef.change_vars(T.gens, base_rename)
-                * Polynomial.variable(T.field, T.gens, dxi)
-                * Polynomial.variable(T.field, T.gens, ml)
-            )
-        return out
+    @cached_property
+    def omega_m_shapes(self) -> ShapeMap:
+        """Omega(A) (x) M in T(A) (x)_A S_A(M): d(x_i) (x) m_l is d_x_i#0 * m_l#1."""
+        A, M = self.A, self.M
+        shapes = [[(1, (f"{self.TA.dmap[x]}#0", f"{m}#1"))] for x in A.gens for m in M.gens]
+        back = {f"{g}#{k}": g for g in A.gens for k in (0, 1)}
+        return ShapeMap(self.TAS, self.omega_tensor_M, shapes, {g: f"{g}#1" for g in A.gens}, back)
 
-    def tensor_algebra_to_omega_m(self, e) -> tuple[ModuleElement, Polynomial]:
-        """Split a T(A) (x) S element into its Omega(A) (x) M part plus the rest.
+    @cached_property
+    def curvature_shapes(self) -> ShapeMap:
+        """psi/phi: (d(x_i) ^ d(x_j)) (x) m in T^2(S_A(M)) is
+        m d(x_i) d'(x_j) - m d'(x_i) d(x_j), d the first and d' the second level."""
+        w2 = wedge_square(kahler_module(self.A))
+        x, d, dp = self.A.gens, self.TS.dmap, self.T2S.dmap
+        shapes = [
+            [(1, (m, d[x[i]], dp[x[j]])), (-1, (m, dp[x[i]], d[x[j]]))] for i, j in w2.pairs for m in self.M.gens
+        ]
+        return ShapeMap(self.T2S, tensor_modules(w2, self.M), shapes)
 
-        Relies on the (d-degree, module-degree) bigrading of the tensor
-        presentation: the ideal is bihomogeneous, so normal forms split by
-        bidegree and the (1,1) part is well defined.
-        """
-        T, target = self.TAS, self.omega_tensor_M
-        d_pos = {f"{self.TA.dmap[g]}#0": i for i, g in enumerate(self.A.gens)}
-        m_pos = {f"{m}#1": l for l, m in enumerate(self.M.gens)}
-        base = {f"{g}#{k}": g for g in self.A.gens for k in (0, 1)}
-        found, stray = split_shapes(T, T.element(e).poly, ("d", "module"), self.A.gens, base)
-        comps = ((target.pair_index(d_pos[d], m_pos[m]), c) for (d, m), c in found)
-        return target.combine(comps), stray
+    @cached_property
+    def torsion_shapes(self) -> ShapeMap:
+        """psi-hat/phi-hat: d(x_i) ^ d(x_j) in T(S_A(Omega)) is m_i d(x_j) - d(x_i) m_j,
+        m_i the module generator d(x_i) of S_A(Omega)."""
+        if self.M.provenance != "kahler":
+            raise ModuleNotKahler("torsion needs the differentials module")
+        w2 = wedge_square(self.M)
+        x, m, d = self.A.gens, self.M.gens, self.TS.dmap
+        return ShapeMap(self.TS, w2, [[(1, (m[i], d[x[j]])), (-1, (d[x[i]], m[j]))] for i, j in w2.pairs])
 
     # -- affine identifications (Kahler modules only; see affine_flip) -----
 

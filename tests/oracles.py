@@ -22,23 +22,39 @@ and `+`, reducing every link on its own; they check the one-writer
 `PresentedModule.combine` paths (Leibniz, curvature, pullback, retract and
 the P^1 glue residues).  `bidegree_split` sorts the terms of a
 T(A) (x)_A S_A(M) polynomial by their d- and module-degrees; it checks
-`tangent.split_shapes`.  `leibniz_tensor_presentation` builds
+`BundleContext.omega_m_shapes.read`.  `leibniz_tensor_presentation` builds
 T^2(A) (x)_{T(A)} T(S_A(M)) by the tensor recipe; it checks that
 T(T(A) (x)_A S_A(M)) is the same presentation.  `eager_make_morphism`
 reduces every image to its codomain normal form before the map is built; it
 checks that `make_morphism`'s raw images decide the same.
+
+`split_shapes`, `omega_m_to_tensor_algebra`, `tensor_algebra_to_omega_m`,
+`embed_wedge_curvature`, `project_wedge_curvature`, `embed_wedge_torsion` and
+`project_wedge_torsion` write and read the three module-to-bundle
+correspondences with one hand-written loop each, splitting monomials by the
+sorts of their generators; they check the table-driven `tangent.ShapeMap`
+instances `omega_m_shapes`, `curvature_shapes` and `torsion_shapes`.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Mapping
 
-from kcx.algebra import AlgebraMorphism, tensor_over_base
-from kcx.curvature import curvature_target
+from kcx.algebra import AlgebraElement, AlgebraMorphism, PresentedAlgebra, tensor_over_base
+from kcx.connections import Connection
+from kcx.curvature import _wedge_tensor, curvature_target
 from kcx.fields import Coef, Field
 from kcx.groebner import vector_leading
 from kcx.linsolve import AffineSolutionSpace, LinearEquation
-from kcx.modules import ModuleElement, christoffel_target, kahler_module, make_module, universal_derivation
+from kcx.modules import (
+    ModuleElement,
+    christoffel_target,
+    kahler_module,
+    make_module,
+    universal_derivation,
+    wedge_square,
+)
 from kcx.poly import Polynomial
 from kcx.tangent import tangent_algebra, tangent_apply_functor
 
@@ -398,3 +414,148 @@ def eager_make_morphism(dom, cod, images, certify: bool = True, name: str = "") 
     before the map is built."""
     polys = {g: cod.element(v).poly for g, v in images.items()}
     return AlgebraMorphism(dom, cod, polys, certify=certify, name=name)
+
+
+# The module-to-bundle correspondences as separate hand-written loops, each
+# on its own, before `tangent.ShapeMap` wrote and read all three from tables.
+
+
+def split_shapes(
+    P: PresentedAlgebra, poly, kinds: tuple[str, ...], base_gens: tuple[str, ...], rename: Mapping[str, str] | None = None
+) -> tuple[list[tuple[list[str], Polynomial]], Polynomial]:
+    """Split `poly` over P into the monomials of one shape and the stray rest.
+
+    A monomial has the shape when it holds one degree-1 generator of each
+    sort in `kinds` and only base generators besides.  Each such monomial
+    gives those generators in the order of `kinds` and the rest of the term,
+    renamed by `rename` into a polynomial over `base_gens`; every other
+    monomial goes to the stray polynomial over P.
+    """
+    if isinstance(poly, AlgebraElement):
+        poly = poly.poly
+    kind_at = [P.roles[g].kind for g in P.gens]
+    found, stray = [], {}
+    for exp, coef in poly.terms.items():
+        names: dict[str, str] = {}
+        rest = list(exp)
+        for pos, vdeg in enumerate(exp):
+            kind = kind_at[pos]
+            if not vdeg or kind == "base":
+                continue
+            if vdeg != 1 or kind not in kinds or kind in names:
+                break
+            names[kind] = P.gens[pos]
+            rest[pos] = 0
+        else:
+            if len(names) == len(kinds):
+                rest_poly = Polynomial._of_terms(P.field, P.gens, {tuple(rest): coef})
+                found.append(([names[k] for k in kinds], rest_poly.change_vars(base_gens, rename)))
+                continue
+        stray[exp] = coef
+    return found, Polynomial._of_terms(P.field, P.gens, stray)
+
+
+def omega_m_to_tensor_algebra(ctx, e: ModuleElement) -> Polynomial:
+    """Element of Omega(A) (x) M as a raw polynomial in T(A) (x)_A S_A(M)."""
+    if e.module is not ctx.omega_tensor_M:
+        raise ValueError("expected an element of Omega(A) (x) M")
+    T = ctx.TAS
+    base_rename = {g: f"{g}#1" for g in ctx.A.gens}
+    out = Polynomial.zero(T.field, T.gens)
+    for i, l, coef in ctx.omega_tensor_M.entries(e):
+        dxi = f"{ctx.TA.dmap[ctx.A.gens[i]]}#0"
+        ml = f"{ctx.M.gens[l]}#1"
+        out = out + (
+            coef.change_vars(T.gens, base_rename)
+            * Polynomial.variable(T.field, T.gens, dxi)
+            * Polynomial.variable(T.field, T.gens, ml)
+        )
+    return out
+
+
+def tensor_algebra_to_omega_m(ctx, e) -> tuple[ModuleElement, Polynomial]:
+    """Split a T(A) (x) S element into its Omega(A) (x) M part plus the rest.
+
+    Relies on the (d-degree, module-degree) bigrading of the tensor
+    presentation: the ideal is bihomogeneous, so normal forms split by
+    bidegree and the (1,1) part is well defined.
+    """
+    T, target = ctx.TAS, ctx.omega_tensor_M
+    d_pos = {f"{ctx.TA.dmap[g]}#0": i for i, g in enumerate(ctx.A.gens)}
+    m_pos = {f"{m}#1": l for l, m in enumerate(ctx.M.gens)}
+    base = {f"{g}#{k}": g for g in ctx.A.gens for k in (0, 1)}
+    found, stray = split_shapes(T, T.element(e).poly, ("d", "module"), ctx.A.gens, base)
+    comps = ((target.pair_index(d_pos[d], m_pos[m]), c) for (d, m), c in found)
+    return target.combine(comps), stray
+
+
+def embed_wedge_curvature(nabla: Connection, e: ModuleElement) -> Polynomial:
+    """psi: Omega^2 (x) M -> T^2(S_A(M)) as a raw polynomial.
+
+    A wedge generator (d(x_i) ^ d(x_j)) (x) m goes to
+    m d(x_i) d'(x_j) - m d'(x_i) d(x_j), with d the first and d' the second
+    tangent level.
+    """
+    ctx = nabla.ctx
+    T2S, TS, M = ctx.T2S, ctx.TS, nabla.module
+    target = curvature_target(nabla)
+    if e.module is not target:
+        raise ValueError("expected an element of Omega^2 (x) M")
+    w2 = target.factors[0]
+    var = lambda name: Polynomial.variable(T2S.field, T2S.gens, name)
+    out = Polynomial.zero(T2S.field, T2S.gens)
+    for p, l, coef in target.entries(e):
+        i, j = w2.pairs[p]
+        m = var(M.gens[l])
+        d_i, d_j = var(TS.dmap[ctx.A.gens[i]]), var(TS.dmap[ctx.A.gens[j]])
+        dp_i, dp_j = var(T2S.dmap[ctx.A.gens[i]]), var(T2S.dmap[ctx.A.gens[j]])
+        out = out + coef.change_vars(T2S.gens) * m * (d_i * dp_j - dp_i * d_j)
+    return out
+
+
+def project_wedge_curvature(nabla: Connection, poly) -> ModuleElement:
+    """phi: T^2(S_A(M)) -> Omega^2 (x) M, killing monomials of other shapes.
+
+    Keeps exactly the monomials with one module generator, one first-level and
+    one second-level base differential (no mixed sorts); accepts an element or
+    a raw polynomial.
+    """
+    T2S, A, M = nabla.ctx.T2S, nabla.base, nabla.module
+    origin = lambda g: A.gens.index(T2S.roles[g].origin)
+    return _wedge_tensor(
+        nabla,
+        [
+            (origin(d), origin(dp), M.gens.index(m), c)
+            for (m, d, dp), c in split_shapes(T2S, poly, ("module", "d", "dp"), A.gens)[0]
+        ],
+    )
+
+
+def embed_wedge_torsion(nabla: Connection, e: ModuleElement) -> Polynomial:
+    """psi-hat: Omega^2 -> T(S_A(Omega)) raw; d(x_i)^d(x_j) -> the d/d' commutator."""
+    ctx = nabla.ctx
+    TS, M = ctx.TS, nabla.module
+    w2 = wedge_square(kahler_module(nabla.base))
+    if e.module is not w2:
+        raise ValueError("expected an element of Omega^2")
+    var = lambda name: Polynomial.variable(TS.field, TS.gens, name)
+    out = Polynomial.zero(TS.field, TS.gens)
+    for p, coef in enumerate(e.comps):
+        if coef.is_zero():
+            continue
+        i, j = w2.pairs[p]
+        m_i, m_j = var(M.gens[i]), var(M.gens[j])
+        d_i, d_j = var(TS.dmap[ctx.A.gens[i]]), var(TS.dmap[ctx.A.gens[j]])
+        out = out + coef.change_vars(TS.gens) * (m_i * d_j - d_i * m_j)
+    return out
+
+
+def project_wedge_torsion(nabla: Connection, poly) -> ModuleElement:
+    """phi-hat: T(S_A(Omega)) -> Omega^2; keeps module-times-differential monomials."""
+    TS, A, M = nabla.ctx.TS, nabla.base, nabla.module
+    w2 = wedge_square(kahler_module(A))
+    terms = (
+        (M.gens.index(m), A.gens.index(TS.roles[d].origin), c)
+        for (m, d), c in split_shapes(TS, poly, ("module", "d"), A.gens)[0]
+    )
+    return ModuleElement(w2, w2.collect(terms))

@@ -17,6 +17,7 @@ from kcx.algebra import (
 from kcx.dualnum import dual_numbers_structure
 from kcx.errors import OwnerMismatch, WellDefinednessFailure
 from kcx.fields import GF, QQ
+from kcx.parse import ParseError
 from kcx.poly import Polynomial
 
 from oracles import signed_sum_images
@@ -39,6 +40,21 @@ def test_element_equal(circle, plane, fat_point):
     assert fat_point.element("x^3") == fat_point.zero()
     with pytest.raises(OwnerMismatch):
         circle.element("x") == plane.element("x1")  # noqa: B015
+
+
+def test_element_equality_refuses_what_the_algebra_cannot_read(circle):
+    x = circle.element("x")
+    for bad in ("z", "x +"):
+        with pytest.raises(ParseError):
+            x == bad  # noqa: B015
+        with pytest.raises(ParseError):
+            x != bad  # noqa: B015
+    with pytest.raises(ValueError, match="not in the ambient ring"):
+        x == Polynomial.variable(GF(3), circle.gens, "x")  # noqa: B015
+    # only an operand of a type the reader cannot read compares unequal
+    assert (x == None) is False and (x != None) is True  # noqa: E711
+    assert x != [1] and x != object()
+    assert x == "x" and circle.element("x^2") == "1 - y^2" and x != 1
 
 
 def test_relabel_tables():

@@ -106,7 +106,7 @@ def test_horizontal_images_plane(plane):
     assert H(ctx.TS.gen("d_x1")) == ctx.TAS.pair(ctx.TA.gen("d_x1"), 1)
     expected = ctx.TAS.pair(ctx.TA.element("x2") * ctx.TA.gen("d_x1"), ctx.S.gen("d(x1)"))
     assert H(ctx.TS.gen("d_d(x1)")) == ctx.TAS.element(
-        ctx.omega_m_to_tensor_algebra(nabla.gamma["d(x1)"])
+        ctx.omega_m_shapes.write(nabla.gamma["d(x1)"])
     )
     assert H(ctx.TS.gen("d_d(x1)")) == expected
 
@@ -292,7 +292,7 @@ def test_membership_failure_on_alien_horizontal(plane):
     # break H.3/H.4 first, so go through the raw extraction path instead.
     extra = Polynomial.variable(QQ, ctx.TAS.gens, "d_x1#0")  # bidegree (1,0): stray
     elem = ctx.TAS.element(bad[ctx.TS.dmap["d(x1)"]] + extra)
-    _, stray = ctx.tensor_algebra_to_omega_m(elem)
+    _, stray = ctx.omega_m_shapes.read(elem)
     assert not stray.is_zero()
 
 

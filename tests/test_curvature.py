@@ -6,12 +6,8 @@ from kcx.curvature import (
     check_curvature_correspondence,
     check_torsion_correspondence,
     curvature_of_element,
-    embed_wedge_curvature,
-    embed_wedge_torsion,
     module_curvature,
     module_torsion,
-    project_wedge_curvature,
-    project_wedge_torsion,
     tangent_curvature,
     tangent_curvature_is_flat,
     tangent_torsion,
@@ -83,9 +79,10 @@ def test_phi_psi_is_doubling_on_wedge_basis(plane, sphere2):
             basis_elt = target.gen(g)
             if basis_elt.is_zero():
                 continue
-            raw = embed_wedge_curvature(nabla, basis_elt)
-            back = project_wedge_curvature(nabla, raw)
+            raw = nabla.ctx.curvature_shapes.write(basis_elt)
+            back, stray = nabla.ctx.curvature_shapes.read(raw)
             assert back == basis_elt.scaled(2)
+            assert stray.is_zero()
 
 
 def curvature_target_of(nabla):
@@ -101,14 +98,14 @@ def test_phi_kills_other_shapes(plane):
     var = lambda n: Polynomial.variable(T2S.field, T2S.gens, n)
     # mixed second-level sort: d'd of a base generator times a module generator
     poly = var("dpd_x1") * var("d(x1)")
-    assert project_wedge_curvature(nabla, poly).is_zero()
-    assert project_wedge_curvature(nabla, Polynomial.zero(T2S.field, T2S.gens)).is_zero()
+    assert ctx.curvature_shapes.read(poly) == (ctx.curvature_shapes.module.zero(), poly)
+    assert ctx.curvature_shapes.read(Polynomial.zero(T2S.field, T2S.gens))[0].is_zero()
 
 
 def test_psi_of_zero_is_zero(plane):
     nabla = helpers.plane_zero(plane)
     target = curvature_target_of(nabla)
-    assert embed_wedge_curvature(nabla, target.zero()).is_zero()
+    assert nabla.ctx.curvature_shapes.write(target.zero()).is_zero()
 
 
 def test_tangent_curvature_values(plane):
@@ -200,8 +197,10 @@ def test_phi_hat_psi_hat_doubling(plane):
     nabla = helpers.plane_antisymmetric(plane)
     w2 = wedge_square(kahler_module(plane))
     for g in w2.gens:
-        raw = embed_wedge_torsion(nabla, w2.gen(g))
-        assert project_wedge_torsion(nabla, raw) == w2.gen(g).scaled(2)
+        raw = nabla.ctx.torsion_shapes.write(w2.gen(g))
+        back, stray = nabla.ctx.torsion_shapes.read(raw)
+        assert back == w2.gen(g).scaled(2)
+        assert stray.is_zero()
 
 
 def test_torsionfree_horizontal_criterion(plane, circle):

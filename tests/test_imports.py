@@ -15,10 +15,7 @@ import pytest
 SRC = Path(__file__).parent.parent / "src" / "kcx"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # (file, imported module): why the import stays inside a function
-LOCAL_IMPORTS = {
-    ("solve.py", "connections"): "tests count residue evaluations by patching "
-    "kcx.connections.connection_residues, which a module-level import would bypass",
-}
+LOCAL_IMPORTS: dict[tuple[str, str], str] = {}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -148,8 +145,6 @@ def test_kernels_never_read_the_characteristic(name):
 EAGER_REDUCTIONS = {
     ("modules.py", "PresentedModule.__init__"): "relation rows are stored reduced, "
     "because rendering and presentation equality read them",
-    ("tangent.py", "BundleContext.tensor_algebra_to_omega_m"): "the bidegree split "
-    "is defined only on normal forms",
 }
 
 

@@ -123,7 +123,8 @@ def test_solvers_evaluate_relation_residues_once_per_module(circle, monkeypatch)
         calls.append(M)
         return original(M, gamma)
 
-    monkeypatch.setattr(kcx.connections, "connection_residues", counting)
+    for module in (kcx.connections, kcx.solve):
+        monkeypatch.setattr(module, "connection_residues", counting)
     solve_connection_space(kahler_module(circle), 1)
     assert len(calls) == 1
     calls.clear()

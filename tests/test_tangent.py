@@ -25,7 +25,6 @@ from kcx.tangent import (
     bracketing,
     bundle_combine,
     bundle_context,
-    split_shapes,
     sym_algebra_bundle,
     tangent_algebra,
     tangent_apply_functor,
@@ -498,36 +497,38 @@ def shape_cases(plane, circle, sphere2):
     return [kahler_module(A) for A in (plane, circle, sphere2, circle3)] + [presented]
 
 
-def test_tensor_algebra_to_omega_m_matches_the_bidegree_split(plane, circle, sphere2):
+def test_omega_m_read_matches_the_bidegree_split(plane, circle, sphere2):
     rng = random.Random(1406)
     for M in shape_cases(plane, circle, sphere2):
         ctx = bundle_context(M)
         for _ in range(6):
             p = random_bundle_poly(rng, ctx, [(0, 0), (1, 0), (0, 1), (1, 1), (1, 1)])
-            element, stray = ctx.tensor_algebra_to_omega_m(p)
+            element, stray = ctx.omega_m_shapes.read(ctx.TAS.element(p))
             comps, expected_stray = bidegree_split(ctx, ctx.TAS.element(p).poly)
             assert element.comps == ctx.omega_tensor_M.element(comps).comps
             assert stray == expected_stray
 
 
-def test_split_shapes_matches_the_bidegree_split_on_every_bidegree(plane, circle, sphere2):
+def test_shape_read_matches_the_bidegree_split_on_every_bidegree(plane, circle, sphere2, monkeypatch):
     """Raw polynomials, above the grade cap too: (2,0), (0,2), (2,1) and
-    (1,2) terms are stray, exactly as the bidegree split finds them."""
+    (1,2) terms are stray, exactly as the bidegree split finds them, and the
+    raw components handed to `combine` are the split's own."""
     rng = random.Random(1407)
     strays = 0
     for M in shape_cases(plane, circle, sphere2):
         ctx = bundle_context(M)
-        T, target = ctx.TAS, ctx.omega_tensor_M
-        d_pos = {f"{ctx.TA.dmap[g]}#0": i for i, g in enumerate(ctx.A.gens)}
-        m_pos = {f"{m}#1": l for l, m in enumerate(M.gens)}
-        base = {f"{g}#{k}": g for g in ctx.A.gens for k in (0, 1)}
+        target = ctx.omega_tensor_M
+        handed = []
+        combine = target.combine
+        monkeypatch.setattr(target, "combine", lambda terms: combine(handed.extend(terms) or handed))
         for _ in range(6):
+            handed.clear()
             p = random_bundle_poly(rng, ctx, [(2, 0), (0, 2), (2, 1), (1, 2), (1, 1), (0, 0), (2, 2)])
-            found, stray = split_shapes(T, p, ("d", "module"), ctx.A.gens, base)
+            element, stray = ctx.omega_m_shapes.read(p)
             comps = [Polynomial.zero(ctx.A.field, ctx.A.gens)] * target.rank
-            for (d, m), c in found:
-                k = target.pair_index(d_pos[d], m_pos[m])
+            for k, c in handed:
                 comps[k] = comps[k] + c
             assert (tuple(comps), stray) == bidegree_split(ctx, p)
+            assert element == target.element(comps)
             strays += not stray.is_zero()
     assert strays >= 20
