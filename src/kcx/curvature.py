@@ -18,6 +18,7 @@ the nose on the generator basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 
 from .algebra import (
     AlgebraElement,
@@ -28,6 +29,7 @@ from .algebra import (
 from .connections import Connection, apply_connection, leibniz_terms, to_horizontal, to_vertical
 from .errors import KcxError, ModuleNotKahler
 from .modules import ModuleElement, christoffel_target, kahler_module, tensor_modules, wedge_square
+from .poly import Polynomial
 from .tangent import (
     ShapeMap,
     affine_flip,
@@ -42,13 +44,18 @@ from .tangent import (
 class CorrespondenceResult:
     """Module images of curvature or torsion, per generator.
 
-    The correspondence checks fill in the bundle images and, per generator,
+    The correspondence checks fill in the bundle map and, per generator,
     the residuals of the factor-of-two identities.
     """
 
     images: dict[str, ModuleElement]
-    tangent_images: dict[str, AlgebraElement] | None = None
+    bundle_map: AlgebraMorphism | None = None
     residuals: dict[str, list] = dfield(default_factory=dict)
+
+    @cached_property
+    def tangent_images(self) -> dict[str, AlgebraElement] | None:
+        """The bundle map's generator images, reduced on first read."""
+        return None if self.bundle_map is None else {m: self.bundle_map.image_of(m) for m in self.images}
 
     @property
     def vanishes(self) -> bool:
@@ -143,14 +150,6 @@ def tangent_curvature(nabla: Connection) -> AlgebraMorphism:
     return bundle_combine(flipped, twice, "minus", set(nabla.module.gens))
 
 
-def tangent_curvature_is_flat(nabla: Connection, C: AlgebraMorphism) -> bool:
-    """Flat bundle curvature: identity on the base, zero on module generators."""
-    ctx = nabla.ctx
-    return all(C.image_of(m).is_zero() for m in nabla.module.gens) and all(
-        C(ctx.S.gen(x)) == ctx.T2S.gen(x) for x in ctx.A.gens
-    )
-
-
 # ---------------------------------------------------------------------------
 # torsion on the bundle side (both routes)
 # ---------------------------------------------------------------------------
@@ -197,6 +196,20 @@ def torsionfree_horizontal_criterion(nabla: Connection) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _certified(shapes: ShapeMap, v: Polynomial, w: ModuleElement, half) -> bool:
+    """Whether the raw bundle image v is psi(w) in P, shown with no basis of P.
+
+    v must be psi(R/2) term for term, R its raw phi: so no monomial is stray
+    and each wedge's two shapes carry opposite coefficients.  psi is A-linear
+    on raw values and sends every relation row of the module into P's ideal,
+    so v = psi(w) in P once w - R/2 is zero in the module.
+    """
+    half_r = [(k, p.scale(half)) for k, p in shapes.read_raw(v)[0]]
+    return shapes.write_raw(half_r) == v and shapes.module.combine(
+        [*enumerate(w.comps), *((k, -p) for k, p in half_r)]
+    ).is_zero()
+
+
 def _correspond(
     nabla: Connection, result: CorrespondenceResult, bundle_map: AlgebraMorphism, shapes: ShapeMap
 ) -> CorrespondenceResult:
@@ -204,13 +217,18 @@ def _correspond(
 
     Residuals recorded per generator: V(m) - psi(w); 2w - phi(V(m)); and,
     away from characteristic two, w - phi(V(m))/2, with psi and phi the
-    `write` and `read` of `shapes` (phi ignores the stray rest).
+    `write` and `read` of `shapes` (phi ignores the stray rest).  Outside
+    characteristic two, a `_certified` raw V(m) gives zeros with no reduction.
     """
     field = nabla.base.field
     half = None if field.char == 2 else field.inv(field.of(2))
-    result.tangent_images = {m: bundle_map.image_of(m) for m in nabla.module.gens}
-    for m, v_img in result.tangent_images.items():
-        w = result.images[m]
+    result.bundle_map = bundle_map
+    for m, w in result.images.items():
+        if half is not None and _certified(shapes, bundle_map.images[m], w, half):
+            zero = shapes.module.zero()
+            result.residuals[m] = [shapes.P.zero(), zero, zero]
+            continue
+        v_img = result.tangent_images[m]
         phi_img = shapes.read(v_img)[0]
         residuals = [v_img - shapes.write(w), w.scaled(2) - phi_img]
         if half is not None:

@@ -322,6 +322,7 @@ class ShapeMap:
     generators: a key of some product gives sign * rest at generator k, the
     rest renamed back by `back`, and every other monomial is stray.  Base
     generators are those `back` renames, by default A's own names.
+    `write_raw` and `read_raw` are the same two maps on raw (k, p) terms.
     """
 
     def __init__(self, P: PresentedAlgebra, module: PresentedModule, shapes, into=None, back=None):
@@ -347,14 +348,18 @@ class ShapeMap:
         """The bundle image of e, raw."""
         if e.module is not self.module:
             raise ValueError("element of a different module")
+        return self.write_raw(enumerate(e.comps))
+
+    def write_raw(self, terms) -> Polynomial:
+        """The bundle image of sum p * e_k over (k, p), each p raw over A."""
         f, n = self.P.field, len(self.P.gens)
         out: dict = {}
-        for coef, row in zip(e.comps, self._write):
+        for k, coef in terms:
             for a_exp, c in coef.terms.items():
                 base = [0] * n
-                for p, k in zip(self._into, a_exp):
-                    base[p] += k
-                for sign, prod in row:
+                for p, e in zip(self._into, a_exp):
+                    base[p] += e
+                for sign, prod in self._write[k]:
                     exp = tuple(b + q for b, q in zip(base, prod))
                     s = f.addmul(out.get(exp, 0), sign, c)
                     if s:
@@ -365,6 +370,11 @@ class ShapeMap:
 
     def read(self, value: ElementLike) -> tuple[ModuleElement, Polynomial]:
         """(module element, stray rest over P) of a bundle value, read as given."""
+        terms, stray = self.read_raw(value)
+        return self.module.combine(terms), stray
+
+    def read_raw(self, value: ElementLike) -> tuple[list[tuple[int, Polynomial]], Polynomial]:
+        """The (k, p) terms `read` combines, one per monomial, and the stray rest."""
         f, gens = self.P.field, self.module.base.gens
         terms, stray = [], {}
         for exp, c in self.P.polynomial(value).terms.items():
@@ -376,7 +386,7 @@ class ShapeMap:
             for p, a in self._back:
                 rest[a] += exp[p]
             terms.append((hit[0], Polynomial._of_terms(f, gens, {tuple(rest): f.mul(hit[1], c)})))
-        return self.module.combine(terms), Polynomial._of_terms(f, self.P.gens, stray)
+        return terms, Polynomial._of_terms(f, self.P.gens, stray)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from __future__ import annotations
 import random
 
 from kcx import gallery
+from kcx.algebra import make_algebra
 from kcx.connections import Connection, make_connection
+from kcx.fields import QQ
 from kcx.modules import kahler_module
 from kcx.poly import Polynomial
 from kcx.tangent import bundle_context
@@ -37,6 +39,21 @@ def sphere_canonical(sphere2) -> Connection:
 
 def elliptic_connection(elliptic) -> Connection:
     return gallery.elliptic_connection(elliptic)
+
+
+def sphere(n: int, field=QQ):
+    """S^n as the unit sphere in n + 1 variables x1..x{n+1}, built afresh."""
+    xs = tuple(f"x{i}" for i in range(1, n + 2))
+    return make_algebra(field, xs, [" + ".join(f"{x}^2" for x in xs) + " - 1"])
+
+
+def sphere_connection(A) -> Connection:
+    """d(x_i) -> -x_i * sum_j d(x_j) (x) d(x_j), the canonical sphere connection."""
+    omega = kahler_module(A)
+    n = len(A.gens)
+    return make_connection(
+        omega, {g: [f"-{x}" if k % (n + 1) == 0 else "0" for k in range(n * n)] for g, x in zip(omega.gens, A.gens)}
+    )
 
 
 def free_canonical_connection_on(M) -> Connection:

@@ -34,6 +34,12 @@ checks that `make_morphism`'s raw images decide the same.
 correspondences with one hand-written loop each, splitting monomials by the
 sorts of their generators; they check the table-driven `tangent.ShapeMap`
 instances `omega_m_shapes`, `curvature_shapes` and `torsion_shapes`.
+
+`reference_correspond` is the factor-of-two check read from reduced bundle
+images: each V(m) is a normal form in the double tangent before phi reads it.
+It checks the raw certificate of `curvature._correspond`.
+`tangent_curvature_is_flat` tests flatness on the bundle side, by normal forms
+in the double tangent.
 """
 
 from __future__ import annotations
@@ -559,3 +565,30 @@ def project_wedge_torsion(nabla: Connection, poly) -> ModuleElement:
         for (m, d), c in split_shapes(TS, poly, ("module", "d"), A.gens)[0]
     )
     return ModuleElement(w2, w2.collect(terms))
+
+
+def reference_correspond(nabla: Connection, images, bundle_map: AlgebraMorphism, shapes):
+    """(bundle images, residuals) per generator m, every V(m) reduced first.
+
+    Residuals: V(m) - psi(w); 2w - phi(V(m)); and, away from characteristic
+    two, w - phi(V(m))/2, with psi and phi the `write` and `read` of `shapes`.
+    """
+    field = nabla.base.field
+    half = None if field.char == 2 else field.inv(field.of(2))
+    tangent_images = {m: bundle_map.image_of(m) for m in nabla.module.gens}
+    residuals = {}
+    for m, v_img in tangent_images.items():
+        w = images[m]
+        phi_img = shapes.read(v_img)[0]
+        residuals[m] = [v_img - shapes.write(w), w.scaled(2) - phi_img]
+        if half is not None:
+            residuals[m].append(w - phi_img.scaled(half))
+    return tangent_images, residuals
+
+
+def tangent_curvature_is_flat(nabla: Connection, C: AlgebraMorphism) -> bool:
+    """Flat bundle curvature: identity on the base, zero on module generators."""
+    ctx = nabla.ctx
+    return all(C.image_of(m).is_zero() for m in nabla.module.gens) and all(
+        C(ctx.S.gen(x)) == ctx.T2S.gen(x) for x in ctx.A.gens
+    )

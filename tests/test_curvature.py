@@ -9,7 +9,6 @@ from kcx.curvature import (
     module_curvature,
     module_torsion,
     tangent_curvature,
-    tangent_curvature_is_flat,
     tangent_torsion,
     torsionfree_horizontal_criterion,
 )
@@ -18,6 +17,7 @@ from kcx.modules import kahler_module, wedge_square
 from kcx.poly import Polynomial
 
 import helpers
+from oracles import tangent_curvature_is_flat
 
 
 def test_plane_zero_gamma_is_flat(plane):
