@@ -56,18 +56,12 @@ from .errors import (
     WellDefinednessFailure,
 )
 from .fields import GF, QQ, Field
-from .groebner import (
-    IdealBasis,
-    ModuleBasis,
-    groebner_basis,
-    module_groebner_basis,
-)
+from .groebner import IdealBasis, ModuleBasis
 from .linsolve import AffineSolutionSpace, LinearEquation, affine_linear_solve
 from .modules import (
     ModuleElement,
     ModuleMorphism,
     PresentedModule,
-    element_is_zero,
     free_module,
     kahler_module,
     make_module,
@@ -82,11 +76,9 @@ from .tangent import (
     bracketing,
     bundle_combine,
     bundle_context,
-    sym_algebra_bundle,
     tangent_algebra,
     tangent_apply_functor,
     tangent_structure_maps,
-    u_map,
 )
 from .workspace import Workspace, parse_workspace, render_workspace
 

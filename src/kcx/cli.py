@@ -117,11 +117,12 @@ def _require_connections(report: Report) -> Report:
     return report
 
 
+def _axiom_check(check_id: str, e) -> Check:
+    return Check(check_id, e.status, e.witness, f"{e.lhs} != {e.rhs}" if e.status != "pass" else "")
+
+
 def _axiom_checks(prefix: str, report) -> list[Check]:
-    return [
-        Check(f"{prefix}{e.axiom_id}", e.status, e.witness, f"{e.lhs} != {e.rhs}" if e.status != "pass" else "")
-        for e in report.entries
-    ]
+    return [_axiom_check(f"{prefix}{e.axiom_id}", e) for e in report.entries]
 
 
 def cmd_check(args) -> Report:
@@ -156,8 +157,8 @@ def _correspondence_report(args, command: str, check, verdicts: tuple[str, str])
     for name in _pick_connections(ws, args.connection):
         result = check(ws.connections[name])
         if command == "torsion":
-            # check_torsion_correspondence raises if the two bundle routes disagree
-            report.checks.append(Check(f"torsion-routes-agree[{name}]", "pass"))
+            routes = result.routes_agree
+            report.checks.append(_axiom_check(f"{routes.axiom_id}[{name}]", routes))
         verdict = verdicts[0] if result.vanishes else verdicts[1]
         report.checks.append(Check(f"{command}[{name}]", "pass", verdict))
         for g, residuals in result.residuals.items():

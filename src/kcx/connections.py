@@ -66,11 +66,8 @@ class Connection:
     def base(self) -> PresentedAlgebra:
         return self.module.base
 
-    def render_table(self) -> list[tuple[str, str]]:
-        return [(g, self.gamma[g].render()) for g in self.module.gens]
-
     def __repr__(self) -> str:
-        rows = "; ".join(f"{g} -> {e.render()}" for g, e in self.render_table())
+        rows = "; ".join(f"{g} -> {self.gamma[g].render()}" for g in self.module.gens)
         return f"<connection {rows}>"
 
 

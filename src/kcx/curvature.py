@@ -26,14 +26,13 @@ from .algebra import (
     compose_chain,
     compose_morphisms,
 )
-from .connections import Connection, apply_connection, leibniz_terms, to_horizontal, to_vertical
+from .connections import AxiomCheck, AxiomReport, Connection, apply_connection, leibniz_terms
+from .connections import to_horizontal, to_vertical
 from .errors import KcxError, ModuleNotKahler
 from .modules import ModuleElement, christoffel_target, kahler_module, tensor_modules, wedge_square
 from .poly import Polynomial
 from .tangent import (
     ShapeMap,
-    affine_flip,
-    affine_swap,
     bracketing,
     bundle_combine,
     tangent_apply_functor,
@@ -74,12 +73,21 @@ class CurvatureResult(CorrespondenceResult):
         return self.vanishes
 
 
+@dataclass
 class TorsionResult(CorrespondenceResult):
-    """Images per Omega generator, in Omega^2."""
+    """Images per Omega generator, in Omega^2, and the check that the two
+    bundle routes agree."""
+
+    routes_agree: AxiomCheck | None = None
 
     @property
     def torsion_free(self) -> bool:
         return self.vanishes
+
+    @property
+    def residuals_zero(self) -> bool:
+        """Zero residuals against a bundle torsion both routes agree on."""
+        return (self.routes_agree is None or self.routes_agree.status == "pass") and super().residuals_zero
 
 
 # ---------------------------------------------------------------------------
@@ -155,28 +163,27 @@ def tangent_curvature(nabla: Connection) -> AlgebraMorphism:
 # ---------------------------------------------------------------------------
 
 
+def _torsion_routes(nabla: Connection) -> tuple[AlgebraMorphism, AlgebraMorphism]:
+    """The bundle torsion S -> T(S) by its two routes: the vertical form
+    against the affine flip, and the flip-conjugated horizontal form followed
+    by bracketing."""
+    ctx = nabla.ctx
+    c = ctx.affine_flip
+    K = to_vertical(nabla)
+    v_k = bundle_combine(K, compose_chain([K, c]), "minus", set(nabla.module.gens))
+    UH = compose_morphisms(ctx.U, to_horizontal(nabla))
+    d_fibre = {ctx.TS.dmap[g] for g in ctx.S.gens}
+    v_flat = bundle_combine(compose_chain([UH, c]), compose_chain([c, UH]), "minus", d_fibre)
+    return v_k, bracketing(ctx, v_flat)
+
+
 def tangent_torsion(nabla: Connection) -> AlgebraMorphism:
     """Torsion of the induced bundle connection, as a map S -> T(S).
 
-    Computed both by comparing the vertical form against the affine flip and
-    by the flip-conjugated horizontal route followed by bracketing; the two
-    must agree exactly (their common value matches psi-hat of the module
-    torsion).
+    Its two routes must agree exactly (their common value matches psi-hat of
+    the module torsion).
     """
-    if nabla.module.provenance != "kahler":
-        raise ModuleNotKahler("bundle torsion needs the differentials module")
-    ctx = nabla.ctx
-    c = affine_flip(ctx)
-    K = to_vertical(nabla)
-    v_k = bundle_combine(K, compose_chain([K, c]), "minus", set(nabla.module.gens))
-
-    H = to_horizontal(nabla)
-    UH = compose_morphisms(ctx.U, H)
-    d_fibre = {ctx.TS.dmap[g] for g in ctx.S.gens}
-    v_flat = bundle_combine(
-        compose_chain([UH, c]), compose_chain([c, UH]), "minus", d_fibre
-    )
-    v_h = bracketing(ctx, v_flat)
+    v_k, v_h = _torsion_routes(nabla)
     if v_k != v_h:
         raise KcxError("torsion routes disagree (internal consistency failure)")
     return v_k
@@ -186,9 +193,7 @@ def torsionfree_horizontal_criterion(nabla: Connection) -> bool:
     """Flip-equivariance of the horizontal form, the torsion-free test."""
     ctx = nabla.ctx
     H = to_horizontal(nabla)
-    lhs = compose_chain([affine_flip(ctx), H])
-    rhs = compose_chain([H, affine_swap(ctx)])
-    return lhs == rhs
+    return compose_chain([ctx.affine_flip, H]) == compose_chain([H, ctx.affine_swap])
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +253,11 @@ def check_curvature_correspondence(nabla: Connection) -> CurvatureResult:
 
 
 def check_torsion_correspondence(nabla: Connection) -> TorsionResult:
-    """Verify the bundle torsion against the module torsion per generator."""
-    return _correspond(
-        nabla,
-        module_torsion(nabla),
-        tangent_torsion(nabla),
-        nabla.ctx.torsion_shapes,
-    )
+    """Verify the bundle torsion against the module torsion per generator,
+    and record whether its two bundle routes agree."""
+    result = module_torsion(nabla)
+    v_k, v_h = _torsion_routes(nabla)
+    report = AxiomReport()
+    report.add_morphism_equality("torsion-routes-agree", v_k, v_h)
+    result.routes_agree = report.entries[0]
+    return _correspond(nabla, result, v_k, nabla.ctx.torsion_shapes)

@@ -253,18 +253,6 @@ def _groebner(
 # ---------------------------------------------------------------------------
 
 
-def buchberger(
-    gens: list[Polynomial],
-    grading: Grading | None = None,
-    cap: tuple[int, ...] | None = None,
-) -> tuple[list[Polynomial], int]:
-    """Reduced Groebner basis plus a certificate-degree excess bound."""
-    if not gens:
-        return [], 0
-    basis = IdealBasis(gens[0].field, gens[0].vars, gens, grading, cap)
-    return basis.basis, basis.cert_excess
-
-
 class IdealBasis:
     """Reduced Groebner basis of an ideal, with its ambient ring data.
 
@@ -321,14 +309,6 @@ class IdealBasis:
         return any(b.is_constant() and not b.is_zero() for b in self.basis)
 
 
-def groebner_basis(gens: list[Polynomial], field: Field | None = None, variables: tuple[str, ...] | None = None) -> IdealBasis:
-    if not gens and (field is None or variables is None):
-        raise ValueError("empty generator list needs explicit field and variables")
-    field = field if field is not None else gens[0].field
-    variables = variables if variables is not None else gens[0].vars
-    return IdealBasis(field, variables, gens)
-
-
 # ---------------------------------------------------------------------------
 # submodules of free modules
 # ---------------------------------------------------------------------------
@@ -372,7 +352,3 @@ class ModuleBasis:
 
     def contains(self, v: Vector) -> bool:
         return all(c.is_zero() for c in self.normal_form(v))
-
-
-def module_groebner_basis(gens: list[Vector], field: Field, variables: tuple[str, ...], rank: int) -> ModuleBasis:
-    return ModuleBasis(field, variables, rank, gens)

@@ -177,10 +177,6 @@ class ModuleElement:
         return f"<mod-elt {self.render()}>"
 
 
-def element_is_zero(e: ModuleElement) -> bool:
-    return e.is_zero()
-
-
 def linear_form(field, gens: tuple[str, ...], comps, names: tuple[str, ...]) -> Polynomial:
     """sum_k comps[k] * names[k] over `gens`, which extend the components' ring."""
     out = Polynomial.zero(field, gens)

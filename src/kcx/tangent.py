@@ -26,6 +26,11 @@ per correspondence, each a table of signed products of generators: Omega(A)
 Omega^2 (x) M and T^2(S_A(M)) (curvature) and psi-hat/phi-hat between
 Omega^2 and T(S_A(Omega)) (torsion).  `write` is the only writer and `read`
 the only reader of those shapes.
+
+Each module's bundle is `bundle_context(M)`, one `BundleContext` with U and
+every map above as attributes.  The maps that exist only for M = Omega(A),
+the affine flip and swap and the torsion shapes, read one guard that refuses
+any other module with `ModuleNotKahler`.
 """
 
 from __future__ import annotations
@@ -513,27 +518,35 @@ class BundleContext:
         ]
         return ShapeMap(self.T2S, tensor_modules(w2, self.M), shapes)
 
+    # -- Kahler-only maps: S_A(Omega(A)) against T(A) ------------------------
+
+    def _require_kahler(self) -> None:
+        if self.M.provenance != "kahler":
+            raise ModuleNotKahler("torsion needs the differentials module")
+
     @cached_property
     def torsion_shapes(self) -> ShapeMap:
         """psi-hat/phi-hat: d(x_i) ^ d(x_j) in T(S_A(Omega)) is m_i d(x_j) - d(x_i) m_j,
         m_i the module generator d(x_i) of S_A(Omega)."""
-        if self.M.provenance != "kahler":
-            raise ModuleNotKahler("torsion needs the differentials module")
+        self._require_kahler()
         w2 = wedge_square(self.M)
         x, m, d = self.A.gens, self.M.gens, self.TS.dmap
         return ShapeMap(self.TS, w2, [[(1, (m[i], d[x[j]])), (-1, (d[x[i]], m[j]))] for i, j in w2.pairs])
 
-    # -- affine identifications (Kahler modules only; see affine_flip) -----
-
     @cached_property
-    def _affine_flip(self) -> AlgebraMorphism:
+    def affine_flip(self) -> AlgebraMorphism:
+        """The canonical flip of T(T(A)) transported to T(S_A(Omega(A))): swaps
+        the module sort d(x_i) with the tangent differential of x_i."""
+        self._require_kahler()
         table = {}
         for x, m in zip(self.A.gens, self.M.gens):
             table.update({m: self.TS.dmap[x], self.TS.dmap[x]: m})
         return relabel(self.TS, self.TS, table, "c")
 
     @cached_property
-    def _affine_swap(self) -> AlgebraMorphism:
+    def affine_swap(self) -> AlgebraMorphism:
+        """The factor swap of T(A) (x)_A T(A) transported to T(A) (x)_A S_A(Omega)."""
+        self._require_kahler()
         table = {}
         for x, m in zip(self.A.gens, self.M.gens):
             dx = f"{self.TA.dmap[x]}#0"
@@ -544,38 +557,3 @@ class BundleContext:
 @memoized
 def bundle_context(M: PresentedModule) -> BundleContext:
     return BundleContext(M)
-
-
-def sym_algebra_bundle(A: PresentedAlgebra, M: PresentedModule) -> BundleContext:
-    """S_A(M) with its tangent and structure maps: M's bundle context."""
-    if M.base is not A:
-        raise ValueError("module is not over the given algebra")
-    return bundle_context(M)
-
-
-def u_map(A: PresentedAlgebra, M: PresentedModule) -> AlgebraMorphism:
-    """U: T(A) (x)_A S_A(M) -> T(S_A(M)), given by multiplication."""
-    return sym_algebra_bundle(A, M).U
-
-
-# ---------------------------------------------------------------------------
-# affine identifications for torsion (S_A(Omega(A)) versus T(A))
-# ---------------------------------------------------------------------------
-
-
-def affine_flip(ctx: BundleContext) -> AlgebraMorphism:
-    """The canonical flip of T(T(A)) transported to T(S_A(Omega(A))).
-
-    Swaps the module sort d(x_i) with the tangent differential of x_i,
-    fixing base generators and d-of-module generators.
-    """
-    if ctx.M.provenance != "kahler":
-        raise ValueError("affine flip needs the Kahler module as the bundle")
-    return ctx._affine_flip
-
-
-def affine_swap(ctx: BundleContext) -> AlgebraMorphism:
-    """The factor swap of T(A) (x)_A T(A) transported to T(A) (x)_A S_A(Omega)."""
-    if ctx.M.provenance != "kahler":
-        raise ValueError("affine swap needs the Kahler module as the bundle")
-    return ctx._affine_swap

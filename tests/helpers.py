@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import random
 
-from kcx import gallery
+from kcx import curvature, gallery
 from kcx.algebra import make_algebra
 from kcx.connections import Connection, make_connection
 from kcx.fields import QQ
 from kcx.modules import kahler_module
 from kcx.poly import Polynomial
-from kcx.tangent import bundle_context
+from kcx.tangent import bundle_combine, bundle_context
 
 
 def circle_canonical(circle) -> Connection:
@@ -76,3 +76,14 @@ def random_plane_connection(plane, rng: random.Random, max_degree: int = 2) -> C
 
     images = {g: omega_tensor.element([rand_poly() for _ in range(4)]) for g in omega.gens}
     return make_connection(omega, images)
+
+
+def double_the_horizontal_torsion_route(monkeypatch) -> None:
+    """Make torsion's horizontal route, which ends in bracketing, give twice its value."""
+    bracket = curvature.bracketing
+
+    def doubled(ctx, h):
+        v = bracket(ctx, h)
+        return bundle_combine(v, v, "plus", set(ctx.M.gens))
+
+    monkeypatch.setattr(curvature, "bracketing", doubled)

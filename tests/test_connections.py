@@ -38,6 +38,24 @@ def test_circle_canonical_accepted(circle):
     assert nabla.gamma["d(y)"] == t.element(["-y", "0", "0", "-y"])
 
 
+def test_repr_names_every_generator_and_its_image(plane, circle, sphere2, elliptic):
+    connections = [
+        helpers.plane_zero(plane),
+        helpers.plane_twisted(plane),
+        helpers.plane_antisymmetric(plane),
+        helpers.circle_canonical(circle),
+        helpers.sphere_canonical(sphere2),
+        helpers.elliptic_connection(elliptic),
+        free_canonical_connection(plane, 2),
+    ]
+    for nabla in connections:
+        text = repr(nabla)
+        assert text.startswith("<connection ") and text.endswith(">")
+        for g in nabla.module.gens:
+            assert f"{g} -> {nabla.gamma[g].render()}" in text
+    assert repr(connections[2]) == "<connection d(x1) -> d(x1)@d(x2); d(x2) -> 0>"
+
+
 def test_circle_naive_rejected_with_exact_residue(circle):
     omega = kahler_module(circle)
     with pytest.raises(WellDefinednessFailure) as err:

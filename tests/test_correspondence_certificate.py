@@ -1,7 +1,7 @@
 """The raw certificate of the factor-of-two correspondences.
 
 `curvature._correspond` settles a generator m from the raw bundle image V(m)
-when V(m) is psi of half its raw phi, term for term, and 2w - phi(V(m)) is
+when V(m) is psi of half its raw phi, term for term, and w - phi(V(m))/2 is
 zero in the module; every other generator, and every generator in
 characteristic two, goes through the reduced route.  These tests check the
 fact the certificate rests on (psi sends relation rows into the bundle's

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kcx.connections import free_canonical_connection
 from kcx.curvature import (
     check_curvature_correspondence,
     check_torsion_correspondence,
@@ -12,7 +13,7 @@ from kcx.curvature import (
     tangent_torsion,
     torsionfree_horizontal_criterion,
 )
-from kcx.errors import ModuleNotKahler
+from kcx.errors import KcxError, ModuleNotKahler
 from kcx.modules import kahler_module, wedge_square
 from kcx.poly import Polynomial
 
@@ -157,12 +158,41 @@ def test_module_torsion_values(plane):
     assert module_torsion(zero).torsion_free
 
 
-def test_torsion_requires_kahler_module(plane):
-    from kcx.connections import free_canonical_connection
-
-    nabla = free_canonical_connection(plane, 2)
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        module_torsion,
+        tangent_torsion,
+        check_torsion_correspondence,
+        torsionfree_horizontal_criterion,
+        lambda nabla: nabla.ctx.affine_flip,
+        lambda nabla: nabla.ctx.affine_swap,
+        lambda nabla: nabla.ctx.torsion_shapes,
+    ],
+    ids=[
+        "module_torsion",
+        "tangent_torsion",
+        "check_torsion_correspondence",
+        "torsionfree_horizontal_criterion",
+        "ctx.affine_flip",
+        "ctx.affine_swap",
+        "ctx.torsion_shapes",
+    ],
+)
+def test_every_kahler_only_map_refuses_a_free_module(plane, refuse):
     with pytest.raises(ModuleNotKahler):
-        module_torsion(nabla)
+        refuse(free_canonical_connection(plane, 2))
+
+
+def test_disagreeing_torsion_routes_fail_the_check(plane, monkeypatch):
+    helpers.double_the_horizontal_torsion_route(monkeypatch)
+    nabla = helpers.plane_antisymmetric(plane)
+    result = check_torsion_correspondence(nabla)
+    assert (result.routes_agree.status, result.routes_agree.witness) == ("fail", "d(x1)")
+    assert all(r.is_zero() for rs in result.residuals.values() for r in rs)
+    assert not result.residuals_zero
+    with pytest.raises(KcxError, match="torsion routes disagree"):
+        tangent_torsion(nabla)
 
 
 def test_tangent_torsion_routes_agree(plane, circle):
@@ -185,6 +215,7 @@ def test_torsion_correspondence_plane(plane):
         g: [r.render() for r in rs if not r.is_zero()] for g, rs in result.residuals.items()
     }
     assert not result.torsion_free
+    assert result.routes_agree.status == "pass"
 
 
 def test_torsion_correspondence_circle(circle):

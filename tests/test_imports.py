@@ -3,14 +3,22 @@ function without a reason, caches outside the one cache idiom, or reduces a
 value only to unwrap its polynomial without a reason, and the Groebner and
 linear-algebra kernels leave field arithmetic to `fields.py`.
 
+The package's public names are pinned, so adding or removing one is a
+deliberate edit here.
+
 No linter ships with the project, so this walks each module's syntax tree with
 the standard library.  `__init__.py` is skipped: its imports are re-exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import kcx
+from kcx.connections import Connection
+from kcx.tangent import BundleContext
 
 SRC = Path(__file__).parent.parent / "src" / "kcx"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -184,3 +192,54 @@ def test_values_are_read_raw(path):
 def test_every_allowed_reduction_is_still_there():
     found = {(path.name, f) for path in MODULES for f, _ in eager_reductions(path.read_text())}
     assert set(EAGER_REDUCTIONS) <= found
+
+
+# The public API of `kcx`, submodules included, as `from kcx import *` sees it.
+PUBLIC_API = [
+    "AffineSolutionSpace", "AlgebraElement", "AlgebraMorphism", "AxiomReport", "BaseMismatch",
+    "BracketingConditionFailure", "Connection", "Field", "GF", "IdealBasis", "KcxError",
+    "LinearEquation", "MembershipFailure", "ModuleBasis", "ModuleElement", "ModuleMorphism",
+    "ModuleNotKahler", "ParseError", "Polynomial", "PresentedAlgebra", "PresentedModule", "QQ",
+    "SectionRetractionFailure", "SolverTooLarge", "WellDefinednessFailure", "Workspace",
+    "affine_linear_solve", "algebra", "apply_connection", "bracketing", "bundle_combine",
+    "bundle_context", "check_curvature_correspondence", "check_torsion_correspondence",
+    "compose_morphisms", "connection_equal", "connections", "curvature", "dual_bundle",
+    "dual_connection_solve", "dual_numbers_structure", "dualnum", "errors", "fields",
+    "free_canonical_connection", "free_module", "from_horizontal", "glued_connection_check",
+    "groebner", "identity_morphism", "kahler_module", "linsolve", "localize", "make_algebra",
+    "make_connection", "make_module", "make_morphism", "module_curvature", "module_torsion",
+    "modules", "parse", "parse_workspace", "poly", "poly_normalize", "pullback_connection",
+    "render_workspace", "retract_connection", "solve", "solve_connection_space", "tangent",
+    "tangent_algebra", "tangent_apply_functor", "tangent_curvature", "tangent_structure_maps",
+    "tangent_torsion", "tensor_modules", "tensor_over_base", "to_horizontal", "to_vertical",
+    "universal_derivation", "verify_connection_axioms", "vertical_from_horizontal", "wedge_square",
+    "workspace",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(kcx.__all__) == PUBLIC_API
+
+
+# (module, name): a second entry point that was retired for the object behind it
+RETIRED = [
+    ("modules", "element_is_zero"),  # ModuleElement.is_zero
+    ("groebner", "groebner_basis"),  # IdealBasis
+    ("groebner", "module_groebner_basis"),  # ModuleBasis
+    ("groebner", "buchberger"),  # IdealBasis(...).basis
+    ("tangent", "sym_algebra_bundle"),  # bundle_context
+    ("tangent", "u_map"),  # bundle_context(M).U
+    ("tangent", "affine_flip"),  # BundleContext.affine_flip
+    ("tangent", "affine_swap"),  # BundleContext.affine_swap
+]
+
+
+@pytest.mark.parametrize("module,name", RETIRED, ids=[f"{m}.{n}" for m, n in RETIRED])
+def test_retired_entry_points_are_gone(module, name):
+    assert not hasattr(importlib.import_module(f"kcx.{module}"), name)
+    assert not hasattr(kcx, name)
+
+
+def test_retired_methods_are_gone():
+    assert not {"_affine_flip", "_affine_swap"} & set(vars(BundleContext))
+    assert "render_table" not in vars(Connection)

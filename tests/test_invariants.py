@@ -7,7 +7,7 @@ from kcx.connections import apply_connection
 from kcx.modules import kahler_module
 from kcx.poly import Polynomial
 from kcx.solve import solve_connection_space
-from kcx.tangent import bundle_combine, sym_algebra_bundle
+from kcx.tangent import bundle_combine, bundle_context
 
 import helpers
 
@@ -42,7 +42,7 @@ def test_morphism_multiplicative_on_every_gallery_algebra(
 
 def test_bundle_combine_minus_then_plus_recovers(circle):
     omega = kahler_module(circle)
-    b = sym_algebra_bundle(circle, omega)
+    b = bundle_context(omega)
     fibre = set(omega.gens)
     f = make_morphism(
         b.S, b.S, {**{g: b.S.gen(g) for g in circle.gens},

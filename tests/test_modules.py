@@ -9,7 +9,6 @@ from kcx.fields import GF, QQ
 from kcx.modules import (
     ModuleMorphism,
     christoffel_target,
-    element_is_zero,
     free_module,
     kahler_module,
     make_module,
@@ -154,13 +153,13 @@ def test_wedge_fat_point_tensor_nonzero(fat_point):
     omega = kahler_module(fat_point)
     t = tensor_modules(omega, omega)
     two = t.pair(omega.gen("d(x)"), omega.gen("d(x)")).scaled(2)
-    assert not element_is_zero(two)
-    assert element_is_zero(t.zero())
+    assert not two.is_zero()
+    assert t.zero().is_zero()
 
 
 def test_element_is_zero_on_relation(circle):
     omega = kahler_module(circle)
-    assert element_is_zero(omega.element(["2*x", "2*y"]))
+    assert omega.element(["2*x", "2*y"]).is_zero()
 
 
 def test_module_morphism_certification(circle):

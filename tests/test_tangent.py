@@ -20,16 +20,12 @@ from kcx.groebner import IdealBasis
 from kcx.modules import free_module, kahler_module, make_module
 from kcx.poly import Polynomial
 from kcx.tangent import (
-    affine_flip,
-    affine_swap,
     bracketing,
     bundle_combine,
     bundle_context,
-    sym_algebra_bundle,
     tangent_algebra,
     tangent_apply_functor,
     tangent_structure_maps,
-    u_map,
     vertical_lift,
     zero_map,
 )
@@ -138,8 +134,7 @@ def test_shared_structure_map_builders(plane, circle, fat_point, sphere2):
         M = kahler_module(A)
         ctx = bundle_context(M)
         assert ctx.p_A == maps.p
-        b = sym_algebra_bundle(A, M)
-        assert {g for g in b.S.gens if b.z.image_of(g).is_zero()} == set(M.gens)
+        assert {g for g in ctx.S.gens if ctx.z.image_of(g).is_zero()} == set(M.gens)
         assert all(getattr(ctx, name).certified for name in AXIOM_MAPS)
         dn = dual_numbers_structure(A)
         assert all(m.certified for m in (dn.p, dn.zero, dn.plus, dn.minus, dn.lift, dn.flip))
@@ -147,7 +142,7 @@ def test_shared_structure_map_builders(plane, circle, fat_point, sphere2):
 
 def test_sym_bundle_basics(circle):
     omega = kahler_module(circle)
-    b = sym_algebra_bundle(circle, omega)
+    b = bundle_context(omega)
     row = b.S.gen("x") * b.S.gen("d(x)") * 2 + b.S.gen("y") * b.S.gen("d(y)") * 2
     assert row.is_zero()
     assert b.S.module_element(omega.element(["2*x", "2*y"])).is_zero()
@@ -160,13 +155,13 @@ def test_sym_bundle_basics(circle):
 
 def test_sym_bundle_zero_module(circle):
     zero_mod = free_module(circle, 0)
-    b = sym_algebra_bundle(circle, zero_mod)
+    b = bundle_context(zero_mod)
     assert b.S.gens == circle.gens
 
 
 def test_lambda_values_and_lift_embedding(circle):
     omega = kahler_module(circle)
-    b = sym_algebra_bundle(circle, omega)
+    b = bundle_context(omega)
     TS = b.TS
     assert b.lam(TS.gen("d_d(x)")) == b.S.gen("d(x)")
     assert b.lam(TS.gen("d_x")).is_zero()
@@ -174,13 +169,6 @@ def test_lambda_values_and_lift_embedding(circle):
     # The composite m -> lam(d(m)) is the identity embedding of the module.
     for m in omega.gens:
         assert b.lam(TS.d(b.S.gen(m))) == b.S.gen(m)
-
-
-def test_sym_algebra_bundle_is_the_bundle_context(circle, plane):
-    omega = kahler_module(circle)
-    assert sym_algebra_bundle(circle, omega) is bundle_context(omega)
-    with pytest.raises(ValueError):
-        sym_algebra_bundle(plane, omega)
 
 
 def test_derived_structures_die_with_their_algebra():
@@ -209,7 +197,7 @@ def test_each_axiom_suite_builds_only_the_maps_it_uses():
 def test_u_map_values(circle):
     omega = kahler_module(circle)
     ctx = bundle_context(omega)
-    U = u_map(circle, omega)
+    U = ctx.U
     T = ctx.TAS
     d_a = ctx.TA.gen("d_x")
     m = ctx.S.gen("d(y)")
@@ -220,7 +208,7 @@ def test_u_map_values(circle):
 
 def test_bracketing_accepts_lambda_like(circle):
     omega = kahler_module(circle)
-    b = sym_algebra_bundle(circle, omega)
+    b = bundle_context(omega)
     lam_bracket = bracketing(b, b.lam)
     # {lambda}(m) = lambda(d(m)) = m
     for m in omega.gens:
@@ -229,14 +217,14 @@ def test_bracketing_accepts_lambda_like(circle):
 
 def test_bracketing_rejects_identity(circle):
     omega = kahler_module(circle)
-    b = sym_algebra_bundle(circle, omega)
+    b = bundle_context(omega)
     with pytest.raises(BracketingConditionFailure):
         bracketing(b, identity_morphism(b.TS))
 
 
 def test_bundle_combine(circle):
     omega = kahler_module(circle)
-    b = sym_algebra_bundle(circle, omega)
+    b = bundle_context(omega)
     fibre = set(omega.gens)
     z_like = bundle_combine(identity_morphism(b.S), identity_morphism(b.S), "minus", fibre)
     for m in omega.gens:
@@ -275,10 +263,10 @@ def test_tangent_functor_composition(circle):
 def test_affine_flip_and_swap_certified(circle):
     omega = kahler_module(circle)
     ctx = bundle_context(omega)
-    c = affine_flip(ctx)
+    c = ctx.affine_flip
     assert c(ctx.TS.gen("d(x)")) == ctx.TS.gen("d_x")
     assert compose_morphisms(c, c) == identity_morphism(ctx.TS)
-    tau = affine_swap(ctx)
+    tau = ctx.affine_swap
     assert tau(ctx.TAS.pair(ctx.TA.gen("d_x"), 1)) == ctx.TAS.pair(1, ctx.S.gen("d(x)"))
     assert compose_morphisms(tau, tau) == identity_morphism(ctx.TAS)
 
@@ -327,8 +315,8 @@ def test_dual_numbers_vs_module_presentation(fat_point):
     # S over an explicitly presented module matches S over the kahler module.
     omega = kahler_module(fat_point)
     explicit = make_module(fat_point, ("d(x)",), [["2*x"]])
-    b1 = sym_algebra_bundle(fat_point, omega)
-    b2 = sym_algebra_bundle(fat_point, explicit)
+    b1 = bundle_context(omega)
+    b2 = bundle_context(explicit)
     assert b1.S.gens == b2.S.gens
     assert b1.S.relations == b2.S.relations
 
@@ -348,7 +336,7 @@ def every_structure_map(A, M) -> list[AlgebraMorphism]:
     maps += [ctx.q, ctx.z, ctx.iota, ctx.sigma, ctx.lam, ctx.p_A, ctx.U, ctx.flip_S]
     maps += [getattr(ctx, name) for name in AXIOM_MAPS]
     if M.provenance == "kahler":
-        maps += [affine_flip(ctx), affine_swap(ctx)]
+        maps += [ctx.affine_flip, ctx.affine_swap]
     return maps
 
 
@@ -389,7 +377,7 @@ def test_seeded_wrong_relabel_tables_fail_like_their_certificates():
     failures = refusals = 0
     for A in (make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"]), make_algebra(QQ, ("x",), ["x^2"])):
         maps = tangent_structure_maps(A)
-        for good in (maps.flip, maps.minus, affine_flip(bundle_context(kahler_module(A)))):
+        for good in (maps.flip, maps.minus, bundle_context(kahler_module(A)).affine_flip):
             gens = list(good.dom.gens)
             for _ in range(8):
                 images = dict(good.images)

@@ -7,6 +7,8 @@ from kcx.cli import MAX_DEGREE, run
 from kcx.parse import MAX_DEPTH, MAX_EXPONENT
 from kcx.workspace import MAX_FREE_RANK, WorkspaceError, parse_workspace, render_workspace
 
+import helpers
+
 FILES = Path(__file__).parent.parent / "examples_kcx"
 
 
@@ -126,6 +128,18 @@ def test_cli_torsion_plane():
     code, text = run(["torsion", str(FILES / "plane.kcx")])
     assert code == 0
     assert "torsion-free" in text  # the twisted connection is symmetric
+
+
+def test_cli_torsion_reports_disagreeing_routes(monkeypatch):
+    """A horizontal route that doubles the torsion is a failed check, not an error."""
+    helpers.double_the_horizontal_torsion_route(monkeypatch)
+    code, text = run(["torsion", str(FILES / "twist.kcx")])
+    assert code == 1
+    assert "[FAIL] torsion-routes-agree[antisym]  witness: d(x1)  residue: " in text
+    assert "[PASS] torsion-correspondence[antisym][d(x1)]" in text
+    code, out = run(["torsion", str(FILES / "twist.kcx"), "--json"])
+    check = json.loads(out)["checks"][0]
+    assert (code, check["id"], check["status"]) == (1, "torsion-routes-agree[antisym]", "fail")
 
 
 def test_cli_convert_roundtrip():
