@@ -10,6 +10,8 @@ The package is layered bottom-up:
 - `workspace`, `cli`, `gallery`: definition files, commands, worked examples
 """
 
+import types as _types
+
 from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
@@ -82,5 +84,10 @@ from .tangent import (
 )
 from .workspace import Workspace, parse_workspace, render_workspace
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules the imports bind are not exported
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)
 __version__ = "0.1.0"

@@ -11,7 +11,9 @@ Certification (all domain relations map to zero) happens eagerly for
 user-built morphisms and lazily/never for maps whose well-definedness is
 forced by construction.  It first matches each relation's raw image against
 zero and the codomain's relations up to sign, and builds the codomain's basis
-only for an image that matches neither.
+only for an image that matches neither.  A morphism whose images are each zero
+or a signed codomain generator (a signed renaming, the shape of nearly every
+structure map) is applied by moving exponents, with no polynomial products.
 
 Generator roles record how a generator arose (plain base, module generator of
 a symmetric-algebra bundle, or a first/second-level tangent differential of
@@ -229,9 +231,15 @@ def make_algebra(field: Field, gens: Iterable[str], relations: Iterable[str] = (
 
 
 class AlgebraMorphism:
-    """Algebra map determined by raw generator images in the codomain."""
+    """Algebra map determined by raw generator images in the codomain.
 
-    __slots__ = ("dom", "cod", "images", "certified", "name")
+    When every image is zero or c*y for one codomain generator y (a signed
+    renaming: flips, lifts, lambda, U and the bundle maps), the map keeps a
+    per-generator table of (codomain position, c), or None for zero, built
+    once here; `apply_raw` then moves exponents through it.
+    """
+
+    __slots__ = ("dom", "cod", "images", "certified", "name", "_renaming")
 
     def __init__(
         self,
@@ -247,12 +255,15 @@ class AlgebraMorphism:
         if set(images) != set(dom.gens):
             missing = set(dom.gens) - set(images)
             raise ValueError(f"missing image for generator(s): {sorted(missing)}")
+        gens, field = cod.gens, cod.field
         imgs = {}
         for g, p in images.items():
-            if p.vars != cod.gens or p.field != cod.field:
+            # identity settles the common case; equal rings built apart still pass
+            if (p.vars is not gens and p.vars != gens) or (p.field is not field and p.field != field):
                 raise ValueError(f"image of {g!r} is not in the codomain ring")
             imgs[g] = p
         self.images = imgs
+        self._renaming = _signed_renaming(dom, cod, imgs)
         self.certified = False
         if certify:
             self.certify()
@@ -287,8 +298,18 @@ class AlgebraMorphism:
         return self
 
     def apply_raw(self, poly: Polynomial) -> Polynomial:
-        """Substitute generator images; no reduction in the codomain."""
-        return poly.substitute(self.images, self.cod.gens)
+        """Substitute generator images; no reduction in the codomain.
+
+        A signed renaming applied to a polynomial over the domain ring itself
+        (the same generator tuple and field objects) moves exponents with
+        `Polynomial.move_exponents`; every other input, including one over an
+        equal ring built apart, goes through `substitute` and its ring and
+        missing-image checks.  Both give the same term dict.
+        """
+        table = self._renaming
+        if table is None or poly.vars is not self.dom.gens or poly.field is not self.dom.field:
+            return poly.substitute(self.images, self.cod.gens)
+        return poly.move_exponents(table, self.cod.gens)
 
     def apply_poly(self, poly: Polynomial) -> AlgebraElement:
         return AlgebraElement(self.cod, self.apply_raw(poly))
@@ -325,6 +346,26 @@ class AlgebraMorphism:
     def __repr__(self) -> str:
         label = self.name or "morphism"
         return f"<{label}: {len(self.dom.gens)} gens -> {len(self.cod.gens)} gens>"
+
+
+def _signed_renaming(dom: PresentedAlgebra, cod: PresentedAlgebra, images: dict[str, Polynomial]):
+    """(codomain position, c), or None for zero, per domain generator when
+    each image is zero or c*y over the domain's own field; else None."""
+    if dom.field is not cod.field and dom.field != cod.field:
+        return None
+    table = []
+    for g in dom.gens:
+        terms = images[g].terms
+        if not terms:
+            table.append(None)
+            continue
+        if len(terms) != 1:
+            return None
+        ((exp, c),) = terms.items()
+        if sum(exp) != 1:
+            return None
+        table.append((exp.index(1), c))
+    return table
 
 
 def make_morphism(

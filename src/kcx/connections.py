@@ -7,6 +7,12 @@ offending residue.  The same data converts losslessly to the two bundle-map
 forms: the horizontal form H out of T(S_A(M)) and the vertical form K into it,
 and back; the axiom suite checks the four H diagrams, the four K diagrams and
 the two compatibility equations as morphism identities on generators.
+
+Each connection builds H and K once, on first use.  K is certified by the
+Leibniz residues the construction already checked: a vertical form is well
+defined exactly when the Leibniz rule holds, so K needs no basis of
+T(S_A(M)) (`Connection._leibniz_certifies`).  Data that fails the Leibniz
+rule falls back to K's full certificate, which reports the failure.
 """
 
 from __future__ import annotations
@@ -50,8 +56,9 @@ from .tangent import (
 class Connection:
     """Christoffel data for nabla: M -> Omega(A) (x)_A M, certified.
 
-    The bundle context is built on first use: bundle forms, curvature and
-    torsion need it, the module-side Leibniz rule and the solvers do not.
+    The bundle context and the two bundle forms H and K are built on first
+    use, once per connection: bundle forms, curvature and torsion need them,
+    the module-side Leibniz rule and the solvers do not.
     """
 
     def __init__(self, M: PresentedModule, gamma: dict[str, ModuleElement]):
@@ -65,6 +72,63 @@ class Connection:
     @property
     def base(self) -> PresentedAlgebra:
         return self.module.base
+
+    @cached_property
+    def H(self) -> AlgebraMorphism:
+        """H: T(S_A(M)) -> T(A) (x)_A S_A(M) with H(d(m)) the connection image."""
+        ctx = self.ctx
+        TS, T = ctx.TS, ctx.TAS
+        images: dict[str, Polynomial] = {}
+        for x in ctx.A.gens:
+            images[x] = Polynomial.variable(T.field, T.gens, f"{x}#0")
+            images[TS.dmap[x]] = Polynomial.variable(T.field, T.gens, f"{ctx.TA.dmap[x]}#0")
+        for m in ctx.M.gens:
+            images[m] = Polynomial.variable(T.field, T.gens, f"{m}#1")
+            images[TS.dmap[m]] = ctx.omega_m_shapes.write(self.gamma[m])
+        return AlgebraMorphism(TS, T, images, certify=True, name="H")
+
+    @cached_property
+    def K(self) -> AlgebraMorphism:
+        """K: S_A(M) -> T(S_A(M)), K(m) = d(m) minus the multiplied-out image;
+        certified by `_leibniz_certifies`, else by its full certificate."""
+        ctx = self.ctx
+        S, TS = ctx.S, ctx.TS
+        images: dict[str, Polynomial] = {}
+        for x in ctx.A.gens:
+            images[x] = Polynomial.variable(TS.field, TS.gens, x)
+        for m in ctx.M.gens:
+            dm = Polynomial.variable(TS.field, TS.gens, TS.dmap[m])
+            images[m] = dm - ctx.U.apply_raw(ctx.omega_m_shapes.write(self.gamma[m]))
+        K = AlgebraMorphism(S, TS, images, certify=False, name="K")
+        if self._leibniz_certifies(K):
+            K.certified = True
+            return K
+        return K.certify()
+
+    def _leibniz_certifies(self, K: AlgebraMorphism) -> bool:
+        """Whether the Leibniz residues show that K kills every relation of S_A(M).
+
+        K fixes A's generators, so it sends each relation r of A to r, a
+        relation of T(S_A(M)).  For the linear form rho of a relation row of
+        M, with L its `leibniz_terms`, K(rho) must be d(rho) - U(write(L))
+        term for term, and L must combine to zero in Omega (x) M.  Then K(rho)
+        is zero in T(S_A(M)): d(rho) is one of its relations, and U.write is
+        k[x]-linear on raw values and sends every relation row of Omega (x) M
+        into its ideal.  A Jacobian row (x) m_l goes to d(r) * m_l, d(x_i) (x)
+        a row of M to d(x_i) * rho, both up to multiples of A's relations
+        (rows are stored reduced), and b * e_k for b in A's ideal to a
+        multiple of b.  This is the correspondence of K with the module-side
+        Leibniz rule, used as a certificate.
+        """
+        ctx = self.ctx
+        M, TS, shapes = self.module, ctx.TS, ctx.omega_m_shapes
+        rows = ctx.S.relations[len(ctx.A.relations):]
+        for row, rho in zip(M.relations, rows):
+            terms = list(leibniz_terms(M, shapes.module, enumerate(row), self.gamma))
+            expected = TS.differential(rho) - ctx.U.apply_raw(shapes.write_raw(terms))
+            if K.apply_raw(rho) != expected or not shapes.module.combine(terms).is_zero():
+                return False
+        return True
 
     def __repr__(self) -> str:
         rows = "; ".join(f"{g} -> {self.gamma[g].render()}" for g in self.module.gens)
@@ -125,30 +189,13 @@ def apply_connection(nabla: Connection, e: ModuleElement) -> ModuleElement:
 
 
 def to_horizontal(nabla: Connection) -> AlgebraMorphism:
-    """H: T(S_A(M)) -> T(A) (x)_A S_A(M) with H(d(m)) the connection image."""
-    ctx = nabla.ctx
-    TS, T = ctx.TS, ctx.TAS
-    images: dict[str, Polynomial] = {}
-    for x in ctx.A.gens:
-        images[x] = Polynomial.variable(T.field, T.gens, f"{x}#0")
-        images[TS.dmap[x]] = Polynomial.variable(T.field, T.gens, f"{ctx.TA.dmap[x]}#0")
-    for m in ctx.M.gens:
-        images[m] = Polynomial.variable(T.field, T.gens, f"{m}#1")
-        images[TS.dmap[m]] = ctx.omega_m_shapes.write(nabla.gamma[m])
-    return AlgebraMorphism(TS, T, images, certify=True, name="H")
+    """The horizontal form of nabla, built and certified once (`Connection.H`)."""
+    return nabla.H
 
 
 def to_vertical(nabla: Connection) -> AlgebraMorphism:
-    """K: S_A(M) -> T(S_A(M)), K(m) = d(m) minus the multiplied-out image."""
-    ctx = nabla.ctx
-    S, TS = ctx.S, ctx.TS
-    images: dict[str, Polynomial] = {}
-    for x in ctx.A.gens:
-        images[x] = Polynomial.variable(TS.field, TS.gens, x)
-    for m in ctx.M.gens:
-        dm = Polynomial.variable(TS.field, TS.gens, TS.dmap[m])
-        images[m] = dm - ctx.U.apply_raw(ctx.omega_m_shapes.write(nabla.gamma[m]))
-    return AlgebraMorphism(S, TS, images, certify=True, name="K")
+    """The vertical form of nabla, built and certified once (`Connection.K`)."""
+    return nabla.K
 
 
 def from_horizontal(H: AlgebraMorphism, M: PresentedModule) -> Connection:

@@ -27,7 +27,6 @@ from .algebra import (
     compose_morphisms,
 )
 from .connections import AxiomCheck, AxiomReport, Connection, apply_connection, leibniz_terms
-from .connections import to_horizontal, to_vertical
 from .errors import KcxError, ModuleNotKahler
 from .modules import ModuleElement, christoffel_target, kahler_module, tensor_modules, wedge_square
 from .poly import Polynomial
@@ -150,8 +149,7 @@ def module_torsion(nabla: Connection) -> TorsionResult:
 
 def tangent_curvature(nabla: Connection) -> AlgebraMorphism:
     """Flip-compared double application of the vertical form: S -> T^2(S)."""
-    ctx = nabla.ctx
-    K = to_vertical(nabla)
+    ctx, K = nabla.ctx, nabla.K
     TK = tangent_apply_functor(K)
     twice = compose_morphisms(TK, K)
     flipped = compose_morphisms(ctx.flip_S, twice)
@@ -167,11 +165,10 @@ def _torsion_routes(nabla: Connection) -> tuple[AlgebraMorphism, AlgebraMorphism
     """The bundle torsion S -> T(S) by its two routes: the vertical form
     against the affine flip, and the flip-conjugated horizontal form followed
     by bracketing."""
-    ctx = nabla.ctx
+    ctx, K = nabla.ctx, nabla.K
     c = ctx.affine_flip
-    K = to_vertical(nabla)
     v_k = bundle_combine(K, compose_chain([K, c]), "minus", set(nabla.module.gens))
-    UH = compose_morphisms(ctx.U, to_horizontal(nabla))
+    UH = compose_morphisms(ctx.U, nabla.H)
     d_fibre = {ctx.TS.dmap[g] for g in ctx.S.gens}
     v_flat = bundle_combine(compose_chain([UH, c]), compose_chain([c, UH]), "minus", d_fibre)
     return v_k, bracketing(ctx, v_flat)
@@ -191,8 +188,7 @@ def tangent_torsion(nabla: Connection) -> AlgebraMorphism:
 
 def torsionfree_horizontal_criterion(nabla: Connection) -> bool:
     """Flip-equivariance of the horizontal form, the torsion-free test."""
-    ctx = nabla.ctx
-    H = to_horizontal(nabla)
+    ctx, H = nabla.ctx, nabla.H
     return compose_chain([ctx.affine_flip, H]) == compose_chain([H, ctx.affine_swap])
 
 

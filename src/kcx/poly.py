@@ -270,6 +270,37 @@ class Polynomial:
                     out.pop(e2, None)
         return Polynomial._of_terms(f, target_vars, out)
 
+    def move_exponents(self, table, target_vars: tuple[str, ...]) -> "Polynomial":
+        """`substitute` for images that are each zero or c*y, y one target variable.
+
+        `table[i]` is None when variable i maps to zero, else (position of y
+        in `target_vars`, c).  Each term's exponents move straight to their
+        target positions and its coefficient picks up c^n per variable, so no
+        polynomial product is formed; a term meeting a zero image vanishes.
+        The terms are added in the order `substitute` adds them, so the result
+        dict is the same, insertion order included.
+        """
+        f, n = self.field, len(target_vars)
+        out: dict[Exponent, Coef] = {}
+        for e, c in self.terms.items():
+            exp = [0] * n
+            for slot, k in zip(table, e):
+                if k:
+                    if slot is None:
+                        break
+                    pos, scale = slot
+                    exp[pos] += k
+                    if scale != 1:
+                        c = f.mul(c, scale ** k)
+            else:
+                key = tuple(exp)
+                s = f.add(out.get(key, 0), c)
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return Polynomial._of_terms(f, target_vars, out)
+
     def change_vars(self, target_vars: tuple[str, ...], rename: Mapping[str, str] | None = None) -> "Polynomial":
         """Re-express over a different variable list (by name, optionally renamed).
 

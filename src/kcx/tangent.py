@@ -18,14 +18,17 @@ T(A) and S_A(M) are additive bundles over A, so `_additive_bundle` builds
 T(A)'s p/0/- and S_A(M)'s q/z/iota, and `_fibrewise_sum` T(A)'s + and, on
 first use, S_A(M)'s sigma; no verdict reads sigma.  These maps, the flips,
 zero maps, vertical lifts, lambda and U are `algebra.relabel` tables of
-signed generators.
+signed generators; `AlgebraMorphism.apply_raw` applies those whose images
+are single signed generators (all but + and sigma) by moving exponents.
 
 Module values move into bundle presentations and back through one `ShapeMap`
 per correspondence, each a table of signed products of generators: Omega(A)
 (x) M in T(A) (x)_A S_A(M) (the H and K images), psi/phi between
 Omega^2 (x) M and T^2(S_A(M)) (curvature) and psi-hat/phi-hat between
 Omega^2 and T(S_A(Omega)) (torsion).  `write` is the only writer and `read`
-the only reader of those shapes.
+the only reader of those shapes.  U after the Omega(A) (x) M `write` sends
+every relation row of Omega(A) (x) M into the ideal of T(S_A(M)), which is
+what lets `connections.Connection.K` be certified from the Leibniz residues.
 
 Each module's bundle is `bundle_context(M)`, one `BundleContext` with U and
 every map above as attributes.  The maps that exist only for M = Omega(A),

@@ -12,8 +12,9 @@ from kcx import curvature, gallery
 from kcx.algebra import make_algebra
 from kcx.connections import Connection, make_connection
 from kcx.fields import QQ
-from kcx.modules import kahler_module
+from kcx.modules import christoffel_target, kahler_module
 from kcx.poly import Polynomial
+from kcx.solve import solve_connection_space
 from kcx.tangent import bundle_combine, bundle_context
 
 
@@ -76,6 +77,24 @@ def random_plane_connection(plane, rng: random.Random, max_degree: int = 2) -> C
 
     images = {g: omega_tensor.element([rand_poly() for _ in range(4)]) for g in omega.gens}
     return make_connection(omega, images)
+
+
+def random_admissible_gamma(rng: random.Random, M) -> dict | None:
+    """A random point of M's degree-1 connection space, or None if it is empty."""
+    space = solve_connection_space(M, 1)
+    if space.is_empty:
+        return None
+    f, sol = M.base.field, space.space
+    values = list(sol.particular)
+    for vec in sol.basis:
+        k = f.of(rng.randint(-2, 2))
+        values = [f.add(v, f.mul(k, b)) for v, b in zip(values, vec)]
+    by_name = dict(zip(sol.unknowns, values))
+    target = christoffel_target(M)
+    comps = {g: [Polynomial.zero(f, M.base.gens)] * target.rank for g in M.gens}
+    for (g, idx, exp), name in space.layout.items():
+        comps[g][idx] = comps[g][idx] + Polynomial.monomial(f, M.base.gens, exp, by_name[name])
+    return {g: target.element(c) for g, c in comps.items()}
 
 
 def double_the_horizontal_torsion_route(monkeypatch) -> None:

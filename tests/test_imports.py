@@ -12,6 +12,7 @@ the standard library.  `__init__.py` is skipped: its imports are re-exports.
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -194,31 +195,37 @@ def test_every_allowed_reduction_is_still_there():
     assert set(EAGER_REDUCTIONS) <= found
 
 
-# The public API of `kcx`, submodules included, as `from kcx import *` sees it.
+# The public API of `kcx` as `from kcx import *` sees it: no submodule.
 PUBLIC_API = [
     "AffineSolutionSpace", "AlgebraElement", "AlgebraMorphism", "AxiomReport", "BaseMismatch",
     "BracketingConditionFailure", "Connection", "Field", "GF", "IdealBasis", "KcxError",
     "LinearEquation", "MembershipFailure", "ModuleBasis", "ModuleElement", "ModuleMorphism",
     "ModuleNotKahler", "ParseError", "Polynomial", "PresentedAlgebra", "PresentedModule", "QQ",
     "SectionRetractionFailure", "SolverTooLarge", "WellDefinednessFailure", "Workspace",
-    "affine_linear_solve", "algebra", "apply_connection", "bracketing", "bundle_combine",
-    "bundle_context", "check_curvature_correspondence", "check_torsion_correspondence",
-    "compose_morphisms", "connection_equal", "connections", "curvature", "dual_bundle",
-    "dual_connection_solve", "dual_numbers_structure", "dualnum", "errors", "fields",
+    "affine_linear_solve", "apply_connection", "bracketing", "bundle_combine", "bundle_context",
+    "check_curvature_correspondence", "check_torsion_correspondence", "compose_morphisms",
+    "connection_equal", "dual_bundle", "dual_connection_solve", "dual_numbers_structure",
     "free_canonical_connection", "free_module", "from_horizontal", "glued_connection_check",
-    "groebner", "identity_morphism", "kahler_module", "linsolve", "localize", "make_algebra",
-    "make_connection", "make_module", "make_morphism", "module_curvature", "module_torsion",
-    "modules", "parse", "parse_workspace", "poly", "poly_normalize", "pullback_connection",
-    "render_workspace", "retract_connection", "solve", "solve_connection_space", "tangent",
-    "tangent_algebra", "tangent_apply_functor", "tangent_curvature", "tangent_structure_maps",
-    "tangent_torsion", "tensor_modules", "tensor_over_base", "to_horizontal", "to_vertical",
-    "universal_derivation", "verify_connection_axioms", "vertical_from_horizontal", "wedge_square",
-    "workspace",
+    "identity_morphism", "kahler_module", "localize", "make_algebra", "make_connection",
+    "make_module", "make_morphism", "module_curvature", "module_torsion", "parse_workspace",
+    "poly_normalize", "pullback_connection", "render_workspace", "retract_connection",
+    "solve_connection_space", "tangent_algebra", "tangent_apply_functor", "tangent_curvature",
+    "tangent_structure_maps", "tangent_torsion", "tensor_modules", "tensor_over_base",
+    "to_horizontal", "to_vertical", "universal_derivation", "verify_connection_axioms",
+    "vertical_from_horizontal", "wedge_square",
 ]
 
 
 def test_public_api_is_pinned():
     assert sorted(kcx.__all__) == PUBLIC_API
+
+
+def test_star_import_binds_no_module():
+    namespace: dict = {}
+    exec("from kcx import *", namespace)
+    bound = {name: value for name, value in namespace.items() if not name.startswith("__")}
+    assert sorted(bound) == PUBLIC_API
+    assert [name for name, value in bound.items() if isinstance(value, types.ModuleType)] == []
 
 
 # (module, name): a second entry point that was retired for the object behind it

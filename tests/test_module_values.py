@@ -21,6 +21,7 @@ from kcx.modules import ModuleMorphism, christoffel_target, free_module, kahler_
 from kcx.poly import Polynomial
 from kcx.solve import _glue_residues, kahler_map, solve_connection_space
 
+from helpers import random_admissible_gamma
 from oracles import (
     chain_curvature_of_element,
     chain_glue_residues,
@@ -58,24 +59,6 @@ def random_gamma(rng: random.Random, M) -> dict:
     """Christoffel data with random components; admissible only when M is free."""
     target = christoffel_target(M)
     return {g: target.element([random_poly(rng, M.base) for _ in target.gens]) for g in M.gens}
-
-
-def random_admissible_gamma(rng: random.Random, M) -> dict | None:
-    """A random point of M's degree-1 connection space, or None if it is empty."""
-    space = solve_connection_space(M, 1)
-    if space.is_empty:
-        return None
-    f, sol = M.base.field, space.space
-    values = list(sol.particular)
-    for vec in sol.basis:
-        k = f.of(rng.randint(-2, 2))
-        values = [f.add(v, f.mul(k, b)) for v, b in zip(values, vec)]
-    by_name = dict(zip(sol.unknowns, values))
-    target = christoffel_target(M)
-    comps = {g: [Polynomial.zero(f, M.base.gens)] * target.rank for g in M.gens}
-    for (g, idx, exp), name in space.layout.items():
-        comps[g][idx] = comps[g][idx] + Polynomial.monomial(f, M.base.gens, exp, by_name[name])
-    return {g: target.element(c) for g, c in comps.items()}
 
 
 def random_element(rng: random.Random, M):

@@ -421,18 +421,27 @@ def run_sphere_pipeline(A):
 
 
 def test_only_maps_built_from_connection_data_reach_normal_forms(monkeypatch):
-    """On the S^2 pipeline every structure map is certified by matching; the
-    normal-form certificate runs only for K and H."""
-    reached = []
+    """On the S^2 pipeline every structure map is certified by matching and K
+    by the Leibniz residues; the normal-form certificate runs only for H, and
+    no basis of T(S_A(M)) is built."""
+    reached, rings = [], []
     certificate = AlgebraMorphism.certificate
+    init = IdealBasis.__init__
 
     def recording(self, *args):
         reached.append(self.name)
         return certificate(self, *args)
 
+    def recording_rings(self, field, variables, *args):
+        rings.append(variables)
+        init(self, field, variables, *args)
+
     monkeypatch.setattr(AlgebraMorphism, "certificate", recording)
-    run_sphere_pipeline(make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"]))
-    assert set(reached) == {"K", "H"}
+    monkeypatch.setattr(IdealBasis, "__init__", recording_rings)
+    nabla = run_sphere_pipeline(make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"]))
+    assert set(reached) == {"H"}
+    assert nabla.ctx.TS.gens not in rings
+    assert rings  # the recorder saw the bases that were built
 
 
 def test_sigma_and_its_codomain_are_built_only_when_asked(monkeypatch):
