@@ -136,7 +136,7 @@ class PresentedAlgebra:
                 raise OwnerMismatch("element belongs to a different algebra")
             return value.poly
         if isinstance(value, Polynomial):
-            if value.vars != self.gens or value.field != self.field:
+            if not value.in_ring(self.field, self.gens):
                 raise ValueError("polynomial is not in the ambient ring")
             return value
         if isinstance(value, str):
@@ -164,7 +164,7 @@ class AlgebraElement:
     def __init__(self, owner: PresentedAlgebra, poly: Polynomial):
         self.owner = owner
         if poly.is_zero():  # already normal: no need to build the owner's basis
-            if poly.vars != owner.gens or poly.field != owner.field:
+            if not poly.in_ring(owner.field, owner.gens):
                 raise ValueError("polynomial is not in the ambient ring")
             self.poly = poly
         else:
@@ -258,8 +258,7 @@ class AlgebraMorphism:
         gens, field = cod.gens, cod.field
         imgs = {}
         for g, p in images.items():
-            # identity settles the common case; equal rings built apart still pass
-            if (p.vars is not gens and p.vars != gens) or (p.field is not field and p.field != field):
+            if not p.in_ring(field, gens):
                 raise ValueError(f"image of {g!r} is not in the codomain ring")
             imgs[g] = p
         self.images = imgs
@@ -426,11 +425,40 @@ def identity_morphism(A: PresentedAlgebra) -> AlgebraMorphism:
     return relabel(A, A, {}, "id", certify=False)
 
 
+def _images_after_renaming(g: AlgebraMorphism, f: AlgebraMorphism) -> dict[str, Polynomial] | None:
+    """The images of g after f when f is a signed renaming, else None.
+
+    If f sends x to c*y, then g after f sends x to c times g's image of y,
+    and a zero stays zero; with g a renaming too, (pos, c) then (pos', c')
+    gives c*c'*y_pos'.  Only taken when g keeps the field, where `apply_raw`
+    cannot raise; the images then equal `g.apply_raw(p)` term for term, dict
+    order included.
+    """
+    table, field = f._renaming, g.dom.field
+    if table is None or (g.cod.field is not field and g.cod.field != field):
+        return None
+    slots = dict(zip(f.dom.gens, table))
+    gens, mul = g.cod.gens, field.mul
+    images = {}
+    for x in f.images:
+        slot = slots[x]
+        terms = {}
+        if slot is not None:
+            pos, c = slot
+            image = g.images[g.dom.gens[pos]].terms
+            terms = dict(image) if c == 1 else {e: mul(c, c2) for e, c2 in image.items()}
+        images[x] = Polynomial._of_terms(field, gens, terms)
+    return images
+
+
 def compose_morphisms(g: AlgebraMorphism, f: AlgebraMorphism) -> AlgebraMorphism:
-    """g after f; certificate inherited, images composed by raw substitution."""
+    """g after f; certificate inherited, images composed by raw substitution,
+    or read off g's images when f is a signed renaming."""
     if f.cod is not g.dom:
         raise ValueError("codomain/domain mismatch in composition")
-    images = {x: g.apply_raw(p) for x, p in f.images.items()}
+    images = _images_after_renaming(g, f)
+    if images is None:
+        images = {x: g.apply_raw(p) for x, p in f.images.items()}
     h = AlgebraMorphism(f.dom, g.cod, images, certify=False, name=f"{g.name}.{f.name}")
     h.certified = f.certified and g.certified
     return h

@@ -18,7 +18,7 @@ from .algebra import AlgebraMorphism, GenRole, PresentedAlgebra, fresh_name, mak
 from .linsolve import AffineSolutionSpace, affine_linear_solve
 from .modules import PresentedModule, linear_form
 from .poly import Polynomial
-from .solve import _affine_equations, _relation_columns, _unknowns
+from .solve import _affine_equations, _relation_columns, _terms, _unknowns
 from .tangent import _additive_bundle
 
 
@@ -127,7 +127,7 @@ def dual_connection_solve(
     # K(lambda(m eps)) = m eps collapses to 0 = m eps: every generator of M
     # must be zero in the quotient (constant rows).  K respects each module
     # relation row: sum_k r_k n_k = 0 in M (rows with no constant).
-    constants = [M.gen(g) for g in M.gens] + [M.zero()] * len(M.relations)
+    constants = [_terms(M.gen(g)) for g in M.gens] + [{} for _ in M.relations]
     columns = _relation_columns(M, M, layout, len(M.gens))
     equations = _affine_equations(constants, columns, A.field)
     return affine_linear_solve(equations, tuple(layout.values()), A.field)

@@ -33,6 +33,7 @@ from .poly import (
 
 Vector = tuple[Polynomial, ...]
 Row = list[dict[Exponent, Coef]]  # a vector as one term dict per position
+SparseVector = dict[tuple[int, Exponent], Coef]  # a vector as one (position, exponent) -> coefficient map
 # per position: (lt, exp_mask(lt), row, cert) of basis rows
 Index = list[list[tuple[Exponent, int, Row, int]]]
 
@@ -113,6 +114,8 @@ def _reduce(work: Row, index: Index, field: Field) -> tuple[Row, int]:
     cert = 0
     mul, neg, addmul = field.mul, field.neg, field.addmul
     for pos, comp in enumerate(work):
+        if not comp:
+            continue
         rem = remainder[pos]
         candidates = index[pos]
         heap = [_term_key(e) for e in comp]
@@ -279,7 +282,7 @@ class IdealBasis:
         cap: tuple[int, ...] | None = None,
     ):
         for g in generators:
-            if g.field != field or g.vars != variables:
+            if not g.in_ring(field, variables):
                 raise ValueError("generators live in different rings")
         self.field = field
         self.vars = variables
@@ -293,7 +296,7 @@ class IdealBasis:
         self._index = _index(rows, certs, 1)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        if p.vars != self.vars or p.field != self.field:
+        if not p.in_ring(self.field, self.vars):
             raise ValueError("polynomial is not in the ambient ring")
         if self._columns is not None and not fits_cap(p.terms, self._columns, self.cap):
             raise ValueError("element exceeds the graded truncation bound of this basis")
@@ -324,7 +327,7 @@ class ModuleBasis:
             if len(v) != rank:
                 raise ValueError(f"vector of rank {len(v)} in a rank-{rank} module")
             for c in v:
-                if c.field != field or c.vars != variables:
+                if not c.in_ring(field, variables):
                     raise ValueError("vector component in the wrong ring")
         self.field = field
         self.vars = variables
@@ -342,6 +345,19 @@ class ModuleBasis:
             raise ValueError("rank mismatch")
         nf, _ = _reduce([dict(c.terms) for c in v], self._index, self.field)
         return self._vector(nf)
+
+    def sparse_normal_form(self, terms: SparseVector) -> SparseVector:
+        """`normal_form` on the sparse form: the vector sum of c * x^e at
+        position pos over `terms` (nonzero coefficients), reduced by the same
+        `_reduce`.  A normal form is unique, so the result holds exactly the
+        terms of `normal_form`, position by position in the same order, and no
+        polynomial is built on the way.
+        """
+        row: Row = [{} for _ in range(self.rank)]
+        for (pos, e), c in terms.items():
+            row[pos][e] = c
+        nf, _ = _reduce(row, self._index, self.field)
+        return {(pos, e): c for pos, comp in enumerate(nf) for e, c in comp.items()}
 
     def normal_form_with_bound(self, v: Vector) -> tuple[Vector, int]:
         """Normal form plus a degree bound covering this reduction's certificate."""

@@ -97,7 +97,7 @@ class PresentedModule:
         f, gens = self.base.field, self.base.gens
         acc: list[dict] = [{} for _ in self.gens]
         for k, p in terms:
-            if (p.vars is not gens and p.vars != gens) or (p.field is not f and p.field != f):
+            if not p.in_ring(f, gens):
                 raise ValueError("component is not in the base ring")
             comp = acc[k]
             for e, c in p.terms.items():

@@ -146,17 +146,20 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and other.field == self.field
-            and other.vars == self.vars
-            and other.terms == self.terms
-        )
+        return isinstance(other, Polynomial) and other.in_ring(self.field, self.vars) and other.terms == self.terms
 
     def __hash__(self) -> int:
         return hash((self.field, self.vars, tuple(sorted(self.terms.items()))))
 
     # ---------- arithmetic ----------
+
+    def in_ring(self, field: Field, variables: tuple[str, ...]) -> bool:
+        """Whether self lies in the ring on `variables` over `field`.
+
+        Identity settles the common case with no `Field.__eq__` call; an equal
+        ring built apart still passes.
+        """
+        return (self.vars is variables or self.vars == variables) and (self.field is field or self.field == field)
 
     def _check(self, other: "Polynomial"):
         # identity settles the common case; equal rings built apart still pass

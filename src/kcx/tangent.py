@@ -119,7 +119,7 @@ class TangentPresentation(PresentedAlgebra):
         in the field.  Distinct pairs give distinct monomials, so the result
         dict is written once per pair, with nothing to add up.
         """
-        if p.vars != self.source.gens or p.field != self.field:
+        if not p.in_ring(self.field, self.source.gens):
             raise ValueError("polynomial is not in the source ring")
         f, n = self.field, len(self.gens)
         out = {}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kcx import groebner
-from kcx.fields import GF, QQ
+from kcx.fields import GF, QQ, Field
 from kcx.groebner import IdealBasis, ModuleBasis
 from kcx.parse import poly_normalize
 from kcx.poly import Polynomial
@@ -290,3 +290,43 @@ def test_heap_reducer_matches_rescan_oracle(field, monkeypatch):
     ]
     grown = sum(len(basis) > len(gens) for (basis, _), (gens, *_) in zip(got, cases))
     assert grown >= len(cases) // 4  # S-pairs added elements, not just interreduction
+
+
+def test_bases_over_their_own_ring_objects_compare_no_fields(monkeypatch):
+    gens = ("x", "y")
+    F = GF(3)
+    ideal = [P("x^2 + y^2 - 1", F, gens), P("x*y - 1", F, gens)]
+    vectors = [(P("x", F, gens), P("y", F, gens)), (P("y^2", F, gens), P("0", F, gens))]
+    compared = []
+    eq = Field.__eq__
+
+    def counting(self, other):
+        compared.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(Field, "__eq__", counting)
+    ib = IdealBasis(F, gens, ideal)
+    nf = ib.normal_form(P("x^3*y", F, gens))
+    mb = ModuleBasis(F, gens, 2, vectors)
+    assert compared == []
+
+    # equal rings built apart still pass, with the same results
+    apart_field, apart_gens = Field(3), tuple(list(gens))
+    assert apart_field is not F and apart_gens is not gens
+
+    def apart(p):
+        return Polynomial(apart_field, apart_gens, p.terms)
+
+    assert IdealBasis(F, gens, [apart(g) for g in ideal]).basis == ib.basis
+    assert ib.normal_form(apart(P("x^3*y", F, gens))) == nf
+    assert ModuleBasis(F, gens, 2, [tuple(map(apart, v)) for v in vectors]).basis == mb.basis
+    assert compared
+
+    # another field is refused
+    other = P("x^2 + y^2 - 1", GF(5), gens)
+    with pytest.raises(ValueError, match="different rings"):
+        IdealBasis(F, gens, [ideal[0], other])
+    with pytest.raises(ValueError, match="not in the ambient ring"):
+        ib.normal_form(other)
+    with pytest.raises(ValueError, match="wrong ring"):
+        ModuleBasis(F, gens, 2, [vectors[0], (other, P("0", F, gens))])

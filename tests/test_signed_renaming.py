@@ -1,4 +1,4 @@
-"""Signed renamings applied by moving exponents.
+"""Signed renamings applied by moving exponents, and composed by reading images.
 
 An `AlgebraMorphism` whose every image is zero or c*y for one codomain
 generator y applies itself to polynomials over its own domain ring with
@@ -6,6 +6,11 @@ generator y applies itself to polynomials over its own domain ring with
 The two must give the same term dict, insertion order included, so these
 tests compare them on random polynomials and random tables over QQ, GF(2)
 and GF(3), and check that every other input behaves as `substitute` does.
+
+`compose_morphisms(g, f)` with f a signed renaming reads each image off g's
+images, with no `apply_raw`; the composed images must equal `g.apply_raw(p)`
+on f's images term for term, so they are compared on the bundle structure
+maps and on random maps.
 """
 
 import random
@@ -13,8 +18,8 @@ from fractions import Fraction
 
 import pytest
 
-from kcx.algebra import AlgebraMorphism, make_algebra, relabel
-from kcx.connections import to_horizontal
+from kcx.algebra import AlgebraMorphism, compose_morphisms, make_algebra, relabel
+from kcx.connections import to_horizontal, to_vertical
 from kcx.fields import GF, QQ, Field
 from kcx.poly import Polynomial
 
@@ -152,3 +157,79 @@ def test_images_over_the_codomain_objects_compare_no_fields(monkeypatch):
     assert compared
     with pytest.raises(ValueError, match="not in the codomain ring"):
         AlgebraMorphism(dom, cod, {**images, "x0": Polynomial.variable(GF(2), cod.gens, "b")}, certify=False)
+
+
+def _composed_as_applied(pairs, monkeypatch):
+    """Compose each (g, f); check the images against g.apply_raw on f's images,
+    and that a renaming f composes with no `apply_raw` call."""
+    expected = [{x: g.apply_raw(p) for x, p in f.images.items()} for g, f in pairs]
+    calls = []
+    apply_raw = AlgebraMorphism.apply_raw
+
+    def counting(self, poly):
+        calls.append(self)
+        return apply_raw(self, poly)
+
+    monkeypatch.setattr(AlgebraMorphism, "apply_raw", counting)
+    for (g, f), want in zip(pairs, expected):
+        calls.clear()
+        h = compose_morphisms(g, f)
+        assert list(h.images) == list(want)
+        for x, p in h.images.items():
+            assert _items(p) == _items(want[x]), (g.name, f.name, x)
+            assert p.vars is g.cod.gens and p.field is want[x].field
+        assert (calls == []) == (f._renaming is not None), (g.name, f.name)
+    monkeypatch.undo()
+
+
+def test_compositions_with_bundle_maps_equal_applied_images(monkeypatch):
+    nabla = helpers.sphere_connection(helpers.sphere(2))
+    ctx = nabla.ctx
+    maps = [ctx.U, ctx.lam, ctx.q, ctx.z, ctx.iota, ctx.p_S, ctx.zero_S, ctx.lift_S, ctx.flip_S, ctx.affine_flip]
+    maps += [ctx.Tq, ctx.T_lam, ctx.h3_down, ctx.h4_down, to_horizontal(nabla), to_vertical(nabla)]
+    pairs = [(g, f) for f in maps for g in maps if f.cod is g.dom]
+    kinds = {(f._renaming is not None, g._renaming is not None) for g, f in pairs}
+    assert {(True, True), (True, False), (False, True)} <= kinds
+    renamed = [f._renaming for _, f in pairs if f._renaming is not None]
+    assert any(slot is None for table in renamed for slot in table)  # a zero image
+    assert any(slot is not None and slot[1] != 1 for table in renamed for slot in table)  # a negated one
+    _composed_as_applied(pairs, monkeypatch)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_compositions_after_random_renamings_equal_applied_images(field, monkeypatch):
+    rng = random.Random(2020 + field.char)
+    dom, cod = _rings(field)
+    far = make_algebra(field, ("s", "t"))
+    pairs = []
+    for _ in range(100):
+        f = _random_renaming(rng, dom, cod)
+        if rng.random() < 0.5:
+            g = _random_renaming(rng, cod, far)
+        else:  # a general map: sums and products, so no table
+            g = AlgebraMorphism(cod, far, {y: _random_poly(rng, far, 3) for y in cod.gens}, certify=False)
+        pairs.append((g, f))
+    assert any(g._renaming is None for g, _ in pairs) and any(g._renaming is not None for g, _ in pairs)
+    _composed_as_applied(pairs, monkeypatch)
+    # the reverse order (f a general map) goes through apply_raw
+    general = AlgebraMorphism(dom, cod, {x: _random_poly(rng, cod, 3) for x in dom.gens}, certify=False)
+    _composed_as_applied([(_random_renaming(rng, cod, far), general)], monkeypatch)
+
+
+def test_compositions_over_other_rings_apply_as_before():
+    dom, cod = _rings(QQ)
+    far = make_algebra(QQ, ("s", "t"))
+    g = relabel(cod, far, {"a": "s", "b": "-t", "c": None}, certify=False)
+    # images over an equal ring built apart: composed through apply_raw, same result
+    apart = tuple(list(cod.gens))
+    f = AlgebraMorphism(dom, cod, {x: Polynomial.variable(QQ, apart, y) for x, y in zip(dom.gens, "abcab")}, certify=False)
+    assert f._renaming is not None
+    h = compose_morphisms(g, f)
+    for x, p in f.images.items():
+        assert _items(h.images[x]) == _items(g.apply_raw(p))
+    # a map into another field still refuses, as apply_raw does
+    far3 = make_algebra(GF(3), ("s", "t"))
+    across = AlgebraMorphism(cod, far3, {y: Polynomial.variable(GF(3), far3.gens, "s") for y in cod.gens}, certify=False)
+    renaming = relabel(dom, cod, {"x0": "a", "x1": "-b", "x2": None, "x3": "c", "x4": "a"}, certify=False)
+    with pytest.raises(ValueError, match="polynomials live in different rings"):
+        compose_morphisms(across, renaming)

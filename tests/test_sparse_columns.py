@@ -1,0 +1,266 @@
+"""Solver columns as sparse vectors.
+
+The bounded-degree solvers write each column as a sparse vector, (position,
+exponent) -> coefficient, and reduce it with `ModuleBasis.sparse_normal_form`.
+These tests compare every column and constant of the three solvers with the
+module element it stands for, built as the solvers once built it:
+`target.combine([(idx, r_g.mul_monomial(exp, 1))])` on relation rows and the
+unit column `r.scaled(scale)` on gluing rows, term for term and in order.  They
+also compare `sparse_normal_form` with `normal_form` on random vectors, and
+bound the module elements a solve builds by its relation rows.
+"""
+
+import random
+
+import pytest
+
+import kcx.dualnum
+import kcx.solve
+from kcx import modules
+from kcx.algebra import localize, make_algebra, make_morphism
+from kcx.connections import connection_residues
+from kcx.dualnum import dual_connection_solve
+from kcx.fields import GF, QQ
+from kcx.modules import christoffel_target, kahler_module, make_module
+from kcx.poly import Polynomial
+from kcx.solve import (
+    _glue_residues,
+    _scaled,
+    _unknowns,
+    glued_connection_check,
+    kahler_map,
+    solve_connection_space,
+)
+
+import helpers
+
+
+def _items(v):
+    """A module element's terms as (position, exponent) -> coefficient items, in order."""
+    return [((pos, e), c) for pos, comp in enumerate(v.comps) for e, c in comp.terms.items()]
+
+
+def _capture(monkeypatch, module):
+    """Record the constants and columns `module` passes to `_affine_equations`."""
+    seen = []
+    build = module._affine_equations
+
+    def recording(constants, columns, f):
+        seen.append((constants, columns))
+        return build(constants, columns, f)
+
+    monkeypatch.setattr(module, "_affine_equations", recording)
+    return seen
+
+
+def _old_relation_columns(M, target, layout, first_row=0):
+    """Relation-row columns as module elements, one `combine` per unknown and row."""
+    one = M.base.field.one()
+    columns = {name: {} for name in layout.values()}
+    for r, row in enumerate(M.relations, first_row):
+        coefs = dict(zip(M.gens, row))
+        for (g, idx, exp), name in layout.items():
+            if g in coefs and not coefs[g].is_zero():
+                columns[name][r] = target.combine([(idx, coefs[g].mul_monomial(exp, one))])
+    return columns
+
+
+def _assert_columns_match(columns, old):
+    for name, col in old.items():
+        assert list(columns[name]) == list(col), name
+        for r, element in col.items():
+            assert list(columns[name][r].items()) == _items(element), (name, r)
+
+
+def _presented_gf3():
+    circle = make_algebra(GF(3), ("x", "y"), ["x^2 + y^2 - 1"])
+    return make_module(circle, ("e1", "e2"), [["x", "y"], ["y", "0"]])
+
+
+SPACE_CASES = {
+    "kahler-S2-QQ": (lambda: kahler_module(helpers.sphere(2)), 2),
+    "presented-GF3": (_presented_gf3, 2),
+}
+
+
+@pytest.mark.parametrize("case", SPACE_CASES)
+def test_space_columns_are_the_old_module_elements(case, monkeypatch):
+    build, degree = SPACE_CASES[case]
+    M = build()
+    seen = _capture(monkeypatch, kcx.solve)
+    space = solve_connection_space(M, degree)
+    ((constants, columns),) = seen
+    target = christoffel_target(M)
+    old = _old_relation_columns(M, target, space.layout)
+    assert any(old.values())
+    _assert_columns_match(columns, old)
+    zero = {g: target.zero() for g in M.gens}
+    assert [list(c.items()) for c in constants] == [_items(r) for _, r in connection_residues(M, zero)]
+
+
+def _old_glue_columns(A1, u1, A2, u2, transition, layout, first):
+    """Gluing-row columns as before: each unit's residue difference, scaled as an element."""
+    L1, L2 = localize(A1, u1), localize(A2, u2)
+    t = make_morphism(L1, L2, transition, name="t")
+    omega_t = kahler_map(t)
+    targets = [christoffel_target(kahler_module(A)) for A in (A1, A2)]
+    zeros = [{g: T.zero() for g in kahler_module(A).gens} for T, A in zip(targets, (A1, A2))]
+    glue0 = _glue_residues(A1, L1, A2, L2, t, omega_t, *zeros)
+    columns = {}
+    for (chart_no, g, idx, exp), name in layout.items():
+        chart, target, L = chart_no - 1, targets[chart_no - 1], (L1, L2)[chart_no - 1]
+        unit = target.gen(target.gens[idx])
+        gammas = [{**z, g: unit} if c == chart else z for c, z in enumerate(zeros)]
+        rows = _glue_residues(A1, L1, A2, L2, t, omega_t, *gammas)
+        mono = Polynomial.monomial(A1.field, L.gens, (*exp, 0), 1)
+        scale = t.apply_raw(mono) if chart == 0 else mono
+        columns[name] = {first + k: (r - r0).scaled(scale) for k, (r, r0) in enumerate(zip(rows, glue0))}
+    return columns, glue0
+
+
+GLUE_CASES = {
+    "p1-QQ": (QQ, ("x",), (), ("y",), (), {"x": "y_inv", "x_inv": "y"}, {"y": "x_inv", "y_inv": "x"}, 3),
+    "p1-GF2": (GF(2), ("x",), (), ("y",), (), {"x": "y_inv", "x_inv": "y"}, {"y": "x_inv", "y_inv": "x"}, 2),
+    "circle-QQ": (
+        QQ,
+        ("x", "y"),
+        ["x^2 + y^2 - 1"],
+        ("u", "v"),
+        ["u^2 + v^2 - 1"],
+        {"x": "u", "y": "-v", "x_inv": "u_inv"},
+        {"u": "x", "v": "-y", "u_inv": "x_inv"},
+        1,
+    ),
+    "shear-QQ": (
+        QQ,
+        ("x", "y"),
+        (),
+        ("u", "v"),
+        (),
+        {"x": "u", "y": "v + u^2", "x_inv": "u_inv"},
+        {"u": "x", "v": "y - x^2", "u_inv": "x_inv"},
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GLUE_CASES)
+def test_glue_columns_are_the_old_module_elements(case, monkeypatch):
+    field, gens1, rels1, gens2, rels2, transition, inverse, degree = GLUE_CASES[case]
+    A1, A2 = make_algebra(field, gens1, rels1), make_algebra(field, gens2, rels2)
+    u1, u2 = gens1[0], gens2[0]
+    seen = _capture(monkeypatch, kcx.solve)
+    result = glued_connection_check(A1, u1, A2, u2, transition, inverse, degree=degree)
+    ((constants, columns),) = seen
+
+    # relation rows, chart by chart, then the gluing rows
+    first, old, old_constants = 0, {}, []
+    for chart_no, A in enumerate((A1, A2), 1):
+        omega, target = kahler_module(A), christoffel_target(kahler_module(A))
+        chart = {key[1:]: name for key, name in result.layout.items() if key[0] == chart_no}
+        old.update(_old_relation_columns(omega, target, chart, first))
+        old_constants += connection_residues(omega, {g: target.zero() for g in omega.gens})
+        first += len(omega.relations)
+    assert (first > 0) == bool(rels1)
+    glued, glue0 = _old_glue_columns(A1, u1, A2, u2, transition, result.layout, first)
+    assert any(not e.is_zero() for col in glued.values() for e in col.values())
+    for name, col in glued.items():
+        old[name].update(col)
+    _assert_columns_match(columns, old)
+    expected = [_items(r) for _, r in old_constants] + [_items(r) for r in glue0]
+    assert [list(c.items()) for c in constants] == expected
+
+
+DUAL_CASES = {
+    "presented-GF3": (_presented_gf3, 2),
+    "line-QQ": (lambda: make_module(make_algebra(QQ, ("x",)), ("u", "v"), [["x", "1"]]), 3),
+}
+
+
+@pytest.mark.parametrize("case", DUAL_CASES)
+def test_dual_number_columns_are_the_old_module_elements(case, monkeypatch):
+    build, degree = DUAL_CASES[case]
+    M = build()
+    seen = _capture(monkeypatch, kcx.dualnum)
+    dual_connection_solve(M.base, M, degree)
+    ((constants, columns),) = seen
+    layout = _unknowns("c", M.gens + ("'",), range(M.rank), M, degree)
+    old = _old_relation_columns(M, M, layout, len(M.gens))
+    assert any(old.values())
+    _assert_columns_match(columns, old)
+    expected = [_items(M.gen(g)) for g in M.gens] + [[] for _ in M.relations]
+    assert [list(c.items()) for c in constants] == expected
+
+
+def _random_vector(rng, target):
+    A = target.base
+    comps = []
+    for _ in target.gens:
+        if rng.random() < 0.4:
+            comps.append(Polynomial.zero(A.field, A.gens))
+            continue
+        exps = [tuple(rng.randint(0, 3) for _ in A.gens) for _ in range(rng.randint(1, 4))]
+        comps.append(Polynomial(A.field, A.gens, {e: rng.randint(-4, 4) for e in exps}))
+    return tuple(comps)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: christoffel_target(kahler_module(helpers.sphere(2))),
+        lambda: christoffel_target(_presented_gf3()),
+        _presented_gf3,
+        lambda: kahler_module(make_algebra(GF(2), ("x", "y"), ["y^2 - x^3 - 1"])),
+    ],
+    ids=["omega-S2-QQ", "target-presented-GF3", "presented-GF3", "kahler-elliptic-GF2"],
+)
+def test_sparse_normal_form_agrees_with_normal_form(build):
+    target = build()
+    basis = target.lifted
+    rng = random.Random(2020 + target.rank)
+    reduced = 0
+    for _ in range(60):
+        v = _random_vector(rng, target)
+        terms = [((pos, e), c) for pos, comp in enumerate(v) for e, c in comp.terms.items()]
+        rng.shuffle(terms)  # the input's order does not matter
+        nf = basis.normal_form(v)
+        got = basis.sparse_normal_form(dict(terms))
+        assert list(got.items()) == [((pos, e), c) for pos, comp in enumerate(nf) for e, c in comp.terms.items()]
+        reduced += sorted(got) != sorted(key for key, _ in terms)
+    assert reduced  # some vectors were not already normal
+
+
+def test_scaled_sparse_vectors_are_componentwise_products():
+    target = christoffel_target(_presented_gf3())
+    A = target.base
+    rng = random.Random(2021)
+    x_plus_y = Polynomial(A.field, A.gens, {(1, 0): 1, (0, 1): 1})
+    cases = [((x_plus_y,) * target.rank, x_plus_y)]  # x*y appears twice in every component
+    for _ in range(40):
+        v = _random_vector(rng, target)
+        cases.append((v, next(c for c in _random_vector(rng, target) + (x_plus_y,) if c)))
+    merged = 0
+    for v, p in cases:
+        terms = {(pos, e): c for pos, comp in enumerate(v) for e, c in comp.terms.items()}
+        got = _scaled(terms, p, A.field)
+        want = [((pos, e), c) for pos, comp in enumerate(v) for e, c in (p * comp).terms.items()]
+        assert sorted(got.items()) == sorted(want)
+        merged += len(got) < len(terms) * len(p.terms)
+    assert merged  # some products collided and were added up
+
+
+def test_a_solve_builds_module_elements_per_relation_row_not_per_unknown(monkeypatch):
+    M = kahler_module(helpers.sphere(2))
+    christoffel_target(M).lifted  # the basis is built once, outside the count
+    built = []
+    init = modules.ModuleElement.__init__
+
+    def counting(self, module, comps):
+        built.append(module)
+        init(self, module, comps)
+
+    monkeypatch.setattr(modules.ModuleElement, "__init__", counting)
+    space = solve_connection_space(M, 3)
+    assert space.dimension == 144 and len(space.layout) == 282
+    # one zero candidate per generator and one residue per relation row
+    assert len(built) <= M.rank + len(M.relations)
