@@ -18,6 +18,8 @@ invisible outside this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Union
 
 Coef = Union[Fraction, int]
@@ -99,6 +101,17 @@ class Field:
         if self.char == 0:
             return _canonical(Fraction(a.denominator, a.numerator))
         return pow(a, -1, self.char)
+
+    def primitive(self, row: dict) -> dict:
+        """A nonzero multiple of the values in `row` to eliminate with: over QQ
+        integral with content 1, so cross-multiplying stays in ints; over GF(p) `row`."""
+        if self.char:
+            return row
+        den = lcm(*map(attrgetter("denominator"), row.values()))
+        if den != 1:
+            row = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
+        g = gcd(*row.values())
+        return row if g <= 1 else {j: c // g for j, c in row.items()}
 
     def render(self, a: Coef) -> str:
         return str(a)

@@ -6,6 +6,10 @@ rank r, ordered position-over-term (POT) with grevlex underneath (earlier
 position = larger); an ideal is the rank-1 case, where POT is plain grevlex.
 Bases are reduced (auto-reduced, monic), so unique for the term order.
 
+A vector is a `Row` of its occupied positions only, so work touches just the
+positions its terms sit in (as in F4's sparse linear algebra), and pairs and
+the chain criterion compare only rows led at one position.
+
 Pairs are taken lowest lcm total degree first, ties broken by the lcm's
 exponent vector and then the pair's indices.  The chain criterion prunes
 pairs at every rank, the coprime-leading-terms criterion only at rank 1 (it
@@ -32,9 +36,9 @@ from .poly import (
 )
 
 Vector = tuple[Polynomial, ...]
-Row = list[dict[Exponent, Coef]]  # a vector as one term dict per position
+Row = dict[int, dict[Exponent, Coef]]  # a vector as position -> term dict, occupied positions only
 SparseVector = dict[tuple[int, Exponent], Coef]  # a vector as one (position, exponent) -> coefficient map
-# per position: (lt, exp_mask(lt), row, cert) of basis rows
+# indexed by position: (lt, exp_mask(lt), row, cert) of the basis rows led there
 Index = list[list[tuple[Exponent, int, Row, int]]]
 
 Grading = list[tuple[int, ...]]  # one grade tuple per ambient variable
@@ -63,33 +67,36 @@ def fits_cap(exps: Iterable[Exponent], columns: list[tuple[int, ...]], cap: tupl
 
 
 def _leading(row: Row) -> tuple[int, Exponent] | None:
-    for pos, comp in enumerate(row):
-        if comp:
-            return pos, max(comp, key=grevlex_key)
-    return None
+    pos = min(row, default=None)
+    return None if pos is None else (pos, max(row[pos], key=grevlex_key))
 
 
 def vector_leading(v: Vector) -> tuple[int, Exponent] | None:
     """POT leading (position, exponent) of a vector, None for zero."""
-    return _leading([c.terms for c in v])
+    return _leading({pos: c.terms for pos, c in enumerate(v) if c.terms})
 
 
 def _row_degree(row: Row) -> int:
-    return max((sum(e) for comp in row for e in comp), default=0)
+    return max((sum(e) for comp in row.values() for e in comp), default=0)
 
 
-def _add_multiple(work: Row, g: Row, start: int, delta: Exponent, coef: Coef, field: Field) -> None:
-    """work += coef * x^delta * g in place, on positions `start` onwards."""
+def _add_multiple(work: Row, g: Row, delta: Exponent, coef: Coef, field: Field, skip: int = -1) -> None:
+    """work += coef * x^delta * g in place, on g's positions other than `skip`;
+    a position of work opens with its first term and goes with its last."""
     addmul = field.addmul
-    for q in range(start, len(g)):
-        target = work[q]
-        for e, c in g[q].items():
+    for q, gq in g.items():
+        if q == skip:
+            continue
+        target = work.setdefault(q, {})
+        for e, c in gq.items():
             e2 = exp_mul(e, delta)
             s = addmul(target.get(e2, 0), coef, c)
             if s:
                 target[e2] = s
             else:
                 target.pop(e2, None)
+        if not target:
+            del work[q]
 
 
 def _term_key(e: Exponent) -> tuple[int, Exponent, Exponent]:
@@ -100,23 +107,24 @@ def _term_key(e: Exponent) -> tuple[int, Exponent, Exponent]:
 def _reduce(work: Row, index: Index, field: Field) -> tuple[Row, int]:
     """Full normal form of `work` (consumed) plus its certificate degree.
 
-    Positions are reduced in order, each component in place, always by the
-    first indexed basis row whose leading term divides the current one.  The
-    current leading term comes off a heap of the component's terms
-    (Monagan & Pearce's heap division): a term is pushed when it enters the
-    component, and an entry whose term has since cancelled is skipped when
+    Each round pops the smallest occupied position and reduces its component,
+    always by the first indexed basis row whose leading term divides the
+    current one; the rest of that row goes into the later positions of
+    `work`.  The current leading term comes off a heap of the component's
+    terms (Monagan & Pearce's heap division): a term is pushed when it enters
+    the component, and an entry whose term has since cancelled is skipped when
     popped.  A row whose leading term has a variable the current term lacks
     is passed over on its variable mask alone, before `exp_divides`.  Basis
     rows are monic, so each step cancels its leading term and only brings in
-    smaller ones.
+    smaller ones.  The remainder's positions come in ascending order.
     """
-    remainder: Row = [{} for _ in work]
+    remainder: Row = {}
     cert = 0
     mul, neg, addmul = field.mul, field.neg, field.addmul
-    for pos, comp in enumerate(work):
-        if not comp:
-            continue
-        rem = remainder[pos]
+    while work:
+        pos = min(work)
+        comp = work.pop(pos)
+        rem = {}
         candidates = index[pos]
         heap = [_term_key(e) for e in comp]
         heapq.heapify(heap)
@@ -142,12 +150,14 @@ def _reduce(work: Row, index: Index, field: Field) -> tuple[Row, int]:
                                 comp[e2] = s
                             else:
                                 del comp[e2]
-                    _add_multiple(work, g, pos + 1, delta, factor, field)
+                    _add_multiple(work, g, delta, factor, field, pos)
                     cert = max(cert, sum(delta) + g_cert)
                     break
             else:
                 rem[lead] = coef
                 del comp[lead]
+        if rem:
+            remainder[pos] = rem
     return remainder, cert
 
 
@@ -178,29 +188,30 @@ def _groebner(
     leads: list[tuple[int, Exponent]] = []
     certs: list[int] = []
     index: Index = [[] for _ in range(rank)]
+    at: list[list[int]] = [[] for _ in range(rank)]  # per position: indices into G of the rows led there
     heap: list[tuple[int, Exponent, int, int]] = []
     pending: set[tuple[int, int]] = set()
 
     def add(row: Row, cert: int) -> None:
         pos, lt = _leading(row)
-        inv = field.inv(row[pos][lt])
-        row = [{e: field.mul(c, inv) for e, c in comp.items()} for comp in row]
+        if row[pos][lt] != one:
+            inv = field.inv(row[pos][lt])
+            row = {q: {e: field.mul(c, inv) for e, c in comp.items()} for q, comp in row.items()}
         new = len(G)
         G.append(row)
         leads.append((pos, lt))
         certs.append(cert)
         index[pos].append((lt, exp_mask(lt), row, cert))
-        for k in range(new):
-            if leads[k][0] != pos:
-                continue
+        for k in at[pos]:
             lcm = exp_lcm(leads[k][1], lt)
             if columns is not None and not fits_cap((lcm,), columns, cap):
                 continue
             heapq.heappush(heap, (sum(lcm), lcm, k, new))
             pending.add((k, new))
+        at[pos].append(new)
 
     for row in rows:
-        if any(row):
+        if row:
             add(row, _row_degree(row))
 
     while heap:
@@ -212,20 +223,19 @@ def _groebner(
             continue
         if any(
             k != i and k != j
-            and leads[k][0] == pos
             and exp_divides(leads[k][1], lcm)
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
-            for k in range(len(G))
+            for k in at[pos]
         ):
             continue
         d_i, d_j = exp_div(lcm, lt_i), exp_div(lcm, lt_j)
-        s: Row = [{} for _ in range(rank)]
-        _add_multiple(s, G[i], pos, d_i, one, field)
-        _add_multiple(s, G[j], pos, d_j, field.neg(one), field)
+        s: Row = {}
+        _add_multiple(s, G[i], d_i, one, field)
+        _add_multiple(s, G[j], d_j, field.neg(one), field)
         form_cert = max(sum(d_i) + certs[i], sum(d_j) + certs[j])
         r, red_cert = _reduce(s, index, field)
-        if any(r):
+        if r:
             add(r, max(form_cert, red_cert, _row_degree(r)))
 
     # Interreduction: keep the minimal leading terms, then reduce each tail.
@@ -233,19 +243,21 @@ def _groebner(
     # index never divides by the element itself; leading terms, and hence the
     # POT order of the result, are unchanged.
     minimal: list[int] = []
+    kept: list[list[Exponent]] = [[] for _ in range(rank)]
     for k in sorted(range(len(G)), key=lambda k: (-leads[k][0], grevlex_key(leads[k][1]))):
         pos, lt = leads[k]
-        if not any(leads[m][0] == pos and exp_divides(leads[m][1], lt) for m in minimal):
+        if not any(exp_divides(m, lt) for m in kept[pos]):
+            kept[pos].append(lt)
             minimal.append(k)
     index = _index([G[k] for k in minimal], [certs[k] for k in minimal], rank)
     basis: list[Row] = []
     basis_certs: list[int] = []
     for k in minimal:
         pos, lt = leads[k]
-        tail = [dict(comp) for comp in G[k]]
+        tail = {q: dict(comp) for q, comp in G[k].items()}
         del tail[pos][lt]
         r, red_cert = _reduce(tail, index, field)
-        r[pos][lt] = one
+        r.setdefault(pos, {})[lt] = one
         basis.append(r)
         basis_certs.append(max(certs[k], red_cert))
     return basis, basis_certs
@@ -290,7 +302,7 @@ class IdealBasis:
         self.grading = grading
         self.cap = cap
         self._columns = grade_columns(grading) if grading is not None and cap is not None else None
-        rows, certs = _groebner([[g.terms] for g in generators], 1, field, grading, cap)
+        rows, certs = _groebner([{0: g.terms} for g in generators if g.terms], 1, field, grading, cap)
         self.basis = [Polynomial._of_terms(field, variables, row[0]) for row in rows]
         self.cert_excess = max((c - _row_degree(r) for r, c in zip(rows, certs)), default=0)
         self._index = _index(rows, certs, 1)
@@ -302,8 +314,8 @@ class IdealBasis:
             raise ValueError("element exceeds the graded truncation bound of this basis")
         if not self.basis or p.is_zero():
             return p
-        (nf,), _ = _reduce([dict(p.terms)], self._index, self.field)
-        return Polynomial._of_terms(self.field, self.vars, nf)
+        nf, _ = _reduce({0: dict(p.terms)}, self._index, self.field)
+        return Polynomial._of_terms(self.field, self.vars, nf.get(0, {}))
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -333,35 +345,49 @@ class ModuleBasis:
         self.vars = variables
         self.rank = rank
         self.generators = list(generators)
-        rows, self.cert_degrees = _groebner([[c.terms for c in v] for v in generators], rank, field)
+        rows = [{q: c.terms for q, c in enumerate(v) if c.terms} for v in generators]
+        rows, self.cert_degrees = _groebner(rows, rank, field)
         self.basis = [self._vector(row) for row in rows]
         self._index = _index(rows, self.cert_degrees, rank)
 
     def _vector(self, row: Row) -> Vector:
-        return tuple(Polynomial._of_terms(self.field, self.vars, comp) for comp in row)
+        return tuple(Polynomial._of_terms(self.field, self.vars, row.get(q) or {}) for q in range(self.rank))
 
-    def normal_form(self, v: Vector) -> Vector:
+    def _work_row(self, v: Vector) -> Row:
+        """A copy of `v`'s occupied positions, for `_reduce` to consume."""
         if len(v) != self.rank:
             raise ValueError("rank mismatch")
-        nf, _ = _reduce([dict(c.terms) for c in v], self._index, self.field)
+        for c in v:
+            if not c.in_ring(self.field, self.vars):
+                raise ValueError("polynomial is not in the ambient ring")
+        return {pos: dict(c.terms) for pos, c in enumerate(v) if c.terms}
+
+    def normal_form(self, v: Vector) -> Vector:
+        nf, _ = _reduce(self._work_row(v), self._index, self.field)
         return self._vector(nf)
 
     def sparse_normal_form(self, terms: SparseVector) -> SparseVector:
         """`normal_form` on the sparse form: the vector sum of c * x^e at
-        position pos over `terms` (nonzero coefficients), reduced by the same
-        `_reduce`.  A normal form is unique, so the result holds exactly the
-        terms of `normal_form`, position by position in the same order, and no
-        polynomial is built on the way.
+        position pos over `terms` (nonzero coefficients, owned by the call).
+
+        A single term no leading term at its position divides comes back as it
+        is; the rest goes through `_reduce`.  A normal form is unique, so the
+        result holds exactly the terms of `normal_form`, in the same order.
         """
-        row: Row = [{} for _ in range(self.rank)]
+        if len(terms) == 1:
+            ((pos, e),) = terms
+            absent = ~exp_mask(e)
+            if not any(not mask & absent and exp_divides(lt, e) for lt, mask, _, _ in self._index[pos]):
+                return terms
+        row: Row = {}
         for (pos, e), c in terms.items():
-            row[pos][e] = c
+            row.setdefault(pos, {})[e] = c
         nf, _ = _reduce(row, self._index, self.field)
-        return {(pos, e): c for pos, comp in enumerate(nf) for e, c in comp.items()}
+        return {(pos, e): c for pos, comp in nf.items() for e, c in comp.items()}
 
     def normal_form_with_bound(self, v: Vector) -> tuple[Vector, int]:
         """Normal form plus a degree bound covering this reduction's certificate."""
-        row = [dict(c.terms) for c in v]
+        row = self._work_row(v)
         degree = _row_degree(row)
         nf, cert = _reduce(row, self._index, self.field)
         return self._vector(nf), max(cert, degree)

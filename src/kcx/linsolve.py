@@ -3,10 +3,12 @@
 Systems arrive as `LinearEquation`s, each meaning  sum(coeffs[u] * u) + const = 0.
 Gauss-Jordan elimination over the exact field yields either "empty" or a
 particular solution plus a basis of the homogeneous solution space.  Rows are
-sparse (column -> nonzero coefficient, the constant at column n), and an
-elimination step touches only the pivot row's nonzeros.  The reduced row
-echelon form is unique for the column order of `unknowns`, so the result does
-not depend on the order of the equations.
+sparse (column -> nonzero coefficient, the constant at column n) and kept as
+the multiple `Field.primitive` gives, over QQ integral with content 1.
+Elimination is fraction-free (Bareiss): row := p * row - a * pivot, and each
+solution entry is divided once, at read-off.  The reduced row echelon form is
+unique for the column order of `unknowns`, so the result does not depend on
+the order of the equations or on the multiples kept.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class AffineSolutionSpace:
 def affine_linear_solve(
     equations: list[LinearEquation], unknowns: tuple[str, ...], fieldobj: Field
 ) -> AffineSolutionSpace:
-    """Exact sparse Gauss-Jordan; returns empty / unique / parametrized family."""
+    """Exact sparse fraction-free Gauss-Jordan; returns empty / unique / parametrized family."""
     f = fieldobj
     n = len(unknowns)
     index = {u: i for i, u in enumerate(unknowns)}
@@ -77,30 +79,29 @@ def affine_linear_solve(
             if u not in index:
                 raise KeyError(f"unknown {u!r} not declared")
             row[index[u]] = f.of(c)
-        rows.append({j: c for j, c in row.items() if c})
+        rows.append(f.primitive({j: c for j, c in row.items() if c}))
 
-    # Forward pass: each new pivot row is scaled to 1 at its smallest column.
+    # Forward pass: a row's smallest column is eliminated until no pivot row holds it.
     pivots: dict[int, dict[int, Coef]] = {}
     for row in rows:
-        while len(row) > (n in row):  # an unknown is left in the row
-            col = min(j for j in row if j != n)
+        while row and (col := min(row)) != n:  # an unknown is left in the row
             if col not in pivots:
-                inv = f.inv(row[col])
-                pivots[col] = {j: f.mul(c, inv) for j, c in row.items()}
+                pivots[col] = row
                 break
-            _eliminate(row, col, pivots[col], f)
+            row = _eliminate(row, col, pivots[col], f)
         else:
             if row:  # 0 = nonzero constant
                 return AffineSolutionSpace(unknowns, None)
 
     # Backward pass, last pivot first: a reduced row holds no other pivot
-    # column, so subtracting it brings none in.
+    # column, so eliminating with it brings none in.
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         for j in [j for j in row if j != col and j in pivots]:
-            _eliminate(row, j, pivots[j], f)
+            row = _eliminate(row, j, pivots[j], f)
+        pivots[col] = row
 
-    # Each pivot row now reads x_col + sum over free fc of c * x_fc + c_n = 0.
+    # Each pivot row reads a * x_col + sum over free fc of c * x_fc + c_n = 0: divide by -a.
     zero = f.zero()
     particular = [zero] * n
     free_cols = [c for c in range(n) if c not in pivots]
@@ -109,21 +110,25 @@ def affine_linear_solve(
         vec[fc] = f.one()
     free_vec = dict(zip(free_cols, basis))
     for col, row in pivots.items():
+        scale = f.neg(f.inv(row[col]))
         for j, c in row.items():
             if j == n:
-                particular[col] = f.neg(c)
+                particular[col] = f.mul(c, scale)
             elif j != col:
-                free_vec[j][col] = f.neg(c)
+                free_vec[j][col] = f.mul(c, scale)
     return AffineSolutionSpace(unknowns, particular, basis, free_cols)
 
 
-def _eliminate(row: dict[int, Coef], col: int, pivot: dict[int, Coef], f: Field) -> None:
-    """row -= row[col] * pivot in place, where pivot[col] is 1; touches only the
-    pivot row's nonzeros and drops the entries that cancel (row[col] among them)."""
-    factor = f.neg(row[col])
+def _eliminate(row: dict[int, Coef], col: int, pivot: dict[int, Coef], f: Field) -> dict[int, Coef]:
+    """The primitive multiple of p * row - a * pivot, with p = pivot[col] and a = row[col],
+    so column col cancels; `row` is consumed, and entries that cancel are dropped."""
+    p, factor = pivot[col], f.neg(row[col])
+    if p != f.one():
+        row = {j: f.mul(p, c) for j, c in row.items()}
     for j, c in pivot.items():
         v = f.addmul(row[j], factor, c) if j in row else f.mul(factor, c)
         if v:
             row[j] = v
         else:
             del row[j]
+    return f.primitive(row)

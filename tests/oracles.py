@@ -84,34 +84,43 @@ def loop_monomial_grade(exp: tuple[int, ...], grading: list[tuple[int, ...]]) ->
 def rescan_reduce(work, index, field: Field):
     """Full normal form of a row (consumed) plus its certificate degree.
 
-    Same contract and step order as `kcx.groebner._reduce`: positions in
-    order, each step reducing the current leading term by the first indexed
-    basis row whose leading term divides it.  The leading term is found by a
-    rescan of the component at every step.
+    Same contract and step order as `kcx.groebner._reduce`: a row maps each
+    occupied position to its term dict; the smallest occupied position is
+    reduced first, each step reducing the current leading term by the first
+    indexed basis row whose leading term divides it, and a position whose
+    terms all cancel is dropped.  The leading term is found by a rescan of the
+    component at every step.
     """
-    remainder = [{} for _ in work]
+    remainder = {}
     cert = 0
-    for pos, comp in enumerate(work):
+    while work:
+        pos = min(work)
+        comp = work.pop(pos)
+        rem = {}
         while comp:
             lead = max(comp, key=grevlex_key)
             coef = comp[lead]
             for lt, _, g, g_cert in index[pos]:
                 if all(x <= y for x, y in zip(lt, lead)):
                     delta = tuple(x - y for x, y in zip(lead, lt))
-                    for q in range(pos, len(g)):
-                        target = work[q]
-                        for e, c in g[q].items():
+                    for q, gq in g.items():
+                        target = comp if q == pos else work.setdefault(q, {})
+                        for e, c in gq.items():
                             e2 = tuple(x + y for x, y in zip(e, delta))
                             s = field.sub(target.get(e2, field.zero()), field.mul(coef, c))
                             if s:
                                 target[e2] = s
                             else:
                                 target.pop(e2, None)
+                        if q != pos and not target:
+                            del work[q]
                     cert = max(cert, sum(delta) + g_cert)
                     break
             else:
-                remainder[pos][lead] = coef
+                rem[lead] = coef
                 del comp[lead]
+        if rem:
+            remainder[pos] = rem
     return remainder, cert
 
 

@@ -1,5 +1,6 @@
 """Canonical coefficients: a rational is an int exactly when it is integral."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -81,6 +82,26 @@ def test_large_prime_field_fused_step_stays_reduced():
                 assert got == F.add(a, F.mul(b, c)) and canonical(F, got), (a, b, c, got)
 
 
+def test_primitive_rows_are_integral_multiples_with_content_one():
+    rng = random.Random(1968)
+    values = [0, 1, -1, 2, -4, 6, 12, Fraction(1, 2), Fraction(-5, 6), Fraction(7, 12), Fraction(3, 4)]
+    for _ in range(300):
+        row = {j: QQ.of(rng.choice(values)) for j in range(rng.randint(0, 5))}
+        row = {j: c for j, c in row.items() if c}
+        got = QQ.primitive(dict(row))
+        assert list(got) == list(row)
+        if not row:
+            continue
+        assert all(type(c) is int for c in got.values())
+        assert math.gcd(*got.values()) == 1
+        first = next(iter(row))
+        ratio = Fraction(got[first]) / row[first]
+        assert all(got[j] == ratio * c for j, c in row.items())
+    for F in (GF(2), GF(32003)):
+        row = {0: 1, 3: F.of(-1)}
+        assert F.primitive(row) is row
+
+
 def test_render_is_the_same_for_equal_int_and_fraction_coefficients():
     variables = ("x", "y")
     for a, b in ((3, Fraction(3)), (-1, Fraction(-1)), (1, Fraction(2, 2)), (-12, Fraction(-24, 2))):
@@ -113,7 +134,7 @@ def test_gallery_bases_hold_only_canonical_coefficients(monkeypatch):
     fields = {field for field, _ in built}
     assert QQ in fields and GF(2) in fields
     coefficients = [
-        (field, c) for field, basis in built for row in basis for comp in row for c in comp.values()
+        (field, c) for field, basis in built for row in basis for comp in row.values() for c in comp.values()
     ]
     assert any(type(c) is Fraction for _, c in coefficients)
     assert all(canonical(field, c) for field, c in coefficients)

@@ -222,7 +222,7 @@ def _random_row(rng, field, nvars, rank, monomials):
         c = field.of(rng.choice(values))
         if c:
             row[rng.randrange(rank)][rng.choice(monomials)] = c
-    return row
+    return {pos: comp for pos, comp in enumerate(row) if comp}
 
 
 def _reducer_cases(rng, field):
@@ -258,8 +258,42 @@ def _reducer_cases(rng, field):
     return cases
 
 
+def _sparse_row(rng, field, window, monomials):
+    """A row on one to three positions of `window`, one or two terms each."""
+    values = [1, -1, 2, 3] + ([Fraction(1, 2)] if field.char == 0 else [])
+    row = {}
+    for pos in sorted(rng.sample(window, rng.randint(1, 3))):
+        comp = {rng.choice(monomials): field.of(rng.choice(values)) for _ in range(rng.randint(1, 2))}
+        comp = {e: c for e, c in comp.items() if c}
+        if comp:
+            row[pos] = comp
+    return row
+
+
+def _sparse_cases(rng, field):
+    """(rows, rank, None, None, probe rows) at the ranks of the solver targets
+    (8-24), with every row on one to three positions of a four-position window,
+    plus probes that are monomial multiples of a generator."""
+    monos = [m for m in itertools.product(range(3), repeat=2) if sum(m) <= 2]
+    cases = []
+    for _ in range(30):
+        rank = rng.randint(8, 24)
+        start = rng.randrange(rank - 3)
+        window = range(start, start + 4)
+        gens = [_sparse_row(rng, field, window, monos) for _ in range(rng.randint(2, 4))]
+        probes = [_sparse_row(rng, field, window, monos) for _ in range(3)]
+        g, shift = rng.choice(gens), rng.choice(monos)
+        probes.append({q: {tuple(map(sum, zip(e, shift))): c for e, c in comp.items()} for q, comp in g.items()})
+        cases.append((gens, rank, None, None, probes))
+    return cases
+
+
 def _items(row):
-    return [[(e, type(c), c) for e, c in comp.items()] for comp in row]
+    return [(pos, [(e, type(c), c) for e, c in comp.items()]) for pos, comp in row.items()]
+
+
+def _copy(row):
+    return {pos: dict(comp) for pos, comp in row.items()}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(32003)], ids=repr)
@@ -268,28 +302,61 @@ def test_heap_reducer_matches_rescan_oracle(field, monkeypatch):
     those of the reducer that rescans for each leading term."""
     rng = random.Random(7300 + field.char)
     cases = _reducer_cases(rng, field)
-    engine_reduce = groebner._reduce
+    sparse = _sparse_cases(rng, field)
+    engine_reduce, engine_add = groebner._reduce, groebner._add_multiple
 
-    def bases():
+    def bases(cases):
         return [groebner._groebner(gens, rank, field, grading, cap) for gens, rank, grading, cap, _ in cases]
 
+    # positions a reduction step opens in the work row, or empties there
+    steps = {"opened": 0, "emptied": 0}
+
+    def watched(work, g, delta, coef, field, skip=-1):
+        before = set(work)
+        engine_add(work, g, delta, coef, field, skip)
+        if skip >= 0:
+            steps["opened"] += bool(set(work) - before)
+            steps["emptied"] += bool(before - set(work))
+
     monkeypatch.setattr(groebner, "_reduce", rescan_reduce)
-    expected = bases()
+    expected, expected_sparse = bases(cases), bases(sparse)
+    monkeypatch.setattr(groebner, "_add_multiple", watched)
     # normal forms over the oracle's bases first: a wrong reduction order
     # shows in the remainder's term order long before it slows a basis build
-    for (basis, certs), (_, rank, _, _, probes) in zip(expected, cases):
+    for (basis, certs), (_, rank, _, _, probes) in zip(expected + expected_sparse, cases + sparse):
         index = groebner._index(basis, certs, rank)
         for p in probes:
-            got = engine_reduce([dict(c) for c in p], index, field)
-            want = rescan_reduce([dict(c) for c in p], index, field)
+            got = engine_reduce(_copy(p), index, field)
+            want = rescan_reduce(_copy(p), index, field)
             assert (_items(got[0]), got[1]) == (_items(want[0]), want[1])
+    assert steps["opened"] and steps["emptied"]
     monkeypatch.setattr(groebner, "_reduce", engine_reduce)
-    got = bases()
-    assert [([_items(r) for r in b], c) for b, c in got] == [
-        ([_items(r) for r in b], c) for b, c in expected
-    ]
+    got, got_sparse = bases(cases), bases(sparse)
+    for mine, theirs in ((got, expected), (got_sparse, expected_sparse)):
+        assert [([_items(r) for r in b], c) for b, c in mine] == [
+            ([_items(r) for r in b], c) for b, c in theirs
+        ]
     grown = sum(len(basis) > len(gens) for (basis, _), (gens, *_) in zip(got, cases))
     assert grown >= len(cases) // 4  # S-pairs added elements, not just interreduction
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    [
+        lambda: (P("a", QQ, ("a", "b")), P("b", QQ, ("a", "b"))),
+        lambda: (P("x", GF(3), ("x", "y")), P("0", GF(3), ("x", "y"))),
+    ],
+    ids=["variables", "field"],
+)
+def test_module_normal_forms_refuse_foreign_vectors(foreign):
+    gens = ("x", "y")
+    mb = ModuleBasis(QQ, gens, 2, [(P("x", QQ, gens), P("y", QQ, gens)), (P("y", QQ, gens), P("0", QQ, gens))])
+    v = foreign()
+    for call in (mb.normal_form, mb.normal_form_with_bound, mb.contains):
+        with pytest.raises(ValueError, match="polynomial is not in the ambient ring"):
+            call(v)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        mb.normal_form_with_bound(v[:1])
 
 
 def test_bases_over_their_own_ring_objects_compare_no_fields(monkeypatch):
@@ -308,6 +375,7 @@ def test_bases_over_their_own_ring_objects_compare_no_fields(monkeypatch):
     ib = IdealBasis(F, gens, ideal)
     nf = ib.normal_form(P("x^3*y", F, gens))
     mb = ModuleBasis(F, gens, 2, vectors)
+    mnf = mb.normal_form((P("x^2*y", F, gens), P("y^3", F, gens)))
     assert compared == []
 
     # equal rings built apart still pass, with the same results
@@ -320,6 +388,7 @@ def test_bases_over_their_own_ring_objects_compare_no_fields(monkeypatch):
     assert IdealBasis(F, gens, [apart(g) for g in ideal]).basis == ib.basis
     assert ib.normal_form(apart(P("x^3*y", F, gens))) == nf
     assert ModuleBasis(F, gens, 2, [tuple(map(apart, v)) for v in vectors]).basis == mb.basis
+    assert mb.normal_form((apart(P("x^2*y", F, gens)), apart(P("y^3", F, gens)))) == mnf
     assert compared
 
     # another field is refused

@@ -172,3 +172,54 @@ def test_sparse_solve_matches_dense_oracle(field):
         rng.shuffle(shuffled)
         assert _shape(affine_linear_solve(shuffled, unknowns, field)) == _shape(space)
     assert kinds == {"empty", "unique", "family"}
+
+
+def _canonical(field, c) -> bool:
+    if field.char:
+        return type(c) is int and 0 <= c < field.char
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _content_system(rng, field):
+    """A system with Fraction coefficients (denominators up to 12, none that
+    vanishes in the field), rows that share a content and rows that are
+    multiples of others."""
+    dens = [d for d in range(1, 13) if field.char == 0 or d % field.char]
+    n = rng.randint(1, 10)
+    unknowns = tuple(f"u{i}" for i in range(n))
+
+    def value():
+        return Fraction(rng.randint(-12, 12), rng.choice(dens))
+
+    eqs = []
+    for _ in range(rng.randint(1, n + 3)):
+        coeffs = {u: value() for u in unknowns if rng.random() < 0.6}
+        scale = rng.choice([1, 1, 6, -12, Fraction(1, rng.choice(dens))])  # a content shared by the row
+        eqs.append(LinearEquation({u: scale * c for u, c in coeffs.items()}, scale * value()))
+    if rng.random() < 0.5:
+        a = rng.choice(eqs)
+        k = rng.choice([2, -3, Fraction(5, 7)])
+        eqs.append(LinearEquation({u: k * c for u, c in a.coeffs.items()}, k * a.const + rng.choice([0, 0, 1])))
+    rng.shuffle(eqs)
+    return eqs, unknowns
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=repr)
+def test_fraction_free_solve_matches_dense_oracle(field):
+    """Cross-multiplied elimination on primitive rows gives the oracle's
+    solution space, with every entry in canonical form."""
+    rng = random.Random(1968 + field.char)
+    kinds = set()
+    for _ in range(200):
+        eqs, unknowns = _content_system(rng, field)
+        space = affine_linear_solve(eqs, unknowns, field)
+        oracle = dense_affine_solve(eqs, unknowns, field)
+        assert (space.particular, space.basis, space.free) == (oracle.particular, oracle.basis, oracle.free)
+        entries = [*(space.particular or ()), *(c for vec in space.basis for c in vec)]
+        assert all(_canonical(field, c) for c in entries)
+        kinds.add("empty" if space.is_empty else "unique" if space.is_unique else "family")
+    assert kinds == {"empty", "unique", "family"}
+    # an undeclared unknown is refused even after an inconsistent row
+    eqs = [LinearEquation({"a": Fraction(1, 3)}, 0), LinearEquation({"a": 3}, 1), LinearEquation({"z": 6}, 0)]
+    with pytest.raises(KeyError):
+        affine_linear_solve(eqs, ("a",), field)

@@ -10,6 +10,7 @@ also compare `sparse_normal_form` with `normal_form` on random vectors, and
 bound the module elements a solve builds by its relation rows.
 """
 
+import itertools
 import random
 
 import pytest
@@ -228,6 +229,32 @@ def test_sparse_normal_form_agrees_with_normal_form(build):
         assert list(got.items()) == [((pos, e), c) for pos, comp in enumerate(nf) for e, c in comp.terms.items()]
         reduced += sorted(got) != sorted(key for key, _ in terms)
     assert reduced  # some vectors were not already normal
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+@pytest.mark.parametrize("n", [2, 3])
+def test_single_term_inputs_take_the_standard_fast_path_exactly(n, field):
+    """Every (position, monomial) up to degree 4 of the lifted Omega (x) Omega
+    of S^n: `sparse_normal_form` equals `normal_form` term for term, and a
+    standard term comes back as the input itself."""
+    target = christoffel_target(kahler_module(helpers.sphere(n, field)))
+    basis, A = target.lifted, target.base
+    rng = random.Random(2100 + 10 * n + field.char)
+    exps = [e for e in itertools.product(range(5), repeat=len(A.gens)) if sum(e) <= 4]
+    kinds = set()
+    for pos in range(target.rank):
+        for e in exps:
+            c = field.of(rng.choice([1, -1, 2, 5, -7, 12345]))
+            v = tuple(
+                Polynomial(A.field, A.gens, {e: c} if q == pos else {}) for q in range(target.rank)
+            )
+            terms = {(pos, e): c}
+            got = basis.sparse_normal_form(terms)
+            nf = basis.normal_form(v)
+            assert list(got.items()) == [((q, e2), c2) for q, comp in enumerate(nf) for e2, c2 in comp.terms.items()]
+            kinds.add("standard" if got is terms else "reduced")
+            assert (got is terms) == (got == {(pos, e): c})
+    assert kinds == {"standard", "reduced"}
 
 
 def test_scaled_sparse_vectors_are_componentwise_products():
