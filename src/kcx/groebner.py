@@ -49,10 +49,6 @@ def grade_columns(grading: Grading) -> list[tuple[int, ...]]:
     return list(zip(*grading))
 
 
-def monomial_grade(exp: Exponent, grading: Grading) -> tuple[int, ...]:
-    return tuple(sum(map(mul, exp, column)) for column in grade_columns(grading))
-
-
 def fits_cap(exps: Iterable[Exponent], columns: list[tuple[int, ...]], cap: tuple[int, ...]) -> bool:
     """True iff the grade of every monomial in `exps` is at most `cap`.
 
@@ -281,9 +277,7 @@ class IdealBasis:
     stays within the cap; `normal_form` enforces that.
     """
 
-    __slots__ = (
-        "field", "vars", "generators", "basis", "cert_excess", "grading", "cap", "_columns", "_index"
-    )
+    __slots__ = ("field", "vars", "basis", "cert_excess", "cap", "_columns", "_index")
 
     def __init__(
         self,
@@ -298,8 +292,6 @@ class IdealBasis:
                 raise ValueError("generators live in different rings")
         self.field = field
         self.vars = variables
-        self.generators = list(generators)
-        self.grading = grading
         self.cap = cap
         self._columns = grade_columns(grading) if grading is not None and cap is not None else None
         rows, certs = _groebner([{0: g.terms} for g in generators if g.terms], 1, field, grading, cap)
@@ -320,9 +312,6 @@ class IdealBasis:
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
 
-    def is_unit_ideal(self) -> bool:
-        return any(b.is_constant() and not b.is_zero() for b in self.basis)
-
 
 # ---------------------------------------------------------------------------
 # submodules of free modules
@@ -332,7 +321,7 @@ class IdealBasis:
 class ModuleBasis:
     """Groebner basis of a submodule of a free module over a polynomial ring."""
 
-    __slots__ = ("field", "vars", "rank", "generators", "basis", "cert_degrees", "_index")
+    __slots__ = ("field", "vars", "rank", "basis", "cert_degrees", "_index")
 
     def __init__(self, field: Field, variables: tuple[str, ...], rank: int, generators: list[Vector]):
         for v in generators:
@@ -344,7 +333,6 @@ class ModuleBasis:
         self.field = field
         self.vars = variables
         self.rank = rank
-        self.generators = list(generators)
         rows = [{q: c.terms for q, c in enumerate(v) if c.terms} for v in generators]
         rows, self.cert_degrees = _groebner(rows, rank, field)
         self.basis = [self._vector(row) for row in rows]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .algebra import AlgebraElement, ElementLike, PresentedAlgebra, memoized
+from .algebra import ElementLike, PresentedAlgebra, memoized
 from .errors import OwnerMismatch, WellDefinednessFailure
 from .groebner import ModuleBasis, Vector, vector_leading
 from .poly import Polynomial
@@ -118,9 +118,6 @@ class ModuleElement:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
-
-    def component(self, gen: str) -> AlgebraElement:
-        return AlgebraElement(self.module.base, self.comps[self.module.gens.index(gen)])
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         other = self.module.element(other)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import add, le, neg, sub
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .fields import Coef, Field
 
@@ -133,14 +133,8 @@ class Polynomial:
         """Coefficient of the constant monomial."""
         return self.terms.get((0,) * len(self.vars), self.field.zero())
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_exponents(self) -> list[Exponent]:
         return sorted(self.terms, key=grevlex_key, reverse=True)
-
-    def __iter__(self) -> Iterator[tuple[Exponent, Coef]]:
-        return iter(self.terms.items())
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -162,10 +156,7 @@ class Polynomial:
         return (self.vars is variables or self.vars == variables) and (self.field is field or self.field == field)
 
     def _check(self, other: "Polynomial"):
-        # identity settles the common case; equal rings built apart still pass
-        if (self.vars is not other.vars or self.field is not other.field) and (
-            self.field != other.field or self.vars != other.vars
-        ):
+        if not other.in_ring(self.field, self.vars):
             raise ValueError("polynomials live in different rings")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -210,12 +201,6 @@ class Polynomial:
             return Polynomial.zero(f, self.vars)
         return Polynomial._of_terms(f, self.vars, {e: f.mul(v, c) for e, v in self.terms.items()})
 
-    def mul_monomial(self, exp: Exponent, coef: Coef) -> "Polynomial":
-        f = self.field
-        if not coef:
-            return Polynomial.zero(f, self.vars)
-        return Polynomial._of_terms(f, self.vars, {exp_mul(e, exp): f.mul(c, coef) for e, c in self.terms.items()})
-
     # ---------- calculus and substitution ----------
 
     def partial(self, name: str) -> "Polynomial":
@@ -247,9 +232,7 @@ class Polynomial:
             key = (i, n)
             if key not in cache:
                 image = images[self.vars[i]]
-                if (image.vars is not target_vars or image.field is not f) and (
-                    image.field != f or image.vars != target_vars
-                ):
+                if not image.in_ring(f, target_vars):
                     raise ValueError("polynomials live in different rings")
                 cache[key] = image.terms if n == 1 else (image ** n).terms
             return cache[key]
@@ -297,40 +280,32 @@ class Polynomial:
                         c = f.mul(c, scale ** k)
             else:
                 key = tuple(exp)
-                s = f.add(out.get(key, 0), c)
-                if s:
+                if key not in out:
+                    out[key] = c
+                elif s := f.add(out[key], c):
                     out[key] = s
                 else:
-                    out.pop(key, None)
+                    del out[key]
         return Polynomial._of_terms(f, target_vars, out)
 
     def change_vars(self, target_vars: tuple[str, ...], rename: Mapping[str, str] | None = None) -> "Polynomial":
         """Re-express over a different variable list (by name, optionally renamed).
 
         Every occurring variable must map to a target variable.  This maps
-        monomials to monomials, much cheaper than `substitute`; variables
-        merged into one add their exponents, and merged terms their coefficients.
+        monomials to monomials through `move_exponents`, much cheaper than
+        `substitute`; variables merged into one add their exponents, and
+        merged terms their coefficients.
         """
-        pos: dict[int, int] = {}
+        table = []
         for i, v in enumerate(self.vars):
             w = rename.get(v, v) if rename else v
             if w in target_vars:
-                pos[i] = target_vars.index(w)
-        f, n = self.field, len(target_vars)
-        out: dict[Exponent, Coef] = {}
-        for e, c in self.terms.items():
-            new = [0] * n
-            for i, v in enumerate(e):
-                if v:
-                    if i not in pos:
-                        raise KeyError(f"variable {self.vars[i]!r} missing from target ring")
-                    new[pos[i]] += v
-            exp = tuple(new)
-            if exp in out:
-                c = f.add(out.pop(exp), c)
-            if c:
-                out[exp] = c
-        return Polynomial._of_terms(f, target_vars, out)
+                table.append((target_vars.index(w), 1))
+            elif any(e[i] for e in self.terms):
+                raise KeyError(f"variable {v!r} missing from target ring")
+            else:
+                table.append(None)
+        return self.move_exponents(table, target_vars)
 
     # ---------- rendering ----------
 

@@ -246,19 +246,13 @@ class SymBundle(PresentedAlgebra):
         # no cap: S_A(M) itself carries arbitrary symmetric degrees
         super().__init__(A.field, gens, relations, roles=roles, grading=grading)
 
-    def module_element(self, e: ModuleElement) -> "PresentedAlgebra.element":
-        """An M-element as the corresponding degree-one element of S_A(M)."""
-        if e.module is not self.M:
-            raise ValueError("element of a different module")
-        return self.element(linear_form(self.field, self.gens, e.comps, self.M.gens))
-
 
 # ---------------------------------------------------------------------------
 # tangent functor on morphisms
 # ---------------------------------------------------------------------------
 
 
-def tangent_apply_functor(f: AlgebraMorphism, certify: bool = False) -> AlgebraMorphism:
+def tangent_apply_functor(f: AlgebraMorphism) -> AlgebraMorphism:
     """T(f): base generators map by f, differentials by the differential of f's images."""
     TB = tangent_algebra(f.dom)
     TC = tangent_algebra(f.cod)
@@ -267,8 +261,8 @@ def tangent_apply_functor(f: AlgebraMorphism, certify: bool = False) -> AlgebraM
         img = f.images[g]
         images[g] = img.change_vars(TC.gens)
         images[TB.dmap[g]] = TC.differential(img)
-    out = AlgebraMorphism(TB, TC, images, certify=certify, name=f"T({f.name})")
-    out.certified = out.certified or f.certified  # functoriality preserves well-definedness
+    out = AlgebraMorphism(TB, TC, images, certify=False, name=f"T({f.name})")
+    out.certified = f.certified  # functoriality preserves well-definedness
     return out
 
 
@@ -466,7 +460,7 @@ class BundleContext:
 
     @cached_property
     def Tq(self) -> AlgebraMorphism:
-        return tangent_apply_functor(self.q, certify=True)
+        return tangent_apply_functor(self.q).certify()
 
     @cached_property
     def lift_S(self) -> AlgebraMorphism:
@@ -474,7 +468,7 @@ class BundleContext:
 
     @cached_property
     def T_lam(self) -> AlgebraMorphism:
-        return tangent_apply_functor(self.lam, certify=True)
+        return tangent_apply_functor(self.lam).certify()
 
     def _down(self, f0: AlgebraMorphism, f1: AlgebraMorphism, name: str) -> AlgebraMorphism:
         """f0 (x) f1: T(T(A) (x)_A S) -> T(A) (x)_A S, factor by factor.

@@ -11,6 +11,10 @@ forms involved.  `brute_standard_monomials` tests every monomial up to the
 degree against every leading term; it checks the engine's order-ideal walk.
 `loop_monomial_grade` sums each grade coordinate in a double loop over the
 grading rows; it checks the engine's precomputed weight columns.
+`loop_change_vars` moves each term's exponents to their target positions in
+a loop of its own; it checks `Polynomial.change_vars`, which moves them
+through `move_exponents`.  `total_degree` and `shift` (a monomial multiple)
+serve the dense membership oracles and the old solver columns.
 `partial_differential` builds d(p) as a sum of partial derivatives times
 differentials; it checks the one-pass `TangentPresentation.differential`.
 `signed_sum_images` adds each relabel image up from signed variables; it
@@ -79,6 +83,42 @@ def loop_monomial_grade(exp: tuple[int, ...], grading: list[tuple[int, ...]]) ->
         for t in range(len(out)):
             out[t] += e * g[t]
     return tuple(out)
+
+
+def loop_change_vars(p: Polynomial, target_vars: tuple[str, ...], rename=None) -> Polynomial:
+    """`change_vars` as one loop over each term's exponents; merged monomials
+    add their coefficients, and a merged term moves to the end of the dict."""
+    pos: dict[int, int] = {}
+    for i, v in enumerate(p.vars):
+        w = rename.get(v, v) if rename else v
+        if w in target_vars:
+            pos[i] = target_vars.index(w)
+    f, n = p.field, len(target_vars)
+    out: dict[tuple[int, ...], Coef] = {}
+    for e, c in p.terms.items():
+        new = [0] * n
+        for i, v in enumerate(e):
+            if v:
+                if i not in pos:
+                    raise KeyError(f"variable {p.vars[i]!r} missing from target ring")
+                new[pos[i]] += v
+        exp = tuple(new)
+        if exp in out:
+            c = f.add(out.pop(exp), c)
+        if c:
+            out[exp] = c
+    return Polynomial(f, target_vars, out)
+
+
+def total_degree(p: Polynomial) -> int:
+    """Largest total degree of a term of p; 0 for the zero polynomial."""
+    return max((sum(e) for e in p.terms), default=0)
+
+
+def shift(p: Polynomial, exp: tuple[int, ...], coef: Coef) -> Polynomial:
+    """coef * x^exp * p, term by term in p's order."""
+    f = p.field
+    return Polynomial(f, p.vars, {tuple(a + b for a, b in zip(e, exp)): f.mul(c, coef) for e, c in p.terms.items()})
 
 
 def rescan_reduce(work, index, field: Field):
@@ -207,9 +247,9 @@ def span_contains(p: Polynomial, gens: list[Polynomial], bound: int) -> bool:
     for g in gens:
         if g.is_zero():
             continue
-        gdeg = g.total_degree()
+        gdeg = total_degree(g)
         for mono in monomials_up_to(nvars, max(bound - gdeg, 0)):
-            columns.append(g.mul_monomial(mono, field.one()))
+            columns.append(shift(g, mono, field.one()))
     unknowns = tuple(f"t{i}" for i in range(len(columns)))
     rows: dict[tuple, LinearEquation] = {}
     seen = set()
@@ -234,9 +274,9 @@ def module_span_contains(v, gens, bound: int, field: Field) -> bool:
     nvars = len(v[0].vars)
     columns = []
     for g in gens:
-        gdeg = max((c.total_degree() for c in g), default=0)
+        gdeg = max((total_degree(c) for c in g), default=0)
         for mono in monomials_up_to(nvars, max(bound - gdeg, 0)):
-            columns.append(tuple(c.mul_monomial(mono, field.one()) for c in g))
+            columns.append(tuple(shift(c, mono, field.one()) for c in g))
     unknowns = tuple(f"t{i}" for i in range(len(columns)))
     seen = set()
     for col in columns:

@@ -1,7 +1,9 @@
 """No module of the engine imports a name it never uses, imports inside a
 function without a reason, caches outside the one cache idiom, or reduces a
 value only to unwrap its polynomial without a reason, and the Groebner and
-linear-algebra kernels leave field arithmetic to `fields.py`.
+linear-algebra kernels leave field arithmetic to `fields.py`.  Every function,
+method and class of the engine is read somewhere else in the engine, exported,
+or kept for a stated reason.
 
 The package's public names are pinned, so adding or removing one is a
 deliberate edit here.
@@ -250,3 +252,66 @@ def test_retired_entry_points_are_gone(module, name):
 def test_retired_methods_are_gone():
     assert not {"_affine_flip", "_affine_swap"} & set(vars(BundleContext))
     assert "render_table" not in vars(Connection)
+
+
+# (file, qualified name): why a definition that nothing else in the engine
+# references stays
+UNREFERENCED = {
+    ("groebner.py", "ModuleBasis.normal_form_with_bound"): "the benchmark's span target; it goes "
+    "with the certificate-degree bookkeeping (ROADMAP item 6)",
+    ("tangent.py", "BundleContext.sigma"): "the bundle's fibrewise addition, a structure map of "
+    "the bundle that no axiom check reads",
+    ("curvature.py", "torsionfree_horizontal_criterion"): "the torsion-free test on the "
+    "horizontal form, checked against module torsion",
+    ("solve.py", "ConnectionSpace.contains_connection"): "whether a given connection lies in "
+    "a solved space, the query a solution space answers",
+}
+
+
+# the node types that read a name, and the field holding it
+READ_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def unreferenced(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(file, qualified name) of each function, method and class, dunders
+    aside, whose name no line outside its own definition reads, imports or
+    reaches as an attribute in any of `sources` (file name -> source)."""
+    defined, reads = [], []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+
+        def walk(node, scope: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    qualname = f"{scope}.{child.name}" if scope else child.name
+                    defined.append((name, qualname, child.name, child.lineno, child.end_lineno))
+                    walk(child, qualname)
+                else:
+                    walk(child, scope)
+
+        walk(tree, "")
+        for node in ast.walk(tree):
+            if field := READ_FIELDS.get(type(node)):
+                reads.append((name, getattr(node, field), node.lineno))
+    return [
+        (name, qualname)
+        for name, qualname, word, first, last in defined
+        if not (word.startswith("__") and word.endswith("__"))
+        and not any(w == word and not (f == name and first <= line <= last) for f, w, line in reads)
+    ]
+
+
+def test_detector_flags_an_unreferenced_definition():
+    sources = {
+        "a.py": "def used():\n    return 1\n\ndef alone():\n    return alone()\n\n"
+        "class C:\n    def __len__(self):\n        return 0\n    def m(self):\n        return used()\n",
+        "b.py": "from .a import C\nC().m\n",
+    }
+    assert unreferenced(sources) == [("a.py", "alone")]
+
+
+def test_every_definition_is_referenced_exported_or_allowed():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    found = [key for key in unreferenced(sources) if key[1] not in kcx.__all__]
+    assert [key for key in found if key not in UNREFERENCED] == []
+    assert set(UNREFERENCED) <= set(found)

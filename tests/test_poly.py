@@ -6,6 +6,8 @@ from kcx.fields import GF, QQ, Field
 from kcx.parse import MAX_DEPTH, ParseError, poly_normalize
 from kcx.poly import Polynomial, grevlex_key
 
+from oracles import loop_change_vars
+
 
 def P(text, field=QQ, variables=("x", "y")):
     return poly_normalize(text, field, variables)
@@ -187,3 +189,38 @@ def test_change_vars_adds_what_a_rename_merges():
             p = random_poly(rng, field, source, terms=6)
             images = {v: Polynomial.variable(field, target, rename[v]) for v in source}
             assert p.change_vars(target, rename) == p.substitute(images, target)
+
+
+
+def test_change_vars_keeps_the_contract_of_the_exponent_loop():
+    """An occurring variable with no target raises KeyError, one that does not
+    occur may be missing, and injective renamings (by name or by table) give
+    the old loop's terms in the old loop's order."""
+    with pytest.raises(KeyError, match="'y'"):
+        P("x*y + 1").change_vars(("x", "z"))
+    assert P("x^2 - 3").change_vars(("z", "x")) == P("x^2 - 3", variables=("z", "x"))
+    rng = random.Random(7321)
+    raised = 0
+    for field in (QQ, GF(2), GF(5)):
+        for _ in range(60):
+            source = tuple(f"a{i}" for i in range(rng.randint(1, 4)))
+            dropped = rng.choice(source) if rng.random() < 0.3 else None  # has no target
+            if rng.random() < 0.5:  # renamed injectively into fresh names
+                target = tuple(f"t{i}" for i in range(len(source) + rng.randint(0, 2)))
+                rename = dict(zip(source, rng.sample(target, len(source))))
+                if dropped:
+                    rename[dropped] = "gone"
+            else:  # kept by name, in a shuffled target with two extra variables
+                target = tuple(v for v in rng.sample(source + ("t0", "t1"), len(source) + 2) if v != dropped)
+                rename = None
+            p = random_poly(rng, field, source, terms=8)
+            try:
+                want = loop_change_vars(p, target, rename)
+            except KeyError:
+                raised += 1
+                with pytest.raises(KeyError):
+                    p.change_vars(target, rename)
+                continue
+            got = p.change_vars(target, rename)
+            assert got.vars == target and list(got.terms.items()) == list(want.terms.items())
+    assert raised > 5

@@ -4,7 +4,7 @@ The bounded-degree solvers write each column as a sparse vector, (position,
 exponent) -> coefficient, and reduce it with `ModuleBasis.sparse_normal_form`.
 These tests compare every column and constant of the three solvers with the
 module element it stands for, built as the solvers once built it:
-`target.combine([(idx, r_g.mul_monomial(exp, 1))])` on relation rows and the
+`target.combine([(idx, x^exp * r_g)])` on relation rows and the
 unit column `r.scaled(scale)` on gluing rows, term for term and in order.  They
 also compare `sparse_normal_form` with `normal_form` on random vectors, and
 bound the module elements a solve builds by its relation rows.
@@ -34,6 +34,7 @@ from kcx.solve import (
 )
 
 import helpers
+from oracles import shift
 
 
 def _items(v):
@@ -62,7 +63,7 @@ def _old_relation_columns(M, target, layout, first_row=0):
         coefs = dict(zip(M.gens, row))
         for (g, idx, exp), name in layout.items():
             if g in coefs and not coefs[g].is_zero():
-                columns[name][r] = target.combine([(idx, coefs[g].mul_monomial(exp, one))])
+                columns[name][r] = target.combine([(idx, shift(coefs[g], exp, one))])
     return columns
 
 
