@@ -122,6 +122,37 @@ class PresentedAlgebra:
         rels = [r for r in self.relations if self.within_cap(r)]
         return frozenset(rels) | frozenset(-r for r in rels)
 
+    # A renaming g with p - g(p) in the ideal for every p, or None; only a
+    # `TensorAlgebra` whose factor maps are plain renamings on A has one.
+    glue: "AlgebraMorphism | None" = None
+
+    @cached_property
+    def _glued_relations(self) -> frozenset[Polynomial]:
+        return frozenset(map(self.glue.apply_raw, self.signed_relations))
+
+    def proves_zero(self, p: Polynomial) -> bool:
+        """Whether raw `p` is zero here by definition, with no normal form.
+
+        It is when it is zero or a signed relation, or, within the cap, when
+        its glued form is zero or a glued signed relation: p - glue(p) and
+        r - glue(r) lie in the ideal, so glue(p) == glue(r) gives p = r.
+        """
+        if p.is_zero() or p in self.signed_relations:
+            return True
+        if self.glue is None or not self.within_cap(p):
+            return False
+        glued = self.glue.apply_raw(p)
+        return glued.is_zero() or glued in self._glued_relations
+
+    def proves_equal(self, p: Polynomial, q: Polynomial) -> bool:
+        """Whether raw `p` and `q` are equal here by definition: both within
+        the cap and equal term for term, as given or after gluing."""
+        if p.terms == q.terms:
+            return self.within_cap(p)
+        if self.glue is None or not (self.within_cap(p) and self.within_cap(q)):
+            return False
+        return self.glue.apply_raw(p).terms == self.glue.apply_raw(q).terms
+
     def __repr__(self) -> str:
         rels = "; ".join(r.render() for r in self.relations) or "0"
         return f"<algebra k[{', '.join(self.gens)}]/({rels}) char {self.field.char}>"
@@ -281,15 +312,15 @@ class AlgebraMorphism:
     def certify(self) -> "AlgebraMorphism":
         """Prove that every domain relation maps to zero in the codomain.
 
-        A raw image that is zero, or a codomain relation up to sign, is zero
-        there by definition.  Most structure maps send every relation to one
-        of those, and are then certified with no codomain basis.  Otherwise
-        the same images go through `certificate`, whose first nonzero residue
-        is the failure.
+        A raw image that is zero, or a codomain relation up to sign, as given
+        or after the codomain's gluing, is zero there by definition
+        (`PresentedAlgebra.proves_zero`).  Most structure maps send every
+        relation to one of those, and are then certified with no codomain
+        basis.  Otherwise the same images go through `certificate`, whose
+        first nonzero residue is the failure.
         """
         raw = [self.apply_raw(rel) for rel in self.dom.relations]
-        known = self.cod.signed_relations
-        if not all(p.is_zero() or p in known for p in raw):
+        if not all(map(self.cod.proves_zero, raw)):
             for rel, residue in self.certificate(raw):
                 if not residue.is_zero():
                     raise WellDefinednessFailure(self.name or "morphism", rel.render(), residue.render())
@@ -323,12 +354,14 @@ class AlgebraMorphism:
     def agrees_on(self, other: "AlgebraMorphism", gen: str) -> bool:
         """Whether both maps send `gen` to the same codomain element.
 
-        Identical raw images within the codomain's grade cap agree with no
-        normal form; any other pair is compared by normal forms, so an image
-        above the cap is refused as `image_of` refuses it.
+        Raw images within the codomain's grade cap that are identical, or
+        identical after its gluing, agree with no normal form
+        (`PresentedAlgebra.proves_equal`); any other pair is compared by
+        normal forms, so an image above the cap is refused as `image_of`
+        refuses it.
         """
         mine, theirs = self.images[gen], other.images[gen]
-        if other.cod is self.cod and mine.terms == theirs.terms and self.cod.within_cap(mine):
+        if other.cod is self.cod and self.cod.proves_equal(mine, theirs):
             return True
         return self.image_of(gen) == other.image_of(gen)
 
@@ -478,14 +511,21 @@ def compose_chain(maps: list[AlgebraMorphism]) -> AlgebraMorphism:
 
 
 class TensorAlgebra(PresentedAlgebra):
-    """B1 (x)_A B2 presented on renamed generators with A-images identified."""
+    """B1 (x)_A B2 presented on renamed generators with A-images identified.
 
-    def __init__(self, left, right, gens, relations, roles, rename0, rename1, grading=None, cap=None):
+    `self.glue` is the renaming z#1 -> y#0 over the identifications y#0 - z#1
+    of two plain generators (x#1 -> x#0 for T(A) (x)_A S_A(M)), when
+    `tensor_over_base` finds one (`_gluing`), else None.
+    """
+
+    def __init__(self, left, right, gens, relations, roles, rename0, rename1, grading=None, cap=None, glue=None):
         super().__init__(left.field, gens, relations, roles=roles, grading=grading, cap=cap)
         self.factors = (left, right)
         self.rename = (dict(rename0), dict(rename1))
         self.i0 = relabel(left, self, rename0, "i0", certify=False)
         self.i1 = relabel(right, self, rename1, "i1", certify=False)
+        if glue is not None:
+            self.glue = relabel(self, self, glue, "glue", certify=False)
 
     def pair(self, w: ElementLike, v: ElementLike) -> AlgebraElement:
         """The simple tensor w (x) v."""
@@ -534,7 +574,25 @@ def tensor_over_base(
     for a in A.gens:
         left, right = f1.images[a].change_vars(gens, rename0), f2.images[a].change_vars(gens, rename1)
         relations.append(left - right)
-    return TensorAlgebra(B1, B2, gens, relations, roles, rename0, rename1, grading=grading, cap=cap)
+    glue = _gluing(f1, f2, rename0, rename1)
+    return TensorAlgebra(B1, B2, gens, relations, roles, rename0, rename1, grading, cap, glue)
+
+
+def _gluing(f1: AlgebraMorphism, f2: AlgebraMorphism, rename0, rename1) -> dict[str, str] | None:
+    """z#1 -> y#0 for each base generator a with f1(a) = y and f2(a) = z, or
+    None unless every image is one generator with coefficient 1 and no z
+    gets two targets.  Each z#1 - y#0 is an identification relation (with
+    no base generators the gluing is the identity)."""
+    if f1._renaming is None or f2._renaming is None:
+        return None
+    table: dict[str, str] = {}
+    for s1, s2 in zip(f1._renaming, f2._renaming):
+        if s1 is None or s2 is None or s1[1] != 1 or s2[1] != 1:
+            return None
+        z, y = rename1[f2.cod.gens[s2[0]]], rename0[f1.cod.gens[s1[0]]]
+        if table.setdefault(z, y) != y:
+            return None
+    return table
 
 
 def fresh_name(taken: tuple[str, ...], name: str) -> str:

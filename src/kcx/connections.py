@@ -8,11 +8,18 @@ forms: the horizontal form H out of T(S_A(M)) and the vertical form K into it,
 and back; the axiom suite checks the four H diagrams, the four K diagrams and
 the two compatibility equations as morphism identities on generators.
 
-Each connection builds H and K once, on first use.  K is certified by the
-Leibniz residues the construction already checked: a vertical form is well
-defined exactly when the Leibniz rule holds, so K needs no basis of
-T(S_A(M)) (`Connection._leibniz_certifies`).  Data that fails the Leibniz
-rule falls back to K's full certificate, which reports the failure.
+Each connection builds H and K once, on first use.  Both are certified by
+the Leibniz residues the construction already checked, with no basis of
+T(S_A(M)) or T(A) (x)_A S_A(M) (`Connection._leibniz_certifies`,
+`Connection._horizontal_certifies`).  H's images mix the copies x#0 and x#1
+of A's generators, so they are compared after the gluing x#1 -> x#0
+(`TensorAlgebra.glue`): p - glue(p) lies in the ideal of the identifications.
+Data that fails the Leibniz rule falls back to the full certificate, which
+reports the failure.  `from_horizontal` reads H's raw d(m) images: every
+monomial of bidegree (1,1) in T(A) (x)_A S_A(M) has shape form, and the
+ideal's bidegree-(1,1) part reads into relation rows of Omega (x) M, so the
+raw read and the normal-form read give the same connection; an image with
+stray terms is read from its normal form.
 """
 
 from __future__ import annotations
@@ -75,7 +82,18 @@ class Connection:
 
     @cached_property
     def H(self) -> AlgebraMorphism:
-        """H: T(S_A(M)) -> T(A) (x)_A S_A(M) with H(d(m)) the connection image."""
+        """H: T(S_A(M)) -> T(A) (x)_A S_A(M) with H(d(m)) the connection image.
+
+        H sends x and d(x) into the T(A) factor (x#0, d_x#0), m into the
+        S_A(M) factor (m#1) and d(m) to write(Gamma(m)), whose coefficients
+        sit on x#1.  It is certified by the Leibniz residues
+        (`_horizontal_certifies`): the relations of A, their differentials
+        and the rows rho of M match relations of the tensor after the gluing
+        x#1 -> x#0, and H(d(rho)) is, after gluing, write(L) for the Leibniz
+        terms L of rho's row, which is zero when L combines to zero in
+        Omega (x) M.  Otherwise H's full certificate decides and names the
+        first relation with a nonzero residue.
+        """
         ctx = self.ctx
         TS, T = ctx.TS, ctx.TAS
         images: dict[str, Polynomial] = {}
@@ -85,7 +103,11 @@ class Connection:
         for m in ctx.M.gens:
             images[m] = Polynomial.variable(T.field, T.gens, f"{m}#1")
             images[TS.dmap[m]] = ctx.omega_m_shapes.write(self.gamma[m])
-        return AlgebraMorphism(TS, T, images, certify=True, name="H")
+        H = AlgebraMorphism(TS, T, images, certify=False, name="H")
+        if self._horizontal_certifies(H):
+            H.certified = True
+            return H
+        return H.certify()
 
     @cached_property
     def K(self) -> AlgebraMorphism:
@@ -105,6 +127,22 @@ class Connection:
             return K
         return K.certify()
 
+    @cached_property
+    def _leibniz_rows(self) -> list[tuple[Polynomial, Polynomial]] | None:
+        """(rho, write(L)) per relation row of M, rho its linear form in
+        S_A(M) and L its `leibniz_terms`, written raw into T(A) (x)_A S_A(M);
+        None when some L does not combine to zero in Omega (x) M, so that the
+        residues certify neither bundle form."""
+        ctx = self.ctx
+        M, shapes = self.module, ctx.omega_m_shapes
+        out = []
+        for row, rho in zip(M.relations, ctx.S.relations[len(ctx.A.relations):]):
+            terms = list(leibniz_terms(M, shapes.module, enumerate(row), self.gamma))
+            if not shapes.module.combine(terms).is_zero():
+                return None
+            out.append((rho, shapes.write_raw(terms)))
+        return out
+
     def _leibniz_certifies(self, K: AlgebraMorphism) -> bool:
         """Whether the Leibniz residues show that K kills every relation of S_A(M).
 
@@ -120,15 +158,37 @@ class Connection:
         multiple of b.  This is the correspondence of K with the module-side
         Leibniz rule, used as a certificate.
         """
-        ctx = self.ctx
-        M, TS, shapes = self.module, ctx.TS, ctx.omega_m_shapes
-        rows = ctx.S.relations[len(ctx.A.relations):]
-        for row, rho in zip(M.relations, rows):
-            terms = list(leibniz_terms(M, shapes.module, enumerate(row), self.gamma))
-            expected = TS.differential(rho) - ctx.U.apply_raw(shapes.write_raw(terms))
-            if K.apply_raw(rho) != expected or not shapes.module.combine(terms).is_zero():
-                return False
-        return True
+        rows = self._leibniz_rows
+        if rows is None:
+            return False
+        TS, U = self.ctx.TS, self.ctx.U
+        return all(K.apply_raw(rho) == TS.differential(rho) - U.apply_raw(written) for rho, written in rows)
+
+    def _horizontal_certifies(self, H: AlgebraMorphism) -> bool:
+        """Whether the Leibniz residues show that H kills every relation of T(S_A(M)).
+
+        The relations of T(S_A(M)) are A's relations r, the linear forms rho
+        of M's rows, the d(r) and the d(rho).  H sends r and d(r) to the
+        relations r and d(r) of T(A) over x#0, and rho to rho over x#0 and
+        m#1, which the gluing x#1 -> x#0 of T(A) (x)_A S_A(M) matches with its
+        relation rho over x#1 (`PresentedAlgebra.proves_zero`).  H(d(rho)) is
+        the Leibniz sum of rho's row with x#0 and x#1 mixed, so after gluing
+        it must equal write(L) term for term, and L must combine to zero in
+        Omega (x) M.  Then H(d(rho)) is zero: write is k[x]-linear (x acting as
+        x#1) and sends every relation row of Omega (x) M into the ideal, as
+        for K (`_leibniz_certifies`), and p - glue(p) lies in the ideal of the
+        identifications x#0 - x#1.
+        """
+        rows = self._leibniz_rows
+        if rows is None:
+            return False
+        T = self.ctx.TAS  # its factor maps A -> T(A), A -> S_A(M) are inclusions, so it has a gluing
+        relations = self.ctx.TS.relations
+        n = len(relations) - len(rows)  # the d(rho) come last, in row order
+        if not all(T.proves_zero(H.apply_raw(r)) for r in relations[:n]):
+            return False
+        glue = T.glue.apply_raw
+        return all(glue(H.apply_raw(d_rho)) == glue(written) for (_, written), d_rho in zip(rows, relations[n:]))
 
     def __repr__(self) -> str:
         rows = "; ".join(f"{g} -> {self.gamma[g].render()}" for g in self.module.gens)
@@ -199,14 +259,18 @@ def to_vertical(nabla: Connection) -> AlgebraMorphism:
 
 
 def from_horizontal(H: AlgebraMorphism, M: PresentedModule) -> Connection:
-    """Recover the connection from a horizontal form (axioms checked first)."""
+    """Recover the connection from a horizontal form (axioms checked first);
+    a raw d(m) image with stray terms is read from its normal form."""
     ctx = bundle_context(M)
     report = verify_horizontal_axioms(H, M)
     if not report.all_pass:
         raise AxiomFailure(report)
     images = {}
     for m in M.gens:
-        elem, stray = ctx.omega_m_shapes.read(H.image_of(ctx.TS.dmap[m]))
+        dm = ctx.TS.dmap[m]
+        elem, stray = ctx.omega_m_shapes.read(H.images[dm])
+        if not stray.is_zero():
+            elem, stray = ctx.omega_m_shapes.read(H.image_of(dm))
         if not stray.is_zero():
             raise MembershipFailure(m, stray.render())
         images[m] = elem

@@ -5,10 +5,11 @@ Gauss-Jordan elimination over the exact field yields either "empty" or a
 particular solution plus a basis of the homogeneous solution space.  Rows are
 sparse (column -> nonzero coefficient, the constant at column n) and kept as
 the multiple `Field.primitive` gives, over QQ integral with content 1.
-Elimination is fraction-free (Bareiss): row := p * row - a * pivot, and each
-solution entry is divided once, at read-off.  The reduced row echelon form is
-unique for the column order of `unknowns`, so the result does not depend on
-the order of the equations or on the multiples kept.
+Elimination is fraction-free (Bareiss): row := p * row - a * pivot, or row +
+a * pivot (the same row up to sign) when p = -1, and each solution entry is
+divided once, at read-off.  The reduced row echelon form is unique for the
+column order of `unknowns`, so the result does not depend on the order of the
+equations or on the multiples kept.
 """
 
 from __future__ import annotations
@@ -121,10 +122,19 @@ def affine_linear_solve(
 
 def _eliminate(row: dict[int, Coef], col: int, pivot: dict[int, Coef], f: Field) -> dict[int, Coef]:
     """The primitive multiple of p * row - a * pivot, with p = pivot[col] and a = row[col],
-    so column col cancels; `row` is consumed, and entries that cancel are dropped."""
-    p, factor = pivot[col], f.neg(row[col])
-    if p != f.one():
-        row = {j: f.mul(p, c) for j, c in row.items()}
+    so column col cancels; `row` is consumed, and entries that cancel are dropped.
+
+    For p = -1 it is row + a * pivot, the same row up to sign with no scaling
+    pass; the read-off divides each pivot row by its own entry, so the sign
+    of a row never shows.
+    """
+    p, a = pivot[col], row[col]
+    if p == f.neg(f.one()):
+        factor = a
+    else:
+        factor = f.neg(a)
+        if p != f.one():
+            row = {j: f.mul(p, c) for j, c in row.items()}
     for j, c in pivot.items():
         v = f.addmul(row[j], factor, c) if j in row else f.mul(factor, c)
         if v:

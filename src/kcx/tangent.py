@@ -26,9 +26,12 @@ per correspondence, each a table of signed products of generators: Omega(A)
 (x) M in T(A) (x)_A S_A(M) (the H and K images), psi/phi between
 Omega^2 (x) M and T^2(S_A(M)) (curvature) and psi-hat/phi-hat between
 Omega^2 and T(S_A(Omega)) (torsion).  `write` is the only writer and `read`
-the only reader of those shapes.  U after the Omega(A) (x) M `write` sends
-every relation row of Omega(A) (x) M into the ideal of T(S_A(M)), which is
-what lets `connections.Connection.K` be certified from the Leibniz residues.
+the only reader of those shapes.  The Omega(A) (x) M `write` sends every
+relation row of Omega(A) (x) M into the ideal of T(A) (x)_A S_A(M), and U
+after it into the ideal of T(S_A(M)), which is what lets
+`connections.Connection.H` and `Connection.K` be certified from the Leibniz
+residues; H's images are compared after the tensor's gluing x#1 -> x#0
+(`algebra.TensorAlgebra.glue`).
 
 Each module's bundle is `bundle_context(M)`, one `BundleContext` with U and
 every map above as attributes.  The maps that exist only for M = Omega(A),

@@ -79,6 +79,18 @@ def random_plane_connection(plane, rng: random.Random, max_degree: int = 2) -> C
     return make_connection(omega, images)
 
 
+def random_gamma(rng: random.Random, M) -> dict:
+    """Random Christoffel data on M, mostly failing the Leibniz rule."""
+    target = christoffel_target(M)
+    A = M.base
+
+    def poly():
+        exps = [tuple(rng.randint(0, 2) for _ in A.gens) for _ in range(2)]
+        return Polynomial(A.field, A.gens, {e: rng.randint(-2, 2) for e in exps})
+
+    return {g: target.element([poly() for _ in target.gens]) for g in M.gens}
+
+
 def random_admissible_gamma(rng: random.Random, M) -> dict | None:
     """A random point of M's degree-1 connection space, or None if it is empty."""
     space = solve_connection_space(M, 1)

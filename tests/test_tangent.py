@@ -420,9 +420,9 @@ def run_sphere_pipeline(A):
 
 
 def test_only_maps_built_from_connection_data_reach_normal_forms(monkeypatch):
-    """On the S^2 pipeline every structure map is certified by matching and K
-    by the Leibniz residues; the normal-form certificate runs only for H, and
-    no basis of T(S_A(M)) is built."""
+    """On the S^2 pipeline every structure map is certified by matching, and K
+    and H by the Leibniz residues: the normal-form certificate never runs, and
+    no basis of T(S_A(M)) or of T(A) (x)_A S_A(M) is built."""
     reached, rings = [], []
     certificate = AlgebraMorphism.certificate
     init = IdealBasis.__init__
@@ -438,8 +438,9 @@ def test_only_maps_built_from_connection_data_reach_normal_forms(monkeypatch):
     monkeypatch.setattr(AlgebraMorphism, "certificate", recording)
     monkeypatch.setattr(IdealBasis, "__init__", recording_rings)
     nabla = run_sphere_pipeline(make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"]))
-    assert set(reached) == {"H"}
+    assert set(reached) == set()
     assert nabla.ctx.TS.gens not in rings
+    assert nabla.ctx.TAS.gens not in rings
     assert rings  # the recorder saw the bases that were built
 
 

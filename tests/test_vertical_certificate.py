@@ -5,7 +5,8 @@ relation row of M with linear form rho and Leibniz terms L, K(rho) is
 d(rho) - U(write(L)) term for term and L combines to zero in Omega (x) M;
 otherwise the full certificate decides and reports.  These tests check the
 fact the certificate rests on (U after write sends every relation row of
-Omega (x) M, and A's ideal times each generator, to zero in T(S_A(M))),
+Omega (x) M, and A's ideal times each generator, to zero in T(S_A(M)); write
+alone sends them to zero in T(A) (x)_A S_A(M), which H's certificate needs),
 compare the certificate with the full one on admissible and on random data,
 pin the failure text of the fallback, and show that K and H are built once
 per connection.
@@ -63,23 +64,15 @@ def test_u_after_write_sends_relation_rows_and_the_ideal_to_zero(field):
             tuple(b if i == k else zero for i in range(target.rank)) for b in A.basis.basis for k in range(target.rank)
         ]
         for row in list(target.relations) + ideal_rows:
-            assert ctx.TS.element(ctx.U.apply_raw(shapes.write_raw(enumerate(row)))).is_zero(), (M, row)
+            written = shapes.write_raw(enumerate(row))
+            assert ctx.TAS.element(written).is_zero(), (M, row)  # what H's certificate rests on
+            assert ctx.TS.element(ctx.U.apply_raw(written)).is_zero(), (M, row)
         rows_seen += len(target.relations)
         # the check can fail: a generator of Omega (x) M is not zero there
         unit = Polynomial.const(A.field, A.gens, 1)
         nonzero += not ctx.TS.element(ctx.U.apply_raw(shapes.write_raw([(0, unit)]))).is_zero()
+        nonzero += not ctx.TAS.element(shapes.write_raw([(0, unit)])).is_zero()
     assert rows_seen and nonzero
-
-
-def _random_gamma(rng: random.Random, M) -> dict:
-    target = christoffel_target(M)
-    A = M.base
-
-    def poly():
-        exps = [tuple(rng.randint(0, 2) for _ in A.gens) for _ in range(2)]
-        return Polynomial(A.field, A.gens, {e: rng.randint(-2, 2) for e in exps})
-
-    return {g: target.element([poly() for _ in target.gens]) for g in M.gens}
 
 
 def _unchecked_k(nabla: Connection) -> AlgebraMorphism:
@@ -115,7 +108,7 @@ def test_leibniz_certificate_agrees_with_the_full_certificate(field):
             assert moved.certify().certified
             admissible += 1
         for _ in range(2):
-            nabla = Connection(M, _random_gamma(rng, M))
+            nabla = Connection(M, helpers.random_gamma(rng, M))
             K = _unchecked_k(nabla)
             residues = [(rel.render(), res.render()) for rel, res in K.certificate() if not res.is_zero()]
             assert nabla._leibniz_certifies(K) == (not residues), M
