@@ -324,11 +324,10 @@ def verify_horizontal_axioms(H: AlgebraMorphism, M: PresentedModule) -> AxiomRep
     report = AxiomReport()
     TH = tangent_apply_functor(H)
     report.add_morphism_equality("H.1", compose_chain([ctx.Tq, H]), ctx.TAS.i0)
-    report.add_morphism_equality("H.2", compose_chain([ctx.p_S, H]), ctx.TAS.i1)
-    report.add_morphism_equality("H.3", compose_chain([ctx.lift_S, H]), compose_chain([TH, ctx.h3_down]))
-    report.add_morphism_equality(
-        "H.4", compose_chain([ctx.flip_S, ctx.T_lam, H]), compose_chain([TH, ctx.h4_down])
-    )
+    S_maps = ctx.S_maps
+    report.add_morphism_equality("H.2", compose_chain([S_maps.p, H]), ctx.TAS.i1)
+    report.add_morphism_equality("H.3", compose_chain([S_maps.lift, H]), compose_chain([TH, ctx.h3_down]))
+    report.add_morphism_equality("H.4", compose_chain([S_maps.flip, ctx.T_lam, H]), compose_chain([TH, ctx.h4_down]))
     return report
 
 
@@ -337,10 +336,11 @@ def verify_vertical_axioms(K: AlgebraMorphism, M: PresentedModule) -> AxiomRepor
     report = AxiomReport()
     TK = tangent_apply_functor(K)
     report.add_morphism_equality("K.1", compose_chain([K, ctx.lam]), identity_morphism(ctx.S))
-    report.add_morphism_equality("K.2", compose_chain([ctx.q, K]), compose_chain([ctx.q, ctx.p_S]))
+    S_maps = ctx.S_maps
+    report.add_morphism_equality("K.2", compose_chain([ctx.q, K]), compose_chain([ctx.q, S_maps.p]))
     lhs34 = compose_chain([ctx.lam, K])
-    report.add_morphism_equality("K.3", lhs34, compose_chain([TK, ctx.lift_S]))
-    report.add_morphism_equality("K.4", lhs34, compose_chain([TK, ctx.flip_S, ctx.T_lam]))
+    report.add_morphism_equality("K.3", lhs34, compose_chain([TK, S_maps.lift]))
+    report.add_morphism_equality("K.4", lhs34, compose_chain([TK, S_maps.flip, ctx.T_lam]))
     return report
 
 
@@ -360,7 +360,7 @@ def verify_connection_axioms(
     d_fibre = {ctx.TS.dmap[g] for g in ctx.S.gens}
     vertical = bundle_combine(
         compose_chain([ctx.lam, K]),
-        compose_chain([ctx.zero_S, ctx.p_S]),
+        compose_chain([ctx.S_maps.zero, ctx.S_maps.p]),
         "plus",
         module_fibre,
     )

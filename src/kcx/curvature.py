@@ -152,7 +152,7 @@ def tangent_curvature(nabla: Connection) -> AlgebraMorphism:
     ctx, K = nabla.ctx, nabla.K
     TK = tangent_apply_functor(K)
     twice = compose_morphisms(TK, K)
-    flipped = compose_morphisms(ctx.flip_S, twice)
+    flipped = compose_morphisms(ctx.S_maps.flip, twice)
     return bundle_combine(flipped, twice, "minus", set(nabla.module.gens))
 
 

@@ -37,7 +37,6 @@ from .poly import (
 
 Vector = tuple[Polynomial, ...]
 Row = dict[int, dict[Exponent, Coef]]  # a vector as position -> term dict, occupied positions only
-SparseVector = dict[tuple[int, Exponent], Coef]  # a vector as one (position, exponent) -> coefficient map
 # indexed by position: (lt, exp_mask(lt), row, cert) of the basis rows led there
 Index = list[list[tuple[Exponent, int, Row, int]]]
 
@@ -354,24 +353,22 @@ class ModuleBasis:
         nf, _ = _reduce(self._work_row(v), self._index, self.field)
         return self._vector(nf)
 
-    def sparse_normal_form(self, terms: SparseVector) -> SparseVector:
-        """`normal_form` on the sparse form: the vector sum of c * x^e at
-        position pos over `terms` (nonzero coefficients, owned by the call).
+    def sparse_normal_form(self, row: Row) -> Row:
+        """`normal_form` on a `Row` (nonzero coefficients, owned by the call).
 
         A single term no leading term at its position divides comes back as it
         is; the rest goes through `_reduce`.  A normal form is unique, so the
         result holds exactly the terms of `normal_form`, in the same order.
         """
-        if len(terms) == 1:
-            ((pos, e),) = terms
-            absent = ~exp_mask(e)
-            if not any(not mask & absent and exp_divides(lt, e) for lt, mask, _, _ in self._index[pos]):
-                return terms
-        row: Row = {}
-        for (pos, e), c in terms.items():
-            row.setdefault(pos, {})[e] = c
+        if len(row) == 1:
+            ((pos, comp),) = row.items()
+            if len(comp) == 1:
+                (e,) = comp
+                absent = ~exp_mask(e)
+                if not any(not mask & absent and exp_divides(lt, e) for lt, mask, _, _ in self._index[pos]):
+                    return row
         nf, _ = _reduce(row, self._index, self.field)
-        return {(pos, e): c for pos, comp in nf.items() for e, c in comp.items()}
+        return nf
 
     def normal_form_with_bound(self, v: Vector) -> tuple[Vector, int]:
         """Normal form plus a degree bound covering this reduction's certificate."""

@@ -54,7 +54,12 @@ class AffineSolutionSpace:
 
     def contains(self, values: dict[str, Coef], fieldobj: Field) -> bool:
         """Exact membership: a point is determined by its free coordinates, so
-        x lies in the space iff x == particular + sum over k of x[free[k]] * basis[k]."""
+        x lies in the space iff x == particular + sum over k of x[free[k]] * basis[k].
+        A name that is not an unknown raises KeyError, as in `affine_linear_solve`."""
+        known = set(self.unknowns)
+        for u in values:
+            if u not in known:
+                raise KeyError(f"unknown {u!r} not declared")
         if self.is_empty:
             return False
         f = fieldobj

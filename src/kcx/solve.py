@@ -12,13 +12,14 @@ over the chart rings: they are evaluated at zero and once per generator and
 unit e_idx, and unknown (g, idx, exp) enters them as that unit's column scaled
 by t(x^exp) on chart 1 and by y^exp on chart 2.
 
-Columns and constants are sparse vectors, (position, exponent) -> coefficient
-maps: a column's terms are written straight from r_g's terms or the scaled
-unit's, and reduced by `ModuleBasis.sparse_normal_form`, so no module element
-is built per unknown (the symbolic preprocessing of Faugere's F4, where each
-monomial multiple is reduced as a sparse row).  The exact sparse system is
-solved over the coefficient field.  The solvers work in Omega(A) (x) M alone
-and never build the tangent bundle.
+Columns and constants are the Groebner engine's own rows (`groebner.Row`,
+position -> term dict, occupied positions only): a column's terms are written
+straight from r_g's terms or the unit's row scaled component by component, and
+reduced by `ModuleBasis.sparse_normal_form` with no conversion, so no module
+element is built per unknown (the symbolic preprocessing of Faugere's F4,
+where each monomial multiple is reduced as a sparse row).  The exact sparse
+system is solved over the coefficient field.  The solvers work in
+Omega(A) (x) M alone and never build the tangent bundle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .algebra import localize, make_morphism
 from .connections import AxiomCheck, AxiomReport, Connection, apply_connection, connection_residues, leibniz_terms
 from .errors import KcxError, NotInverse, SolverTooLarge
 from .fields import Coef, Field
-from .groebner import SparseVector
+from .groebner import Row
 from .linsolve import AffineSolutionSpace, LinearEquation, affine_linear_solve
 from .modules import (
     ModuleElement,
@@ -40,7 +41,7 @@ from .modules import (
     module_standard_monomials,
     universal_derivation,
 )
-from .poly import Polynomial, exp_mul
+from .poly import Polynomial, _mul_terms, exp_mul
 
 
 @dataclass
@@ -110,66 +111,53 @@ def _unknowns(
     }
 
 
-def _terms(v: ModuleElement) -> SparseVector:
-    """A module element as a sparse vector, in its components' order."""
-    return {(pos, e): c for pos, comp in enumerate(v.comps) for e, c in comp.terms.items()}
-
-
-def _scaled(v: SparseVector, p: Polynomial, f: Field) -> SparseVector:
-    """p * v for a sparse vector v, term by term and unreduced."""
-    out: SparseVector = {}
-    for (pos, e), c in v.items():
-        for e2, c2 in p.terms.items():
-            key = (pos, exp_mul(e, e2))
-            s = f.addmul(out.get(key, 0), c, c2)
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+def _terms(v: ModuleElement) -> Row:
+    """A module element as a row, in its components' order."""
+    return {pos: dict(comp.terms) for pos, comp in enumerate(v.comps) if comp.terms}
 
 
 def _relation_columns(
     M: PresentedModule, target: PresentedModule, layout: dict, first_row: int = 0
-) -> dict[str, dict[int, SparseVector]]:
+) -> dict[str, dict[int, Row]]:
     """Columns of the unknowns on M's relation rows, numbered from `first_row`.
 
     Unknown (g, idx, exp) is the coefficient of x^exp * e_idx in the image of
     g, so on row r it contributes r_g * x^exp * e_idx: r_g's terms, shifted by
-    exp and placed at idx, reduced once in `target` as a sparse vector.
+    exp and placed at idx, reduced once in `target` as a row.
     """
     reduce = target.lifted.sparse_normal_form
-    columns: dict[str, dict[int, SparseVector]] = {name: {} for name in layout.values()}
+    columns: dict[str, dict[int, Row]] = {name: {} for name in layout.values()}
     for r, row in enumerate(M.relations, first_row):
         coefs = dict(zip(M.gens, row))
         for (g, idx, exp), name in layout.items():
             r_g = coefs.get(g)
             if r_g is not None and r_g.terms:
-                columns[name][r] = reduce({(idx, exp_mul(e, exp)): c for e, c in r_g.terms.items()})
+                columns[name][r] = reduce({idx: {exp_mul(e, exp): c for e, c in r_g.terms.items()}})
     return columns
 
 
 def _affine_equations(
-    constants: list[SparseVector], columns: dict[str, dict[int, SparseVector]], f: Field
+    constants: list[Row], columns: dict[str, dict[int, Row]], f: Field
 ) -> list[LinearEquation]:
     """The exact linear system  constants[r] + sum over u of u * columns[u][r] = 0.
 
     `constants` holds each row's residue with every unknown zero, and
     `columns[u]` maps the rows that unknown u enters to its contribution
-    there, all as sparse vectors; every (row, position, monomial) in their
-    joint support gives one equation.
+    there, all as rows; every (row, position, monomial) in their joint
+    support gives one equation.
     """
-    rows = [{key: {} for key in const} for const in constants]
+    rows = [{(pos, e): {} for pos, comp in const.items() for e in comp} for const in constants]
     for name, col in columns.items():
-        for r, terms in col.items():
+        for r, vector in col.items():
             support = rows[r]
-            for key, c in terms.items():
-                support.setdefault(key, {})[name] = c
+            for pos, comp in vector.items():
+                for e, c in comp.items():
+                    support.setdefault((pos, e), {})[name] = c
     zero = f.zero()
     return [
-        LinearEquation(coeffs, const.get(key, zero))
+        LinearEquation(coeffs, const.get(pos, {}).get(e, zero))
         for const, support in zip(constants, rows)
-        for key, coeffs in support.items()
+        for (pos, e), coeffs in support.items()
     ]
 
 
@@ -314,8 +302,8 @@ def glued_connection_check(
         layout.update(((chart_no, *key), name) for key, name in names.items())
         charts.append((omega, target, names, {g: target.zero() for g in omega.gens}))
 
-    constants: list[SparseVector] = []
-    columns: dict[str, dict[int, SparseVector]] = {}
+    constants: list[Row] = []
+    columns: dict[str, dict[int, Row]] = {}
     for omega, target, names, zero in charts:
         columns.update(_relation_columns(omega, target, names, len(constants)))
         constants += [_terms(r) for _, r in connection_residues(omega, zero)]
@@ -323,14 +311,14 @@ def glued_connection_check(
     # chart rings (chart 1's through t): the column of unit e_idx in the image
     # of g is the residue there less the one at zero, and the column of
     # x^exp * e_idx is that one scaled by t(x^exp) on chart 1, y^exp on chart 2,
-    # reduced once as a sparse vector in the gluing rows' module.
+    # reduced once as a row in the gluing rows' module.
     reduce = christoffel_target(kahler_module(L2)).lifted.sparse_normal_form
     zeros = [zero for *_, zero in charts]
     glue0 = _glue_residues(A1, L1, A2, L2, t, omega_t, *zeros)
     first = len(constants)
     constants += map(_terms, glue0)
     for chart, ((_, target, names, _), L) in enumerate(zip(charts, (L1, L2))):
-        units: dict[tuple[str, int], list[SparseVector]] = {}
+        units: dict[tuple[str, int], list[Row]] = {}
         for (g, idx, exp), name in names.items():
             if (g, idx) not in units:
                 unit = target.gen(target.gens[idx])
@@ -340,7 +328,8 @@ def glued_connection_check(
             mono = Polynomial.monomial(f, L.gens, (*exp, 0), 1)
             scale = t.apply_raw(mono) if chart == 0 else mono
             columns[name].update(
-                (first + k, reduce(_scaled(v, scale, f))) for k, v in enumerate(units[g, idx])
+                (first + k, reduce({pos: _mul_terms(comp, scale.terms, f) for pos, comp in v.items()}))
+                for k, v in enumerate(units[g, idx])
             )
 
     equations = _affine_equations(constants, columns, f)

@@ -14,12 +14,15 @@ and torsion extraction on canonical shapes.
 S_A(M) is presented on A's generators plus M's generator names, with M's
 relation rows imposed as degree-one relations.
 
-T(A) and S_A(M) are additive bundles over A, so `_additive_bundle` builds
-T(A)'s p/0/- and S_A(M)'s q/z/iota, and `_fibrewise_sum` T(A)'s + and, on
-first use, S_A(M)'s sigma; no verdict reads sigma.  These maps, the flips,
-zero maps, vertical lifts, lambda and U are `algebra.relabel` tables of
-signed generators; `AlgebraMorphism.apply_raw` applies those whose images
-are single signed generators (all but + and sigma) by moving exponents.
+The tangent structure p, 0, +, -, l, c (and the swap tau of T(A) (x)_A T(A))
+is one `TangentMaps` per algebra, `tangent_structure_maps(B)`, each map
+built on first use; the connection machinery reads it at A, at S_A(M) and,
+for H.4, at T(A).  S_A(M) is an additive bundle over A too: `_additive_bundle`
+builds its q/z/iota and `_fibrewise_sum`, on first use, its sigma (no verdict
+reads sigma or T(A)'s +, which `_fibrewise_sum` also builds).  These maps,
+lambda and U are `algebra.relabel` tables of signed generators;
+`AlgebraMorphism.apply_raw` applies those whose images are single signed
+generators (all but + and sigma) by moving exponents.
 
 Module values move into bundle presentations and back through one `ShapeMap`
 per correspondence, each a table of signed products of generators: Omega(A)
@@ -33,15 +36,15 @@ after it into the ideal of T(S_A(M)), which is what lets
 residues; H's images are compared after the tensor's gluing x#1 -> x#0
 (`algebra.TensorAlgebra.glue`).
 
-Each module's bundle is `bundle_context(M)`, one `BundleContext` with U and
-every map above as attributes.  The maps that exist only for M = Omega(A),
-the affine flip and swap and the torsion shapes, read one guard that refuses
-any other module with `ModuleNotKahler`.
+Each module's bundle is `bundle_context(M)`, one `BundleContext` with the
+bundle's own maps (q/z/iota/sigma, lambda, U, the shapes) as attributes and
+the tangent structures of A and S_A(M) as `A_maps` and `S_maps`.  The maps
+that exist only for M = Omega(A), the affine flip and swap and the torsion
+shapes, read one guard that refuses any other module with `ModuleNotKahler`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
@@ -148,57 +151,79 @@ def tangent_algebra(B: PresentedAlgebra) -> TangentPresentation:
     return TangentPresentation(B)
 
 
-@dataclass
 class TangentMaps:
-    """The tangent structure maps of one algebra, in algebra-side directions."""
+    """The tangent structure of one algebra A, in algebra-side directions.
 
-    TA: TangentPresentation
-    TTA: TangentPresentation
-    T2: TensorAlgebra  # T(A) (x)_A T(A)
-    p: AlgebraMorphism  # A -> T(A)
-    zero: AlgebraMorphism  # T(A) -> A
-    plus: AlgebraMorphism  # T(A) -> T(A) (x)_A T(A)
-    minus: AlgebraMorphism  # T(A) -> T(A)
-    lift: AlgebraMorphism  # T(T(A)) -> T(A)
-    flip: AlgebraMorphism  # T(T(A)) -> T(T(A))
-    tau: AlgebraMorphism  # swap of T(A) (x)_A T(A)
+    T(A) is built with the object; T(T(A)), T(A) (x)_A T(A) and each map on
+    first use, one at a time, each certified as it is built.  A bundle
+    context reads p, 0, l and c at A and at S_A(M); no verdict reads + or tau.
+    """
 
+    def __init__(self, A: PresentedAlgebra):
+        self.A = A
+        self.TA = tangent_algebra(A)
 
-def generic_flip(T2B: TangentPresentation) -> AlgebraMorphism:
-    """Canonical flip of a double tangent: swaps the two differential levels."""
-    TB = T2B.source
-    if not isinstance(TB, TangentPresentation):
-        raise ValueError("flip needs a double tangent presentation")
-    table = {}
-    for g in TB.source.gens:  # the mixed sort T2B.dmap[TB.dmap[g]] is fixed
-        table[TB.dmap[g]] = T2B.dmap[g]
-        table[T2B.dmap[g]] = TB.dmap[g]
-    return relabel(T2B, T2B, table, "flip")
+    @cached_property
+    def TTA(self) -> TangentPresentation:
+        return tangent_algebra(self.TA)
 
+    @cached_property
+    def p(self) -> AlgebraMorphism:
+        """p: A -> T(A)."""
+        return relabel(self.A, self.TA, {}, "p")
 
-def zero_map(TB: TangentPresentation) -> AlgebraMorphism:
-    """0: T(B) -> B: identity on B, kills the differentials."""
-    return relabel(TB, TB.source, dict.fromkeys(TB.dmap.values()), "0")
+    @cached_property
+    def zero(self) -> AlgebraMorphism:
+        """0: T(A) -> A, identity on A, killing the differentials."""
+        return relabel(self.TA, self.A, dict.fromkeys(self.TA.dmap.values()), "0")
 
+    @cached_property
+    def minus(self) -> AlgebraMorphism:
+        """-: T(A) -> T(A), negating the differentials."""
+        return relabel(self.TA, self.TA, {d: f"-{d}" for d in self.TA.dmap.values()}, "-")
 
-def vertical_lift(T2B: TangentPresentation) -> AlgebraMorphism:
-    """l: T(T(B)) -> T(B): kills both single levels, folds the mixed sort."""
-    TB = T2B.source
-    table = {
-        g: TB.dmap[role.origin] if role.kind in ("dpd", "dpdm") else None
-        for g, role in T2B.roles.items()
-        if g not in TB.source.gens
-    }
-    return relabel(T2B, TB, table, "l")
+    @cached_property
+    def plus(self) -> AlgebraMorphism:
+        """+: T(A) -> T(A) (x)_A T(A)."""
+        return _fibrewise_sum(self.p, self.TA.dmap.values(), "+")
+
+    @cached_property
+    def T2(self) -> TensorAlgebra:
+        """T(A) (x)_A T(A), the codomain of +."""
+        return self.plus.cod
+
+    @cached_property
+    def tau(self) -> AlgebraMorphism:
+        """The swap of T(A) (x)_A T(A)."""
+        swap = {f"{g}#{i}": f"{g}#{1 - i}" for g in self.TA.gens for i in (0, 1)}
+        return relabel(self.T2, self.T2, swap, "tau")
+
+    @cached_property
+    def lift(self) -> AlgebraMorphism:
+        """l: T(T(A)) -> T(A): kills both single levels, folds the mixed sort."""
+        table = {
+            g: self.TA.dmap[role.origin] if role.kind in ("dpd", "dpdm") else None
+            for g, role in self.TTA.roles.items()
+            if g not in self.A.gens
+        }
+        return relabel(self.TTA, self.TA, table, "l")
+
+    @cached_property
+    def flip(self) -> AlgebraMorphism:
+        """c: T(T(A)) -> T(T(A)), swapping the two differential levels."""
+        table = {}
+        for g in self.A.gens:  # the mixed sort TTA.dmap[TA.dmap[g]] is fixed
+            table[self.TA.dmap[g]] = self.TTA.dmap[g]
+            table[self.TTA.dmap[g]] = self.TA.dmap[g]
+        return relabel(self.TTA, self.TTA, table, "flip")
 
 
 def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, fibre, names: tuple[str, ...]):
     """(include, zero, negate) for an additive bundle B over A, all certified.
 
-    B is presented on A's generators plus the fibre generators: T(A) (the
-    differentials), S_A(M) (M's generators) and `dualnum`'s square-zero
-    extensions (the epsilons).  Their p/0/- and q/z/iota come from here, and
-    T(A)'s + and S_A(M)'s sigma from `_fibrewise_sum`.
+    B is presented on A's generators plus the fibre generators: S_A(M) (M's
+    generators) and `dualnum`'s square-zero extensions (the epsilons).  T(A)'s
+    p/0/- are the same three tables, built one at a time by `TangentMaps`.
     """
     return (
         relabel(A, B, {}, names[0]),
@@ -217,14 +242,7 @@ def _fibrewise_sum(include: AlgebraMorphism, fibre, name: str) -> AlgebraMorphis
 
 @memoized
 def tangent_structure_maps(A: PresentedAlgebra) -> TangentMaps:
-    TA = tangent_algebra(A)
-    TTA = tangent_algebra(TA)
-    p, zero, minus = _additive_bundle(A, TA, TA.dmap.values(), ("p", "0", "-"))
-    plus = _fibrewise_sum(p, TA.dmap.values(), "+")
-    T2 = plus.cod
-    swap = {f"{g}#{i}": f"{g}#{1 - i}" for g in TA.gens for i in (0, 1)}
-    tau = relabel(T2, T2, swap, "tau")
-    return TangentMaps(TA, TTA, T2, p, zero, plus, minus, vertical_lift(TTA), generic_flip(TTA), tau)
+    return TangentMaps(A)
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +419,22 @@ class ShapeMap:
 
 class BundleContext:
     """The bundle S_A(M) of one module M over A, with everything the
-    connection machinery needs: its tangent, q/z/iota/sigma and lambda, the
-    tensor T(A) (x)_A S_A(M) with U, the double-tangent data and the maps the
-    axiom checks share.
+    connection machinery needs: the tangent structures of A and S_A(M)
+    (`A_maps`, `S_maps`), q/z/iota/sigma and lambda, the tensor
+    T(A) (x)_A S_A(M) with U, and the maps the axiom checks share.
 
     One per module (`bundle_context`), shared by every connection on M.  The
-    double-tangent data, the axiom maps and sigma are built on first use.
+    axiom maps and sigma are built on first use, as are the structure maps
+    other than A's p.
     """
 
     def __init__(self, M: PresentedModule):
         A = self.A = M.base
         self.M = M
         self.S = SymBundle(M)
-        self.TS = tangent_algebra(self.S)
+        self.A_maps = tangent_structure_maps(A)
+        self.S_maps = tangent_structure_maps(self.S)
+        self.TA, self.TS = self.A_maps.TA, self.S_maps.TA
         self.q, self.z, self.iota = _additive_bundle(A, self.S, M.gens, ("q", "z", "iota"))
         # module generators and d-of-base die under the bundle lift
         lam_table = {
@@ -422,10 +443,8 @@ class BundleContext:
             if role.kind != "base"
         }
         self.lam = relabel(self.TS, self.S, lam_table, "lambda")
-        self.TA = tangent_algebra(A)
-        self.p_A = relabel(A, self.TA, {}, "p")
         # T(A) (x)_A S_A(M), with its two injections
-        self.TAS = tensor_over_base(A, self.TA, self.S, self.p_A, self.q)
+        self.TAS = tensor_over_base(A, self.TA, self.S, self.A_maps.p, self.q)
         self.omega_tensor_M = christoffel_target(M)
         u_table = {f"{g}#1": g for g in self.S.gens}
         for g in A.gens:
@@ -437,37 +456,11 @@ class BundleContext:
         """sigma: S -> S (x)_A S, the fibrewise sum; no axiom check reads it."""
         return _fibrewise_sum(self.q, self.M.gens, "sigma")
 
-    # -- double-tangent data -------------------------------------------------
-
-    @cached_property
-    def T2S(self) -> TangentPresentation:
-        return tangent_algebra(self.TS)
-
-    @cached_property
-    def flip_S(self) -> AlgebraMorphism:
-        return generic_flip(self.T2S)
-
-    @cached_property
-    def T2A(self) -> TangentPresentation:
-        return tangent_algebra(self.TA)
-
     # -- maps shared by the axiom checks -----------------------------------
-
-    @cached_property
-    def p_S(self) -> AlgebraMorphism:
-        return relabel(self.S, self.TS, {}, "p")
-
-    @cached_property
-    def zero_S(self) -> AlgebraMorphism:
-        return zero_map(self.TS)
 
     @cached_property
     def Tq(self) -> AlgebraMorphism:
         return tangent_apply_functor(self.q).certify()
-
-    @cached_property
-    def lift_S(self) -> AlgebraMorphism:
-        return vertical_lift(self.T2S)
 
     @cached_property
     def T_lam(self) -> AlgebraMorphism:
@@ -490,12 +483,12 @@ class BundleContext:
     @cached_property
     def h3_down(self) -> AlgebraMorphism:
         """H.3: the vertical lift on T^2(A), zero on T(S)."""
-        return self._down(vertical_lift(self.T2A), self.zero_S, "l(x)0")
+        return self._down(self.A_maps.lift, self.S_maps.zero, "l(x)0")
 
     @cached_property
     def h4_down(self) -> AlgebraMorphism:
         """H.4: zero on T^2(A), which kills the outer level, and lambda on T(S)."""
-        return self._down(zero_map(self.T2A), self.lam, "0(x)lam")
+        return self._down(tangent_structure_maps(self.TA).zero, self.lam, "0(x)lam")
 
     # -- module-to-bundle correspondences -------------------------------------
 
@@ -512,11 +505,12 @@ class BundleContext:
         """psi/phi: (d(x_i) ^ d(x_j)) (x) m in T^2(S_A(M)) is
         m d(x_i) d'(x_j) - m d'(x_i) d(x_j), d the first and d' the second level."""
         w2 = wedge_square(kahler_module(self.A))
-        x, d, dp = self.A.gens, self.TS.dmap, self.T2S.dmap
+        T2S = self.S_maps.TTA
+        x, d, dp = self.A.gens, self.TS.dmap, T2S.dmap
         shapes = [
             [(1, (m, d[x[i]], dp[x[j]])), (-1, (m, dp[x[i]], d[x[j]]))] for i, j in w2.pairs for m in self.M.gens
         ]
-        return ShapeMap(self.T2S, tensor_modules(w2, self.M), shapes)
+        return ShapeMap(T2S, tensor_modules(w2, self.M), shapes)
 
     # -- Kahler-only maps: S_A(Omega(A)) against T(A) ------------------------
 

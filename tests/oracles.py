@@ -460,7 +460,7 @@ def leibniz_tensor_presentation(ctx):
     for g in ctx.TS.gens:
         mod, tan = ctx.TS.grading[g]
         grading[f"{g}#1"] = (mod, 0, tan)
-    Tp, Tq = tangent_apply_functor(ctx.p_A), tangent_apply_functor(ctx.q)
+    Tp, Tq = tangent_apply_functor(ctx.A_maps.p), tangent_apply_functor(ctx.q)
     return tensor_over_base(ctx.TA, T2A, ctx.TS, Tp, Tq, grading=grading, cap=(1, 1, 1))
 
 
@@ -552,7 +552,7 @@ def embed_wedge_curvature(nabla: Connection, e: ModuleElement) -> Polynomial:
     tangent level.
     """
     ctx = nabla.ctx
-    T2S, TS, M = ctx.T2S, ctx.TS, nabla.module
+    T2S, TS, M = ctx.S_maps.TTA, ctx.TS, nabla.module
     target = curvature_target(nabla)
     if e.module is not target:
         raise ValueError("expected an element of Omega^2 (x) M")
@@ -575,7 +575,7 @@ def project_wedge_curvature(nabla: Connection, poly) -> ModuleElement:
     one second-level base differential (no mixed sorts); accepts an element or
     a raw polynomial.
     """
-    T2S, A, M = nabla.ctx.T2S, nabla.base, nabla.module
+    T2S, A, M = nabla.ctx.S_maps.TTA, nabla.base, nabla.module
     origin = lambda g: A.gens.index(T2S.roles[g].origin)
     return _wedge_tensor(
         nabla,
@@ -639,5 +639,5 @@ def tangent_curvature_is_flat(nabla: Connection, C: AlgebraMorphism) -> bool:
     """Flat bundle curvature: identity on the base, zero on module generators."""
     ctx = nabla.ctx
     return all(C.image_of(m).is_zero() for m in nabla.module.gens) and all(
-        C(ctx.S.gen(x)) == ctx.T2S.gen(x) for x in ctx.A.gens
+        C(ctx.S.gen(x)) == ctx.S_maps.TTA.gen(x) for x in ctx.A.gens
     )

@@ -139,7 +139,7 @@ def test_criterion_07_factor_of_two(sphere2, elliptic):
         ctx = nabla.ctx
         for m in nabla.module.gens:
             c_img = result.tangent_images[m]
-            assert c_img == ctx.T2S.element(ctx.curvature_shapes.write(result.images[m]))
+            assert c_img == ctx.S_maps.TTA.element(ctx.curvature_shapes.write(result.images[m]))
             phi = ctx.curvature_shapes.read(c_img)[0]
             assert phi == result.images[m].scaled(2)
             assert result.images[m] == phi.scaled(nabla.base.field.of("1/2"))

@@ -66,7 +66,7 @@ def test_psi_sends_every_relation_row_into_the_bundle_ideal(field):
         rows = _rows(ctx.curvature_shapes.module)
         presented += len(ctx.curvature_shapes.module.relations)
         for row in rows:
-            assert ctx.T2S.element(ctx.curvature_shapes.write_raw(enumerate(row))).is_zero(), (M, row)
+            assert ctx.S_maps.TTA.element(ctx.curvature_shapes.write_raw(enumerate(row))).is_zero(), (M, row)
         if M.provenance == "kahler":
             for row in _rows(ctx.torsion_shapes.module):
                 assert ctx.TS.element(ctx.torsion_shapes.write_raw(enumerate(row))).is_zero(), (M, row)
@@ -133,19 +133,19 @@ def _fallback_case(nabla, extra_of):
 
 
 def _var(ctx, name):
-    return Polynomial.variable(ctx.T2S.field, ctx.T2S.gens, name)
+    return Polynomial.variable(ctx.S_maps.TTA.field, ctx.S_maps.TTA.gens, name)
 
 
 def _pair(ctx, m, sign):
     """m d(x1) d'(x2) + sign * m d'(x1) d(x2)."""
     x1, x2 = ctx.A.gens[:2]
-    d, dp = ctx.TS.dmap, ctx.T2S.dmap
+    d, dp = ctx.TS.dmap, ctx.S_maps.TTA.dmap
     return _var(ctx, m) * (_var(ctx, d[x1]) * _var(ctx, dp[x2]) + (_var(ctx, dp[x1]) * _var(ctx, d[x2])).scale(sign))
 
 
 PERTURBATIONS = {
     # a monomial no table product has: m d'd(x1)
-    "stray": lambda ctx, m: _var(ctx, m) * _var(ctx, ctx.T2S.dmap[ctx.TS.dmap[ctx.A.gens[0]]]),
+    "stray": lambda ctx, m: _var(ctx, m) * _var(ctx, ctx.S_maps.TTA.dmap[ctx.TS.dmap[ctx.A.gens[0]]]),
     # symmetric in the two levels: its raw phi is zero, its class is not
     "symmetric": lambda ctx, m: _pair(ctx, m, 1),
     # psi of a nonzero wedge: antisymmetric, but 2w - phi(V) is not zero
@@ -180,7 +180,7 @@ def test_images_off_by_a_relation_row_certify_without_a_double_tangent_basis():
     shapes = ctx.curvature_shapes
     row = next(r for r in shapes.module.relations if any(r))
     result, V = _fallback_case(nabla, lambda ctx, m: shapes.write_raw(enumerate(row)))
-    assert result.residuals_zero and "basis" not in ctx.T2S.__dict__
+    assert result.residuals_zero and "basis" not in ctx.S_maps.TTA.__dict__
     assert _certifies(nabla, V, result.images, shapes)
     _check_against_reference(nabla, result, shapes)
 
@@ -191,9 +191,9 @@ def test_sphere_checks_build_no_double_tangent_basis(n):
     curvature = check_curvature_correspondence(nabla)
     torsion = check_torsion_correspondence(nabla)
     assert curvature.residuals_zero and torsion.residuals_zero
-    assert "basis" not in nabla.ctx.T2S.__dict__
+    assert "basis" not in nabla.ctx.S_maps.TTA.__dict__
     # the bundle images are still there, reduced when read
     ctx = nabla.ctx
     for m, w in curvature.images.items():
-        assert curvature.tangent_images[m] == ctx.T2S.element(ctx.curvature_shapes.write(w))
+        assert curvature.tangent_images[m] == ctx.S_maps.TTA.element(ctx.curvature_shapes.write(w))
     assert torsion.tangent_images == {m: tangent_torsion(nabla).image_of(m) for m in nabla.module.gens}

@@ -95,7 +95,7 @@ def curvature_target_of(nabla):
 def test_phi_kills_other_shapes(plane):
     nabla = helpers.plane_zero(plane)
     ctx = nabla.ctx
-    T2S = ctx.T2S
+    T2S = ctx.S_maps.TTA
     var = lambda n: Polynomial.variable(T2S.field, T2S.gens, n)
     # mixed second-level sort: d'd of a base generator times a module generator
     poly = var("dpd_x1") * var("d(x1)")
@@ -115,8 +115,8 @@ def test_tangent_curvature_values(plane):
     C = tangent_curvature(nabla)
     ctx = nabla.ctx
     for x in plane.gens:
-        assert C(ctx.S.gen(x)) == ctx.T2S.element(
-            Polynomial.variable(ctx.T2S.field, ctx.T2S.gens, x)
+        assert C(ctx.S.gen(x)) == ctx.S_maps.TTA.element(
+            Polynomial.variable(ctx.S_maps.TTA.field, ctx.S_maps.TTA.gens, x)
         )
     for m in nabla.module.gens:
         assert C.image_of(m).is_zero()

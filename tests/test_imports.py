@@ -240,7 +240,17 @@ RETIRED = [
     ("tangent", "u_map"),  # bundle_context(M).U
     ("tangent", "affine_flip"),  # BundleContext.affine_flip
     ("tangent", "affine_swap"),  # BundleContext.affine_swap
+    ("tangent", "zero_map"),  # tangent_structure_maps(B).zero
+    ("tangent", "vertical_lift"),  # tangent_structure_maps(B).lift
+    ("tangent", "generic_flip"),  # tangent_structure_maps(B).flip
+    ("groebner", "SparseVector"),  # groebner.Row
+    ("solve", "_scaled"),  # poly._mul_terms on each component of a Row
 ]
+
+# BundleContext attributes retired for the tangent structures it reads:
+# p_A is A_maps.p, T2A is A_maps.TTA, and the others are S_maps' p, zero,
+# lift, flip and TTA
+RETIRED_BUNDLE_ATTRIBUTES = ("p_A", "p_S", "zero_S", "lift_S", "flip_S", "T2S", "T2A")
 
 
 @pytest.mark.parametrize("module,name", RETIRED, ids=[f"{m}.{n}" for m, n in RETIRED])
@@ -251,6 +261,8 @@ def test_retired_entry_points_are_gone(module, name):
 
 def test_retired_methods_are_gone():
     assert not {"_affine_flip", "_affine_swap"} & set(vars(BundleContext))
+    ctx = kcx.bundle_context(kcx.kahler_module(kcx.make_algebra(kcx.QQ, ("x", "y"), ["x^2 + y^2 - 1"])))
+    assert [name for name in RETIRED_BUNDLE_ATTRIBUTES if hasattr(ctx, name)] == []
     assert "render_table" not in vars(Connection)
 
 
@@ -261,6 +273,8 @@ UNREFERENCED = {
     "with the certificate-degree bookkeeping (ROADMAP item 6)",
     ("tangent.py", "BundleContext.sigma"): "the bundle's fibrewise addition, a structure map of "
     "the bundle that no axiom check reads",
+    ("tangent.py", "TangentMaps.tau"): "the swap of T(A) (x)_A T(A), a structure map of the "
+    "tangent structure that no verdict reads",
     ("curvature.py", "torsionfree_horizontal_criterion"): "the torsion-free test on the "
     "horizontal form, checked against module torsion",
     ("solve.py", "ConnectionSpace.contains_connection"): "whether a given connection lies in "

@@ -118,6 +118,20 @@ def test_undeclared_unknown_raises_key_error():
         affine_linear_solve(eqs, ("a",), QQ)
 
 
+def test_contains_refuses_a_name_that_is_not_an_unknown():
+    """A misspelt unknown would otherwise read as 0 and pass unnoticed."""
+    space = affine_linear_solve([LinearEquation({"a": 1}, 0)], ("a", "b"), QQ)
+    assert space.contains({"b": 5}, QQ)
+    with pytest.raises(KeyError, match="'bb'"):
+        space.contains({"bb": 5}, QQ)
+    with pytest.raises(KeyError):
+        space.contains({"a": 0, "b": 5, "c": 0}, QQ)
+    empty = affine_linear_solve([LinearEquation({}, 1)], ("a",), QQ)
+    assert not empty.contains({"a": 0}, QQ)
+    with pytest.raises(KeyError):  # also when the space is empty
+        empty.contains({"z": 0}, QQ)
+
+
 def _random_system(rng, field):
     """A small system, wide or tall, with entries that vanish in the field,
     empty rows, repeated rows and combinations that cancel or contradict."""

@@ -64,7 +64,7 @@ def omega_m_products(ctx):
 
 def curvature_products(ctx):
     """m d(x_i) d'(x_j) for every i and j, the diagonal included."""
-    d, dp = ctx.TS.dmap, ctx.T2S.dmap
+    d, dp = ctx.TS.dmap, ctx.S_maps.TTA.dmap
     return [(m, d[x], dp[y]) for m in ctx.M.gens for x in ctx.A.gens for y in ctx.A.gens]
 
 
@@ -119,7 +119,7 @@ def test_curvature_shapes_match_psi_and_phi(plane, circle, sphere2):
             assert shapes.write(w) == oracles.embed_wedge_curvature(nabla, w)
         project = lambda p: oracles.project_wedge_curvature(nabla, p)
         for _ in range(6):
-            p = random_raw(rng, ctx.T2S, {x: x for x in ctx.A.gens}, curvature_products(ctx))
+            p = random_raw(rng, ctx.S_maps.TTA, {x: x for x in ctx.A.gens}, curvature_products(ctx))
             check_wedge_reading(shapes, p, project(p), project)
             element, stray = shapes.read(p)
             read += not element.is_zero()

@@ -82,7 +82,8 @@ def test_renamings_apply_as_substitute_does(field, monkeypatch):
 def test_structure_maps_apply_as_substitute_does():
     nabla = helpers.sphere_connection(helpers.sphere(2))
     ctx = nabla.ctx
-    maps = [ctx.U, ctx.lam, ctx.q, ctx.z, ctx.iota, ctx.p_S, ctx.zero_S, ctx.lift_S, ctx.flip_S, ctx.affine_flip]
+    maps = [ctx.U, ctx.lam, ctx.q, ctx.z, ctx.iota, ctx.affine_flip]
+    maps += [ctx.S_maps.p, ctx.S_maps.zero, ctx.S_maps.lift, ctx.S_maps.flip]
     H = to_horizontal(nabla)
     for m in maps:
         assert m._renaming is not None, m.name
@@ -185,7 +186,8 @@ def _composed_as_applied(pairs, monkeypatch):
 def test_compositions_with_bundle_maps_equal_applied_images(monkeypatch):
     nabla = helpers.sphere_connection(helpers.sphere(2))
     ctx = nabla.ctx
-    maps = [ctx.U, ctx.lam, ctx.q, ctx.z, ctx.iota, ctx.p_S, ctx.zero_S, ctx.lift_S, ctx.flip_S, ctx.affine_flip]
+    maps = [ctx.U, ctx.lam, ctx.q, ctx.z, ctx.iota, ctx.affine_flip]
+    maps += [ctx.S_maps.p, ctx.S_maps.zero, ctx.S_maps.lift, ctx.S_maps.flip]
     maps += [ctx.Tq, ctx.T_lam, ctx.h3_down, ctx.h4_down, to_horizontal(nabla), to_vertical(nabla)]
     pairs = [(g, f) for f in maps for g in maps if f.cod is g.dom]
     kinds = {(f._renaming is not None, g._renaming is not None) for g, f in pairs}

@@ -1,13 +1,13 @@
-"""Solver columns as sparse vectors.
+"""Solver columns as Groebner rows.
 
-The bounded-degree solvers write each column as a sparse vector, (position,
-exponent) -> coefficient, and reduce it with `ModuleBasis.sparse_normal_form`.
-These tests compare every column and constant of the three solvers with the
-module element it stands for, built as the solvers once built it:
-`target.combine([(idx, x^exp * r_g)])` on relation rows and the
-unit column `r.scaled(scale)` on gluing rows, term for term and in order.  They
-also compare `sparse_normal_form` with `normal_form` on random vectors, and
-bound the module elements a solve builds by its relation rows.
+The bounded-degree solvers write each column as a `groebner.Row` (position ->
+term dict, occupied positions only) and reduce it with
+`ModuleBasis.sparse_normal_form`.  These tests compare every column and
+constant of the three solvers with the module element it stands for, built as
+the solvers once built it: `target.combine([(idx, x^exp * r_g)])` on relation
+rows and the unit column `r.scaled(scale)` on gluing rows, term for term and in
+order.  They also compare `sparse_normal_form` with `normal_form` on random
+vectors, and bound the module elements a solve builds by its relation rows.
 """
 
 import itertools
@@ -23,10 +23,9 @@ from kcx.connections import connection_residues
 from kcx.dualnum import dual_connection_solve
 from kcx.fields import GF, QQ
 from kcx.modules import christoffel_target, kahler_module, make_module
-from kcx.poly import Polynomial
+from kcx.poly import Polynomial, _mul_terms
 from kcx.solve import (
     _glue_residues,
-    _scaled,
     _unknowns,
     glued_connection_check,
     kahler_map,
@@ -37,9 +36,22 @@ import helpers
 from oracles import shift
 
 
-def _items(v):
-    """A module element's terms as (position, exponent) -> coefficient items, in order."""
-    return [((pos, e), c) for pos, comp in enumerate(v.comps) for e, c in comp.terms.items()]
+def _items(row):
+    """A row's positions, each with its (exponent, coefficient) items, in order."""
+    return [(pos, list(comp.items())) for pos, comp in row.items()]
+
+
+def _comp_items(comps):
+    """`_items` of the row holding a module element's or vector's components."""
+    return _items({pos: c.terms for pos, c in enumerate(comps) if c.terms})
+
+
+def _row(terms):
+    """The row holding ((position, exponent), coefficient) pairs, in their order."""
+    row = {}
+    for (pos, e), c in terms:
+        row.setdefault(pos, {})[e] = c
+    return row
 
 
 def _capture(monkeypatch, module):
@@ -71,7 +83,7 @@ def _assert_columns_match(columns, old):
     for name, col in old.items():
         assert list(columns[name]) == list(col), name
         for r, element in col.items():
-            assert list(columns[name][r].items()) == _items(element), (name, r)
+            assert _items(columns[name][r]) == _comp_items(element.comps), (name, r)
 
 
 def _presented_gf3():
@@ -97,7 +109,7 @@ def test_space_columns_are_the_old_module_elements(case, monkeypatch):
     assert any(old.values())
     _assert_columns_match(columns, old)
     zero = {g: target.zero() for g in M.gens}
-    assert [list(c.items()) for c in constants] == [_items(r) for _, r in connection_residues(M, zero)]
+    assert [_items(c) for c in constants] == [_comp_items(r.comps) for _, r in connection_residues(M, zero)]
 
 
 def _old_glue_columns(A1, u1, A2, u2, transition, layout, first):
@@ -169,8 +181,8 @@ def test_glue_columns_are_the_old_module_elements(case, monkeypatch):
     for name, col in glued.items():
         old[name].update(col)
     _assert_columns_match(columns, old)
-    expected = [_items(r) for _, r in old_constants] + [_items(r) for r in glue0]
-    assert [list(c.items()) for c in constants] == expected
+    expected = [_comp_items(r.comps) for _, r in old_constants] + [_comp_items(r.comps) for r in glue0]
+    assert [_items(c) for c in constants] == expected
 
 
 DUAL_CASES = {
@@ -190,8 +202,8 @@ def test_dual_number_columns_are_the_old_module_elements(case, monkeypatch):
     old = _old_relation_columns(M, M, layout, len(M.gens))
     assert any(old.values())
     _assert_columns_match(columns, old)
-    expected = [_items(M.gen(g)) for g in M.gens] + [[] for _ in M.relations]
-    assert [list(c.items()) for c in constants] == expected
+    expected = [_comp_items(M.gen(g).comps) for g in M.gens] + [[] for _ in M.relations]
+    assert [_items(c) for c in constants] == expected
 
 
 def _random_vector(rng, target):
@@ -226,9 +238,9 @@ def test_sparse_normal_form_agrees_with_normal_form(build):
         terms = [((pos, e), c) for pos, comp in enumerate(v) for e, c in comp.terms.items()]
         rng.shuffle(terms)  # the input's order does not matter
         nf = basis.normal_form(v)
-        got = basis.sparse_normal_form(dict(terms))
-        assert list(got.items()) == [((pos, e), c) for pos, comp in enumerate(nf) for e, c in comp.terms.items()]
-        reduced += sorted(got) != sorted(key for key, _ in terms)
+        got = basis.sparse_normal_form(_row(terms))
+        assert _items(got) == _comp_items(nf)
+        reduced += sorted((pos, e) for pos, comp in got.items() for e in comp) != sorted(key for key, _ in terms)
     assert reduced  # some vectors were not already normal
 
 
@@ -249,16 +261,17 @@ def test_single_term_inputs_take_the_standard_fast_path_exactly(n, field):
             v = tuple(
                 Polynomial(A.field, A.gens, {e: c} if q == pos else {}) for q in range(target.rank)
             )
-            terms = {(pos, e): c}
-            got = basis.sparse_normal_form(terms)
+            row = {pos: {e: c}}
+            got = basis.sparse_normal_form(row)
             nf = basis.normal_form(v)
-            assert list(got.items()) == [((q, e2), c2) for q, comp in enumerate(nf) for e2, c2 in comp.terms.items()]
-            kinds.add("standard" if got is terms else "reduced")
-            assert (got is terms) == (got == {(pos, e): c})
+            assert _items(got) == _comp_items(nf)
+            kinds.add("standard" if got is row else "reduced")
+            assert (got is row) == (got == {pos: {e: c}})
     assert kinds == {"standard", "reduced"}
 
 
 def test_scaled_sparse_vectors_are_componentwise_products():
+    """The glue columns scale a unit's row component by component with `_mul_terms`."""
     target = christoffel_target(_presented_gf3())
     A = target.base
     rng = random.Random(2021)
@@ -269,11 +282,13 @@ def test_scaled_sparse_vectors_are_componentwise_products():
         cases.append((v, next(c for c in _random_vector(rng, target) + (x_plus_y,) if c)))
     merged = 0
     for v, p in cases:
-        terms = {(pos, e): c for pos, comp in enumerate(v) for e, c in comp.terms.items()}
-        got = _scaled(terms, p, A.field)
+        row = {pos: dict(comp.terms) for pos, comp in enumerate(v) if comp.terms}
+        got = {pos: _mul_terms(comp, p.terms, A.field) for pos, comp in row.items()}
         want = [((pos, e), c) for pos, comp in enumerate(v) for e, c in (p * comp).terms.items()]
-        assert sorted(got.items()) == sorted(want)
-        merged += len(got) < len(terms) * len(p.terms)
+        assert sorted((pos, e, c) for pos, comp in got.items() for e, c in comp.items()) == sorted(
+            (pos, e, c) for (pos, e), c in want
+        )
+        merged += sum(map(len, got.values())) < sum(map(len, row.values())) * len(p.terms)
     assert merged  # some products collided and were added up
 
 

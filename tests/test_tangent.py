@@ -26,16 +26,22 @@ from kcx.tangent import (
     tangent_algebra,
     tangent_apply_functor,
     tangent_structure_maps,
-    vertical_lift,
-    zero_map,
 )
 
 import helpers
 from oracles import bidegree_split, leibniz_tensor_presentation, partial_differential
 
 
-# the maps the axiom checks share, built once per module on its bundle context
-AXIOM_MAPS = ("p_S", "zero_S", "Tq", "lift_S", "T_lam", "h3_down", "h4_down")
+def axiom_maps(ctx) -> list[AlgebraMorphism]:
+    """The maps the axiom checks share: S_A(M)'s p, 0 and l from its tangent
+    structure, and Tq, T(lambda), h3_down and h4_down, built once per module on
+    its bundle context."""
+    S_maps = ctx.S_maps
+    return [S_maps.p, S_maps.zero, ctx.Tq, S_maps.lift, ctx.T_lam, ctx.h3_down, ctx.h4_down]
+
+
+# the maps of a tangent structure, each built on first use
+STRUCTURE_MAPS = {"p", "zero", "minus", "plus", "T2", "tau", "lift", "flip"}
 
 
 def test_tangent_plane_free(plane):
@@ -71,7 +77,7 @@ def test_differential_matches_the_sum_of_partials_on_gallery_relations():
     for A in (gallery.plane_algebra(), gallery.circle_algebra(), gallery.sphere_algebra(),
               gallery.elliptic_algebra(), gallery.fat_point_algebra()):
         ctx = bundle_context(kahler_module(A))
-        for T in (tangent_algebra(A), tangent_algebra(tangent_algebra(A)), ctx.TS, ctx.T2S):
+        for T in (tangent_algebra(A), tangent_algebra(tangent_algebra(A)), ctx.TS, ctx.S_maps.TTA):
             for r in T.source.relations:
                 assert T.differential(r).terms == partial_differential(T, r).terms
 
@@ -127,15 +133,22 @@ def test_structure_maps_certified_on_gallery(plane, circle, fat_point, elliptic,
 
 
 def test_shared_structure_map_builders(plane, circle, fat_point, sphere2):
+    """A bundle context reads the tangent structures of A, S_A(M) and T(A)
+    themselves: one object per algebra, each map built once."""
     for A in (plane, circle, fat_point, sphere2):
         maps = tangent_structure_maps(A)
-        assert maps.zero == zero_map(maps.TA)
-        assert maps.lift == vertical_lift(maps.TTA)
         M = kahler_module(A)
         ctx = bundle_context(M)
-        assert ctx.p_A == maps.p
+        assert ctx.A_maps is maps and ctx.S_maps is tangent_structure_maps(ctx.S)
+        assert ctx.TA is maps.TA and ctx.TS is ctx.S_maps.TA
+        assert ctx.TAS.factors == (maps.TA, ctx.S)
+        assert tangent_structure_maps(maps.TA).TA is maps.TTA
+        assert ctx.curvature_shapes.P is ctx.S_maps.TTA
+        for B, T in ((A, maps), (ctx.S, ctx.S_maps)):
+            assert {g for g in T.TA.gens if T.zero.image_of(g).is_zero()} == set(T.TA.dmap.values())
+            assert T.zero.cod is B and T.lift.cod is T.TA and T.flip.dom is T.TTA
         assert {g for g in ctx.S.gens if ctx.z.image_of(g).is_zero()} == set(M.gens)
-        assert all(getattr(ctx, name).certified for name in AXIOM_MAPS)
+        assert all(m.certified for m in axiom_maps(ctx))
         dn = dual_numbers_structure(A)
         assert all(m.certified for m in (dn.p, dn.zero, dn.plus, dn.minus, dn.lift, dn.flip))
 
@@ -173,7 +186,7 @@ def test_lambda_values_and_lift_embedding(circle):
 def test_derived_structures_die_with_their_algebra():
     A = make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"])
     ctx = bundle_context(kahler_module(A))
-    assert ctx.T2S is tangent_algebra(ctx.TS)
+    assert ctx.S_maps.TTA is tangent_algebra(ctx.TS)
     tangent_structure_maps(A)
     dead = weakref.ref(A)
     del A, ctx
@@ -185,12 +198,15 @@ def test_each_axiom_suite_builds_only_the_maps_it_uses():
     A = make_algebra(QQ, ("x1", "x2"))
     nabla = free_canonical_connection(A, 1)
     ctx = nabla.ctx
+    assert STRUCTURE_MAPS & set(vars(ctx.A_maps)) == {"p"}  # what the context itself builds
+    assert not STRUCTURE_MAPS & set(vars(ctx.S_maps))
     assert verify_vertical_axioms(to_vertical(nabla), nabla.module).all_pass
-    assert {"lift_S", "T_lam", "p_S"} <= set(vars(ctx))
-    assert not {"T2A", "h3_down", "h4_down"} & set(vars(ctx))
+    assert "T_lam" in vars(ctx) and {"lift", "p"} <= set(vars(ctx.S_maps))
+    assert not {"h3_down", "h4_down"} & set(vars(ctx))
+    assert "TTA" not in vars(ctx.A_maps)
     assert not ctx.TA._memo  # T(T(A)) was never built
     assert verify_horizontal_axioms(to_horizontal(nabla), nabla.module).all_pass
-    assert {"T2A", "h3_down", "h4_down"} <= set(vars(ctx))
+    assert {"h3_down", "h4_down"} <= set(vars(ctx)) and "TTA" in vars(ctx.A_maps)
 
 
 def test_u_map_values(circle):
@@ -273,10 +289,15 @@ def test_affine_flip_and_swap_certified(circle):
 def test_generic_flip_on_bundle_double_tangent(circle):
     omega = kahler_module(circle)
     ctx = bundle_context(omega)
-    flip = ctx.flip_S
-    T2S = ctx.T2S
+    flip = ctx.S_maps.flip
+    T2S = ctx.S_maps.TTA
+    assert flip is tangent_structure_maps(ctx.S).flip and T2S is tangent_algebra(ctx.TS)
     assert flip.certified
     assert compose_morphisms(flip, flip) == identity_morphism(T2S)
+    for m in omega.gens:  # the module sort's two levels swap, its mixed sort stays
+        d, dp = ctx.TS.dmap[m], T2S.dmap[m]
+        assert flip(T2S.gen(d)) == T2S.gen(dp) and flip(T2S.gen(dp)) == T2S.gen(d)
+        assert flip(T2S.gen(T2S.dmap[d])) == T2S.gen(T2S.dmap[d])
 
 
 def leibniz_cases(plane, circle, sphere2):
@@ -332,8 +353,8 @@ def every_structure_map(A, M) -> list[AlgebraMorphism]:
     ctx = bundle_context(M)
     maps = [tm.p, tm.zero, tm.plus, tm.minus, tm.lift, tm.flip, tm.tau]
     maps += [dn.p, dn.zero, dn.plus, dn.minus, dn.lift, dn.flip]
-    maps += [ctx.q, ctx.z, ctx.iota, ctx.sigma, ctx.lam, ctx.p_A, ctx.U, ctx.flip_S]
-    maps += [getattr(ctx, name) for name in AXIOM_MAPS]
+    maps += [ctx.q, ctx.z, ctx.iota, ctx.sigma, ctx.lam, ctx.A_maps.p, ctx.U, ctx.S_maps.flip]
+    maps += axiom_maps(ctx)
     if M.provenance == "kahler":
         maps += [ctx.affine_flip, ctx.affine_swap]
     return maps
@@ -442,6 +463,21 @@ def test_only_maps_built_from_connection_data_reach_normal_forms(monkeypatch):
     assert nabla.ctx.TS.gens not in rings
     assert nabla.ctx.TAS.gens not in rings
     assert rings  # the recorder saw the bases that were built
+
+
+def test_a_pipeline_builds_no_plus_or_tau():
+    """The S^2 pipeline reads p, 0, l and c of A and S_A(M), and never builds
+    their +, T2 or tau; a bundle context itself builds A's p alone."""
+    A = make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"])
+    ctx = bundle_context(kahler_module(A))
+    assert STRUCTURE_MAPS & set(vars(ctx.A_maps)) == {"p"}
+    assert not STRUCTURE_MAPS & set(vars(ctx.S_maps))
+    assert run_sphere_pipeline(A).ctx is ctx
+    for B in (A, ctx.S, ctx.TA):
+        built = STRUCTURE_MAPS & set(vars(tangent_structure_maps(B)))
+        assert built and not {"plus", "T2", "tau"} & built, B.gens
+    assert tangent_structure_maps(A).tau.certified  # still built when asked, so the check above can fail
+    assert {"plus", "T2", "tau"} <= set(vars(tangent_structure_maps(A)))
 
 
 def test_sigma_and_its_codomain_are_built_only_when_asked(monkeypatch):
