@@ -5,8 +5,10 @@ element equality is canonical normal-form equality.  Raw in, reduced once:
 `PresentedAlgebra.polynomial` reads any `ElementLike` without reducing it,
 constructors keep raw values, and only `AlgebraElement` and, in `modules.py`,
 `ModuleElement` and `PresentedModule.combine` reduce.  So morphisms are
-stored by raw generator images, tensor presentations identify raw images, and
-applying a morphism substitutes and then reduces in the codomain.
+stored by raw generator images, and applying a morphism substitutes and then
+reduces in the codomain.  A tensor over a base presents a base generator that
+both factor maps send to a plain generator once, so raw images over it
+compare as given; other factor maps get identification relations.
 Certification (all domain relations map to zero) happens eagerly for
 user-built morphisms and lazily/never for maps whose well-definedness is
 forced by construction.  It first matches each relation's raw image against
@@ -122,36 +124,15 @@ class PresentedAlgebra:
         rels = [r for r in self.relations if self.within_cap(r)]
         return frozenset(rels) | frozenset(-r for r in rels)
 
-    # A renaming g with p - g(p) in the ideal for every p, or None; only a
-    # `TensorAlgebra` whose factor maps are plain renamings on A has one.
-    glue: "AlgebraMorphism | None" = None
-
-    @cached_property
-    def _glued_relations(self) -> frozenset[Polynomial]:
-        return frozenset(map(self.glue.apply_raw, self.signed_relations))
-
     def proves_zero(self, p: Polynomial) -> bool:
-        """Whether raw `p` is zero here by definition, with no normal form.
-
-        It is when it is zero or a signed relation, or, within the cap, when
-        its glued form is zero or a glued signed relation: p - glue(p) and
-        r - glue(r) lie in the ideal, so glue(p) == glue(r) gives p = r.
-        """
-        if p.is_zero() or p in self.signed_relations:
-            return True
-        if self.glue is None or not self.within_cap(p):
-            return False
-        glued = self.glue.apply_raw(p)
-        return glued.is_zero() or glued in self._glued_relations
+        """Whether raw `p` is zero here by definition, with no normal form:
+        it is zero or a signed relation."""
+        return p.is_zero() or p in self.signed_relations
 
     def proves_equal(self, p: Polynomial, q: Polynomial) -> bool:
-        """Whether raw `p` and `q` are equal here by definition: both within
-        the cap and equal term for term, as given or after gluing."""
-        if p.terms == q.terms:
-            return self.within_cap(p)
-        if self.glue is None or not (self.within_cap(p) and self.within_cap(q)):
-            return False
-        return self.glue.apply_raw(p).terms == self.glue.apply_raw(q).terms
+        """Whether raw `p` and `q` are equal here by definition: equal term
+        for term and within the cap."""
+        return p.terms == q.terms and self.within_cap(p)
 
     def __repr__(self) -> str:
         rels = "; ".join(r.render() for r in self.relations) or "0"
@@ -312,12 +293,11 @@ class AlgebraMorphism:
     def certify(self) -> "AlgebraMorphism":
         """Prove that every domain relation maps to zero in the codomain.
 
-        A raw image that is zero, or a codomain relation up to sign, as given
-        or after the codomain's gluing, is zero there by definition
-        (`PresentedAlgebra.proves_zero`).  Most structure maps send every
-        relation to one of those, and are then certified with no codomain
-        basis.  Otherwise the same images go through `certificate`, whose
-        first nonzero residue is the failure.
+        A raw image that is zero, or a codomain relation up to sign, is zero
+        there by definition (`PresentedAlgebra.proves_zero`).  Most structure
+        maps send every relation to one of those, and are then certified with
+        no codomain basis.  Otherwise the same images go through
+        `certificate`, whose first nonzero residue is the failure.
         """
         raw = [self.apply_raw(rel) for rel in self.dom.relations]
         if not all(map(self.cod.proves_zero, raw)):
@@ -354,11 +334,10 @@ class AlgebraMorphism:
     def agrees_on(self, other: "AlgebraMorphism", gen: str) -> bool:
         """Whether both maps send `gen` to the same codomain element.
 
-        Raw images within the codomain's grade cap that are identical, or
-        identical after its gluing, agree with no normal form
-        (`PresentedAlgebra.proves_equal`); any other pair is compared by
-        normal forms, so an image above the cap is refused as `image_of`
-        refuses it.
+        Identical raw images within the codomain's grade cap agree with no
+        normal form (`PresentedAlgebra.proves_equal`); any other pair is
+        compared by normal forms, so an image above the cap is refused as
+        `image_of` refuses it.
         """
         mine, theirs = self.images[gen], other.images[gen]
         if other.cod is self.cod and self.cod.proves_equal(mine, theirs):
@@ -511,21 +490,15 @@ def compose_chain(maps: list[AlgebraMorphism]) -> AlgebraMorphism:
 
 
 class TensorAlgebra(PresentedAlgebra):
-    """B1 (x)_A B2 presented on renamed generators with A-images identified.
+    """B1 (x)_A B2 presented on renamed generators; `rename[k]` names factor
+    k's generators in it, and `i0`, `i1` are the two injections."""
 
-    `self.glue` is the renaming z#1 -> y#0 over the identifications y#0 - z#1
-    of two plain generators (x#1 -> x#0 for T(A) (x)_A S_A(M)), when
-    `tensor_over_base` finds one (`_gluing`), else None.
-    """
-
-    def __init__(self, left, right, gens, relations, roles, rename0, rename1, grading=None, cap=None, glue=None):
+    def __init__(self, left, right, gens, relations, roles, rename0, rename1, grading=None, cap=None):
         super().__init__(left.field, gens, relations, roles=roles, grading=grading, cap=cap)
         self.factors = (left, right)
         self.rename = (dict(rename0), dict(rename1))
         self.i0 = relabel(left, self, rename0, "i0", certify=False)
         self.i1 = relabel(right, self, rename1, "i1", certify=False)
-        if glue is not None:
-            self.glue = relabel(self, self, glue, "glue", certify=False)
 
     def pair(self, w: ElementLike, v: ElementLike) -> AlgebraElement:
         """The simple tensor w (x) v."""
@@ -544,11 +517,15 @@ def tensor_over_base(
 ) -> TensorAlgebra:
     """Pushout presentation of B1 (x)_A B2 along the maps A -> Bi.
 
-    Generators are the disjoint union (suffixed #0/#1, never user-visible),
-    relations are both factors' relations plus the identification of the two
-    raw A-images.  Given no grading, the factors' sort gradings are
-    juxtaposed, capped at 1 in each sort by default (sound when the maps
-    hit only grade-zero generators); maps that shift sorts need a grading.
+    B1's generators are suffixed #0 and B2's #1 (`kcx convert` prints them),
+    and the relations are both factors' relations, each once.  When every
+    base generator goes to plain generators y and z of grade zero, y is
+    named z#1 and takes z's role and grading (`_shared_base`): a pushout
+    along generator inclusions needs one copy of them.  Otherwise each pair
+    of raw A-images is identified by a relation.  Given no grading, the
+    factors' sort gradings are juxtaposed, capped at 1 in each sort by
+    default (sound when the maps hit only grade-zero generators); maps that
+    shift sorts need a grading.
     """
     if f1.dom is not A or f2.dom is not A or f1.cod is not B1 or f2.cod is not B2:
         raise ValueError("factor maps must go A -> B1 and A -> B2")
@@ -556,41 +533,44 @@ def tensor_over_base(
         raise ValueError("factors over different fields")
     rename0 = {g: f"{g}#0" for g in B1.gens}
     rename1 = {g: f"{g}#1" for g in B2.gens}
-    gens = tuple(rename0.values()) + tuple(rename1.values())
-    if len(set(gens)) != len(gens):
-        raise ValueError("generator name collision after renaming")
-    roles = {}
-    for B, rename, k in ((B1, rename0, 0), (B2, rename1, 1)):
-        for g in B.gens:
-            roles[rename[g]] = GenRole(B.roles[g].kind, f"{B.roles[g].origin}#{k}")
     if grading is None and (B1.grading or B2.grading):
         left, right = (B.grading or dict.fromkeys(B.gens, ()) for B in (B1, B2))
         k0, k1 = (len(next(iter(g.values()), ())) for g in (left, right))
         grading = {rename0[g]: left[g] + (0,) * k1 for g in B1.gens}
         grading.update({rename1[g]: (0,) * k0 + right[g] for g in B2.gens})
         cap = (1,) * (k0 + k1) if cap is None else cap
+    shared = _shared_base(f1, f2, rename0, rename1, grading)
+    gens = tuple(rename0[g] for g in B1.gens if g not in (shared or ())) + tuple(rename1.values())
+    rename0.update(shared or {})
+    roles = {}  # B2's role last, so a merged generator keeps it
+    for B, rename, k in ((B1, rename0, 0), (B2, rename1, 1)):
+        for g in B.gens:
+            roles[rename[g]] = GenRole(B.roles[g].kind, f"{B.roles[g].origin}#{k}")
+    if grading:
+        grading = {g: grading[g] for g in gens}
     relations = [rel.change_vars(gens, rename0) for rel in B1.relations]
     relations += [rel.change_vars(gens, rename1) for rel in B2.relations]
-    for a in A.gens:
-        left, right = f1.images[a].change_vars(gens, rename0), f2.images[a].change_vars(gens, rename1)
-        relations.append(left - right)
-    glue = _gluing(f1, f2, rename0, rename1)
-    return TensorAlgebra(B1, B2, gens, relations, roles, rename0, rename1, grading, cap, glue)
+    if shared is None:
+        for a in A.gens:
+            left, right = f1.images[a].change_vars(gens, rename0), f2.images[a].change_vars(gens, rename1)
+            relations.append(left - right)
+    relations = [r for r in dict.fromkeys(relations) if not r.is_zero()]
+    return TensorAlgebra(B1, B2, gens, relations, roles, rename0, rename1, grading, cap)
 
 
-def _gluing(f1: AlgebraMorphism, f2: AlgebraMorphism, rename0, rename1) -> dict[str, str] | None:
-    """z#1 -> y#0 for each base generator a with f1(a) = y and f2(a) = z, or
-    None unless every image is one generator with coefficient 1 and no z
-    gets two targets.  Each z#1 - y#0 is an identification relation (with
-    no base generators the gluing is the identity)."""
+def _shared_base(f1: AlgebraMorphism, f2: AlgebraMorphism, rename0, rename1, grading) -> dict[str, str] | None:
+    """y -> z#1 for each base generator a with f1(a) = y and f2(a) = z, or
+    None unless every image is one generator with coefficient 1, each copy
+    has grade zero and no y gets two names (with no base generators, the
+    empty table)."""
     if f1._renaming is None or f2._renaming is None:
         return None
     table: dict[str, str] = {}
     for s1, s2 in zip(f1._renaming, f2._renaming):
         if s1 is None or s2 is None or s1[1] != 1 or s2[1] != 1:
             return None
-        z, y = rename1[f2.cod.gens[s2[0]]], rename0[f1.cod.gens[s1[0]]]
-        if table.setdefault(z, y) != y:
+        y, z = f1.cod.gens[s1[0]], rename1[f2.cod.gens[s2[0]]]
+        if table.setdefault(y, z) != z or grading and any(grading[rename0[y]] + grading[z]):
             return None
     return table
 

@@ -11,11 +11,10 @@ the two compatibility equations as morphism identities on generators.
 Each connection builds H and K once, on first use.  Both are certified by
 the Leibniz residues the construction already checked, with no basis of
 T(S_A(M)) or T(A) (x)_A S_A(M) (`Connection._leibniz_certifies`,
-`Connection._horizontal_certifies`).  H's images mix the copies x#0 and x#1
-of A's generators, so they are compared after the gluing x#1 -> x#0
-(`TensorAlgebra.glue`): p - glue(p) lies in the ideal of the identifications.
-Data that fails the Leibniz rule falls back to the full certificate, which
-reports the failure.  `from_horizontal` reads H's raw d(m) images: every
+`Connection._horizontal_certifies`).  T(A) (x)_A S_A(M) has one copy x#1 of
+A's generators, so H's raw images are compared as given.  Data that fails
+the Leibniz rule falls back to the full certificate, which reports the
+failure.  `from_horizontal` reads H's raw d(m) images: every
 monomial of bidegree (1,1) in T(A) (x)_A S_A(M) has shape form, and the
 ideal's bidegree-(1,1) part reads into relation rows of Omega (x) M, so the
 raw read and the normal-form read give the same connection; an image with
@@ -84,12 +83,11 @@ class Connection:
     def H(self) -> AlgebraMorphism:
         """H: T(S_A(M)) -> T(A) (x)_A S_A(M) with H(d(m)) the connection image.
 
-        H sends x and d(x) into the T(A) factor (x#0, d_x#0), m into the
-        S_A(M) factor (m#1) and d(m) to write(Gamma(m)), whose coefficients
-        sit on x#1.  It is certified by the Leibniz residues
-        (`_horizontal_certifies`): the relations of A, their differentials
-        and the rows rho of M match relations of the tensor after the gluing
-        x#1 -> x#0, and H(d(rho)) is, after gluing, write(L) for the Leibniz
+        H sends x to the shared copy x#1, d(x) into the T(A) factor (d_x#0),
+        m into the S_A(M) factor (m#1) and d(m) to write(Gamma(m)).  It is
+        certified by the Leibniz residues (`_horizontal_certifies`): the
+        relations of A, their differentials and the rows rho of M go to
+        relations of the tensor, and H(d(rho)) is write(L) for the Leibniz
         terms L of rho's row, which is zero when L combines to zero in
         Omega (x) M.  Otherwise H's full certificate decides and names the
         first relation with a nonzero residue.
@@ -98,7 +96,7 @@ class Connection:
         TS, T = ctx.TS, ctx.TAS
         images: dict[str, Polynomial] = {}
         for x in ctx.A.gens:
-            images[x] = Polynomial.variable(T.field, T.gens, f"{x}#0")
+            images[x] = Polynomial.variable(T.field, T.gens, f"{x}#1")
             images[TS.dmap[x]] = Polynomial.variable(T.field, T.gens, f"{ctx.TA.dmap[x]}#0")
         for m in ctx.M.gens:
             images[m] = Polynomial.variable(T.field, T.gens, f"{m}#1")
@@ -168,27 +166,22 @@ class Connection:
         """Whether the Leibniz residues show that H kills every relation of T(S_A(M)).
 
         The relations of T(S_A(M)) are A's relations r, the linear forms rho
-        of M's rows, the d(r) and the d(rho).  H sends r and d(r) to the
-        relations r and d(r) of T(A) over x#0, and rho to rho over x#0 and
-        m#1, which the gluing x#1 -> x#0 of T(A) (x)_A S_A(M) matches with its
-        relation rho over x#1 (`PresentedAlgebra.proves_zero`).  H(d(rho)) is
-        the Leibniz sum of rho's row with x#0 and x#1 mixed, so after gluing
-        it must equal write(L) term for term, and L must combine to zero in
-        Omega (x) M.  Then H(d(rho)) is zero: write is k[x]-linear (x acting as
-        x#1) and sends every relation row of Omega (x) M into the ideal, as
-        for K (`_leibniz_certifies`), and p - glue(p) lies in the ideal of the
-        identifications x#0 - x#1.
+        of M's rows, the d(r) and the d(rho).  H sends r, d(r) and rho to the
+        relations r, d(r) and rho of T(A) (x)_A S_A(M)
+        (`PresentedAlgebra.proves_zero`).  H(d(rho)) is the Leibniz sum of
+        rho's row, which must equal write(L) term for term, and L must
+        combine to zero in Omega (x) M.  Then H(d(rho)) is zero: write is
+        k[x]-linear (x acting as x#1) and sends every relation row of
+        Omega (x) M into the ideal, as for K (`_leibniz_certifies`).
         """
         rows = self._leibniz_rows
         if rows is None:
             return False
-        T = self.ctx.TAS  # its factor maps A -> T(A), A -> S_A(M) are inclusions, so it has a gluing
         relations = self.ctx.TS.relations
         n = len(relations) - len(rows)  # the d(rho) come last, in row order
-        if not all(T.proves_zero(H.apply_raw(r)) for r in relations[:n]):
+        if not all(self.ctx.TAS.proves_zero(H.apply_raw(r)) for r in relations[:n]):
             return False
-        glue = T.glue.apply_raw
-        return all(glue(H.apply_raw(d_rho)) == glue(written) for (_, written), d_rho in zip(rows, relations[n:]))
+        return all(H.apply_raw(d_rho) == written for (_, written), d_rho in zip(rows, relations[n:]))
 
     def __repr__(self) -> str:
         rows = "; ".join(f"{g} -> {self.gamma[g].render()}" for g in self.module.gens)

@@ -95,6 +95,8 @@ def affine_linear_solve(
                 pivots[col] = row
                 break
             row = _eliminate(row, col, pivots[col], f)
+            if col in row:  # the loop would never end
+                raise ArithmeticError(f"elimination left column {col} ({unknowns[col]!r}) in the row")
         else:
             if row:  # 0 = nonzero constant
                 return AffineSolutionSpace(unknowns, None)

@@ -33,8 +33,8 @@ the only reader of those shapes.  The Omega(A) (x) M `write` sends every
 relation row of Omega(A) (x) M into the ideal of T(A) (x)_A S_A(M), and U
 after it into the ideal of T(S_A(M)), which is what lets
 `connections.Connection.H` and `Connection.K` be certified from the Leibniz
-residues; H's images are compared after the tensor's gluing x#1 -> x#0
-(`algebra.TensorAlgebra.glue`).
+residues.  T(A) (x)_A S_A(M) and T(A) (x)_A T(A) have one copy x#1 of A's
+generators (`algebra.tensor_over_base`), so H's raw images compare as given.
 
 Each module's bundle is `bundle_context(M)`, one `BundleContext` with the
 bundle's own maps (q/z/iota/sigma, lambda, U, the shapes) as attributes and
@@ -54,6 +54,7 @@ from .algebra import (
     PresentedAlgebra,
     TensorAlgebra,
     _ROLE_RANK,
+    compose_chain,
     memoized,
     relabel,
     tensor_over_base,
@@ -195,7 +196,7 @@ class TangentMaps:
     @cached_property
     def tau(self) -> AlgebraMorphism:
         """The swap of T(A) (x)_A T(A)."""
-        swap = {f"{g}#{i}": f"{g}#{1 - i}" for g in self.TA.gens for i in (0, 1)}
+        swap = {f"{d}#{i}": f"{d}#{1 - i}" for d in self.TA.dmap.values() for i in (0, 1)}
         return relabel(self.T2, self.T2, swap, "tau")
 
     @cached_property
@@ -447,8 +448,7 @@ class BundleContext:
         self.TAS = tensor_over_base(A, self.TA, self.S, self.A_maps.p, self.q)
         self.omega_tensor_M = christoffel_target(M)
         u_table = {f"{g}#1": g for g in self.S.gens}
-        for g in A.gens:
-            u_table.update({f"{g}#0": g, f"{self.TA.dmap[g]}#0": self.TS.dmap[g]})
+        u_table.update({f"{self.TA.dmap[g]}#0": self.TS.dmap[g] for g in A.gens})
         self.U = relabel(self.TAS, self.TS, u_table, "U")
 
     @cached_property
@@ -470,15 +470,22 @@ class BundleContext:
         """f0 (x) f1: T(T(A) (x)_A S) -> T(A) (x)_A S, factor by factor.
 
         T(T(A) (x)_A S) is T^2(A) (x)_{T(A)} T(S) (Leibniz: d(w (x) v) is
-        d'(w) (x) v + w (x) d(v)), and the deterministic differential naming
-        makes the two presentations share their generator names: those of
-        T(T(A) (x)_A S) are exactly g#0 for g in T^2(A) and g#1 for g in T(S).
-        So f0 (x) f1 is defined on T(T(A) (x)_A S) itself, with no
-        identification in between.
+        d'(w) (x) v + w (x) d(v)) on one copy of T(A): by the deterministic
+        differential naming its generators are g#1 for g in T(S), where x#1
+        and d_x#1 also stand for x and dp_x of T^2(A), and g#0 for the other
+        g in T^2(A).  So f0 (x) f1 is defined there once f0 after T(p_A) and
+        f1 after T(q) agree on T(A), generator by generator (else
+        `BaseMismatch`, as in `bundle_combine`).
         """
-        images = {f"{g}#0": self.TAS.i0.apply_raw(p) for g, p in f0.images.items()}
-        images.update({f"{g}#1": self.TAS.i1.apply_raw(p) for g, p in f1.images.items()})
-        return AlgebraMorphism(tangent_algebra(self.TAS), self.TAS, images, certify=True, name=name)
+        TAS, T = self.TAS, tangent_algebra(self.TAS)
+        left = compose_chain([tangent_apply_functor(self.A_maps.p), f0, TAS.i0])
+        right = compose_chain([self.Tq, f1, TAS.i1])
+        for g in self.TA.gens:
+            if not left.agrees_on(right, g):
+                raise BaseMismatch(g, left.image_of(g).render(), right.image_of(g).render())
+        images = {f"{g}#0": TAS.i0.apply_raw(p) for g, p in f0.images.items()}
+        images.update({f"{g}#1": TAS.i1.apply_raw(p) for g, p in f1.images.items()})
+        return AlgebraMorphism(T, TAS, {g: images[g] for g in T.gens}, name=name)
 
     @cached_property
     def h3_down(self) -> AlgebraMorphism:
@@ -497,8 +504,8 @@ class BundleContext:
         """Omega(A) (x) M in T(A) (x)_A S_A(M): d(x_i) (x) m_l is d_x_i#0 * m_l#1."""
         A, M = self.A, self.M
         shapes = [[(1, (f"{self.TA.dmap[x]}#0", f"{m}#1"))] for x in A.gens for m in M.gens]
-        back = {f"{g}#{k}": g for g in A.gens for k in (0, 1)}
-        return ShapeMap(self.TAS, self.omega_tensor_M, shapes, {g: f"{g}#1" for g in A.gens}, back)
+        into = {g: f"{g}#1" for g in A.gens}
+        return ShapeMap(self.TAS, self.omega_tensor_M, shapes, into, {b: g for g, b in into.items()})
 
     @cached_property
     def curvature_shapes(self) -> ShapeMap:
@@ -544,7 +551,7 @@ class BundleContext:
         table = {}
         for x, m in zip(self.A.gens, self.M.gens):
             dx = f"{self.TA.dmap[x]}#0"
-            table.update({f"{x}#0": f"{x}#1", f"{x}#1": f"{x}#0", dx: f"{m}#1", f"{m}#1": dx})
+            table.update({dx: f"{m}#1", f"{m}#1": dx})
         return relabel(self.TAS, self.TAS, table, "tau")
 
 

@@ -28,7 +28,10 @@ the P^1 glue residues).  `bidegree_split` sorts the terms of a
 T(A) (x)_A S_A(M) polynomial by their d- and module-degrees; it checks
 `BundleContext.omega_m_shapes.read`.  `leibniz_tensor_presentation` builds
 T^2(A) (x)_{T(A)} T(S_A(M)) by the tensor recipe; it checks that
-T(T(A) (x)_A S_A(M)) is the same presentation.  `eager_make_morphism`
+T(T(A) (x)_A S_A(M)) is the same presentation.  `two_copy_tensor` presents
+B1 (x)_A B2 on both copies of the generators with the identification
+relations y#0 - z#1; it checks the one-copy presentation `tensor_over_base`
+builds when the factor maps are plain renamings.  `eager_make_morphism`
 reduces every image to its codomain normal form before the map is built; it
 checks that `make_morphism`'s raw images decide the same.
 
@@ -431,7 +434,7 @@ def bidegree_split(ctx, poly: Polynomial) -> tuple[tuple[Polynomial, ...], Polyn
     T = ctx.TAS
     d_idx = [T.gens.index(f"{ctx.TA.dmap[g]}#0") for g in ctx.A.gens]
     m_idx = [T.gens.index(f"{m}#1") for m in ctx.M.gens]
-    back = {f"{g}#1": g for g in ctx.A.gens} | {f"{g}#0": g for g in ctx.A.gens}
+    back = {f"{g}#1": g for g in ctx.A.gens}
     comps = [Polynomial.zero(ctx.A.field, ctx.A.gens)] * ctx.omega_tensor_M.rank
     stray = Polynomial.zero(T.field, T.gens)
     for exp, coef in poly.terms.items():
@@ -462,6 +465,26 @@ def leibniz_tensor_presentation(ctx):
         grading[f"{g}#1"] = (mod, 0, tan)
     Tp, Tq = tangent_apply_functor(ctx.A_maps.p), tangent_apply_functor(ctx.q)
     return tensor_over_base(ctx.TA, T2A, ctx.TS, Tp, Tq, grading=grading, cap=(1, 1, 1))
+
+
+def two_copy_tensor(A, B1, B2, f1, f2) -> PresentedAlgebra:
+    """B1 (x)_A B2 on B1's generators suffixed #0 and B2's suffixed #1: both
+    factors' relations, then f1(a) - f2(a) for each base generator a, with
+    the factors' sort gradings juxtaposed and capped at 1 in each sort (no
+    grading when neither factor has one)."""
+    rename0 = {g: f"{g}#0" for g in B1.gens}
+    rename1 = {g: f"{g}#1" for g in B2.gens}
+    gens = (*rename0.values(), *rename1.values())
+    left, right = (B.grading or dict.fromkeys(B.gens, ()) for B in (B1, B2))
+    k0, k1 = (len(next(iter(g.values()), ())) for g in (left, right))
+    grading = {rename0[g]: left[g] + (0,) * k1 for g in B1.gens}
+    grading.update({rename1[g]: (0,) * k0 + right[g] for g in B2.gens})
+    relations = [r.change_vars(gens, rename0) for r in B1.relations]
+    relations += [r.change_vars(gens, rename1) for r in B2.relations]
+    relations += [f1.images[a].change_vars(gens, rename0) - f2.images[a].change_vars(gens, rename1) for a in A.gens]
+    if not k0 + k1:
+        return PresentedAlgebra(B1.field, gens, relations)
+    return PresentedAlgebra(B1.field, gens, relations, grading=grading, cap=(1,) * (k0 + k1))
 
 
 def eager_make_morphism(dom, cod, images, certify: bool = True, name: str = "") -> AlgebraMorphism:
@@ -538,7 +561,7 @@ def tensor_algebra_to_omega_m(ctx, e) -> tuple[ModuleElement, Polynomial]:
     T, target = ctx.TAS, ctx.omega_tensor_M
     d_pos = {f"{ctx.TA.dmap[g]}#0": i for i, g in enumerate(ctx.A.gens)}
     m_pos = {f"{m}#1": l for l, m in enumerate(ctx.M.gens)}
-    base = {f"{g}#{k}": g for g in ctx.A.gens for k in (0, 1)}
+    base = {f"{g}#1": g for g in ctx.A.gens}
     found, stray = split_shapes(T, T.element(e).poly, ("d", "module"), ctx.A.gens, base)
     comps = ((target.pair_index(d_pos[d], m_pos[m]), c) for (d, m), c in found)
     return target.combine(comps), stray

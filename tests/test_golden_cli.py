@@ -6,6 +6,9 @@ Regenerate after an intended output change with
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,29 @@ def render(argv: list[str]) -> str:
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
 def test_cli_output_matches_golden(name, argv):
     assert render(argv) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+# `python -m kcx.cli` argv, exit code and expected output: the gallery's
+# golden file, a check that fails (exit 1) and a usage error (exit 2)
+PROGRAM_CASES = {
+    "gallery": (["gallery"], 0, (GOLDEN / "gallery.txt").read_text(encoding="utf-8")),
+    "no_connection": (["check", "examples_kcx/fatpoint.kcx"], 1,
+                      "exit: 1\ncommand: check\n[FAIL] no-connections  residue: file defines no connection\n"),
+    "negative_degree": (["solve", "examples_kcx/circle.kcx", "--module", "Omega", "--degree", "-1"], 2,
+                        "exit: 2\nerror: --degree must be nonnegative\n"),
+}
+
+
+@pytest.mark.parametrize("case", PROGRAM_CASES)
+def test_the_cli_module_runs_as_a_program(case):
+    """`main` prints the report, adds no traceback and exits with its code."""
+    argv, code, expected = PROGRAM_CASES[case]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcx.cli", *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert f"exit: {proc.returncode}\n{proc.stdout}" == expected == render(argv)
 
 
 @pytest.mark.parametrize("stem", RENDERED)

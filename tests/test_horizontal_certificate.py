@@ -1,13 +1,15 @@
-"""The horizontal form H, certified from the Leibniz residues modulo the gluing.
+"""The horizontal form H, certified from the Leibniz residues with no basis.
 
-T(A) (x)_A S_A(M) identifies the two copies x#0 and x#1 of A's generators, and
-keeps the renaming x#1 -> x#0 as `TensorAlgebra.glue`.  p - glue(p) lies in
-the ideal of those identifications, so raw images that are equal after gluing
-are equal elements.  `certify`, `agrees_on`, `Connection.H` and
+T(A) (x)_A S_A(M) is presented on one copy x#1 of A's generators: the factor
+maps A -> T(A) and A -> S_A(M) are inclusions, so `tensor_over_base` names
+T(A)'s x as S_A(M)'s x#1 and needs no identification relation.  Raw images
+are then compared as given: `certify`, `agrees_on`, `Connection.H` and
 `from_horizontal` use that in place of a basis of the tensor.  These tests
-pin the gluing, compare glued `agrees_on` with normal-form equality on random
-pairs over three fields, compare H's certificate with the full one and pin
-the failure output of the fallback.  The fact H's certificate rests on (write
+pin the one-copy presentation against the two-copy one of
+`oracles.two_copy_tensor` (the same normal forms after x#0 -> x#1, over three
+fields), compare `agrees_on` on pairs glued from the two copies with
+normal-form equality, compare H's certificate with the full one and pin the
+failure output of the fallback.  The fact H's certificate rests on (write
 sends every relation row of Omega (x) M into the tensor's ideal) is checked
 with K's in `test_vertical_certificate.py`.
 """
@@ -22,9 +24,10 @@ from kcx.errors import WellDefinednessFailure
 from kcx.fields import GF, QQ
 from kcx.modules import christoffel_target, free_module, kahler_module, make_module
 from kcx.poly import Polynomial
-from kcx.tangent import bundle_context
+from kcx.tangent import bundle_context, tangent_structure_maps
 
 import helpers
+from oracles import two_copy_tensor
 
 FIELDS = [QQ, GF(3), GF(32003)]
 
@@ -46,57 +49,135 @@ def _var(T, name):
     return Polynomial.variable(T.field, T.gens, name)
 
 
+def _two_copies(ctx):
+    """The two-copy presentation of T(A) (x)_A S_A(M), and the renaming
+    x#0 -> x#1 that glues a polynomial over it into `ctx.TAS`."""
+    T = ctx.TAS
+    P = two_copy_tensor(ctx.A, ctx.TA, ctx.S, ctx.A_maps.p, ctx.q)
+    return P, lambda p: p.change_vars(T.gens, {f"{x}#0": f"{x}#1" for x in ctx.A.gens})
+
+
 # ---------------------------------------------------------------------------
-# the gluing itself
+# one copy of the base
 # ---------------------------------------------------------------------------
 
 
-def test_the_bundle_tensor_glues_the_second_copy_onto_the_first():
+def test_the_bundle_tensor_has_one_copy_of_the_base():
+    """T(A)'s x is S_A(M)'s x#1, with S_A(M)'s role and grading; the
+    relations are those of T(A) and S_A(M), each once, and no x#0 - x#1."""
     for M in _modules(QQ)[:2]:
         ctx = bundle_context(M)
         T = ctx.TAS
-        expected = {g: _var(T, g) for g in T.gens}
-        expected.update({f"{x}#1": _var(T, f"{x}#0") for x in ctx.A.gens})
-        assert T.glue.images == expected
-        assert T.glue.dom is T and T.glue.cod is T
+        assert T.gens == tuple(f"{d}#0" for d in ctx.TA.dmap.values()) + tuple(f"{g}#1" for g in ctx.S.gens)
+        assert T.rename[0] == {**{x: f"{x}#1" for x in ctx.A.gens}, **{d: f"{d}#0" for d in ctx.TA.dmap.values()}}
+        for x in ctx.A.gens:
+            assert T.roles[f"{x}#1"].origin == f"{x}#1" and T.grading[f"{x}#1"] == (0, 0)
+        factors = [r.change_vars(T.gens, T.rename[0]) for r in ctx.TA.relations]
+        factors += [r.change_vars(T.gens, T.rename[1]) for r in ctx.S.relations]
+        assert T.relations == tuple(dict.fromkeys(factors))
+        assert len(T.relations) == len(factors) - len(ctx.A.relations)  # A's relations once
+        assert not hasattr(T, "glue")
 
 
-def test_only_plain_renamings_of_the_base_give_a_gluing():
+def test_only_plain_renamings_of_the_base_share_one_copy():
+    """Each base generator onto one generator with coefficient 1 on both
+    sides, both of grade zero: the first factor's copy takes the second's
+    name.  Any other factor map keeps both copies and the identification
+    relations, as `oracles.two_copy_tensor` presents them."""
     A = make_algebra(QQ, ("a",))
     B = make_algebra(QQ, ("y", "z"))
     plain = make_morphism(A, B, {"a": "y"})
-    assert tensor_over_base(A, B, B, plain, plain).glue.images["y#1"] == Polynomial.variable(
-        QQ, ("y#0", "z#0", "y#1", "z#1"), "y#0"
-    )
+    shared = tensor_over_base(A, B, B, plain, plain)
+    assert shared.gens == ("z#0", "y#1", "z#1") and shared.relations == ()
+    assert shared.i0.images["y"] == _var(shared, "y#1")
     for image in ("2*y", "-y", "y^2", "y + z", "0"):
         other = make_morphism(A, B, {"a": image})
-        assert tensor_over_base(A, B, B, plain, other).glue is None, image
-        assert tensor_over_base(A, B, B, other, plain).glue is None, image
-    # two base generators onto one generator of the second factor: z#1 would
-    # need two targets
+        for f1, f2 in ((plain, other), (other, plain)):
+            T, P = tensor_over_base(A, B, B, f1, f2), two_copy_tensor(A, B, B, f1, f2)
+            assert T.gens == P.gens == ("y#0", "z#0", "y#1", "z#1"), image
+            assert T.relations == P.relations and len(T.relations) == 1, image
+    # two base generators onto one generator of the first factor: y would
+    # need two names
     A2 = make_algebra(QQ, ("a", "b"))
     left = make_morphism(A2, B, {"a": "y", "b": "z"})
     right = make_morphism(A2, B, {"a": "y", "b": "y"})
-    assert tensor_over_base(A2, B, B, left, right).glue is None
-    glued = tensor_over_base(A2, B, B, right, left).glue  # y#1 -> y#0 and z#1 -> y#0
-    assert glued.images["y#1"] == glued.images["z#1"] == _var(glued.cod, "y#0")
+    assert tensor_over_base(A2, B, B, right, left).gens == ("y#0", "z#0", "y#1", "z#1")
+    merged = tensor_over_base(A2, B, B, left, right)  # y and z of the first factor are both y#1
+    assert merged.gens == ("y#1", "z#1") and merged.relations == ()
+    assert merged.i0.images["y"] == merged.i0.images["z"] == _var(merged, "y#1")
+    # a copy of nonzero grade keeps both copies
+    graded = {"y#0": (1,), "z#0": (0,), "y#1": (0,), "z#1": (0,)}
+    assert tensor_over_base(A, B, B, plain, plain, grading=graded).gens == ("y#0", "z#0", "y#1", "z#1")
+
+
+def _random_within_cap(rng: random.Random, P) -> Polynomial:
+    """Terms with at most one generator of each nonzero sort, times grade-zero
+    generators to degree 2: within the cap (1, ..., 1)."""
+    base = [g for g in P.gens if not any(P.grading[g])]
+    sorts = {}
+    for g in P.gens:
+        if any(P.grading[g]):
+            sorts.setdefault(P.grading[g], []).append(g)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exp = dict.fromkeys(P.gens, 0)
+        for _ in range(rng.randint(0, 2)):
+            exp[rng.choice(base)] += 1
+        for gens in sorts.values():
+            if rng.random() < 0.6:
+                exp[rng.choice(gens)] += 1
+        terms[tuple(exp[g] for g in P.gens)] = P.field.of(rng.choice([-2, -1, 1, 2, 3]))
+    p = Polynomial(P.field, P.gens, terms)
+    assert P.within_cap(p)
+    return p
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_one_copy_normal_forms_are_the_two_copy_normal_forms(field):
+    """Random elements within the cap of the two-copy presentation: their
+    normal form holds no x#0, and renamed by x#0 -> x#1 it is, term for
+    term, the normal form of the renamed element in the one-copy tensor.
+    For T(A) (x)_A S_A(M) with Kahler, free and presented M, and for
+    T(A) (x)_A T(A)."""
+    rng = random.Random(2500 + field.char)
+    cases = []
+    for M in _modules(field)[:4]:
+        ctx = bundle_context(M)
+        cases.append((ctx.A, ctx.TA, ctx.S, ctx.A_maps.p, ctx.q, ctx.TAS))
+        if M.provenance == "kahler":
+            maps = tangent_structure_maps(ctx.A)
+            cases.append((ctx.A, ctx.TA, ctx.TA, maps.p, maps.p, maps.T2))
+    compared = 0
+    for A, B1, B2, f1, f2, T in cases:
+        P = two_copy_tensor(A, B1, B2, f1, f2)
+        copies = {f"{x}#0": f"{x}#1" for x in A.gens}
+        assert set(T.gens) == set(P.gens) - set(copies)
+        positions = [P.gens.index(g) for g in copies]
+        for _ in range(8):
+            p = _random_within_cap(rng, P)
+            two = P.element(p).poly
+            assert not any(exp[i] for exp in two.terms for i in positions)
+            one = T.element(p.change_vars(T.gens, copies)).poly
+            assert two.change_vars(T.gens, copies).terms == one.terms
+            assert two.render() == one.render()
+            compared += not one.is_zero()
+    assert compared >= 40
 
 
 # ---------------------------------------------------------------------------
-# agrees_on modulo the gluing, against normal forms
+# agrees_on on pairs glued from the two copies, against normal forms
 # ---------------------------------------------------------------------------
 
 
-def _random_tensor_poly(rng: random.Random, ctx, above_cap: bool) -> Polynomial:
-    """Terms of bidegree at most (1,1) over both copies of A; with `above_cap`
-    every term carries one extra d(x)."""
-    T = ctx.TAS
-    base = [g for g in T.gens if T.grading[g] == (0, 0)]
+def _random_tensor_poly(rng: random.Random, ctx, P, above_cap: bool) -> Polynomial:
+    """Terms over the two-copy presentation P of bidegree at most (1,1) over
+    both copies of A; with `above_cap` every term carries one extra d(x)."""
+    base = [g for g in P.gens if P.grading[g] == (0, 0)]
     ds = [f"{ctx.TA.dmap[x]}#0" for x in ctx.A.gens]
     ms = [f"{m}#1" for m in ctx.M.gens]
     terms = {}
     for _ in range(rng.randint(1, 4)):
-        exp = dict.fromkeys(T.gens, 0)
+        exp = dict.fromkeys(P.gens, 0)
         for _ in range(rng.randint(0, 2)):
             exp[rng.choice(base)] += 1
         if rng.random() < 0.7:
@@ -105,15 +186,14 @@ def _random_tensor_poly(rng: random.Random, ctx, above_cap: bool) -> Polynomial:
             exp[rng.choice(ms)] += 1
         if above_cap:
             exp[rng.choice(ds)] += 1
-        terms[tuple(exp[g] for g in T.gens)] = T.field.of(rng.choice([-2, -1, 1, 2, 3]))
-    return Polynomial(T.field, T.gens, terms)
+        terms[tuple(exp[g] for g in P.gens)] = P.field.of(rng.choice([-2, -1, 1, 2, 3]))
+    return Polynomial(P.field, P.gens, terms)
 
 
 def _reglued(rng: random.Random, ctx, p: Polynomial) -> Polynomial:
     """p with each term's exponent of each base generator split at random
     between its two copies: the same element, and the same after gluing."""
-    T = ctx.TAS
-    pos = {g: i for i, g in enumerate(T.gens)}
+    pos = {g: i for i, g in enumerate(p.vars)}
     pairs = [(pos[f"{x}#0"], pos[f"{x}#1"]) for x in ctx.A.gens]
     out = {}
     for exp, c in p.terms.items():
@@ -123,8 +203,8 @@ def _reglued(rng: random.Random, ctx, p: Polynomial) -> Polynomial:
             e[i0] = rng.randint(0, total)
             e[i1] = total - e[i0]
         key = tuple(e)
-        out[key] = T.field.add(out.get(key, 0), c)
-    return Polynomial(T.field, T.gens, out)
+        out[key] = p.field.add(out.get(key, 0), c)
+    return Polynomial(p.field, p.vars, out)
 
 
 def _moved(p: Polynomial, src: int, dst: int) -> Polynomial:
@@ -148,34 +228,36 @@ def _outcome(run):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_glued_agreement_matches_normal_form_equality(field):
-    """Seeded pairs: re-glued copies (equal, and equal after gluing), relation
-    multiples added (equal, compared by normal forms) and every move of one
-    generator's exponents onto another (mostly unequal).  `agrees_on` equals
-    normal-form equality, and refuses what `image_of` refuses."""
+    """Seeded pairs over the two copies, glued into the one-copy tensor:
+    re-glued copies (identical once glued), relation multiples added (equal,
+    compared by normal forms) and every move of one generator's exponents
+    onto another (mostly unequal).  `agrees_on` equals normal-form equality,
+    and refuses what `image_of` refuses."""
     rng = random.Random(2300 + field.char)
     line = make_algebra(field, ("t",))
     seen = {"glued": 0, "reduced": 0, "unequal": 0, "refused": 0}
     for M in _modules(field)[:4]:
         ctx = bundle_context(M)
         T = ctx.TAS
-        within = [r for r in T.relations if T.within_cap(r)]
+        P, glue = _two_copies(ctx)
+        within = [r for r in P.relations if P.within_cap(r)]
         for _ in range(6):
             above = rng.random() < 0.3
-            p = _random_tensor_poly(rng, ctx, above)
+            p = _random_tensor_poly(rng, ctx, P, above)
             qs = [_reglued(rng, ctx, p) for _ in range(2)]
-            shift = _var(T, f"{rng.choice(ctx.A.gens)}#1")  # grade zero: the cap test is unchanged
+            shift = _var(P, f"{rng.choice(ctx.A.gens)}#1")  # grade zero: the cap test is unchanged
             qs.append(p + rng.choice(within) * shift)
-            qs += [_moved(p, a, b) for a in range(len(T.gens)) for b in range(len(T.gens)) if a != b]
-            f = AlgebraMorphism(line, T, {"t": p}, name="f")
+            qs += [_moved(p, a, b) for a in range(len(P.gens)) for b in range(len(P.gens)) if a != b]
+            f = AlgebraMorphism(line, T, {"t": glue(p)}, name="f")
             for q in qs:
-                g = AlgebraMorphism(line, T, {"t": q}, name="g")
+                g = AlgebraMorphism(line, T, {"t": glue(q)}, name="g")
                 expected = _outcome(lambda: f.image_of("t") == g.image_of("t"))
                 assert _outcome(lambda: f.agrees_on(g, "t")) == expected, (M, p.render(), q.render())
                 if isinstance(expected, tuple):
                     seen["refused"] += 1
                 elif not expected:
                     seen["unequal"] += 1
-                elif T.proves_equal(p, q):
+                elif T.proves_equal(glue(p), glue(q)):
                     seen["glued"] += p.terms != q.terms
                 else:
                     seen["reduced"] += 1
@@ -185,30 +267,32 @@ def test_glued_agreement_matches_normal_form_equality(field):
 def test_glued_pairs_agree_with_no_basis_and_above_the_cap_are_refused():
     ctx = bundle_context(kahler_module(make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"])))
     T = ctx.TAS
+    P, glue = _two_copies(ctx)
     line = make_algebra(QQ, ("t",))
-    dx, m, x0, x1 = (_var(T, g) for g in ("d_x#0", "d(x)#1", "x#0", "x#1"))
+    dx, m, x0, x1 = (_var(P, g) for g in ("d_x#0", "d(x)#1", "x#0", "x#1"))
 
     def agree(p, q):
-        return AlgebraMorphism(line, T, {"t": p}).agrees_on(AlgebraMorphism(line, T, {"t": q}), "t")
+        return AlgebraMorphism(line, T, {"t": glue(p)}).agrees_on(AlgebraMorphism(line, T, {"t": glue(q)}), "t")
 
     assert agree(x1 * dx * m, x0 * dx * m) and agree(x1 * x1 * m, x0 * x1 * m)
     assert "basis" not in T.__dict__
-    # equal after gluing, but above the cap (d-degree 2): refused as image_of refuses
+    # identical once glued, but above the cap (d-degree 2): refused as image_of refuses
     high = dx * dx
     with pytest.raises(ValueError, match="graded truncation bound"):
         agree(x1 * high, x0 * high)
+    circle = P.relations[0]  # x^2 + y^2 - 1 over x#0: equal elements, one side above the cap
     with pytest.raises(ValueError, match="graded truncation bound"):
-        agree(x1 * dx, x0 * dx + (x0 - x1) * high)  # one side above the cap
+        agree(x1 * dx, x0 * dx + circle * high)
 
 
-def test_certify_matches_relation_images_modulo_the_gluing():
-    """S_A(M) -> T(A) (x)_A S_A(M) by x -> x#0, m -> m#1 sends each row rho to
-    rho over x#0, a relation only after gluing; an image that is zero after
-    gluing but lies above the cap is still refused."""
+def test_certify_matches_relation_images_as_given():
+    """S_A(M) -> T(A) (x)_A S_A(M) by x -> x#1, m -> m#1 sends each row rho to
+    the relation rho of the tensor; an image that is zero there but lies
+    above the cap is still refused."""
     for M in _modules(QQ)[2:]:
         ctx = bundle_context(M)
         T = ctx.TAS
-        images = {x: _var(T, f"{x}#0") for x in ctx.A.gens} | {g: _var(T, f"{g}#1") for g in M.gens}
+        images = {x: _var(T, f"{x}#1") for x in ctx.A.gens} | {g: _var(T, f"{g}#1") for g in M.gens}
         assert AlgebraMorphism(ctx.S, T, images).certified
         assert "basis" not in T.__dict__
         if M.relations:  # swapping the module generators breaks a row
@@ -220,11 +304,11 @@ def test_certify_matches_relation_images_modulo_the_gluing():
             assert (err.value.relation, err.value.residue) == residues[0]
     T = bundle_context(_modules(QQ)[0]).TAS
     point = make_algebra(QQ, ("s",), ["s"])
-    dx, x0, x1 = (_var(T, g) for g in ("d_x#0", "x#0", "x#1"))
-    assert AlgebraMorphism(point, T, {"s": dx * (x0 - x1)}).certified
+    dx, circle = _var(T, "d_x#0"), T.relations[0]
+    assert AlgebraMorphism(point, T, {"s": -circle}).certified
     assert "basis" not in T.__dict__
     with pytest.raises(ValueError, match="graded truncation bound"):
-        AlgebraMorphism(point, T, {"s": dx * dx * (x0 - x1)})
+        AlgebraMorphism(point, T, {"s": dx * dx * circle})
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +322,7 @@ def _unchecked_h(nabla: Connection) -> AlgebraMorphism:
     T = ctx.TAS
     images = {}
     for x in ctx.A.gens:
-        images[x] = _var(T, f"{x}#0")
+        images[x] = _var(T, f"{x}#1")
         images[ctx.TS.dmap[x]] = _var(T, f"{ctx.TA.dmap[x]}#0")
     for m in ctx.M.gens:
         images[m] = _var(T, f"{m}#1")
@@ -341,16 +425,16 @@ def test_raw_and_normal_form_reads_of_h_give_the_same_connection(field):
 
 
 def test_raw_images_with_stray_terms_are_read_from_their_normal_forms():
-    """An H whose d(m) images carry a multiple of x#0 - x#1 of bidegree (1,0)
-    is the same map; its raw read leaves stray terms, so the round trip reads
-    the normal form and recovers the connection."""
+    """An H whose d(m) images carry d_x#0 times A's relation over x#1, of
+    bidegree (1,0), is the same map; its raw read leaves stray terms, so the
+    round trip reads the normal form and recovers the connection."""
     nabla = helpers.circle_canonical(make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"]))
     ctx = nabla.ctx
     T, H = ctx.TAS, to_horizontal(nabla)
-    dx, x0, x1 = (_var(T, g) for g in ("d_x#0", "x#0", "x#1"))
+    circle = ctx.A.relations[0].change_vars(T.gens, T.rename[0])
     images = dict(H.images)
     for m in nabla.module.gens:
-        images[ctx.TS.dmap[m]] = images[ctx.TS.dmap[m]] + dx * (x0 - x1)
+        images[ctx.TS.dmap[m]] = images[ctx.TS.dmap[m]] + _var(T, "d_x#0") * circle
     padded = AlgebraMorphism(H.dom, T, images, name="H")
     _, stray = ctx.omega_m_shapes.read(padded.images[ctx.TS.dmap[nabla.module.gens[0]]])
     assert not stray.is_zero()

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import kcx
+from kcx.algebra import PresentedAlgebra, TensorAlgebra
 from kcx.connections import Connection
 from kcx.tangent import BundleContext
 
@@ -245,6 +246,7 @@ RETIRED = [
     ("tangent", "generic_flip"),  # tangent_structure_maps(B).flip
     ("groebner", "SparseVector"),  # groebner.Row
     ("solve", "_scaled"),  # poly._mul_terms on each component of a Row
+    ("algebra", "_gluing"),  # tensor_over_base presents the shared base on one copy
 ]
 
 # BundleContext attributes retired for the tangent structures it reads:
@@ -264,6 +266,9 @@ def test_retired_methods_are_gone():
     ctx = kcx.bundle_context(kcx.kahler_module(kcx.make_algebra(kcx.QQ, ("x", "y"), ["x^2 + y^2 - 1"])))
     assert [name for name in RETIRED_BUNDLE_ATTRIBUTES if hasattr(ctx, name)] == []
     assert "render_table" not in vars(Connection)
+    # the one-copy tensor needs no gluing: no renaming, no glued relations
+    assert not {"glue", "_glued_relations"} & {*vars(PresentedAlgebra), *vars(TensorAlgebra)}
+    assert not hasattr(ctx.TAS, "glue") and not hasattr(ctx.A, "glue")
 
 
 # (file, qualified name): why a definition that nothing else in the engine

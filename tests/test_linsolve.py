@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kcx import linsolve
 from kcx.fields import GF, QQ
 from kcx.linsolve import LinearEquation, affine_linear_solve
 
@@ -237,3 +238,23 @@ def test_fraction_free_solve_matches_dense_oracle(field):
     eqs = [LinearEquation({"a": Fraction(1, 3)}, 0), LinearEquation({"a": 3}, 1), LinearEquation({"z": 6}, 0)]
     with pytest.raises(KeyError):
         affine_linear_solve(eqs, ("a",), field)
+
+
+def test_an_elimination_that_leaves_its_column_is_refused(monkeypatch):
+    """The forward pass checks each elimination at its call site: one that
+    leaves the pivot column in the row raises, naming the column, instead of
+    eliminating it again forever.  The stand-in gives up on its own after 50
+    calls, so without the check this fails rather than hangs."""
+    calls = []
+
+    def stuck(row, col, pivot, f):
+        calls.append(col)
+        if len(calls) > 50:
+            raise RuntimeError("the forward pass kept eliminating the same column")
+        return dict(row)
+
+    monkeypatch.setattr(linsolve, "_eliminate", stuck)
+    eqs = [LinearEquation({"a": 1, "b": 1}, 0), LinearEquation({"a": 1}, -1)]
+    with pytest.raises(ArithmeticError, match=r"column 0 \('a'\)"):
+        affine_linear_solve(eqs, ("a", "b"), QQ)
+    assert calls == [0]

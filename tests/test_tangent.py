@@ -306,15 +306,20 @@ def leibniz_cases(plane, circle, sphere2):
 
 
 def test_leibniz_identification_is_the_tensor_recipe(plane, circle, sphere2):
-    """T(T(A) (x)_A S) and T^2(A) (x)_{T(A)} T(S) have the same generator
-    names, and each one's relations reduce to zero in the other."""
+    """T(T(A) (x)_A S) is T^2(A) (x)_{T(A)} T(S) on one copy of T(A).  The
+    recipe shifts sorts (d_x -> dp_x), so it keeps both copies: it has the
+    same generator names plus x#0 and dp_x#0, and with x#0 -> x#1 and
+    dp_x#0 -> d_x#1 each one's relations reduce to zero in the other."""
     for M in leibniz_cases(plane, circle, sphere2):
         ctx = bundle_context(M)
         ours, recipe = tangent_algebra(ctx.TAS), leibniz_tensor_presentation(ctx)
-        assert set(ours.gens) == set(recipe.gens)
-        for P, Q in ((ours, recipe), (recipe, ours)):
-            for rel in P.relations:
-                assert Q.element(rel.change_vars(Q.gens)).is_zero(), (M, rel.render())
+        shared = {f"{x}#0": f"{x}#1" for x in ctx.A.gens}
+        shared.update({f"{ctx.A_maps.TTA.dmap[x]}#0": f"{ctx.TS.dmap[x]}#1" for x in ctx.A.gens})
+        assert set(ours.gens) == set(recipe.gens) - set(shared)
+        for rel in ours.relations:
+            assert recipe.element(rel.change_vars(recipe.gens)).is_zero(), (M, rel.render())
+        for rel in recipe.relations:
+            assert ours.element(rel.change_vars(ours.gens, shared)).is_zero(), (M, rel.render())
 
 
 def test_h3_and_h4_right_hand_sides_are_certified(plane, circle, sphere2):
@@ -329,6 +334,17 @@ def test_h3_and_h4_right_hand_sides_are_certified(plane, circle, sphere2):
         ctx, TH = nabla.ctx, tangent_apply_functor(to_horizontal(nabla))
         assert compose_chain([TH, ctx.h3_down]).certified
         assert compose_chain([TH, ctx.h4_down]).certified
+
+
+def test_down_refuses_factors_that_disagree_on_the_tangent_of_the_base(circle):
+    """T(T(A) (x)_A S) has one copy of T(A), so f0 (x) f1 needs f0 and f1 to
+    agree there.  T(0) sends dp_x to d_x while the 0 of T(S) kills d_x: the
+    pair disagrees on T(A)'s d_x.  The 0 of T(T(A)) kills dp_x and agrees."""
+    ctx = bundle_context(kahler_module(circle))
+    with pytest.raises(BaseMismatch) as err:
+        ctx._down(tangent_apply_functor(ctx.A_maps.zero), ctx.S_maps.zero, "T(0)(x)0")
+    assert (err.value.generator, err.value.left, err.value.right) == ("d_x", "d_x#0", "0")
+    assert ctx._down(tangent_structure_maps(ctx.TA).zero, ctx.S_maps.zero, "0(x)0").certified
 
 
 def test_dual_numbers_vs_module_presentation(fat_point):
@@ -494,7 +510,7 @@ def test_sigma_and_its_codomain_are_built_only_when_asked(monkeypatch):
     nabla = run_sphere_pipeline(make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"]))
     ctx = nabla.ctx
     assert "sigma" not in vars(ctx)
-    s_tensor_s = tuple(f"{g}#{i}" for i in (0, 1) for g in ctx.S.gens)
+    s_tensor_s = tuple(f"{m}#0" for m in ctx.M.gens) + tuple(f"{g}#1" for g in ctx.S.gens)
     assert s_tensor_s not in rings
     assert ctx.sigma.certified
     assert ctx.sigma.cod.gens == s_tensor_s
