@@ -434,7 +434,10 @@ def relabel(
 
 
 def identity_morphism(A: PresentedAlgebra) -> AlgebraMorphism:
-    return relabel(A, A, {}, "id", certify=False)
+    """The identity of A, certified: it sends every relation to itself."""
+    ident = relabel(A, A, {}, "id", certify=False)
+    ident.certified = True
+    return ident
 
 
 def _images_after_renaming(g: AlgebraMorphism, f: AlgebraMorphism) -> dict[str, Polynomial] | None:

@@ -8,13 +8,14 @@ forms: the horizontal form H out of T(S_A(M)) and the vertical form K into it,
 and back; the axiom suite checks the four H diagrams, the four K diagrams and
 the two compatibility equations as morphism identities on generators.
 
-Each connection builds H and K once, on first use.  Both are certified by
-the Leibniz residues the construction already checked, with no basis of
-T(S_A(M)) or T(A) (x)_A S_A(M) (`Connection._leibniz_certifies`,
-`Connection._horizontal_certifies`).  T(A) (x)_A S_A(M) has one copy x#1 of
-A's generators, so H's raw images are compared as given.  Data that fails
-the Leibniz rule falls back to the full certificate, which reports the
-failure.  `from_horizontal` reads H's raw d(m) images: every
+Each connection builds H and K once, on first use.  H is certified by the
+Leibniz residues the construction already checked, with no basis of
+T(S_A(M)) or T(A) (x)_A S_A(M) (`Connection._horizontal_certifies`).
+T(A) (x)_A S_A(M) has one copy x#1 of A's generators, so H's raw images are
+compared as given.  Data that fails the Leibniz rule falls back to H's full
+certificate, which reports the failure.  K is read off H as {1 - U.H}
+(`vertical_from_horizontal`) and inherits H's certificate, so it has no
+certificate of its own.  `from_horizontal` reads H's raw d(m) images: every
 monomial of bidegree (1,1) in T(A) (x)_A S_A(M) has shape form, and the
 ideal's bidegree-(1,1) part reads into relation rows of Omega (x) M, so the
 raw read and the normal-form read give the same connection; an image with
@@ -109,58 +110,10 @@ class Connection:
 
     @cached_property
     def K(self) -> AlgebraMorphism:
-        """K: S_A(M) -> T(S_A(M)), K(m) = d(m) minus the multiplied-out image;
-        certified by `_leibniz_certifies`, else by its full certificate."""
-        ctx = self.ctx
-        S, TS = ctx.S, ctx.TS
-        images: dict[str, Polynomial] = {}
-        for x in ctx.A.gens:
-            images[x] = Polynomial.variable(TS.field, TS.gens, x)
-        for m in ctx.M.gens:
-            dm = Polynomial.variable(TS.field, TS.gens, TS.dmap[m])
-            images[m] = dm - ctx.U.apply_raw(ctx.omega_m_shapes.write(self.gamma[m]))
-        K = AlgebraMorphism(S, TS, images, certify=False, name="K")
-        if self._leibniz_certifies(K):
-            K.certified = True
-            return K
-        return K.certify()
-
-    @cached_property
-    def _leibniz_rows(self) -> list[tuple[Polynomial, Polynomial]] | None:
-        """(rho, write(L)) per relation row of M, rho its linear form in
-        S_A(M) and L its `leibniz_terms`, written raw into T(A) (x)_A S_A(M);
-        None when some L does not combine to zero in Omega (x) M, so that the
-        residues certify neither bundle form."""
-        ctx = self.ctx
-        M, shapes = self.module, ctx.omega_m_shapes
-        out = []
-        for row, rho in zip(M.relations, ctx.S.relations[len(ctx.A.relations):]):
-            terms = list(leibniz_terms(M, shapes.module, enumerate(row), self.gamma))
-            if not shapes.module.combine(terms).is_zero():
-                return None
-            out.append((rho, shapes.write_raw(terms)))
-        return out
-
-    def _leibniz_certifies(self, K: AlgebraMorphism) -> bool:
-        """Whether the Leibniz residues show that K kills every relation of S_A(M).
-
-        K fixes A's generators, so it sends each relation r of A to r, a
-        relation of T(S_A(M)).  For the linear form rho of a relation row of
-        M, with L its `leibniz_terms`, K(rho) must be d(rho) - U(write(L))
-        term for term, and L must combine to zero in Omega (x) M.  Then K(rho)
-        is zero in T(S_A(M)): d(rho) is one of its relations, and U.write is
-        k[x]-linear on raw values and sends every relation row of Omega (x) M
-        into its ideal.  A Jacobian row (x) m_l goes to d(r) * m_l, d(x_i) (x)
-        a row of M to d(x_i) * rho, both up to multiples of A's relations
-        (rows are stored reduced), and b * e_k for b in A's ideal to a
-        multiple of b.  This is the correspondence of K with the module-side
-        Leibniz rule, used as a certificate.
-        """
-        rows = self._leibniz_rows
-        if rows is None:
-            return False
-        TS, U = self.ctx.TS, self.ctx.U
-        return all(K.apply_raw(rho) == TS.differential(rho) - U.apply_raw(written) for rho, written in rows)
+        """K: S_A(M) -> T(S_A(M)), read off H as {1 - U.H}
+        (`vertical_from_horizontal`) and certified by H's certificate; data
+        that fails it raises H's failure here."""
+        return vertical_from_horizontal(self.H, self.module)
 
     def _horizontal_certifies(self, H: AlgebraMorphism) -> bool:
         """Whether the Leibniz residues show that H kills every relation of T(S_A(M)).
@@ -168,20 +121,24 @@ class Connection:
         The relations of T(S_A(M)) are A's relations r, the linear forms rho
         of M's rows, the d(r) and the d(rho).  H sends r, d(r) and rho to the
         relations r, d(r) and rho of T(A) (x)_A S_A(M)
-        (`PresentedAlgebra.proves_zero`).  H(d(rho)) is the Leibniz sum of
-        rho's row, which must equal write(L) term for term, and L must
-        combine to zero in Omega (x) M.  Then H(d(rho)) is zero: write is
-        k[x]-linear (x acting as x#1) and sends every relation row of
-        Omega (x) M into the ideal, as for K (`_leibniz_certifies`).
+        (`PresentedAlgebra.proves_zero`).  H(d(rho)) must equal write(L) term
+        for term, for the `leibniz_terms` L of rho's row, and L must combine
+        to zero in Omega (x) M.  Then H(d(rho)) is zero: write is k[x]-linear
+        (x acting as x#1) and sends every relation row of Omega (x) M into
+        the ideal, up to multiples of A's relations: a Jacobian row (x) m_l
+        to d(r) * m_l, d(x_i) (x) a row of M to d(x_i) * rho, and b * e_k for
+        b in A's ideal to a multiple of b.
         """
-        rows = self._leibniz_rows
-        if rows is None:
+        ctx, M = self.ctx, self.module
+        shapes, relations = ctx.omega_m_shapes, ctx.TS.relations
+        n = len(relations) - len(M.relations)  # the d(rho) come last, in row order
+        if not all(ctx.TAS.proves_zero(H.apply_raw(r)) for r in relations[:n]):
             return False
-        relations = self.ctx.TS.relations
-        n = len(relations) - len(rows)  # the d(rho) come last, in row order
-        if not all(self.ctx.TAS.proves_zero(H.apply_raw(r)) for r in relations[:n]):
-            return False
-        return all(H.apply_raw(d_rho) == written for (_, written), d_rho in zip(rows, relations[n:]))
+        for row, d_rho in zip(M.relations, relations[n:]):
+            terms = list(leibniz_terms(M, shapes.module, enumerate(row), self.gamma))
+            if not shapes.module.combine(terms).is_zero() or H.apply_raw(d_rho) != shapes.write_raw(terms):
+                return False
+        return True
 
     def __repr__(self) -> str:
         rows = "; ".join(f"{g} -> {self.gamma[g].render()}" for g in self.module.gens)
@@ -247,7 +204,7 @@ def to_horizontal(nabla: Connection) -> AlgebraMorphism:
 
 
 def to_vertical(nabla: Connection) -> AlgebraMorphism:
-    """The vertical form of nabla, built and certified once (`Connection.K`)."""
+    """The vertical form of nabla, read off H once (`Connection.K`)."""
     return nabla.K
 
 
@@ -271,12 +228,19 @@ def from_horizontal(H: AlgebraMorphism, M: PresentedModule) -> Connection:
 
 
 def vertical_from_horizontal(H: AlgebraMorphism, M: PresentedModule) -> AlgebraMorphism:
-    """K via the one-minus-multiplication route and bracketing."""
+    """K = {1 - U.H}, the vertical form read off the horizontal one by the
+    one-minus-multiplication route and bracketing.
+
+    K(m) = d(m) - U(H(d(m))) and K(x) = x as raw polynomials, so K is
+    certified when H is: U and the identity are, and composition, the
+    fibrewise difference and bracketing pass the flag on.
+    """
     ctx = bundle_context(M)
     UH = compose_morphisms(ctx.U, H)
     fibre = {ctx.TS.dmap[g] for g in ctx.S.gens}
-    k_flat = bundle_combine(identity_morphism(ctx.TS), UH, "minus", fibre)
-    return bracketing(ctx, k_flat)
+    K = bracketing(ctx, bundle_combine(identity_morphism(ctx.TS), UH, "minus", fibre))
+    K.name = "K"
+    return K
 
 
 # ---------------------------------------------------------------------------

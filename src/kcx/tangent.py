@@ -30,11 +30,12 @@ per correspondence, each a table of signed products of generators: Omega(A)
 Omega^2 (x) M and T^2(S_A(M)) (curvature) and psi-hat/phi-hat between
 Omega^2 and T(S_A(Omega)) (torsion).  `write` is the only writer and `read`
 the only reader of those shapes.  The Omega(A) (x) M `write` sends every
-relation row of Omega(A) (x) M into the ideal of T(A) (x)_A S_A(M), and U
-after it into the ideal of T(S_A(M)), which is what lets
-`connections.Connection.H` and `Connection.K` be certified from the Leibniz
-residues.  T(A) (x)_A S_A(M) and T(A) (x)_A T(A) have one copy x#1 of A's
-generators (`algebra.tensor_over_base`), so H's raw images compare as given.
+relation row of Omega(A) (x) M into the ideal of T(A) (x)_A S_A(M), which
+is what lets `connections.Connection.H` be certified from the Leibniz
+residues; `Connection.K` is read off H as {1 - U.H} and inherits that
+certificate.  T(A) (x)_A S_A(M) and T(A) (x)_A T(A) have one copy x#1 of
+A's generators (`algebra.tensor_over_base`), so H's raw images compare as
+given.
 
 Each module's bundle is `bundle_context(M)`, one `BundleContext` with the
 bundle's own maps (q/z/iota/sigma, lambda, U, the shapes) as attributes and
@@ -460,11 +461,11 @@ class BundleContext:
 
     @cached_property
     def Tq(self) -> AlgebraMorphism:
-        return tangent_apply_functor(self.q).certify()
+        return tangent_apply_functor(self.q)
 
     @cached_property
     def T_lam(self) -> AlgebraMorphism:
-        return tangent_apply_functor(self.lam).certify()
+        return tangent_apply_functor(self.lam)
 
     def _down(self, f0: AlgebraMorphism, f1: AlgebraMorphism, name: str) -> AlgebraMorphism:
         """f0 (x) f1: T(T(A) (x)_A S) -> T(A) (x)_A S, factor by factor.

@@ -1,0 +1,55 @@
+"""Print one digest line per run of `kcx.cli.run` over a fixed matrix.
+
+The matrix is every file in `examples_kcx/` under check, solve (on the
+module Omega), curvature, torsion, convert and glue, each with no --char,
+--char 2 and --char 3, as text and with --json, then `gallery` as text and
+with --json: 182 runs.  Each line is the argv, the exit code and the sha256
+of the output text, so two trees print the same lines exactly when every run
+gives the same bytes and the same exit code.  Run it from the root of each
+tree and diff the two outputs:
+
+    PYTHONPATH=src python tests/cli_matrix.py > matrix.txt
+
+The kcx that PYTHONPATH finds is the one measured, and the example paths are
+read from the working directory, so the same file also checks a tree that
+does not have it.  Standard library only; pytest does not collect it.
+"""
+
+import hashlib
+from pathlib import Path
+
+from kcx.cli import run
+
+COMMANDS = [
+    ["check"],
+    ["solve", "--module", "Omega"],
+    ["curvature"],
+    ["torsion"],
+    ["convert"],
+    ["glue"],
+]
+CHARS = [[], ["--char", "2"], ["--char", "3"]]
+OUTPUTS = [[], ["--json"]]
+
+
+def matrix() -> list[list[str]]:
+    files = sorted(str(p) for p in Path("examples_kcx").glob("*.kcx"))
+    argvs = [
+        [command[0], path, *command[1:], *char, *out]
+        for path in files
+        for command in COMMANDS
+        for char in CHARS
+        for out in OUTPUTS
+    ]
+    return argvs + [["gallery", *out] for out in OUTPUTS]
+
+
+def main() -> None:
+    for argv in matrix():
+        code, text = run(argv)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        print(f"{' '.join(argv)}\t{code}\t{digest}")
+
+
+if __name__ == "__main__":
+    main()

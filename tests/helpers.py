@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from kcx import curvature, gallery
-from kcx.algebra import make_algebra
+from kcx.algebra import AlgebraMorphism, make_algebra
 from kcx.connections import Connection, make_connection
 from kcx.fields import QQ
 from kcx.modules import christoffel_target, kahler_module
@@ -118,3 +118,16 @@ def double_the_horizontal_torsion_route(monkeypatch) -> None:
         return bundle_combine(v, v, "plus", set(ctx.M.gens))
 
     monkeypatch.setattr(curvature, "bracketing", doubled)
+
+
+def record_certify_calls(monkeypatch) -> list[AlgebraMorphism]:
+    """Record every `AlgebraMorphism.certify` call from here on."""
+    calls = []
+    certify = AlgebraMorphism.certify
+
+    def recording(self):
+        calls.append(self)
+        return certify(self)
+
+    monkeypatch.setattr(AlgebraMorphism, "certify", recording)
+    return calls

@@ -275,7 +275,7 @@ def test_retired_methods_are_gone():
 # references stays
 UNREFERENCED = {
     ("groebner.py", "ModuleBasis.normal_form_with_bound"): "the benchmark's span target; it goes "
-    "with the certificate-degree bookkeeping (ROADMAP item 6)",
+    "with the certificate-degree bookkeeping that ROADMAP plans to drop",
     ("tangent.py", "BundleContext.sigma"): "the bundle's fibrewise addition, a structure map of "
     "the bundle that no axiom check reads",
     ("tangent.py", "TangentMaps.tau"): "the swap of T(A) (x)_A T(A), a structure map of the "

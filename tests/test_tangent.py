@@ -336,6 +336,15 @@ def test_h3_and_h4_right_hand_sides_are_certified(plane, circle, sphere2):
         assert compose_chain([TH, ctx.h4_down]).certified
 
 
+def test_t_of_q_and_t_of_lambda_inherit_their_certificates(monkeypatch):
+    """T(q) and T(lambda) carry the certificates of q and lambda
+    (functoriality), so building them certifies nothing."""
+    ctx = bundle_context(kahler_module(make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"])))
+    calls = helpers.record_certify_calls(monkeypatch)
+    assert ctx.Tq.certified and ctx.T_lam.certified
+    assert calls == []
+
+
 def test_down_refuses_factors_that_disagree_on_the_tangent_of_the_base(circle):
     """T(T(A) (x)_A S) has one copy of T(A), so f0 (x) f1 needs f0 and f1 to
     agree there.  T(0) sends dp_x to d_x while the 0 of T(S) kills d_x: the

@@ -1,22 +1,22 @@
-"""The vertical form K, certified from the connection's Leibniz residues.
+"""The vertical form K, read off the horizontal form H.
 
-`Connection.K` is certified with no basis of T(S_A(M)) when, for each
-relation row of M with linear form rho and Leibniz terms L, K(rho) is
-d(rho) - U(write(L)) term for term and L combines to zero in Omega (x) M;
-otherwise the full certificate decides and reports.  These tests check the
-fact the certificate rests on (U after write sends every relation row of
-Omega (x) M, and A's ideal times each generator, to zero in T(S_A(M)); write
-alone sends them to zero in T(A) (x)_A S_A(M), which H's certificate needs),
-compare the certificate with the full one on admissible and on random data,
-pin the failure text of the fallback, and show that K and H are built once
-per connection.
+`Connection.K` is `vertical_from_horizontal(H, M)`, that is {1 - U.H}, and
+inherits H's certificate: the identity and U are certified, and composition,
+the fibrewise difference and bracketing pass the flag on.  K has no
+certificate of its own.  These tests check the fact H's Leibniz certificate
+rests on (write sends every relation row of Omega (x) M, and A's ideal times
+each generator, to zero in T(A) (x)_A S_A(M); U after it sends them to zero
+in T(S_A(M))), compare K with the reference builder `_unchecked_k` and its
+full certificate on admissible and on random data, show that K fails exactly
+as H fails on bad Christoffel data, and that K and H are built once per
+connection.
 """
 
 import random
 
 import pytest
 
-from kcx.algebra import AlgebraMorphism, make_algebra
+from kcx.algebra import AlgebraMorphism, identity_morphism, make_algebra
 from kcx.connections import (
     Connection,
     connection_equal,
@@ -25,6 +25,7 @@ from kcx.connections import (
     to_horizontal,
     to_vertical,
     verify_connection_axioms,
+    vertical_from_horizontal,
 )
 from kcx.curvature import check_curvature_correspondence, check_torsion_correspondence
 from kcx.errors import WellDefinednessFailure
@@ -76,7 +77,7 @@ def test_u_after_write_sends_relation_rows_and_the_ideal_to_zero(field):
 
 
 def _unchecked_k(nabla: Connection) -> AlgebraMorphism:
-    """K with the images `Connection.K` has, certified by nothing yet."""
+    """K with the images d(m) - U(write(Gamma(m))), certified by nothing yet."""
     ctx = nabla.ctx
     images = {x: Polynomial.variable(ctx.TS.field, ctx.TS.gens, x) for x in ctx.A.gens}
     for m in ctx.M.gens:
@@ -85,44 +86,55 @@ def _unchecked_k(nabla: Connection) -> AlgebraMorphism:
     return AlgebraMorphism(ctx.S, ctx.TS, images, certify=False, name="K")
 
 
+def _failure(build):
+    """(what, relation, residue) of the `WellDefinednessFailure` `build` raises."""
+    with pytest.raises(WellDefinednessFailure) as err:
+        build()
+    return err.value.what, err.value.relation, err.value.residue
+
+
+def _fails_as_h(nabla: Connection):
+    """Check that K raises exactly H's failure, twice (a failed build is not
+    cached), and return it."""
+    failures = [_failure(lambda: to_horizontal(nabla))]
+    for _ in range(2):
+        failures.append(_failure(lambda: to_vertical(nabla)))
+    assert failures[0][0] == "H" and failures.count(failures[0]) == 3, failures
+    return failures[0]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_leibniz_certificate_agrees_with_the_full_certificate(field):
+def test_leibniz_certificate_agrees_with_the_full_certificate(field, monkeypatch):
     rng = random.Random(1901 + field.char)
+    calls = helpers.record_certify_calls(monkeypatch)
     admissible = rejected = 0
     for M in _modules(field):
         gamma = helpers.random_admissible_gamma(rng, M)
         if gamma is not None:
             nabla = make_connection(M, gamma)
+            nabla.ctx.omega_m_shapes  # the bundle's own maps are certified as they are built
+            calls.clear()
             K = to_vertical(nabla)
-            assert K.certified and K.images == _unchecked_k(nabla).images
-            assert nabla._leibniz_certifies(K)
-            assert all(res.is_zero() for _, res in K.certificate())
-            # K(m) + m still kills every relation, but these are not the images
-            # the residues speak for, so only the full certificate shows it
-            TS = nabla.ctx.TS
-            shifted = dict(K.images)
-            for m in M.gens:
-                shifted[m] = shifted[m] + Polynomial.variable(TS.field, TS.gens, m)
-            moved = AlgebraMorphism(K.dom, TS, shifted, certify=False, name="K")
-            assert nabla._leibniz_certifies(moved) == (not any(any(row) for row in M.relations))
-            assert moved.certify().certified
+            assert K.certified and calls == []
+            assert "basis" not in nabla.ctx.TS.__dict__
+            reference = _unchecked_k(nabla)
+            assert {g: p.terms for g, p in K.images.items()} == {g: p.terms for g, p in reference.images.items()}
+            assert all(res.is_zero() for _, res in reference.certificate())
             admissible += 1
         for _ in range(2):
             nabla = Connection(M, helpers.random_gamma(rng, M))
-            K = _unchecked_k(nabla)
-            residues = [(rel.render(), res.render()) for rel, res in K.certificate() if not res.is_zero()]
-            assert nabla._leibniz_certifies(K) == (not residues), M
+            residues = [res for _, res in _unchecked_k(nabla).certificate() if not res.is_zero()]
             if not residues:
                 assert to_vertical(nabla).certified
                 continue
             rejected += 1
-            with pytest.raises(WellDefinednessFailure) as err:
-                to_vertical(nabla)
-            assert (err.value.what, err.value.relation, err.value.residue) == ("K", *residues[0])
+            _fails_as_h(nabla)
     assert admissible >= 3 and rejected >= 8
 
 
 def _fallback_cases():
+    """Bad Christoffel data, with the first relation and residue of the
+    reference K's full certificate."""
     circle = make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"])
     omega = kahler_module(circle)
     cusp = make_algebra(GF(3), ("x", "y"), ["x^2 - y^3"])
@@ -139,15 +151,24 @@ def _fallback_cases():
 
 @pytest.mark.parametrize("case", range(3))
 def test_an_uncertified_connection_fails_with_the_full_certificate_text(case):
-    """The relation and residue strings are those the full certificate of K
-    reported before K was certified from the Leibniz residues."""
+    """The reference K's full certificate rejects the data; `to_vertical`
+    raises H's failure, with H's relation and residue."""
     M, gamma, relation, residue = _fallback_cases()[case]
     nabla = Connection(M, gamma)
-    for _ in range(2):  # a failed build is not cached: it fails again
-        with pytest.raises(WellDefinednessFailure) as err:
-            to_vertical(nabla)
-        assert (err.value.relation, err.value.residue) == (relation, residue)
-        assert str(err.value) == f"K: relation {relation} has nonzero residue {residue}"
+    full = [(r.render(), e.render()) for r, e in _unchecked_k(nabla).certificate() if not e.is_zero()]
+    assert full[0] == (relation, residue)
+    _, h_relation, h_residue = _fails_as_h(nabla)
+    with pytest.raises(WellDefinednessFailure) as err:
+        to_vertical(nabla)
+    assert str(err.value) == f"H: relation {h_relation} has nonzero residue {h_residue}"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_k_read_off_a_certified_h_is_certified(n):
+    nabla = helpers.sphere_connection(helpers.sphere(n))
+    M = nabla.module
+    assert identity_morphism(nabla.ctx.TS).certified and identity_morphism(M.base).certified
+    assert nabla.H.certified and vertical_from_horizontal(nabla.H, M).certified
 
 
 def test_k_and_h_are_built_once_per_connection(monkeypatch):
@@ -161,9 +182,11 @@ def test_k_and_h_are_built_once_per_connection(monkeypatch):
     monkeypatch.setattr(AlgebraMorphism, "__init__", recording)
     nabla = helpers.sphere_connection(helpers.sphere(2))
     # the benchmark's pipeline steps, each asking for the forms afresh
+    K = to_vertical(nabla)
     assert verify_connection_axioms(to_vertical(nabla), to_horizontal(nabla), nabla.module).all_pass
     assert connection_equal(from_horizontal(to_horizontal(nabla), nabla.module), nabla)
     assert check_curvature_correspondence(nabla).residuals_zero
     assert check_torsion_correspondence(nabla).residuals_zero
-    assert built.count("K") == 1 and built.count("H") == 1
-    assert to_vertical(nabla) is nabla.K and to_horizontal(nabla) is nabla.H
+    # K is the bracketing of 1 - U.H, built once from the one H
+    assert built.count("H") == 1 and built.count("{(id-U.H)}") == 1
+    assert to_vertical(nabla) is K is nabla.K and to_horizontal(nabla) is nabla.H
