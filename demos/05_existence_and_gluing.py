@@ -46,6 +46,6 @@ for char in (0, 2):
 # 3. the square-zero tangent structure on algebras
 line = make_algebra(QQ, ("x",))
 print("square-zero bundle, rank-1 module:",
-      "empty" if dual_connection_solve(line, free_module(line, 1), 2).is_empty else "solvable")
+      "empty" if dual_connection_solve(free_module(line, 1), 2).is_empty else "solvable")
 print("square-zero bundle, zero module:",
-      "empty" if dual_connection_solve(line, free_module(line, 0), 2).is_empty else "solvable")
+      "empty" if dual_connection_solve(free_module(line, 0), 2).is_empty else "solvable")

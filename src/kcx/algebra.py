@@ -383,12 +383,11 @@ def make_morphism(
     dom: PresentedAlgebra,
     cod: PresentedAlgebra,
     images: Mapping[str, ElementLike],
-    certify: bool = True,
     name: str = "",
 ) -> AlgebraMorphism:
-    """Morphism from raw generator images (elements, polynomials or expressions)."""
+    """Certified morphism from raw generator images (elements, polynomials or expressions)."""
     polys = {g: cod.polynomial(v) for g, v in images.items()}
-    return AlgebraMorphism(dom, cod, polys, certify=certify, name=name)
+    return AlgebraMorphism(dom, cod, polys, name=name)
 
 
 def relabel(
@@ -500,8 +499,8 @@ class TensorAlgebra(PresentedAlgebra):
         super().__init__(left.field, gens, relations, roles=roles, grading=grading, cap=cap)
         self.factors = (left, right)
         self.rename = (dict(rename0), dict(rename1))
-        self.i0 = relabel(left, self, rename0, "i0", certify=False)
-        self.i1 = relabel(right, self, rename1, "i1", certify=False)
+        self.i0 = relabel(left, self, rename0, "i0")
+        self.i1 = relabel(right, self, rename1, "i1")
 
     def pair(self, w: ElementLike, v: ElementLike) -> AlgebraElement:
         """The simple tensor w (x) v."""
@@ -510,15 +509,12 @@ class TensorAlgebra(PresentedAlgebra):
 
 
 def tensor_over_base(
-    A: PresentedAlgebra,
-    B1: PresentedAlgebra,
-    B2: PresentedAlgebra,
     f1: AlgebraMorphism,
     f2: AlgebraMorphism,
     grading: Mapping[str, tuple[int, ...]] | None = None,
     cap: tuple[int, ...] | None = None,
 ) -> TensorAlgebra:
-    """Pushout presentation of B1 (x)_A B2 along the maps A -> Bi.
+    """Pushout presentation of B1 (x)_A B2 along the maps fi: A -> Bi.
 
     B1's generators are suffixed #0 and B2's #1 (`kcx convert` prints them),
     and the relations are both factors' relations, each once.  When every
@@ -530,8 +526,9 @@ def tensor_over_base(
     default (sound when the maps hit only grade-zero generators); maps that
     shift sorts need a grading.
     """
-    if f1.dom is not A or f2.dom is not A or f1.cod is not B1 or f2.cod is not B2:
-        raise ValueError("factor maps must go A -> B1 and A -> B2")
+    if f1.dom is not f2.dom:
+        raise ValueError("factor maps must share their domain")
+    A, B1, B2 = f1.dom, f1.cod, f2.cod
     if B1.field != B2.field:
         raise ValueError("factors over different fields")
     rename0 = {g: f"{g}#0" for g in B1.gens}

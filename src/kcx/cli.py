@@ -96,7 +96,7 @@ def _solver_payload(space: AffineSolutionSpace) -> dict:
 
 def _load(path: str, char: int | None) -> Workspace:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
     except UnicodeDecodeError as exc:
         raise WorkspaceError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     return parse_workspace(text, char_override=char)

@@ -45,7 +45,6 @@ from .modules import (
     ModuleElement,
     ModuleMorphism,
     PresentedModule,
-    TensorModule,
     christoffel_target,
     free_module,
     make_module,
@@ -135,7 +134,7 @@ class Connection:
         if not all(ctx.TAS.proves_zero(H.apply_raw(r)) for r in relations[:n]):
             return False
         for row, d_rho in zip(M.relations, relations[n:]):
-            terms = list(leibniz_terms(M, shapes.module, enumerate(row), self.gamma))
+            terms = list(leibniz_terms(M, enumerate(row), self.gamma))
             if not shapes.module.combine(terms).is_zero() or H.apply_raw(d_rho) != shapes.write_raw(terms):
                 return False
         return True
@@ -145,15 +144,15 @@ class Connection:
         return f"<connection {rows}>"
 
 
-def leibniz_terms(
-    M: PresentedModule, target: TensorModule, entries, gamma: dict[str, ModuleElement]
-) -> Iterator[tuple[int, Polynomial]]:
-    """`combine` terms of sum d(c) (x) g_l + c * Gamma(g_l) over (l, c) in `entries`.
+def leibniz_terms(M: PresentedModule, entries, gamma: dict[str, ModuleElement]) -> Iterator[tuple[int, Polynomial]]:
+    """`combine` terms of sum d(c) (x) g_l + c * Gamma(g_l) over (l, c) in
+    `entries`, in `christoffel_target(M)`.
 
     d(c) (x) g_l is written raw, as partial(c, x_i) at pair (i, l): c is any
     representative of its class, and Gamma(g_l) is scaled component by
     component.
     """
+    target = christoffel_target(M)
     for l, coef in entries:
         if coef.is_zero():
             continue
@@ -169,7 +168,7 @@ def connection_residues(
 ) -> list[tuple[tuple, ModuleElement]]:
     """Per-relation Leibniz residues of candidate Christoffel data (no raise)."""
     target = christoffel_target(M)
-    return [(row, target.combine(leibniz_terms(M, target, enumerate(row), gamma))) for row in M.relations]
+    return [(row, target.combine(leibniz_terms(M, enumerate(row), gamma))) for row in M.relations]
 
 
 def make_connection(M: PresentedModule, images: dict[str, object]) -> Connection:
@@ -190,7 +189,7 @@ def apply_connection(nabla: Connection, e: ModuleElement) -> ModuleElement:
     """Leibniz extension: nabla(sum a_j g_j) = sum (d(a_j) (x) g_j + a_j Gamma(g_j))."""
     M = nabla.module
     target = christoffel_target(M)
-    return target.combine(leibniz_terms(M, target, enumerate(M.element(e).comps), nabla.gamma))
+    return target.combine(leibniz_terms(M, enumerate(M.element(e).comps), nabla.gamma))
 
 
 # ---------------------------------------------------------------------------

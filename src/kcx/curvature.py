@@ -124,7 +124,7 @@ def curvature_of_element(nabla: Connection, e: ModuleElement) -> ModuleElement:
     T = christoffel_target(M)
     terms = []
     for i, l, coef in T.entries(apply_connection(nabla, e)):
-        terms += [(i, *T.pair_slots(k), c) for k, c in leibniz_terms(M, T, [(l, coef)], nabla.gamma)]
+        terms += [(i, *T.pair_slots(k), c) for k, c in leibniz_terms(M, [(l, coef)], nabla.gamma)]
     return _wedge_tensor(nabla, terms)
 
 
@@ -211,9 +211,7 @@ def _certified(shapes: ShapeMap, v: Polynomial, w: ModuleElement, half) -> bool:
     ).is_zero()
 
 
-def _correspond(
-    nabla: Connection, result: CorrespondenceResult, bundle_map: AlgebraMorphism, shapes: ShapeMap
-) -> CorrespondenceResult:
+def _correspond(result: CorrespondenceResult, bundle_map: AlgebraMorphism, shapes: ShapeMap) -> CorrespondenceResult:
     """Compare the bundle map V with the module images w, per generator m.
 
     Residuals recorded per generator: V(m) - psi(w); 2w - phi(V(m)); and,
@@ -221,7 +219,7 @@ def _correspond(
     `write` and `read` of `shapes` (phi ignores the stray rest).  Outside
     characteristic two, a `_certified` raw V(m) gives zeros with no reduction.
     """
-    field = nabla.base.field
+    field = shapes.P.field
     half = None if field.char == 2 else field.inv(field.of(2))
     result.bundle_map = bundle_map
     for m, w in result.images.items():
@@ -240,12 +238,7 @@ def _correspond(
 
 def check_curvature_correspondence(nabla: Connection) -> CurvatureResult:
     """Verify the bundle curvature against the module curvature per generator."""
-    return _correspond(
-        nabla,
-        module_curvature(nabla),
-        tangent_curvature(nabla),
-        nabla.ctx.curvature_shapes,
-    )
+    return _correspond(module_curvature(nabla), tangent_curvature(nabla), nabla.ctx.curvature_shapes)
 
 
 def check_torsion_correspondence(nabla: Connection) -> TorsionResult:
@@ -256,4 +249,4 @@ def check_torsion_correspondence(nabla: Connection) -> TorsionResult:
     report = AxiomReport()
     report.add_morphism_equality("torsion-routes-agree", v_k, v_h)
     result.routes_agree = report.entries[0]
-    return _correspond(nabla, result, v_k, nabla.ctx.torsion_shapes)
+    return _correspond(result, v_k, nabla.ctx.torsion_shapes)

@@ -68,7 +68,7 @@ def dual_numbers_structure(A: PresentedAlgebra) -> DualNumbers:
     eps2 = fresh_name(A.gens + (eps1,), "eps2")
     T2 = _square_zero_extension(A, (eps1, eps2))
 
-    zero, p, minus = _additive_bundle(A, TA, (eps,), ("0", "p", "-"))
+    zero, p, minus = _additive_bundle(A, TA, ("0", "p", "-"))
     plus = relabel(T2, TA, {eps1: eps, eps2: eps}, "+")
     lift = _lift(TA, TTA, (eps,), epsp, "l")
     flip = relabel(TTA, TTA, {eps: epsp, epsp: eps}, "c")
@@ -92,9 +92,8 @@ class DualBundle:
 
 
 @memoized
-def dual_bundle(A: PresentedAlgebra, M: PresentedModule) -> DualBundle:
-    if M.base is not A:
-        raise ValueError("module is not over the given algebra")
+def dual_bundle(M: PresentedModule) -> DualBundle:
+    A = M.base
     eps_gens = tuple(fresh_name(A.gens, f"{m}_eps") for m in M.gens)
     E = _square_zero_extension(A, eps_gens)
     # module relation rows hold on the epsilon part
@@ -102,14 +101,12 @@ def dual_bundle(A: PresentedAlgebra, M: PresentedModule) -> DualBundle:
     E = PresentedAlgebra(A.field, E.gens, list(E.relations) + extra)
     epsp = fresh_name(E.gens, "epsp")
     TE = _square_zero_extension(E, (epsp,))
-    z, q, iota = _additive_bundle(A, E, eps_gens, ("z", "q", "iota"))
+    z, q, iota = _additive_bundle(A, E, ("z", "q", "iota"))
     lam = _lift(E, TE, eps_gens, epsp, "lambda")
     return DualBundle(A, M, E, TE, eps_gens, epsp, q, z, iota, lam)
 
 
-def dual_connection_solve(
-    A: PresentedAlgebra, M: PresentedModule, degree_bound: int
-) -> AffineSolutionSpace:
+def dual_connection_solve(M: PresentedModule, degree_bound: int) -> AffineSolutionSpace:
     """Solve for a vertical connection on M's square-zero bundle, exactly.
 
     The candidate is K(a) = a, K(m eps) = n_m eps, K(eps') = n' eps with the
@@ -120,8 +117,6 @@ def dual_connection_solve(
     killed by the square-zero relations; so each module generator must vanish
     in M.  The system is nonempty iff M presents the zero module.
     """
-    if M.base is not A:
-        raise ValueError("module is not over the given algebra")
     # n per module generator plus n', over M's standard monomials
     layout = _unknowns("c", M.gens + ("'",), range(M.rank), M, degree_bound)
     # K(lambda(m eps)) = m eps collapses to 0 = m eps: every generator of M
@@ -129,5 +124,5 @@ def dual_connection_solve(
     # relation row: sum_k r_k n_k = 0 in M (rows with no constant).
     constants = [_terms(M.gen(g)) for g in M.gens] + [{} for _ in M.relations]
     columns = _relation_columns(M, M, layout, len(M.gens))
-    equations = _affine_equations(constants, columns, A.field)
-    return affine_linear_solve(equations, tuple(layout.values()), A.field)
+    equations = _affine_equations(constants, columns, M.base.field)
+    return affine_linear_solve(equations, tuple(layout.values()), M.base.field)

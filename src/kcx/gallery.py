@@ -283,9 +283,9 @@ def _p1_char2():
 def _dualnum_nogo():
     line = make_algebra(QQ, ("x",))
     rationals = make_algebra(QQ, ())
-    assert dual_connection_solve(line, free_module(line, 1), 2).is_empty
-    assert dual_connection_solve(rationals, free_module(rationals, 1), 1).is_empty
-    assert not dual_connection_solve(line, free_module(line, 0), 2).is_empty
+    assert dual_connection_solve(free_module(line, 1), 2).is_empty
+    assert dual_connection_solve(free_module(rationals, 1), 1).is_empty
+    assert not dual_connection_solve(free_module(line, 0), 2).is_empty
     return "square-zero bundles admit a connection only for the zero module"
 
 

@@ -187,13 +187,11 @@ def linear_form(field, gens: tuple[str, ...], comps, names: tuple[str, ...]) -> 
 # ---------------------------------------------------------------------------
 
 
-def free_module(A: PresentedAlgebra, n: int, names: tuple[str, ...] | None = None) -> PresentedModule:
+def free_module(A: PresentedAlgebra, n: int) -> PresentedModule:
+    """A^n on generators e1, ..., en."""
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    gens = names if names is not None else tuple(f"e{i + 1}" for i in range(n))
-    if len(gens) != n:
-        raise ValueError("need exactly n generator names")
-    return PresentedModule(A, gens, [], provenance="free")
+    return PresentedModule(A, tuple(f"e{i + 1}" for i in range(n)), [], provenance="free")
 
 
 def make_module(
@@ -355,7 +353,6 @@ class ModuleMorphism:
         dom: PresentedModule,
         cod: PresentedModule,
         images: Mapping[str, VectorLike],
-        certify: bool = True,
         name: str = "",
     ):
         if dom.base is not cod.base:
@@ -366,15 +363,14 @@ class ModuleMorphism:
         self.cod = cod
         self.name = name
         self.images = {g: cod.element(v) for g, v in images.items()}
-        if certify:
-            for rel in dom.relations:
-                total = self._apply(rel)
-                if not total.is_zero():
-                    raise WellDefinednessFailure(
-                        name or "module morphism",
-                        "+".join(c.render() for c in rel),
-                        total.render(),
-                    )
+        for rel in dom.relations:
+            total = self._apply(rel)
+            if not total.is_zero():
+                raise WellDefinednessFailure(
+                    name or "module morphism",
+                    "+".join(c.render() for c in rel),
+                    total.render(),
+                )
 
     def _apply(self, comps) -> ModuleElement:
         """sum of comps[j] * image(g_j), reduced once in the codomain."""

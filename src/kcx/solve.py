@@ -188,19 +188,17 @@ def kahler_map(f: AlgebraMorphism) -> dict[str, ModuleElement]:
     }
 
 
-def localized_gamma(
-    A: PresentedAlgebra, L: PresentedAlgebra, gamma: dict[str, ModuleElement]
-) -> dict[str, ModuleElement]:
-    """Extend Christoffel data on Omega(A) to Omega(L) for one adjoined inverse.
+def localized_gamma(L: PresentedAlgebra, gamma: dict[str, ModuleElement]) -> dict[str, ModuleElement]:
+    """Extend Christoffel data on Omega(A) to Omega(L), L = A[u_inv] a `localize`.
 
     The new generator's image follows from the quotient rule: with u invertible
     and d(u_inv) = -u_inv^2 d(u), the image is 2 u_inv^3 d(u)(x)d(u) minus
     u_inv^2 times the image of d(u).  The lifted row is then satisfied
     identically, so the extension is well defined whenever the input is.
     """
+    A, u, inv = L.localization_of
     src = kahler_module(A)
     t_src = christoffel_target(src)
-    _, u, inv = L.localization_of
     omega_L = kahler_module(L)
     t_L = christoffel_target(omega_L)
     out: dict[str, ModuleElement] = {}
@@ -227,14 +225,13 @@ class GlueResult:
         return self.report is not None and self.report.all_pass
 
 
-def _glue_residues(
-    A1, L1, A2, L2, t: AlgebraMorphism, omega_t: dict[str, ModuleElement], gamma1, gamma2
-) -> list[ModuleElement]:
+def _glue_residues(t: AlgebraMorphism, omega_t: dict[str, ModuleElement], gamma1, gamma2) -> list[ModuleElement]:
     """Route 1 (nabla1, then t (x) t) minus route 2 (t, then nabla2) on each
-    Omega(L1) generator, reduced once; zero means compatible."""
-    omega_L1, omega_L2 = kahler_module(L1), kahler_module(L2)
-    nabla1 = Connection(omega_L1, localized_gamma(A1, L1, gamma1))
-    g2_loc = localized_gamma(A2, L2, gamma2)
+    Omega(L1) generator, reduced once, for the transition t: L1 -> L2 of two
+    localized charts; zero means compatible."""
+    omega_L1, omega_L2 = kahler_module(t.dom), kahler_module(t.cod)
+    nabla1 = Connection(omega_L1, localized_gamma(t.dom, gamma1))
+    g2_loc = localized_gamma(t.cod, gamma2)
     t1, t2 = christoffel_target(omega_L1), christoffel_target(omega_L2)
     out = []
     for g in omega_L1.gens:
@@ -243,7 +240,7 @@ def _glue_residues(
             tc = t.apply_raw(coef)
             u, v = omega_t[omega_L1.gens[i]].comps, omega_t[omega_L1.gens[l]].comps  # images of d(x_i), d(x_l)
             terms += [(t2.pair_index(a, b), tc * p * q) for a, p in enumerate(u) if p for b, q in enumerate(v) if q]
-        route2 = leibniz_terms(omega_L2, t2, enumerate(omega_t[g].comps), g2_loc)
+        route2 = leibniz_terms(omega_L2, enumerate(omega_t[g].comps), g2_loc)
         out.append(t2.combine(terms + [(k, -p) for k, p in route2]))
     return out
 
@@ -283,7 +280,7 @@ def glued_connection_check(
         raise KcxError("give connections for both charts or neither")
 
     if nabla1 is not None:
-        residues = _glue_residues(A1, L1, A2, L2, t, omega_t, nabla1.gamma, nabla2.gamma)
+        residues = _glue_residues(t, omega_t, nabla1.gamma, nabla2.gamma)
         report = AxiomReport()
         for g, r in zip(kahler_module(L1).gens, residues):
             if r.is_zero():
@@ -314,7 +311,7 @@ def glued_connection_check(
     # reduced once as a row in the gluing rows' module.
     reduce = christoffel_target(kahler_module(L2)).lifted.sparse_normal_form
     zeros = [zero for *_, zero in charts]
-    glue0 = _glue_residues(A1, L1, A2, L2, t, omega_t, *zeros)
+    glue0 = _glue_residues(t, omega_t, *zeros)
     first = len(constants)
     constants += map(_terms, glue0)
     for chart, ((_, target, names, _), L) in enumerate(zip(charts, (L1, L2))):
@@ -323,7 +320,7 @@ def glued_connection_check(
             if (g, idx) not in units:
                 unit = target.gen(target.gens[idx])
                 gammas = [{**z, g: unit} if c == chart else z for c, z in enumerate(zeros)]
-                rows = _glue_residues(A1, L1, A2, L2, t, omega_t, *gammas)
+                rows = _glue_residues(t, omega_t, *gammas)
                 units[g, idx] = [_terms(r - r0) for r, r0 in zip(rows, glue0)]
             mono = Polynomial.monomial(f, L.gens, (*exp, 0), 1)
             scale = t.apply_raw(mono) if chart == 0 else mono

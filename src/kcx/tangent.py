@@ -187,7 +187,7 @@ class TangentMaps:
     @cached_property
     def plus(self) -> AlgebraMorphism:
         """+: T(A) -> T(A) (x)_A T(A)."""
-        return _fibrewise_sum(self.p, self.TA.dmap.values(), "+")
+        return _fibrewise_sum(self.p, "+")
 
     @cached_property
     def T2(self) -> TensorAlgebra:
@@ -220,13 +220,14 @@ class TangentMaps:
         return relabel(self.TTA, self.TTA, table, "flip")
 
 
-def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, fibre, names: tuple[str, ...]):
+def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, names: tuple[str, ...]):
     """(include, zero, negate) for an additive bundle B over A, all certified.
 
     B is presented on A's generators plus the fibre generators: S_A(M) (M's
     generators) and `dualnum`'s square-zero extensions (the epsilons).  T(A)'s
     p/0/- are the same three tables, built one at a time by `TangentMaps`.
     """
+    fibre = [g for g in B.gens if g not in A.gens]
     return (
         relabel(A, B, {}, names[0]),
         relabel(B, A, dict.fromkeys(fibre), names[1]),
@@ -234,11 +235,11 @@ def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, fibre, names: tup
     )
 
 
-def _fibrewise_sum(include: AlgebraMorphism, fibre, name: str) -> AlgebraMorphism:
+def _fibrewise_sum(include: AlgebraMorphism, name: str) -> AlgebraMorphism:
     """B -> B (x)_A B adding the two copies of each fibre generator, for the
     inclusion A -> B of an additive bundle."""
-    A, B = include.dom, include.cod
-    B2 = tensor_over_base(A, B, B, include, include)
+    B, B2 = include.cod, tensor_over_base(include, include)
+    fibre = [g for g in B.gens if g not in include.dom.gens]
     return relabel(B, B2, {**B2.rename[0], **{m: (f"{m}#0", f"{m}#1") for m in fibre}}, name)
 
 
@@ -343,21 +344,19 @@ class ShapeMap:
     is the sum of sign * prod(names) over P, each product squarefree in the
     non-base generators of P.  `write` sends sum c_k e_k to the raw sum of
     c_k times those images, the base generators of c_k renamed into P by
-    `into`.  `read` keys each monomial by its exponents at the non-base
-    generators: a key of some product gives sign * rest at generator k, the
-    rest renamed back by `back`, and every other monomial is stray.  Base
-    generators are those `back` renames, by default A's own names.
-    `write_raw` and `read_raw` are the same two maps on raw (k, p) terms.
+    `into` (by default A's own names).  `read` keys each monomial by its
+    exponents at the non-base generators, those `into` misses: a key of some
+    product gives sign * rest at generator k, the rest renamed back to A by
+    the inverse of `into`, and every other monomial is stray.  `write_raw`
+    and `read_raw` are the same two maps on raw (k, p) terms.
     """
 
-    def __init__(self, P: PresentedAlgebra, module: PresentedModule, shapes, into=None, back=None):
+    def __init__(self, P: PresentedAlgebra, module: PresentedModule, shapes, into=None):
         self.P, self.module = P, module
         gens, f = module.base.gens, P.field
         pos = {g: i for i, g in enumerate(P.gens)}
-        back = back or {g: g for g in gens}
         self._into = [pos[(into or {}).get(g, g)] for g in gens]
-        self._back = [(pos[g], gens.index(a)) for g, a in back.items()]
-        base = {p for p, _ in self._back}
+        base = set(self._into)
         self._free = [i for i in range(len(P.gens)) if i not in base]
         self._write: list[list] = []  # per generator: (sign, exponent of the product)
         self._read: dict[tuple, tuple[int, object]] = {}  # key -> (generator, sign)
@@ -407,10 +406,8 @@ class ShapeMap:
             if hit is None:
                 stray[exp] = c
                 continue
-            rest = [0] * len(gens)
-            for p, a in self._back:
-                rest[a] += exp[p]
-            terms.append((hit[0], Polynomial._of_terms(f, gens, {tuple(rest): f.mul(hit[1], c)})))
+            rest = tuple(exp[p] for p in self._into)
+            terms.append((hit[0], Polynomial._of_terms(f, gens, {rest: f.mul(hit[1], c)})))
         return terms, Polynomial._of_terms(f, self.P.gens, stray)
 
 
@@ -437,7 +434,7 @@ class BundleContext:
         self.A_maps = tangent_structure_maps(A)
         self.S_maps = tangent_structure_maps(self.S)
         self.TA, self.TS = self.A_maps.TA, self.S_maps.TA
-        self.q, self.z, self.iota = _additive_bundle(A, self.S, M.gens, ("q", "z", "iota"))
+        self.q, self.z, self.iota = _additive_bundle(A, self.S, ("q", "z", "iota"))
         # module generators and d-of-base die under the bundle lift
         lam_table = {
             g: role.origin if role.kind == "dm" else None
@@ -446,7 +443,7 @@ class BundleContext:
         }
         self.lam = relabel(self.TS, self.S, lam_table, "lambda")
         # T(A) (x)_A S_A(M), with its two injections
-        self.TAS = tensor_over_base(A, self.TA, self.S, self.A_maps.p, self.q)
+        self.TAS = tensor_over_base(self.A_maps.p, self.q)
         self.omega_tensor_M = christoffel_target(M)
         u_table = {f"{g}#1": g for g in self.S.gens}
         u_table.update({f"{self.TA.dmap[g]}#0": self.TS.dmap[g] for g in A.gens})
@@ -455,7 +452,7 @@ class BundleContext:
     @cached_property
     def sigma(self) -> AlgebraMorphism:
         """sigma: S -> S (x)_A S, the fibrewise sum; no axiom check reads it."""
-        return _fibrewise_sum(self.q, self.M.gens, "sigma")
+        return _fibrewise_sum(self.q, "sigma")
 
     # -- maps shared by the axiom checks -----------------------------------
 
@@ -505,8 +502,7 @@ class BundleContext:
         """Omega(A) (x) M in T(A) (x)_A S_A(M): d(x_i) (x) m_l is d_x_i#0 * m_l#1."""
         A, M = self.A, self.M
         shapes = [[(1, (f"{self.TA.dmap[x]}#0", f"{m}#1"))] for x in A.gens for m in M.gens]
-        into = {g: f"{g}#1" for g in A.gens}
-        return ShapeMap(self.TAS, self.omega_tensor_M, shapes, into, {b: g for g, b in into.items()})
+        return ShapeMap(self.TAS, self.omega_tensor_M, shapes, {g: f"{g}#1" for g in A.gens})
 
     @cached_property
     def curvature_shapes(self) -> ShapeMap:

@@ -182,10 +182,10 @@ def _split_top_level(text: str, separators: str) -> list[tuple[str, str]]:
     return parts
 
 
-def _parse_connection_sum(
-    text: str, cur: _Cursor, pos: int, A, M, target
-) -> ModuleElement:
-    """`EXPR * d(EXPR) @ GEN` terms combined with +/-; `0` is the zero image."""
+def _parse_connection_sum(text: str, cur: _Cursor, pos: int, M: PresentedModule) -> ModuleElement:
+    """`EXPR * d(EXPR) @ GEN` terms combined with +/-, in Omega(A) (x) M; `0`
+    is the zero image."""
+    A, target = M.base, christoffel_target(M)
     if text.strip() == "0":
         return target.zero()
     terms = []
@@ -297,10 +297,9 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
             entries = cur.take_block_entries()
             M = _lookup(cur, ws.modules, "module", mod_name, at)
             _fresh(cur, ws.connections, "connection", name, at)
-            target = christoffel_target(M)
             images = _images(
                 cur, entries, at, "connection", name, M.gens,
-                lambda rhs, pos: _parse_connection_sum(rhs, cur, pos, M.base, M, target),
+                lambda rhs, pos: _parse_connection_sum(rhs, cur, pos, M),
             )
             try:
                 ws.connections[name] = make_connection(M, images)

@@ -464,7 +464,7 @@ def leibniz_tensor_presentation(ctx):
         mod, tan = ctx.TS.grading[g]
         grading[f"{g}#1"] = (mod, 0, tan)
     Tp, Tq = tangent_apply_functor(ctx.A_maps.p), tangent_apply_functor(ctx.q)
-    return tensor_over_base(ctx.TA, T2A, ctx.TS, Tp, Tq, grading=grading, cap=(1, 1, 1))
+    return tensor_over_base(Tp, Tq, grading=grading, cap=(1, 1, 1))
 
 
 def two_copy_tensor(A, B1, B2, f1, f2) -> PresentedAlgebra:

@@ -165,7 +165,7 @@ def test_apply_morphism_multiplicative_random(circle):
 
 def test_tensor_base_collapse(circle):
     ident = identity_morphism(circle)
-    t = tensor_over_base(circle, circle, circle, ident, ident)
+    t = tensor_over_base(ident, ident)
     # A (x)_A A collapses: both injections agree on everything.
     for g in circle.gens:
         assert t.i0(circle.gen(g)) == t.i1(circle.gen(g))
@@ -175,11 +175,17 @@ def test_tensor_base_collapse(circle):
 def test_tensor_injections_agree_on_base(circle, plane):
     # two different circle-algebras over the plane-subring via x1 -> x, x2 -> y
     f = make_morphism(plane, circle, {"x1": "x", "x2": "y"})
-    t = tensor_over_base(plane, circle, circle, f, f)
+    t = tensor_over_base(f, f)
     for g in plane.gens:
         lhs = compose_morphisms(t.i0, f)
         rhs = compose_morphisms(t.i1, f)
         assert lhs.image_of(g) == rhs.image_of(g)
+
+
+def test_tensor_refuses_factor_maps_from_different_bases(circle, plane):
+    f = make_morphism(plane, circle, {"x1": "x", "x2": "y"})
+    with pytest.raises(ValueError, match="share their domain"):
+        tensor_over_base(f, identity_morphism(circle))
 
 
 def test_localize_basics():

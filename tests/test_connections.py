@@ -236,8 +236,8 @@ def test_degenerate_vertical_fails_k1(circle):
     from kcx.algebra import compose_chain
     from kcx.connections import verify_vertical_axioms
 
-    K_bad = compose_chain([ctx.z, ctx.q, make_morphism(
-        ctx.S, ctx.TS, {g: ctx.TS.gen(g) for g in ctx.S.gens}, certify=False
+    K_bad = compose_chain([ctx.z, ctx.q, AlgebraMorphism(
+        ctx.S, ctx.TS, {g: ctx.TS.polynomial(ctx.TS.gen(g)) for g in ctx.S.gens}, certify=False
     )])
     report = verify_vertical_axioms(K_bad, nabla.module)
     assert any(e.axiom_id == "K.1" and e.status == "fail" for e in report.entries)

@@ -128,7 +128,7 @@ def _fallback_case(nabla, extra_of):
     generator's raw image gets `extra_of(ctx, m)` added."""
     ctx, m = nabla.ctx, nabla.module.gens[0]
     V = _perturbed(tangent_curvature(nabla), m, extra_of(ctx, m))
-    result = _correspond(nabla, module_curvature(nabla), V, ctx.curvature_shapes)
+    result = _correspond(module_curvature(nabla), V, ctx.curvature_shapes)
     return result, V
 
 

@@ -19,8 +19,9 @@ from kcx.workspace import parse_workspace, render_workspace
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
-# golden file stem -> argv; the seven README command lines, the gallery, and
-# the flat-with-torsion twist example (the "flat" and "has torsion" branches)
+# golden file stem -> argv; the seven README command lines, the gallery, the
+# flat-with-torsion twist example (the "flat" and "has torsion" branches), and
+# a gluing of given chart connections (kept here, not in examples_kcx)
 COMMANDS = {
     "gallery": ["gallery"],
     "check_circle": ["check", "examples_kcx/circle.kcx"],
@@ -32,6 +33,8 @@ COMMANDS = {
     "convert_circle": ["convert", "examples_kcx/circle.kcx"],
     "glue_p1": ["glue", "examples_kcx/p1.kcx", "--degree", "6"],
     "glue_p1_char2": ["glue", "examples_kcx/p1.kcx", "--degree", "6", "--char", "2"],
+    "glue_p1_zero_connections": ["glue", "tests/golden/p1_zero_connections.kcx"],
+    "glue_p1_zero_connections_char2": ["glue", "tests/golden/p1_zero_connections.kcx", "--char", "2"],
 }
 
 CASES = [
@@ -62,7 +65,7 @@ connection canonical on Omega2 {
 
 
 def render(argv: list[str]) -> str:
-    argv = [str(ROOT / a) if a.startswith("examples_kcx/") else a for a in argv]
+    argv = [str(ROOT / a) if a.startswith(("examples_kcx/", "tests/")) else a for a in argv]
     code, text = run(argv)
     return f"exit: {code}\n{text}\n"
 

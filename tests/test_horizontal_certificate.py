@@ -87,13 +87,13 @@ def test_only_plain_renamings_of_the_base_share_one_copy():
     A = make_algebra(QQ, ("a",))
     B = make_algebra(QQ, ("y", "z"))
     plain = make_morphism(A, B, {"a": "y"})
-    shared = tensor_over_base(A, B, B, plain, plain)
+    shared = tensor_over_base(plain, plain)
     assert shared.gens == ("z#0", "y#1", "z#1") and shared.relations == ()
     assert shared.i0.images["y"] == _var(shared, "y#1")
     for image in ("2*y", "-y", "y^2", "y + z", "0"):
         other = make_morphism(A, B, {"a": image})
         for f1, f2 in ((plain, other), (other, plain)):
-            T, P = tensor_over_base(A, B, B, f1, f2), two_copy_tensor(A, B, B, f1, f2)
+            T, P = tensor_over_base(f1, f2), two_copy_tensor(A, B, B, f1, f2)
             assert T.gens == P.gens == ("y#0", "z#0", "y#1", "z#1"), image
             assert T.relations == P.relations and len(T.relations) == 1, image
     # two base generators onto one generator of the first factor: y would
@@ -101,13 +101,13 @@ def test_only_plain_renamings_of_the_base_share_one_copy():
     A2 = make_algebra(QQ, ("a", "b"))
     left = make_morphism(A2, B, {"a": "y", "b": "z"})
     right = make_morphism(A2, B, {"a": "y", "b": "y"})
-    assert tensor_over_base(A2, B, B, right, left).gens == ("y#0", "z#0", "y#1", "z#1")
-    merged = tensor_over_base(A2, B, B, left, right)  # y and z of the first factor are both y#1
+    assert tensor_over_base(right, left).gens == ("y#0", "z#0", "y#1", "z#1")
+    merged = tensor_over_base(left, right)  # y and z of the first factor are both y#1
     assert merged.gens == ("y#1", "z#1") and merged.relations == ()
     assert merged.i0.images["y"] == merged.i0.images["z"] == _var(merged, "y#1")
     # a copy of nonzero grade keeps both copies
     graded = {"y#0": (1,), "z#0": (0,), "y#1": (0,), "z#1": (0,)}
-    assert tensor_over_base(A, B, B, plain, plain, grading=graded).gens == ("y#0", "z#0", "y#1", "z#1")
+    assert tensor_over_base(plain, plain, grading=graded).gens == ("y#0", "z#0", "y#1", "z#1")
 
 
 def _random_within_cap(rng: random.Random, P) -> Polynomial:

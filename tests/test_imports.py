@@ -284,6 +284,14 @@ UNREFERENCED = {
     "horizontal form, checked against module torsion",
     ("solve.py", "ConnectionSpace.contains_connection"): "whether a given connection lies in "
     "a solved space, the query a solution space answers",
+    ("tangent.py", "TangentMaps.minus"): "the negation of T(A), a structure map of the tangent "
+    "structure that no verdict reads",
+    ("tangent.py", "TangentPresentation.d"): "the formal differential of a source element as an "
+    "element of T(B), how the tests write tangent values",
+    ("modules.py", "TensorModule.pair"): "the simple tensor u (x) v, how the tests and oracles "
+    "write values of Omega (x) M",
+    ("algebra.py", "TensorAlgebra.pair"): "the simple tensor w (x) v, how the tests write values "
+    "of T(A) (x)_A S_A(M)",
 }
 
 
@@ -294,7 +302,9 @@ READ_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 def unreferenced(sources: dict[str, str]) -> list[tuple[str, str]]:
     """(file, qualified name) of each function, method and class, dunders
     aside, whose name no line outside its own definition reads, imports or
-    reaches as an attribute in any of `sources` (file name -> source)."""
+    reaches as an attribute in any of `sources` (file name -> source).  A
+    method, a def directly in a class body, counts only as an attribute: a
+    local variable of the same name is not a use of it."""
     defined, reads = [], []
     for name, source in sources.items():
         tree = ast.parse(source)
@@ -303,7 +313,8 @@ def unreferenced(sources: dict[str, str]) -> list[tuple[str, str]]:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     qualname = f"{scope}.{child.name}" if scope else child.name
-                    defined.append((name, qualname, child.name, child.lineno, child.end_lineno))
+                    method = isinstance(node, ast.ClassDef) and not isinstance(child, ast.ClassDef)
+                    defined.append((name, qualname, child.name, method, child.lineno, child.end_lineno))
                     walk(child, qualname)
                 else:
                     walk(child, scope)
@@ -311,12 +322,15 @@ def unreferenced(sources: dict[str, str]) -> list[tuple[str, str]]:
         walk(tree, "")
         for node in ast.walk(tree):
             if field := READ_FIELDS.get(type(node)):
-                reads.append((name, getattr(node, field), node.lineno))
+                reads.append((name, getattr(node, field), isinstance(node, ast.Attribute), node.lineno))
     return [
         (name, qualname)
-        for name, qualname, word, first, last in defined
+        for name, qualname, word, method, first, last in defined
         if not (word.startswith("__") and word.endswith("__"))
-        and not any(w == word and not (f == name and first <= line <= last) for f, w, line in reads)
+        and not any(
+            w == word and (attr or not method) and not (f == name and first <= line <= last)
+            for f, w, attr, line in reads
+        )
     ]
 
 
@@ -327,6 +341,15 @@ def test_detector_flags_an_unreferenced_definition():
         "b.py": "from .a import C\nC().m\n",
     }
     assert unreferenced(sources) == [("a.py", "alone")]
+
+
+def test_detector_flags_a_method_shadowed_by_a_local():
+    sources = {
+        "a.py": "class C:\n    def pair(self):\n        return 1\n    def d(self):\n        return 2\n\n"
+        "def f(pairs):\n    for pair in pairs:\n        d = pair\n    return d\n",
+        "b.py": "from .a import C, f\nf([C().d])\n",
+    }
+    assert unreferenced(sources) == [("a.py", "C.pair")]
 
 
 def test_every_definition_is_referenced_exported_or_allowed():

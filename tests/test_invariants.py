@@ -2,7 +2,7 @@
 
 import random
 
-from kcx.algebra import identity_morphism, make_morphism
+from kcx.algebra import AlgebraMorphism, identity_morphism, make_morphism
 from kcx.connections import apply_connection
 from kcx.modules import kahler_module
 from kcx.poly import Polynomial
@@ -44,9 +44,9 @@ def test_bundle_combine_minus_then_plus_recovers(circle):
     omega = kahler_module(circle)
     b = bundle_context(omega)
     fibre = set(omega.gens)
-    f = make_morphism(
-        b.S, b.S, {**{g: b.S.gen(g) for g in circle.gens},
-                   **{m: b.S.gen(m) * 2 for m in omega.gens}},
+    f = AlgebraMorphism(
+        b.S, b.S, {**{g: b.S.polynomial(b.S.gen(g)) for g in circle.gens},
+                   **{m: b.S.polynomial(b.S.gen(m) * 2) for m in omega.gens}},
         certify=False,
     )
     g = identity_morphism(b.S)

@@ -215,6 +215,6 @@ def test_p1_glue_residues_match_the_chain(F):
     omega_t = kahler_map(t)
     for _ in range(4):
         gammas = [random_gamma(rng, kahler_module(A)) for A in (A1, A2)]
-        ours = _glue_residues(A1, L1, A2, L2, t, omega_t, *gammas)
+        ours = _glue_residues(t, omega_t, *gammas)
         expected = chain_glue_residues(A1, L1, A2, L2, t, omega_t, *gammas)
         assert [r.comps for r in ours] == [r.comps for r in expected]

@@ -164,7 +164,7 @@ def test_element_is_zero_on_relation(circle):
 
 def test_module_morphism_certification(circle):
     omega = kahler_module(circle)
-    fr = free_module(circle, 2, names=("e1", "e2"))
+    fr = free_module(circle, 2)
     # quotient map is fine
     r = ModuleMorphism(fr, omega, {"e1": omega.gen("d(x)"), "e2": omega.gen("d(y)")})
     assert r(fr.element(["2*x", "2*y"])).is_zero()

@@ -177,13 +177,13 @@ def test_dual_numbers_structure_basics(circle):
 
 def test_dual_bundle_zero_module_is_base(circle):
     zero_mod = free_module(circle, 0)
-    b = dual_bundle(circle, zero_mod)
+    b = dual_bundle(zero_mod)
     assert b.E.gens == circle.gens
 
 
 def test_dual_bundle_lift(circle):
     omega = kahler_module(circle)
-    b = dual_bundle(circle, omega)
+    b = dual_bundle(omega)
     m_eps = b.eps_gens[0]
     assert b.lam(b.E.gen(m_eps)) == b.TE.gen(m_eps) * b.TE.gen(b.epsp)
     assert b.q(b.E.gen(m_eps)).is_zero()
@@ -196,7 +196,7 @@ def test_dual_structure_maps_match_their_relabel_tables(circle):
     lifts from raw products; each equals the map its own table once built."""
     dn = dual_numbers_structure(circle)
     A, TA, TTA, eps = circle, dn.TA, dn.TTA, dn.eps
-    b = dual_bundle(circle, kahler_module(circle))
+    b = dual_bundle(kahler_module(circle))
     E, TE = b.E, b.TE
     pairs = [
         (dn.p, relabel(TA, A, {eps: None}, "p")),
@@ -225,29 +225,29 @@ def test_dual_structure_maps_match_their_relabel_tables(circle):
 def test_dual_solver_no_go():
     line = make_algebra(QQ, ("x",))
     free1 = free_module(line, 1)
-    assert dual_connection_solve(line, free1, 2).is_empty
+    assert dual_connection_solve(free1, 2).is_empty
     # the solve needs no bundle presentation
     assert not any(isinstance(v, DualBundle) for o in (line, free1) for v in o._memo.values())
 
     point = make_algebra(QQ, ())
     qq_rank1 = free_module(point, 1)
-    assert dual_connection_solve(point, qq_rank1, 1).is_empty
+    assert dual_connection_solve(qq_rank1, 1).is_empty
 
 
 def test_dual_solver_zero_module_solvable():
     line = make_algebra(QQ, ("x",))
     zero_rank = free_module(line, 0)
-    assert not dual_connection_solve(line, zero_rank, 2).is_empty
+    assert not dual_connection_solve(zero_rank, 2).is_empty
     # a presented zero module also works
     collapsed = make_module(line, ("e",), [["1"]])
-    assert not dual_connection_solve(line, collapsed, 2).is_empty
+    assert not dual_connection_solve(collapsed, 2).is_empty
 
 
 def test_dual_solver_presented_nonzero_module_empty():
     line = make_algebra(QQ, ("x",))
     # v = -x*u presents a free rank-1 module, which is nonzero
     presented = make_module(line, ("u", "v"), [["x", "1"]])
-    assert dual_connection_solve(line, presented, 2).is_empty
+    assert dual_connection_solve(presented, 2).is_empty
 
 
 # ---------------------------------------------------------------------------
@@ -418,4 +418,4 @@ def test_solves_over_the_unknown_limit_are_refused_before_any_column(monkeypatch
     # the dual-numbers solve: (generators + 1) unknowns per standard monomial, here 2
     monkeypatch.setattr(kcx.dualnum, "_relation_columns", no_columns)
     with pytest.raises(SolverTooLarge, match=too_many):
-        dual_connection_solve(A, M, limit // 2)
+        dual_connection_solve(M, limit // 2)

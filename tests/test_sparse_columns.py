@@ -119,13 +119,13 @@ def _old_glue_columns(A1, u1, A2, u2, transition, layout, first):
     omega_t = kahler_map(t)
     targets = [christoffel_target(kahler_module(A)) for A in (A1, A2)]
     zeros = [{g: T.zero() for g in kahler_module(A).gens} for T, A in zip(targets, (A1, A2))]
-    glue0 = _glue_residues(A1, L1, A2, L2, t, omega_t, *zeros)
+    glue0 = _glue_residues(t, omega_t, *zeros)
     columns = {}
     for (chart_no, g, idx, exp), name in layout.items():
         chart, target, L = chart_no - 1, targets[chart_no - 1], (L1, L2)[chart_no - 1]
         unit = target.gen(target.gens[idx])
         gammas = [{**z, g: unit} if c == chart else z for c, z in enumerate(zeros)]
-        rows = _glue_residues(A1, L1, A2, L2, t, omega_t, *gammas)
+        rows = _glue_residues(t, omega_t, *gammas)
         mono = Polynomial.monomial(A1.field, L.gens, (*exp, 0), 1)
         scale = t.apply_raw(mono) if chart == 0 else mono
         columns[name] = {first + k: (r - r0).scaled(scale) for k, (r, r0) in enumerate(zip(rows, glue0))}
@@ -196,7 +196,7 @@ def test_dual_number_columns_are_the_old_module_elements(case, monkeypatch):
     build, degree = DUAL_CASES[case]
     M = build()
     seen = _capture(monkeypatch, kcx.dualnum)
-    dual_connection_solve(M.base, M, degree)
+    dual_connection_solve(M, degree)
     ((constants, columns),) = seen
     layout = _unknowns("c", M.gens + ("'",), range(M.rank), M, degree)
     old = _old_relation_columns(M, M, layout, len(M.gens))

@@ -249,7 +249,7 @@ def test_bundle_combine(circle):
     dbl = bundle_combine(identity_morphism(b.S), identity_morphism(b.S), "plus", fibre)
     assert dbl(b.S.gen("d(x)")) == b.S.gen("d(x)") * 2
     # disagreeing on a base generator is an error
-    sq = make_morphism(b.S, b.S, {g: b.S.gen(g) * b.S.gen(g) for g in b.S.gens}, certify=False)
+    sq = AlgebraMorphism(b.S, b.S, {g: b.S.polynomial(b.S.gen(g) * b.S.gen(g)) for g in b.S.gens}, certify=False)
     with pytest.raises(BaseMismatch):
         bundle_combine(identity_morphism(b.S), sq, "minus", fibre)
 
@@ -343,6 +343,16 @@ def test_t_of_q_and_t_of_lambda_inherit_their_certificates(monkeypatch):
     calls = helpers.record_certify_calls(monkeypatch)
     assert ctx.Tq.certified and ctx.T_lam.certified
     assert calls == []
+
+
+def test_tensor_injections_are_certified_with_no_basis():
+    """i0 and i1 send every relation of their factor to a relation of
+    T(A) (x)_A S_A(M), so they are certified by matching, and maps composed
+    through them (C.1's right-hand side) inherit it."""
+    ctx = bundle_context(kahler_module(make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"])))
+    assert ctx.TAS.i0.certified and ctx.TAS.i1.certified
+    assert compose_chain([ctx.z, ctx.q, ctx.TAS.i1]).certified
+    assert "basis" not in vars(ctx.TAS)
 
 
 def test_down_refuses_factors_that_disagree_on_the_tangent_of_the_base(circle):

@@ -227,6 +227,16 @@ def test_cli_naive_circle_reports_residue(tmp_path):
     assert payload["checks"][0]["residue"] == "2*d(x)@d(x) + 2*d(y)@d(y)"
 
 
+def test_a_byte_order_mark_is_read_past(tmp_path):
+    """A definition file saved with a UTF-8 byte-order mark reads as the same file."""
+    bom = tmp_path / "circle.kcx"
+    bom.write_bytes(b"\xef\xbb\xbf" + (FILES / "circle.kcx").read_bytes())
+    for command in (["check"], ["convert"], ["solve", "--module", "Omega", "--degree", "1"]):
+        original = run([command[0], str(FILES / "circle.kcx"), *command[1:]])
+        assert run([command[0], str(bom), *command[1:]]) == original
+        assert original[0] != 2, command
+
+
 def test_cli_exit_codes(tmp_path):
     code, text = run(["check", "/nonexistent/file.kcx"])
     assert code == 2
