@@ -11,11 +11,16 @@
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error.
 The JSON schema is fixed: {"command", "checks": [{"id", "status", "witness",
 "residue"}], "solver": {"status", "dim"} | null}.
+
+The argument parser is built once per process, on the first `run`, and shared
+by every later call; `parse_args` keeps no state between calls, and help and
+usage text is formatted only when printed.  Do not mutate the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field as dfield
@@ -251,11 +256,23 @@ def cmd_glue(args) -> Report:
                     f"relations of its {side} do not generate the ideal ({relations})",
                     *spec.places[key],
                 )
-    omega1 = kahler_module(A1)
-    omega2 = kahler_module(A2)
-    chart1 = [nabla for nabla in ws.connections.values() if nabla.module is omega1]
-    chart2 = [nabla for nabla in ws.connections.values() if nabla.module is omega2]
-    connections = {"nabla1": chart1[0], "nabla2": chart2[0]} if chart1 and chart2 else {}
+    # the connections on the charts' differentials: none (solve for them) or
+    # exactly one per chart (check that they glue)
+    on = {}
+    for key, A in (("chart1", A1), ("chart2", A2)):
+        omega = kahler_module(A)
+        on[key] = [name for name, nabla in ws.connections.items() if nabla.module is omega]
+    counts = [len(names) for names in on.values()]
+    if counts not in ([0, 0], [1, 1]):
+        found = "; ".join(f"{k} {getattr(spec, k)!r} has {', '.join(map(repr, n)) or 'none'}" for k, n in on.items())
+        raise WorkspaceError(
+            f"glue takes no connection or exactly one on each chart's differentials ({found})",
+            *spec.places["chart1" if counts[0] != 1 else "chart2"],
+        )
+    connections = {}
+    if counts == [1, 1]:
+        (name1,), (name2,) = on.values()
+        connections = {"nabla1": ws.connections[name1], "nabla2": ws.connections[name2]}
     try:
         result = glued_connection_check(
             A1, spec.at1, A2, spec.at2, t.images, tinv.images, degree=args.degree, **connections
@@ -279,7 +296,11 @@ def cmd_gallery(args) -> Report:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `kcx` parser, built on the first call and shared by every later one
+    in the process (building it costs more than most commands it parses), so
+    no caller may mutate it."""
     parser = argparse.ArgumentParser(
         prog="kcx",
         description="exact checks and solvers for module connections over affine presentations",
@@ -326,9 +347,8 @@ COMMANDS = {
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return (2 if exc.code else 0), ""
     degree = getattr(args, "degree", 0)

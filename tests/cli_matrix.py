@@ -12,7 +12,9 @@ tree and diff the two outputs:
 
 The kcx that PYTHONPATH finds is the one measured, and the example paths are
 read from the working directory, so the same file also checks a tree that
-does not have it.  Standard library only; pytest does not collect it.
+does not have it.  Standard library only; pytest does not collect it, but
+`tests/test_cli_matrix.py` compares its lines with `tests/golden/cli_matrix.txt`
+(regenerate that file with the command above after an intended output change).
 """
 
 import hashlib
@@ -44,11 +46,15 @@ def matrix() -> list[list[str]]:
     return argvs + [["gallery", *out] for out in OUTPUTS]
 
 
+def digest_line(argv: list[str]) -> str:
+    code, text = run(argv)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return f"{' '.join(argv)}\t{code}\t{digest}"
+
+
 def main() -> None:
     for argv in matrix():
-        code, text = run(argv)
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        print(f"{' '.join(argv)}\t{code}\t{digest}")
+        print(digest_line(argv))
 
 
 if __name__ == "__main__":

@@ -62,6 +62,17 @@ def free_canonical_connection_on(M) -> Connection:
     return make_connection(M, {g: t.zero() for g in M.gens})
 
 
+def random_poly(rng: random.Random, variables=("x", "y"), degree=3, field=QQ) -> Polynomial:
+    """Up to four integer terms, coefficients in -3..3, of total degree <= `degree`."""
+    p = Polynomial.zero(field, variables)
+    for _ in range(4):
+        exp = tuple(rng.randint(0, degree) for _ in variables)
+        if sum(exp) > degree:
+            continue
+        p = p + Polynomial.monomial(field, variables, exp, rng.randint(-3, 3))
+    return p
+
+
 def random_plane_connection(plane, rng: random.Random, max_degree: int = 2) -> Connection:
     omega = kahler_module(plane)
     omega_tensor = bundle_context(omega).omega_tensor_M

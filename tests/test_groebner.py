@@ -10,6 +10,7 @@ from kcx.groebner import IdealBasis, ModuleBasis
 from kcx.parse import poly_normalize
 from kcx.poly import Polynomial
 
+from helpers import random_poly
 from oracles import loop_monomial_grade, module_span_contains, rescan_reduce, span_contains, total_degree
 
 
@@ -61,16 +62,6 @@ def test_normal_form_idempotent_and_linear():
         nf = b.normal_form
         assert nf(nf(p)) == nf(p)
         assert nf(p + q) == nf(nf(p) + nf(q))
-
-
-def random_poly(rng, variables=("x", "y"), degree=3, field=QQ):
-    p = Polynomial.zero(field, variables)
-    for _ in range(4):
-        exp = tuple(rng.randint(0, degree) for _ in variables)
-        if sum(exp) > degree:
-            continue
-        p = p + Polynomial.monomial(field, variables, exp, rng.randint(-3, 3))
-    return p
 
 
 def test_cox_little_oshea_example():

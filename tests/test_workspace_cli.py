@@ -1,9 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from kcx.cli import MAX_DEGREE, run
+from kcx.cli import COMMANDS, MAX_DEGREE, build_parser, run
 from kcx.parse import MAX_DEPTH, MAX_EXPONENT
 from kcx.workspace import MAX_FREE_RANK, WorkspaceError, parse_workspace, render_workspace
 
@@ -195,6 +196,31 @@ def test_glue_refuses_charts_that_are_not_the_localizations(tmp_path):
     path = tmp_path / "scaled.kcx"
     path.write_text(p1.replace("x*x_inv - 1", "2*x*x_inv - 2"))
     assert run(["glue", str(path), "--degree", "6"]) == run(["glue", str(FILES / "p1.kcx"), "--degree", "6"])
+
+
+def test_glue_refuses_connections_on_one_chart_or_two_on_a_chart(tmp_path):
+    """A glue file's connections on the charts' differentials are none or one
+    per chart; any other count is a usage error naming the chart and them."""
+    zero = (Path(__file__).parent / "golden" / "p1_zero_connections.kcx").read_text()
+    nabla2 = "connection nabla2 on Omega2 { d(y) -> 0; }\n"
+    cases = [
+        (
+            zero.replace(nabla2, ""),
+            "error: glue takes no connection or exactly one on each chart's differentials "
+            "(chart1 'A1' has 'nabla1'; chart2 'A2' has none) (line 26, column 3)",
+        ),
+        (
+            zero.replace(nabla2, nabla2 + "connection nabla3 on Omega2 { d(y) -> y*d(y)@d(y); }\n"),
+            "error: glue takes no connection or exactly one on each chart's differentials "
+            "(chart1 'A1' has 'nabla1'; chart2 'A2' has 'nabla2', 'nabla3') (line 28, column 3)",
+        ),
+    ]
+    for i, (source, message) in enumerate(cases):
+        path = tmp_path / f"glue{i}.kcx"
+        path.write_text(source)
+        assert source != zero
+        for flags in ([], ["--json"], ["--char", "2"]):
+            assert run(["glue", str(path), *flags]) == (2, message)
 
 
 def test_cli_gallery():
@@ -398,3 +424,63 @@ def test_ill_defined_morphism_exits_2_with_its_residue(tmp_path):
         "morphism f : A -> B {\n  x -> -v;\n  y -> u;\n}\n"
     )
     assert run(["check", str(path)])[0] == 1  # certified by matching; no connection
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process
+# ---------------------------------------------------------------------------
+
+
+def test_runs_build_the_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    run(["check", str(FILES / "circle.kcx")])
+    assert len(built) == 1 + len(COMMANDS)  # the parser and one subparser per command
+    for argv in (["check", str(FILES / "circle.kcx"), "--json"], ["gallery", "--zz"], ["convert", "--help"]):
+        run(argv)
+    assert len(built) == 1 + len(COMMANDS)
+
+
+SHARED_PARSER_ARGVS = [
+    ["check", str(FILES / "circle.kcx")],
+    ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", "1", "--json"],
+    ["glue", str(FILES / "p1.kcx"), "--degree", "2", "--char", "2"],
+    ["check", str(FILES / "circle.kcx"), "--unknown"],
+    ["solve", str(FILES / "circle.kcx")],
+    ["check", str(FILES / "circle.kcx"), "--char", "two"],
+    ["solve", str(FILES / "circle.kcx"), "--module", "Omega", "--degree", "-1"],
+    ["solve", "--help"],
+    ["glue", "--help"],
+    ["--help"],
+]
+
+
+def _outcome(argv, capsys):
+    result = run(argv)
+    return result, capsys.readouterr()
+
+
+def test_a_shared_parser_answers_each_argv_as_a_fresh_one(monkeypatch, capsys):
+    """Every argv gives the same code, text, stdout and stderr on the shared
+    parser, in either order, as on a parser built for it alone; help and usage
+    text wrap to the COLUMNS of the call, not of the parser's build."""
+    fresh = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in SHARED_PARSER_ARGVS:
+            build_parser.cache_clear()
+            fresh[columns, tuple(argv)] = _outcome(argv, capsys)
+    helps = [fresh[columns, ("--help",)][1].out for columns in ("40", "200")]
+    assert helps[0].startswith("usage: kcx") and helps[0] != helps[1]
+    build_parser.cache_clear()
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in SHARED_PARSER_ARGVS + SHARED_PARSER_ARGVS[::-1]:
+            assert _outcome(argv, capsys) == fresh[columns, tuple(argv)], (columns, argv)
