@@ -23,11 +23,11 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from pathlib import Path
 
 from .algebra import PresentedAlgebra, localize
-from .connections import to_horizontal, to_vertical, verify_connection_axioms
+from .connections import AxiomCheck, to_horizontal, to_vertical, verify_connection_axioms
 from .connections import connection_equal, from_horizontal
 from .curvature import check_curvature_correspondence, check_torsion_correspondence
 from .errors import KcxError, NotInverse
@@ -44,17 +44,9 @@ from .workspace import (
 
 
 @dataclass
-class Check:
-    check_id: str
-    status: str
-    witness: str = ""
-    residue: str = ""
-
-
-@dataclass
 class Report:
     command: str
-    checks: list[Check] = dfield(default_factory=list)
+    checks: list[AxiomCheck] = dfield(default_factory=list)
     solver: dict | None = None
     lines: list[str] = dfield(default_factory=list)  # extra text-only output
 
@@ -66,7 +58,7 @@ class Report:
         payload = {
             "command": self.command,
             "checks": [
-                {"id": c.check_id, "status": c.status, "witness": c.witness, "residue": c.residue}
+                {"id": c.axiom_id, "status": c.status, "witness": c.witness, "residue": c.residue}
                 for c in self.checks
             ],
             "solver": self.solver,
@@ -82,7 +74,7 @@ class Report:
                 extra += f"  witness: {c.witness}"
             if c.residue:
                 extra += f"  residue: {c.residue}"
-            out.append(f"[{mark}] {c.check_id}{extra}")
+            out.append(f"[{mark}] {c.axiom_id}{extra}")
         if self.solver is not None:
             out.append(f"solver: {self.solver['status']} (dim {self.solver['dim']})")
         out.extend(self.lines)
@@ -118,16 +110,12 @@ def _pick_connections(ws: Workspace, name: str | None) -> list[str]:
 def _require_connections(report: Report) -> Report:
     """A command over a file's connections fails when the file has none."""
     if not report.checks:
-        report.checks.append(Check("no-connections", "fail", "", "file defines no connection"))
+        report.checks.append(AxiomCheck("no-connections", "fail", "", "file defines no connection"))
     return report
 
 
-def _axiom_check(check_id: str, e) -> Check:
-    return Check(check_id, e.status, e.witness, f"{e.lhs} != {e.rhs}" if e.status != "pass" else "")
-
-
-def _axiom_checks(prefix: str, report) -> list[Check]:
-    return [_axiom_check(f"{prefix}{e.axiom_id}", e) for e in report.entries]
+def _axiom_checks(prefix: str, report) -> list[AxiomCheck]:
+    return [replace(e, axiom_id=f"{prefix}{e.axiom_id}") for e in report.entries]
 
 
 def cmd_check(args) -> Report:
@@ -135,7 +123,7 @@ def cmd_check(args) -> Report:
     report = Report("check")
     for name in _pick_connections(ws, args.connection):
         nabla = ws.connections[name]
-        report.checks.append(Check(f"well-defined[{name}]", "pass"))
+        report.checks.append(AxiomCheck(f"well-defined[{name}]", "pass"))
         axioms = verify_connection_axioms(
             to_vertical(nabla), to_horizontal(nabla), nabla.module
         )
@@ -163,13 +151,13 @@ def _correspondence_report(args, command: str, check, verdicts: tuple[str, str])
         result = check(ws.connections[name])
         if command == "torsion":
             routes = result.routes_agree
-            report.checks.append(_axiom_check(f"{routes.axiom_id}[{name}]", routes))
+            report.checks.append(replace(routes, axiom_id=f"{routes.axiom_id}[{name}]"))
         verdict = verdicts[0] if result.vanishes else verdicts[1]
-        report.checks.append(Check(f"{command}[{name}]", "pass", verdict))
+        report.checks.append(AxiomCheck(f"{command}[{name}]", "pass", verdict))
         for g, residuals in result.residuals.items():
             bad = [r for r in residuals if not r.is_zero()]
             report.checks.append(
-                Check(
+                AxiomCheck(
                     f"{command}-correspondence[{name}][{g}]",
                     "pass" if not bad else "fail",
                     g,
@@ -208,7 +196,7 @@ def cmd_convert(args) -> Report:
             report.lines.append(f"  {g} -> {K.image_of(g).render()}")
         recovered = from_horizontal(H, nabla.module)
         report.checks.append(
-            Check(
+            AxiomCheck(
                 f"roundtrip[{name}]",
                 "pass" if connection_equal(recovered, nabla) else "fail",
             )
@@ -290,7 +278,7 @@ def cmd_gallery(args) -> Report:
     report = Report("gallery")
     for case in run_gallery():
         report.checks.append(
-            Check(case.case_id, "pass" if case.passed else "fail", "", "" if case.passed else case.detail)
+            AxiomCheck(case.case_id, "pass" if case.passed else "fail", "", "" if case.passed else case.detail)
         )
         report.lines.append(f"{case.case_id}: {case.detail}")
     return report
@@ -364,7 +352,7 @@ def run(argv: list[str]) -> tuple[int, str]:
             # reported with its residue, not a usage error
             report = Report(args.command)
             report.checks.append(
-                Check(f"well-defined[{exc.entity}]", "fail", exc.entity or "", exc.residue)
+                AxiomCheck(f"well-defined[{exc.entity}]", "fail", exc.entity or "", exc.residue)
             )
             text = report.to_json() if args.json else report.to_text()
             return 1, text

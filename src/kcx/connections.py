@@ -11,7 +11,7 @@ the two compatibility equations as morphism identities on generators.
 Each connection builds H and K once, on first use.  H is certified by the
 Leibniz residues the construction already checked, with no basis of
 T(S_A(M)) or T(A) (x)_A S_A(M) (`Connection._horizontal_certifies`).
-T(A) (x)_A S_A(M) has one copy x#1 of A's generators, so H's raw images are
+T(A) (x)_A S_A(M) has one shared copy of A's generators, so H's raw images are
 compared as given.  Data that fails the Leibniz rule falls back to H's full
 certificate, which reports the failure.  K is read off H as {1 - U.H}
 (`vertical_from_horizontal`) and inherits H's certificate, so it has no
@@ -20,6 +20,9 @@ monomial of bidegree (1,1) in T(A) (x)_A S_A(M) has shape form, and the
 ideal's bidegree-(1,1) part reads into relation rows of Omega (x) M, so the
 raw read and the normal-form read give the same connection; an image with
 stray terms is read from its normal form.
+
+Every check, from this axiom suite to `kcx` output, is one `AxiomCheck`; a
+failing one renders its residue once, where it fails (`morphism_equality`).
 """
 
 from __future__ import annotations
@@ -83,8 +86,9 @@ class Connection:
     def H(self) -> AlgebraMorphism:
         """H: T(S_A(M)) -> T(A) (x)_A S_A(M) with H(d(m)) the connection image.
 
-        H sends x to the shared copy x#1, d(x) into the T(A) factor (d_x#0),
-        m into the S_A(M) factor (m#1) and d(m) to write(Gamma(m)).  It is
+        H sends x and m into the S_A(M) factor (the injection i1; x lands on
+        the one shared copy of A's generators), d(x) to d_x in the T(A)
+        factor (the injection i0) and d(m) to write(Gamma(m)).  It is
         certified by the Leibniz residues (`_horizontal_certifies`): the
         relations of A, their differentials and the rows rho of M go to
         relations of the tensor, and H(d(rho)) is write(L) for the Leibniz
@@ -94,13 +98,12 @@ class Connection:
         """
         ctx = self.ctx
         TS, T = ctx.TS, ctx.TAS
+        i0, i1 = T.i0.images, T.i1.images
         images: dict[str, Polynomial] = {}
         for x in ctx.A.gens:
-            images[x] = Polynomial.variable(T.field, T.gens, f"{x}#1")
-            images[TS.dmap[x]] = Polynomial.variable(T.field, T.gens, f"{ctx.TA.dmap[x]}#0")
+            images[x], images[TS.dmap[x]] = i1[x], i0[ctx.TA.dmap[x]]
         for m in ctx.M.gens:
-            images[m] = Polynomial.variable(T.field, T.gens, f"{m}#1")
-            images[TS.dmap[m]] = ctx.omega_m_shapes.write(self.gamma[m])
+            images[m], images[TS.dmap[m]] = i1[m], ctx.omega_m_shapes.write(self.gamma[m])
         H = AlgebraMorphism(TS, T, images, certify=False, name="H")
         if self._horizontal_certifies(H):
             H.certified = True
@@ -123,10 +126,10 @@ class Connection:
         (`PresentedAlgebra.proves_zero`).  H(d(rho)) must equal write(L) term
         for term, for the `leibniz_terms` L of rho's row, and L must combine
         to zero in Omega (x) M.  Then H(d(rho)) is zero: write is k[x]-linear
-        (x acting as x#1) and sends every relation row of Omega (x) M into
-        the ideal, up to multiples of A's relations: a Jacobian row (x) m_l
-        to d(r) * m_l, d(x_i) (x) a row of M to d(x_i) * rho, and b * e_k for
-        b in A's ideal to a multiple of b.
+        (x acting as its shared copy) and sends every relation row of
+        Omega (x) M into the ideal, up to multiples of A's relations: a
+        Jacobian row (x) m_l to d(r) * m_l, d(x_i) (x) a row of M to
+        d(x_i) * rho, and b * e_k for b in A's ideal to a multiple of b.
         """
         ctx, M = self.ctx, self.module
         shapes, relations = ctx.omega_m_shapes, ctx.TS.relations
@@ -249,11 +252,21 @@ def vertical_from_horizontal(H: AlgebraMorphism, M: PresentedModule) -> AlgebraM
 
 @dataclass
 class AxiomCheck:
+    """One check as `kcx` prints it; a failure's residue is rendered where it fails."""
+
     axiom_id: str
     status: str  # pass | fail
     witness: str = ""
-    lhs: str = ""
-    rhs: str = ""
+    residue: str = ""
+
+
+def morphism_equality(axiom_id: str, lhs: AlgebraMorphism, rhs: AlgebraMorphism) -> AxiomCheck:
+    """Whether lhs and rhs agree on every generator of their domain; the first
+    one they differ on is the witness, with residue "<lhs image> != <rhs image>"."""
+    for gen in lhs.dom.gens:
+        if not lhs.agrees_on(rhs, gen):
+            return AxiomCheck(axiom_id, "fail", gen, f"{lhs.image_of(gen).render()} != {rhs.image_of(gen).render()}")
+    return AxiomCheck(axiom_id, "pass")
 
 
 @dataclass
@@ -265,14 +278,7 @@ class AxiomReport:
         return all(e.status == "pass" for e in self.entries)
 
     def add_morphism_equality(self, axiom_id: str, lhs: AlgebraMorphism, rhs: AlgebraMorphism):
-        for gen in lhs.dom.gens:
-            if not lhs.agrees_on(rhs, gen):
-                left, right = lhs.image_of(gen), rhs.image_of(gen)
-                self.entries.append(
-                    AxiomCheck(axiom_id, "fail", gen, left.render(), right.render())
-                )
-                return
-        self.entries.append(AxiomCheck(axiom_id, "pass"))
+        self.entries.append(morphism_equality(axiom_id, lhs, rhs))
 
 
 def verify_horizontal_axioms(H: AlgebraMorphism, M: PresentedModule) -> AxiomReport:

@@ -26,7 +26,7 @@ from .algebra import (
     compose_chain,
     compose_morphisms,
 )
-from .connections import AxiomCheck, AxiomReport, Connection, apply_connection, leibniz_terms
+from .connections import AxiomCheck, Connection, apply_connection, leibniz_terms, morphism_equality
 from .errors import KcxError, ModuleNotKahler
 from .modules import ModuleElement, christoffel_target, kahler_module, tensor_modules, wedge_square
 from .poly import Polynomial
@@ -246,7 +246,5 @@ def check_torsion_correspondence(nabla: Connection) -> TorsionResult:
     and record whether its two bundle routes agree."""
     result = module_torsion(nabla)
     v_k, v_h = _torsion_routes(nabla)
-    report = AxiomReport()
-    report.add_morphism_equality("torsion-routes-agree", v_k, v_h)
-    result.routes_agree = report.entries[0]
+    result.routes_agree = morphism_equality("torsion-routes-agree", v_k, v_h)
     return _correspond(result, v_k, nabla.ctx.torsion_shapes)

@@ -18,6 +18,7 @@ invisible outside this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Union
@@ -30,7 +31,9 @@ def _canonical(q: Fraction | int) -> Coef:
     return q.numerator if q.denominator == 1 else q
 
 
+@cache
 def _is_prime(n: int) -> bool:
+    """Trial division, cached: a file builds one field per algebra block."""
     if n < 2:
         return False
     if n % 2 == 0:

@@ -286,7 +286,7 @@ def glued_connection_check(
             if r.is_zero():
                 report.entries.append(AxiomCheck(f"glue[{g}]", "pass"))
             else:
-                report.entries.append(AxiomCheck(f"glue[{g}]", "fail", g, r.render(), "0"))
+                report.entries.append(AxiomCheck(f"glue[{g}]", "fail", g, f"{r.render()} != 0"))
         return GlueResult(report=report)
 
     f = A1.field

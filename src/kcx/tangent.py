@@ -445,8 +445,8 @@ class BundleContext:
         # T(A) (x)_A S_A(M), with its two injections
         self.TAS = tensor_over_base(self.A_maps.p, self.q)
         self.omega_tensor_M = christoffel_target(M)
-        u_table = {f"{g}#1": g for g in self.S.gens}
-        u_table.update({f"{self.TA.dmap[g]}#0": self.TS.dmap[g] for g in A.gens})
+        u_table = {self.TAS.rename[1][g]: g for g in self.S.gens}
+        u_table.update({self.TAS.rename[0][self.TA.dmap[g]]: self.TS.dmap[g] for g in A.gens})
         self.U = relabel(self.TAS, self.TS, u_table, "U")
 
     @cached_property

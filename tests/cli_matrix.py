@@ -1,12 +1,12 @@
 """Print one digest line per run of `kcx.cli.run` over a fixed matrix.
 
-The matrix is every file in `examples_kcx/` under check, solve (on the
-module Omega), curvature, torsion, convert and glue, each with no --char,
---char 2 and --char 3, as text and with --json, then `gallery` as text and
-with --json: 182 runs.  Each line is the argv, the exit code and the sha256
-of the output text, so two trees print the same lines exactly when every run
-gives the same bytes and the same exit code.  Run it from the root of each
-tree and diff the two outputs:
+The matrix is every file in `examples_kcx/`, then the definition files of
+`GOLDEN_FILES`, under check, solve (on the module Omega), curvature, torsion,
+convert and glue, each with no --char, --char 2 and --char 3, as text and with
+--json, then `gallery` as text and with --json: 254 runs.  Each line is the
+argv, the exit code and the sha256 of the output text, so two trees print
+the same lines exactly when every run gives the same bytes and the same exit
+code.  Run it from the root of each tree and diff the two outputs:
 
     PYTHONPATH=src python tests/cli_matrix.py > matrix.txt
 
@@ -32,10 +32,14 @@ COMMANDS = [
 ]
 CHARS = [[], ["--char", "2"], ["--char", "3"]]
 OUTPUTS = [[], ["--json"]]
+# definition files kept with the goldens: a connection that fails
+# well-definedness, and chart connections that do not glue over QQ (the
+# `render_*.kcx` files there are rendering goldens, not inputs)
+GOLDEN_FILES = ["tests/golden/circle_naive.kcx", "tests/golden/p1_zero_connections.kcx"]
 
 
 def matrix() -> list[list[str]]:
-    files = sorted(str(p) for p in Path("examples_kcx").glob("*.kcx"))
+    files = sorted(str(p) for p in Path("examples_kcx").glob("*.kcx")) + GOLDEN_FILES
     argvs = [
         [command[0], path, *command[1:], *char, *out]
         for path in files

@@ -3,15 +3,19 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from kcx import groebner
-from kcx.fields import GF, QQ
+from kcx import fields, groebner
+from kcx.cli import run
+from kcx.fields import GF, QQ, Field
 from kcx.gallery import run_gallery
 from kcx.poly import Polynomial, exp_div, exp_divides, exp_lcm, exp_mask, exp_mul, grevlex_key
 
 import oracles
+
+EXAMPLES = Path(__file__).parent.parent / "examples_kcx"
 
 
 def canonical(field, c) -> bool:
@@ -80,6 +84,22 @@ def test_large_prime_field_fused_step_stays_reduced():
             for c in values:
                 got = F.addmul(a, b, c)
                 assert got == F.add(a, F.mul(b, c)) and canonical(F, got), (a, b, c, got)
+
+
+def test_each_characteristic_is_proved_prime_once_per_process():
+    fields._is_prime.cache_clear()
+    for _ in range(1000):
+        assert Field(2**31 - 1).char == 2**31 - 1
+    info = fields._is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 999)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Field(2**31 - 3)  # 5 * 429496729
+    # the gluing file has four algebra blocks, each built over the same field
+    fields._is_prime.cache_clear()
+    code, _ = run(["glue", str(EXAMPLES / "p1.kcx"), "--char", str(2**31 - 1)])
+    assert code == 0
+    assert fields._is_prime.cache_info().misses == 1
 
 
 def test_primitive_rows_are_integral_multiples_with_content_one():

@@ -20,11 +20,13 @@ ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 # golden file stem -> argv; the seven README command lines, the gallery, the
-# flat-with-torsion twist example (the "flat" and "has torsion" branches), and
-# a gluing of given chart connections (kept here, not in examples_kcx)
+# flat-with-torsion twist example (the "flat" and "has torsion" branches), a
+# connection that fails well-definedness, and a gluing of given chart
+# connections (the last two kept here, not in examples_kcx)
 COMMANDS = {
     "gallery": ["gallery"],
     "check_circle": ["check", "examples_kcx/circle.kcx"],
+    "check_circle_naive": ["check", "tests/golden/circle_naive.kcx"],
     "solve_fatpoint": ["solve", "examples_kcx/fatpoint.kcx", "--module", "Omega", "--degree", "3"],
     "curvature_plane": ["curvature", "examples_kcx/plane.kcx"],
     "torsion_plane": ["torsion", "examples_kcx/plane.kcx"],

@@ -13,6 +13,7 @@ the standard library.  `__init__.py` is skipped: its imports are re-exports.
 """
 
 import ast
+import dataclasses
 import importlib
 import types
 from pathlib import Path
@@ -21,7 +22,7 @@ import pytest
 
 import kcx
 from kcx.algebra import PresentedAlgebra, TensorAlgebra
-from kcx.connections import Connection
+from kcx.connections import AxiomCheck, Connection
 from kcx.tangent import BundleContext
 
 SRC = Path(__file__).parent.parent / "src" / "kcx"
@@ -247,6 +248,8 @@ RETIRED = [
     ("groebner", "SparseVector"),  # groebner.Row
     ("solve", "_scaled"),  # poly._mul_terms on each component of a Row
     ("algebra", "_gluing"),  # tensor_over_base presents the shared base on one copy
+    ("cli", "Check"),  # connections.AxiomCheck
+    ("cli", "_axiom_check"),  # the residue is rendered where the check fails
 ]
 
 # BundleContext attributes retired for the tangent structures it reads:
@@ -269,6 +272,8 @@ def test_retired_methods_are_gone():
     # the one-copy tensor needs no gluing: no renaming, no glued relations
     assert not {"glue", "_glued_relations"} & {*vars(PresentedAlgebra), *vars(TensorAlgebra)}
     assert not hasattr(ctx.TAS, "glue") and not hasattr(ctx.A, "glue")
+    # one check record, its residue already rendered: no sides kept apart
+    assert [f.name for f in dataclasses.fields(AxiomCheck)] == ["axiom_id", "status", "witness", "residue"]
 
 
 # (file, qualified name): why a definition that nothing else in the engine

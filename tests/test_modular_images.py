@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from kcx import gallery
+from kcx.algebra import PresentedAlgebra, make_algebra
 from kcx.fields import GF, QQ
 from kcx.groebner import IdealBasis, ModuleBasis
-from kcx.modules import kahler_module
+from kcx.modules import free_module, kahler_module
 from kcx.poly import Polynomial
 from kcx.solve import solve_connection_space
 from kcx.workspace import parse_workspace
@@ -31,6 +33,16 @@ FILES = sorted((Path(__file__).parent.parent / "examples_kcx").glob("*.kcx"))
 # denominator of the QQ basis that p divides, and keeps running.
 UNLUCKY: dict[tuple, str] = {}
 
+# the algebras of the gallery's cases, as the gallery builds them
+GALLERY_ALGEBRAS = {
+    "plane": gallery.plane_algebra,
+    "circle": gallery.circle_algebra,
+    "sphere": gallery.sphere_algebra,
+    "elliptic": gallery.elliptic_algebra,
+    "fat point": gallery.fat_point_algebra,
+    "A^3": lambda: make_algebra(QQ, ("x1", "x2", "x3")),
+}
+
 
 def _image(poly: Polynomial, p: int) -> Polynomial:
     """`poly` with each coefficient mapped into GF(p) by `Field.of`; raises
@@ -45,6 +57,11 @@ def _agree(qq_basis, gfp_basis, p: int) -> bool:
     except ValueError:
         return False
     return images == gfp_basis
+
+
+def _over(A: PresentedAlgebra, p: int) -> PresentedAlgebra:
+    """A rebuilt over GF(p) from its rendered relations."""
+    return make_algebra(FIELD[p], A.gens, [r.render() for r in A.relations])
 
 
 def _assert_lucky(agreement: dict[tuple, bool]) -> None:
@@ -113,4 +130,39 @@ def test_sphere_connection_space_dimensions_agree_mod_p(n):
         for p in PRIMES:
             mod_p = solve_connection_space(kahler_module(sphere(n, FIELD[p])), degree).space.dimension
             agreement[(f"S^{n}", degree), p] = mod_p == dim
+    _assert_lucky(agreement)
+
+
+@pytest.mark.parametrize("name", GALLERY_ALGEBRAS)
+def test_gallery_bases_reduce_to_their_images_mod_p(name):
+    """The ideal basis and the lifted bases of the differentials and of the
+    free modules of rank 2 and 3, as the gallery's cases build them."""
+    A = GALLERY_ALGEBRAS[name]()
+    modules = {"Omega": kahler_module, "free 2": lambda B: free_module(B, 2), "free 3": lambda B: free_module(B, 3)}
+    agreement = {}
+    for p in PRIMES:
+        over_p = _over(A, p)
+        agreement[(name, "ideal"), p] = _agree(A.basis.basis, over_p.basis.basis, p)
+        for kind, module in modules.items():
+            agreement[(name, kind), p] = _agree(module(A).lifted.basis, module(over_p).lifted.basis, p)
+    assert len(agreement) == len(PRIMES) * (1 + len(modules))
+    _assert_lucky(agreement)
+
+
+def test_gallery_solution_dimensions_agree_mod_p():
+    """The fat point's degree-3 connection space and the P^1 gluing's
+    degree-6 one, both empty over QQ."""
+    fat = gallery.fat_point_algebra()
+    over_qq = {
+        ("fat point", 3): solve_connection_space(kahler_module(fat), 3).space.dimension,
+        ("P^1", 6): gallery._p1(0).space.dimension,
+    }
+    assert set(over_qq.values()) == {-1}
+    agreement = {}
+    for p in PRIMES:
+        mod_p = {
+            ("fat point", 3): solve_connection_space(kahler_module(_over(fat, p)), 3).space.dimension,
+            ("P^1", 6): gallery._p1(p).space.dimension,
+        }
+        agreement.update(((case, p), mod_p[case] == dim) for case, dim in over_qq.items())
     _assert_lucky(agreement)
