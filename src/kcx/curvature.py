@@ -12,7 +12,9 @@ phi comes back: they are the `write` and `read` of the bundle context's
 `curvature_shapes` (psi-hat and phi-hat of its `torsion_shapes`).  Composing
 the two picks up the commutative-to-anticommutative factor: phi(psi(w)) = 2w
 exactly.  psi produces raw (unreduced) polynomials so that identity holds on
-the nose on the generator basis.
+the nose on the generator basis.  Outside characteristic two a correspondence
+check first tries a certificate that only reads: V(m) - psi(w) is the write of
+terms that combine to zero (`tangent.ShapeMap.proves_zero`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .algebra import (
 from .connections import AxiomCheck, Connection, apply_connection, leibniz_terms, morphism_equality
 from .errors import KcxError, ModuleNotKahler
 from .modules import ModuleElement, christoffel_target, kahler_module, tensor_modules, wedge_square
-from .poly import Polynomial
 from .tangent import (
     ShapeMap,
     bracketing,
@@ -197,33 +198,21 @@ def torsionfree_horizontal_criterion(nabla: Connection) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _certified(shapes: ShapeMap, v: Polynomial, w: ModuleElement, half) -> bool:
-    """Whether the raw bundle image v is psi(w) in P, shown with no basis of P.
-
-    v must be psi(R/2) term for term, R its raw phi: so no monomial is stray
-    and each wedge's two shapes carry opposite coefficients.  psi is A-linear
-    on raw values and sends every relation row of the module into P's ideal,
-    so v = psi(w) in P once w - R/2 is zero in the module.
-    """
-    half_r = [(k, p.scale(half)) for k, p in shapes.read_raw(v)[0]]
-    return shapes.write_raw(half_r) == v and shapes.module.combine(
-        [*enumerate(w.comps), *((k, -p) for k, p in half_r)]
-    ).is_zero()
-
-
 def _correspond(result: CorrespondenceResult, bundle_map: AlgebraMorphism, shapes: ShapeMap) -> CorrespondenceResult:
     """Compare the bundle map V with the module images w, per generator m.
 
     Residuals recorded per generator: V(m) - psi(w); 2w - phi(V(m)); and,
     away from characteristic two, w - phi(V(m))/2, with psi and phi the
     `write` and `read` of `shapes` (phi ignores the stray rest).  Outside
-    characteristic two, a `_certified` raw V(m) gives zeros with no reduction.
+    characteristic two it first tries a certificate: when the raw
+    V(m) - psi(w) passes `ShapeMap.proves_zero`, V(m) is psi(w) in the
+    bundle and the three residuals are zero, with no reduction.
     """
     field = shapes.P.field
     half = None if field.char == 2 else field.inv(field.of(2))
     result.bundle_map = bundle_map
     for m, w in result.images.items():
-        if half is not None and _certified(shapes, bundle_map.images[m], w, half):
+        if half is not None and shapes.proves_zero(bundle_map.images[m] - shapes.write(w)):
             zero = shapes.module.zero()
             result.residuals[m] = [shapes.P.zero(), zero, zero]
             continue

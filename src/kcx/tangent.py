@@ -29,13 +29,13 @@ per correspondence, each a table of signed products of generators: Omega(A)
 (x) M in T(A) (x)_A S_A(M) (the H and K images), psi/phi between
 Omega^2 (x) M and T^2(S_A(M)) (curvature) and psi-hat/phi-hat between
 Omega^2 and T(S_A(Omega)) (torsion).  `write` is the only writer and `read`
-the only reader of those shapes.  The Omega(A) (x) M `write` sends every
-relation row of Omega(A) (x) M into the ideal of T(A) (x)_A S_A(M), which
-is what lets `connections.Connection.H` be certified from the Leibniz
-residues; `Connection.K` is read off H as {1 - U.H} and inherits that
-certificate.  T(A) (x)_A S_A(M) and T(A) (x)_A T(A) have one copy x#1 of
-A's generators (`algebra.tensor_over_base`), so H's raw images compare as
-given.
+the only reader of those shapes.  Each `write` sends every relation row of
+its module into the ideal of its bundle, so `ShapeMap.proves_zero` can show
+a raw value zero by reading alone: it certifies H (and so K, read off H as
+{1 - U.H}) and the curvature and torsion correspondences.  T(A) (x)_A S_A(M)
+and T(A) (x)_A T(A) have one copy of A's generators
+(`algebra.tensor_over_base`), so H's raw images are read as given; the copy
+names of a tensor are read from its `rename` tables.
 
 Each module's bundle is `bundle_context(M)`, one `BundleContext` with the
 bundle's own maps (q/z/iota/sigma, lambda, U, the shapes) as attributes and
@@ -197,8 +197,8 @@ class TangentMaps:
     @cached_property
     def tau(self) -> AlgebraMorphism:
         """The swap of T(A) (x)_A T(A)."""
-        swap = {f"{d}#{i}": f"{d}#{1 - i}" for d in self.TA.dmap.values() for i in (0, 1)}
-        return relabel(self.T2, self.T2, swap, "tau")
+        r0, r1 = self.T2.rename
+        return relabel(self.T2, self.T2, _swap({r0[d]: r1[d] for d in self.TA.dmap.values()}), "tau")
 
     @cached_property
     def lift(self) -> AlgebraMorphism:
@@ -213,11 +213,13 @@ class TangentMaps:
     @cached_property
     def flip(self) -> AlgebraMorphism:
         """c: T(T(A)) -> T(T(A)), swapping the two differential levels."""
-        table = {}
-        for g in self.A.gens:  # the mixed sort TTA.dmap[TA.dmap[g]] is fixed
-            table[self.TA.dmap[g]] = self.TTA.dmap[g]
-            table[self.TTA.dmap[g]] = self.TA.dmap[g]
-        return relabel(self.TTA, self.TTA, table, "flip")
+        # the mixed sort TTA.dmap[TA.dmap[g]] is fixed
+        return relabel(self.TTA, self.TTA, _swap({self.TA.dmap[g]: self.TTA.dmap[g] for g in self.A.gens}), "flip")
+
+
+def _swap(table: dict[str, str]) -> dict[str, str]:
+    """A `relabel` table exchanging each key with its value."""
+    return {**table, **{v: k for k, v in table.items()}}
 
 
 def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, names: tuple[str, ...]):
@@ -240,7 +242,8 @@ def _fibrewise_sum(include: AlgebraMorphism, name: str) -> AlgebraMorphism:
     inclusion A -> B of an additive bundle."""
     B, B2 = include.cod, tensor_over_base(include, include)
     fibre = [g for g in B.gens if g not in include.dom.gens]
-    return relabel(B, B2, {**B2.rename[0], **{m: (f"{m}#0", f"{m}#1") for m in fibre}}, name)
+    r0, r1 = B2.rename
+    return relabel(B, B2, {**r0, **{m: (r0[m], r1[m]) for m in fibre}}, name)
 
 
 @memoized
@@ -348,7 +351,8 @@ class ShapeMap:
     exponents at the non-base generators, those `into` misses: a key of some
     product gives sign * rest at generator k, the rest renamed back to A by
     the inverse of `into`, and every other monomial is stray.  `write_raw`
-    and `read_raw` are the same two maps on raw (k, p) terms.
+    is `write` on raw (k, p) terms, and `proves_zero` decides, by reading
+    alone, that a raw value is the write of terms that combine to zero.
     """
 
     def __init__(self, P: PresentedAlgebra, module: PresentedModule, shapes, into=None):
@@ -359,13 +363,13 @@ class ShapeMap:
         base = set(self._into)
         self._free = [i for i in range(len(P.gens)) if i not in base]
         self._write: list[list] = []  # per generator: (sign, exponent of the product)
-        self._read: dict[tuple, tuple[int, object]] = {}  # key -> (generator, sign)
+        self._read: dict[tuple, tuple[int, int, object]] = {}  # key -> (generator, shape, sign)
         for k, terms in enumerate(shapes):
             row = []
-            for sign, names in terms:
+            for s, (sign, names) in enumerate(terms):
                 exp, sign = tuple(int(g in names) for g in P.gens), f.of(sign)
                 row.append((sign, exp))
-                self._read[tuple(exp[i] for i in self._free)] = (k, sign)
+                self._read[tuple(exp[i] for i in self._free)] = (k, s, sign)
             self._write.append(row)
 
     def write(self, e: ModuleElement) -> Polynomial:
@@ -394,11 +398,6 @@ class ShapeMap:
 
     def read(self, value: ElementLike) -> tuple[ModuleElement, Polynomial]:
         """(module element, stray rest over P) of a bundle value, read as given."""
-        terms, stray = self.read_raw(value)
-        return self.module.combine(terms), stray
-
-    def read_raw(self, value: ElementLike) -> tuple[list[tuple[int, Polynomial]], Polynomial]:
-        """The (k, p) terms `read` combines, one per monomial, and the stray rest."""
         f, gens = self.P.field, self.module.base.gens
         terms, stray = [], {}
         for exp, c in self.P.polynomial(value).terms.items():
@@ -407,8 +406,30 @@ class ShapeMap:
                 stray[exp] = c
                 continue
             rest = tuple(exp[p] for p in self._into)
-            terms.append((hit[0], Polynomial._of_terms(f, gens, {rest: f.mul(hit[1], c)})))
-        return terms, Polynomial._of_terms(f, self.P.gens, stray)
+            terms.append((hit[0], Polynomial._of_terms(f, gens, {rest: f.mul(hit[2], c)})))
+        return self.module.combine(terms), Polynomial._of_terms(f, self.P.gens, stray)
+
+    def proves_zero(self, value: ElementLike) -> bool:
+        """Whether raw `value` is zero in P, shown by reading it alone.
+
+        It is when `value` is write_raw(R) term for term and R combines to
+        zero in the module: every monomial reads (nothing is stray), every
+        shape of generator k reads the same R_k, and R is zero.  `write` is
+        A-linear on raw values and sends every relation row of the module
+        into P's ideal, so write_raw(R) is then zero in P.
+        """
+        f = self.P.field
+        reads = [[{} for _ in row] for row in self._write]  # per generator and shape: rest -> coefficient
+        for exp, c in self.P.polynomial(value).terms.items():
+            hit = self._read.get(tuple(exp[i] for i in self._free))
+            if hit is None:
+                return False
+            reads[hit[0]][hit[1]][tuple(exp[p] for p in self._into)] = f.mul(hit[2], c)
+        if any(r != row[0] for row in reads for r in row[1:]):
+            return False
+        gens = self.module.base.gens
+        R = self.module.combine((k, Polynomial._of_terms(f, gens, row[0])) for k, row in enumerate(reads))
+        return R.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +489,13 @@ class BundleContext:
         """f0 (x) f1: T(T(A) (x)_A S) -> T(A) (x)_A S, factor by factor.
 
         T(T(A) (x)_A S) is T^2(A) (x)_{T(A)} T(S) (Leibniz: d(w (x) v) is
-        d'(w) (x) v + w (x) d(v)) on one copy of T(A): by the deterministic
-        differential naming its generators are g#1 for g in T(S), where x#1
-        and d_x#1 also stand for x and dp_x of T^2(A), and g#0 for the other
-        g in T^2(A).  So f0 (x) f1 is defined there once f0 after T(p_A) and
-        f1 after T(q) agree on T(A), generator by generator (else
-        `BaseMismatch`, as in `bundle_combine`).
+        d'(w) (x) v + w (x) d(v)).  T(i0) and T(i1) are renamings: a
+        generator g of a factor is named `TAS.rename[k][g]` and d(g) is named
+        T's differential of that name.  The two tables give the one copy of
+        T(A) that both factors reach the same names, so f0 (x) f1 is defined
+        once f0 after T(p_A) and f1 after T(q) agree on T(A), generator by
+        generator (else `BaseMismatch`, as in `bundle_combine`); T(S)'s
+        images are the ones kept there.
         """
         TAS, T = self.TAS, tangent_algebra(self.TAS)
         left = compose_chain([tangent_apply_functor(self.A_maps.p), f0, TAS.i0])
@@ -481,8 +503,10 @@ class BundleContext:
         for g in self.TA.gens:
             if not left.agrees_on(right, g):
                 raise BaseMismatch(g, left.image_of(g).render(), right.image_of(g).render())
-        images = {f"{g}#0": TAS.i0.apply_raw(p) for g, p in f0.images.items()}
-        images.update({f"{g}#1": TAS.i1.apply_raw(p) for g, p in f1.images.items()})
+        images = {}
+        for f, i, rename in ((f0, TAS.i0, TAS.rename[0]), (f1, TAS.i1, TAS.rename[1])):
+            names = {**rename, **{f.dom.dmap[g]: T.dmap[n] for g, n in rename.items()}}
+            images.update({names[g]: i.apply_raw(p) for g, p in f.images.items()})
         return AlgebraMorphism(T, TAS, {g: images[g] for g in T.gens}, name=name)
 
     @cached_property
@@ -499,10 +523,12 @@ class BundleContext:
 
     @cached_property
     def omega_m_shapes(self) -> ShapeMap:
-        """Omega(A) (x) M in T(A) (x)_A S_A(M): d(x_i) (x) m_l is d_x_i#0 * m_l#1."""
+        """Omega(A) (x) M in T(A) (x)_A S_A(M): d(x_i) (x) m_l is d_x_i * m_l,
+        one from each factor, with coefficients on the one copy of A."""
         A, M = self.A, self.M
-        shapes = [[(1, (f"{self.TA.dmap[x]}#0", f"{m}#1"))] for x in A.gens for m in M.gens]
-        return ShapeMap(self.TAS, self.omega_tensor_M, shapes, {g: f"{g}#1" for g in A.gens})
+        r0, r1 = self.TAS.rename
+        shapes = [[(1, (r0[self.TA.dmap[x]], r1[m]))] for x in A.gens for m in M.gens]
+        return ShapeMap(self.TAS, self.omega_tensor_M, shapes, r1)
 
     @cached_property
     def curvature_shapes(self) -> ShapeMap:
@@ -536,20 +562,15 @@ class BundleContext:
         """The canonical flip of T(T(A)) transported to T(S_A(Omega(A))): swaps
         the module sort d(x_i) with the tangent differential of x_i."""
         self._require_kahler()
-        table = {}
-        for x, m in zip(self.A.gens, self.M.gens):
-            table.update({m: self.TS.dmap[x], self.TS.dmap[x]: m})
-        return relabel(self.TS, self.TS, table, "c")
+        return relabel(self.TS, self.TS, _swap({m: self.TS.dmap[x] for x, m in zip(self.A.gens, self.M.gens)}), "c")
 
     @cached_property
     def affine_swap(self) -> AlgebraMorphism:
         """The factor swap of T(A) (x)_A T(A) transported to T(A) (x)_A S_A(Omega)."""
         self._require_kahler()
-        table = {}
-        for x, m in zip(self.A.gens, self.M.gens):
-            dx = f"{self.TA.dmap[x]}#0"
-            table.update({dx: f"{m}#1", f"{m}#1": dx})
-        return relabel(self.TAS, self.TAS, table, "tau")
+        r0, r1 = self.TAS.rename
+        swap = {r0[self.TA.dmap[x]]: r1[m] for x, m in zip(self.A.gens, self.M.gens)}
+        return relabel(self.TAS, self.TAS, _swap(swap), "tau")
 
 
 @memoized

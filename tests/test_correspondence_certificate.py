@@ -1,10 +1,10 @@
 """The raw certificate of the factor-of-two correspondences.
 
 `curvature._correspond` settles a generator m from the raw bundle image V(m)
-when V(m) is psi of half its raw phi, term for term, and w - phi(V(m))/2 is
-zero in the module; every other generator, and every generator in
-characteristic two, goes through the reduced route.  These tests check the
-fact the certificate rests on (psi sends relation rows into the bundle's
+when V(m) - psi(w) passes `ShapeMap.proves_zero`: it is psi of terms that
+combine to zero in the module, term for term.  Every other generator, and
+every generator in characteristic two, goes through the reduced route.
+These tests check the fact the certificate rests on (psi sends relation rows into the bundle's
 ideal), compare both routes with `oracles.reference_correspond` on seeded
 connections and on images perturbed to force each fallback, and show that
 sphere checks build no double-tangent basis.
@@ -17,7 +17,6 @@ import pytest
 from kcx.algebra import AlgebraMorphism, make_algebra
 from kcx.connections import make_connection
 from kcx.curvature import (
-    _certified,
     _correspond,
     check_curvature_correspondence,
     check_torsion_correspondence,
@@ -99,9 +98,8 @@ def _check_against_reference(nabla, result, shapes):
     assert result.tangent_images == images
 
 
-def _certifies(nabla, bundle_map, images, shapes) -> bool:
-    half = nabla.base.field.inv(nabla.base.field.of(2))
-    return all(_certified(shapes, bundle_map.images[m], w, half) for m, w in images.items())
+def _certifies(bundle_map, images, shapes) -> bool:
+    return all(shapes.proves_zero(bundle_map.images[m] - shapes.write(w)) for m, w in images.items())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -113,7 +111,7 @@ def test_certified_route_matches_the_reduced_route(field):
         for check, shapes in checks:
             result = check(nabla)
             assert result.residuals_zero
-            assert _certifies(nabla, result.bundle_map, result.images, shapes)
+            assert _certifies(result.bundle_map, result.images, shapes)
             _check_against_reference(nabla, result, shapes)
 
 
@@ -157,7 +155,7 @@ PERTURBATIONS = {
 def test_each_fallback_gives_the_reduced_route_failure_output(kind):
     nabla = helpers.sphere_connection(helpers.sphere(2))
     result, V = _fallback_case(nabla, PERTURBATIONS[kind])
-    assert not _certifies(nabla, V, result.images, nabla.ctx.curvature_shapes)
+    assert not _certifies(V, result.images, nabla.ctx.curvature_shapes)
     assert not result.residuals_zero
     _check_against_reference(nabla, result, nabla.ctx.curvature_shapes)
 
@@ -181,7 +179,7 @@ def test_images_off_by_a_relation_row_certify_without_a_double_tangent_basis():
     row = next(r for r in shapes.module.relations if any(r))
     result, V = _fallback_case(nabla, lambda ctx, m: shapes.write_raw(enumerate(row)))
     assert result.residuals_zero and "basis" not in ctx.S_maps.TTA.__dict__
-    assert _certifies(nabla, V, result.images, shapes)
+    assert _certifies(V, result.images, shapes)
     _check_against_reference(nabla, result, shapes)
 
 

@@ -152,6 +152,40 @@ def test_kernels_never_read_the_characteristic(name):
     assert characteristic_reads((SRC / name).read_text()) == []
 
 
+def copy_suffixes(source: str) -> list[str]:
+    """Line of each string in code, docstrings aside, that spells a tensor
+    copy name (`#0` or `#1`); `algebra.tensor_over_base` alone spells them,
+    and every other module reads them from `TensorAlgebra.rename`."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        f"{node.value!r} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+        if "#0" in node.value or "#1" in node.value
+    ]
+
+
+def test_detector_flags_a_spelled_copy_name():
+    source = (
+        'def f(g):\n    """g#0 names the left copy."""\n    return f"{g}#0"\n'
+        'def h(g):\n    return {g: g + "#1", "x#2": 0}  # x#1\n'
+    )
+    assert copy_suffixes(source) == ["'#0' (line 3)", "'#1' (line 5)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "algebra.py"], ids=lambda p: p.name)
+def test_only_the_tensor_builder_spells_copy_names(path):
+    assert copy_suffixes(path.read_text()) == []
+
+
 # (file, function): why `element(...).poly` reduces there, although values
 # are otherwise read raw with `polynomial(...)` and reduced once by the
 # element that decides

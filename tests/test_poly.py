@@ -1,9 +1,10 @@
 import random
+from math import comb
 
 import pytest
 
 from kcx.fields import GF, QQ, Field
-from kcx.parse import MAX_DEPTH, ParseError, poly_normalize
+from kcx.parse import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, ParseError, poly_normalize
 from kcx.poly import Polynomial, grevlex_key
 
 from oracles import loop_change_vars
@@ -51,6 +52,28 @@ def test_unknown_variable_and_bad_exponent():
         P("x^y")
     with pytest.raises(ParseError):
         P("x y")  # no implicit multiplication
+
+
+def test_products_and_powers_are_bounded_before_they_expand():
+    """A product is refused when its factors' term counts multiply past
+    MAX_TERMS, a t-term power p^n when C(t+n-1, n) passes it; at the bound
+    both expand."""
+    xyzw = ("x", "y", "z", "w")
+
+    def terms(names, count):
+        return "(" + " + ".join(f"{names[0]}^{k // 10}*{names[1]}^{k % 10}" for k in range(count)) + ")"
+
+    hundred, s = terms("xy", 100), MAX_TERMS // 100
+    assert len(P(f"{hundred}*{terms('zw', s)}", variables=xyzw).terms) == 100 * s
+    with pytest.raises(ParseError, match=f"could pass {MAX_TERMS} terms"):
+        P(f"{hundred}*{terms('zw', s + 1)}", variables=xyzw)
+    five = "(1 + x + x^2 + x^3 + x^4)"
+    n = max(k for k in range(MAX_EXPONENT + 1) if comb(k + 4, k) <= MAX_TERMS)
+    assert n < MAX_EXPONENT
+    assert len(P(f"{five}^{n}").terms) == 4 * n + 1  # the bound counts monomials before they collect
+    with pytest.raises(ParseError, match=f"could pass {MAX_TERMS} terms"):
+        P(f"{five}^{n + 1}")
+    assert len(P(f"(x + y)^{MAX_EXPONENT}").terms) == MAX_EXPONENT + 1
 
 
 def test_grevlex_order_classic():

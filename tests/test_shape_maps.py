@@ -2,6 +2,8 @@
 and read by `tangent.ShapeMap`, against the hand-written loops in
 `tests/oracles.py`: Omega(A) (x) M in T(A) (x)_A S_A(M), psi/phi for
 curvature in T^2(S_A(M)) and psi-hat/phi-hat for torsion in T(S_A(Omega)).
+`ShapeMap.proves_zero`, the certificate that only reads, is checked against
+normal forms in each bundle presentation.
 
 Raw polynomials are drawn with random base parts and random non-base
 products: the exact shapes, their diagonals, mixed sorts and squares, many
@@ -16,7 +18,7 @@ import pytest
 import oracles
 from kcx.algebra import make_algebra
 from kcx.errors import ModuleNotKahler
-from kcx.fields import GF
+from kcx.fields import GF, QQ
 from kcx.modules import free_module, kahler_module, make_module
 from kcx.poly import Polynomial
 from kcx.tangent import bundle_context
@@ -172,3 +174,52 @@ def test_torsion_shapes_need_the_differentials_module(circle):
     for M in (free_module(circle, 2), make_module(circle, ("u", "v"), [["x", "y"]])):
         with pytest.raises(ModuleNotKahler):
             bundle_context(M).torsion_shapes
+
+
+def shape_maps(field):
+    """All three shape maps of Kahler, free and presented modules over a circle."""
+    circle = make_algebra(field, ("x", "y"), ["x^2 + y^2 - 1"])
+    out = []
+    for M in (kahler_module(circle), free_module(circle, 2), make_module(circle, ("u", "v"), [["x", "y"]])):
+        ctx = bundle_context(M)
+        out += [ctx.omega_m_shapes, ctx.curvature_shapes] + ([ctx.torsion_shapes] if M.provenance == "kahler" else [])
+    return out
+
+
+def zero_terms(rng, module) -> list:
+    """Raw (k, p) terms that combine to zero: multiples of relation rows, of
+    the base ideal at each position, and a term split three ways."""
+    A = module.base
+    ideal_rows = [[r if i == k else 0 for i in range(module.rank)] for r in A.relations for k in range(module.rank)]
+    rows = [*module.relations, *ideal_rows]
+    terms = []
+    for _ in range(3):
+        row, c = rng.choice(rows), random_base_poly(rng, A)
+        terms += [(k, c * p) for k, p in enumerate(row) if p]
+    k, p, q = rng.randrange(module.rank), random_base_poly(rng, A), random_base_poly(rng, A)
+    return terms + [(k, p), (k, q), (k, -(p + q))]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(2)], ids=repr)
+def test_proves_zero_reads_writes_of_zero_and_refuses_the_rest(field):
+    rng = random.Random(3011)
+    for shapes in shape_maps(field):
+        P, module = shapes.P, shapes.module
+        for _ in range(3):
+            terms = zero_terms(rng, module)
+            assert module.combine(terms).is_zero()
+            zero = shapes.write_raw(terms)
+            assert shapes.proves_zero(zero) and P.element(zero).is_zero(), (module, terms)
+            k = rng.randrange(module.rank)
+            unit = Polynomial.const(module.base.field, module.base.gens, 1)
+            shape_terms = shapes.write_raw([(k, unit)]).terms
+            # a stray monomial: the square of a shape product
+            stray = Polynomial(P.field, P.gens, {tuple(2 * e for e in next(iter(shape_terms))): 1})
+            assert not shapes.proves_zero(zero + stray)
+            # one shape of a generator without the other
+            if len(shape_terms) == 2:
+                one_shape = Polynomial(P.field, P.gens, dict([next(iter(shape_terms.items()))]))
+                assert not shapes.proves_zero(zero + one_shape)
+            # terms that combine to a nonzero element
+            if not module.gen(module.gens[k]).is_zero():
+                assert not shapes.proves_zero(shapes.write_raw([*terms, (k, unit)]))

@@ -1,11 +1,12 @@
 import argparse
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from kcx.cli import COMMANDS, MAX_DEGREE, build_parser, run
-from kcx.parse import MAX_DEPTH, MAX_EXPONENT
+from kcx.parse import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS
 from kcx.workspace import MAX_FREE_RANK, WorkspaceError, parse_workspace, render_workspace
 
 import helpers
@@ -390,6 +391,19 @@ def test_parentheses_nest_up_to_the_parser_limit(tmp_path):
         assert code == 2, kind
         assert text.startswith("error: ") and text.endswith("(line 4, column 3)"), text
         assert f"nest deeper than {MAX_DEPTH}" in text
+
+
+@pytest.mark.parametrize("expr", ["(a+b+c+d)^64", "((x+y)^64)^64", "(((x+y)^64)^64)^4"])
+def test_runaway_expansions_are_refused_before_they_run(tmp_path, expr):
+    """Each of these ran for tens of seconds or more before expansions were bounded."""
+    path = tmp_path / "big.kcx"
+    path.write_text(f"algebra A {{\n  char: 0;\n  vars: a, b, c, d, x, y;\n  rel: {expr};\n}}\n")
+    start = time.perf_counter()
+    code, text = run(["check", str(path)])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert text.startswith("error: ") and text.endswith("(line 4, column 3)"), text
+    assert f"expansion could pass {MAX_TERMS} terms at column" in text
 
 
 @pytest.mark.parametrize("command", ["check", "curvature", "torsion", "convert"])
