@@ -268,7 +268,7 @@ def cmd_glue(args) -> Report:
     except NotInverse as exc:
         raise WorkspaceError(str(exc), *spec.places["inverse"]) from None
     if connections:
-        report.checks.extend(_axiom_checks("", result.report))
+        report.checks.extend(result.report.entries)
     else:
         report.solver = _solver_payload(result.space)
     return report

@@ -1,12 +1,12 @@
-"""Dual-numbers tangent structure on commutative algebras, and its no-go solver.
+"""Dual-numbers tangent structure on commutative algebras, and its no-go verdict.
 
 Here the tangent of an algebra A adjoins a single square-zero generator, and
 the bundle of a module M adjoins one square-zero generator per module
-generator with all pairwise products zero.  Against this structure, vertical
-connections on M's bundle exist only in the trivial case: the solver
-parametrizes a candidate in the forms forced by the retract-of-the-lift and
-lift-compatibility diagrams and then imposes the remaining multiplicative
-constraint, which is linear and (for nonzero M) inconsistent.
+generator with all pairwise products zero.  `dual_numbers_structure` and
+`dual_bundle` build that structure: it is the object the no-go theorem is
+about.  Against it, vertical connections on M's bundle exist only when M is
+the zero module, and `dual_connection_solve` decides exactly that, with one
+module normal form per generator of M and no degree bound.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .algebra import AlgebraMorphism, GenRole, PresentedAlgebra, fresh_name, make_morphism, memoized, relabel
-from .linsolve import AffineSolutionSpace, affine_linear_solve
+from .linsolve import AffineSolutionSpace
 from .modules import PresentedModule, linear_form
 from .poly import Polynomial
-from .solve import _affine_equations, _relation_columns, _terms, _unknowns
 from .tangent import _additive_bundle
 
 
@@ -106,23 +105,16 @@ def dual_bundle(M: PresentedModule) -> DualBundle:
     return DualBundle(A, M, E, TE, eps_gens, epsp, q, z, iota, lam)
 
 
-def dual_connection_solve(M: PresentedModule, degree_bound: int) -> AffineSolutionSpace:
-    """Solve for a vertical connection on M's square-zero bundle, exactly.
+def dual_connection_solve(M: PresentedModule) -> AffineSolutionSpace:
+    """Whether M's square-zero bundle carries a vertical connection, exactly.
 
-    The candidate is K(a) = a, K(m eps) = n_m eps, K(eps') = n' eps with the
-    n's unknown module elements of bounded coefficient degree (these forms are
-    forced by the retract-of-the-lift and lift-compatibility diagrams).  The
-    remaining constraints are that K respects the module relation rows and the
-    multiplicative identity K(m eps) K(eps') = m eps, whose left side is
-    killed by the square-zero relations; so each module generator must vanish
-    in M.  The system is nonempty iff M presents the zero module.
+    The retract-of-the-lift and lift-compatibility diagrams force the
+    candidate K(a) = a, K(m eps) = n_m eps, K(eps') = n' eps, with the n's
+    module elements.  The multiplicative identity K(m eps) K(eps') = m eps
+    then reads 0 = m eps, since the square-zero relations kill its left side,
+    and no n enters it.  So a connection exists iff every generator of M is
+    zero, whatever degree the n's may have.  Then M is zero, so are the n's,
+    and the space is one point with no unknowns; otherwise it is empty.
     """
-    # n per module generator plus n', over M's standard monomials
-    layout = _unknowns("c", M.gens + ("'",), range(M.rank), M, degree_bound)
-    # K(lambda(m eps)) = m eps collapses to 0 = m eps: every generator of M
-    # must be zero in the quotient (constant rows).  K respects each module
-    # relation row: sum_k r_k n_k = 0 in M (rows with no constant).
-    constants = [_terms(M.gen(g)) for g in M.gens] + [{} for _ in M.relations]
-    columns = _relation_columns(M, M, layout, len(M.gens))
-    equations = _affine_equations(constants, columns, M.base.field)
-    return affine_linear_solve(equations, tuple(layout.values()), M.base.field)
+    point = [] if all(M.gen(g).is_zero() for g in M.gens) else None
+    return AffineSolutionSpace((), point)

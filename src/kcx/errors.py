@@ -21,6 +21,10 @@ class SolverTooLarge(KcxError, ValueError):
     """A linear system would have more unknowns than the solvers accept."""
 
 
+class ExpansionTooLarge(KcxError, ValueError):
+    """A substitution could expand past `poly.MAX_TERMS` terms; refused before it does."""
+
+
 class NotInverse(KcxError):
     """A gluing's transition and inverse do not compose to the identities."""
 

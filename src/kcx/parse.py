@@ -11,7 +11,7 @@ INT is a nonnegative integer literal, NAME matches [A-Za-z][A-Za-z0-9_]*.
 Rationals are written a/b; '/' is accepted only when the divisor reduces to a
 nonzero constant.  Exponents must be integer literals from 0 to MAX_EXPONENT,
 parentheses nest at most MAX_DEPTH deep, and no product or power may expand
-past MAX_TERMS terms.
+past MAX_TERMS terms (`poly.MAX_TERMS`, the bound `substitute` keeps too).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 from math import comb
 
 from .fields import Field
-from .poly import Polynomial
+from .poly import MAX_TERMS, Polynomial
 
 
 class ParseError(ValueError):
@@ -33,14 +33,6 @@ class ParseError(ValueError):
 # Powers are expanded eagerly, so a huge exponent would not finish; every
 # example, test and benchmark input uses exponent 4 or less.
 MAX_EXPONENT = 64
-
-# Products and powers are expanded eagerly too, so their size is bounded
-# before they are expanded: a product of factors with s and t terms has at most
-# s*t, and a t-term power p^n at most C(t+n-1, n).  The largest such bound in
-# the tests, the gallery, the example files and the benchmark is 3; at this
-# limit the worst powers accepted, (a+b+c+d+e)^19 and (a+b+c+d)^30, parse in
-# 0.7 s and 1.1 s on a 2 GHz Xeon core.
-MAX_TERMS = 10_000
 
 # The parser recurses once per parenthesis, so unbounded nesting would
 # overflow the interpreter's stack; the example files nest at most 1 deep.

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraMorphism, PresentedAlgebra, compose_morphisms, identity_morphism
 from .algebra import localize, make_morphism
-from .connections import AxiomCheck, AxiomReport, Connection, apply_connection, connection_residues, leibniz_terms
+from .connections import AxiomCheck, AxiomReport, Connection, connection_residues, leibniz_terms
 from .errors import KcxError, NotInverse, SolverTooLarge
 from .fields import Coef, Field
 from .groebner import Row
@@ -49,7 +49,6 @@ class ConnectionSpace:
     """Solution space of the well-definedness system for one module."""
 
     module: PresentedModule
-    degree_bound: int
     layout: dict[tuple[str, int, tuple], str]  # (generator, target index, exponent) -> unknown
     space: AffineSolutionSpace
 
@@ -89,11 +88,11 @@ MAX_UNKNOWNS = 5000
 
 
 def _unknowns(
-    prefix: str, gens, labels, target: PresentedModule, degree_bound: int, taken: int = 0
+    prefix: str, gens, target: PresentedModule, degree_bound: int, taken: int = 0
 ) -> dict[tuple[str, int, tuple], str]:
     """One unknown per generator and standard (position, monomial) pair of
-    `target` up to the degree bound, named `prefix[generator][position
-    label][exponent]`, in generator-major order.
+    `target` up to the degree bound, named `prefix[generator][target
+    generator][exponent]`, in generator-major order.
 
     The unknowns are counted as the walk yields them, on top of `taken` laid
     out already; past MAX_UNKNOWNS the solve is refused before any column is
@@ -105,7 +104,7 @@ def _unknowns(
         if taken + len(gens) * len(basis) > MAX_UNKNOWNS:
             raise SolverTooLarge(f"degree bound {degree_bound} needs more than {MAX_UNKNOWNS} unknowns, the limit")
     return {
-        (g, idx, exp): f"{prefix}[{g}][{labels[idx]}][{','.join(map(str, exp))}]"
+        (g, idx, exp): f"{prefix}[{g}][{target.gens[idx]}][{','.join(map(str, exp))}]"
         for g in gens
         for idx, exp in basis
     }
@@ -167,11 +166,11 @@ def solve_connection_space(M: PresentedModule, degree_bound: int) -> ConnectionS
         raise ValueError("degree bound must be nonnegative")
     target = christoffel_target(M)
     f = M.base.field
-    layout = _unknowns("c", M.gens, target.gens, target, degree_bound)
+    layout = _unknowns("c", M.gens, target, degree_bound)
     constants = [_terms(r) for _, r in connection_residues(M, {g: target.zero() for g in M.gens})]
     equations = _affine_equations(constants, _relation_columns(M, target, layout), f)
     space = affine_linear_solve(equations, tuple(layout.values()), f)
-    return ConnectionSpace(M, degree_bound, layout, space)
+    return ConnectionSpace(M, layout, space)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +227,15 @@ class GlueResult:
 def _glue_residues(t: AlgebraMorphism, omega_t: dict[str, ModuleElement], gamma1, gamma2) -> list[ModuleElement]:
     """Route 1 (nabla1, then t (x) t) minus route 2 (t, then nabla2) on each
     Omega(L1) generator, reduced once, for the transition t: L1 -> L2 of two
-    localized charts; zero means compatible."""
+    localized charts; zero means compatible.  nabla1 of a generator is its
+    localized Christoffel image, read off `localized_gamma` directly."""
     omega_L1, omega_L2 = kahler_module(t.dom), kahler_module(t.cod)
-    nabla1 = Connection(omega_L1, localized_gamma(t.dom, gamma1))
-    g2_loc = localized_gamma(t.cod, gamma2)
+    g1_loc, g2_loc = localized_gamma(t.dom, gamma1), localized_gamma(t.cod, gamma2)
     t1, t2 = christoffel_target(omega_L1), christoffel_target(omega_L2)
     out = []
     for g in omega_L1.gens:
         terms = []  # route 1: t (x) t applied to nabla1(g)
-        for i, l, coef in t1.entries(apply_connection(nabla1, omega_L1.gen(g))):
+        for i, l, coef in t1.entries(g1_loc[g]):
             tc = t.apply_raw(coef)
             u, v = omega_t[omega_L1.gens[i]].comps, omega_t[omega_L1.gens[l]].comps  # images of d(x_i), d(x_l)
             terms += [(t2.pair_index(a, b), tc * p * q) for a, p in enumerate(u) if p for b, q in enumerate(v) if q]
@@ -295,7 +294,7 @@ def glued_connection_check(
     charts = []  # (omega, target, chart unknowns, zero Christoffel data)
     for chart_no, omega in enumerate(omegas, 1):
         target = christoffel_target(omega)
-        names = _unknowns(f"c{chart_no}", omega.gens, target.gens, target, degree, len(layout))
+        names = _unknowns(f"c{chart_no}", omega.gens, target, degree, len(layout))
         layout.update(((chart_no, *key), name) for key, name in names.items())
         charts.append((omega, target, names, {g: target.zero() for g in omega.gens}))
 

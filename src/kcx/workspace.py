@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dfield
 
 from .algebra import AlgebraMorphism, PresentedAlgebra, make_morphism
 from .connections import Connection, make_connection
-from .errors import KcxError, WellDefinednessFailure
+from .errors import ExpansionTooLarge, KcxError, WellDefinednessFailure
 from .fields import Field
 from .modules import (
     ModuleElement,
@@ -323,6 +323,8 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                 ws.morphisms[name] = make_morphism(dom, cod, images, name=name)
             except WellDefinednessFailure as exc:
                 raise cur.error(f"morphism {name!r} ill-defined: {exc}", at)
+            except ExpansionTooLarge as exc:
+                raise cur.error(f"morphism {name!r}: {exc}", at)
         elif keyword == "glue":
             entries = cur.take_block_entries()
             if ws.glue is not None:

@@ -42,6 +42,9 @@ correspondences with one hand-written loop each, splitting monomials by the
 sorts of their generators; they check the table-driven `tangent.ShapeMap`
 instances `omega_m_shapes`, `curvature_shapes` and `torsion_shapes`.
 
+`linear_dual_solve` is the square-zero no-go as the bounded linear system the
+engine once solved; it checks `dual_connection_solve`'s exact criterion.
+
 `reference_correspond` is the factor-of-two check read from reduced bundle
 images: each V(m) is a normal form in the double tangent before phi reads it.
 It checks the raw certificate of `curvature._correspond`.
@@ -219,6 +222,37 @@ def dense_affine_solve(
         basis.append(vec)
 
     return AffineSolutionSpace(unknowns, particular, basis, free_cols)
+
+
+def linear_dual_solve(M, degree_bound: int) -> AffineSolutionSpace:
+    """Vertical connections on M's square-zero bundle, as a linear system.
+
+    The candidate is K(a) = a, K(m eps) = n_m eps, K(eps') = n' eps, with
+    n_m and n' unknown over M's standard monomials up to the degree.
+    K(lambda(m eps)) = m eps reads 0 = m eps, one constant row M.gen(m) per
+    generator that no unknown enters; K respects relation row r when
+    sum_m r_m n_m = 0 in M.  Every (row, position, monomial) of the rows'
+    joint support is one equation, solved by `dense_affine_solve`.
+    """
+    f = M.base.field
+    basis = brute_standard_monomials(M, degree_bound)
+    layout = {(g, idx, exp): f"n[{g}][{idx}][{exp}]" for g in M.gens + ("'",) for idx, exp in basis}
+    rows = [(M.gen(g), {}) for g in M.gens]
+    for row in M.relations:
+        coefs = dict(zip(M.gens, row))
+        columns = {
+            name: M.combine([(idx, shift(coefs[g], exp, f.one()))])
+            for (g, idx, exp), name in layout.items()
+            if g in coefs and not coefs[g].is_zero()
+        }
+        rows.append((M.zero(), columns))
+    equations = []
+    for const, columns in rows:
+        support = {(k, e) for v in (const, *columns.values()) for k, c in enumerate(v.comps) for e in c.terms}
+        for k, e in sorted(support):
+            coeffs = {name: v.comps[k].terms[e] for name, v in columns.items() if e in v.comps[k].terms}
+            equations.append(LinearEquation(coeffs, const.comps[k].terms.get(e, f.zero())))
+    return dense_affine_solve(equations, tuple(layout.values()), f)
 
 
 def monomials_up_to(nvars: int, degree: int):

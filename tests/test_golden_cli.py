@@ -100,6 +100,33 @@ def test_the_cli_module_runs_as_a_program(case):
     assert f"exit: {proc.returncode}\n{proc.stdout}" == expected == render(argv)
 
 
+# Under `python -O` the falsified expectation below must still fail the
+# gallery: fat-point-empty is told its solve found a connection.
+FALSIFIED_GALLERY = """
+import sys
+import kcx.gallery
+from kcx.cli import main
+
+class Found:
+    is_empty = False
+
+kcx.gallery.solve_connection_space = lambda module, degree: Found()
+sys.argv = ["kcx", "gallery"]
+print(sys.flags.optimize, file=sys.stderr)
+main()
+"""
+
+
+def test_gallery_expectations_hold_under_python_O():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FALSIFIED_GALLERY], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (1, "1\n")
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["[FAIL] fat-point-empty  residue: expectation failed: no connection exists on this module"]
+
+
 @pytest.mark.parametrize("stem", RENDERED)
 def test_rendering_matches_golden(stem):
     rendered = render_workspace(parse_workspace(RENDERED[stem]))

@@ -1,6 +1,7 @@
 """No module of the engine imports a name it never uses, imports inside a
-function without a reason, caches outside the one cache idiom, or reduces a
-value only to unwrap its polynomial without a reason, and the Groebner and
+function without a reason, caches outside the one cache idiom, reduces a
+value only to unwrap its polynomial without a reason, or decides anything
+with an `assert` statement (Python drops those under -O), and the Groebner and
 linear-algebra kernels leave field arithmetic to `fields.py`.  Every function,
 method and class of the engine is read somewhere else in the engine, exported,
 or kept for a stated reason.
@@ -56,6 +57,21 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_statements(source: str) -> list[int]:
+    """Line of each `assert` statement."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_detector_flags_an_assert_statement():
+    source = 'def f(x):\n    """assert x"""\n    assert x, "x"\n    if not x:\n        raise AssertionError("x")\n'
+    assert assert_statements(source) == [3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
 
 
 def local_imports(source: str) -> list[tuple[str, int]]:
@@ -296,6 +312,16 @@ RETIRED_BUNDLE_ATTRIBUTES = ("p_A", "p_S", "zero_S", "lift_S", "flip_S", "T2S", 
 def test_retired_entry_points_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"kcx.{module}"), name)
     assert not hasattr(kcx, name)
+
+
+def test_the_square_zero_verdict_builds_no_linear_system():
+    """`dual_connection_solve` decides by one normal form per generator, so
+    `dualnum` imports nothing from the solvers or the linear algebra beyond
+    the space it returns."""
+    tree = ast.parse((SRC / "dualnum.py").read_text())
+    imported = {(node.module, alias.name) for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not {module for module, _ in imported} & {"solve", "groebner"}
+    assert {name for module, name in imported if module == "linsolve"} == {"AffineSolutionSpace"}
 
 
 def test_retired_methods_are_gone():

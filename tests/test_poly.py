@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from kcx.errors import ExpansionTooLarge, KcxError
 from kcx.fields import GF, QQ, Field
 from kcx.parse import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, ParseError, poly_normalize
 from kcx.poly import Polynomial, grevlex_key
@@ -74,6 +75,29 @@ def test_products_and_powers_are_bounded_before_they_expand():
     with pytest.raises(ParseError, match=f"could pass {MAX_TERMS} terms"):
         P(f"{five}^{n + 1}")
     assert len(P(f"(x + y)^{MAX_EXPONENT}").terms) == MAX_EXPONENT + 1
+
+
+def test_substitution_is_bounded_before_it_expands():
+    """`substitute` applies the parser's rule: an image power p^n is refused
+    when C(t+n-1, n) passes MAX_TERMS, a product of partial images when their
+    term counts multiply past it; at the bound both expand."""
+    target = ("t", "u")
+
+    def image(var, count):
+        return Polynomial(QQ, target, {(k, 0) if var == "t" else (0, k): 1 for k in range(count)})
+
+    xy = Polynomial.variable(QQ, ("x", "y"), "x") * Polynomial.variable(QQ, ("x", "y"), "y")
+    s = MAX_TERMS // 100
+    at = xy.substitute({"x": image("t", 100), "y": image("u", s)}, target)
+    assert len(at.terms) == 100 * s
+    with pytest.raises(ExpansionTooLarge, match=f"could pass {MAX_TERMS} terms") as exc:
+        xy.substitute({"x": image("t", 100), "y": image("u", s + 1)}, target)
+    assert isinstance(exc.value, KcxError)
+    t = max(k for k in range(1, MAX_TERMS) if comb(k + 1, 2) <= MAX_TERMS)
+    x2 = Polynomial.variable(QQ, ("x",), "x") ** 2
+    assert len(x2.substitute({"x": image("t", t)}, target).terms) == 2 * t - 1
+    with pytest.raises(ExpansionTooLarge, match=f"could pass {MAX_TERMS} terms"):
+        x2.substitute({"x": image("t", t + 1)}, target)
 
 
 def test_grevlex_order_classic():

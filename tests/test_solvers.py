@@ -3,7 +3,6 @@ import random
 import pytest
 
 import kcx.connections
-import kcx.dualnum
 import kcx.solve
 from kcx.algebra import make_algebra, relabel
 from kcx.connections import make_connection
@@ -22,7 +21,7 @@ from kcx.solve import glued_connection_check, solve_connection_space
 from kcx.tangent import BundleContext
 
 import helpers
-from oracles import eager_make_morphism
+from oracles import eager_make_morphism, linear_dual_solve
 
 
 def test_standard_monomials_fat_point(fat_point):
@@ -225,29 +224,79 @@ def test_dual_structure_maps_match_their_relabel_tables(circle):
 def test_dual_solver_no_go():
     line = make_algebra(QQ, ("x",))
     free1 = free_module(line, 1)
-    assert dual_connection_solve(free1, 2).is_empty
+    assert dual_connection_solve(free1).is_empty
     # the solve needs no bundle presentation
     assert not any(isinstance(v, DualBundle) for o in (line, free1) for v in o._memo.values())
 
     point = make_algebra(QQ, ())
     qq_rank1 = free_module(point, 1)
-    assert dual_connection_solve(qq_rank1, 1).is_empty
+    assert dual_connection_solve(qq_rank1).is_empty
 
 
 def test_dual_solver_zero_module_solvable():
     line = make_algebra(QQ, ("x",))
     zero_rank = free_module(line, 0)
-    assert not dual_connection_solve(zero_rank, 2).is_empty
+    assert not dual_connection_solve(zero_rank).is_empty
     # a presented zero module also works
     collapsed = make_module(line, ("e",), [["1"]])
-    assert not dual_connection_solve(collapsed, 2).is_empty
+    assert not dual_connection_solve(collapsed).is_empty
 
 
 def test_dual_solver_presented_nonzero_module_empty():
     line = make_algebra(QQ, ("x",))
     # v = -x*u presents a free rank-1 module, which is nonzero
     presented = make_module(line, ("u", "v"), [["x", "1"]])
-    assert dual_connection_solve(presented, 2).is_empty
+    assert dual_connection_solve(presented).is_empty
+
+
+# algebra name -> (generators, relations) for the square-zero corpus
+DUAL_ALGEBRAS = {
+    "point": ((), []),
+    "line": (("x",), []),
+    "fat-point": (("x",), ["x^2"]),
+    "circle": (("x", "y"), ["x^2 + y^2 - 1"]),
+    "cusp": (("x", "y"), ["y^2 - x^3"]),
+}
+
+
+def _random_entry(rng, gens):
+    """A small random polynomial in `gens` of degree at most 1, as text."""
+    monomials = ["1", *gens]
+    return " + ".join(f"{rng.randint(-2, 2)}*{m}" for m in rng.sample(monomials, rng.randint(1, len(monomials))))
+
+
+def _dual_corpus(field, rng):
+    """(label, module): Kahler, free of rank 0-2, a presented zero module and
+    random presented modules, over each algebra of DUAL_ALGEBRAS."""
+    for name, (gens, relations) in DUAL_ALGEBRAS.items():
+        A = make_algebra(field, gens, relations)
+        yield f"{name} Omega", kahler_module(A)
+        for n in range(3):
+            yield f"{name} free {n}", free_module(A, n)
+        yield f"{name} zero", make_module(A, ("u", "v"), [["x" if gens else "0", "1"], ["1", "0"]])
+        for k in range(2):
+            rows = [[_random_entry(rng, gens) for _ in "uv"] for _ in range(rng.randint(1, 2))]
+            yield f"{name} presented {k} {rows}", make_module(A, ("u", "v"), rows)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["QQ", "GF2", "GF3"])
+def test_dual_criterion_matches_the_linear_system_and_the_bundle(field):
+    """The criterion (every generator of M is zero) gives the same verdict as
+    the bounded linear system at degrees 0-3, and holds exactly when every
+    epsilon generator of M's square-zero bundle is zero there."""
+    rng = random.Random(31)
+    verdicts = []
+    for label, M in _dual_corpus(field, rng):
+        space = dual_connection_solve(M)
+        verdict = (space.is_empty, space.dimension)
+        for degree in range(4):
+            reference = linear_dual_solve(M, degree)
+            assert verdict == (reference.is_empty, reference.dimension), (label, degree)
+        b = dual_bundle(M)
+        assert space.is_empty != all(b.E.gen(e).is_zero() for e in b.eps_gens), label
+        assert space.unknowns == ()
+        verdicts.append(space.is_empty)
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +464,3 @@ def test_solves_over_the_unknown_limit_are_refused_before_any_column(monkeypatch
             A, "x", B, "y", {"x": "y_inv", "x_inv": "y"}, {"y": "x_inv", "y_inv": "x"},
             degree=limit // 2,
         )
-    # the dual-numbers solve: (generators + 1) unknowns per standard monomial, here 2
-    monkeypatch.setattr(kcx.dualnum, "_relation_columns", no_columns)
-    with pytest.raises(SolverTooLarge, match=too_many):
-        dual_connection_solve(M, limit // 2)

@@ -3,7 +3,7 @@
 The bounded-degree solvers write each column as a `groebner.Row` (position ->
 term dict, occupied positions only) and reduce it with
 `ModuleBasis.sparse_normal_form`.  These tests compare every column and
-constant of the three solvers with the module element it stands for, built as
+constant of the two solvers with the module element it stands for, built as
 the solvers once built it: `target.combine([(idx, x^exp * r_g)])` on relation
 rows and the unit column `r.scaled(scale)` on gluing rows, term for term and in
 order.  They also compare `sparse_normal_form` with `normal_form` on random
@@ -15,18 +15,15 @@ import random
 
 import pytest
 
-import kcx.dualnum
 import kcx.solve
 from kcx import modules
 from kcx.algebra import localize, make_algebra, make_morphism
 from kcx.connections import connection_residues
-from kcx.dualnum import dual_connection_solve
 from kcx.fields import GF, QQ
 from kcx.modules import christoffel_target, kahler_module, make_module
 from kcx.poly import Polynomial, _mul_terms
 from kcx.solve import (
     _glue_residues,
-    _unknowns,
     glued_connection_check,
     kahler_map,
     solve_connection_space,
@@ -182,27 +179,6 @@ def test_glue_columns_are_the_old_module_elements(case, monkeypatch):
         old[name].update(col)
     _assert_columns_match(columns, old)
     expected = [_comp_items(r.comps) for _, r in old_constants] + [_comp_items(r.comps) for r in glue0]
-    assert [_items(c) for c in constants] == expected
-
-
-DUAL_CASES = {
-    "presented-GF3": (_presented_gf3, 2),
-    "line-QQ": (lambda: make_module(make_algebra(QQ, ("x",)), ("u", "v"), [["x", "1"]]), 3),
-}
-
-
-@pytest.mark.parametrize("case", DUAL_CASES)
-def test_dual_number_columns_are_the_old_module_elements(case, monkeypatch):
-    build, degree = DUAL_CASES[case]
-    M = build()
-    seen = _capture(monkeypatch, kcx.dualnum)
-    dual_connection_solve(M, degree)
-    ((constants, columns),) = seen
-    layout = _unknowns("c", M.gens + ("'",), range(M.rank), M, degree)
-    old = _old_relation_columns(M, M, layout, len(M.gens))
-    assert any(old.values())
-    _assert_columns_match(columns, old)
-    expected = [_comp_items(M.gen(g).comps) for g in M.gens] + [[] for _ in M.relations]
     assert [_items(c) for c in constants] == expected
 
 

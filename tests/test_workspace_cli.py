@@ -406,6 +406,22 @@ def test_runaway_expansions_are_refused_before_they_run(tmp_path, expr):
     assert f"expansion could pass {MAX_TERMS} terms at column" in text
 
 
+def test_runaway_morphism_substitution_is_refused_before_it_runs(tmp_path):
+    """Certifying this morphism expanded (a+b+c+d)^64 with no bound, and ran
+    until killed, before substitutions were bounded like parsed expansions."""
+    path = tmp_path / "big.kcx"
+    path.write_text(
+        "algebra A { char: 0; vars: x; rel: x^64; }\n"
+        "algebra B { char: 0; vars: a, b, c, d; }\n"
+        "morphism f : A -> B { x -> a+b+c+d; }\n"
+    )
+    start = time.perf_counter()
+    code, text = run(["check", str(path)])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert text == f"error: morphism 'f': substitution could pass {MAX_TERMS} terms (line 3, column 1)"
+
+
 @pytest.mark.parametrize("command", ["check", "curvature", "torsion", "convert"])
 def test_commands_over_connections_fail_on_a_file_without_one(command):
     code, text = run([command, str(FILES / "p1.kcx")])
