@@ -1,7 +1,10 @@
 """When do connections exist?  Three exact answers.
 
 1. On the square-zero point, never: the degree-bounded solver returns the
-   empty space.
+   empty space.  Every solver returns an `AffineSolutionSpace` whose unknowns
+   say what they are: (generator, position, exponent), the coefficient of
+   x^exponent on the target generator at that position in the image of the
+   generator, with the chart in front when two charts are glued.
 2. On the projective line glued from two affine charts, never in
    characteristic zero, and exactly once (trivially) in characteristic two.
 3. In the square-zero tangent structure on algebras, only the zero module's
@@ -29,6 +32,7 @@ print("square-zero point, degree 3:", "empty" if space.is_empty else f"dim {spac
 plane = make_algebra(QQ, ("x1", "x2"))
 family = solve_connection_space(kahler_module(plane), 1)
 print("plane, degree 1: family of dimension", family.dimension)
+print("  its first unknown (generator, position, exponent):", family.unknowns[0])
 
 # 2. the projective line, both characteristics
 for char in (0, 2):
@@ -42,7 +46,9 @@ for char in (0, 2):
     )
     s = result.space
     outcome = "empty" if s.is_empty else ("unique" if s.is_unique else f"dim {s.dimension}")
-    print(f"projective line, characteristic {char}: {outcome}")
+    charts = [key[0] for key in s.unknowns]
+    print(f"projective line, characteristic {char}: {outcome}"
+          f" ({charts.count(1)} + {charts.count(2)} unknowns on charts 1 and 2)")
 
 # 3. the square-zero tangent structure on algebras
 line = make_algebra(QQ, ("x",))

@@ -30,7 +30,7 @@ from .algebra import PresentedAlgebra, localize
 from .connections import AxiomCheck, to_horizontal, to_vertical, verify_connection_axioms
 from .connections import connection_equal, from_horizontal
 from .curvature import check_curvature_correspondence, check_torsion_correspondence
-from .errors import KcxError, NotInverse
+from .errors import ExpansionTooLarge, KcxError, NotInverse
 from .gallery import run_gallery
 from .linsolve import AffineSolutionSpace
 from .modules import kahler_module
@@ -136,8 +136,7 @@ def cmd_solve(args) -> Report:
     report = Report("solve")
     if args.module not in ws.modules:
         raise WorkspaceError(f"no module named {args.module!r} in the file")
-    result = solve_connection_space(ws.modules[args.module], args.degree)
-    report.solver = _solver_payload(result.space)
+    report.solver = _solver_payload(solve_connection_space(ws.modules[args.module], args.degree))
     return report
 
 
@@ -267,6 +266,10 @@ def cmd_glue(args) -> Report:
         )
     except NotInverse as exc:
         raise WorkspaceError(str(exc), *spec.places["inverse"]) from None
+    except ExpansionTooLarge as exc:  # met composing the two maps
+        raise WorkspaceError(
+            f"transition {spec.transition!r} and inverse {spec.inverse!r}: {exc}", *spec.places["inverse"]
+        ) from None
     if connections:
         report.checks.extend(result.report.entries)
     else:

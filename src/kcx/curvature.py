@@ -12,9 +12,9 @@ phi comes back: they are the `write` and `read` of the bundle context's
 `curvature_shapes` (psi-hat and phi-hat of its `torsion_shapes`).  Composing
 the two picks up the commutative-to-anticommutative factor: phi(psi(w)) = 2w
 exactly.  psi produces raw (unreduced) polynomials so that identity holds on
-the nose on the generator basis.  Outside characteristic two a correspondence
-check first tries a certificate that only reads: V(m) - psi(w) is the write of
-terms that combine to zero (`tangent.ShapeMap.proves_zero`).
+the nose on the generator basis.  A correspondence check first tries a
+certificate that only reads, in every characteristic: V(m) - psi(w) is the
+write of terms that combine to zero (`tangent.ShapeMap.proves_zero`).
 """
 
 from __future__ import annotations
@@ -203,18 +203,18 @@ def _correspond(result: CorrespondenceResult, bundle_map: AlgebraMorphism, shape
 
     Residuals recorded per generator: V(m) - psi(w); 2w - phi(V(m)); and,
     away from characteristic two, w - phi(V(m))/2, with psi and phi the
-    `write` and `read` of `shapes` (phi ignores the stray rest).  Outside
-    characteristic two it first tries a certificate: when the raw
-    V(m) - psi(w) passes `ShapeMap.proves_zero`, V(m) is psi(w) in the
-    bundle and the three residuals are zero, with no reduction.
+    `write` and `read` of `shapes` (phi ignores the stray rest).  It first
+    tries a certificate, which needs no 1/2: when the raw V(m) - psi(w)
+    passes `ShapeMap.proves_zero`, V(m) is psi(w) in the bundle and every
+    residual is zero, with no reduction.
     """
     field = shapes.P.field
     half = None if field.char == 2 else field.inv(field.of(2))
     result.bundle_map = bundle_map
     for m, w in result.images.items():
-        if half is not None and shapes.proves_zero(bundle_map.images[m] - shapes.write(w)):
+        if shapes.proves_zero(bundle_map.images[m] - shapes.write(w)):
             zero = shapes.module.zero()
-            result.residuals[m] = [shapes.P.zero(), zero, zero]
+            result.residuals[m] = [shapes.P.zero(), zero] + [zero] * (half is not None)
             continue
         v_img = result.tangent_images[m]
         phi_img = shapes.read(v_img)[0]

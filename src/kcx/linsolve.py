@@ -1,6 +1,8 @@
 """Exact affine linear solving over the coefficient field.
 
 Systems arrive as `LinearEquation`s, each meaning  sum(coeffs[u] * u) + const = 0.
+An unknown is any hashable, typically a key that says what it is: the solvers
+in `solve` use (generator, position, exponent) tuples.
 Gauss-Jordan elimination over the exact field yields either "empty" or a
 particular solution plus a basis of the homogeneous solution space.  Rows are
 sparse (column -> nonzero coefficient, the constant at column n) and kept as
@@ -14,6 +16,7 @@ equations or on the multiples kept.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field as dfield
 
 from .fields import Coef, Field
@@ -21,7 +24,7 @@ from .fields import Coef, Field
 
 @dataclass(frozen=True)
 class LinearEquation:
-    coeffs: dict[str, Coef]
+    coeffs: dict[Hashable, Coef]
     const: Coef
 
 
@@ -35,7 +38,7 @@ class AffineSolutionSpace:
     is 0 on all of them.
     """
 
-    unknowns: tuple[str, ...]
+    unknowns: tuple[Hashable, ...]
     particular: list[Coef] | None
     basis: list[list[Coef]] = dfield(default_factory=list)
     free: list[int] = dfield(default_factory=list)
@@ -52,10 +55,10 @@ class AffineSolutionSpace:
     def is_unique(self) -> bool:
         return self.particular is not None and not self.basis
 
-    def contains(self, values: dict[str, Coef], fieldobj: Field) -> bool:
+    def contains(self, values: dict[Hashable, Coef], fieldobj: Field) -> bool:
         """Exact membership: a point is determined by its free coordinates, so
         x lies in the space iff x == particular + sum over k of x[free[k]] * basis[k].
-        A name that is not an unknown raises KeyError, as in `affine_linear_solve`."""
+        A key that is not an unknown raises KeyError, as in `affine_linear_solve`."""
         known = set(self.unknowns)
         for u in values:
             if u not in known:
@@ -72,7 +75,7 @@ class AffineSolutionSpace:
 
 
 def affine_linear_solve(
-    equations: list[LinearEquation], unknowns: tuple[str, ...], fieldobj: Field
+    equations: list[LinearEquation], unknowns: tuple[Hashable, ...], fieldobj: Field
 ) -> AffineSolutionSpace:
     """Exact sparse fraction-free Gauss-Jordan; returns empty / unique / parametrized family."""
     f = fieldobj

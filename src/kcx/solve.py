@@ -1,16 +1,18 @@
 """Bounded-degree existence solvers for connections, and two-chart gluing.
 
 Unknowns are the coefficients of each generator image over the standard
-monomials of the target quotient module, up to the requested degree; the
-layout takes them from one walk over that order ideal and counts them exactly,
-refusing a system past MAX_UNKNOWNS before any column is built.  On a
-relation row r the Leibniz residue, the sum over g of d(r_g) (x) g + r_g * Gamma(g),
-is affine in them: its constant is the residue of the zero candidate, and
-unknown (g, idx, exp) enters it as r_g * x^exp * e_idx, reduced once.  The
-gluing rows pass through localization and the transition, which are linear
-over the chart rings: they are evaluated at zero and once per generator and
-unit e_idx, and unknown (g, idx, exp) enters them as that unit's column scaled
-by t(x^exp) on chart 1 and by y^exp on chart 2.
+monomials of the target quotient module, up to the requested degree, each
+keyed by what it is: (generator, position, exponent), with the chart in front
+in the gluing.  `_unknowns` takes them from one walk over that order ideal and
+counts them exactly, refusing a system past MAX_UNKNOWNS before any column is
+built.  On a relation row r the Leibniz residue, the sum over g of
+d(r_g) (x) g + r_g * Gamma(g), is affine in them: its constant is the residue
+of the zero candidate, and unknown (g, idx, exp) enters it as
+r_g * x^exp * e_idx, reduced once.  The gluing rows pass through localization
+and the transition, which are linear over the chart rings: they are evaluated
+at zero and once per generator and unit e_idx, and unknown (g, idx, exp)
+enters them as that unit's column scaled by t(x^exp) on chart 1 and by y^exp
+on chart 2.
 
 Columns and constants are the Groebner engine's own rows (`groebner.Row`,
 position -> term dict, occupied positions only): a column's terms are written
@@ -18,7 +20,8 @@ straight from r_g's terms or the unit's row scaled component by component, and
 reduced by `ModuleBasis.sparse_normal_form` with no conversion, so no module
 element is built per unknown (the symbolic preprocessing of Faugere's F4,
 where each monomial multiple is reduced as a sparse row).  The exact sparse
-system is solved over the coefficient field.  The solvers work in
+system is solved over the coefficient field, and both solvers return its
+`AffineSolutionSpace`, whose unknowns are the keys.  The solvers work in
 Omega(A) (x) M alone and never build the tangent bundle.
 """
 
@@ -30,7 +33,7 @@ from .algebra import AlgebraMorphism, PresentedAlgebra, compose_morphisms, ident
 from .algebra import localize, make_morphism
 from .connections import AxiomCheck, AxiomReport, Connection, connection_residues, leibniz_terms
 from .errors import KcxError, NotInverse, SolverTooLarge
-from .fields import Coef, Field
+from .fields import Field
 from .groebner import Row
 from .linsolve import AffineSolutionSpace, LinearEquation, affine_linear_solve
 from .modules import (
@@ -44,41 +47,6 @@ from .modules import (
 from .poly import Polynomial, _mul_terms, exp_mul
 
 
-@dataclass
-class ConnectionSpace:
-    """Solution space of the well-definedness system for one module."""
-
-    module: PresentedModule
-    layout: dict[tuple[str, int, tuple], str]  # (generator, target index, exponent) -> unknown
-    space: AffineSolutionSpace
-
-    @property
-    def is_empty(self) -> bool:
-        return self.space.is_empty
-
-    @property
-    def dimension(self) -> int:
-        return self.space.dimension
-
-    def coefficients_of(self, nabla: Connection) -> dict[str, Coef] | None:
-        """Unknown assignment matching a concrete connection, if representable."""
-        values: dict[str, Coef] = {}
-        for g in self.module.gens:
-            for idx, comp in enumerate(nabla.gamma[g].comps):
-                for exp, coef in comp.terms.items():
-                    key = (g, idx, exp)
-                    if key not in self.layout:
-                        return None
-                    values[self.layout[key]] = coef
-        return values
-
-    def contains_connection(self, nabla: Connection) -> bool:
-        values = self.coefficients_of(nabla)
-        if values is None:
-            return False
-        return self.space.contains(values, self.module.base.field)
-
-
 # Solution-space basis vectors are dense, so memory grows with the square of
 # the unknowns: a relation-free solve with 4,455 unknowns peaks at 170 MiB, and
 # one with 13,440 at 1.4 GiB.  The count is exact (generators times standard
@@ -87,27 +55,21 @@ class ConnectionSpace:
 MAX_UNKNOWNS = 5000
 
 
-def _unknowns(
-    prefix: str, gens, target: PresentedModule, degree_bound: int, taken: int = 0
-) -> dict[tuple[str, int, tuple], str]:
-    """One unknown per generator and standard (position, monomial) pair of
-    `target` up to the degree bound, named `prefix[generator][target
-    generator][exponent]`, in generator-major order.
+def _unknowns(key: tuple, gens, target: PresentedModule, degree_bound: int, taken: int = 0) -> list[tuple]:
+    """One unknown per generator g and standard (position idx, monomial exp)
+    pair of `target` up to the degree bound, keyed `(*key, g, idx, exp)`, in
+    generator-major order.
 
-    The unknowns are counted as the walk yields them, on top of `taken` laid
-    out already; past MAX_UNKNOWNS the solve is refused before any column is
-    built.
+    The unknowns are counted as the walk yields them, on top of `taken`
+    counted already; past MAX_UNKNOWNS the solve is refused before any column
+    is built.
     """
     basis = []
     for pair in module_standard_monomials(target, degree_bound):
         basis.append(pair)
         if taken + len(gens) * len(basis) > MAX_UNKNOWNS:
             raise SolverTooLarge(f"degree bound {degree_bound} needs more than {MAX_UNKNOWNS} unknowns, the limit")
-    return {
-        (g, idx, exp): f"{prefix}[{g}][{target.gens[idx]}][{','.join(map(str, exp))}]"
-        for g in gens
-        for idx, exp in basis
-    }
+    return [(*key, g, idx, exp) for g in gens for idx, exp in basis]
 
 
 def _terms(v: ModuleElement) -> Row:
@@ -115,28 +77,34 @@ def _terms(v: ModuleElement) -> Row:
     return {pos: dict(comp.terms) for pos, comp in enumerate(v.comps) if comp.terms}
 
 
-def _relation_columns(
-    M: PresentedModule, target: PresentedModule, layout: dict, first_row: int = 0
-) -> dict[str, dict[int, Row]]:
-    """Columns of the unknowns on M's relation rows, numbered from `first_row`.
+def _leibniz_rows(
+    M: PresentedModule, keys: list[tuple], first_row: int = 0
+) -> tuple[list[Row], dict[tuple, dict[int, Row]]]:
+    """M's well-definedness rows, numbered from `first_row`: each relation
+    row's residue at the zero candidate, and the columns of the unknowns
+    `keys` on those rows.
 
-    Unknown (g, idx, exp) is the coefficient of x^exp * e_idx in the image of
-    g, so on row r it contributes r_g * x^exp * e_idx: r_g's terms, shifted by
-    exp and placed at idx, reduced once in `target` as a row.
+    Unknown (..., g, idx, exp) is the coefficient of x^exp * e_idx in the
+    image of g, so on row r it contributes r_g * x^exp * e_idx: r_g's terms,
+    shifted by exp and placed at idx, reduced once in the Christoffel target
+    as a row.
     """
+    target = christoffel_target(M)
     reduce = target.lifted.sparse_normal_form
-    columns: dict[str, dict[int, Row]] = {name: {} for name in layout.values()}
+    constants = [_terms(r) for _, r in connection_residues(M, {g: target.zero() for g in M.gens})]
+    columns: dict[tuple, dict[int, Row]] = {key: {} for key in keys}
     for r, row in enumerate(M.relations, first_row):
         coefs = dict(zip(M.gens, row))
-        for (g, idx, exp), name in layout.items():
+        for key in keys:
+            *_, g, idx, exp = key
             r_g = coefs.get(g)
             if r_g is not None and r_g.terms:
-                columns[name][r] = reduce({idx: {exp_mul(e, exp): c for e, c in r_g.terms.items()}})
-    return columns
+                columns[key][r] = reduce({idx: {exp_mul(e, exp): c for e, c in r_g.terms.items()}})
+    return constants, columns
 
 
 def _affine_equations(
-    constants: list[Row], columns: dict[str, dict[int, Row]], f: Field
+    constants: list[Row], columns: dict[tuple, dict[int, Row]], f: Field
 ) -> list[LinearEquation]:
     """The exact linear system  constants[r] + sum over u of u * columns[u][r] = 0.
 
@@ -146,12 +114,12 @@ def _affine_equations(
     support gives one equation.
     """
     rows = [{(pos, e): {} for pos, comp in const.items() for e in comp} for const in constants]
-    for name, col in columns.items():
+    for u, col in columns.items():
         for r, vector in col.items():
             support = rows[r]
             for pos, comp in vector.items():
                 for e, c in comp.items():
-                    support.setdefault((pos, e), {})[name] = c
+                    support.setdefault((pos, e), {})[u] = c
     zero = f.zero()
     return [
         LinearEquation(coeffs, const.get(pos, {}).get(e, zero))
@@ -160,17 +128,27 @@ def _affine_equations(
     ]
 
 
-def solve_connection_space(M: PresentedModule, degree_bound: int) -> ConnectionSpace:
-    """Exact solution space of Christoffel coefficients up to a degree bound."""
+def solve_connection_space(M: PresentedModule, degree_bound: int) -> AffineSolutionSpace:
+    """Exact solution space of Christoffel coefficients up to a degree bound,
+    over the unknowns (generator, position, exponent)."""
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    target = christoffel_target(M)
     f = M.base.field
-    layout = _unknowns("c", M.gens, target, degree_bound)
-    constants = [_terms(r) for _, r in connection_residues(M, {g: target.zero() for g in M.gens})]
-    equations = _affine_equations(constants, _relation_columns(M, target, layout), f)
-    space = affine_linear_solve(equations, tuple(layout.values()), f)
-    return ConnectionSpace(M, layout, space)
+    keys = _unknowns((), M.gens, christoffel_target(M), degree_bound)
+    return affine_linear_solve(_affine_equations(*_leibniz_rows(M, keys), f), tuple(keys), f)
+
+
+def contains_connection(space: AffineSolutionSpace, nabla: Connection) -> bool:
+    """Whether nabla's Christoffel data is a point of `space`, the
+    `solve_connection_space` of its module; False when a term lies outside
+    the space's unknowns."""
+    values = {
+        (g, idx, exp): coef
+        for g, image in nabla.gamma.items()
+        for idx, comp in enumerate(image.comps)
+        for exp, coef in comp.terms.items()
+    }
+    return values.keys() <= set(space.unknowns) and space.contains(values, nabla.module.base.field)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +193,11 @@ def localized_gamma(L: PresentedAlgebra, gamma: dict[str, ModuleElement]) -> dic
 
 @dataclass
 class GlueResult:
+    """The gluing check's report, or the solved space over the unknowns
+    (chart, generator, position, exponent)."""
+
     report: AxiomReport | None = None
     space: AffineSolutionSpace | None = None
-    layout: dict[tuple[int, str, int, tuple], str] | None = None  # chart, gen, idx, exp
-
-    @property
-    def passed(self) -> bool:
-        return self.report is not None and self.report.all_pass
 
 
 def _glue_residues(t: AlgebraMorphism, omega_t: dict[str, ModuleElement], gamma1, gamma2) -> list[ModuleElement]:
@@ -290,32 +266,31 @@ def glued_connection_check(
 
     f = A1.field
     omegas = [kahler_module(A) for A in (A1, A2)]
-    layout: dict[tuple[int, str, int, tuple], str] = {}
-    charts = []  # (omega, target, chart unknowns, zero Christoffel data)
-    for chart_no, omega in enumerate(omegas, 1):
-        target = christoffel_target(omega)
-        names = _unknowns(f"c{chart_no}", omega.gens, target, degree, len(layout))
-        layout.update(((chart_no, *key), name) for key, name in names.items())
-        charts.append((omega, target, names, {g: target.zero() for g in omega.gens}))
+    targets = [christoffel_target(omega) for omega in omegas]
+    charts: list[list[tuple]] = []  # each chart's unknowns, all counted before any column
+    for chart_no, (omega, target) in enumerate(zip(omegas, targets), 1):
+        charts.append(_unknowns((chart_no,), omega.gens, target, degree, sum(map(len, charts))))
 
     constants: list[Row] = []
-    columns: dict[str, dict[int, Row]] = {}
-    for omega, target, names, zero in charts:
-        columns.update(_relation_columns(omega, target, names, len(constants)))
-        constants += [_terms(r) for _, r in connection_residues(omega, zero)]
+    columns: dict[tuple, dict[int, Row]] = {}
+    for omega, keys in zip(omegas, charts):
+        rows, chart_columns = _leibniz_rows(omega, keys, len(constants))
+        constants += rows
+        columns.update(chart_columns)
     # The gluing rows are affine in the Christoffel data and linear over the
     # chart rings (chart 1's through t): the column of unit e_idx in the image
     # of g is the residue there less the one at zero, and the column of
     # x^exp * e_idx is that one scaled by t(x^exp) on chart 1, y^exp on chart 2,
     # reduced once as a row in the gluing rows' module.
     reduce = christoffel_target(kahler_module(L2)).lifted.sparse_normal_form
-    zeros = [zero for *_, zero in charts]
+    zeros = [{g: target.zero() for g in omega.gens} for omega, target in zip(omegas, targets)]
     glue0 = _glue_residues(t, omega_t, *zeros)
     first = len(constants)
     constants += map(_terms, glue0)
-    for chart, ((_, target, names, _), L) in enumerate(zip(charts, (L1, L2))):
+    for chart, (keys, target, L) in enumerate(zip(charts, targets, (L1, L2))):
         units: dict[tuple[str, int], list[Row]] = {}
-        for (g, idx, exp), name in names.items():
+        for key in keys:
+            _, g, idx, exp = key
             if (g, idx) not in units:
                 unit = target.gen(target.gens[idx])
                 gammas = [{**z, g: unit} if c == chart else z for c, z in enumerate(zeros)]
@@ -323,12 +298,10 @@ def glued_connection_check(
                 units[g, idx] = [_terms(r - r0) for r, r0 in zip(rows, glue0)]
             mono = Polynomial.monomial(f, L.gens, (*exp, 0), 1)
             scale = t.apply_raw(mono) if chart == 0 else mono
-            columns[name].update(
+            columns[key].update(
                 (first + k, reduce({pos: _mul_terms(comp, scale.terms, f) for pos, comp in v.items()}))
                 for k, v in enumerate(units[g, idx])
             )
 
     equations = _affine_equations(constants, columns, f)
-    return GlueResult(
-        space=affine_linear_solve(equations, tuple(layout.values()), f), layout=layout
-    )
+    return GlueResult(space=affine_linear_solve(equations, tuple(k for keys in charts for k in keys), f))

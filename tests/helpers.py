@@ -102,22 +102,36 @@ def random_gamma(rng: random.Random, M) -> dict:
     return {g: target.element([poly() for _ in target.gens]) for g in M.gens}
 
 
+def connection_at(M, space, point, chart: int | None = None) -> Connection:
+    """make_connection on the Christoffel data of one point of a solved space:
+    the value of unknown (g, idx, exp) is the coefficient of x^exp * e_idx in
+    the image of g.  With `chart`, the gluing's unknowns (chart, g, idx, exp)
+    on that chart are read."""
+    f, gens = M.base.field, M.base.gens
+    target = christoffel_target(M)
+    comps = {g: [Polynomial.zero(f, gens)] * target.rank for g in M.gens}
+    for (*on, g, idx, exp), value in zip(space.unknowns, point):
+        if on == ([] if chart is None else [chart]):
+            comps[g][idx] = comps[g][idx] + Polynomial.monomial(f, gens, exp, value)
+    return make_connection(M, {g: target.element(c) for g, c in comps.items()})
+
+
+def random_point(space, f, rng: random.Random, spread: int = 2) -> list:
+    """particular plus a random combination of the basis, with integer weights
+    in [-spread, spread]."""
+    point = list(space.particular)
+    for vec in space.basis:
+        k = f.of(rng.randint(-spread, spread))
+        point = [f.add(p, f.mul(k, b)) for p, b in zip(point, vec)]
+    return point
+
+
 def random_admissible_gamma(rng: random.Random, M) -> dict | None:
     """A random point of M's degree-1 connection space, or None if it is empty."""
     space = solve_connection_space(M, 1)
     if space.is_empty:
         return None
-    f, sol = M.base.field, space.space
-    values = list(sol.particular)
-    for vec in sol.basis:
-        k = f.of(rng.randint(-2, 2))
-        values = [f.add(v, f.mul(k, b)) for v, b in zip(values, vec)]
-    by_name = dict(zip(sol.unknowns, values))
-    target = christoffel_target(M)
-    comps = {g: [Polynomial.zero(f, M.base.gens)] * target.rank for g in M.gens}
-    for (g, idx, exp), name in space.layout.items():
-        comps[g][idx] = comps[g][idx] + Polynomial.monomial(f, M.base.gens, exp, by_name[name])
-    return {g: target.element(c) for g, c in comps.items()}
+    return connection_at(M, space, random_point(space, M.base.field, rng)).gamma
 
 
 def double_the_horizontal_torsion_route(monkeypatch) -> None:

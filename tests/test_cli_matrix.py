@@ -15,6 +15,6 @@ def test_cli_matrix_matches_golden(monkeypatch):
     monkeypatch.chdir(ROOT)  # the matrix names the example files relative to the root
     expected = GOLDEN.read_text(encoding="utf-8").splitlines()
     argvs = matrix()
-    assert len(argvs) == len(expected) == 254
+    assert len(argvs) == len(expected) == 290
     for argv, line in zip(argvs, expected):
         assert digest_line(argv) == line

@@ -2,12 +2,13 @@
 
 `curvature._correspond` settles a generator m from the raw bundle image V(m)
 when V(m) - psi(w) passes `ShapeMap.proves_zero`: it is psi of terms that
-combine to zero in the module, term for term.  Every other generator, and
-every generator in characteristic two, goes through the reduced route.
-These tests check the fact the certificate rests on (psi sends relation rows into the bundle's
-ideal), compare both routes with `oracles.reference_correspond` on seeded
-connections and on images perturbed to force each fallback, and show that
-sphere checks build no double-tangent basis.
+combine to zero in the module, term for term.  The certificate needs no 1/2,
+so it runs in characteristic two as well; every other generator goes through
+the reduced route.  These tests check the fact the certificate rests on (psi
+sends relation rows into the bundle's ideal), compare both routes with
+`oracles.reference_correspond` on seeded connections and on images perturbed
+to force each fallback, and show that sphere checks, over QQ and GF(2), build
+no double-tangent basis.
 """
 
 import random
@@ -170,6 +171,15 @@ def test_characteristic_two_gives_the_reduced_route_output():
         result, _ = _fallback_case(nabla, lambda ctx, m: -tangent_curvature(nabla).images[m])
         assert not result.residuals_zero
         _check_against_reference(nabla, result, nabla.ctx.curvature_shapes)
+
+
+def test_characteristic_two_certifies_without_a_double_tangent_basis():
+    plane = make_algebra(GF(2), ("x1", "x2"))
+    for nabla in (helpers.plane_twisted(plane), helpers.sphere_connection(helpers.sphere(2, GF(2)))):
+        result = check_curvature_correspondence(nabla)
+        assert result.residuals_zero and "basis" not in nabla.ctx.S_maps.TTA.__dict__
+        # no 1/2 in characteristic two: no third residual
+        assert {len(rs) for rs in result.residuals.values()} == {2}
 
 
 def test_images_off_by_a_relation_row_certify_without_a_double_tangent_basis():

@@ -300,6 +300,7 @@ RETIRED = [
     ("algebra", "_gluing"),  # tensor_over_base presents the shared base on one copy
     ("cli", "Check"),  # connections.AxiomCheck
     ("cli", "_axiom_check"),  # the residue is rendered where the check fails
+    ("solve", "ConnectionSpace"),  # the AffineSolutionSpace itself, keyed (g, idx, exp)
 ]
 
 # BundleContext attributes retired for the tangent structures it reads:
@@ -347,7 +348,7 @@ UNREFERENCED = {
     "tangent structure that no verdict reads",
     ("curvature.py", "torsionfree_horizontal_criterion"): "the torsion-free test on the "
     "horizontal form, checked against module torsion",
-    ("solve.py", "ConnectionSpace.contains_connection"): "whether a given connection lies in "
+    ("solve.py", "contains_connection"): "whether a given connection lies in "
     "a solved space, the query a solution space answers",
     ("tangent.py", "TangentMaps.minus"): "the negation of T(A), a structure map of the tangent "
     "structure that no verdict reads",

@@ -125,10 +125,10 @@ def test_random_module_bases_reduce_to_their_images_mod_p():
 def test_sphere_connection_space_dimensions_agree_mod_p(n):
     agreement = {}
     for degree in (1, 2):
-        dim = solve_connection_space(kahler_module(sphere(n)), degree).space.dimension
+        dim = solve_connection_space(kahler_module(sphere(n)), degree).dimension
         assert dim > 0
         for p in PRIMES:
-            mod_p = solve_connection_space(kahler_module(sphere(n, FIELD[p])), degree).space.dimension
+            mod_p = solve_connection_space(kahler_module(sphere(n, FIELD[p])), degree).dimension
             agreement[(f"S^{n}", degree), p] = mod_p == dim
     _assert_lucky(agreement)
 
@@ -154,14 +154,14 @@ def test_gallery_solution_dimensions_agree_mod_p():
     degree-6 one, both empty over QQ."""
     fat = gallery.fat_point_algebra()
     over_qq = {
-        ("fat point", 3): solve_connection_space(kahler_module(fat), 3).space.dimension,
+        ("fat point", 3): solve_connection_space(kahler_module(fat), 3).dimension,
         ("P^1", 6): gallery._p1(0).space.dimension,
     }
     assert set(over_qq.values()) == {-1}
     agreement = {}
     for p in PRIMES:
         mod_p = {
-            ("fat point", 3): solve_connection_space(kahler_module(_over(fat, p)), 3).space.dimension,
+            ("fat point", 3): solve_connection_space(kahler_module(_over(fat, p)), 3).dimension,
             ("P^1", 6): gallery._p1(p).space.dimension,
         }
         agreement.update(((case, p), mod_p[case] == dim) for case, dim in over_qq.items())

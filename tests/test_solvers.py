@@ -16,8 +16,7 @@ from kcx.modules import (
     make_module,
     module_standard_monomials,
 )
-from kcx.poly import Polynomial
-from kcx.solve import glued_connection_check, solve_connection_space
+from kcx.solve import contains_connection, glued_connection_check, solve_connection_space
 from kcx.tangent import BundleContext
 
 import helpers
@@ -58,52 +57,52 @@ def test_solve_circle_contains_canonical(circle):
     result = solve_connection_space(omega, 1)
     assert not result.is_empty
     nabla = helpers.circle_canonical(circle)
-    assert result.contains_connection(nabla)
+    assert contains_connection(result, nabla)
 
 
 def test_solve_plane_contains_everything(plane):
     result = solve_connection_space(kahler_module(plane), 2)
-    assert result.contains_connection(helpers.plane_twisted(plane))
-    assert result.contains_connection(helpers.plane_zero(plane))
+    assert contains_connection(result, helpers.plane_twisted(plane))
+    assert contains_connection(result, helpers.plane_zero(plane))
 
 
-def _christoffel(M, terms):
-    """make_connection on the Christoffel data sum value * x^exp * e_idx in the
-    image of g, over the (g, idx, exp, value) in `terms`."""
-    A = M.base
-    target = christoffel_target(M)
-    comps = {g: [Polynomial.zero(A.field, A.gens)] * target.rank for g in M.gens}
-    for g, idx, exp, value in terms:
-        comps[g][idx] = comps[g][idx] + Polynomial.monomial(A.field, A.gens, exp, value)
-    return make_connection(M, {g: target.element(tuple(c)) for g, c in comps.items()})
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_space_unknowns_are_generator_position_exponent_keys(circle, fat_point, degree):
+    modules = [kahler_module(circle), kahler_module(fat_point), make_module(circle, ("u", "v"), [["x", "y"]])]
+    for M in modules:
+        pairs = list(module_standard_monomials(christoffel_target(M), degree))
+        expected = tuple((g, idx, exp) for g in M.gens for idx, exp in pairs)
+        assert solve_connection_space(M, degree).unknowns == expected
 
 
-def _connection_at(result, point):
-    """make_connection on the Christoffel data of one point of the space."""
-    index = {name: i for i, name in enumerate(result.space.unknowns)}
-    return _christoffel(
-        result.module,
-        [(g, idx, exp, point[index[name]]) for (g, idx, exp), name in result.layout.items()],
-    )
+def test_glued_unknowns_are_chart_one_then_chart_two():
+    A1, A2, t, tinv = _p1_charts(QQ)
+    space = glued_connection_check(A1, "x", A2, "y", t, tinv, degree=2).space
+    expected = []
+    for chart, A in ((1, A1), (2, A2)):
+        omega = kahler_module(A)
+        pairs = list(module_standard_monomials(christoffel_target(omega), 2))
+        expected += [(chart, g, idx, exp) for g in omega.gens for idx, exp in pairs]
+    assert space.unknowns == tuple(expected)
+    assert [key[0] for key in space.unknowns] == [1, 1, 1, 2, 2, 2]
 
 
-def _random_point(space, f, rng):
-    point = list(space.particular)
-    for vec in space.basis:
-        t = f.of(rng.randint(-5, 5))
-        point = [f.add(p, f.mul(t, b)) for p, b in zip(point, vec)]
-    return point
+def test_a_connection_with_a_term_above_the_window_is_not_contained(plane):
+    omega = kahler_module(plane)
+    nabla = make_connection(omega, {"d(x1)": ["x1^2", "0", "0", "0"], "d(x2)": ["0", "0", "0", "1"]})
+    assert not contains_connection(solve_connection_space(omega, 1), nabla)
+    assert contains_connection(solve_connection_space(omega, 2), nabla)
 
 
 def test_solution_points_certify_and_nudged_points_fail(plane, circle, sphere2):
     rng = random.Random(20240)
     for A in (plane, circle, sphere2):
-        result = solve_connection_space(kahler_module(A), 1)
-        space, f = result.space, A.field
+        M, f = kahler_module(A), A.field
+        space = solve_connection_space(M, 1)
         pivots = [i for i in range(len(space.unknowns)) if i not in space.free]
         for _ in range(3):
-            point = _random_point(space, f, rng)
-            _connection_at(result, point)
+            point = helpers.random_point(space, f, rng, 5)
+            helpers.connection_at(M, space, point)
             if not pivots:  # no relations: every point is a connection
                 assert A is plane
                 continue
@@ -111,7 +110,7 @@ def test_solution_points_certify_and_nudged_points_fail(plane, circle, sphere2):
             k = rng.choice(pivots)
             nudged[k] = f.add(nudged[k], f.one())
             with pytest.raises(WellDefinednessFailure):
-                _connection_at(result, nudged)
+                helpers.connection_at(M, space, nudged)
 
 
 def test_solvers_evaluate_relation_residues_once_per_module(circle, monkeypatch):
@@ -151,8 +150,8 @@ def test_gluing_evaluates_glue_residues_once_per_unit(degree, monkeypatch):
 def test_solve_and_make_connection_build_no_bundle():
     sphere = make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"])
     omega = kahler_module(sphere)
-    result = solve_connection_space(omega, 1)
-    nabla = _connection_at(result, result.space.particular)
+    space = solve_connection_space(omega, 1)
+    nabla = helpers.connection_at(omega, space, space.particular)
     assert not any(isinstance(v, BundleContext) for v in omega._memo.values())
     assert nabla.ctx is nabla.ctx  # built on first use, then kept
     assert nabla.ctx in omega._memo.values()
@@ -339,26 +338,15 @@ def test_glued_space_points_glue_and_nudged_points_fail(charts):
         result = glued_connection_check(A1, "x", A2, "u", t, tinv, degree=degree)
         space = result.space
         assert space.dimension > 0
-        index = {name: i for i, name in enumerate(space.unknowns)}
         pivots = [i for i in range(len(space.unknowns)) if i not in space.free]
 
         def glue_at(point):
-            n1, n2 = (
-                _christoffel(
-                    omegas[chart],
-                    [
-                        (g, idx, exp, point[index[name]])
-                        for (c, g, idx, exp), name in result.layout.items()
-                        if c == chart
-                    ],
-                )
-                for chart in (1, 2)
-            )
+            n1, n2 = (helpers.connection_at(omegas[chart], space, point, chart) for chart in (1, 2))
             return glued_connection_check(A1, "x", A2, "u", t, tinv, nabla1=n1, nabla2=n2)
 
         for _ in range(3):
-            point = _random_point(space, QQ, rng)
-            assert glue_at(point).passed
+            point = helpers.random_point(space, QQ, rng, 5)
+            assert glue_at(point).report.all_pass
             nudged = list(point)
             k = rng.choice(pivots)
             nudged[k] += 1
@@ -414,7 +402,7 @@ def test_identity_gluing_plane_passes(plane):
         A1, "x", A2, "y", {"x": "y", "x_inv": "y_inv"}, {"y": "x", "y_inv": "x_inv"},
         nabla1=n1, nabla2=n2,
     )
-    assert result.passed
+    assert result.report.all_pass
 
 
 def test_mismatched_gluing_fails():
@@ -430,7 +418,7 @@ def test_mismatched_gluing_fails():
         A1, "x", A2, "y", {"x": "y", "x_inv": "y_inv"}, {"y": "x", "y_inv": "x_inv"},
         nabla1=n1, nabla2=n2,
     )
-    assert not result.passed
+    assert not result.report.all_pass
 
 
 def test_non_invertible_transition_rejected():
@@ -450,8 +438,8 @@ def test_solves_over_the_unknown_limit_are_refused_before_any_column(monkeypatch
     M = free_module(A, 1)  # one unknown per monomial: count = degree + 1
     limit = kcx.solve.MAX_UNKNOWNS
     too_many = f"more than {limit} unknowns"
-    assert solve_connection_space(M, 5).space.dimension == 6
-    monkeypatch.setattr(kcx.solve, "_relation_columns", no_columns)
+    assert solve_connection_space(M, 5).dimension == 6
+    monkeypatch.setattr(kcx.solve, "_leibniz_rows", no_columns)
     with pytest.raises(SolverTooLarge, match=too_many) as exc:
         solve_connection_space(M, limit)
     assert isinstance(exc.value, ValueError)

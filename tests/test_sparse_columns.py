@@ -64,23 +64,24 @@ def _capture(monkeypatch, module):
     return seen
 
 
-def _old_relation_columns(M, target, layout, first_row=0):
+def _old_relation_columns(M, target, keys, first_row=0):
     """Relation-row columns as module elements, one `combine` per unknown and row."""
     one = M.base.field.one()
-    columns = {name: {} for name in layout.values()}
+    columns = {key: {} for key in keys}
     for r, row in enumerate(M.relations, first_row):
         coefs = dict(zip(M.gens, row))
-        for (g, idx, exp), name in layout.items():
+        for key in keys:
+            *_, g, idx, exp = key
             if g in coefs and not coefs[g].is_zero():
-                columns[name][r] = target.combine([(idx, shift(coefs[g], exp, one))])
+                columns[key][r] = target.combine([(idx, shift(coefs[g], exp, one))])
     return columns
 
 
 def _assert_columns_match(columns, old):
-    for name, col in old.items():
-        assert list(columns[name]) == list(col), name
+    for key, col in old.items():
+        assert list(columns[key]) == list(col), key
         for r, element in col.items():
-            assert _items(columns[name][r]) == _comp_items(element.comps), (name, r)
+            assert _items(columns[key][r]) == _comp_items(element.comps), (key, r)
 
 
 def _presented_gf3():
@@ -102,14 +103,14 @@ def test_space_columns_are_the_old_module_elements(case, monkeypatch):
     space = solve_connection_space(M, degree)
     ((constants, columns),) = seen
     target = christoffel_target(M)
-    old = _old_relation_columns(M, target, space.layout)
+    old = _old_relation_columns(M, target, space.unknowns)
     assert any(old.values())
     _assert_columns_match(columns, old)
     zero = {g: target.zero() for g in M.gens}
     assert [_items(c) for c in constants] == [_comp_items(r.comps) for _, r in connection_residues(M, zero)]
 
 
-def _old_glue_columns(A1, u1, A2, u2, transition, layout, first):
+def _old_glue_columns(A1, u1, A2, u2, transition, keys, first):
     """Gluing-row columns as before: each unit's residue difference, scaled as an element."""
     L1, L2 = localize(A1, u1), localize(A2, u2)
     t = make_morphism(L1, L2, transition, name="t")
@@ -118,14 +119,15 @@ def _old_glue_columns(A1, u1, A2, u2, transition, layout, first):
     zeros = [{g: T.zero() for g in kahler_module(A).gens} for T, A in zip(targets, (A1, A2))]
     glue0 = _glue_residues(t, omega_t, *zeros)
     columns = {}
-    for (chart_no, g, idx, exp), name in layout.items():
+    for key in keys:
+        chart_no, g, idx, exp = key
         chart, target, L = chart_no - 1, targets[chart_no - 1], (L1, L2)[chart_no - 1]
         unit = target.gen(target.gens[idx])
         gammas = [{**z, g: unit} if c == chart else z for c, z in enumerate(zeros)]
         rows = _glue_residues(t, omega_t, *gammas)
         mono = Polynomial.monomial(A1.field, L.gens, (*exp, 0), 1)
         scale = t.apply_raw(mono) if chart == 0 else mono
-        columns[name] = {first + k: (r - r0).scaled(scale) for k, (r, r0) in enumerate(zip(rows, glue0))}
+        columns[key] = {first + k: (r - r0).scaled(scale) for k, (r, r0) in enumerate(zip(rows, glue0))}
     return columns, glue0
 
 
@@ -168,15 +170,15 @@ def test_glue_columns_are_the_old_module_elements(case, monkeypatch):
     first, old, old_constants = 0, {}, []
     for chart_no, A in enumerate((A1, A2), 1):
         omega, target = kahler_module(A), christoffel_target(kahler_module(A))
-        chart = {key[1:]: name for key, name in result.layout.items() if key[0] == chart_no}
+        chart = [key for key in result.space.unknowns if key[0] == chart_no]
         old.update(_old_relation_columns(omega, target, chart, first))
         old_constants += connection_residues(omega, {g: target.zero() for g in omega.gens})
         first += len(omega.relations)
     assert (first > 0) == bool(rels1)
-    glued, glue0 = _old_glue_columns(A1, u1, A2, u2, transition, result.layout, first)
+    glued, glue0 = _old_glue_columns(A1, u1, A2, u2, transition, result.space.unknowns, first)
     assert any(not e.is_zero() for col in glued.values() for e in col.values())
-    for name, col in glued.items():
-        old[name].update(col)
+    for key, col in glued.items():
+        old[key].update(col)
     _assert_columns_match(columns, old)
     expected = [_comp_items(r.comps) for _, r in old_constants] + [_comp_items(r.comps) for r in glue0]
     assert [_items(c) for c in constants] == expected
@@ -280,6 +282,6 @@ def test_a_solve_builds_module_elements_per_relation_row_not_per_unknown(monkeyp
 
     monkeypatch.setattr(modules.ModuleElement, "__init__", counting)
     space = solve_connection_space(M, 3)
-    assert space.dimension == 144 and len(space.layout) == 282
+    assert space.dimension == 144 and len(space.unknowns) == 282
     # one zero candidate per generator and one residue per relation row
     assert len(built) <= M.rank + len(M.relations)

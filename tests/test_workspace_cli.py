@@ -422,6 +422,19 @@ def test_runaway_morphism_substitution_is_refused_before_it_runs(tmp_path):
     assert text == f"error: morphism 'f': substitution could pass {MAX_TERMS} terms (line 3, column 1)"
 
 
+def test_runaway_glue_inverse_check_is_refused_at_the_inverse_entry():
+    """The inverse check composes tinv after t, which expands w^20 in
+    z + x + x_inv + 1 + z*x past the bound; parsing composes neither map, so
+    the error is placed at the `inverse:` entry and names both maps."""
+    path = Path(__file__).parent / "golden" / "glue_expansion.kcx"
+    start = time.perf_counter()
+    code, text = run(["glue", str(path)])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert text.startswith("error: transition 't' and inverse 'tinv': ")
+    assert text.endswith(f"substitution could pass {MAX_TERMS} terms (line 7, column 57)"), text
+
+
 @pytest.mark.parametrize("command", ["check", "curvature", "torsion", "convert"])
 def test_commands_over_connections_fail_on_a_file_without_one(command):
     code, text = run([command, str(FILES / "p1.kcx")])
