@@ -116,5 +116,5 @@ def dual_connection_solve(M: PresentedModule) -> AffineSolutionSpace:
     zero, whatever degree the n's may have.  Then M is zero, so are the n's,
     and the space is one point with no unknowns; otherwise it is empty.
     """
-    point = [] if all(M.gen(g).is_zero() for g in M.gens) else None
-    return AffineSolutionSpace((), point)
+    rows = {} if all(M.gen(g).is_zero() for g in M.gens) else None
+    return AffineSolutionSpace((), rows, M.base.field)

@@ -21,7 +21,10 @@ reduced by `ModuleBasis.sparse_normal_form` with no conversion, so no module
 element is built per unknown (the symbolic preprocessing of Faugere's F4,
 where each monomial multiple is reduced as a sparse row).  The exact sparse
 system is solved over the coefficient field, and both solvers return its
-`AffineSolutionSpace`, whose unknowns are the keys.  The solvers work in
+`AffineSolutionSpace`, whose unknowns are the keys.  The space keeps the
+forward pass's echelon rows: the verdict (empty, unique, or a family of some
+dimension) and `contains_connection` read them alone, and a particular
+solution and basis are built only when read.  The solvers work in
 Omega(A) (x) M alone and never build the tangent bundle.
 """
 
@@ -47,11 +50,12 @@ from .modules import (
 from .poly import Polynomial, _mul_terms, exp_mul
 
 
-# Solution-space basis vectors are dense, so memory grows with the square of
-# the unknowns: a relation-free solve with 4,455 unknowns peaks at 170 MiB, and
-# one with 13,440 at 1.4 GiB.  The count is exact (generators times standard
-# monomials of the target); the largest of any example, golden, gallery case
-# or benchmark op is 288 (S^3 at degree 1).
+# A verdict holds only the sparse echelon rows, but a `basis`, once read, is
+# dense, so its memory grows with the square of the unknowns: reading it on a
+# relation-free solve with 4,455 unknowns peaks at 170 MiB, and on one with
+# 13,440 at 1.4 GiB.  The count is exact (generators times standard monomials
+# of the target); the largest of any example, golden, gallery case or
+# benchmark op is 288 (S^3 at degree 1).
 MAX_UNKNOWNS = 5000
 
 
@@ -148,7 +152,7 @@ def contains_connection(space: AffineSolutionSpace, nabla: Connection) -> bool:
         for idx, comp in enumerate(image.comps)
         for exp, coef in comp.terms.items()
     }
-    return values.keys() <= set(space.unknowns) and space.contains(values, nabla.module.base.field)
+    return values.keys() <= set(space.unknowns) and space.contains(values)
 
 
 # ---------------------------------------------------------------------------

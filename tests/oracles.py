@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the engine.
 
-`dense_affine_solve` is plain dense Gauss-Jordan on lists of field values; it
-checks the engine's sparse `affine_linear_solve`.  `rescan_reduce` is the
+`dense_affine_solve` is plain dense Gauss-Jordan on lists of field values,
+read off into its own `DenseSolution` record; it checks the engine's sparse
+`affine_linear_solve` and its lazy read-off.  `rescan_reduce` is the
 reducer that finds each leading term by rescanning the whole component, with
 the tuple `grevlex_key`; it checks the engine's heap-ordered `_reduce`.
 Membership is decided by that dense exact linear algebra over the monomial
@@ -55,6 +56,7 @@ in the double tangent.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field as dfield
 from typing import Mapping
 
 from kcx.algebra import AlgebraElement, AlgebraMorphism, PresentedAlgebra, tensor_over_base
@@ -62,7 +64,7 @@ from kcx.connections import Connection
 from kcx.curvature import _wedge_tensor, curvature_target
 from kcx.fields import Coef, Field
 from kcx.groebner import vector_leading
-from kcx.linsolve import AffineSolutionSpace, LinearEquation
+from kcx.linsolve import LinearEquation
 from kcx.modules import (
     ModuleElement,
     christoffel_target,
@@ -170,9 +172,32 @@ def rescan_reduce(work, index, field: Field):
     return remainder, cert
 
 
+@dataclass
+class DenseSolution:
+    """The oracle's own solution record, read off without the engine:
+    `particular` is None iff the system is inconsistent, basis vector k is 1
+    on unknown `free[k]` and 0 on the other free unknowns."""
+
+    particular: list[Coef] | None
+    basis: list[list[Coef]] = dfield(default_factory=list)
+    free: list[int] = dfield(default_factory=list)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.particular is None
+
+    @property
+    def dimension(self) -> int:
+        return -1 if self.is_empty else len(self.basis)
+
+    @property
+    def is_unique(self) -> bool:
+        return self.particular is not None and not self.basis
+
+
 def dense_affine_solve(
     equations: list[LinearEquation], unknowns: tuple[str, ...], fieldobj: Field
-) -> AffineSolutionSpace:
+) -> DenseSolution:
     """Exact Gauss-Jordan on dense rows; returns empty / unique / parametrized family."""
     f = fieldobj
     n = len(unknowns)
@@ -206,7 +231,7 @@ def dense_affine_solve(
 
     for i in range(r, len(rows)):
         if rows[i][n]:
-            return AffineSolutionSpace(unknowns, None)
+            return DenseSolution(None)
 
     particular = [f.zero()] * n
     for row_i, col in enumerate(pivots):
@@ -221,10 +246,10 @@ def dense_affine_solve(
             vec[col] = f.neg(rows[row_i][fc])
         basis.append(vec)
 
-    return AffineSolutionSpace(unknowns, particular, basis, free_cols)
+    return DenseSolution(particular, basis, free_cols)
 
 
-def linear_dual_solve(M, degree_bound: int) -> AffineSolutionSpace:
+def linear_dual_solve(M, degree_bound: int) -> DenseSolution:
     """Vertical connections on M's square-zero bundle, as a linear system.
 
     The candidate is K(a) = a, K(m eps) = n_m eps, K(eps') = n' eps, with

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 import kcx.connections
+import kcx.linsolve
 import kcx.solve
 from kcx.algebra import make_algebra, relabel
 from kcx.connections import make_connection
@@ -145,6 +147,37 @@ def test_gluing_evaluates_glue_residues_once_per_unit(degree, monkeypatch):
     A1, A2, t, tinv = _p1_charts(QQ)
     assert glued_connection_check(A1, "x", A2, "y", t, tinv, degree=degree).space.is_empty
     assert len(calls) == 3
+
+
+def test_verdicts_and_membership_run_no_backward_pass(sphere2, monkeypatch):
+    """The verdict and membership read the forward pass's echelon rows alone:
+    no elimination runs after the solve, and no particular solution, basis or
+    reduced row is built until one is read."""
+    space = solve_connection_space(kahler_module(sphere2), 3)
+    A1, A2, t, tinv = _p1_charts(QQ)
+    glued = glued_connection_check(A1, "x", A2, "y", t, tinv, degree=6).space
+    calls = []
+    original = kcx.linsolve._eliminate
+    monkeypatch.setattr(kcx.linsolve, "_eliminate", lambda *args: calls.append(args) or original(*args))
+    assert (space.is_empty, space.is_unique, space.dimension) == (False, False, 144)
+    assert contains_connection(space, helpers.sphere_canonical(sphere2))
+    assert (glued.is_empty, glued.is_unique, glued.dimension) == (True, False, -1)
+    assert not glued.contains({})
+    assert calls == []
+    assert "_solution" not in vars(space) and "_solution" not in vars(glued)
+    assert len(space.basis) == 144 and calls  # the first read runs the backward pass
+
+
+def test_a_verdict_holds_no_dense_basis():
+    """S^3 at degree 4 has 2,616 unknowns and a 1,570-dimensional space; its
+    dense basis alone would take over 30 MiB."""
+    tracemalloc.start()
+    try:
+        assert solve_connection_space(kahler_module(helpers.sphere(3)), 4).dimension == 1570
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_solve_and_make_connection_build_no_bundle():
