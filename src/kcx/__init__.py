@@ -8,6 +8,11 @@ The package is layered bottom-up:
 - `tangent`: tangent algebras, bundles and their structure maps
 - `connections`, `curvature`, `solve`, `dualnum`: the geometry on top
 - `workspace`, `cli`, `gallery`: definition files, commands, worked examples
+
+`import kcx` loads the engine, every layer but the last.  The last layer
+loads on first use: `kcx.cli` and `kcx.gallery` when imported, and
+`workspace` when one of its names (`Workspace`, `parse_workspace`,
+`render_workspace`) is first read from `kcx`.  No engine module imports it.
 """
 
 import types as _types
@@ -82,12 +87,29 @@ from .tangent import (
     tangent_apply_functor,
     tangent_structure_maps,
 )
-from .workspace import Workspace, parse_workspace, render_workspace
 
-# the names imported above; the submodules the imports bind are not exported
+# names of the definition-file layer: `__getattr__` imports it on the first
+# read and then reads each name off `kcx.workspace` itself, never a copy
+_WORKSPACE_NAMES = ("Workspace", "parse_workspace", "render_workspace")
+
+# the names imported above and the lazy ones; the submodules the imports bind
+# are not exported
 __all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+    [
+        *(
+            name
+            for name, value in globals().items()
+            if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+        ),
+        *_WORKSPACE_NAMES,
+    ]
 )
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _WORKSPACE_NAMES:
+        from . import workspace
+
+        return getattr(workspace, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

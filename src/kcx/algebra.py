@@ -24,9 +24,8 @@ one); the tangent machinery relies on them for deterministic naming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .errors import OwnerMismatch, WellDefinednessFailure
 from .fields import Coef, Field
@@ -35,8 +34,7 @@ from .parse import poly_normalize
 from .poly import Exponent, Polynomial
 
 
-@dataclass(frozen=True)
-class GenRole:
+class GenRole(NamedTuple):
     kind: str  # base | module | d | dm | dp | dpm | dpd | dpdm
     origin: str  # name of the base/module generator this one differentiates
 

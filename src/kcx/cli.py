@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field as dfield, replace
 from pathlib import Path
 
 from .algebra import PresentedAlgebra, localize
@@ -43,12 +42,12 @@ from .workspace import (
 )
 
 
-@dataclass
 class Report:
-    command: str
-    checks: list[AxiomCheck] = dfield(default_factory=list)
-    solver: dict | None = None
-    lines: list[str] = dfield(default_factory=list)  # extra text-only output
+    def __init__(self, command: str):
+        self.command = command
+        self.checks: list[AxiomCheck] = []
+        self.solver: dict | None = None
+        self.lines: list[str] = []  # extra text-only output
 
     @property
     def exit_code(self) -> int:
@@ -115,7 +114,7 @@ def _require_connections(report: Report) -> Report:
 
 
 def _axiom_checks(prefix: str, report) -> list[AxiomCheck]:
-    return [replace(e, axiom_id=f"{prefix}{e.axiom_id}") for e in report.entries]
+    return [e._replace(axiom_id=f"{prefix}{e.axiom_id}") for e in report.entries]
 
 
 def cmd_check(args) -> Report:
@@ -150,7 +149,7 @@ def _correspondence_report(args, command: str, check, verdicts: tuple[str, str])
         result = check(ws.connections[name])
         if command == "torsion":
             routes = result.routes_agree
-            report.checks.append(replace(routes, axiom_id=f"{routes.axiom_id}[{name}]"))
+            report.checks.append(routes._replace(axiom_id=f"{routes.axiom_id}[{name}]"))
         verdict = verdicts[0] if result.vanishes else verdicts[1]
         report.checks.append(AxiomCheck(f"{command}[{name}]", "pass", verdict))
         for g, residuals in result.residuals.items():

@@ -28,9 +28,8 @@ failing one renders its residue once, where it fails (`morphism_equality`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import (
     AlgebraMorphism,
@@ -237,8 +236,7 @@ def vertical_from_horizontal(H: AlgebraMorphism, M: PresentedModule) -> AlgebraM
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     """One check as `kcx` prints it; a failure's residue is rendered where it fails."""
 
     axiom_id: str
@@ -256,9 +254,9 @@ def morphism_equality(axiom_id: str, lhs: AlgebraMorphism, rhs: AlgebraMorphism)
     return AxiomCheck(axiom_id, "pass")
 
 
-@dataclass
 class AxiomReport:
-    entries: list[AxiomCheck] = dfield(default_factory=list)
+    def __init__(self):
+        self.entries: list[AxiomCheck] = []
 
     @property
     def all_pass(self) -> bool:

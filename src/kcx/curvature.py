@@ -19,7 +19,6 @@ write of terms that combine to zero (`tangent.ShapeMap.proves_zero`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from functools import cached_property
 
 from .algebra import (
@@ -39,7 +38,6 @@ from .tangent import (
 )
 
 
-@dataclass
 class CorrespondenceResult:
     """Module images of curvature or torsion, per generator.
 
@@ -47,9 +45,10 @@ class CorrespondenceResult:
     the residuals of the factor-of-two identities.
     """
 
-    images: dict[str, ModuleElement]
-    bundle_map: AlgebraMorphism | None = None
-    residuals: dict[str, list] = dfield(default_factory=dict)
+    def __init__(self, images: dict[str, ModuleElement]):
+        self.images = images
+        self.bundle_map: AlgebraMorphism | None = None
+        self.residuals: dict[str, list] = {}
 
     @cached_property
     def tangent_images(self) -> dict[str, AlgebraElement] | None:
@@ -73,7 +72,6 @@ class CurvatureResult(CorrespondenceResult):
         return self.vanishes
 
 
-@dataclass
 class TorsionResult(CorrespondenceResult):
     """Images per Omega generator, in Omega^2, and the check that the two
     bundle routes agree."""

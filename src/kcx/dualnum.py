@@ -11,8 +11,8 @@ module normal form per generator of M and no degree bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .algebra import AlgebraMorphism, GenRole, PresentedAlgebra, fresh_name, make_morphism, memoized, relabel
 from .linsolve import AffineSolutionSpace
@@ -38,8 +38,7 @@ def _lift(B: PresentedAlgebra, TB: PresentedAlgebra, fibre, epsp: str, name: str
     return make_morphism(B, TB, images, name=name)
 
 
-@dataclass
-class DualNumbers:
+class DualNumbers(NamedTuple):
     """The square-zero tangent of one algebra, with its structure maps."""
 
     A: PresentedAlgebra
@@ -74,8 +73,7 @@ def dual_numbers_structure(A: PresentedAlgebra) -> DualNumbers:
     return DualNumbers(A, TA, TTA, T2, eps, epsp, p, zero, plus, minus, lift, flip)
 
 
-@dataclass
-class DualBundle:
+class DualBundle(NamedTuple):
     """M[eps] and its square-zero tangent, with the bundle structure maps."""
 
     A: PresentedAlgebra

@@ -8,7 +8,7 @@ connections from library code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import make_algebra, make_morphism
 from .connections import (
@@ -127,8 +127,7 @@ def elliptic_connection(elliptic):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GalleryCase:
+class GalleryCase(NamedTuple):
     case_id: str
     passed: bool
     detail: str

@@ -21,14 +21,13 @@ equations or on the multiples kept.
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .fields import Coef, Field
 
 
-@dataclass(frozen=True)
-class LinearEquation:
+class LinearEquation(NamedTuple):
     coeffs: dict[Hashable, Coef]
     const: Coef
 

@@ -30,7 +30,7 @@ Omega(A) (x) M alone and never build the tangent bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import AlgebraMorphism, PresentedAlgebra, compose_morphisms, identity_morphism
 from .algebra import localize, make_morphism
@@ -195,8 +195,7 @@ def localized_gamma(L: PresentedAlgebra, gamma: dict[str, ModuleElement]) -> dic
     return out
 
 
-@dataclass
-class GlueResult:
+class GlueResult(NamedTuple):
     """The gluing check's report, or the solved space over the unknowns
     (chart, generator, position, exponent)."""
 

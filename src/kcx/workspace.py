@@ -22,7 +22,7 @@ round-trips through the parser.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dfield
+from typing import NamedTuple
 
 from .algebra import AlgebraMorphism, PresentedAlgebra, make_morphism
 from .connections import Connection, make_connection
@@ -57,8 +57,7 @@ class WorkspaceError(KcxError):
         super().__init__(message + where)
 
 
-@dataclass
-class GlueSpec:
+class GlueSpec(NamedTuple):
     chart1: str
     at1: str
     chart2: str
@@ -69,17 +68,17 @@ class GlueSpec:
     places: dict[str, tuple[int, int]]
 
 
-@dataclass
 class Workspace:
-    char: int | None  # None only until the first algebra block is read
-    algebras: dict[str, PresentedAlgebra] = dfield(default_factory=dict)
-    modules: dict[str, PresentedModule] = dfield(default_factory=dict)
-    connections: dict[str, Connection] = dfield(default_factory=dict)
-    morphisms: dict[str, AlgebraMorphism] = dfield(default_factory=dict)
-    glue: GlueSpec | None = None
-    # kahler_module is memoized, so two `kahler;` modules over one algebra
-    # are one object: a connection's module name is kept, not looked up
-    connection_module: dict[str, str] = dfield(default_factory=dict)
+    def __init__(self, char: int | None):
+        self.char = char  # None only until the first algebra block is read
+        self.algebras: dict[str, PresentedAlgebra] = {}
+        self.modules: dict[str, PresentedModule] = {}
+        self.connections: dict[str, Connection] = {}
+        self.morphisms: dict[str, AlgebraMorphism] = {}
+        self.glue: GlueSpec | None = None
+        # kahler_module is memoized, so two `kahler;` modules over one algebra
+        # are one object: a connection's module name is kept, not looked up
+        self.connection_module: dict[str, str] = {}
 
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"

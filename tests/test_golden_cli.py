@@ -100,6 +100,17 @@ def test_the_cli_module_runs_as_a_program(case):
     assert f"exit: {proc.returncode}\n{proc.stdout}" == expected == render(argv)
 
 
+def test_the_package_runs_as_the_kcx_command():
+    """`python -m kcx` is the `kcx` command of a checkout that is not installed."""
+    argv = ["check", "examples_kcx/circle.kcx"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcx", *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert f"exit: {proc.returncode}\n{proc.stdout}" == render(argv)
+
+
 # Under `python -O` the falsified expectation below must still fail the
 # gallery: fat-point-empty is told its solve found a connection.
 FALSIFIED_GALLERY = """

@@ -1,8 +1,10 @@
-"""No module of the engine imports a name it never uses, imports inside a
-function without a reason, caches outside the one cache idiom, reduces a
-value only to unwrap its polynomial without a reason, or decides anything
-with an `assert` statement (Python drops those under -O), and the Groebner and
-linear-algebra kernels leave field arithmetic to `fields.py`.  Every function,
+"""No module of the engine imports a name it never uses, imports
+`dataclasses`, imports inside a function without a reason, caches outside the
+one cache idiom, reduces a value only to unwrap its polynomial without a
+reason, or decides anything with an `assert` statement (Python drops those
+under -O), and the Groebner and linear-algebra kernels leave field arithmetic
+to `fields.py`.  `import kcx` loads neither the dataclass machinery nor the
+definition-file layer.  Every function,
 method and class of the engine is read somewhere else in the engine, exported,
 or kept for a stated reason.
 
@@ -14,8 +16,10 @@ the standard library.  `__init__.py` is skipped: its imports are re-exports.
 """
 
 import ast
-import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -72,6 +76,61 @@ def test_detector_flags_an_assert_statement():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_statements(path.read_text()) == []
+
+
+def dataclass_imports(source: str) -> list[int]:
+    """Line of each import of `dataclasses`, anywhere in the module.
+
+    Records are `typing.NamedTuple`s or plain classes: `dataclasses` costs
+    `import kcx` its own import, those of `inspect` and the modules it pulls
+    in, and an `exec` per decorated class."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+
+
+def test_detector_flags_a_dataclass_import():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass, field\nfrom typing import NamedTuple\n"
+        "def f():\n    import dataclasses as dc\n    return dc\nimport dataclassesque\n"
+    )
+    assert dataclass_imports(source) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclass_imports(path):
+    assert dataclass_imports(path.read_text()) == []
+
+
+# what `import kcx` must not load: the dataclass machinery and what it pulls
+# in, the definition-file layer and the commands on top of it
+NOT_AT_IMPORT = ("dataclasses", "inspect", "kcx.workspace", "kcx.cli", "kcx.gallery")
+
+COLD_IMPORT = f"""
+import sys
+before = set(sys.modules)
+import kcx
+print(sorted(set({NOT_AT_IMPORT!r}) & (set(sys.modules) - before)))
+parse = kcx.parse_workspace
+print("kcx.workspace" in sys.modules)
+ws = sys.modules["kcx.workspace"]
+print([parse, kcx.Workspace, kcx.render_workspace] == [ws.parse_workspace, ws.Workspace, ws.render_workspace])
+"""
+
+
+def test_cold_import_loads_neither_dataclasses_nor_the_definition_file_layer():
+    """In a fresh interpreter, `import kcx` loads none of `NOT_AT_IMPORT`
+    (a module the interpreter had loaded before does not count), and reading
+    `kcx.parse_workspace` loads `kcx.workspace`, whose own objects the three
+    definition-file names of `kcx` then are."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT], capture_output=True, text=True, env=env, timeout=120, check=True
+    ).stdout
+    assert out.splitlines() == ["[]", "True", "True"]
 
 
 def local_imports(source: str) -> list[tuple[str, int]]:
@@ -334,7 +393,7 @@ def test_retired_methods_are_gone():
     assert not {"glue", "_glued_relations"} & {*vars(PresentedAlgebra), *vars(TensorAlgebra)}
     assert not hasattr(ctx.TAS, "glue") and not hasattr(ctx.A, "glue")
     # one check record, its residue already rendered: no sides kept apart
-    assert [f.name for f in dataclasses.fields(AxiomCheck)] == ["axiom_id", "status", "witness", "residue"]
+    assert list(AxiomCheck._fields) == ["axiom_id", "status", "witness", "residue"]
 
 
 # (file, qualified name): why a definition that nothing else in the engine
