@@ -288,17 +288,20 @@ class AlgebraMorphism:
             raw = [self.apply_raw(rel) for rel in self.dom.relations]
         return [(rel, AlgebraElement(self.cod, p)) for rel, p in zip(self.dom.relations, raw)]
 
-    def certify(self) -> "AlgebraMorphism":
+    def certify(self, also: Callable[[Polynomial], bool] | None = None) -> "AlgebraMorphism":
         """Prove that every domain relation maps to zero in the codomain.
 
         A raw image that is zero, or a codomain relation up to sign, is zero
-        there by definition (`PresentedAlgebra.proves_zero`).  Most structure
-        maps send every relation to one of those, and are then certified with
-        no codomain basis.  Otherwise the same images go through
-        `certificate`, whose first nonzero residue is the failure.
+        there by definition (`PresentedAlgebra.proves_zero`); `also`, when
+        given, is one more raw-zero test, tried on an image that one does not
+        settle (H passes `ShapeMap.proves_zero`).  Most structure maps send
+        every relation to one of those, and are then certified with no
+        codomain basis.  Otherwise the same images go through `certificate`,
+        whose first nonzero residue is the failure.
         """
         raw = [self.apply_raw(rel) for rel in self.dom.relations]
-        if not all(map(self.cod.proves_zero, raw)):
+        zero = self.cod.proves_zero
+        if not all(zero(v) or (also is not None and also(v)) for v in raw):
             for rel, residue in self.certificate(raw):
                 if not residue.is_zero():
                     raise WellDefinednessFailure(self.name or "morphism", rel.render(), residue.render())

@@ -9,12 +9,13 @@ and back; the axiom suite checks the four H diagrams, the four K diagrams and
 the two compatibility equations as morphism identities on generators.
 
 Each connection builds H and K once, on first use.  H is certified by
-reading alone, with no basis of T(S_A(M)) or T(A) (x)_A S_A(M)
-(`Connection._horizontal_certifies`): each raw relation image is a relation
-of the tensor or, for the d(rho), the write of Leibniz terms that combine to
-zero (`tangent.ShapeMap.proves_zero`).  T(A) (x)_A S_A(M) has one shared copy
-of A's generators, so H's raw images are read as given.  Data that fails the
-Leibniz rule falls back to H's full certificate, which reports the failure.
+`AlgebraMorphism.certify`, like every other map, reading alone with no basis
+of T(S_A(M)) or T(A) (x)_A S_A(M): each raw relation image is a relation of
+the tensor or, for the d(rho), the write of Leibniz terms that combine to
+zero (`tangent.ShapeMap.proves_zero`, the one extra test H passes to
+`certify`).  T(A) (x)_A S_A(M) has one shared copy of A's generators, so H's
+raw images are read as given.  Data that fails the Leibniz rule falls back to
+H's full certificate, which reports the failure.
 K is read off H as {1 - U.H} (`vertical_from_horizontal`) and inherits H's
 certificate, so it has no certificate of its own.  `from_horizontal` reads H's raw d(m) images: every
 monomial of bidegree (1,1) in T(A) (x)_A S_A(M) has shape form, and the
@@ -89,9 +90,15 @@ class Connection:
         H sends x and m into the S_A(M) factor (the injection i1; x lands on
         the one shared copy of A's generators), d(x) to d_x in the T(A)
         factor (the injection i0) and d(m) to write(Gamma(m)).  It is
-        certified by reading its raw relation images (`_horizontal_certifies`);
-        otherwise H's full certificate decides and names the first relation
-        with a nonzero residue.
+        certified by reading its raw relation images, with no basis: A's
+        relations r, their differentials d(r) and the linear forms rho of
+        M's rows go to relations of the tensor (`PresentedAlgebra.proves_zero`),
+        and H(d(rho)) is the write of rho's Leibniz terms, which combine to
+        zero exactly when the data passes the module-side Leibniz check
+        (`ShapeMap.proves_zero`, passed to `certify` as `also`).  No relation
+        is told apart by its place in T(S_A(M))'s list.  Data that fails
+        reaches H's full certificate, which names the first relation with a
+        nonzero residue.
         """
         ctx = self.ctx
         TS, T = ctx.TS, ctx.TAS
@@ -101,11 +108,7 @@ class Connection:
             images[x], images[TS.dmap[x]] = i1[x], i0[ctx.TA.dmap[x]]
         for m in ctx.M.gens:
             images[m], images[TS.dmap[m]] = i1[m], ctx.omega_m_shapes.write(self.gamma[m])
-        H = AlgebraMorphism(TS, T, images, certify=False, name="H")
-        if self._horizontal_certifies(H):
-            H.certified = True
-            return H
-        return H.certify()
+        return AlgebraMorphism(TS, T, images, certify=False, name="H").certify(ctx.omega_m_shapes.proves_zero)
 
     @cached_property
     def K(self) -> AlgebraMorphism:
@@ -113,20 +116,6 @@ class Connection:
         (`vertical_from_horizontal`) and certified by H's certificate; data
         that fails it raises H's failure here."""
         return vertical_from_horizontal(self.H, self.module)
-
-    def _horizontal_certifies(self, H: AlgebraMorphism) -> bool:
-        """Whether H visibly kills every relation of T(S_A(M)), with no basis.
-
-        H sends A's relations r, their differentials d(r) and the linear
-        forms rho of M's rows to relations of T(A) (x)_A S_A(M)
-        (`PresentedAlgebra.proves_zero`).  H(d(rho)) reads through
-        `omega_m_shapes` as the Leibniz terms of rho's row, which combine to
-        zero exactly when the data passes the module-side Leibniz check, and
-        then `ShapeMap.proves_zero` shows it is zero.  No relation is told
-        apart by its place in T(S_A(M))'s list.
-        """
-        T, shapes = self.ctx.TAS, self.ctx.omega_m_shapes
-        return all(T.proves_zero(v) or shapes.proves_zero(v) for v in map(H.apply_raw, self.ctx.TS.relations))
 
     def __repr__(self) -> str:
         rows = "; ".join(f"{g} -> {self.gamma[g].render()}" for g in self.module.gens)

@@ -145,14 +145,26 @@ def double_the_horizontal_torsion_route(monkeypatch) -> None:
     monkeypatch.setattr(curvature, "bracketing", doubled)
 
 
+def _record_calls(monkeypatch, method: str) -> list[AlgebraMorphism]:
+    """Record the morphism of every `AlgebraMorphism.<method>` call from here
+    on; arguments pass through."""
+    calls = []
+    original = getattr(AlgebraMorphism, method)
+
+    def recording(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraMorphism, method, recording)
+    return calls
+
+
 def record_certify_calls(monkeypatch) -> list[AlgebraMorphism]:
     """Record every `AlgebraMorphism.certify` call from here on."""
-    calls = []
-    certify = AlgebraMorphism.certify
+    return _record_calls(monkeypatch, "certify")
 
-    def recording(self):
-        calls.append(self)
-        return certify(self)
 
-    monkeypatch.setattr(AlgebraMorphism, "certify", recording)
-    return calls
+def record_certificate_calls(monkeypatch) -> list[AlgebraMorphism]:
+    """Record every full `AlgebraMorphism.certificate` call from here on: a
+    `certify` that makes none settled its map by reading."""
+    return _record_calls(monkeypatch, "certificate")

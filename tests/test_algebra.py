@@ -17,9 +17,11 @@ from kcx.algebra import (
 from kcx.dualnum import dual_numbers_structure
 from kcx.errors import OwnerMismatch, WellDefinednessFailure
 from kcx.fields import GF, QQ
+from kcx.gallery import GALLERY, run_gallery
 from kcx.parse import ParseError
 from kcx.poly import Polynomial
 
+import helpers
 from oracles import signed_sum_images
 
 
@@ -251,6 +253,31 @@ def test_matched_images_above_the_grade_cap_are_refused():
     within = PresentedAlgebra(QQ, gens, [rel], grading={"t": (0,), "dt": (1,)}, cap=(2,))
     assert AlgebraMorphism(square, within, {"s": Polynomial.variable(QQ, gens, "dt")}).certified
     assert "basis" not in within.__dict__
+
+
+def test_maps_settled_by_reading_in_the_gallery_have_zero_full_certificates(monkeypatch):
+    """Every map that `certify` settles with no `certificate` call while the
+    14 gallery cases run (H among them) has an all-zero full certificate,
+    with no image refused above the grade cap: `PresentedAlgebra.proves_zero`
+    and `ShapeMap.proves_zero` checked against normal forms on the engine's
+    own traffic."""
+    full, settled = helpers.record_certificate_calls(monkeypatch), []
+    certify = AlgebraMorphism.certify
+
+    def spying_certify(self, *args):
+        before = len(full)
+        out = certify(self, *args)
+        if len(full) == before:
+            settled.append(self)
+        return out
+
+    monkeypatch.setattr(AlgebraMorphism, "certify", spying_certify)
+    cases = run_gallery()
+    monkeypatch.undo()
+    assert len(cases) == len(GALLERY) == 14 and all(case.passed for case in cases), cases
+    assert "H" in {m.name for m in settled}
+    for m in settled:
+        assert all(res.is_zero() for _, res in m.certificate()), m.name
 
 
 def test_well_definedness_certificate_content(circle):

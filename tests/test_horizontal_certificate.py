@@ -330,9 +330,26 @@ def _unchecked_h(nabla: Connection) -> AlgebraMorphism:
     return AlgebraMorphism(ctx.TS, T, images, certify=False, name="H")
 
 
+def _settled_by_reading(nabla: Connection, H: AlgebraMorphism, full: list) -> bool:
+    """Certify H as `Connection.H` does, with `omega_m_shapes.proves_zero` as
+    the extra raw-zero test, and tell whether it was settled by reading:
+    `full` (a `helpers.record_certificate_calls` list) gained no call.  A
+    failure of the full certificate, or its refusal of an image above the
+    grade cap, counts as not settled."""
+    full.clear()
+    try:
+        H.certify(nabla.ctx.omega_m_shapes.proves_zero)
+    except WellDefinednessFailure:
+        pass
+    except ValueError as exc:
+        assert "graded truncation bound" in str(exc) and full
+    return full == []
+
+
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
-def test_leibniz_certificate_of_h_agrees_with_the_full_certificate(field):
+def test_leibniz_certificate_of_h_agrees_with_the_full_certificate(field, monkeypatch):
     rng = random.Random(2311 + field.char)
+    full = helpers.record_certificate_calls(monkeypatch)
     admissible = rejected = refused = 0
     for M in _modules(field):
         gamma = helpers.random_admissible_gamma(rng, M)
@@ -340,7 +357,7 @@ def test_leibniz_certificate_of_h_agrees_with_the_full_certificate(field):
             nabla = make_connection(M, gamma)
             H = to_horizontal(nabla)
             assert H.certified and H.images == _unchecked_h(nabla).images
-            assert nabla._horizontal_certifies(H)
+            assert _settled_by_reading(nabla, H, full)
             assert "basis" not in nabla.ctx.TAS.__dict__
             assert all(res.is_zero() for _, res in H.certificate())
             admissible += 1
@@ -351,7 +368,7 @@ def test_leibniz_certificate_of_h_agrees_with_the_full_certificate(field):
                 moved = dict(H.images)
                 moved[gen] = moved[gen] + rng.choice([_var(T, rng.choice(T.gens)), Polynomial.const(field, T.gens, 1)])
                 bad = AlgebraMorphism(H.dom, T, moved, certify=False, name="H")
-                if nabla._horizontal_certifies(bad):
+                if _settled_by_reading(nabla, bad, full):
                     assert all(res.is_zero() for _, res in bad.certificate()), gen
                 else:
                     refused += 1
@@ -359,7 +376,7 @@ def test_leibniz_certificate_of_h_agrees_with_the_full_certificate(field):
             nabla = Connection(M, helpers.random_gamma(rng, M))
             H = _unchecked_h(nabla)
             residues = [(rel.render(), res.render()) for rel, res in H.certificate() if not res.is_zero()]
-            assert nabla._horizontal_certifies(H) == (not residues), M
+            assert _settled_by_reading(nabla, H, full) == (not residues), M
             if not residues:
                 assert to_horizontal(nabla).certified
                 continue
@@ -368,6 +385,28 @@ def test_leibniz_certificate_of_h_agrees_with_the_full_certificate(field):
                 Connection(M, nabla.gamma).H
             assert (err.value.what, err.value.relation, err.value.residue) == ("H", *residues[0])
     assert admissible >= 3 and rejected >= 6 and refused >= 6
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_h_is_certified_by_one_certify_call_with_no_full_certificate(field, monkeypatch):
+    """`Connection.H` goes through `AlgebraMorphism.certify` like every other
+    map: on admissible data, building H makes one `certify` call, on H, and
+    no `certificate` call."""
+    rng = random.Random(4057 + field.char)
+    built = 0
+    for M in _modules(field):
+        gamma = helpers.random_admissible_gamma(rng, M)
+        if gamma is None:
+            continue
+        nabla = make_connection(M, gamma)
+        ctx = nabla.ctx
+        ctx.TS, ctx.TAS.i0, ctx.TAS.i1, ctx.omega_m_shapes  # what H reads is certified as it is built
+        calls, full = helpers.record_certify_calls(monkeypatch), helpers.record_certificate_calls(monkeypatch)
+        H = nabla.H
+        assert H.certified and len(calls) == 1 and calls[0] is H and full == []
+        monkeypatch.undo()
+        built += 1
+    assert built >= 3
 
 
 def _fallback_cases():

@@ -1,12 +1,12 @@
 """No module of the engine imports a name it never uses, imports
 `dataclasses`, imports inside a function without a reason, caches outside the
 one cache idiom, reduces a value only to unwrap its polynomial without a
-reason, or decides anything with an `assert` statement (Python drops those
+reason, sets a morphism's `certified` flag to True outside `certify` and the
+identity, or decides anything with an `assert` statement (Python drops those
 under -O), and the Groebner and linear-algebra kernels leave field arithmetic
 to `fields.py`.  `import kcx` loads neither the dataclass machinery nor the
-definition-file layer.  Every function,
-method and class of the engine is read somewhere else in the engine, exported,
-or kept for a stated reason.
+definition-file layer.  Every function, method and class of the engine is
+read somewhere else in the engine, exported, or kept for a stated reason.
 
 The package's public names are pinned, so adding or removing one is a
 deliberate edit here.
@@ -308,6 +308,66 @@ def test_every_allowed_reduction_is_still_there():
     assert set(EAGER_REDUCTIONS) <= found
 
 
+# functions that may set `certified` to True: `certify` proves it, and the
+# identity sends every relation to itself
+CERTIFIERS = ("AlgebraMorphism.certify", "identity_morphism")
+
+
+def certified_writes(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each write to a `certified` attribute
+    that is not False, True inside one of `CERTIFIERS`, or a copy of parent
+    maps' flags (`f.certified`, or such reads joined by `and`)."""
+    found = []
+
+    def copies(value) -> bool:
+        if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.And):
+            return all(map(copies, value.values))
+        return isinstance(value, ast.Attribute) and value.attr == "certified"
+
+    def allowed(value, scope: str) -> bool:
+        if isinstance(value, ast.Constant) and value.value is False:
+            return True
+        if isinstance(value, ast.Constant) and value.value is True:
+            return scope in CERTIFIERS
+        return copies(value)
+
+    def walk(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                writes = any(
+                    isinstance(t, ast.Attribute) and t.attr == "certified" for target in targets for t in ast.walk(target)
+                )
+                simple = isinstance(child, ast.Assign) and all(isinstance(t, ast.Attribute) for t in targets)
+                if writes and not (simple and allowed(child.value, scope)):
+                    found.append((scope, child.lineno))
+            walk(child, scope)
+
+    walk(ast.parse(source), "")
+    return found
+
+
+def test_detector_flags_a_hand_set_certified_flag():
+    source = (
+        "class AlgebraMorphism:\n    def __init__(self):\n        self.certified = False\n"
+        "    def certify(self):\n        self.certified = True\n\n"
+        "def identity_morphism(A):\n    ident.certified = True\n\n"
+        "def compose(f, g):\n    h.certified = f.certified and g.certified\n    k.certified = f.certified\n\n"
+        "class Connection:\n    def H(self):\n        H.certified = True\n"
+        "        H.certified = ok\n        H.certified = f.certified or True\n"
+        "        H.certified, K.certified = True, True\n        H.certified &= f.certified\n"
+    )
+    assert certified_writes(source) == [("Connection.H", line) for line in range(16, 21)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_certify_and_the_identity_set_the_certified_flag(path):
+    assert certified_writes(path.read_text()) == []
+
+
 # The public API of `kcx` as `from kcx import *` sees it: no submodule.
 PUBLIC_API = [
     "AffineSolutionSpace", "AlgebraElement", "AlgebraMorphism", "AxiomReport", "BaseMismatch",
@@ -388,7 +448,8 @@ def test_retired_methods_are_gone():
     assert not {"_affine_flip", "_affine_swap"} & set(vars(BundleContext))
     ctx = kcx.bundle_context(kcx.kahler_module(kcx.make_algebra(kcx.QQ, ("x", "y"), ["x^2 + y^2 - 1"])))
     assert [name for name in RETIRED_BUNDLE_ATTRIBUTES if hasattr(ctx, name)] == []
-    assert "render_table" not in vars(Connection)
+    # H is certified by `AlgebraMorphism.certify`, with its extra raw-zero test
+    assert not {"render_table", "_horizontal_certifies"} & set(vars(Connection))
     # the one-copy tensor needs no gluing: no renaming, no glued relations
     assert not {"glue", "_glued_relations"} & {*vars(PresentedAlgebra), *vars(TensorAlgebra)}
     assert not hasattr(ctx.TAS, "glue") and not hasattr(ctx.A, "glue")

@@ -115,7 +115,7 @@ def test_leibniz_certificate_agrees_with_the_full_certificate(field, monkeypatch
             nabla.ctx.omega_m_shapes  # the bundle's own maps are certified as they are built
             calls.clear()
             K = to_vertical(nabla)
-            assert K.certified and calls == []
+            assert K.certified and len(calls) == 1 and calls[0] is nabla.H  # H's own certify; K adds none
             assert "basis" not in nabla.ctx.TS.__dict__
             reference = _unchecked_k(nabla)
             assert {g: p.terms for g, p in K.images.items()} == {g: p.terms for g, p in reference.images.items()}
