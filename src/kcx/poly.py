@@ -27,13 +27,14 @@ from .fields import Coef, Field
 
 Exponent = tuple[int, ...]
 
-# Products and powers are expanded eagerly, so the parser and `substitute`
-# refuse any that could pass MAX_TERMS terms before expanding it: a product of
-# factors with s and t terms has at most s*t, a t-term power p^n at most
-# C(t+n-1, n).  The largest bound met by the tests, the gallery, the example
-# files and the benchmark is 3 when parsing and 66 when substituting; the
-# worst powers the parser accepts, (a+b+c+d+e)^19 and (a+b+c+d)^30, take 0.7 s
-# and 1.1 s on a 2 GHz Xeon core.
+# Products and powers are expanded eagerly, so the parser, `substitute` and
+# the connection entries of a definition file refuse any that could pass
+# MAX_TERMS terms before expanding it: a product of factors with s and t terms
+# has at most s*t, a t-term power p^n at most C(t+n-1, n).  The largest bound
+# met by the tests, the gallery, the example files and the benchmark is 3 when
+# parsing, 66 when substituting and 1 in a connection entry's products
+# COEF * partial(EXPR); the worst powers the parser accepts, (a+b+c+d+e)^19
+# and (a+b+c+d)^30, take 0.7 s and 1.1 s on a 2 GHz Xeon core.
 MAX_TERMS = 10_000
 
 

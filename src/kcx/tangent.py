@@ -18,24 +18,25 @@ The tangent structure p, 0, +, -, l, c (and the swap tau of T(A) (x)_A T(A))
 is one `TangentMaps` per algebra, `tangent_structure_maps(B)`, each map
 built on first use; the connection machinery reads it at A, at S_A(M) and,
 for H.4, at T(A).  S_A(M) is an additive bundle over A too: `_additive_bundle`
-builds its q/z/iota and `_fibrewise_sum`, on first use, its sigma (no verdict
-reads sigma or T(A)'s +, which `_fibrewise_sum` also builds).  These maps,
-lambda and U are `algebra.relabel` tables of signed generators;
-`AlgebraMorphism.apply_raw` applies those whose images are single signed
-generators (all but + and sigma) by moving exponents.
+builds its q/z/iota, `_vertical_lift` its lambda (and T(A)'s l) from T's
+`dmap`, and `_fibrewise_sum`, on first use, its sigma (no verdict reads sigma
+or T(A)'s +, which `_fibrewise_sum` also builds).  These maps and U are
+`algebra.relabel` tables of signed generators; `AlgebraMorphism.apply_raw`
+applies those whose images are single signed generators (all but + and
+sigma) by moving exponents.
 
 Module values move into bundle presentations and back through one `ShapeMap`
 per correspondence, each a table of signed products of generators: Omega(A)
 (x) M in T(A) (x)_A S_A(M) (the H and K images), psi/phi between
 Omega^2 (x) M and T^2(S_A(M)) (curvature) and psi-hat/phi-hat between
-Omega^2 and T(S_A(Omega)) (torsion).  `write` is the only writer and `read`
-the only reader of those shapes.  Each `write` sends every relation row of
-its module into the ideal of its bundle, so `ShapeMap.proves_zero` can show
-a raw value zero by reading alone: it certifies H (and so K, read off H as
-{1 - U.H}) and the curvature and torsion correspondences.  T(A) (x)_A S_A(M)
-and T(A) (x)_A T(A) have one copy of A's generators
-(`algebra.tensor_over_base`), so H's raw images are read as given; the copy
-names of a tensor are read from its `rename` tables.
+Omega^2 and T(S_A(Omega)) (torsion).  `write` is the only writer of those
+shapes, and `_scan` the one reader behind `read` and `proves_zero`.  Each
+`write` sends every relation row of its module into the ideal of its bundle,
+so `ShapeMap.proves_zero` can show a raw value zero by reading alone: it
+certifies H (and so K, read off H as {1 - U.H}) and the curvature and
+torsion correspondences.  T(A) (x)_A S_A(M) and T(A) (x)_A T(A) have one
+copy of A's generators (`algebra.tensor_over_base`), so H's raw images are
+read as given; the copy names of a tensor are read from its `rename` tables.
 
 Each module's bundle is `bundle_context(M)`, one `BundleContext` with the
 bundle's own maps (q/z/iota/sigma, lambda, U, the shapes) as attributes and
@@ -203,12 +204,7 @@ class TangentMaps:
     @cached_property
     def lift(self) -> AlgebraMorphism:
         """l: T(T(A)) -> T(A): kills both single levels, folds the mixed sort."""
-        table = {
-            g: self.TA.dmap[role.origin] if role.kind in ("dpd", "dpdm") else None
-            for g, role in self.TTA.roles.items()
-            if g not in self.A.gens
-        }
-        return relabel(self.TTA, self.TA, table, "l")
+        return _vertical_lift(self.A, self.TA, self.TTA, "l")
 
     @cached_property
     def flip(self) -> AlgebraMorphism:
@@ -235,6 +231,13 @@ def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, names: tuple[str,
         relabel(B, A, dict.fromkeys(fibre), names[1]),
         relabel(B, B, {m: f"-{m}" for m in fibre}, names[2]),
     )
+
+
+def _vertical_lift(A: PresentedAlgebra, B: PresentedAlgebra, TB: TangentPresentation, name: str) -> AlgebraMorphism:
+    """The vertical lift T(B) -> B of an additive bundle B over A: d(m) goes
+    to m for each fibre generator m, every other generator outside A to 0."""
+    table = dict.fromkeys(g for g in TB.gens if g not in A.gens)
+    return relabel(TB, B, {**table, **{TB.dmap[m]: m for m in B.gens if m not in A.gens}}, name)
 
 
 def _fibrewise_sum(include: AlgebraMorphism, name: str) -> AlgebraMorphism:
@@ -396,17 +399,25 @@ class ShapeMap:
                         out.pop(exp, None)
         return Polynomial._of_terms(f, self.P.gens, out)
 
-    def read(self, value: ElementLike) -> tuple[ModuleElement, Polynomial]:
-        """(module element, stray rest over P) of a bundle value, read as given."""
-        f, gens = self.P.field, self.module.base.gens
-        terms, stray = [], {}
+    def _scan(self, value: ElementLike) -> tuple[list[list[dict]], dict]:
+        """Each monomial of `value` read once: per generator and shape, the
+        read rest over A -> signed coefficient; and the stray monomials."""
+        f = self.P.field
+        reads = [[{} for _ in row] for row in self._write]
+        stray = {}
         for exp, c in self.P.polynomial(value).terms.items():
             hit = self._read.get(tuple(exp[i] for i in self._free))
             if hit is None:
                 stray[exp] = c
-                continue
-            rest = tuple(exp[p] for p in self._into)
-            terms.append((hit[0], Polynomial._of_terms(f, gens, {rest: f.mul(hit[2], c)})))
+            else:
+                reads[hit[0]][hit[1]][tuple(exp[p] for p in self._into)] = f.mul(hit[2], c)
+        return reads, stray
+
+    def read(self, value: ElementLike) -> tuple[ModuleElement, Polynomial]:
+        """(module element, stray rest over P) of a bundle value, read as given."""
+        reads, stray = self._scan(value)
+        f, gens = self.P.field, self.module.base.gens
+        terms = [(k, Polynomial._of_terms(f, gens, r)) for k, row in enumerate(reads) for r in row if r]
         return self.module.combine(terms), Polynomial._of_terms(f, self.P.gens, stray)
 
     def proves_zero(self, value: ElementLike) -> bool:
@@ -418,16 +429,10 @@ class ShapeMap:
         A-linear on raw values and sends every relation row of the module
         into P's ideal, so write_raw(R) is then zero in P.
         """
-        f = self.P.field
-        reads = [[{} for _ in row] for row in self._write]  # per generator and shape: rest -> coefficient
-        for exp, c in self.P.polynomial(value).terms.items():
-            hit = self._read.get(tuple(exp[i] for i in self._free))
-            if hit is None:
-                return False
-            reads[hit[0]][hit[1]][tuple(exp[p] for p in self._into)] = f.mul(hit[2], c)
-        if any(r != row[0] for row in reads for r in row[1:]):
+        reads, stray = self._scan(value)
+        if stray or any(r != row[0] for row in reads for r in row[1:]):
             return False
-        gens = self.module.base.gens
+        f, gens = self.P.field, self.module.base.gens
         R = self.module.combine((k, Polynomial._of_terms(f, gens, row[0])) for k, row in enumerate(reads))
         return R.is_zero()
 
@@ -456,13 +461,7 @@ class BundleContext:
         self.S_maps = tangent_structure_maps(self.S)
         self.TA, self.TS = self.A_maps.TA, self.S_maps.TA
         self.q, self.z, self.iota = _additive_bundle(A, self.S, ("q", "z", "iota"))
-        # module generators and d-of-base die under the bundle lift
-        lam_table = {
-            g: role.origin if role.kind == "dm" else None
-            for g, role in self.TS.roles.items()
-            if role.kind != "base"
-        }
-        self.lam = relabel(self.TS, self.S, lam_table, "lambda")
+        self.lam = _vertical_lift(A, self.S, self.TS, "lambda")
         # T(A) (x)_A S_A(M), with its two injections
         self.TAS = tensor_over_base(self.A_maps.p, self.q)
         self.omega_tensor_M = christoffel_target(M)

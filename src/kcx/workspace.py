@@ -37,7 +37,7 @@ from .modules import (
     make_module,
 )
 from .parse import ParseError, poly_normalize
-from .poly import Polynomial
+from .poly import MAX_TERMS, Polynomial
 
 
 class WorkspaceError(KcxError):
@@ -181,9 +181,10 @@ def _split_top_level(text: str, separators: str) -> list[tuple[str, str]]:
     return parts
 
 
-def _parse_connection_sum(text: str, cur: _Cursor, pos: int, M: PresentedModule) -> ModuleElement:
+def _parse_connection_sum(text: str, cur: _Cursor, pos: int, M: PresentedModule, name: str) -> ModuleElement:
     """`EXPR * d(EXPR) @ GEN` terms combined with +/-, in Omega(A) (x) M; `0`
-    is the zero image."""
+    is the zero image.  Each product EXPR * partial(EXPR) is refused, as the
+    parser refuses one, when it could pass MAX_TERMS terms."""
     A, target = M.base, christoffel_target(M)
     if text.strip() == "0":
         return target.zero()
@@ -211,7 +212,11 @@ def _parse_connection_sum(text: str, cur: _Cursor, pos: int, M: PresentedModule)
             raise cur.error(f"bad expression in connection term: {exc}", pos)
         coef = coef if sign == "+" else -coef
         l = M.gens.index(gen)
-        terms += [(target.pair_index(i, l), coef * inner.partial(x)) for i, x in enumerate(A.gens)]
+        for i, x in enumerate(A.gens):
+            dx = inner.partial(x)
+            if len(coef.terms) * len(dx.terms) > MAX_TERMS:
+                raise cur.error(f"connection {name!r}: expansion could pass {MAX_TERMS} terms", pos)
+            terms.append((target.pair_index(i, l), coef * dx))
     return target.combine(terms)
 
 
@@ -298,7 +303,7 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
             _fresh(cur, ws.connections, "connection", name, at)
             images = _images(
                 cur, entries, at, "connection", name, M.gens,
-                lambda rhs, pos: _parse_connection_sum(rhs, cur, pos, M),
+                lambda rhs, pos: _parse_connection_sum(rhs, cur, pos, M, name),
             )
             try:
                 ws.connections[name] = make_connection(M, images)

@@ -19,8 +19,11 @@ serve the dense membership oracles and the old solver columns.
 `partial_differential` builds d(p) as a sum of partial derivatives times
 differentials; it checks the one-pass `TangentPresentation.differential`.
 `signed_sum_images` adds each relabel image up from signed variables; it
-checks `relabel`'s term dicts.  `normal_form_agrees` compares two maps'
-images by normal forms alone; it checks `AlgebraMorphism.agrees_on`.
+checks `relabel`'s term dicts.  `role_kind_lift_table` and
+`role_kind_lambda_table` are the tables of l and lambda read from generator
+roles; they check `tangent._vertical_lift`, which reads T's `dmap` instead.
+`normal_form_agrees` compares two maps' images by normal forms alone; it
+checks `AlgebraMorphism.agrees_on`.
 
 The `chain_*` oracles build each module value as a chain of `pair`, `scaled`
 and `+`, reducing every link on its own; they check the one-writer
@@ -383,6 +386,23 @@ def signed_sum_images(dom_gens, cod, table) -> dict[str, Polynomial]:
         names = () if target is None else (target,) if isinstance(target, str) else target
         images[g] = sum(map(signed, names), Polynomial.zero(cod.field, cod.gens))
     return images
+
+
+def role_kind_lift_table(maps) -> dict:
+    """The `relabel` table of l: T(T(A)) -> T(A) read from generator roles:
+    the mixed sorts dpd/dpdm fold to their origin's d, every other generator
+    outside A goes to 0."""
+    return {
+        g: maps.TA.dmap[role.origin] if role.kind in ("dpd", "dpdm") else None
+        for g, role in maps.TTA.roles.items()
+        if g not in maps.A.gens
+    }
+
+
+def role_kind_lambda_table(ctx) -> dict:
+    """The `relabel` table of lambda: T(S_A(M)) -> S_A(M) read from generator
+    roles: d(m) (kind dm) goes to m, module generators and d-of-base to 0."""
+    return {g: role.origin if role.kind == "dm" else None for g, role in ctx.TS.roles.items() if role.kind != "base"}
 
 
 def normal_form_agrees(f, g, gen: str) -> bool:

@@ -22,7 +22,7 @@ from kcx.connections import (
 from kcx.algebra import AlgebraMorphism
 from kcx.errors import AxiomFailure, BaseMismatch, SectionRetractionFailure, WellDefinednessFailure
 from kcx.fields import QQ
-from kcx.modules import ModuleMorphism, free_module, kahler_module
+from kcx.modules import ModuleMorphism, christoffel_target, free_module, kahler_module, make_module
 from kcx.tangent import bundle_context
 from kcx.poly import Polynomial
 
@@ -338,6 +338,33 @@ def test_pullback_free_from_rationals(plane):
     f = make_morphism(base, plane, {})
     pulled = pullback_connection(nabla, f)
     assert connection_equal(pulled, free_canonical_connection(plane, 2))
+
+
+def test_pullback_certifies_an_uncertified_morphism_first(circle, plane):
+    nabla = helpers.circle_canonical(circle)
+    x, y = (Polynomial.variable(QQ, circle.gens, g) for g in circle.gens)
+    f = AlgebraMorphism(circle, circle, {"x": x, "y": y}, certify=False)
+    assert not f.certified
+    assert connection_equal(pullback_connection(nabla, f), nabla) and f.certified
+    x1, x2 = (Polynomial.variable(QQ, plane.gens, g) for g in plane.gens)
+    ill_defined = AlgebraMorphism(circle, plane, {"x": x1, "y": x2}, certify=False)
+    with pytest.raises(WellDefinednessFailure):
+        pullback_connection(nabla, ill_defined)
+    assert not ill_defined.certified
+
+
+def test_connection_equal_compares_presentations_built_apart(plane):
+    """Modules built apart are equal when base, generators and relations are:
+    e1 = e2 and e1 = -e2 both carry the zero connection."""
+
+    def zero_on(row):
+        M = make_module(plane, ("e1", "e2"), [row])
+        return make_connection(M, {g: christoffel_target(M).zero() for g in M.gens})
+
+    same, other = zero_on(["1", "-1"]), zero_on(["1", "-1"])
+    assert same.module is not other.module
+    assert connection_equal(same, other)
+    assert not connection_equal(same, zero_on(["1", "1"]))
 
 
 def test_retract_circle_reproduces_canonical(circle):

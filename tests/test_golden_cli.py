@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from kcx import gallery
 from kcx.cli import run
+from kcx.errors import KcxError
 from kcx.workspace import parse_workspace, render_workspace
 
 ROOT = Path(__file__).parent.parent
@@ -136,6 +138,13 @@ def test_gallery_expectations_hold_under_python_O():
     assert (proc.returncode, proc.stderr) == (1, "1\n")
     failed = [line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
     assert failed == ["[FAIL] fat-point-empty  residue: expectation failed: no connection exists on this module"]
+
+
+def test_a_gallery_case_that_raises_is_reported_as_failed():
+    def broken():
+        raise KcxError("no basis")
+
+    assert gallery._case("broken", broken) == ("broken", False, "error: no basis")
 
 
 @pytest.mark.parametrize("stem", RENDERED)

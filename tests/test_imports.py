@@ -2,9 +2,10 @@
 `dataclasses`, imports inside a function without a reason, caches outside the
 one cache idiom, reduces a value only to unwrap its polynomial without a
 reason, sets a morphism's `certified` flag to True outside `certify` and the
-identity, or decides anything with an `assert` statement (Python drops those
-under -O), and the Groebner and linear-algebra kernels leave field arithmetic
-to `fields.py`.  `import kcx` loads neither the dataclass machinery nor the
+identity, reads a generator role outside the presentation builders, or
+decides anything with an `assert` statement (Python drops those under -O),
+and the Groebner and linear-algebra kernels leave field arithmetic to
+`fields.py`.  `import kcx` loads neither the dataclass machinery nor the
 definition-file layer.  Every function, method and class of the engine is
 read somewhere else in the engine, exported, or kept for a stated reason.
 
@@ -366,6 +367,53 @@ def test_detector_flags_a_hand_set_certified_flag():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_certify_and_the_identity_set_the_certified_flag(path):
     assert certified_writes(path.read_text()) == []
+
+
+# (file, function) that may read a generator role's `kind` or `origin`: the
+# builders of presentations and the namer of differentials.  Structure maps
+# read T's `dmap` instead.
+ROLE_READERS = {
+    ("algebra.py", "tensor_over_base"),
+    ("tangent.py", "_next_role"),
+    ("tangent.py", "TangentPresentation.__init__"),
+}
+
+
+def role_reads(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each read of a `kind` or `origin` attribute."""
+    found = []
+
+    def walk(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("kind", "origin") and isinstance(child.ctx, ast.Load):
+                found.append((scope, child.lineno))
+            walk(child, scope)
+
+    walk(ast.parse(source), "")
+    return found
+
+
+def test_detector_flags_a_role_read():
+    source = (
+        "def _next_role(B, g):\n    return B.roles[g].kind\n\n"
+        "class TangentMaps:\n    def lift(self):\n"
+        "        return {g: r.origin for g, r in self.TTA.roles.items() if r.kind == 'dpd'}\n"
+        "    def flip(self):\n        role.kind = 'd'\n"
+    )
+    assert role_reads(source) == [("_next_role", 2), ("TangentMaps.lift", 6), ("TangentMaps.lift", 6)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_presentation_builders_read_generator_roles(path):
+    assert [(f, line) for f, line in role_reads(path.read_text()) if (path.name, f) not in ROLE_READERS] == []
+
+
+def test_every_role_reader_still_reads_roles():
+    found = {(path.name, f) for path in MODULES for f, _ in role_reads(path.read_text())}
+    assert ROLE_READERS <= found
 
 
 # The public API of `kcx` as `from kcx import *` sees it: no submodule.

@@ -7,7 +7,7 @@ import kcx.connections
 import kcx.linsolve
 import kcx.solve
 from kcx.algebra import make_algebra, relabel
-from kcx.connections import make_connection
+from kcx.connections import make_connection, zero_gamma_connection
 from kcx.dualnum import DualBundle, dual_bundle, dual_connection_solve, dual_numbers_structure
 from kcx.errors import KcxError, SolverTooLarge, WellDefinednessFailure
 from kcx.fields import GF, QQ
@@ -460,6 +460,15 @@ def test_non_invertible_transition_rejected():
     with pytest.raises(KcxError):
         glued_connection_check(
             A1, "x", A2, "y", {"x": "y", "x_inv": "y_inv"}, {"y": "x_inv", "y_inv": "x"}
+        )
+
+
+def test_gluing_refuses_a_connection_on_one_chart_only():
+    A1, A2 = make_algebra(QQ, ("x",)), make_algebra(QQ, ("y",))
+    with pytest.raises(KcxError, match="^give connections for both charts or neither$"):
+        glued_connection_check(
+            A1, "x", A2, "y", {"x": "y_inv", "x_inv": "y"}, {"y": "x_inv", "y_inv": "x"},
+            nabla1=zero_gamma_connection(kahler_module(A1)),
         )
 
 

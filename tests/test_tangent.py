@@ -5,8 +5,8 @@ import weakref
 import pytest
 
 from kcx import gallery
-from kcx.algebra import AlgebraMorphism, compose_chain, compose_morphisms, identity_morphism, localize, make_algebra
-from kcx.algebra import make_morphism
+from kcx.algebra import AlgebraMorphism, PresentedAlgebra, compose_chain, compose_morphisms, identity_morphism, localize
+from kcx.algebra import make_algebra, make_morphism
 from kcx.connections import connection_equal, free_canonical_connection, from_horizontal, to_horizontal, to_vertical
 from kcx.connections import make_connection
 from kcx.connections import verify_connection_axioms
@@ -30,6 +30,7 @@ from kcx.tangent import (
 
 import helpers
 from oracles import bidegree_split, leibniz_tensor_presentation, partial_differential
+from oracles import role_kind_lambda_table, role_kind_lift_table, signed_sum_images
 
 
 def axiom_maps(ctx) -> list[AlgebraMorphism]:
@@ -181,6 +182,28 @@ def test_lambda_values_and_lift_embedding(circle):
     # The composite m -> lam(d(m)) is the identity embedding of the module.
     for m in omega.gens:
         assert b.lam(TS.d(b.S.gen(m))) == b.S.gen(m)
+
+
+def assert_images_are_the_table(f, table):
+    want = signed_sum_images(f.dom.gens, f.cod, table)
+    for g in f.dom.gens:
+        assert f.images[g].vars == f.cod.gens and f.images[g].terms == want[g].terms, (f.name, g)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+def test_vertical_lifts_are_the_role_kind_tables(field):
+    """l at A and at S_A(M), and lambda, built from T's dmap, against the
+    tables read from generator roles, on seeded algebras and modules."""
+    rng = random.Random(3607)
+    for _ in range(3):
+        gens = ("x", "y", "z")[: rng.randint(1, 3)]
+        A = PresentedAlgebra(field, gens, [random_polynomial(rng, field, gens, 3)] * rng.randint(0, 1))
+        rows = [[random_polynomial(rng, field, gens, 2) for _ in range(2)]]
+        for M in (kahler_module(A), free_module(A, rng.randint(1, 2)), make_module(A, ("u", "v"), rows)):
+            ctx = bundle_context(M)
+            for maps in (tangent_structure_maps(A), ctx.S_maps):
+                assert_images_are_the_table(maps.lift, role_kind_lift_table(maps))
+            assert_images_are_the_table(ctx.lam, role_kind_lambda_table(ctx))
 
 
 def test_derived_structures_die_with_their_algebra():

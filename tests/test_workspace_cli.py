@@ -1,6 +1,7 @@
 import argparse
 import json
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -422,6 +423,32 @@ def test_runaway_morphism_substitution_is_refused_before_it_runs(tmp_path):
     assert text == f"error: morphism 'f': substitution could pass {MAX_TERMS} terms (line 3, column 1)"
 
 
+def test_runaway_connection_product_is_refused_before_it_runs(tmp_path):
+    """A connection entry multiplies COEF by each partial of EXPR.  With
+    (a+b+c+d)^24 on both sides that product ran for tens of seconds before it
+    was bounded like parsed products; the largest power whose products stay
+    within the bound still loads."""
+
+    def source(n: int) -> str:
+        return (
+            "algebra A { char: 0; vars: a, b, c, d; }\nmodule F over A { free: 1; }\n"
+            f"connection nabla on F {{ e1 -> (a+b+c+d)^{n} * d((a+b+c+d)^{n}) @ e1; }}\n"
+        )
+
+    path = tmp_path / "big.kcx"
+    path.write_text(source(24))
+    start = time.perf_counter()
+    code, text = run(["check", str(path)])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert text == f"error: connection 'nabla': expansion could pass {MAX_TERMS} terms (line 3, column 25)"
+    # (a+b+c+d)^n has C(n+3, 3) terms and each partial C(n+2, 3)
+    n = max(k for k in range(1, 25) if comb(k + 3, 3) * comb(k + 2, 3) <= MAX_TERMS)
+    for power, want in ((n, 0), (n + 1, 2)):
+        path.write_text(source(power))
+        assert run(["check", str(path)])[0] == want, power
+
+
 def test_runaway_glue_inverse_check_is_refused_at_the_inverse_entry():
     """The inverse check composes tinv after t, which expands w^20 in
     z + x + x_inv + 1 + z*x past the bound; parsing composes neither map, so
@@ -530,3 +557,51 @@ def test_a_shared_parser_answers_each_argv_as_a_fresh_one(monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", columns)
         for argv in SHARED_PARSER_ARGVS + SHARED_PARSER_ARGVS[::-1]:
             assert _outcome(argv, capsys) == fresh[columns, tuple(argv)], (columns, argv)
+
+
+GLUE_BLOCK = "glue {\n  chart1: A1 at x;\n  chart2: A2 at y;\n  transition: t;\n  inverse: tinv;\n}\n"
+# definition files the CLI refuses with exit 2: id, source, command and the
+# message after "error: "
+REFUSALS = [
+    ("unterminated", "algebra A { char: 0; vars: x;", "check", "unterminated block (line 1, column 30)"),
+    ("empty", "# nothing here\n", "check", "empty definition file"),
+    ("no-char", "algebra A { vars: x; }\n", "check", "algebra block needs a char entry (line 1, column 1)"),
+    (
+        "mixed-char",
+        "algebra A { char: 0; vars: x; }\nalgebra B { char: 2; vars: y; }\n",
+        "check",
+        "all algebras in one file must share the characteristic (line 2, column 1)",
+    ),
+    (
+        "char-4",
+        "algebra A { char: 4; vars: x; }\n",
+        "check",
+        "bad algebra 'A': characteristic must be 0 or a prime below 2**31, got 4 (line 1, column 1)",
+    ),
+    ("two-glues", read("p1.kcx") + GLUE_BLOCK, "glue", "only one glue block is allowed (line 23, column 1)"),
+    (
+        "chart-entry",
+        read("p1.kcx").replace("chart1: A1 at x;", "chart1: A1;"),
+        "glue",
+        "chart entries must look like 'NAME at VAR' (line 17, column 1)",
+    ),
+    (
+        "chart-generators",
+        read("p1.kcx").replace("x_inv", "x_i"),
+        "glue",
+        "morphism 't' must go between the localized charts "
+        "(expected generators ('x', 'x_inv') -> ('y', 'y_inv')) (line 20, column 3)",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,source,command,message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_definition_file_refusals_exit_2_with_their_message(tmp_path, name, source, command, message):
+    path = tmp_path / f"{name}.kcx"
+    path.write_text(source)
+    assert run([command, str(path)]) == (2, f"error: {message}")
+
+
+def test_an_unknown_connection_name_exits_2():
+    code, text = run(["check", str(FILES / "circle.kcx"), "--connection", "nope"])
+    assert (code, text) == (2, "error: no connection named 'nope' in the file")
