@@ -56,7 +56,6 @@ from .errors import (
     BaseMismatch,
     BracketingConditionFailure,
     KcxError,
-    MembershipFailure,
     ModuleNotKahler,
     SectionRetractionFailure,
     SolverTooLarge,

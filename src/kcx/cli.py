@@ -370,7 +370,3 @@ def main() -> None:
     if text:
         print(text)
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    main()

@@ -17,11 +17,14 @@ zero (`tangent.ShapeMap.proves_zero`, the one extra test H passes to
 raw images are read as given.  Data that fails the Leibniz rule falls back to
 H's full certificate, which reports the failure.
 K is read off H as {1 - U.H} (`vertical_from_horizontal`) and inherits H's
-certificate, so it has no certificate of its own.  `from_horizontal` reads H's raw d(m) images: every
-monomial of bidegree (1,1) in T(A) (x)_A S_A(M) has shape form, and the
-ideal's bidegree-(1,1) part reads into relation rows of Omega (x) M, so the
-raw read and the normal-form read give the same connection; an image with
-stray terms is read from its normal form.
+certificate, so it has no certificate of its own.
+
+`from_horizontal` reads each raw d(m) image of H once and keeps its
+bidegree-(1,1) part (tangent degree, fibre degree).  H.3 and H.4 force the
+image to equal that part modulo the ideal, which is bihomogeneous; the (1,1)
+monomials are exactly the shape monomials of Omega (x) M, and the ideal's
+(1,1) part reads into its relation rows, so the raw read gives the
+connection the normal-form read would (the argument is in its docstring).
 
 Every check, from this axiom suite to `kcx` output, is one `AxiomCheck`; a
 failing one renders its residue once, where it fails (`morphism_equality`).
@@ -41,7 +44,6 @@ from .algebra import (
 )
 from .errors import (
     AxiomFailure,
-    MembershipFailure,
     SectionRetractionFailure,
     WellDefinednessFailure,
 )
@@ -186,22 +188,27 @@ def to_vertical(nabla: Connection) -> AlgebraMorphism:
 
 
 def from_horizontal(H: AlgebraMorphism, M: PresentedModule) -> Connection:
-    """Recover the connection from a horizontal form (axioms checked first);
-    a raw d(m) image with stray terms is read from its normal form."""
+    """Recover the connection from a horizontal form (axioms checked first)
+    by one raw read of each d(m) image; the stray terms are dropped.
+
+    Let P = H(d(m)) in T(A) (x)_A S_A(M), graded by (tangent degree, fibre
+    degree).  The ideal is bihomogeneous (A's relations have bidegree (0,0),
+    the d(r) (1,0), the rho (0,1)), so the quotient is bigraded.  The checked
+    H.3 reads P = sum_x d_x * (dP/dd_x at d = 0) there, since `h3_down` keeps
+    only d'(d_x#0) -> d_x#0: P is its tangent-degree-1 part.  H.4 reads
+    P = sum_m m * (dP/dm at m = 0), since `h4_down` keeps only d'(m#1) ->
+    m#1: P is its fibre-degree-1 part.  So P is congruent to its raw (1,1)
+    part.  The (1,1) monomials are exactly the shape monomials
+    d_x#0 * m#1 * (A-monomial), and the ideal's (1,1) part reads into
+    relation rows of Omega (x) M, so the raw read gives the connection the
+    normal-form read gives.  An image above the grade cap is refused by the
+    axiom check.
+    """
     ctx = bundle_context(M)
     report = verify_horizontal_axioms(H, M)
     if not report.all_pass:
         raise AxiomFailure(report)
-    images = {}
-    for m in M.gens:
-        dm = ctx.TS.dmap[m]
-        elem, stray = ctx.omega_m_shapes.read(H.images[dm])
-        if not stray.is_zero():
-            elem, stray = ctx.omega_m_shapes.read(H.image_of(dm))
-        if not stray.is_zero():
-            raise MembershipFailure(m, stray.render())
-        images[m] = elem
-    return make_connection(M, images)
+    return make_connection(M, {m: ctx.omega_m_shapes.read(H.images[ctx.TS.dmap[m]])[0] for m in M.gens})
 
 
 def vertical_from_horizontal(H: AlgebraMorphism, M: PresentedModule) -> AlgebraMorphism:

@@ -54,15 +54,6 @@ class SectionRetractionFailure(KcxError):
     pass
 
 
-class MembershipFailure(KcxError):
-    """An element that should lie in the form-tensor-module part does not."""
-
-    def __init__(self, generator: str, stray):
-        self.generator = generator
-        self.stray = stray
-        super().__init__(f"image of d({generator}) has terms outside the expected component: {stray}")
-
-
 class ModuleNotKahler(KcxError):
     pass
 

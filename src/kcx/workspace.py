@@ -284,16 +284,13 @@ def parse_workspace(text: str, char_override: int | None = None) -> Workspace:
                     gens = _refuse_variables(cur, _names_entry(cur, key, val, pos), A, alg_name, pos)
             if rels and kind != "gens":
                 raise cur.error("a module rel: entry needs a gens: entry", rels[0][1])
-            try:
-                if kind == "kahler":
-                    ws.modules[name] = kahler_module(A)
-                elif kind == "free":
-                    ws.modules[name] = free_module(A, free_rank)
-                else:
-                    rows = [_parse_module_relation(r, A, gens, cur, pos) for r, pos in rels]
-                    ws.modules[name] = make_module(A, gens, rows)
-            except ValueError as exc:
-                raise cur.error(f"bad module {name!r}: {exc}", at)
+            if kind == "kahler":
+                ws.modules[name] = kahler_module(A)
+            elif kind == "free":
+                ws.modules[name] = free_module(A, free_rank)
+            else:
+                rows = [_parse_module_relation(r, A, gens, cur, pos) for r, pos in rels]
+                ws.modules[name] = make_module(A, gens, rows)
         elif keyword == "connection":
             name = cur.take_word()
             cur.expect("on")

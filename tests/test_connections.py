@@ -306,8 +306,10 @@ def test_membership_failure_on_alien_horizontal(plane):
     H = to_horizontal(nabla)
     ctx = nabla.ctx
     bad = dict(H.images)
-    # push a (2,0)-bidegree term into the d(m) image: passes no axioms? it will
-    # break H.3/H.4 first, so go through the raw extraction path instead.
+    # a d_x1#0 term of bidegree (1,0) added to a d(m) image reads as stray;
+    # such an H fails H.4, and `from_horizontal` checks the axioms before it
+    # reads (the padded oracle in test_horizontal_certificate.py), so only
+    # the raw read is tested here
     extra = Polynomial.variable(QQ, ctx.TAS.gens, "d_x1#0")  # bidegree (1,0): stray
     elem = ctx.TAS.element(bad[ctx.TS.dmap["d(x1)"]] + extra)
     _, stray = ctx.omega_m_shapes.read(elem)

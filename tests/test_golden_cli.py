@@ -15,7 +15,7 @@ import pytest
 
 from kcx import gallery
 from kcx.cli import run
-from kcx.errors import KcxError
+from kcx.errors import KcxError, WellDefinednessFailure
 from kcx.workspace import parse_workspace, render_workspace
 
 ROOT = Path(__file__).parent.parent
@@ -79,8 +79,10 @@ def test_cli_output_matches_golden(name, argv):
     assert render(argv) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-# `python -m kcx.cli` argv, exit code and expected output: the gallery's
-# golden file, a check that fails (exit 1) and a usage error (exit 2)
+# `python -m kcx` argv, exit code and expected output: the gallery's golden
+# file, a check that fails (exit 1) and a usage error (exit 2).  `kcx.cli` has
+# no `__main__` block of its own: the console script and `python -m kcx` run
+# its `main`
 PROGRAM_CASES = {
     "gallery": (["gallery"], 0, (GOLDEN / "gallery.txt").read_text(encoding="utf-8")),
     "no_connection": (["check", "examples_kcx/fatpoint.kcx"], 1,
@@ -96,7 +98,7 @@ def test_the_cli_module_runs_as_a_program(case):
     argv, code, expected = PROGRAM_CASES[case]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "kcx.cli", *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-m", "kcx", *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert (proc.returncode, proc.stderr) == (code, "")
     assert f"exit: {proc.returncode}\n{proc.stdout}" == expected == render(argv)
@@ -145,6 +147,22 @@ def test_a_gallery_case_that_raises_is_reported_as_failed():
         raise KcxError("no basis")
 
     assert gallery._case("broken", broken) == ("broken", False, "error: no basis")
+
+
+def test_falsified_gallery_expectations_are_reported_in_process(monkeypatch):
+    """The circle case's two refusals, in this process: zero data that is
+    accepted, and a rejection with another residue, each an expectation
+    failure (the `python -O` run above sees `_expect` only in a subprocess)."""
+    case = "circle-naive-reject"
+    monkeypatch.setattr(gallery, "zero_gamma_connection", lambda M: None)
+    assert gallery._case(case, gallery._circle_naive_reject) == (
+        case, False, "expectation failed: zero data must be rejected on the circle")
+
+    def other_residue(M):
+        raise WellDefinednessFailure("connection", "x^2 + y^2 - 1", "1")
+
+    monkeypatch.setattr(gallery, "zero_gamma_connection", other_residue)
+    assert gallery._case(case, gallery._circle_naive_reject) == (case, False, "expectation failed: residue was 1")
 
 
 @pytest.mark.parametrize("stem", RENDERED)

@@ -20,7 +20,7 @@ import pytest
 
 from kcx.algebra import AlgebraMorphism, make_algebra, make_morphism, tensor_over_base
 from kcx.connections import Connection, connection_equal, from_horizontal, make_connection, to_horizontal
-from kcx.errors import WellDefinednessFailure
+from kcx.errors import AxiomFailure, WellDefinednessFailure
 from kcx.fields import GF, QQ
 from kcx.modules import christoffel_target, free_module, kahler_module, make_module
 from kcx.poly import Polynomial
@@ -478,3 +478,85 @@ def test_raw_images_with_stray_terms_are_read_from_their_normal_forms():
     _, stray = ctx.omega_m_shapes.read(padded.images[ctx.TS.dmap[nabla.module.gens[0]]])
     assert not stray.is_zero()
     assert connection_equal(from_horizontal(padded, nabla.module), nabla)
+
+
+def _oracle_modules(field):
+    """Kahler and free modules of the circle, S^2, the elliptic curve and the plane."""
+    algebras = [
+        make_algebra(field, ("x", "y"), ["x^2 + y^2 - 1"]),
+        helpers.sphere(2, field),
+        make_algebra(field, ("x", "y"), ["y^2 - x^3 - 1"]),
+        make_algebra(field, ("x1", "x2")),
+    ]
+    return [M for A in algebras for M in (kahler_module(A), free_module(A, 2))]
+
+
+def _bidegree(T, exp):
+    return tuple(map(sum, zip((0, 0), *(tuple(e * w for w in T.grading[g]) for g, e in zip(T.gens, exp) if e))))
+
+
+def _random_of_bidegree(rng, ctx, bidegree):
+    """A random nonzero A-polynomial over x#1 times one generator of each
+    nonzero sort in `bidegree`: d_x#0 for tangent degree 1, m#1 for fibre
+    degree 1."""
+    T = ctx.TAS
+    sorts = [[g for g in T.gens if T.grading[g] == unit] for unit, k in zip(((1, 0), (0, 1)), bidegree) if k]
+    coef = Polynomial.zero(T.field, ctx.A.gens)
+    while coef.is_zero():
+        coef = helpers.random_poly(rng, ctx.A.gens, 2, T.field)
+    p = coef.change_vars(T.gens, {x: f"{x}#1" for x in ctx.A.gens})
+    for gens in sorts:
+        p = p * _var(T, rng.choice(gens))
+    return p
+
+
+def _random_ideal_element(rng, ctx, bidegree):
+    """A random element of the tensor's ideal of the given bidegree: the sum
+    of each relation of bidegree at most `bidegree` times a random
+    multiplier that makes up the difference."""
+    T = ctx.TAS
+    out = Polynomial.zero(T.field, T.gens)
+    for r in T.relations:
+        rest = tuple(t - b for t, b in zip(bidegree, _bidegree(T, next(iter(r.terms)))))
+        if min(rest) >= 0:
+            out = out + _random_of_bidegree(rng, ctx, rest) * r
+    return out
+
+
+BIDEGREES = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+def test_padded_horizontal_forms_read_back_to_their_connection(field):
+    """Oracle for `from_horizontal`'s one raw read.  An admissible H whose
+    d(m) images carry random ideal elements of every bidegree within the cap
+    is read back to its connection, and each raw read equals the read of the
+    normal form.  A padding of bidegree (0,0), (1,0) or (0,1) outside the
+    ideal is refused by the axiom check."""
+    rng = random.Random(3701 + field.char)
+    checked = refused = 0
+    for M in _oracle_modules(field):
+        gamma = helpers.random_admissible_gamma(rng, M)
+        if gamma is None:
+            continue
+        nabla = make_connection(M, gamma)
+        ctx, H = nabla.ctx, to_horizontal(nabla)
+        T, shapes = ctx.TAS, ctx.omega_m_shapes
+        dms = [ctx.TS.dmap[m] for m in M.gens]
+        for bidegree in BIDEGREES:
+            images = {g: p + _random_ideal_element(rng, ctx, bidegree) if g in dms else p for g, p in H.images.items()}
+            padded = AlgebraMorphism(H.dom, T, images, certify=False, name="H")
+            for dm in dms:
+                assert shapes.read(padded.images[dm])[0] == shapes.read(padded.image_of(dm))[0]
+            assert connection_equal(from_horizontal(padded, M), nabla)
+        for bidegree in BIDEGREES[:3]:
+            stray = Polynomial.zero(T.field, T.gens)
+            while T.element(stray).is_zero():
+                stray = _random_of_bidegree(rng, ctx, bidegree)
+            images = dict(H.images)
+            images[rng.choice(dms)] += stray
+            with pytest.raises(AxiomFailure):
+                from_horizontal(AlgebraMorphism(H.dom, T, images, certify=False, name="H"), M)
+            refused += 1
+        checked += 1
+    assert checked >= 7 and refused == 3 * checked

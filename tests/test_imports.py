@@ -420,7 +420,7 @@ def test_every_role_reader_still_reads_roles():
 PUBLIC_API = [
     "AffineSolutionSpace", "AlgebraElement", "AlgebraMorphism", "AxiomReport", "BaseMismatch",
     "BracketingConditionFailure", "Connection", "Field", "GF", "IdealBasis", "KcxError",
-    "LinearEquation", "MembershipFailure", "ModuleBasis", "ModuleElement", "ModuleMorphism",
+    "LinearEquation", "ModuleBasis", "ModuleElement", "ModuleMorphism",
     "ModuleNotKahler", "ParseError", "Polynomial", "PresentedAlgebra", "PresentedModule", "QQ",
     "SectionRetractionFailure", "SolverTooLarge", "WellDefinednessFailure", "Workspace",
     "affine_linear_solve", "apply_connection", "bracketing", "bundle_combine", "bundle_context",
@@ -503,6 +503,8 @@ def test_retired_methods_are_gone():
     assert not hasattr(ctx.TAS, "glue") and not hasattr(ctx.A, "glue")
     # one check record, its residue already rendered: no sides kept apart
     assert list(AxiomCheck._fields) == ["axiom_id", "status", "witness", "residue"]
+    # `from_horizontal` reads the (1,1) part of each raw image: no membership refusal
+    assert not hasattr(kcx.errors, "MembershipFailure")
 
 
 # (file, qualified name): why a definition that nothing else in the engine
