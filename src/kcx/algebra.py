@@ -503,11 +503,6 @@ class TensorAlgebra(PresentedAlgebra):
         self.i0 = relabel(left, self, rename0, "i0")
         self.i1 = relabel(right, self, rename1, "i1")
 
-    def pair(self, w: ElementLike, v: ElementLike) -> AlgebraElement:
-        """The simple tensor w (x) v."""
-        w, v = self.factors[0].polynomial(w), self.factors[1].polynomial(v)
-        return AlgebraElement(self, self.i0.apply_raw(w) * self.i1.apply_raw(v))
-
 
 def tensor_over_base(
     f1: AlgebraMorphism,

@@ -185,12 +185,6 @@ def tangent_torsion(nabla: Connection) -> AlgebraMorphism:
     return v_k
 
 
-def torsionfree_horizontal_criterion(nabla: Connection) -> bool:
-    """Flip-equivariance of the horizontal form, the torsion-free test."""
-    ctx, H = nabla.ctx, nabla.H
-    return compose_chain([ctx.affine_flip, H]) == compose_chain([H, ctx.affine_swap])
-
-
 # ---------------------------------------------------------------------------
 # correspondence checks (the factor-of-two identities)
 # ---------------------------------------------------------------------------

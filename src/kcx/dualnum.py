@@ -21,12 +21,14 @@ from .poly import Polynomial
 from .tangent import _additive_bundle
 
 
-def _square_zero_extension(A: PresentedAlgebra, new_gens: tuple[str, ...]) -> PresentedAlgebra:
-    """Adjoin generators whose pairwise products, squares included, are zero."""
+def _square_zero_extension(A: PresentedAlgebra, new_gens: tuple[str, ...], rows=()) -> PresentedAlgebra:
+    """Adjoin generators whose pairwise products, squares included, are zero,
+    and each of `rows` (a module relation row over A) as a linear form in them."""
     gens = A.gens + new_gens
     var = lambda g: Polynomial.variable(A.field, gens, g)
     relations = [r.change_vars(gens) for r in A.relations]
     relations += [var(a) * var(b) for a, b in combinations_with_replacement(new_gens, 2)]
+    relations += [linear_form(A.field, gens, row, new_gens) for row in rows]
     roles = {**A.roles, **{g: GenRole("base", g) for g in new_gens}}
     return PresentedAlgebra(A.field, gens, relations, roles=roles)
 
@@ -92,10 +94,8 @@ class DualBundle(NamedTuple):
 def dual_bundle(M: PresentedModule) -> DualBundle:
     A = M.base
     eps_gens = tuple(fresh_name(A.gens, f"{m}_eps") for m in M.gens)
-    E = _square_zero_extension(A, eps_gens)
     # module relation rows hold on the epsilon part
-    extra = [linear_form(A.field, E.gens, row, eps_gens) for row in M.relations]
-    E = PresentedAlgebra(A.field, E.gens, list(E.relations) + extra)
+    E = _square_zero_extension(A, eps_gens, M.relations)
     epsp = fresh_name(E.gens, "epsp")
     TE = _square_zero_extension(E, (epsp,))
     z, q, iota = _additive_bundle(A, E, ("z", "q", "iota"))

@@ -266,17 +266,11 @@ def _groebner(
 class IdealBasis:
     """Reduced Groebner basis of an ideal, with its ambient ring data.
 
-    `cert_excess` bounds, over every basis element g, the difference between
-    the degree of some representation g = sum(q_i * f_i) over the generators
-    and deg(g).  Because grevlex is degree-compatible, any p with normal form 0
-    then has a representation with all products of degree <= deg(p) + excess,
-    which is what the dense linear-algebra membership oracle needs.
-
     A graded basis (grading + cap) is only valid for elements whose grade
     stays within the cap; `normal_form` enforces that.
     """
 
-    __slots__ = ("field", "vars", "basis", "cert_excess", "cap", "_columns", "_index")
+    __slots__ = ("field", "vars", "basis", "cap", "_columns", "_index")
 
     def __init__(
         self,
@@ -295,7 +289,6 @@ class IdealBasis:
         self._columns = grade_columns(grading) if grading is not None and cap is not None else None
         rows, certs = _groebner([{0: g.terms} for g in generators if g.terms], 1, field, grading, cap)
         self.basis = [Polynomial._of_terms(field, variables, row[0]) for row in rows]
-        self.cert_excess = max((c - _row_degree(r) for r, c in zip(rows, certs)), default=0)
         self._index = _index(rows, certs, 1)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
@@ -320,7 +313,7 @@ class IdealBasis:
 class ModuleBasis:
     """Groebner basis of a submodule of a free module over a polynomial ring."""
 
-    __slots__ = ("field", "vars", "rank", "basis", "cert_degrees", "_index")
+    __slots__ = ("field", "vars", "rank", "basis", "_index")
 
     def __init__(self, field: Field, variables: tuple[str, ...], rank: int, generators: list[Vector]):
         for v in generators:
@@ -333,9 +326,9 @@ class ModuleBasis:
         self.vars = variables
         self.rank = rank
         rows = [{q: c.terms for q, c in enumerate(v) if c.terms} for v in generators]
-        rows, self.cert_degrees = _groebner(rows, rank, field)
+        rows, certs = _groebner(rows, rank, field)
         self.basis = [self._vector(row) for row in rows]
-        self._index = _index(rows, self.cert_degrees, rank)
+        self._index = _index(rows, certs, rank)
 
     def _vector(self, row: Row) -> Vector:
         return tuple(Polynomial._of_terms(self.field, self.vars, row.get(q) or {}) for q in range(self.rank))

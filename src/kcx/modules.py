@@ -158,16 +158,13 @@ class ModuleElement:
             body = c.render()
             if len(c.terms) > 1:
                 chunk, sign = f"({body})*{g}", "+"
-            elif body.startswith("-"):
-                chunk, sign = f"{body[1:]}*{g}", "-"
-            elif body == "1":
-                chunk, sign = g, "+"
             else:
-                chunk, sign = f"{body}*{g}", "+"
+                sign, body = ("-", body[1:]) if body.startswith("-") else ("+", body)
+                chunk = g if body == "1" else f"{body}*{g}"
             if not parts:
                 parts.append(chunk if sign == "+" else f"-{chunk}")
             else:
-                parts.append(f"{'+' if sign == '+' else '-'} {chunk}")
+                parts.append(f"{sign} {chunk}")
         return " ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
@@ -250,14 +247,6 @@ class TensorModule(PresentedModule):
     def entries(self, e: ModuleElement) -> Iterator[tuple[int, int, Polynomial]]:
         """(i, l, coef) for each nonzero component coef * (g_i @ h_l) of e."""
         return ((*self.pair_slots(idx), coef) for idx, coef in enumerate(e.comps) if coef)
-
-    def pair(self, u: VectorLike, v: VectorLike) -> ModuleElement:
-        """The simple tensor u (x) v, expanded over pair generators."""
-        M, N = self.factors
-        u, v = M.element(u), N.element(v)
-        return self.combine(
-            (self.pair_index(i, j), cu * cv) for i, cu in enumerate(u.comps) if cu for j, cv in enumerate(v.comps) if cv
-        )
 
 
 @memoized

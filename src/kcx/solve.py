@@ -23,8 +23,8 @@ where each monomial multiple is reduced as a sparse row).  The exact sparse
 system is solved over the coefficient field, and both solvers return its
 `AffineSolutionSpace`, whose unknowns are the keys.  The space keeps the
 forward pass's echelon rows: the verdict (empty, unique, or a family of some
-dimension) and `contains_connection` read them alone, and a particular
-solution and basis are built only when read.  The solvers work in
+dimension) and `AffineSolutionSpace.contains` read them alone, and a
+particular solution and basis are built only when read.  The solvers work in
 Omega(A) (x) M alone and never build the tangent bundle.
 """
 
@@ -140,19 +140,6 @@ def solve_connection_space(M: PresentedModule, degree_bound: int) -> AffineSolut
     f = M.base.field
     keys = _unknowns((), M.gens, christoffel_target(M), degree_bound)
     return affine_linear_solve(_affine_equations(*_leibniz_rows(M, keys), f), tuple(keys), f)
-
-
-def contains_connection(space: AffineSolutionSpace, nabla: Connection) -> bool:
-    """Whether nabla's Christoffel data is a point of `space`, the
-    `solve_connection_space` of its module; False when a term lies outside
-    the space's unknowns."""
-    values = {
-        (g, idx, exp): coef
-        for g, image in nabla.gamma.items()
-        for idx, comp in enumerate(image.comps)
-        for exp, coef in comp.terms.items()
-    }
-    return values.keys() <= set(space.unknowns) and space.contains(values)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,16 @@ and torsion extraction on canonical shapes.
 S_A(M) is presented on A's generators plus M's generator names, with M's
 relation rows imposed as degree-one relations.
 
-The tangent structure p, 0, +, -, l, c (and the swap tau of T(A) (x)_A T(A))
-is one `TangentMaps` per algebra, `tangent_structure_maps(B)`, each map
-built on first use; the connection machinery reads it at A, at S_A(M) and,
-for H.4, at T(A).  S_A(M) is an additive bundle over A too: `_additive_bundle`
-builds its q/z/iota, `_vertical_lift` its lambda (and T(A)'s l) from T's
-`dmap`, and `_fibrewise_sum`, on first use, its sigma (no verdict reads sigma
-or T(A)'s +, which `_fibrewise_sum` also builds).  These maps and U are
-`algebra.relabel` tables of signed generators; `AlgebraMorphism.apply_raw`
-applies those whose images are single signed generators (all but + and
-sigma) by moving exponents.
+The tangent structure maps the axioms read, p, 0, l and c, are one
+`TangentMaps` per algebra, `tangent_structure_maps(B)`, each map built on
+first use; the connection machinery reads them at A, at S_A(M) and, for H.4,
+at T(A).  Linearity of K and H is asked through the lift (H.3/H.4, K.3/K.4),
+so no check reads the additive structure +, - or the swap of
+T(A) (x)_A T(A), and none is built here.  S_A(M) is an additive bundle over A
+too: `_additive_bundle` builds its q/z/iota and `_vertical_lift` its lambda
+(and T(A)'s l) from T's `dmap`.  These maps and U are `algebra.relabel`
+tables, each image zero or a single signed generator, so
+`AlgebraMorphism.apply_raw` applies them by moving exponents.
 
 Module values move into bundle presentations and back through one `ShapeMap`
 per correspondence, each a table of signed products of generators: Omega(A)
@@ -34,15 +34,15 @@ shapes, and `_scan` the one reader behind `read` and `proves_zero`.  Each
 `write` sends every relation row of its module into the ideal of its bundle,
 so `ShapeMap.proves_zero` can show a raw value zero by reading alone: it
 certifies H (and so K, read off H as {1 - U.H}) and the curvature and
-torsion correspondences.  T(A) (x)_A S_A(M) and T(A) (x)_A T(A) have one
-copy of A's generators (`algebra.tensor_over_base`), so H's raw images are
-read as given; the copy names of a tensor are read from its `rename` tables.
+torsion correspondences.  T(A) (x)_A S_A(M) has one copy of A's generators
+(`algebra.tensor_over_base`), so H's raw images are read as given; the copy
+names of a tensor are read from its `rename` tables.
 
 Each module's bundle is `bundle_context(M)`, one `BundleContext` with the
-bundle's own maps (q/z/iota/sigma, lambda, U, the shapes) as attributes and
-the tangent structures of A and S_A(M) as `A_maps` and `S_maps`.  The maps
-that exist only for M = Omega(A), the affine flip and swap and the torsion
-shapes, read one guard that refuses any other module with `ModuleNotKahler`.
+bundle's own maps (q/z/iota, lambda, U, the shapes) as attributes and the
+tangent structures of A and S_A(M) as `A_maps` and `S_maps`.  The maps that
+exist only for M = Omega(A), the affine flip and the torsion shapes, read one
+guard that refuses any other module with `ModuleNotKahler`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .algebra import (
     ElementLike,
     GenRole,
     PresentedAlgebra,
-    TensorAlgebra,
     _ROLE_RANK,
     compose_chain,
     memoized,
@@ -144,10 +143,6 @@ class TangentPresentation(PresentedAlgebra):
                     out[tuple(exp)] = coef
         return Polynomial._of_terms(f, self.gens, out)
 
-    def d(self, e: ElementLike):
-        """d of a source-algebra element, as an element of T(B)."""
-        return self.element(self.differential(self.source.polynomial(e)))
-
 
 @memoized
 def tangent_algebra(B: PresentedAlgebra) -> TangentPresentation:
@@ -157,9 +152,9 @@ def tangent_algebra(B: PresentedAlgebra) -> TangentPresentation:
 class TangentMaps:
     """The tangent structure of one algebra A, in algebra-side directions.
 
-    T(A) is built with the object; T(T(A)), T(A) (x)_A T(A) and each map on
-    first use, one at a time, each certified as it is built.  A bundle
-    context reads p, 0, l and c at A and at S_A(M); no verdict reads + or tau.
+    T(A) is built with the object; T(T(A)) and each of p, 0, l and c on first
+    use, one at a time, each certified as it is built.  A bundle context reads
+    them at A and at S_A(M).
     """
 
     def __init__(self, A: PresentedAlgebra):
@@ -179,27 +174,6 @@ class TangentMaps:
     def zero(self) -> AlgebraMorphism:
         """0: T(A) -> A, identity on A, killing the differentials."""
         return relabel(self.TA, self.A, dict.fromkeys(self.TA.dmap.values()), "0")
-
-    @cached_property
-    def minus(self) -> AlgebraMorphism:
-        """-: T(A) -> T(A), negating the differentials."""
-        return relabel(self.TA, self.TA, {d: f"-{d}" for d in self.TA.dmap.values()}, "-")
-
-    @cached_property
-    def plus(self) -> AlgebraMorphism:
-        """+: T(A) -> T(A) (x)_A T(A)."""
-        return _fibrewise_sum(self.p, "+")
-
-    @cached_property
-    def T2(self) -> TensorAlgebra:
-        """T(A) (x)_A T(A), the codomain of +."""
-        return self.plus.cod
-
-    @cached_property
-    def tau(self) -> AlgebraMorphism:
-        """The swap of T(A) (x)_A T(A)."""
-        r0, r1 = self.T2.rename
-        return relabel(self.T2, self.T2, _swap({r0[d]: r1[d] for d in self.TA.dmap.values()}), "tau")
 
     @cached_property
     def lift(self) -> AlgebraMorphism:
@@ -223,7 +197,7 @@ def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, names: tuple[str,
 
     B is presented on A's generators plus the fibre generators: S_A(M) (M's
     generators) and `dualnum`'s square-zero extensions (the epsilons).  T(A)'s
-    p/0/- are the same three tables, built one at a time by `TangentMaps`.
+    p and 0 are the first two tables, built one at a time by `TangentMaps`.
     """
     fibre = [g for g in B.gens if g not in A.gens]
     return (
@@ -238,15 +212,6 @@ def _vertical_lift(A: PresentedAlgebra, B: PresentedAlgebra, TB: TangentPresenta
     to m for each fibre generator m, every other generator outside A to 0."""
     table = dict.fromkeys(g for g in TB.gens if g not in A.gens)
     return relabel(TB, B, {**table, **{TB.dmap[m]: m for m in B.gens if m not in A.gens}}, name)
-
-
-def _fibrewise_sum(include: AlgebraMorphism, name: str) -> AlgebraMorphism:
-    """B -> B (x)_A B adding the two copies of each fibre generator, for the
-    inclusion A -> B of an additive bundle."""
-    B, B2 = include.cod, tensor_over_base(include, include)
-    fibre = [g for g in B.gens if g not in include.dom.gens]
-    r0, r1 = B2.rename
-    return relabel(B, B2, {**r0, **{m: (r0[m], r1[m]) for m in fibre}}, name)
 
 
 @memoized
@@ -445,12 +410,12 @@ class ShapeMap:
 class BundleContext:
     """The bundle S_A(M) of one module M over A, with everything the
     connection machinery needs: the tangent structures of A and S_A(M)
-    (`A_maps`, `S_maps`), q/z/iota/sigma and lambda, the tensor
-    T(A) (x)_A S_A(M) with U, and the maps the axiom checks share.
+    (`A_maps`, `S_maps`), q/z/iota and lambda, the tensor T(A) (x)_A S_A(M)
+    with U, and the maps the axiom checks share.
 
     One per module (`bundle_context`), shared by every connection on M.  The
-    axiom maps and sigma are built on first use, as are the structure maps
-    other than A's p.
+    axiom maps are built on first use, as are the structure maps other than
+    A's p.
     """
 
     def __init__(self, M: PresentedModule):
@@ -468,11 +433,6 @@ class BundleContext:
         u_table = {self.TAS.rename[1][g]: g for g in self.S.gens}
         u_table.update({self.TAS.rename[0][self.TA.dmap[g]]: self.TS.dmap[g] for g in A.gens})
         self.U = relabel(self.TAS, self.TS, u_table, "U")
-
-    @cached_property
-    def sigma(self) -> AlgebraMorphism:
-        """sigma: S -> S (x)_A S, the fibrewise sum; no axiom check reads it."""
-        return _fibrewise_sum(self.q, "sigma")
 
     # -- maps shared by the axiom checks -----------------------------------
 
@@ -562,14 +522,6 @@ class BundleContext:
         the module sort d(x_i) with the tangent differential of x_i."""
         self._require_kahler()
         return relabel(self.TS, self.TS, _swap({m: self.TS.dmap[x] for x, m in zip(self.A.gens, self.M.gens)}), "c")
-
-    @cached_property
-    def affine_swap(self) -> AlgebraMorphism:
-        """The factor swap of T(A) (x)_A T(A) transported to T(A) (x)_A S_A(Omega)."""
-        self._require_kahler()
-        r0, r1 = self.TAS.rename
-        swap = {r0[self.TA.dmap[x]]: r1[m] for x, m in zip(self.A.gens, self.M.gens)}
-        return relabel(self.TAS, self.TAS, _swap(swap), "tau")
 
 
 @memoized

@@ -2,6 +2,14 @@
 
 Thin wrappers over the library's gallery constructors, so tests exercise the
 same objects the CLI gallery runs, but on the session-scoped fixtures.
+
+Below them, the structure that no axiom check reads, rebuilt from the
+engine's builders (`relabel`, `tensor_over_base`, `compose_chain`): the
+tangent structure's + and - with the swap tau of T(A) (x)_A T(A), the
+bundle's fibrewise sum sigma, the affine swap and the torsion-free test on
+the horizontal form, and whether a solved space holds a given connection.
+`d` and `algebra_pair` are how the tests write tangent values and simple
+tensors of T(A) (x)_A S_A(M).
 """
 
 from __future__ import annotations
@@ -9,13 +17,13 @@ from __future__ import annotations
 import random
 
 from kcx import curvature, gallery
-from kcx.algebra import AlgebraMorphism, make_algebra
+from kcx.algebra import AlgebraMorphism, compose_chain, make_algebra, relabel, tensor_over_base
 from kcx.connections import Connection, make_connection
 from kcx.fields import QQ
 from kcx.modules import christoffel_target, kahler_module
 from kcx.poly import Polynomial
 from kcx.solve import solve_connection_space
-from kcx.tangent import bundle_combine, bundle_context
+from kcx.tangent import _swap, bundle_combine, bundle_context
 
 
 def circle_canonical(circle) -> Connection:
@@ -168,3 +176,66 @@ def record_certificate_calls(monkeypatch) -> list[AlgebraMorphism]:
     """Record every full `AlgebraMorphism.certificate` call from here on: a
     `certify` that makes none settled its map by reading."""
     return _record_calls(monkeypatch, "certificate")
+
+
+# ---------------------------------------------------------------------------
+# structure no axiom check reads, and how tests write values
+# ---------------------------------------------------------------------------
+
+
+def d(T, e):
+    """d of a source-algebra element, as an element of the tangent presentation T."""
+    return T.element(T.differential(T.source.polynomial(e)))
+
+
+def algebra_pair(T, w, v):
+    """The simple tensor w (x) v of the tensor algebra T."""
+    return T.i0(w) * T.i1(v)
+
+
+def fibrewise_sum(include: AlgebraMorphism, name: str) -> AlgebraMorphism:
+    """B -> B (x)_A B adding the two copies of each fibre generator, for the
+    inclusion A -> B of an additive bundle: + of T(A) for A's p, and sigma of
+    S_A(M) for its q."""
+    B, B2 = include.cod, tensor_over_base(include, include)
+    r0, r1 = B2.rename
+    fibre = [g for g in B.gens if g not in include.dom.gens]
+    return relabel(B, B2, {**r0, **{m: (r0[m], r1[m]) for m in fibre}}, name)
+
+
+def tangent_minus(maps) -> AlgebraMorphism:
+    """-: T(A) -> T(A), negating the differentials."""
+    return relabel(maps.TA, maps.TA, {dx: f"-{dx}" for dx in maps.TA.dmap.values()}, "-")
+
+
+def tangent_tau(plus: AlgebraMorphism) -> AlgebraMorphism:
+    """The swap of T(A) (x)_A T(A), the codomain of `plus`."""
+    T2 = plus.cod
+    r0, r1 = T2.rename
+    return relabel(T2, T2, _swap({r0[dx]: r1[dx] for dx in plus.dom.dmap.values()}), "tau")
+
+
+def affine_swap(ctx) -> AlgebraMorphism:
+    """The factor swap of T(A) (x)_A T(A) transported to T(A) (x)_A S_A(Omega)."""
+    r0, r1 = ctx.TAS.rename
+    table = {r0[ctx.TA.dmap[x]]: r1[m] for x, m in zip(ctx.A.gens, ctx.M.gens)}
+    return relabel(ctx.TAS, ctx.TAS, _swap(table), "tau")
+
+
+def torsionfree_horizontal_criterion(nabla: Connection) -> bool:
+    """Flip-equivariance of the horizontal form, the torsion-free test."""
+    ctx, H = nabla.ctx, nabla.H
+    return compose_chain([ctx.affine_flip, H]) == compose_chain([H, affine_swap(ctx)])
+
+
+def contains_connection(space, nabla: Connection) -> bool:
+    """Whether nabla's Christoffel data is a point of `space`, the
+    `solve_connection_space` of its module; False when a term lies outside
+    the space's unknowns."""
+    values = {
+        (g, idx, exp): coef
+        for g, image in nabla.gamma.items()
+        for idx, comp in enumerate(image.comps)
+        for exp, coef in comp.terms.items()
+    }
+    return values.keys() <= set(space.unknowns) and space.contains(values)

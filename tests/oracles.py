@@ -5,10 +5,14 @@ read off into its own `DenseSolution` record; it checks the engine's sparse
 `affine_linear_solve` and its lazy read-off.  `rescan_reduce` is the
 reducer that finds each leading term by rescanning the whole component, with
 the tuple `grevlex_key`; it checks the engine's heap-ordered `_reduce`.
-Membership is decided by that dense exact linear algebra over the monomial
-basis: p lies in the span of { x^a * g : deg(x^a * g) <= bound } iff the
-column space of those products contains p's coefficient vector.  No normal
-forms involved.  `brute_standard_monomials` tests every monomial up to the
+`reference_groebner` is Buchberger with the engine's pair order, criteria
+and certificate rule, reducing by `rescan_reduce`; its bases check
+`IdealBasis` and `ModuleBasis`, and its certificate degrees give the bounds
+of the dense membership oracles (`ideal_span_bound`, `module_span_bound`),
+so no bound comes from the code under test.  Membership is decided by that
+dense exact linear algebra over the monomial basis: p lies in the span of
+{ x^a * g : deg(x^a * g) <= bound } iff the column space of those products
+contains p's coefficient vector.  No normal forms involved.  `brute_standard_monomials` tests every monomial up to the
 degree against every leading term; it checks the engine's order-ideal walk.
 `loop_monomial_grade` sums each grade coordinate in a double loop over the
 grading rows; it checks the engine's precomputed weight columns.
@@ -25,10 +29,10 @@ roles; they check `tangent._vertical_lift`, which reads T's `dmap` instead.
 `normal_form_agrees` compares two maps' images by normal forms alone; it
 checks `AlgebraMorphism.agrees_on`.
 
-The `chain_*` oracles build each module value as a chain of `pair`, `scaled`
-and `+`, reducing every link on its own; they check the one-writer
-`PresentedModule.combine` paths (Leibniz, curvature, pullback, retract and
-the P^1 glue residues).  `bidegree_split` sorts the terms of a
+The `chain_*` oracles build each module value as a chain of `module_pair`
+(the simple tensor u (x) v), `scaled` and `+`, reducing every link on its
+own; they check the one-writer `PresentedModule.combine` paths (Leibniz,
+curvature, pullback, retract and the P^1 glue residues).  `bidegree_split` sorts the terms of a
 T(A) (x)_A S_A(M) polynomial by their d- and module-degrees; it checks
 `BundleContext.omega_m_shapes.read`.  `leibniz_tensor_presentation` builds
 T^2(A) (x)_{T(A)} T(S_A(M)) by the tensor recipe; it checks that
@@ -173,6 +177,128 @@ def rescan_reduce(work, index, field: Field):
         if rem:
             remainder[pos] = rem
     return remainder, cert
+
+
+def row_degree(row) -> int:
+    """Largest total degree of a term of a row; 0 for the empty row."""
+    return max((sum(e) for comp in row.values() for e in comp), default=0)
+
+
+def reference_index(rows, certs, rank: int):
+    """Per position, (leading term, None, row, cert) of each row led there, in
+    the order given: the index `rescan_reduce` reads."""
+    index = [[] for _ in range(rank)]
+    for row, cert in zip(rows, certs):
+        pos = min(row)
+        index[pos].append((max(row[pos], key=grevlex_key), None, row, cert))
+    return index
+
+
+def reference_groebner(rows, rank: int, field: Field, grading=None, cap=None):
+    """Reduced basis of the submodule spanned by `rows`, with certificate degrees.
+
+    Buchberger as `kcx.groebner._groebner` runs it, written again with
+    `rescan_reduce` as its reducer.  Each row is made monic and pairs with
+    every earlier row led at its position, unless the lcm's grade exceeds
+    `cap`.  Pairs are taken lowest (lcm degree, lcm, i, j) first.  A pair is
+    dropped when its leading terms are coprime at rank 1, or by the chain
+    criterion: some other row's leading term divides the lcm and neither of
+    its pairs with the two is still waiting.  A new row's certificate is the
+    largest of the S-polynomial's two multiples, the reduction's and its own
+    degree; an input row's is its degree.  Then the rows with minimal leading
+    terms are kept, in (position descending, grevlex ascending) order, and
+    each tail is reduced by them.
+    """
+    one = field.one()
+    G, leads, certs, waiting = [], [], [], {}
+    index = [[] for _ in range(rank)]
+
+    def add(row, cert):
+        pos = min(row)
+        lt = max(row[pos], key=grevlex_key)
+        inv = field.inv(row[pos][lt])
+        row = {q: {e: field.mul(c, inv) for e, c in comp.items()} for q, comp in row.items()}
+        for k, (pos_k, lt_k) in enumerate(leads):
+            lcm = tuple(map(max, lt_k, lt))
+            if pos_k != pos:
+                continue
+            if grading is None or cap is None or all(map(int.__le__, loop_monomial_grade(lcm, grading), cap)):
+                waiting[(k, len(G))] = (sum(lcm), lcm, k, len(G))
+        G.append(row)
+        leads.append((pos, lt))
+        certs.append(cert)
+        index[pos].append((lt, None, row, cert))
+
+    for row in rows:
+        if row:
+            add({q: dict(comp) for q, comp in row.items()}, row_degree(row))
+    while waiting:
+        _, lcm, i, j = min(waiting.values())
+        del waiting[(i, j)]
+        pos, lt_i = leads[i]
+        lt_j = leads[j][1]
+        if rank == 1 and all(x + y == z for x, y, z in zip(lt_i, lt_j, lcm)):
+            continue
+        if any(
+            k not in (i, j) and leads[k][0] == pos and all(map(int.__le__, leads[k][1], lcm))
+            and (min(i, k), max(i, k)) not in waiting and (min(j, k), max(j, k)) not in waiting
+            for k in range(len(G))
+        ):
+            continue
+        d_i, d_j = (tuple(x - y for x, y in zip(lcm, lt)) for lt in (lt_i, lt_j))
+        s = {}
+        for g, d, sign in ((G[i], d_i, one), (G[j], d_j, field.neg(one))):
+            for q, comp in g.items():
+                target = s.setdefault(q, {})
+                for e, c in comp.items():
+                    e2 = tuple(map(sum, zip(e, d)))
+                    if total := field.add(target.get(e2, field.zero()), field.mul(sign, c)):
+                        target[e2] = total
+                    else:
+                        target.pop(e2, None)
+                if not target:
+                    del s[q]
+        r, red_cert = rescan_reduce(s, index, field)
+        if r:
+            add(r, max(sum(d_i) + certs[i], sum(d_j) + certs[j], red_cert, row_degree(r)))
+
+    minimal, kept = [], []
+    for k in sorted(range(len(G)), key=lambda k: (-leads[k][0], grevlex_key(leads[k][1]))):
+        pos, lt = leads[k]
+        if not any(p == pos and all(map(int.__le__, m, lt)) for p, m in kept):
+            kept.append((pos, lt))
+            minimal.append(k)
+    index = reference_index([G[k] for k in minimal], [certs[k] for k in minimal], rank)
+    basis, basis_certs = [], []
+    for k in minimal:
+        pos, lt = leads[k]
+        tail = {q: dict(comp) for q, comp in G[k].items()}
+        del tail[pos][lt]
+        r, red_cert = rescan_reduce(tail, index, field)
+        r.setdefault(pos, {})[lt] = one
+        basis.append(r)
+        basis_certs.append(max(certs[k], red_cert))
+    return basis, basis_certs
+
+
+def ideal_span_bound(p: Polynomial, gens: list[Polynomial]) -> int:
+    """The degree `span_contains` needs to find p in the ideal of `gens` when
+    it is there: deg(p) plus the largest excess of a reference basis
+    element's certificate degree over its own degree.  grevlex is
+    degree-compatible, so a p with normal form 0 has a representation with
+    every product of degree at most that."""
+    rows, certs = reference_groebner([{0: g.terms} for g in gens if g.terms], 1, p.field)
+    return total_degree(p) + max((c - row_degree(r) for r, c in zip(rows, certs)), default=0)
+
+
+def module_span_bound(v, gens, field: Field) -> int:
+    """The degree `module_span_contains` needs for v: its reduction's
+    certificate degree over a reference basis of `gens`, at least deg(v)."""
+    rank = len(v)
+    rows, certs = reference_groebner([{q: c.terms for q, c in enumerate(g) if c.terms} for g in gens], rank, field)
+    work = {q: dict(c.terms) for q, c in enumerate(v) if c.terms}
+    degree = row_degree(work)
+    return max(rescan_reduce(work, reference_index(rows, certs, rank), field)[1], degree)
 
 
 @dataclass
@@ -360,6 +486,16 @@ def module_span_contains(v, gens, bound: int, field: Field) -> bool:
     return not dense_affine_solve(equations, unknowns, field).is_empty
 
 
+def module_pair(t, u, v) -> ModuleElement:
+    """The simple tensor u (x) v of the tensor module t, one pair generator
+    at a time."""
+    M, N = t.factors
+    u, v = M.element(u), N.element(v)
+    return t.combine(
+        (t.pair_index(i, j), cu * cv) for i, cu in enumerate(u.comps) if cu for j, cv in enumerate(v.comps) if cv
+    )
+
+
 def partial_differential(T, p: Polynomial) -> Polynomial:
     """d(p) in the tangent presentation T: sum over T's source generators g of
     partial(p, g) * d(g), by `Polynomial` arithmetic."""
@@ -418,7 +554,7 @@ def chain_leibniz(M, target, comps, gamma) -> ModuleElement:
     for coef, g in zip(comps, M.gens):
         if coef.is_zero():
             continue
-        out = out + target.pair(universal_derivation(A, A.element(coef)), M.gen(g))
+        out = out + module_pair(target, universal_derivation(A, A.element(coef)), M.gen(g))
         out = out + gamma[g].scaled(coef)
     return out
 
@@ -435,7 +571,7 @@ def chain_curvature_of_element(nabla, e) -> ModuleElement:
         second = chain_leibniz(M, T, M.gen(M.gens[l]).scaled(coef).comps, nabla.gamma)
         for k, t, c in T.entries(second):
             w = ModuleElement(wedge, wedge.collect([(i, k, c)]))
-            out = out + target.pair(w, M.gen(M.gens[t]))
+            out = out + module_pair(target, w, M.gen(M.gens[t]))
     return out
 
 
@@ -449,7 +585,7 @@ def chain_pullback_images(nabla, f) -> dict[str, ModuleElement]:
         out = target.zero()
         for i, l, coef in christoffel_target(M).entries(nabla.gamma[g]):
             d_image = universal_derivation(B, f(A.gen(A.gens[i])))
-            out = out + target.pair(d_image, pulled.gen(M.gens[l])).scaled(f(A.element(coef)))
+            out = out + module_pair(target, d_image, pulled.gen(M.gens[l])).scaled(f(A.element(coef)))
         images[g] = out
     return images
 
@@ -465,7 +601,7 @@ def chain_retract_images(nabla, s, r) -> dict[str, ModuleElement]:
         full = chain_leibniz(M, T, s(Mp.gen(g)).comps, nabla.gamma)
         out = target.zero()
         for i, l, coef in T.entries(full):
-            out = out + target.pair(omega.gen(omega.gens[i]), r(M.gen(M.gens[l]))).scaled(coef)
+            out = out + module_pair(target, omega.gen(omega.gens[i]), r(M.gen(M.gens[l]))).scaled(coef)
         images[g] = out
     return images
 
@@ -485,7 +621,7 @@ def chain_localized_gamma(A, L, gamma) -> dict[str, ModuleElement]:
         out[omega_L.gens[A.gens.index(v)]] = t_L.element(tuple(comps))
     du_L = omega_L.gens[A.gens.index(u)]
     inv_el = L.gen(inv)
-    correction = t_L.pair(omega_L.gen(du_L), omega_L.gen(du_L)).scaled(inv_el ** 3 * 2)
+    correction = module_pair(t_L, omega_L.gen(du_L), omega_L.gen(du_L)).scaled(inv_el ** 3 * 2)
     out[omega_L.gens[-1]] = correction - out[du_L].scaled(inv_el ** 2)
     return out
 
@@ -501,7 +637,7 @@ def chain_glue_residues(A1, L1, A2, L2, t, omega_t, gamma1, gamma2) -> list[Modu
         route1 = t2.zero()
         for i, l, coef in t1.entries(chain_leibniz(omega_L1, t1, omega_L1.gen(g).comps, g1)):
             dx_i, dx_l = omega_t[omega_L1.gens[i]], omega_t[omega_L1.gens[l]]
-            route1 = route1 + t2.pair(dx_i, dx_l).scaled(t(L1.element(coef)))
+            route1 = route1 + module_pair(t2, dx_i, dx_l).scaled(t(L1.element(coef)))
         out.append(route1 - chain_leibniz(omega_L2, t2, omega_t[g].comps, g2))
     return out
 

@@ -42,7 +42,7 @@ from kcx.modules import (
 from kcx.poly import Polynomial
 from kcx.solve import glued_connection_check, solve_connection_space
 import helpers
-from oracles import module_span_contains, span_contains, total_degree
+from oracles import ideal_span_bound, module_span_bound, module_span_contains, span_contains
 
 
 def verdict(n: int, text: str):
@@ -226,7 +226,7 @@ def test_criterion_13_engine_properties(plane, circle, fat_point, elliptic, sphe
             probe = _random_poly(rng, field, variables)
             member = gens[0] * _random_poly(rng, field, variables, degree=1)
             for p in (probe, member):
-                bound = total_degree(p) + basis.cert_excess
+                bound = ideal_span_bound(p, gens)
                 assert basis.normal_form(p).is_zero() == span_contains(p, gens, bound)
         else:
             rank = rng.randint(1, 2)
@@ -242,7 +242,7 @@ def test_criterion_13_engine_properties(plane, circle, fat_point, elliptic, sphe
                 continue
             mb = ModuleBasis(field, variables, rank, vecs)
             probe = tuple(_random_poly(rng, field, variables, degree=2) for _ in range(rank))
-            _, bound = mb.normal_form_with_bound(probe)
+            bound = module_span_bound(probe, vecs, field)
             assert mb.contains(probe) == module_span_contains(probe, vecs, bound, field)
         instances += 1
 

@@ -171,7 +171,7 @@ def test_tensor_base_collapse(circle):
     # A (x)_A A collapses: both injections agree on everything.
     for g in circle.gens:
         assert t.i0(circle.gen(g)) == t.i1(circle.gen(g))
-    assert t.pair("x", "y") == t.i0(circle.element("x*y"))
+    assert helpers.algebra_pair(t, "x", "y") == t.i0(circle.element("x*y"))
 
 
 def test_tensor_injections_agree_on_base(circle, plane):

@@ -168,6 +168,13 @@ def test_reprs():
     assert repr(F) == f"<module rank 2 over {algebra} (free)>"
     assert repr(kahler_module(A)) == f"<module rank 2 over {algebra} (kahler)>"
     assert repr(F.gen("e1") * "x") == "<mod-elt x*e1>"
+    # a coefficient -1 is a sign, as +1 is the bare generator
+    e1, e2 = F.gen("e1"), F.gen("e2")
+    assert (repr(-e1), repr(e1 - e2), repr(-e1 + e2)) == ("<mod-elt -e1>", "<mod-elt e1 - e2>", "<mod-elt -e1 + e2>")
+    assert repr(e1 * "-x" - e2 * 2) == "<mod-elt -x*e1 - 2*e2>"
+    # over GF(3), -1 is 2
+    G = free_module(make_algebra(GF(3), ("x",)), 2)
+    assert (repr(-G.gen("e1")), repr(G.gen("e1") - G.gen("e2"))) == ("<mod-elt 2*e1>", "<mod-elt e1 + 2*e2>")
     assert (repr(QQ), repr(GF(3))) == ("QQ", "GF(3)")
     assert repr(A.polynomial("x - 1")) == "<poly x - 1>"
     swap = make_morphism(A, A, {"x": "y", "y": "x"})

@@ -27,7 +27,7 @@ from kcx.tangent import bundle_context
 from kcx.poly import Polynomial
 
 import helpers
-from oracles import normal_form_agrees
+from oracles import module_pair, normal_form_agrees
 
 
 def test_circle_canonical_accepted(circle):
@@ -119,10 +119,11 @@ def test_horizontal_images_plane(plane):
     nabla = helpers.plane_twisted(plane)
     H = to_horizontal(nabla)
     ctx = nabla.ctx
-    assert H(ctx.TS.gen("x1")) == ctx.TAS.pair("x1", 1)
-    assert H(ctx.TS.gen("d(x1)")) == ctx.TAS.pair(1, ctx.S.gen("d(x1)"))
-    assert H(ctx.TS.gen("d_x1")) == ctx.TAS.pair(ctx.TA.gen("d_x1"), 1)
-    expected = ctx.TAS.pair(ctx.TA.element("x2") * ctx.TA.gen("d_x1"), ctx.S.gen("d(x1)"))
+    T, pair = ctx.TAS, helpers.algebra_pair
+    assert H(ctx.TS.gen("x1")) == pair(T, "x1", 1)
+    assert H(ctx.TS.gen("d(x1)")) == pair(T, 1, ctx.S.gen("d(x1)"))
+    assert H(ctx.TS.gen("d_x1")) == pair(T, ctx.TA.gen("d_x1"), 1)
+    expected = pair(T, ctx.TA.element("x2") * ctx.TA.gen("d_x1"), ctx.S.gen("d(x1)"))
     assert H(ctx.TS.gen("d_d(x1)")) == ctx.TAS.element(
         ctx.omega_m_shapes.write(nabla.gamma["d(x1)"])
     )
@@ -320,7 +321,7 @@ def test_free_canonical_connection(plane):
     nabla = free_canonical_connection(plane, 2)
     t = nabla.ctx.omega_tensor_M
     out = apply_connection(nabla, nabla.module.element(["x1^3", "0"]))
-    expected = t.pair(kahler_module(plane).element(["3*x1^2", "0"]), nabla.module.gen("e1"))
+    expected = module_pair(t, kahler_module(plane).element(["3*x1^2", "0"]), nabla.module.gen("e1"))
     assert out == expected
     assert all(nabla.gamma[g].is_zero() for g in nabla.module.gens)
     vac = free_canonical_connection(plane, 0)

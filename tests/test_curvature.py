@@ -11,14 +11,13 @@ from kcx.curvature import (
     module_torsion,
     tangent_curvature,
     tangent_torsion,
-    torsionfree_horizontal_criterion,
 )
 from kcx.errors import KcxError, ModuleNotKahler
 from kcx.modules import kahler_module, wedge_square
 from kcx.poly import Polynomial
 
 import helpers
-from oracles import tangent_curvature_is_flat
+from oracles import module_pair, tangent_curvature_is_flat
 
 
 def test_plane_zero_gamma_is_flat(plane):
@@ -36,7 +35,7 @@ def test_plane_twisted_not_flat(plane):
     # direct value: curvature of d(x1) is (d(x1)^d(x2)) (x) d(x1)
     target = result.images["d(x1)"].module
     w2 = wedge_square(kahler_module(plane))
-    expected = target.pair(w2.gen("d(x1)^d(x2)"), nabla.module.gen("d(x1)"))
+    expected = module_pair(target, w2.gen("d(x1)^d(x2)"), nabla.module.gen("d(x1)"))
     assert result.images["d(x1)"] == expected
     assert result.images["d(x2)"].is_zero()
 
@@ -164,18 +163,14 @@ def test_module_torsion_values(plane):
         module_torsion,
         tangent_torsion,
         check_torsion_correspondence,
-        torsionfree_horizontal_criterion,
         lambda nabla: nabla.ctx.affine_flip,
-        lambda nabla: nabla.ctx.affine_swap,
         lambda nabla: nabla.ctx.torsion_shapes,
     ],
     ids=[
         "module_torsion",
         "tangent_torsion",
         "check_torsion_correspondence",
-        "torsionfree_horizontal_criterion",
         "ctx.affine_flip",
-        "ctx.affine_swap",
         "ctx.torsion_shapes",
     ],
 )
@@ -235,7 +230,8 @@ def test_phi_hat_psi_hat_doubling(plane):
 
 
 def test_torsionfree_horizontal_criterion(plane, circle):
-    assert torsionfree_horizontal_criterion(helpers.plane_zero(plane))
-    assert torsionfree_horizontal_criterion(helpers.plane_twisted(plane))
-    assert not torsionfree_horizontal_criterion(helpers.plane_antisymmetric(plane))
-    assert torsionfree_horizontal_criterion(helpers.circle_canonical(circle))
+    criterion = helpers.torsionfree_horizontal_criterion
+    assert criterion(helpers.plane_zero(plane))
+    assert criterion(helpers.plane_twisted(plane))
+    assert not criterion(helpers.plane_antisymmetric(plane))
+    assert criterion(helpers.circle_canonical(circle))

@@ -11,7 +11,8 @@ from kcx.parse import poly_normalize
 from kcx.poly import Polynomial
 
 from helpers import random_poly
-from oracles import loop_monomial_grade, module_span_contains, rescan_reduce, span_contains, total_degree
+from oracles import ideal_span_bound, loop_monomial_grade, module_span_bound, module_span_contains, rescan_reduce
+from oracles import reference_groebner, span_contains
 
 
 def P(text, field=QQ, variables=("x", "y")):
@@ -93,7 +94,7 @@ def test_membership_matches_dense_oracle_randomized():
         for p in (probe, member):
             if p.is_zero():
                 continue
-            bound = total_degree(p) + basis.cert_excess
+            bound = ideal_span_bound(p, gens)
             by_nf = basis.normal_form(p).is_zero()
             by_span = span_contains(p, gens, bound)
             assert by_nf == by_span
@@ -150,7 +151,7 @@ def test_module_membership_matches_dense_oracle():
         scalar = random_poly(rng, variables, degree=1)
         member = tuple(c * scalar for c in gens[0])
         for v in (probe, member):
-            _, bound = mb.normal_form_with_bound(v)
+            bound = module_span_bound(v, gens, QQ)
             assert mb.contains(v) == module_span_contains(v, gens, bound, QQ)
             checked += 1
     assert checked >= 80
@@ -327,6 +328,34 @@ def test_heap_reducer_matches_rescan_oracle(field, monkeypatch):
         ]
     grown = sum(len(basis) > len(gens) for (basis, _), (gens, *_) in zip(got, cases))
     assert grown >= len(cases) // 4  # S-pairs added elements, not just interreduction
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(32003)], ids=repr)
+def test_reference_buchberger_bases_equal_the_engine_bases(field):
+    """The reference Buchberger's reduced bases equal `IdealBasis` (graded
+    and truncated ones too) and `ModuleBasis`, term for term, on seeded rows;
+    so does the bound of `ModuleBasis.normal_form_with_bound` on each probe."""
+    rng = random.Random(3800 + field.char)
+    compared = grown = 0
+    for gens, rank, grading, cap, probes in _reducer_cases(rng, field) + _sparse_cases(rng, field):
+        exps = [e for row in gens for comp in row.values() for e in comp]
+        if not exps:
+            continue
+        variables = tuple(f"x{i}" for i in range(len(exps[0])))
+        rows, _ = reference_groebner(gens, rank, field, grading, cap)
+        vectors = [tuple(Polynomial(field, variables, row.get(q, {})) for q in range(rank)) for row in gens]
+        if rank == 1:
+            basis = IdealBasis(field, variables, [v[0] for v in vectors], grading, cap).basis
+            assert [p.terms for p in basis] == [row[0] for row in rows]
+        else:
+            mb = ModuleBasis(field, variables, rank, vectors)
+            assert [[c.terms for c in v] for v in mb.basis] == [[row.get(q, {}) for q in range(rank)] for row in rows]
+            for probe in probes:
+                v = tuple(Polynomial(field, variables, probe.get(q, {})) for q in range(rank))
+                assert mb.normal_form_with_bound(v) == (mb.normal_form(v), module_span_bound(v, vectors, field))
+        compared += 1
+        grown += len(rows) > len(gens)
+    assert compared >= 100 and grown >= compared // 4
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,9 @@ import pytest
 import kcx
 from kcx.algebra import PresentedAlgebra, TensorAlgebra
 from kcx.connections import AxiomCheck, Connection
-from kcx.tangent import BundleContext
+from kcx.groebner import IdealBasis, ModuleBasis
+from kcx.modules import TensorModule
+from kcx.tangent import BundleContext, TangentMaps, TangentPresentation
 
 SRC = Path(__file__).parent.parent / "src" / "kcx"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -468,6 +470,10 @@ RETIRED = [
     ("cli", "Check"),  # connections.AxiomCheck
     ("cli", "_axiom_check"),  # the residue is rendered where the check fails
     ("solve", "ConnectionSpace"),  # the AffineSolutionSpace itself, keyed (g, idx, exp)
+    # read by tests alone, rebuilt in tests/helpers.py from the engine's builders
+    ("tangent", "_fibrewise_sum"),  # helpers.fibrewise_sum
+    ("curvature", "torsionfree_horizontal_criterion"),  # helpers.torsionfree_horizontal_criterion
+    ("solve", "contains_connection"),  # helpers.contains_connection
 ]
 
 # BundleContext attributes retired for the tangent structures it reads:
@@ -505,29 +511,21 @@ def test_retired_methods_are_gone():
     assert list(AxiomCheck._fields) == ["axiom_id", "status", "witness", "residue"]
     # `from_horizontal` reads the (1,1) part of each raw image: no membership refusal
     assert not hasattr(kcx.errors, "MembershipFailure")
+    # structure no axiom check reads, and how tests write values: tests/helpers.py
+    # and tests/oracles.py rebuild them
+    assert not {"minus", "plus", "T2", "tau"} & set(vars(TangentMaps))
+    assert not {"sigma", "affine_swap"} & set(vars(BundleContext))
+    assert not hasattr(TangentPresentation, "d")
+    assert not hasattr(TensorModule, "pair") and not hasattr(TensorAlgebra, "pair")
+    # certificate degrees live in a basis's index alone
+    assert not {"cert_excess", "cert_degrees"} & {*IdealBasis.__slots__, *ModuleBasis.__slots__}
 
 
 # (file, qualified name): why a definition that nothing else in the engine
 # references stays
 UNREFERENCED = {
     ("groebner.py", "ModuleBasis.normal_form_with_bound"): "the benchmark's span target; it goes "
-    "with the certificate-degree bookkeeping that ROADMAP plans to drop",
-    ("tangent.py", "BundleContext.sigma"): "the bundle's fibrewise addition, a structure map of "
-    "the bundle that no axiom check reads",
-    ("tangent.py", "TangentMaps.tau"): "the swap of T(A) (x)_A T(A), a structure map of the "
-    "tangent structure that no verdict reads",
-    ("curvature.py", "torsionfree_horizontal_criterion"): "the torsion-free test on the "
-    "horizontal form, checked against module torsion",
-    ("solve.py", "contains_connection"): "whether a given connection lies in "
-    "a solved space, the query a solution space answers",
-    ("tangent.py", "TangentMaps.minus"): "the negation of T(A), a structure map of the tangent "
-    "structure that no verdict reads",
-    ("tangent.py", "TangentPresentation.d"): "the formal differential of a source element as an "
-    "element of T(B), how the tests write tangent values",
-    ("modules.py", "TensorModule.pair"): "the simple tensor u (x) v, how the tests and oracles "
-    "write values of Omega (x) M",
-    ("algebra.py", "TensorAlgebra.pair"): "the simple tensor w (x) v, how the tests write values "
-    "of T(A) (x)_A S_A(M)",
+    "when the benchmark stops tracing it (ROADMAP item 2)",
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 import kcx.connections
 import kcx.linsolve
 import kcx.solve
-from kcx.algebra import make_algebra, relabel
+from kcx.algebra import GenRole, make_algebra, relabel
 from kcx.connections import make_connection, zero_gamma_connection
 from kcx.dualnum import DualBundle, dual_bundle, dual_connection_solve, dual_numbers_structure
 from kcx.errors import KcxError, SolverTooLarge, WellDefinednessFailure
@@ -18,8 +18,8 @@ from kcx.modules import (
     make_module,
     module_standard_monomials,
 )
-from kcx.solve import contains_connection, glued_connection_check, solve_connection_space
-from kcx.tangent import BundleContext
+from kcx.solve import glued_connection_check, solve_connection_space
+from kcx.tangent import BundleContext, tangent_algebra
 
 import helpers
 from oracles import eager_make_morphism, linear_dual_solve
@@ -59,13 +59,13 @@ def test_solve_circle_contains_canonical(circle):
     result = solve_connection_space(omega, 1)
     assert not result.is_empty
     nabla = helpers.circle_canonical(circle)
-    assert contains_connection(result, nabla)
+    assert helpers.contains_connection(result, nabla)
 
 
 def test_solve_plane_contains_everything(plane):
     result = solve_connection_space(kahler_module(plane), 2)
-    assert contains_connection(result, helpers.plane_twisted(plane))
-    assert contains_connection(result, helpers.plane_zero(plane))
+    assert helpers.contains_connection(result, helpers.plane_twisted(plane))
+    assert helpers.contains_connection(result, helpers.plane_zero(plane))
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
@@ -92,8 +92,8 @@ def test_glued_unknowns_are_chart_one_then_chart_two():
 def test_a_connection_with_a_term_above_the_window_is_not_contained(plane):
     omega = kahler_module(plane)
     nabla = make_connection(omega, {"d(x1)": ["x1^2", "0", "0", "0"], "d(x2)": ["0", "0", "0", "1"]})
-    assert not contains_connection(solve_connection_space(omega, 1), nabla)
-    assert contains_connection(solve_connection_space(omega, 2), nabla)
+    assert not helpers.contains_connection(solve_connection_space(omega, 1), nabla)
+    assert helpers.contains_connection(solve_connection_space(omega, 2), nabla)
 
 
 def test_solution_points_certify_and_nudged_points_fail(plane, circle, sphere2):
@@ -160,7 +160,7 @@ def test_verdicts_and_membership_run_no_backward_pass(sphere2, monkeypatch):
     original = kcx.linsolve._eliminate
     monkeypatch.setattr(kcx.linsolve, "_eliminate", lambda *args: calls.append(args) or original(*args))
     assert (space.is_empty, space.is_unique, space.dimension) == (False, False, 144)
-    assert contains_connection(space, helpers.sphere_canonical(sphere2))
+    assert helpers.contains_connection(space, helpers.sphere_canonical(sphere2))
     assert (glued.is_empty, glued.is_unique, glued.dimension) == (True, False, -1)
     assert not glued.contains({})
     assert calls == []
@@ -210,6 +210,18 @@ def test_dual_bundle_zero_module_is_base(circle):
     zero_mod = free_module(circle, 0)
     b = dual_bundle(zero_mod)
     assert b.E.gens == circle.gens
+
+
+def test_dual_bundle_keeps_the_roles_of_its_base(circle):
+    """M[eps] is presented once, on the base's roles plus base-role epsilons,
+    with M's relation rows on the epsilons: over T(A) the differentials keep
+    their kind."""
+    TA = tangent_algebra(circle)
+    for M in (free_module(TA, 2), kahler_module(circle)):
+        b = dual_bundle(M)
+        assert b.E.roles == {**M.base.roles, **{m: GenRole("base", m) for m in b.eps_gens}}
+        assert len(b.E.relations) == len(M.base.relations) + 3 + len(M.relations)
+    assert dual_bundle(free_module(TA, 2)).E.roles["d_x"].kind == "d"
 
 
 def test_dual_bundle_lift(circle):

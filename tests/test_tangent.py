@@ -42,7 +42,7 @@ def axiom_maps(ctx) -> list[AlgebraMorphism]:
 
 
 # the maps of a tangent structure, each built on first use
-STRUCTURE_MAPS = {"p", "zero", "minus", "plus", "T2", "tau", "lift", "flip"}
+STRUCTURE_MAPS = {"p", "zero", "lift", "flip"}
 
 
 def test_tangent_plane_free(plane):
@@ -119,17 +119,21 @@ def test_projection_zero_identity(circle):
 
 def test_plus_and_tau_certified(circle):
     maps = tangent_structure_maps(circle)
-    assert maps.plus.certified and maps.tau.certified and maps.minus.certified
+    plus = helpers.fibrewise_sum(maps.p, "+")
+    tau = helpers.tangent_tau(plus)
+    assert plus.certified and tau.certified and helpers.tangent_minus(maps).certified
     # tau swaps the two copies
-    d0 = maps.T2.i0(maps.TA.gen("d_x"))
-    d1 = maps.T2.i1(maps.TA.gen("d_x"))
-    assert maps.tau(d0) == d1
+    d0 = plus.cod.i0(maps.TA.gen("d_x"))
+    d1 = plus.cod.i1(maps.TA.gen("d_x"))
+    assert tau(d0) == d1
 
 
 def test_structure_maps_certified_on_gallery(plane, circle, fat_point, elliptic, sphere2):
     for A in (plane, circle, fat_point, elliptic, sphere2):
         maps = tangent_structure_maps(A)
-        for m in (maps.p, maps.zero, maps.plus, maps.minus, maps.lift, maps.flip, maps.tau):
+        plus = helpers.fibrewise_sum(maps.p, "+")
+        minus, tau = helpers.tangent_minus(maps), helpers.tangent_tau(plus)
+        for m in (maps.p, maps.zero, plus, minus, maps.lift, maps.flip, tau):
             assert m.certified
 
 
@@ -162,7 +166,7 @@ def test_sym_bundle_basics(circle):
     assert b.z(b.S.gen("d(x)")).is_zero()
     assert b.iota(b.S.gen("d(x)")) == -b.S.gen("d(x)")
     assert b.q(circle.gen("x")) == b.S.gen("x")
-    for m in (b.q, b.z, b.iota, b.sigma, b.lam):
+    for m in (b.q, b.z, b.iota, helpers.fibrewise_sum(b.q, "sigma"), b.lam):
         assert m.certified
 
 
@@ -181,7 +185,7 @@ def test_lambda_values_and_lift_embedding(circle):
     assert b.lam(TS.gen("d(x)")).is_zero()
     # The composite m -> lam(d(m)) is the identity embedding of the module.
     for m in omega.gens:
-        assert b.lam(TS.d(b.S.gen(m))) == b.S.gen(m)
+        assert b.lam(helpers.d(TS, b.S.gen(m))) == b.S.gen(m)
 
 
 def assert_images_are_the_table(f, table):
@@ -239,9 +243,9 @@ def test_u_map_values(circle):
     T = ctx.TAS
     d_a = ctx.TA.gen("d_x")
     m = ctx.S.gen("d(y)")
-    assert U(T.pair(d_a, 1)) == ctx.TS.gen("d_x")
-    assert U(T.pair(1, m)) == ctx.TS.gen("d(y)")
-    assert U(T.pair(d_a, m)) == ctx.TS.gen("d(y)") * ctx.TS.gen("d_x")
+    assert U(helpers.algebra_pair(T, d_a, 1)) == ctx.TS.gen("d_x")
+    assert U(helpers.algebra_pair(T, 1, m)) == ctx.TS.gen("d(y)")
+    assert U(helpers.algebra_pair(T, d_a, m)) == ctx.TS.gen("d(y)") * ctx.TS.gen("d_x")
 
 
 def test_bracketing_accepts_lambda_like(circle):
@@ -304,8 +308,9 @@ def test_affine_flip_and_swap_certified(circle):
     c = ctx.affine_flip
     assert c(ctx.TS.gen("d(x)")) == ctx.TS.gen("d_x")
     assert compose_morphisms(c, c) == identity_morphism(ctx.TS)
-    tau = ctx.affine_swap
-    assert tau(ctx.TAS.pair(ctx.TA.gen("d_x"), 1)) == ctx.TAS.pair(1, ctx.S.gen("d(x)"))
+    tau = helpers.affine_swap(ctx)
+    pair = helpers.algebra_pair
+    assert tau(pair(ctx.TAS, ctx.TA.gen("d_x"), 1)) == pair(ctx.TAS, 1, ctx.S.gen("d(x)"))
     assert compose_morphisms(tau, tau) == identity_morphism(ctx.TAS)
 
 
@@ -409,12 +414,14 @@ def every_structure_map(A, M) -> list[AlgebraMorphism]:
     tm = tangent_structure_maps(A)
     dn = dual_numbers_structure(A)
     ctx = bundle_context(M)
-    maps = [tm.p, tm.zero, tm.plus, tm.minus, tm.lift, tm.flip, tm.tau]
+    plus = helpers.fibrewise_sum(tm.p, "+")
+    maps = [tm.p, tm.zero, plus, helpers.tangent_minus(tm), tm.lift, tm.flip, helpers.tangent_tau(plus)]
     maps += [dn.p, dn.zero, dn.plus, dn.minus, dn.lift, dn.flip]
-    maps += [ctx.q, ctx.z, ctx.iota, ctx.sigma, ctx.lam, ctx.A_maps.p, ctx.U, ctx.S_maps.flip]
+    sigma = helpers.fibrewise_sum(ctx.q, "sigma")
+    maps += [ctx.q, ctx.z, ctx.iota, sigma, ctx.lam, ctx.A_maps.p, ctx.U, ctx.S_maps.flip]
     maps += axiom_maps(ctx)
     if M.provenance == "kahler":
-        maps += [ctx.affine_flip, ctx.affine_swap]
+        maps += [ctx.affine_flip, helpers.affine_swap(ctx)]
     return maps
 
 
@@ -455,7 +462,7 @@ def test_seeded_wrong_relabel_tables_fail_like_their_certificates():
     failures = refusals = 0
     for A in (make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"]), make_algebra(QQ, ("x",), ["x^2"])):
         maps = tangent_structure_maps(A)
-        for good in (maps.flip, maps.minus, bundle_context(kahler_module(A)).affine_flip):
+        for good in (maps.flip, helpers.tangent_minus(maps), bundle_context(kahler_module(A)).affine_flip):
             gens = list(good.dom.gens)
             for _ in range(8):
                 images = dict(good.images)
@@ -523,24 +530,9 @@ def test_only_maps_built_from_connection_data_reach_normal_forms(monkeypatch):
     assert rings  # the recorder saw the bases that were built
 
 
-def test_a_pipeline_builds_no_plus_or_tau():
-    """The S^2 pipeline reads p, 0, l and c of A and S_A(M), and never builds
-    their +, T2 or tau; a bundle context itself builds A's p alone."""
-    A = make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"])
-    ctx = bundle_context(kahler_module(A))
-    assert STRUCTURE_MAPS & set(vars(ctx.A_maps)) == {"p"}
-    assert not STRUCTURE_MAPS & set(vars(ctx.S_maps))
-    assert run_sphere_pipeline(A).ctx is ctx
-    for B in (A, ctx.S, ctx.TA):
-        built = STRUCTURE_MAPS & set(vars(tangent_structure_maps(B)))
-        assert built and not {"plus", "T2", "tau"} & built, B.gens
-    assert tangent_structure_maps(A).tau.certified  # still built when asked, so the check above can fail
-    assert {"plus", "T2", "tau"} <= set(vars(tangent_structure_maps(A)))
-
-
-def test_sigma_and_its_codomain_are_built_only_when_asked(monkeypatch):
-    """The S^2 pipeline builds no sigma, no S (x)_A S and no basis of it;
-    asking for sigma afterwards still builds and certifies it."""
+def test_sigma_is_certified_on_s_tensor_s(monkeypatch):
+    """sigma: S -> S (x)_A S of the S^2 Kahler bundle is certified, and its
+    certification reduces in S (x)_A S, one copy of A's generators."""
     rings = []
     init = IdealBasis.__init__
 
@@ -549,14 +541,11 @@ def test_sigma_and_its_codomain_are_built_only_when_asked(monkeypatch):
         init(self, field, variables, *args)
 
     monkeypatch.setattr(IdealBasis, "__init__", recording)
-    nabla = run_sphere_pipeline(make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"]))
-    ctx = nabla.ctx
-    assert "sigma" not in vars(ctx)
-    s_tensor_s = tuple(f"{m}#0" for m in ctx.M.gens) + tuple(f"{g}#1" for g in ctx.S.gens)
-    assert s_tensor_s not in rings
-    assert ctx.sigma.certified
-    assert ctx.sigma.cod.gens == s_tensor_s
-    assert s_tensor_s in rings  # certifying sigma reduces there, so the check above can fail
+    ctx = bundle_context(kahler_module(make_algebra(QQ, ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 1"])))
+    sigma = helpers.fibrewise_sum(ctx.q, "sigma")
+    assert sigma.certified
+    assert sigma.cod.gens == tuple(f"{m}#0" for m in ctx.M.gens) + tuple(f"{g}#1" for g in ctx.S.gens)
+    assert sigma.cod.gens in rings
 
 
 # ---------------------------------------------------------------------------
