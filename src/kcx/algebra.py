@@ -6,9 +6,8 @@ element equality is canonical normal-form equality.  Raw in, reduced once:
 constructors keep raw values, and only `AlgebraElement` and, in `modules.py`,
 `ModuleElement` and `PresentedModule.combine` reduce.  So morphisms are
 stored by raw generator images, and applying a morphism substitutes and then
-reduces in the codomain.  A tensor over a base presents a base generator that
-both factor maps send to a plain generator once, so raw images over it
-compare as given; other factor maps get identification relations.
+reduces in the codomain.  A tensor over a base is a pushout along generator
+inclusions, presented on one copy of the base, so raw images compare as given.
 Certification (all domain relations map to zero) happens eagerly for
 user-built morphisms and lazily/never for maps whose well-definedness is
 forced by construction.  It first matches each relation's raw image against
@@ -496,7 +495,7 @@ class TensorAlgebra(PresentedAlgebra):
     """B1 (x)_A B2 presented on renamed generators; `rename[k]` names factor
     k's generators in it, and `i0`, `i1` are the two injections."""
 
-    def __init__(self, left, right, gens, relations, roles, rename0, rename1, grading=None, cap=None):
+    def __init__(self, left, right, gens, relations, roles, rename0, rename1, grading, cap):
         super().__init__(left.field, gens, relations, roles=roles, grading=grading, cap=cap)
         self.factors = (left, right)
         self.rename = (dict(rename0), dict(rename1))
@@ -504,71 +503,57 @@ class TensorAlgebra(PresentedAlgebra):
         self.i1 = relabel(right, self, rename1, "i1")
 
 
-def tensor_over_base(
-    f1: AlgebraMorphism,
-    f2: AlgebraMorphism,
-    grading: Mapping[str, tuple[int, ...]] | None = None,
-    cap: tuple[int, ...] | None = None,
-) -> TensorAlgebra:
-    """Pushout presentation of B1 (x)_A B2 along the maps fi: A -> Bi.
+def tensor_over_base(f1: AlgebraMorphism, f2: AlgebraMorphism) -> TensorAlgebra:
+    """Pushout presentation of B1 (x)_A B2 along generator inclusions fi: A -> Bi.
 
-    B1's generators are suffixed #0 and B2's #1 (`kcx convert` prints them),
-    and the relations are both factors' relations, each once.  When every
-    base generator goes to plain generators y and z of grade zero, y is
-    named z#1 and takes z's role and grading (`_shared_base`): a pushout
-    along generator inclusions needs one copy of them.  Otherwise each pair
-    of raw A-images is identified by a relation.  Given no grading, the
-    factors' sort gradings are juxtaposed, capped at 1 in each sort by
-    default (sound when the maps hit only grade-zero generators); maps that
-    shift sorts need a grading.
+    Each fi must send every base generator to one generator of grade zero
+    with coefficient 1; B1's generators are suffixed #0 and B2's #1 (`kcx
+    convert` prints them), and the copy y = f1(a) of a base generator a is
+    named z#1 for z = f2(a) and takes z's role, so no relation identifies the
+    copies.  The relations are both factors' relations, each once, and the
+    factors' sort gradings are juxtaposed, capped at 1 in each sort.
     """
     if f1.dom is not f2.dom:
         raise ValueError("factor maps must share their domain")
-    A, B1, B2 = f1.dom, f1.cod, f2.cod
+    B1, B2 = f1.cod, f2.cod
     if B1.field != B2.field:
         raise ValueError("factors over different fields")
     rename0 = {g: f"{g}#0" for g in B1.gens}
     rename1 = {g: f"{g}#1" for g in B2.gens}
-    if grading is None and (B1.grading or B2.grading):
+    shared: dict[str, str] = {}  # y -> z#1
+    for a in f1.dom.gens:
+        y, z = _base_copy(f1, a), rename1[_base_copy(f2, a)]
+        if shared.setdefault(y, z) != z:
+            raise ValueError(f"base generator {a!r} gives {y!r} of the first factor a second name")
+    gens = tuple(rename0[g] for g in B1.gens if g not in shared) + tuple(rename1.values())
+    grading = cap = None
+    if B1.grading or B2.grading:
         left, right = (B.grading or dict.fromkeys(B.gens, ()) for B in (B1, B2))
         k0, k1 = (len(next(iter(g.values()), ())) for g in (left, right))
-        grading = {rename0[g]: left[g] + (0,) * k1 for g in B1.gens}
+        grading = {rename0[g]: left[g] + (0,) * k1 for g in B1.gens if g not in shared}
         grading.update({rename1[g]: (0,) * k0 + right[g] for g in B2.gens})
-        cap = (1,) * (k0 + k1) if cap is None else cap
-    shared = _shared_base(f1, f2, rename0, rename1, grading)
-    gens = tuple(rename0[g] for g in B1.gens if g not in (shared or ())) + tuple(rename1.values())
-    rename0.update(shared or {})
+        cap = (1,) * (k0 + k1)
+    rename0.update(shared)
     roles = {}  # B2's role last, so a merged generator keeps it
     for B, rename, k in ((B1, rename0, 0), (B2, rename1, 1)):
         for g in B.gens:
             roles[rename[g]] = GenRole(B.roles[g].kind, f"{B.roles[g].origin}#{k}")
-    if grading:
-        grading = {g: grading[g] for g in gens}
     relations = [rel.change_vars(gens, rename0) for rel in B1.relations]
     relations += [rel.change_vars(gens, rename1) for rel in B2.relations]
-    if shared is None:
-        for a in A.gens:
-            left, right = f1.images[a].change_vars(gens, rename0), f2.images[a].change_vars(gens, rename1)
-            relations.append(left - right)
     relations = [r for r in dict.fromkeys(relations) if not r.is_zero()]
     return TensorAlgebra(B1, B2, gens, relations, roles, rename0, rename1, grading, cap)
 
 
-def _shared_base(f1: AlgebraMorphism, f2: AlgebraMorphism, rename0, rename1, grading) -> dict[str, str] | None:
-    """y -> z#1 for each base generator a with f1(a) = y and f2(a) = z, or
-    None unless every image is one generator with coefficient 1, each copy
-    has grade zero and no y gets two names (with no base generators, the
-    empty table)."""
-    if f1._renaming is None or f2._renaming is None:
-        return None
-    table: dict[str, str] = {}
-    for s1, s2 in zip(f1._renaming, f2._renaming):
-        if s1 is None or s2 is None or s1[1] != 1 or s2[1] != 1:
-            return None
-        y, z = f1.cod.gens[s1[0]], rename1[f2.cod.gens[s2[0]]]
-        if table.setdefault(y, z) != z or grading and any(grading[rename0[y]] + grading[z]):
-            return None
-    return table
+def _base_copy(f: AlgebraMorphism, a: str) -> str:
+    """f(a) when it is one generator of grade zero with coefficient 1; else ValueError naming a."""
+    B, image = f.cod, f.images[a]
+    exp, c = next(iter(image.terms.items()), ((), 0))
+    if len(image.terms) != 1 or sum(exp) != 1 or c != 1:
+        raise ValueError(f"factor map sends base generator {a!r} to {image.render()}, not to one generator")
+    y = B.gens[exp.index(1)]
+    if B.grading and any(B.grading[y]):
+        raise ValueError(f"factor map sends base generator {a!r} to {y!r} of grade {B.grading[y]}")
+    return y
 
 
 def fresh_name(taken: tuple[str, ...], name: str) -> str:

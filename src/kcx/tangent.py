@@ -34,9 +34,9 @@ shapes, and `_scan` the one reader behind `read` and `proves_zero`.  Each
 `write` sends every relation row of its module into the ideal of its bundle,
 so `ShapeMap.proves_zero` can show a raw value zero by reading alone: it
 certifies H (and so K, read off H as {1 - U.H}) and the curvature and
-torsion correspondences.  T(A) (x)_A S_A(M) has one copy of A's generators
-(`algebra.tensor_over_base`), so H's raw images are read as given; the copy
-names of a tensor are read from its `rename` tables.
+torsion correspondences.  T(A) (x)_A S_A(M), the pushout along p and q, has
+one copy of A's generators (`algebra.tensor_over_base`), so H's raw images are
+read as given; the copy names of a tensor are read from its `rename` tables.
 
 Each module's bundle is `bundle_context(M)`, one `BundleContext` with the
 bundle's own maps (q/z/iota, lambda, U, the shapes) as attributes and the

@@ -208,7 +208,7 @@ def _parse_connection_sum(text: str, cur: _Cursor, pos: int, M: PresentedModule,
         try:
             coef = poly_normalize(coef_txt, A.field, A.gens)
             inner = poly_normalize(inner_txt, A.field, A.gens)
-        except Exception as exc:
+        except ParseError as exc:
             raise cur.error(f"bad expression in connection term: {exc}", pos)
         coef = coef if sign == "+" else -coef
         l = M.gens.index(gen)

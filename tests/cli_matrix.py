@@ -3,7 +3,7 @@
 The matrix is every file in `examples_kcx/`, then the definition files of
 `GOLDEN_FILES`, under check, solve (on the module Omega), curvature, torsion,
 convert and glue, each with no --char, --char 2 and --char 3, as text and with
---json, then `gallery` as text and with --json: 290 runs.  Each line is the
+--json, then `gallery` as text and with --json: 326 runs.  Each line is the
 argv, the exit code and the sha256 of the output text, so two trees print
 the same lines exactly when every run gives the same bytes and the same exit
 code.  Run it from the root of each tree and diff the two outputs:
@@ -33,13 +33,15 @@ COMMANDS = [
 CHARS = [[], ["--char", "2"], ["--char", "3"]]
 OUTPUTS = [[], ["--json"]]
 # definition files kept with the goldens: a connection that fails
-# well-definedness, chart connections that do not glue over QQ, and a gluing
-# whose inverse check meets the substitution bound (the `render_*.kcx` files
-# there are rendering goldens, not inputs)
+# well-definedness, chart connections that do not glue over QQ, a gluing
+# whose inverse check meets the substitution bound, and connections on a free
+# and a presented module (the `render_*.kcx` files there are rendering
+# goldens, not inputs)
 GOLDEN_FILES = [
     "tests/golden/circle_naive.kcx",
     "tests/golden/p1_zero_connections.kcx",
     "tests/golden/glue_expansion.kcx",
+    "tests/golden/free_and_presented.kcx",
 ]
 
 

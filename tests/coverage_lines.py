@@ -17,6 +17,7 @@ import os
 import sys
 import types
 from pathlib import Path
+from typing import Any, Callable
 
 import pytest
 
@@ -35,8 +36,8 @@ def code_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_suite(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
-    """Tier-1's exit code, and the (file, line) pairs that ran under it."""
+def record_lines(action: Callable[[], Any]) -> tuple[Any, set[tuple[str, int]]]:
+    """`action()`'s result, and the (file, line) pairs that ran under it."""
     monitoring = sys.monitoring
     tool, ran = monitoring.COVERAGE_ID, set()
 
@@ -48,27 +49,34 @@ def run_suite(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     monitoring.register_callback(tool, monitoring.events.LINE, on_line)
     monitoring.set_events(tool, monitoring.events.LINE)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *args])
+        result = action()
     finally:
         monitoring.set_events(tool, 0)
         monitoring.free_tool_id(tool)
-    return int(status), {(os.path.realpath(f), line) for f, line in ran}
+    return result, {(os.path.realpath(f), line) for f, line in ran}
 
 
-def main() -> int:
-    if sys.version_info < (3, 12):
-        sys.exit("coverage_lines.py needs Python 3.12 or later (sys.monitoring)")
-    os.chdir(ROOT)
-    status, ran = run_suite(sys.argv[1:])
+def report_unrun(ran: set[tuple[str, int]], what: str) -> None:
+    """Print how many `src/kcx` lines with bytecode are not in `ran`, then
+    list them as `path:line`."""
     total, unrun = 0, []
     for path in sorted(SRC.glob("*.py")):
         lines = code_lines(path)
         total += len(lines)
         name = os.path.realpath(path)
         unrun += [f"{path.relative_to(ROOT)}:{line}" for line in sorted(lines) if (name, line) not in ran]
-    print(f"src/kcx lines with bytecode that tier-1 never ran: {len(unrun)} of {total}")
+    print(f"src/kcx lines with bytecode that {what} never ran: {len(unrun)} of {total}")
     print("\n".join(unrun))
-    return status
+
+
+def main() -> int:
+    if sys.version_info < (3, 12):
+        sys.exit("coverage_lines.py needs Python 3.12 or later (sys.monitoring)")
+    os.chdir(ROOT)
+    args = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *sys.argv[1:]]
+    status, ran = record_lines(lambda: pytest.main(args))
+    report_unrun(ran, "tier-1")
+    return int(status)
 
 
 if __name__ == "__main__":

@@ -38,10 +38,11 @@ T(A) (x)_A S_A(M) polynomial by their d- and module-degrees; it checks
 T^2(A) (x)_{T(A)} T(S_A(M)) by the tensor recipe; it checks that
 T(T(A) (x)_A S_A(M)) is the same presentation.  `two_copy_tensor` presents
 B1 (x)_A B2 on both copies of the generators with the identification
-relations y#0 - z#1; it checks the one-copy presentation `tensor_over_base`
-builds when the factor maps are plain renamings.  `eager_make_morphism`
-reduces every image to its codomain normal form before the map is built; it
-checks that `make_morphism`'s raw images decide the same.
+relations y#0 - z#1, the repository's only such presentation; it checks the
+one-copy presentation `tensor_over_base` builds, and it builds the recipe
+above, whose factor maps shift sorts (`tensor_over_base` refuses those).
+`eager_make_morphism` reduces every image to its codomain normal form before
+the map is built; it checks that `make_morphism`'s raw images decide the same.
 
 `split_shapes`, `omega_m_to_tensor_algebra`, `tensor_algebra_to_omega_m`,
 `embed_wedge_curvature`, `project_wedge_curvature`, `embed_wedge_torsion` and
@@ -66,7 +67,7 @@ import itertools
 from dataclasses import dataclass, field as dfield
 from typing import Mapping
 
-from kcx.algebra import AlgebraElement, AlgebraMorphism, PresentedAlgebra, tensor_over_base
+from kcx.algebra import AlgebraElement, AlgebraMorphism, PresentedAlgebra
 from kcx.connections import Connection
 from kcx.curvature import _wedge_tensor, curvature_target
 from kcx.fields import Coef, Field
@@ -679,27 +680,28 @@ def leibniz_tensor_presentation(ctx):
         mod, tan = ctx.TS.grading[g]
         grading[f"{g}#1"] = (mod, 0, tan)
     Tp, Tq = tangent_apply_functor(ctx.A_maps.p), tangent_apply_functor(ctx.q)
-    return tensor_over_base(Tp, Tq, grading=grading, cap=(1, 1, 1))
+    return two_copy_tensor(Tp.dom, Tp.cod, Tq.cod, Tp, Tq, grading=grading, cap=(1, 1, 1))
 
 
-def two_copy_tensor(A, B1, B2, f1, f2) -> PresentedAlgebra:
+def two_copy_tensor(A, B1, B2, f1, f2, grading=None, cap=None) -> PresentedAlgebra:
     """B1 (x)_A B2 on B1's generators suffixed #0 and B2's suffixed #1: both
-    factors' relations, then f1(a) - f2(a) for each base generator a, with
-    the factors' sort gradings juxtaposed and capped at 1 in each sort (no
-    grading when neither factor has one)."""
+    factors' relations, then f1(a) - f2(a) for each base generator a.  Given
+    no grading, the factors' sort gradings are juxtaposed and capped at 1 in
+    each sort (no grading when neither factor has one); a given grading is
+    capped at `cap`."""
     rename0 = {g: f"{g}#0" for g in B1.gens}
     rename1 = {g: f"{g}#1" for g in B2.gens}
     gens = (*rename0.values(), *rename1.values())
-    left, right = (B.grading or dict.fromkeys(B.gens, ()) for B in (B1, B2))
-    k0, k1 = (len(next(iter(g.values()), ())) for g in (left, right))
-    grading = {rename0[g]: left[g] + (0,) * k1 for g in B1.gens}
-    grading.update({rename1[g]: (0,) * k0 + right[g] for g in B2.gens})
+    if grading is None:
+        left, right = (B.grading or dict.fromkeys(B.gens, ()) for B in (B1, B2))
+        k0, k1 = (len(next(iter(g.values()), ())) for g in (left, right))
+        grading = {rename0[g]: left[g] + (0,) * k1 for g in B1.gens}
+        grading.update({rename1[g]: (0,) * k0 + right[g] for g in B2.gens})
+        grading, cap = (grading, (1,) * (k0 + k1)) if k0 + k1 else (None, None)
     relations = [r.change_vars(gens, rename0) for r in B1.relations]
     relations += [r.change_vars(gens, rename1) for r in B2.relations]
     relations += [f1.images[a].change_vars(gens, rename0) - f2.images[a].change_vars(gens, rename1) for a in A.gens]
-    if not k0 + k1:
-        return PresentedAlgebra(B1.field, gens, relations)
-    return PresentedAlgebra(B1.field, gens, relations, grading=grading, cap=(1,) * (k0 + k1))
+    return PresentedAlgebra(B1.field, gens, relations, grading=grading, cap=cap)
 
 
 def eager_make_morphism(dom, cod, images, certify: bool = True, name: str = "") -> AlgebraMorphism:

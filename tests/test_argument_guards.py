@@ -49,6 +49,14 @@ def _tensor_over_two_fields():
     return tensor_over_base(make_morphism(A, _line(), {"t": "t"}), make_morphism(A, _line(GF(3)), {"t": "t"}))
 
 
+def _tensor_along(image: str, grading=None):
+    """A tensor over the line whose first factor map sends t to `image` in
+    k[y, z], graded by `grading` when given."""
+    B = PresentedAlgebra(QQ, ("y", "z"), [], grading=grading)
+    A = _line()
+    return tensor_over_base(make_morphism(A, B, {"t": image}), make_morphism(A, B, {"t": "y"}))
+
+
 def _plane_free():
     return free_module(_plane(), 2)
 
@@ -70,6 +78,11 @@ GUARDS = {
         lambda: compose_morphisms(identity_morphism(_plane()), identity_morphism(_line())),
         ValueError, "codomain/domain mismatch in composition"),
     "tensor over two fields": (_tensor_over_two_fields, ValueError, "factors over different fields"),
+    "tensor along a map that is not a plain renaming": (
+        lambda: _tensor_along("2*y"), ValueError, "factor map sends base generator 't' to 2*y, not to one generator"),
+    "tensor along a map onto a generator of nonzero grade": (
+        lambda: _tensor_along("y", {"y": (1,), "z": (0,)}),
+        ValueError, "factor map sends base generator 't' to 'y' of grade (1,)"),
     # modules
     "module repeats a generator": (
         lambda: make_module(_plane(), ("u", "u")), ValueError, "duplicate module generator names"),

@@ -7,9 +7,9 @@ are then compared as given: `certify`, `agrees_on`, `Connection.H` and
 `from_horizontal` use that in place of a basis of the tensor.  These tests
 pin the one-copy presentation against the two-copy one of
 `oracles.two_copy_tensor` (the same normal forms after x#0 -> x#1, over three
-fields), compare `agrees_on` on pairs glued from the two copies with
-normal-form equality, compare H's certificate with the full one and pin the
-failure output of the fallback.  The fact H's certificate rests on (write
+fields), pin the refusal of any other factor map, compare `agrees_on` on
+pairs glued from the two copies with normal-form equality, compare H's
+certificate with the full one and pin the failure output of the fallback.  The fact H's certificate rests on (write
 sends every relation row of Omega (x) M into the tensor's ideal) is checked
 with K's in `test_vertical_certificate.py`.
 """
@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from kcx.algebra import AlgebraMorphism, make_algebra, make_morphism, tensor_over_base
+from kcx.algebra import AlgebraMorphism, PresentedAlgebra, make_algebra, make_morphism, tensor_over_base
 from kcx.connections import Connection, connection_equal, from_horizontal, make_connection, to_horizontal
 from kcx.errors import AxiomFailure, WellDefinednessFailure
 from kcx.fields import GF, QQ
@@ -82,8 +82,8 @@ def test_the_bundle_tensor_has_one_copy_of_the_base():
 def test_only_plain_renamings_of_the_base_share_one_copy():
     """Each base generator onto one generator with coefficient 1 on both
     sides, both of grade zero: the first factor's copy takes the second's
-    name.  Any other factor map keeps both copies and the identification
-    relations, as `oracles.two_copy_tensor` presents them."""
+    name.  Any other factor map is refused, naming the base generator; the
+    two-copy presentation of such a tensor is `oracles.two_copy_tensor`."""
     A = make_algebra(QQ, ("a",))
     B = make_algebra(QQ, ("y", "z"))
     plain = make_morphism(A, B, {"a": "y"})
@@ -92,22 +92,29 @@ def test_only_plain_renamings_of_the_base_share_one_copy():
     assert shared.i0.images["y"] == _var(shared, "y#1")
     for image in ("2*y", "-y", "y^2", "y + z", "0"):
         other = make_morphism(A, B, {"a": image})
+        message = f"factor map sends base generator 'a' to {other.images['a'].render()}, not to one generator"
         for f1, f2 in ((plain, other), (other, plain)):
-            T, P = tensor_over_base(f1, f2), two_copy_tensor(A, B, B, f1, f2)
-            assert T.gens == P.gens == ("y#0", "z#0", "y#1", "z#1"), image
-            assert T.relations == P.relations and len(T.relations) == 1, image
-    # two base generators onto one generator of the first factor: y would
-    # need two names
+            with pytest.raises(ValueError) as refusal:
+                tensor_over_base(f1, f2)
+            assert str(refusal.value) == message, image
+    # two base generators onto one generator of the first factor and two of
+    # the second: y would need two names
     A2 = make_algebra(QQ, ("a", "b"))
     left = make_morphism(A2, B, {"a": "y", "b": "z"})
     right = make_morphism(A2, B, {"a": "y", "b": "y"})
-    assert tensor_over_base(right, left).gens == ("y#0", "z#0", "y#1", "z#1")
+    with pytest.raises(ValueError) as refusal:
+        tensor_over_base(right, left)
+    assert str(refusal.value) == "base generator 'b' gives 'y' of the first factor a second name"
     merged = tensor_over_base(left, right)  # y and z of the first factor are both y#1
     assert merged.gens == ("y#1", "z#1") and merged.relations == ()
     assert merged.i0.images["y"] == merged.i0.images["z"] == _var(merged, "y#1")
-    # a copy of nonzero grade keeps both copies
-    graded = {"y#0": (1,), "z#0": (0,), "y#1": (0,), "z#1": (0,)}
-    assert tensor_over_base(plain, plain, grading=graded).gens == ("y#0", "z#0", "y#1", "z#1")
+    # a copy of nonzero grade is refused, on either side
+    graded = PresentedAlgebra(QQ, ("y", "z"), [], grading={"y": (1,), "z": (0,)})
+    onto_graded = make_morphism(A, graded, {"a": "y"})
+    for f1, f2 in ((onto_graded, plain), (plain, onto_graded)):
+        with pytest.raises(ValueError) as refusal:
+            tensor_over_base(f1, f2)
+        assert str(refusal.value) == "factor map sends base generator 'a' to 'y' of grade (1,)"
 
 
 def _random_within_cap(rng: random.Random, P) -> Polynomial:

@@ -467,6 +467,7 @@ RETIRED = [
     ("groebner", "SparseVector"),  # groebner.Row
     ("solve", "_scaled"),  # poly._mul_terms on each component of a Row
     ("algebra", "_gluing"),  # tensor_over_base presents the shared base on one copy
+    ("algebra", "_shared_base"),  # tensor_over_base builds only the one-copy pushout
     ("cli", "Check"),  # connections.AxiomCheck
     ("cli", "_axiom_check"),  # the residue is rendered where the check fails
     ("solve", "ConnectionSpace"),  # the AffineSolutionSpace itself, keyed (g, idx, exp)

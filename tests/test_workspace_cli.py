@@ -560,6 +560,7 @@ def test_a_shared_parser_answers_each_argv_as_a_fresh_one(monkeypatch, capsys):
 
 
 GLUE_BLOCK = "glue {\n  chart1: A1 at x;\n  chart2: A2 at y;\n  transition: t;\n  inverse: tinv;\n}\n"
+KAHLER_PLANE = "algebra A { char: 0; vars: x, y; }\nmodule M over A { kahler; }\n"
 # definition files the CLI refuses with exit 2: id, source, command and the
 # message after "error: "
 REFUSALS = [
@@ -591,6 +592,18 @@ REFUSALS = [
         "glue",
         "morphism 't' must go between the localized charts "
         "(expected generators ('x', 'x_inv') -> ('y', 'y_inv')) (line 20, column 3)",
+    ),
+    (
+        "connection-term-unfinished",
+        KAHLER_PLANE + "connection n on M { d(x) -> (x + * d(x) @ d(x); d(y) -> 0; }\n",
+        "check",
+        "bad expression in connection term: unexpected end of expression at column 5 in '(x +' (line 3, column 21)",
+    ),
+    (
+        "connection-term-unknown-variable",
+        KAHLER_PLANE + "connection n on M { d(x) -> z * d(x) @ d(x); d(y) -> 0; }\n",
+        "check",
+        "bad expression in connection term: unknown variable 'z' at column 1 in 'z' (line 3, column 21)",
     ),
 ]
 
