@@ -27,10 +27,10 @@ from functools import cached_property, wraps
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .errors import OwnerMismatch, WellDefinednessFailure
-from .fields import Coef, Field
+from .fields import Field
 from .groebner import IdealBasis, fits_cap, grade_columns
 from .parse import poly_normalize
-from .poly import Exponent, Polynomial
+from .poly import Polynomial
 
 
 class GenRole(NamedTuple):
@@ -82,7 +82,7 @@ class PresentedAlgebra:
         self.gens = tuple(gens)
         self.relations = tuple(relations)
         for r in self.relations:
-            if r.vars != self.gens or r.field != field:
+            if r.vars != self.gens or r.field is not field:
                 raise ValueError("relation not over the algebra's generators")
         self.roles = dict(roles) if roles else {g: GenRole("base", g) for g in gens}
         if set(self.roles) != set(gens):
@@ -242,6 +242,7 @@ def make_algebra(field: Field, gens: Iterable[str], relations: Iterable[str] = (
 class AlgebraMorphism:
     """Algebra map determined by raw generator images in the codomain.
 
+    Domain and codomain are over one field: a map across fields is refused.
     When every image is zero or c*y for one codomain generator y (a signed
     renaming: flips, lifts, lambda, U and the bundle maps), the map keeps a
     per-generator table of (codomain position, c), or None for zero, built
@@ -261,6 +262,8 @@ class AlgebraMorphism:
         self.dom = dom
         self.cod = cod
         self.name = name
+        if cod.field is not dom.field:
+            raise ValueError(f"{name or 'morphism'}: domain over {dom.field}, codomain over {cod.field}")
         if set(images) != set(dom.gens):
             missing = set(dom.gens) - set(images)
             raise ValueError(f"missing image for generator(s): {sorted(missing)}")
@@ -271,7 +274,7 @@ class AlgebraMorphism:
                 raise ValueError(f"image of {g!r} is not in the codomain ring")
             imgs[g] = p
         self.images = imgs
-        self._renaming = _signed_renaming(dom, cod, imgs)
+        self._renaming = _signed_renaming(dom, imgs)
         self.certified = False
         if certify:
             self.certify()
@@ -311,10 +314,10 @@ class AlgebraMorphism:
         """Substitute generator images; no reduction in the codomain.
 
         A signed renaming applied to a polynomial over the domain ring itself
-        (the same generator tuple and field objects) moves exponents with
-        `Polynomial.move_exponents`; every other input, including one over an
-        equal ring built apart, goes through `substitute` and its ring and
-        missing-image checks.  Both give the same term dict.
+        (the same generator tuple and field) moves exponents with
+        `Polynomial.move_exponents`; every other input, including one over
+        equal generators built apart, goes through `substitute` and its ring
+        and missing-image checks.  Both give the same term dict.
         """
         table = self._renaming
         if table is None or poly.vars is not self.dom.gens or poly.field is not self.dom.field:
@@ -359,11 +362,9 @@ class AlgebraMorphism:
         return f"<{label}: {len(self.dom.gens)} gens -> {len(self.cod.gens)} gens>"
 
 
-def _signed_renaming(dom: PresentedAlgebra, cod: PresentedAlgebra, images: dict[str, Polynomial]):
+def _signed_renaming(dom: PresentedAlgebra, images: dict[str, Polynomial]):
     """(codomain position, c), or None for zero, per domain generator when
-    each image is zero or c*y over the domain's own field; else None."""
-    if dom.field is not cod.field and dom.field != cod.field:
-        return None
+    each image is zero or c*y; else None."""
     table = []
     for g in dom.gens:
         terms = images[g].terms
@@ -393,17 +394,16 @@ def make_morphism(
 def relabel(
     dom: PresentedAlgebra,
     cod: PresentedAlgebra,
-    table: Mapping[str, str | tuple[str, ...] | None],
+    table: Mapping[str, str | None],
     name: str = "",
     certify: bool = True,
 ) -> AlgebraMorphism:
-    """Morphism sending each generator to a sum of signed codomain generators.
+    """Signed renaming: each generator to a signed codomain generator or zero.
 
     `table[g]` is a codomain generator name, that name prefixed with '-' for
-    its negative, a tuple of such names for their sum, or None for zero.  A
-    generator absent from the table keeps its own name in the codomain.
-    Nearly every tangent and bundle structure map has this shape.  Repeated
-    names add up, and a name that starts with '-' but is itself a codomain
+    its negative, or None for zero.  A generator absent from the table keeps
+    its own name in the codomain.  Nearly every tangent and bundle structure
+    map has this shape.  A name that starts with '-' but is itself a codomain
     generator stays literal.
     """
     if not set(table) <= set(dom.gens):
@@ -412,22 +412,15 @@ def relabel(
     position = {c: i for i, c in enumerate(cod.gens)}
     images = {}
     for g in dom.gens:
-        target = table.get(g, g)
-        names = () if target is None else (target,) if isinstance(target, str) else target
-        terms: dict[Exponent, Coef] = {}
-        for c in names:
+        c, terms = table.get(g, g), {}
+        if c is not None:
             coef = f.one()
             if c not in position and c.startswith("-"):
                 c, coef = c[1:], f.neg(coef)
             if c not in position:
                 raise ValueError(f"{c!r} is not a generator of the codomain")
             i = position[c]
-            exp = (0,) * i + (1,) + (0,) * (n - i - 1)
-            s = f.add(terms.get(exp, 0), coef)
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
+            terms[(0,) * i + (1,) + (0,) * (n - i - 1)] = coef
         images[g] = Polynomial._of_terms(f, cod.gens, terms)
     return AlgebraMorphism(dom, cod, images, certify=certify, name=name)
 
@@ -444,12 +437,11 @@ def _images_after_renaming(g: AlgebraMorphism, f: AlgebraMorphism) -> dict[str, 
 
     If f sends x to c*y, then g after f sends x to c times g's image of y,
     and a zero stays zero; with g a renaming too, (pos, c) then (pos', c')
-    gives c*c'*y_pos'.  Only taken when g keeps the field, where `apply_raw`
-    cannot raise; the images then equal `g.apply_raw(p)` term for term, dict
-    order included.
+    gives c*c'*y_pos'.  Both maps are over one field, so the images equal
+    `g.apply_raw(p)` term for term, dict order included.
     """
     table, field = f._renaming, g.dom.field
-    if table is None or (g.cod.field is not field and g.cod.field != field):
+    if table is None:
         return None
     slots = dict(zip(f.dom.gens, table))
     gens, mul = g.cod.gens, field.mul
@@ -511,13 +503,12 @@ def tensor_over_base(f1: AlgebraMorphism, f2: AlgebraMorphism) -> TensorAlgebra:
     convert` prints them), and the copy y = f1(a) of a base generator a is
     named z#1 for z = f2(a) and takes z's role, so no relation identifies the
     copies.  The relations are both factors' relations, each once, and the
-    factors' sort gradings are juxtaposed, capped at 1 in each sort.
+    factors' sort gradings are juxtaposed, capped at 1 in each sort.  Both
+    factors are over the base's field, since a morphism keeps its field.
     """
     if f1.dom is not f2.dom:
         raise ValueError("factor maps must share their domain")
     B1, B2 = f1.cod, f2.cod
-    if B1.field != B2.field:
-        raise ValueError("factors over different fields")
     rename0 = {g: f"{g}#0" for g in B1.gens}
     rename1 = {g: f"{g}#1" for g in B2.gens}
     shared: dict[str, str] = {}  # y -> z#1

@@ -13,12 +13,14 @@ Almost every coefficient the engine meets is a small integer, and int
 arithmetic is several times cheaper than `Fraction` arithmetic.  Equal values
 compare and hash equal in either form and render the same, so the form is
 invisible outside this module.
+
+One `Field` object per characteristic: `Field(p)`, `GF(p)` (`QQ` for 0),
+`copy` and `pickle` all give it back, so fields compare and hash by identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Union
@@ -31,9 +33,9 @@ def _canonical(q: Fraction | int) -> Coef:
     return q.numerator if q.denominator == 1 else q
 
 
-@cache
 def _is_prime(n: int) -> bool:
-    """Trial division, cached: a file builds one field per algebra block."""
+    """Trial division; `Field` runs it once per valid characteristic, when it
+    first builds that field."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -46,21 +48,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_FIELDS: dict[int, "Field"] = {}  # the one field of each characteristic
+
+
 class Field:
     """The rationals (``char == 0``) or GF(p) for a prime ``p < 2**31``."""
 
     __slots__ = ("char",)
 
-    def __init__(self, char: int = 0):
-        if char != 0 and not (char < 2**31 and _is_prime(char)):
-            raise ValueError(f"characteristic must be 0 or a prime below 2**31, got {char}")
-        self.char = char
+    def __new__(cls, char: int = 0):
+        field = _FIELDS.get(char)
+        if field is None:
+            if char != 0 and not (char < 2**31 and _is_prime(char)):
+                raise ValueError(f"characteristic must be 0 or a prime below 2**31, got {char}")
+            field = _FIELDS[char] = super().__new__(cls)
+            field.char = char
+        return field
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Field) and other.char == self.char
-
-    def __hash__(self) -> int:
-        return hash(("Field", self.char))
+    def __reduce__(self):
+        return Field, (self.char,)
 
     def __repr__(self) -> str:
         return "QQ" if self.char == 0 else f"GF({self.char})"

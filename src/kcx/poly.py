@@ -168,10 +168,10 @@ class Polynomial:
     def in_ring(self, field: Field, variables: tuple[str, ...]) -> bool:
         """Whether self lies in the ring on `variables` over `field`.
 
-        Identity settles the common case with no `Field.__eq__` call; an equal
-        ring built apart still passes.
+        A field is one object per characteristic, so it is compared by
+        identity; equal variable tuples built apart still pass.
         """
-        return (self.vars is variables or self.vars == variables) and (self.field is field or self.field == field)
+        return (self.vars is variables or self.vars == variables) and self.field is field
 
     def _check(self, other: "Polynomial"):
         if not other.in_ring(self.field, self.vars):

@@ -159,9 +159,9 @@ def kahler_map(f: AlgebraMorphism) -> dict[str, ModuleElement]:
 def localized_gamma(L: PresentedAlgebra, gamma: dict[str, ModuleElement]) -> dict[str, ModuleElement]:
     """Extend Christoffel data on Omega(A) to Omega(L), L = A[u_inv] a `localize`.
 
-    The new generator's image follows from the quotient rule: with u invertible
-    and d(u_inv) = -u_inv^2 d(u), the image is 2 u_inv^3 d(u)(x)d(u) minus
-    u_inv^2 times the image of d(u).  The lifted row is then satisfied
+    With u invertible, d(u_inv) = -u_inv^2 d(u) in Omega(L), so the new
+    generator's image is the Leibniz rule on that row: d(-u_inv^2) (x) d(u)
+    plus -u_inv^2 times the image of d(u).  The lifted row is then satisfied
     identically, so the extension is well defined whenever the input is.
     """
     A, u, inv = L.localization_of
@@ -173,12 +173,8 @@ def localized_gamma(L: PresentedAlgebra, gamma: dict[str, ModuleElement]) -> dic
     for dv, dv_L in zip(src.gens, omega_L.gens):
         pushed = ((t_L.pair_index(i, l), c.change_vars(L.gens)) for i, l, c in t_src.entries(gamma[dv]))
         out[dv_L] = t_L.combine(pushed)
-    u_idx = A.gens.index(u)
     inv_sq = Polynomial.variable(L.field, L.gens, inv) ** 2
-    correction = (t_L.pair_index(u_idx, u_idx), (inv_sq * Polynomial.variable(L.field, L.gens, inv)).scale(2))
-    out[omega_L.gens[-1]] = t_L.combine(
-        [correction, *((k, -inv_sq * c) for k, c in enumerate(out[omega_L.gens[u_idx]].comps))]
-    )
+    out[omega_L.gens[-1]] = t_L.combine(leibniz_terms(omega_L, [(A.gens.index(u), -inv_sq)], out))
     return out
 
 

@@ -9,8 +9,9 @@ suite runs at about its usual speed.  Tier-1 runs in this process through
 `pytest.main`; tests that start a subprocess (`python -m kcx`, `python -O`)
 are not seen, so a line only they run counts as unrun.  The lines that carry
 bytecode are those of every code object compiled from each source file.
-Standard library only, besides pytest itself; pytest does not collect this
-file.  The exit code is the suite's: there is no threshold.
+Standard library only, besides pytest itself, which only `main` imports, so
+`record_lines` and `report_unrun` run without it; pytest does not collect
+this file.  The exit code is the suite's: there is no threshold.
 """
 
 import os
@@ -18,8 +19,6 @@ import sys
 import types
 from pathlib import Path
 from typing import Any, Callable
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kcx"
@@ -72,6 +71,8 @@ def report_unrun(ran: set[tuple[str, int]], what: str) -> None:
 def main() -> int:
     if sys.version_info < (3, 12):
         sys.exit("coverage_lines.py needs Python 3.12 or later (sys.monitoring)")
+    import pytest
+
     os.chdir(ROOT)
     args = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *sys.argv[1:]]
     status, ran = record_lines(lambda: pytest.main(args))

@@ -4,10 +4,11 @@ Thin wrappers over the library's gallery constructors, so tests exercise the
 same objects the CLI gallery runs, but on the session-scoped fixtures.
 
 Below them, the structure that no axiom check reads, rebuilt from the
-engine's builders (`relabel`, `tensor_over_base`, `compose_chain`): the
-tangent structure's + and - with the swap tau of T(A) (x)_A T(A), the
-bundle's fibrewise sum sigma, the affine swap and the torsion-free test on
-the horizontal form, and whether a solved space holds a given connection.
+engine's builders (`relabel`, `tensor_over_base`, `compose_chain`, and
+`AlgebraMorphism` for the two fibrewise sums): the tangent structure's + and
+- with the swap tau of T(A) (x)_A T(A), the bundle's fibrewise sum sigma, the
+affine swap and the torsion-free test on the horizontal form, and whether a
+solved space holds a given connection.
 `d` and `algebra_pair` are how the tests write tangent values and simple
 tensors of T(A) (x)_A S_A(M).
 """
@@ -199,8 +200,11 @@ def fibrewise_sum(include: AlgebraMorphism, name: str) -> AlgebraMorphism:
     S_A(M) for its q."""
     B, B2 = include.cod, tensor_over_base(include, include)
     r0, r1 = B2.rename
-    fibre = [g for g in B.gens if g not in include.dom.gens]
-    return relabel(B, B2, {**r0, **{m: (r0[m], r1[m]) for m in fibre}}, name)
+    images = {g: Polynomial.variable(B2.field, B2.gens, r0[g]) for g in B.gens}
+    for m in B.gens:
+        if m not in include.dom.gens:
+            images[m] += Polynomial.variable(B2.field, B2.gens, r1[m])
+    return AlgebraMorphism(B, B2, images, name=name)
 
 
 def tangent_minus(maps) -> AlgebraMorphism:

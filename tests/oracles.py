@@ -22,7 +22,7 @@ through `move_exponents`.  `total_degree` and `shift` (a monomial multiple)
 serve the dense membership oracles and the old solver columns.
 `partial_differential` builds d(p) as a sum of partial derivatives times
 differentials; it checks the one-pass `TangentPresentation.differential`.
-`signed_sum_images` adds each relabel image up from signed variables; it
+`signed_images` builds each relabel image as a signed variable or zero; it
 checks `relabel`'s term dicts.  `role_kind_lift_table` and
 `role_kind_lambda_table` are the tables of l and lambda read from generator
 roles; they check `tangent._vertical_lift`, which reads T's `dmap` instead.
@@ -43,6 +43,11 @@ one-copy presentation `tensor_over_base` builds, and it builds the recipe
 above, whose factor maps shift sorts (`tensor_over_base` refuses those).
 `eager_make_morphism` reduces every image to its codomain normal form before
 the map is built; it checks that `make_morphism`'s raw images decide the same.
+
+`quotient_rule_gamma` writes the image of d(u_inv) on a localized chart by
+the hand-derived quotient rule, 2 u_inv^3 d(u)(x)d(u) - u_inv^2 Gamma(d(u));
+it checks `solve.localized_gamma`, which applies the Leibniz rule to
+d(u_inv) = -u_inv^2 d(u).
 
 `split_shapes`, `omega_m_to_tensor_algebra`, `tensor_algebra_to_omega_m`,
 `embed_wedge_curvature`, `project_wedge_curvature`, `embed_wedge_torsion` and
@@ -509,20 +514,17 @@ def partial_differential(T, p: Polynomial) -> Polynomial:
     return out
 
 
-def signed_sum_images(dom_gens, cod, table) -> dict[str, Polynomial]:
-    """Images of `relabel(dom, cod, table)`: each a sum of signed variables."""
+def signed_images(dom_gens, cod, table) -> dict[str, Polynomial]:
+    """Images of `relabel(dom, cod, table)`: each a signed variable or zero."""
 
-    def signed(n: str) -> Polynomial:
+    def signed(n: str | None) -> Polynomial:
+        if n is None:
+            return Polynomial.zero(cod.field, cod.gens)
         if n.startswith("-") and n not in cod.gens:
             return -Polynomial.variable(cod.field, cod.gens, n[1:])
         return Polynomial.variable(cod.field, cod.gens, n)
 
-    images = {}
-    for g in dom_gens:
-        target = table.get(g, g)
-        names = () if target is None else (target,) if isinstance(target, str) else target
-        images[g] = sum(map(signed, names), Polynomial.zero(cod.field, cod.gens))
-    return images
+    return {g: signed(table.get(g, g)) for g in dom_gens}
 
 
 def role_kind_lift_table(maps) -> dict:
@@ -624,6 +626,28 @@ def chain_localized_gamma(A, L, gamma) -> dict[str, ModuleElement]:
     inv_el = L.gen(inv)
     correction = module_pair(t_L, omega_L.gen(du_L), omega_L.gen(du_L)).scaled(inv_el ** 3 * 2)
     out[omega_L.gens[-1]] = correction - out[du_L].scaled(inv_el ** 2)
+    return out
+
+
+def quotient_rule_gamma(L, gamma) -> dict[str, ModuleElement]:
+    """Christoffel data on Omega(A) extended to Omega(L), with d(u_inv)'s image
+    written by the hand-derived quotient rule: 2 u_inv^3 d(u)(x)d(u) minus
+    u_inv^2 times the image of d(u), combined once."""
+    A, u, inv = L.localization_of
+    src = kahler_module(A)
+    t_src = christoffel_target(src)
+    omega_L = kahler_module(L)
+    t_L = christoffel_target(omega_L)
+    out = {}
+    for dv, dv_L in zip(src.gens, omega_L.gens):
+        pushed = ((t_L.pair_index(i, l), c.change_vars(L.gens)) for i, l, c in t_src.entries(gamma[dv]))
+        out[dv_L] = t_L.combine(pushed)
+    u_idx = A.gens.index(u)
+    inv_sq = Polynomial.variable(L.field, L.gens, inv) ** 2
+    correction = (t_L.pair_index(u_idx, u_idx), (inv_sq * Polynomial.variable(L.field, L.gens, inv)).scale(2))
+    out[omega_L.gens[-1]] = t_L.combine(
+        [correction, *((k, -inv_sq * c) for k, c in enumerate(out[omega_L.gens[u_idx]].comps))]
+    )
     return out
 
 

@@ -16,6 +16,7 @@ from kcx.algebra import (
     identity_morphism,
     make_algebra,
     make_morphism,
+    relabel,
     tensor_over_base,
 )
 from kcx.connections import free_canonical_connection, make_connection, pullback_connection, retract_connection
@@ -77,7 +78,15 @@ GUARDS = {
     "composition of unmatched maps": (
         lambda: compose_morphisms(identity_morphism(_plane()), identity_morphism(_line())),
         ValueError, "codomain/domain mismatch in composition"),
-    "tensor over two fields": (_tensor_over_two_fields, ValueError, "factors over different fields"),
+    "tensor over two fields": (_tensor_over_two_fields, ValueError, "morphism: domain over QQ, codomain over GF(3)"),
+    "morphism across fields": (
+        lambda: AlgebraMorphism(_line(), _line(GF(3)), {"t": Polynomial.variable(GF(3), ("t",), "t")}, name="f"),
+        ValueError, "f: domain over QQ, codomain over GF(3)"),
+    "morphism across fields from expressions": (
+        lambda: make_morphism(_line(GF(3)), _line(), {"t": "t"}, name="g"),
+        ValueError, "g: domain over GF(3), codomain over QQ"),
+    "renaming across fields": (
+        lambda: relabel(_line(), _line(GF(5)), {}), ValueError, "morphism: domain over QQ, codomain over GF(5)"),
     "tensor along a map that is not a plain renaming": (
         lambda: _tensor_along("2*y"), ValueError, "factor map sends base generator 't' to 2*y, not to one generator"),
     "tensor along a map onto a generator of nonzero grade": (
@@ -140,6 +149,9 @@ GUARDS = {
     "negative gluing degree": (
         lambda: glued_connection_check(_line(), "t", _line(), "t", {}, {}, degree=-1),
         ValueError, "degree bound must be nonnegative"),
+    "gluing charts over two fields": (
+        lambda: glued_connection_check(_line(), "t", _line(GF(3)), "t", *[{"t": "t", "t_inv": "t_inv"}] * 2),
+        ValueError, "t: domain over QQ, codomain over GF(3)"),
     # poly, fields, parse
     "negative exponent": (
         lambda: Polynomial.variable(QQ, ("x",), "x") ** -1, ValueError, "negative exponent"),

@@ -1,6 +1,8 @@
 """Canonical coefficients: a rational is an int exactly when it is integral."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -86,20 +88,34 @@ def test_large_prime_field_fused_step_stays_reduced():
                 assert got == F.add(a, F.mul(b, c)) and canonical(F, got), (a, b, c, got)
 
 
-def test_each_characteristic_is_proved_prime_once_per_process():
-    fields._is_prime.cache_clear()
-    for _ in range(1000):
-        assert Field(2**31 - 1).char == 2**31 - 1
-    info = fields._is_prime.cache_info()
-    assert (info.misses, info.hits) == (1, 999)
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            Field(2**31 - 3)  # 5 * 429496729
+def test_each_characteristic_is_proved_prime_once_per_process(monkeypatch):
+    proved = []
+    is_prime = fields._is_prime
+    monkeypatch.setattr(fields, "_is_prime", lambda n: proved.append(n) or is_prime(n))
+    p = 2**31 - 19  # a prime no other test builds, so its field is new here
     # the gluing file has four algebra blocks, each built over the same field
-    fields._is_prime.cache_clear()
-    code, _ = run(["glue", str(EXAMPLES / "p1.kcx"), "--char", str(2**31 - 1)])
-    assert code == 0
-    assert fields._is_prime.cache_info().misses == 1
+    code, _ = run(["glue", str(EXAMPLES / "p1.kcx"), "--char", str(p)])
+    assert code == 0 and proved == [p]
+    for _ in range(1000):
+        assert Field(p) is GF(p) and Field(p).char == p
+    assert proved == [p]
+    for _ in range(2):  # an invalid characteristic is refused on every call
+        with pytest.raises(ValueError, match="got 2147483645"):
+            Field(2**31 - 3)  # 5 * 429496729
+    assert proved == [p, 2**31 - 3, 2**31 - 3]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_one_field_object_per_characteristic(p):
+    assert Field(p) is GF(p) is Field(p)
+    assert (Field(0) is QQ) and copy.copy(GF(p)) is GF(p) and pickle.loads(pickle.dumps(GF(p))) is GF(p)
+    assert GF(p).char == p and QQ.char == 0
+
+
+def test_fields_compare_and_hash_by_identity():
+    assert "__eq__" not in vars(Field) and "__hash__" not in vars(Field)
+    assert Field.__eq__ is object.__eq__ and Field.__hash__ is object.__hash__
+    assert len({QQ, Field(0), GF(3), Field(3)}) == 2 and QQ != GF(3)
 
 
 def test_primitive_rows_are_integral_multiples_with_content_one():

@@ -7,6 +7,7 @@ Regenerate after an intended output change with
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,17 @@ def test_falsified_gallery_expectations_are_reported_in_process(monkeypatch):
 def test_rendering_matches_golden(stem):
     rendered = render_workspace(parse_workspace(RENDERED[stem]))
     assert rendered == (GOLDEN / f"{stem}.kcx").read_text(encoding="utf-8")
+
+
+def test_the_readme_library_quick_start_runs():
+    """The `python` block under "## Library quick start", read from README.md,
+    runs as written, so the documented API cannot drift."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    found = re.search(r"^## Library quick start\n\s*```python\n(.*?)^```$", readme, re.M | re.S)
+    assert found, "README.md has no python block under its library quick start"
+    block = found.group(1)
+    assert "make_connection" in block and "solve_connection_space" in block
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme_quick_start"})
 
 
 if __name__ == "__main__":

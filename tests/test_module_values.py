@@ -19,7 +19,7 @@ from kcx.fields import GF, QQ
 from kcx.groebner import ModuleBasis
 from kcx.modules import ModuleMorphism, christoffel_target, free_module, kahler_module, make_module
 from kcx.poly import Polynomial
-from kcx.solve import _glue_residues, kahler_map, solve_connection_space
+from kcx.solve import _glue_residues, kahler_map, localized_gamma, solve_connection_space
 
 from helpers import random_admissible_gamma
 from oracles import (
@@ -28,6 +28,7 @@ from oracles import (
     chain_leibniz,
     chain_pullback_images,
     chain_retract_images,
+    quotient_rule_gamma,
 )
 
 FIELDS = (QQ, GF(3))
@@ -204,6 +205,24 @@ def test_retract_images_match_the_chain(F):
     ident = ModuleMorphism(M, M, {g: M.gen(g) for g in M.gens})
     expected = chain_retract_images(nabla, ident, ident)
     assert all(retract_connection(nabla, ident, ident).gamma[g].comps == expected[g].comps for g in M.gens)
+
+
+@pytest.mark.parametrize("F", (QQ, GF(2), GF(3), GF(5)), ids=str)
+def test_localized_gamma_is_the_quotient_rule_term_for_term(F):
+    """The Leibniz image of d(x_inv) = -x_inv^2 d(x) is the normal form of the
+    hand-derived quotient rule, on Omega(k[x]) and Omega(k[x, y]) at x."""
+    rng = random.Random(1406 + F.char)
+    nonzero = 0
+    for A in (make_algebra(F, ("x",)), make_algebra(F, ("x", "y"))):
+        L = localize(A, "x")
+        for _ in range(8):
+            gamma = random_gamma(rng, kahler_module(A))
+            ours, want = localized_gamma(L, gamma), quotient_rule_gamma(L, gamma)
+            assert list(ours) == list(want) == list(kahler_module(L).gens)
+            for g in ours:
+                assert [c.terms for c in ours[g].comps] == [c.terms for c in want[g].comps], (A.gens, g)
+            nonzero += not ours[kahler_module(L).gens[-1]].is_zero()
+    assert nonzero > 8  # most draws give d(x_inv) a nonzero image
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)

@@ -30,7 +30,7 @@ from kcx.tangent import (
 
 import helpers
 from oracles import bidegree_split, leibniz_tensor_presentation, partial_differential
-from oracles import role_kind_lambda_table, role_kind_lift_table, signed_sum_images
+from oracles import role_kind_lambda_table, role_kind_lift_table, signed_images
 
 
 def axiom_maps(ctx) -> list[AlgebraMorphism]:
@@ -189,7 +189,7 @@ def test_lambda_values_and_lift_embedding(circle):
 
 
 def assert_images_are_the_table(f, table):
-    want = signed_sum_images(f.dom.gens, f.cod, table)
+    want = signed_images(f.dom.gens, f.cod, table)
     for g in f.dom.gens:
         assert f.images[g].vars == f.cod.gens and f.images[g].terms == want[g].terms, (f.name, g)
 

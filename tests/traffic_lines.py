@@ -10,9 +10,9 @@ benchmark workload with seed 0 (`bench/workloads.fresh_pass`, each op through
 only under tier-1, or never: a guard, a failure report, or code that nothing
 but a test reaches.  Needs Python 3.12 or later, for the `sys.monitoring`
 hook of `tests/coverage_lines.py`, which also counts the lines.  It reads
-`bench/` and writes nothing there.  Standard library only, besides pytest
-(which `coverage_lines` imports); pytest does not collect this file.  There is
-no threshold: the exit code is 1 only when an op's verdict is wrong.
+`bench/` and writes nothing there.  Standard library only; pytest does not
+collect this file.  There is no threshold: the exit code is 1 only when an
+op's verdict is wrong.
 """
 
 import contextlib
