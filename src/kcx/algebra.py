@@ -246,10 +246,12 @@ class AlgebraMorphism:
     When every image is zero or c*y for one codomain generator y (a signed
     renaming: flips, lifts, lambda, U and the bundle maps), the map keeps a
     per-generator table of (codomain position, c), or None for zero, built
-    once here; `apply_raw` then moves exponents through it.
+    once here; `apply_raw` then moves exponents through it.  Structures
+    derived from the map (its tangent T(f)) live in `_memo`, filled by
+    `memoized`.
     """
 
-    __slots__ = ("dom", "cod", "images", "certified", "name", "_renaming")
+    __slots__ = ("dom", "cod", "images", "certified", "name", "_renaming", "_memo")
 
     def __init__(
         self,
@@ -275,6 +277,7 @@ class AlgebraMorphism:
             imgs[g] = p
         self.images = imgs
         self._renaming = _signed_renaming(dom, imgs)
+        self._memo: dict = {}  # derived structures, filled by `memoized`
         self.certified = False
         if certify:
             self.certify()
@@ -414,6 +417,8 @@ def relabel(
     for g in dom.gens:
         c, terms = table.get(g, g), {}
         if c is not None:
+            if not isinstance(c, str):
+                raise ValueError(f"target of {g!r} is {c!r}, not a generator name, '-name' or None")
             coef = f.one()
             if c not in position and c.startswith("-"):
                 c, coef = c[1:], f.neg(coef)

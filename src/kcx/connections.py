@@ -70,12 +70,16 @@ class Connection:
 
     The bundle context and the two bundle forms H and K are built on first
     use, once per connection: bundle forms, curvature and torsion need them,
-    the module-side Leibniz rule and the solvers do not.
+    the module-side Leibniz rule and the solvers do not.  T(H) and T(K) are
+    built once too, kept on H and K (`tangent_apply_functor`), and the module
+    curvature and torsion images once, on first read, in `_memo`
+    (`curvature.module_curvature`, `module_torsion`).
     """
 
     def __init__(self, M: PresentedModule, gamma: dict[str, ModuleElement]):
         self.module = M
         self.gamma = gamma
+        self._memo: dict = {}  # derived structures, filled by `memoized`
 
     @cached_property
     def ctx(self) -> BundleContext:
@@ -265,12 +269,12 @@ class AxiomReport:
 def verify_horizontal_axioms(H: AlgebraMorphism, M: PresentedModule) -> AxiomReport:
     ctx = bundle_context(M)
     report = AxiomReport()
-    TH = tangent_apply_functor(H)
-    report.add_morphism_equality("H.1", compose_chain([ctx.Tq, H]), ctx.TAS.i0)
+    TH, T_lam = tangent_apply_functor(H), tangent_apply_functor(ctx.lam)
+    report.add_morphism_equality("H.1", compose_chain([tangent_apply_functor(ctx.q), H]), ctx.TAS.i0)
     S_maps = ctx.S_maps
     report.add_morphism_equality("H.2", compose_chain([S_maps.p, H]), ctx.TAS.i1)
     report.add_morphism_equality("H.3", compose_chain([S_maps.lift, H]), compose_chain([TH, ctx.h3_down]))
-    report.add_morphism_equality("H.4", compose_chain([S_maps.flip, ctx.T_lam, H]), compose_chain([TH, ctx.h4_down]))
+    report.add_morphism_equality("H.4", compose_chain([S_maps.flip, T_lam, H]), compose_chain([TH, ctx.h4_down]))
     return report
 
 
@@ -283,7 +287,7 @@ def verify_vertical_axioms(K: AlgebraMorphism, M: PresentedModule) -> AxiomRepor
     report.add_morphism_equality("K.2", compose_chain([ctx.q, K]), compose_chain([ctx.q, S_maps.p]))
     lhs34 = compose_chain([ctx.lam, K])
     report.add_morphism_equality("K.3", lhs34, compose_chain([TK, S_maps.lift]))
-    report.add_morphism_equality("K.4", lhs34, compose_chain([TK, S_maps.flip, ctx.T_lam]))
+    report.add_morphism_equality("K.4", lhs34, compose_chain([TK, S_maps.flip, tangent_apply_functor(ctx.lam)]))
     return report
 
 

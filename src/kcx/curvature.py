@@ -26,6 +26,7 @@ from .algebra import (
     AlgebraMorphism,
     compose_chain,
     compose_morphisms,
+    memoized,
 )
 from .connections import AxiomCheck, Connection, apply_connection, leibniz_terms, morphism_equality
 from .errors import KcxError, ModuleNotKahler
@@ -42,7 +43,9 @@ class CorrespondenceResult:
     """Module images of curvature or torsion, per generator.
 
     The correspondence checks fill in the bundle map and, per generator,
-    the residuals of the factor-of-two identities.
+    the residuals of the factor-of-two identities.  Each call returns a fresh
+    result over the connection's shared images, so filling in one result
+    changes no other.
     """
 
     def __init__(self, images: dict[str, ModuleElement]):
@@ -127,18 +130,30 @@ def curvature_of_element(nabla: Connection, e: ModuleElement) -> ModuleElement:
     return _wedge_tensor(nabla, terms)
 
 
+@memoized
+def _curvature_images(nabla: Connection) -> dict[str, ModuleElement]:
+    return {g: curvature_of_element(nabla, nabla.module.gen(g)) for g in nabla.module.gens}
+
+
+@memoized
+def _torsion_images(nabla: Connection) -> dict[str, ModuleElement]:
+    w2 = wedge_square(nabla.module)
+    return {g: w2.from_tensor(nabla.gamma[g]) for g in nabla.module.gens}
+
+
 def module_curvature(nabla: Connection) -> CurvatureResult:
-    return CurvatureResult(
-        {g: curvature_of_element(nabla, nabla.module.gen(g)) for g in nabla.module.gens}
-    )
+    """A fresh result over the curvature images, worked out once per connection."""
+    return CurvatureResult(dict(_curvature_images(nabla)))
 
 
 def module_torsion(nabla: Connection) -> TorsionResult:
-    """Wedge collapse of the Christoffel images; needs a Kahler-module bundle."""
+    """Wedge collapse of the Christoffel images; needs a Kahler-module bundle.
+
+    A fresh result over the images, worked out once per connection.
+    """
     if nabla.module.provenance != "kahler":
         raise ModuleNotKahler("torsion is defined for connections on the differentials module")
-    w2 = wedge_square(nabla.module)
-    return TorsionResult({g: w2.from_tensor(nabla.gamma[g]) for g in nabla.module.gens})
+    return TorsionResult(dict(_torsion_images(nabla)))
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,6 @@ def _leading(row: Row) -> tuple[int, Exponent] | None:
     return None if pos is None else (pos, max(row[pos], key=grevlex_key))
 
 
-def vector_leading(v: Vector) -> tuple[int, Exponent] | None:
-    """POT leading (position, exponent) of a vector, None for zero."""
-    return _leading({pos: c.terms for pos, c in enumerate(v) if c.terms})
-
-
 def _row_degree(row: Row) -> int:
     return max((sum(e) for comp in row.values() for e in comp), default=0)
 
@@ -311,9 +306,14 @@ class IdealBasis:
 
 
 class ModuleBasis:
-    """Groebner basis of a submodule of a free module over a polynomial ring."""
+    """Groebner basis of a submodule of a free module over a polynomial ring.
 
-    __slots__ = ("field", "vars", "rank", "basis", "_index")
+    The reduced rows are kept as built, one `Row` each, and indexed once by
+    leading position; `leads` reads the leading terms off that index.  The
+    dense rank-length vectors of `basis` are built only when it is read.
+    """
+
+    __slots__ = ("field", "vars", "rank", "_rows", "_index")
 
     def __init__(self, field: Field, variables: tuple[str, ...], rank: int, generators: list[Vector]):
         for v in generators:
@@ -326,9 +326,18 @@ class ModuleBasis:
         self.vars = variables
         self.rank = rank
         rows = [{q: c.terms for q, c in enumerate(v) if c.terms} for v in generators]
-        rows, certs = _groebner(rows, rank, field)
-        self.basis = [self._vector(row) for row in rows]
-        self._index = _index(rows, certs, rank)
+        self._rows, certs = _groebner(rows, rank, field)
+        self._index = _index(self._rows, certs, rank)
+
+    @property
+    def basis(self) -> list[Vector]:
+        """The reduced basis as dense vectors, in basis order, built on each read."""
+        return [self._vector(row) for row in self._rows]
+
+    @property
+    def leads(self) -> set[tuple[int, Exponent]]:
+        """The basis's POT leading (position, exponent) pairs."""
+        return {(pos, lt) for pos, entries in enumerate(self._index) for lt, *_ in entries}
 
     def _vector(self, row: Row) -> Vector:
         return tuple(Polynomial._of_terms(self.field, self.vars, row.get(q) or {}) for q in range(self.rank))

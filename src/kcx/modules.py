@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .algebra import ElementLike, PresentedAlgebra, memoized
 from .errors import OwnerMismatch, WellDefinednessFailure
-from .groebner import ModuleBasis, Vector, vector_leading
+from .groebner import ModuleBasis, Vector
 from .poly import Polynomial
 
 VectorLike = Union["ModuleElement", Sequence[ElementLike], Mapping[str, ElementLike]]
@@ -319,7 +319,7 @@ def module_standard_monomials(M: PresentedModule, degree_bound: int) -> Iterator
     standard.  Pairs come by position, then degree, with exponents
     lex-descending within a degree, and lazily, so a caller may stop early.
     """
-    leads = {vector_leading(v) for v in M.lifted.basis}
+    leads = M.lifted.leads
     for k in range(M.rank):
         below, grown = set(), {(0,) * len(M.base.gens)}
         for _ in range(degree_bound + 1):

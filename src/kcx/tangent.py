@@ -248,7 +248,18 @@ class SymBundle(PresentedAlgebra):
 
 
 def tangent_apply_functor(f: AlgebraMorphism) -> AlgebraMorphism:
-    """T(f): base generators map by f, differentials by the differential of f's images."""
+    """T(f): base generators map by f, differentials by the differential of f's images.
+
+    Built once per certified f and kept on it (`memoized`), so the axiom
+    checks, `from_horizontal` and the bundle curvature share one T(H) and one
+    T(K).  T(f) carries f's certificate, by functoriality.  A map not yet
+    certified gets a fresh T(f) on each call, so no kept T(f) holds a flag
+    that `f.certify()` has since made stale.
+    """
+    return _certified_tangent_map(f) if f.certified else _tangent_map(f)
+
+
+def _tangent_map(f: AlgebraMorphism) -> AlgebraMorphism:
     TB = tangent_algebra(f.dom)
     TC = tangent_algebra(f.cod)
     images: dict[str, Polynomial] = {}
@@ -259,6 +270,9 @@ def tangent_apply_functor(f: AlgebraMorphism) -> AlgebraMorphism:
     out = AlgebraMorphism(TB, TC, images, certify=False, name=f"T({f.name})")
     out.certified = f.certified  # functoriality preserves well-definedness
     return out
+
+
+_certified_tangent_map = memoized(_tangent_map)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +450,6 @@ class BundleContext:
 
     # -- maps shared by the axiom checks -----------------------------------
 
-    @cached_property
-    def Tq(self) -> AlgebraMorphism:
-        return tangent_apply_functor(self.q)
-
-    @cached_property
-    def T_lam(self) -> AlgebraMorphism:
-        return tangent_apply_functor(self.lam)
-
     def _down(self, f0: AlgebraMorphism, f1: AlgebraMorphism, name: str) -> AlgebraMorphism:
         """f0 (x) f1: T(T(A) (x)_A S) -> T(A) (x)_A S, factor by factor.
 
@@ -458,7 +464,7 @@ class BundleContext:
         """
         TAS, T = self.TAS, tangent_algebra(self.TAS)
         left = compose_chain([tangent_apply_functor(self.A_maps.p), f0, TAS.i0])
-        right = compose_chain([self.Tq, f1, TAS.i1])
+        right = compose_chain([tangent_apply_functor(self.q), f1, TAS.i1])
         for g in self.TA.gens:
             if not left.agrees_on(right, g):
                 raise BaseMismatch(g, left.image_of(g).render(), right.image_of(g).render())

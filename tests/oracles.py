@@ -14,6 +14,8 @@ dense exact linear algebra over the monomial basis: p lies in the span of
 { x^a * g : deg(x^a * g) <= bound } iff the column space of those products
 contains p's coefficient vector.  No normal forms involved.  `brute_standard_monomials` tests every monomial up to the
 degree against every leading term; it checks the engine's order-ideal walk.
+`vector_leading` takes a dense vector's leading term by the tuple
+`grevlex_key`; it checks `ModuleBasis.leads`, read off the engine's index.
 `loop_monomial_grade` sums each grade coordinate in a double loop over the
 grading rows; it checks the engine's precomputed weight columns.
 `loop_change_vars` moves each term's exponents to their target positions in
@@ -76,7 +78,6 @@ from kcx.algebra import AlgebraElement, AlgebraMorphism, PresentedAlgebra
 from kcx.connections import Connection
 from kcx.curvature import _wedge_tensor, curvature_target
 from kcx.fields import Coef, Field
-from kcx.groebner import vector_leading
 from kcx.linsolve import LinearEquation
 from kcx.modules import (
     ModuleElement,
@@ -93,6 +94,15 @@ from kcx.tangent import tangent_algebra, tangent_apply_functor
 def grevlex_key(exp: tuple[int, ...]):
     """Sort key: larger key = larger monomial in grevlex."""
     return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def vector_leading(v) -> tuple[int, tuple[int, ...]] | None:
+    """POT leading (position, exponent) of a vector, None for zero: the
+    grevlex-largest monomial of its first nonzero component."""
+    for pos, c in enumerate(v):
+        if c.terms:
+            return pos, max(c.terms, key=grevlex_key)
+    return None
 
 
 def loop_monomial_grade(exp: tuple[int, ...], grading: list[tuple[int, ...]]) -> tuple[int, ...]:

@@ -87,6 +87,9 @@ GUARDS = {
         ValueError, "g: domain over GF(3), codomain over QQ"),
     "renaming across fields": (
         lambda: relabel(_line(), _line(GF(5)), {}), ValueError, "morphism: domain over QQ, codomain over GF(5)"),
+    "renaming to a sum of names": (
+        lambda: (lambda A: relabel(A, A, {"x": ("x", "y")}))(_plane()),
+        ValueError, "target of 'x' is ('x', 'y'), not a generator name, '-name' or None"),
     "tensor along a map that is not a plain renaming": (
         lambda: _tensor_along("2*y"), ValueError, "factor map sends base generator 't' to 2*y, not to one generator"),
     "tensor along a map onto a generator of nonzero grade": (

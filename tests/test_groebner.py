@@ -12,7 +12,7 @@ from kcx.poly import Polynomial
 
 from helpers import random_poly
 from oracles import ideal_span_bound, loop_monomial_grade, module_span_bound, module_span_contains, rescan_reduce
-from oracles import reference_groebner, span_contains
+from oracles import reference_groebner, span_contains, vector_leading
 
 
 def P(text, field=QQ, variables=("x", "y")):
@@ -276,6 +276,32 @@ def _sparse_cases(rng, field):
         probes.append({q: {tuple(map(sum, zip(e, shift))): c for e, c in comp.items()} for q, comp in g.items()})
         cases.append((gens, rank, None, None, probes))
     return cases
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(32003)], ids=repr)
+def test_module_basis_leads_are_the_leading_terms_of_its_vectors(field, monkeypatch):
+    """`ModuleBasis.leads`, read off the index, is the set of dense vectors'
+    leading terms (`oracles.vector_leading`), one per basis row; building the
+    basis and reading `leads` build no dense vector."""
+    rng = random.Random(4100 + field.char)
+    built = []
+    vector = ModuleBasis._vector
+    monkeypatch.setattr(ModuleBasis, "_vector", lambda self, row: built.append(row) or vector(self, row))
+    compared = 0
+    for gens, rank, _, _, _ in _reducer_cases(rng, field) + _sparse_cases(rng, field):
+        exps = [e for row in gens for comp in row.values() for e in comp]
+        if rank == 1 or not exps:
+            continue
+        variables = tuple(f"x{i}" for i in range(len(exps[0])))
+        vectors = [tuple(Polynomial(field, variables, row.get(q, {})) for q in range(rank)) for row in gens]
+        mb = ModuleBasis(field, variables, rank, vectors)
+        leads = mb.leads
+        assert not built
+        basis = mb.basis
+        assert leads == {vector_leading(v) for v in basis} and len(leads) == len(basis)
+        built.clear()
+        compared += 1
+    assert compared >= 50
 
 
 def _items(row):

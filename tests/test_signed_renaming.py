@@ -22,6 +22,7 @@ from kcx.algebra import AlgebraMorphism, compose_morphisms, make_algebra, relabe
 from kcx.connections import to_horizontal, to_vertical
 from kcx.fields import GF, QQ, Field
 from kcx.poly import Polynomial
+from kcx.tangent import tangent_apply_functor
 
 import helpers
 
@@ -191,7 +192,7 @@ def test_compositions_with_bundle_maps_equal_applied_images(monkeypatch):
     ctx = nabla.ctx
     maps = [ctx.U, ctx.lam, ctx.q, ctx.z, ctx.iota, ctx.affine_flip]
     maps += [ctx.S_maps.p, ctx.S_maps.zero, ctx.S_maps.lift, ctx.S_maps.flip]
-    maps += [ctx.Tq, ctx.T_lam, ctx.h3_down, ctx.h4_down, to_horizontal(nabla), to_vertical(nabla)]
+    maps += [tangent_apply_functor(ctx.q), tangent_apply_functor(ctx.lam), ctx.h3_down, ctx.h4_down, to_horizontal(nabla), to_vertical(nabla)]
     pairs = [(g, f) for f in maps for g in maps if f.cod is g.dom]
     kinds = {(f._renaming is not None, g._renaming is not None) for g, f in pairs}
     assert {(True, True), (True, False), (False, True)} <= kinds

@@ -35,10 +35,11 @@ from oracles import role_kind_lambda_table, role_kind_lift_table, signed_images
 
 def axiom_maps(ctx) -> list[AlgebraMorphism]:
     """The maps the axiom checks share: S_A(M)'s p, 0 and l from its tangent
-    structure, and Tq, T(lambda), h3_down and h4_down, built once per module on
-    its bundle context."""
+    structure, T(q) and T(lambda), kept on q and lambda, and h3_down and
+    h4_down, built once per module on its bundle context."""
     S_maps = ctx.S_maps
-    return [S_maps.p, S_maps.zero, ctx.Tq, S_maps.lift, ctx.T_lam, ctx.h3_down, ctx.h4_down]
+    T_q, T_lam = tangent_apply_functor(ctx.q), tangent_apply_functor(ctx.lam)
+    return [S_maps.p, S_maps.zero, T_q, S_maps.lift, T_lam, ctx.h3_down, ctx.h4_down]
 
 
 # the maps of a tangent structure, each built on first use
@@ -228,7 +229,7 @@ def test_each_axiom_suite_builds_only_the_maps_it_uses():
     assert STRUCTURE_MAPS & set(vars(ctx.A_maps)) == {"p"}  # what the context itself builds
     assert not STRUCTURE_MAPS & set(vars(ctx.S_maps))
     assert verify_vertical_axioms(to_vertical(nabla), nabla.module).all_pass
-    assert "T_lam" in vars(ctx) and {"lift", "p"} <= set(vars(ctx.S_maps))
+    assert ctx.lam._memo and {"lift", "p"} <= set(vars(ctx.S_maps))  # T(lambda) is kept on lambda
     assert not {"h3_down", "h4_down"} & set(vars(ctx))
     assert "TTA" not in vars(ctx.A_maps)
     assert not ctx.TA._memo  # T(T(A)) was never built
@@ -369,7 +370,7 @@ def test_t_of_q_and_t_of_lambda_inherit_their_certificates(monkeypatch):
     (functoriality), so building them certifies nothing."""
     ctx = bundle_context(kahler_module(make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"])))
     calls = helpers.record_certify_calls(monkeypatch)
-    assert ctx.Tq.certified and ctx.T_lam.certified
+    assert tangent_apply_functor(ctx.q).certified and tangent_apply_functor(ctx.lam).certified
     assert calls == []
 
 
