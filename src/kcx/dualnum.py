@@ -4,9 +4,11 @@ Here the tangent of an algebra A adjoins a single square-zero generator, and
 the bundle of a module M adjoins one square-zero generator per module
 generator with all pairwise products zero.  `dual_numbers_structure` and
 `dual_bundle` build that structure: it is the object the no-go theorem is
-about.  Against it, vertical connections on M's bundle exist only when M is
-the zero module, and `dual_connection_solve` decides exactly that, with one
-module normal form per generator of M and no degree bound.
+about.  `DualNumbers` carries p, 0, the lift and the flip; it leaves out the
+addition and the negation, which no check or solve reads.  Against that
+structure, vertical connections on M's bundle exist only when M is the zero
+module, and `dual_connection_solve` decides exactly that, with one module
+normal form per generator of M and no degree bound.
 """
 
 from __future__ import annotations
@@ -46,13 +48,10 @@ class DualNumbers(NamedTuple):
     A: PresentedAlgebra
     TA: PresentedAlgebra  # A[eps]
     TTA: PresentedAlgebra  # A[eps][epsp]
-    T2: PresentedAlgebra  # A[eps1, eps2], all products of the epsilons zero
     eps: str
     epsp: str
     p: AlgebraMorphism  # TA -> A
     zero: AlgebraMorphism  # A -> TA
-    plus: AlgebraMorphism  # T2 -> TA
-    minus: AlgebraMorphism  # TA -> TA
     lift: AlgebraMorphism  # TA -> TTA
     flip: AlgebraMorphism  # TTA -> TTA
 
@@ -64,15 +63,11 @@ def dual_numbers_structure(A: PresentedAlgebra) -> DualNumbers:
     epsp = fresh_name(TA.gens, "epsp")
     # epsilon and epsilon-prime square to zero but their product survives
     TTA = _square_zero_extension(TA, (epsp,))
-    eps1 = fresh_name(A.gens, "eps1")
-    eps2 = fresh_name(A.gens + (eps1,), "eps2")
-    T2 = _square_zero_extension(A, (eps1, eps2))
-
-    zero, p, minus = _additive_bundle(A, TA, ("0", "p", "-"))
-    plus = relabel(T2, TA, {eps1: eps, eps2: eps}, "+")
+    p = relabel(TA, A, {eps: None}, "p")
+    zero = relabel(A, TA, {}, "0")
     lift = _lift(TA, TTA, (eps,), epsp, "l")
     flip = relabel(TTA, TTA, {eps: epsp, epsp: eps}, "c")
-    return DualNumbers(A, TA, TTA, T2, eps, epsp, p, zero, plus, minus, lift, flip)
+    return DualNumbers(A, TA, TTA, eps, epsp, p, zero, lift, flip)
 
 
 class DualBundle(NamedTuple):

@@ -6,14 +6,14 @@ in `solve` use (generator, position, exponent) tuples.
 The forward pass of Gauss-Jordan elimination over the exact field leaves one
 echelon row per pivot column, or finds the system inconsistent, and the
 solution space keeps just that.  Its verdict (empty, unique, or a family of
-dimension n minus the number of pivots) and membership read those rows; the
-backward pass and the read-off of a particular solution and a basis of the
-homogeneous solutions run only when one of them is read.  Rows are sparse
-(column -> nonzero coefficient, the constant at column n) and kept as the
-multiple `Field.primitive` gives, over QQ integral with content 1.
+dimension n minus the number of pivots) and membership read those rows, and
+a particular solution is back-substituted through them when it is read.
+Rows are sparse (column -> nonzero coefficient, the constant at column n)
+and kept as the multiple `Field.primitive` gives, over QQ integral with
+content 1.
 Elimination is fraction-free (Bareiss): row := p * row - a * pivot, or row +
 a * pivot (the same row up to sign) when p = -1, and each solution entry is
-divided once, at read-off.  The reduced row echelon form is unique for the
+divided once, by its pivot.  The reduced row echelon form is unique for the
 column order of `unknowns`, so the result does not depend on the order of the
 equations or on the multiples kept.
 """
@@ -36,12 +36,11 @@ class AffineSolutionSpace:
     """Solution set of an affine-linear system, exactly.
 
     `rows` maps each pivot column to its echelon row from the forward pass,
-    and is None iff the system is inconsistent; `free` is the other columns.
-    `particular` (None iff inconsistent) and `basis`, which spans the
-    homogeneous solutions, are built together on first read, once: basis
-    vector k is 1 on unknown `free[k]` and 0 on the other free unknowns, and
-    `particular` is 0 on all of them.  The verdict and `contains` never
-    build them.
+    and is None iff the system is inconsistent; the other columns are free.
+    `particular` (None iff inconsistent) is 0 on every free unknown, built on
+    first read, once.  The verdict and `contains` never build it.  A basis of
+    the homogeneous solutions can be read off `rows` the same way, with one
+    free unknown at 1 and the constant's column at 0.
     """
 
     def __init__(self, unknowns: tuple[Hashable, ...], rows: dict[int, dict[int, Coef]] | None, field: Field):
@@ -62,48 +61,21 @@ class AffineSolutionSpace:
         return self.rows is not None and len(self.rows) == len(self.unknowns)
 
     @cached_property
-    def free(self) -> list[int]:
-        """The non-pivot columns: forward and reduced rows share their pivots."""
-        return [] if self.rows is None else [c for c in range(len(self.unknowns)) if c not in self.rows]
-
-    @property
     def particular(self) -> list[Coef] | None:
-        return self._solution[0]
-
-    @property
-    def basis(self) -> list[list[Coef]]:
-        return self._solution[1]
-
-    @cached_property
-    def _solution(self) -> tuple[list[Coef] | None, list[list[Coef]]]:
+        """Back-substitution, last pivot first: an echelon row holds only
+        columns at or after its pivot, so each of them is known by then."""
         if self.rows is None:
-            return None, []
+            return None
         f = self.field
-        n = len(self.unknowns)
-        # Backward pass, last pivot first: a reduced row holds no other pivot
-        # column, so eliminating with it brings none in.
-        pivots: dict[int, dict[int, Coef]] = {}
+        x = [f.zero()] * len(self.unknowns) + [f.one()]  # the constant's column
         for col in sorted(self.rows, reverse=True):
-            row = dict(self.rows[col])  # `_eliminate` consumes its row; the echelon rows stay
-            for j in [j for j in row if j != col and j in pivots]:
-                row = _eliminate(row, j, pivots[j], f)
-            pivots[col] = row
-
-        # Each pivot row reads a * x_col + sum over free fc of c * x_fc + c_n = 0: divide by -a.
-        zero = f.zero()
-        particular = [zero] * n
-        basis = [[zero] * n for _ in self.free]
-        for fc, vec in zip(self.free, basis):
-            vec[fc] = f.one()
-        free_vec = dict(zip(self.free, basis))
-        for col, row in pivots.items():
-            scale = f.neg(f.inv(row[col]))
+            row = self.rows[col]
+            total = f.zero()
             for j, c in row.items():
-                if j == n:
-                    particular[col] = f.mul(c, scale)
-                elif j != col:
-                    free_vec[j][col] = f.mul(c, scale)
-        return particular, basis
+                if j != col:
+                    total = f.addmul(total, c, x[j])
+            x[col] = f.mul(total, f.neg(f.inv(row[col])))
+        return x[:-1]
 
     def contains(self, values: dict[Hashable, Coef]) -> bool:
         """Exact membership: the echelon rows span the system's rows, so x lies
@@ -169,8 +141,8 @@ def _eliminate(row: dict[int, Coef], col: int, pivot: dict[int, Coef], f: Field)
     so column col cancels; `row` is consumed, and entries that cancel are dropped.
 
     For p = -1 it is row + a * pivot, the same row up to sign with no scaling
-    pass; the read-off divides each pivot row by its own entry, so the sign
-    of a row never shows.
+    pass; the back-substitution divides each pivot row by its own entry, so
+    the sign of a row never shows.
     """
     p, a = pivot[col], row[col]
     if p == f.neg(f.one()):

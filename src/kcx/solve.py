@@ -24,8 +24,8 @@ system is solved over the coefficient field, and both solvers return its
 `AffineSolutionSpace`, whose unknowns are the keys.  The space keeps the
 forward pass's echelon rows: the verdict (empty, unique, or a family of some
 dimension) and `AffineSolutionSpace.contains` read them alone, and a
-particular solution and basis are built only when read.  The solvers work in
-Omega(A) (x) M alone and never build the tangent bundle.
+particular solution is back-substituted through them only when read.  The
+solvers work in Omega(A) (x) M alone and never build the tangent bundle.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ from .modules import (
 from .poly import Polynomial, _mul_terms, exp_mul
 
 
-# A verdict holds only the sparse echelon rows, but a `basis`, once read, is
-# dense, so its memory grows with the square of the unknowns: reading it on a
-# relation-free solve with 4,455 unknowns peaks at 170 MiB, and on one with
-# 13,440 at 1.4 GiB.  The count is exact (generators times standard monomials
-# of the target); the largest of any example, golden, gallery case or
-# benchmark op is 288 (S^3 at degree 1).
+# A solution space keeps only the sparse echelon rows, so the limit guards
+# time alone: `tests/solve_scale.py` prints the time and memory of verdicts
+# past it (S^3 at degree 9, 16,336 unknowns, takes seconds and under 20 MiB).
+# The count is exact (generators times standard monomials of the target); the
+# largest of any example, golden, gallery case or benchmark op is 288 (S^3 at
+# degree 1).
 MAX_UNKNOWNS = 5000
 
 

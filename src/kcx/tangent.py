@@ -196,8 +196,8 @@ def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, names: tuple[str,
     """(include, zero, negate) for an additive bundle B over A, all certified.
 
     B is presented on A's generators plus the fibre generators: S_A(M) (M's
-    generators) and `dualnum`'s square-zero extensions (the epsilons).  T(A)'s
-    p and 0 are the first two tables, built one at a time by `TangentMaps`.
+    generators) and `dualnum`'s square-zero bundles (the epsilons).  The p and
+    0 of T(A) and of the dual numbers are the first two tables, built alone.
     """
     fibre = [g for g in B.gens if g not in A.gens]
     return (

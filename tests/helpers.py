@@ -6,9 +6,9 @@ same objects the CLI gallery runs, but on the session-scoped fixtures.
 Below them, the structure that no axiom check reads, rebuilt from the
 engine's builders (`relabel`, `tensor_over_base`, `compose_chain`, and
 `AlgebraMorphism` for the two fibrewise sums): the tangent structure's + and
-- with the swap tau of T(A) (x)_A T(A), the bundle's fibrewise sum sigma, the
-affine swap and the torsion-free test on the horizontal form, and whether a
-solved space holds a given connection.
+- with the swap tau of T(A) (x)_A T(A), the dual numbers' + and -, the
+bundle's fibrewise sum sigma, the affine swap and the torsion-free test on
+the horizontal form, and whether a solved space holds a given connection.
 `d` and `algebra_pair` are how the tests write tangent values and simple
 tensors of T(A) (x)_A S_A(M).
 """
@@ -18,13 +18,16 @@ from __future__ import annotations
 import random
 
 from kcx import curvature, gallery
-from kcx.algebra import AlgebraMorphism, compose_chain, make_algebra, relabel, tensor_over_base
+from kcx.algebra import AlgebraMorphism, compose_chain, fresh_name, make_algebra, relabel, tensor_over_base
 from kcx.connections import Connection, make_connection
+from kcx.dualnum import _square_zero_extension
 from kcx.fields import QQ
 from kcx.modules import christoffel_target, kahler_module
 from kcx.poly import Polynomial
 from kcx.solve import solve_connection_space
 from kcx.tangent import _swap, bundle_combine, bundle_context
+
+from oracles import solution_basis
 
 
 def circle_canonical(circle) -> Connection:
@@ -126,10 +129,10 @@ def connection_at(M, space, point, chart: int | None = None) -> Connection:
 
 
 def random_point(space, f, rng: random.Random, spread: int = 2) -> list:
-    """particular plus a random combination of the basis, with integer weights
-    in [-spread, spread]."""
+    """particular plus a random combination of `oracles.solution_basis`, with
+    integer weights in [-spread, spread]."""
     point = list(space.particular)
-    for vec in space.basis:
+    for vec in solution_basis(space):
         k = f.of(rng.randint(-spread, spread))
         point = [f.add(p, f.mul(k, b)) for p, b in zip(point, vec)]
     return point
@@ -217,6 +220,19 @@ def tangent_tau(plus: AlgebraMorphism) -> AlgebraMorphism:
     T2 = plus.cod
     r0, r1 = T2.rename
     return relabel(T2, T2, _swap({r0[dx]: r1[dx] for dx in plus.dom.dmap.values()}), "tau")
+
+
+def dual_plus(dn) -> AlgebraMorphism:
+    """+: A[eps1, eps2] -> A[eps], both epsilons to eps, for `dual_numbers_structure`'s dn."""
+    eps1 = fresh_name(dn.A.gens, "eps1")
+    eps2 = fresh_name(dn.A.gens + (eps1,), "eps2")
+    T2 = _square_zero_extension(dn.A, (eps1, eps2))
+    return relabel(T2, dn.TA, {eps1: dn.eps, eps2: dn.eps}, "+")
+
+
+def dual_minus(dn) -> AlgebraMorphism:
+    """-: A[eps] -> A[eps], negating eps."""
+    return relabel(dn.TA, dn.TA, {dn.eps: f"-{dn.eps}"}, "-")
 
 
 def affine_swap(ctx) -> AlgebraMorphism:

@@ -2,9 +2,13 @@
 
 `dense_affine_solve` is plain dense Gauss-Jordan on lists of field values,
 read off into its own `DenseSolution` record; it checks the engine's sparse
-`affine_linear_solve` and its lazy read-off.  `rescan_reduce` is the
-reducer that finds each leading term by rescanning the whole component, with
-the tuple `grevlex_key`; it checks the engine's heap-ordered `_reduce`.
+`affine_linear_solve` and its back-substituted `particular`.  The engine
+keeps only the echelon rows of a solution space: `free_columns` and
+`solution_basis` read the free unknowns and a basis of the homogeneous
+solutions off them, by `dense_affine_solve` on those rows alone.
+`rescan_reduce` is the reducer that finds each leading term by rescanning the
+whole component, with the tuple `grevlex_key`; it checks the engine's
+heap-ordered `_reduce`.
 `reference_groebner` is Buchberger with the engine's pair order, criteria
 and certificate rule, reducing by `rescan_reduce`; its bases check
 `IdealBasis` and `ModuleBasis`, and its certificate degrees give the bounds
@@ -392,6 +396,28 @@ def dense_affine_solve(
         basis.append(vec)
 
     return DenseSolution(particular, basis, free_cols)
+
+
+def _echelon_solution(space) -> DenseSolution:
+    """`dense_affine_solve` on the echelon rows of a consistent `space`."""
+    n, unknowns = len(space.unknowns), space.unknowns
+    eqs = [
+        LinearEquation({unknowns[j]: c for j, c in row.items() if j != n}, row.get(n, 0))
+        for row in space.rows.values()
+    ]
+    return dense_affine_solve(eqs, unknowns, space.field)
+
+
+def free_columns(space) -> list[int]:
+    """The columns of `space` that are not pivots, from its echelon rows."""
+    return [] if space.rows is None else _echelon_solution(space).free
+
+
+def solution_basis(space) -> list[list[Coef]]:
+    """A basis of the homogeneous solutions of `space`, from its echelon rows:
+    vector k is 1 on unknown `free_columns(space)[k]` and 0 on the other free
+    unknowns, as in `DenseSolution`."""
+    return [] if space.rows is None else _echelon_solution(space).basis
 
 
 def linear_dual_solve(M, degree_bound: int) -> DenseSolution:

@@ -29,7 +29,9 @@ import pytest
 import kcx
 from kcx.algebra import PresentedAlgebra, TensorAlgebra
 from kcx.connections import AxiomCheck, Connection
+from kcx.dualnum import DualNumbers
 from kcx.groebner import IdealBasis, ModuleBasis
+from kcx.linsolve import AffineSolutionSpace
 from kcx.modules import TensorModule
 from kcx.tangent import BundleContext, TangentMaps, TangentPresentation
 
@@ -520,6 +522,10 @@ def test_retired_methods_are_gone():
     assert not hasattr(TensorModule, "pair") and not hasattr(TensorAlgebra, "pair")
     # certificate degrees live in a basis's index alone
     assert not {"cert_excess", "cert_degrees"} & {*IdealBasis.__slots__, *ModuleBasis.__slots__}
+    # a solution space keeps its echelon rows; tests/oracles.py reads a basis off them
+    assert not {"basis", "free", "_solution"} & set(vars(AffineSolutionSpace))
+    # the dual numbers' + and - (and +'s domain): tests/helpers.py rebuilds them
+    assert not {"T2", "plus", "minus"} & set(DualNumbers._fields)
 
 
 # (file, qualified name): why a definition that nothing else in the engine

@@ -7,7 +7,7 @@ from kcx import linsolve
 from kcx.fields import GF, QQ
 from kcx.linsolve import LinearEquation, affine_linear_solve
 
-from oracles import dense_affine_solve
+from oracles import DenseSolution, dense_affine_solve, free_columns, solution_basis
 
 
 def test_inconsistent_system_is_empty():
@@ -15,19 +15,24 @@ def test_inconsistent_system_is_empty():
     s = affine_linear_solve(eqs, ("c0",), QQ)
     assert s.is_empty
     assert s.dimension == -1
+    assert _shape(s) == _oracle_shape(dense_affine_solve(eqs, ("c0",), QQ))
 
 
 def test_unique_solution():
-    s = affine_linear_solve([LinearEquation({"c": 2}, -4)], ("c",), QQ)
+    eqs = [LinearEquation({"c": 2}, -4)]
+    s = affine_linear_solve(eqs, ("c",), QQ)
     assert s.is_unique
     assert s.particular == [Fraction(2)]
+    assert _shape(s) == _oracle_shape(dense_affine_solve(eqs, ("c",), QQ))
 
 
 def test_char_two_collapse_gives_family():
     # 2c = 0 over GF(2) constrains nothing.
-    s = affine_linear_solve([LinearEquation({"c": 2}, 0)], ("c",), GF(2))
+    eqs = [LinearEquation({"c": 2}, 0)]
+    s = affine_linear_solve(eqs, ("c",), GF(2))
     assert not s.is_empty
     assert s.dimension == 1
+    assert _shape(s) == _oracle_shape(dense_affine_solve(eqs, ("c",), GF(2)))
 
 
 def test_solutions_satisfy_system_exactly():
@@ -49,8 +54,9 @@ def test_solutions_satisfy_system_exactly():
             assert total == 0
 
     check(s.particular)
-    hom = [p + b for p, b in zip(s.particular, s.basis[0])]
+    hom = [p + b for p, b in zip(s.particular, solution_basis(s)[0])]
     check(hom)
+    assert _shape(s) == _oracle_shape(dense_affine_solve(eqs, unknowns, QQ))
 
 
 def test_contains_membership():
@@ -59,12 +65,14 @@ def test_contains_membership():
     assert s.contains({"a": Fraction(1), "b": Fraction(0)})
     assert s.contains({"a": Fraction(1, 2), "b": Fraction(1, 2)})
     assert not s.contains({"a": Fraction(1), "b": Fraction(1)})
+    assert _shape(s) == _oracle_shape(dense_affine_solve(eqs, ("a", "b"), QQ))
 
 
 def test_no_equations_full_space():
     s = affine_linear_solve([], ("a", "b"), QQ)
     assert s.dimension == 2
     assert s.particular == [0, 0]
+    assert _shape(s) == _oracle_shape(dense_affine_solve([], ("a", "b"), QQ))
 
 
 def _satisfies(eqs, values, field) -> bool:
@@ -100,11 +108,12 @@ def test_contains_agrees_with_direct_evaluation():
 
             # random points first, from the echelon rows alone, before any read-off
             assert all(agrees([field.of(rng.randint(-2, 2)) for _ in unknowns]) for _ in range(4))
-            assert "_solution" not in vars(space)
+            assert "particular" not in vars(space)
+            assert _shape(space) == _oracle_shape(dense_affine_solve(eqs, unknowns, field))
             if not space.is_empty:
                 for _ in range(4):
                     point = list(space.particular)
-                    for vec in space.basis:
+                    for vec in solution_basis(space):
                         t = field.of(rng.randint(-3, 3))
                         point = [field.add(p, field.mul(t, v)) for p, v in zip(point, vec)]
                     nudged = list(point)
@@ -168,12 +177,18 @@ def _random_system(rng, field):
 
 
 def _shape(space):
+    """`particular`, the read-off of `oracles.solution_basis` and
+    `oracles.free_columns`, and the type of every coefficient."""
+    return _oracle_shape(DenseSolution(space.particular, solution_basis(space), free_columns(space)))
+
+
+def _oracle_shape(solution):
     return (
-        space.particular,
-        [type(c) for c in space.particular or ()],
-        space.basis,
-        [type(c) for vec in space.basis for c in vec],
-        space.free,
+        solution.particular,
+        [type(c) for c in solution.particular or ()],
+        solution.basis,
+        [type(c) for vec in solution.basis for c in vec],
+        solution.free,
     )
 
 
@@ -190,8 +205,8 @@ def test_sparse_solve_matches_dense_oracle(field):
             assert space.contains(point)
             point[unknowns[0]] = field.add(point[unknowns[0]], field.one())
             assert space.contains(point) == _satisfies(eqs, point, field)
-        assert "_solution" not in vars(space)
-        assert _shape(space) == _shape(oracle)
+        assert "particular" not in vars(space)
+        assert _shape(space) == _oracle_shape(oracle)
         kinds.add("empty" if space.is_empty else "unique" if space.is_unique else "family")
         shuffled = list(eqs)
         rng.shuffle(shuffled)
@@ -201,18 +216,19 @@ def test_sparse_solve_matches_dense_oracle(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
 def test_read_off_is_the_same_in_either_order(field):
-    """`basis` read before `particular`, or after it, gives the oracle's
-    values; the backward pass runs once, on the first read."""
+    """The basis read off the echelon rows before `particular`, or after it,
+    gives the oracle's values: the back-substitution leaves the rows as they
+    were, and runs once, on the first read."""
     rng = random.Random(33 + field.char)
     for _ in range(100):
         eqs, unknowns = _random_system(rng, field)
         oracle = dense_affine_solve(eqs, unknowns, field)
         basis_first = affine_linear_solve(eqs, unknowns, field)
         particular_first = affine_linear_solve(eqs, unknowns, field)
-        assert (basis_first.basis, basis_first.particular) == (oracle.basis, oracle.particular)
-        assert (particular_first.particular, particular_first.basis) == (oracle.particular, oracle.basis)
-        assert basis_first.basis is basis_first.basis
-        assert (basis_first.free, basis_first.dimension) == (oracle.free, oracle.dimension)
+        assert (solution_basis(basis_first), basis_first.particular) == (oracle.basis, oracle.particular)
+        assert (particular_first.particular, solution_basis(particular_first)) == (oracle.particular, oracle.basis)
+        assert particular_first.particular is particular_first.particular
+        assert (free_columns(basis_first), basis_first.dimension) == (oracle.free, oracle.dimension)
 
 
 def _canonical(field, c) -> bool:
@@ -255,8 +271,8 @@ def test_fraction_free_solve_matches_dense_oracle(field):
         eqs, unknowns = _content_system(rng, field)
         space = affine_linear_solve(eqs, unknowns, field)
         oracle = dense_affine_solve(eqs, unknowns, field)
-        assert (space.particular, space.basis, space.free) == (oracle.particular, oracle.basis, oracle.free)
-        entries = [*(space.particular or ()), *(c for vec in space.basis for c in vec)]
+        assert _shape(space) == _oracle_shape(oracle)
+        entries = [*(space.particular or ()), *(c for vec in solution_basis(space) for c in vec)]
         assert all(_canonical(field, c) for c in entries)
         kinds.add("empty" if space.is_empty else "unique" if space.is_unique else "family")
     assert kinds == {"empty", "unique", "family"}

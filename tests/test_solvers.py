@@ -22,7 +22,7 @@ from kcx.solve import glued_connection_check, solve_connection_space
 from kcx.tangent import BundleContext, tangent_algebra
 
 import helpers
-from oracles import eager_make_morphism, linear_dual_solve
+from oracles import eager_make_morphism, free_columns, linear_dual_solve
 
 
 def test_standard_monomials_fat_point(fat_point):
@@ -101,7 +101,8 @@ def test_solution_points_certify_and_nudged_points_fail(plane, circle, sphere2):
     for A in (plane, circle, sphere2):
         M, f = kahler_module(A), A.field
         space = solve_connection_space(M, 1)
-        pivots = [i for i in range(len(space.unknowns)) if i not in space.free]
+        free = free_columns(space)
+        pivots = [i for i in range(len(space.unknowns)) if i not in free]
         for _ in range(3):
             point = helpers.random_point(space, f, rng, 5)
             helpers.connection_at(M, space, point)
@@ -150,9 +151,9 @@ def test_gluing_evaluates_glue_residues_once_per_unit(degree, monkeypatch):
 
 
 def test_verdicts_and_membership_run_no_backward_pass(sphere2, monkeypatch):
-    """The verdict and membership read the forward pass's echelon rows alone:
-    no elimination runs after the solve, and no particular solution, basis or
-    reduced row is built until one is read."""
+    """The verdict and membership read the forward pass's echelon rows alone,
+    and `particular` back-substitutes through them: no elimination runs after
+    the solve, and no particular solution is built until it is read."""
     space = solve_connection_space(kahler_module(sphere2), 3)
     A1, A2, t, tinv = _p1_charts(QQ)
     glued = glued_connection_check(A1, "x", A2, "y", t, tinv, degree=6).space
@@ -164,8 +165,9 @@ def test_verdicts_and_membership_run_no_backward_pass(sphere2, monkeypatch):
     assert (glued.is_empty, glued.is_unique, glued.dimension) == (True, False, -1)
     assert not glued.contains({})
     assert calls == []
-    assert "_solution" not in vars(space) and "_solution" not in vars(glued)
-    assert len(space.basis) == 144 and calls  # the first read runs the backward pass
+    assert "particular" not in vars(space) and "particular" not in vars(glued)
+    assert len(space.particular) == len(space.unknowns) and glued.particular is None
+    assert calls == []
 
 
 def test_a_verdict_holds_no_dense_basis():
@@ -202,7 +204,7 @@ def test_dual_numbers_structure_basics(circle):
     e, ep = dn.TTA.gen(dn.eps), dn.TTA.gen(dn.epsp)
     assert dn.flip(e) == ep
     assert dn.flip(e * ep) == e * ep
-    for m in (dn.p, dn.zero, dn.plus, dn.minus, dn.lift, dn.flip):
+    for m in (dn.p, dn.zero, helpers.dual_plus(dn), helpers.dual_minus(dn), dn.lift, dn.flip):
         assert m.certified
 
 
@@ -235,8 +237,9 @@ def test_dual_bundle_lift(circle):
 
 
 def test_dual_structure_maps_match_their_relabel_tables(circle):
-    """0/p/- and z/q/iota come from `tangent._additive_bundle`, and the
-    lifts from raw products; each equals the map its own table once built."""
+    """z/q/iota come from `tangent._additive_bundle`, 0 and p (and the
+    tests' -) from `relabel`, and the lifts from raw products; each equals the
+    map its own table once built."""
     dn = dual_numbers_structure(circle)
     A, TA, TTA, eps = circle, dn.TA, dn.TTA, dn.eps
     b = dual_bundle(kahler_module(circle))
@@ -244,7 +247,7 @@ def test_dual_structure_maps_match_their_relabel_tables(circle):
     pairs = [
         (dn.p, relabel(TA, A, {eps: None}, "p")),
         (dn.zero, relabel(A, TA, {}, "0")),
-        (dn.minus, relabel(TA, TA, {eps: f"-{eps}"}, "-")),
+        (helpers.dual_minus(dn), relabel(TA, TA, {eps: f"-{eps}"}, "-")),
         (b.q, relabel(E, A, dict.fromkeys(b.eps_gens), "q")),
         (b.z, relabel(A, E, {}, "z")),
         (b.iota, relabel(E, E, {m: f"-{m}" for m in b.eps_gens}, "iota")),
@@ -383,7 +386,8 @@ def test_glued_space_points_glue_and_nudged_points_fail(charts):
         result = glued_connection_check(A1, "x", A2, "u", t, tinv, degree=degree)
         space = result.space
         assert space.dimension > 0
-        pivots = [i for i in range(len(space.unknowns)) if i not in space.free]
+        free = free_columns(space)
+        pivots = [i for i in range(len(space.unknowns)) if i not in free]
 
         def glue_at(point):
             n1, n2 = (helpers.connection_at(omegas[chart], space, point, chart) for chart in (1, 2))

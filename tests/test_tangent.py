@@ -156,7 +156,8 @@ def test_shared_structure_map_builders(plane, circle, fat_point, sphere2):
         assert {g for g in ctx.S.gens if ctx.z.image_of(g).is_zero()} == set(M.gens)
         assert all(m.certified for m in axiom_maps(ctx))
         dn = dual_numbers_structure(A)
-        assert all(m.certified for m in (dn.p, dn.zero, dn.plus, dn.minus, dn.lift, dn.flip))
+        dual_maps = (dn.p, dn.zero, helpers.dual_plus(dn), helpers.dual_minus(dn), dn.lift, dn.flip)
+        assert all(m.certified for m in dual_maps)
 
 
 def test_sym_bundle_basics(circle):
@@ -417,7 +418,7 @@ def every_structure_map(A, M) -> list[AlgebraMorphism]:
     ctx = bundle_context(M)
     plus = helpers.fibrewise_sum(tm.p, "+")
     maps = [tm.p, tm.zero, plus, helpers.tangent_minus(tm), tm.lift, tm.flip, helpers.tangent_tau(plus)]
-    maps += [dn.p, dn.zero, dn.plus, dn.minus, dn.lift, dn.flip]
+    maps += [dn.p, dn.zero, helpers.dual_plus(dn), helpers.dual_minus(dn), dn.lift, dn.flip]
     sigma = helpers.fibrewise_sum(ctx.q, "sigma")
     maps += [ctx.q, ctx.z, ctx.iota, sigma, ctx.lam, ctx.A_maps.p, ctx.U, ctx.S_maps.flip]
     maps += axiom_maps(ctx)
