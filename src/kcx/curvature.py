@@ -218,13 +218,10 @@ def _correspond(result: CorrespondenceResult, bundle_map: AlgebraMorphism, shape
     field = shapes.P.field
     half = None if field.char == 2 else field.inv(field.of(2))
     result.bundle_map = bundle_map
-    zeros = None  # each zero is a normal form, so it is built once per call
     for m, w in result.images.items():
         if shapes.proves_zero(bundle_map.images[m] - shapes.write(w)):
-            if zeros is None:
-                zero = shapes.module.zero()
-                zeros = [shapes.P.zero(), zero] + [zero] * (half is not None)
-            result.residuals[m] = list(zeros)
+            zero = shapes.module.zero()
+            result.residuals[m] = [shapes.P.zero(), zero] + [zero] * (half is not None)
             continue
         v_img = result.tangent_images[m]
         phi_img = shapes.read(v_img)[0]

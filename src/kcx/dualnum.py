@@ -4,11 +4,12 @@ Here the tangent of an algebra A adjoins a single square-zero generator, and
 the bundle of a module M adjoins one square-zero generator per module
 generator with all pairwise products zero.  `dual_numbers_structure` and
 `dual_bundle` build that structure: it is the object the no-go theorem is
-about.  `DualNumbers` carries p, 0, the lift and the flip; it leaves out the
-addition and the negation, which no check or solve reads.  Against that
-structure, vertical connections on M's bundle exist only when M is the zero
-module, and `dual_connection_solve` decides exactly that, with one module
-normal form per generator of M and no degree bound.
+about.  `DualNumbers` carries p, 0, the lift and the flip, and `DualBundle`
+the bundle's q, z and lift; both leave out the addition and the negation,
+which no check or solve reads.  Against that structure, vertical connections
+on M's bundle exist only when M is the zero module, and
+`dual_connection_solve` decides exactly that, with one module normal form per
+generator of M and no degree bound.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ class DualBundle(NamedTuple):
     epsp: str
     q: AlgebraMorphism  # E -> A
     z: AlgebraMorphism  # A -> E
-    iota: AlgebraMorphism  # E -> E
     lam: AlgebraMorphism  # E -> TE
 
 
@@ -93,9 +93,9 @@ def dual_bundle(M: PresentedModule) -> DualBundle:
     E = _square_zero_extension(A, eps_gens, M.relations)
     epsp = fresh_name(E.gens, "epsp")
     TE = _square_zero_extension(E, (epsp,))
-    z, q, iota = _additive_bundle(A, E, ("z", "q", "iota"))
+    z, q = _additive_bundle(A, E, ("z", "q"))
     lam = _lift(E, TE, eps_gens, epsp, "lambda")
-    return DualBundle(A, M, E, TE, eps_gens, epsp, q, z, iota, lam)
+    return DualBundle(A, M, E, TE, eps_gens, epsp, q, z, lam)
 
 
 def dual_connection_solve(M: PresentedModule) -> AffineSolutionSpace:

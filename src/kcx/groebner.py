@@ -352,15 +352,15 @@ class ModuleBasis:
         return {pos: dict(c.terms) for pos, c in enumerate(v) if c.terms}
 
     def normal_form(self, v: Vector) -> Vector:
-        nf, _ = _reduce(self._work_row(v), self._index, self.field)
-        return self._vector(nf)
+        return self._vector(self.sparse_normal_form(self._work_row(v)))
 
     def sparse_normal_form(self, row: Row) -> Row:
-        """`normal_form` on a `Row` (nonzero coefficients, owned by the call).
+        """The normal form of a `Row` (nonzero coefficients, owned by the call).
 
-        A single term no leading term at its position divides comes back as it
-        is; the rest goes through `_reduce`.  A normal form is unique, so the
-        result holds exactly the terms of `normal_form`, in the same order.
+        The one module reducer entry: `normal_form` is this on a copy of a
+        dense vector's occupied positions.  A single term no leading term at
+        its position divides comes back as it is; the rest goes through
+        `_reduce`.
         """
         if len(row) == 1:
             ((pos, comp),) = row.items()

@@ -80,9 +80,11 @@ class PresentedModule:
             raise ValueError("component vector has wrong length")
         return ModuleElement(self, tuple(map(self.base.polynomial, value)))
 
+    @memoized
     def gen(self, name: str) -> "ModuleElement":
         return self.combine([(self.gens.index(name), Polynomial.const(self.base.field, self.base.gens, 1))])
 
+    @memoized
     def zero(self) -> "ModuleElement":
         return self.combine(())
 

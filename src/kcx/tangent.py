@@ -20,9 +20,9 @@ first use; the connection machinery reads them at A, at S_A(M) and, for H.4,
 at T(A).  Linearity of K and H is asked through the lift (H.3/H.4, K.3/K.4),
 so no check reads the additive structure +, - or the swap of
 T(A) (x)_A T(A), and none is built here.  S_A(M) is an additive bundle over A
-too: `_additive_bundle` builds its q/z/iota and `_vertical_lift` its lambda
-(and T(A)'s l) from T's `dmap`.  These maps and U are `algebra.relabel`
-tables, each image zero or a single signed generator, so
+too: `_additive_bundle` builds its q/z (no negation, for the same reason) and
+`_vertical_lift` its lambda (and T(A)'s l) from T's `dmap`.  These maps and U
+are `algebra.relabel` tables, each image zero or a single signed generator, so
 `AlgebraMorphism.apply_raw` applies them by moving exponents.
 
 Module values move into bundle presentations and back through one `ShapeMap`
@@ -39,7 +39,7 @@ one copy of A's generators (`algebra.tensor_over_base`), so H's raw images are
 read as given; the copy names of a tensor are read from its `rename` tables.
 
 Each module's bundle is `bundle_context(M)`, one `BundleContext` with the
-bundle's own maps (q/z/iota, lambda, U, the shapes) as attributes and the
+bundle's own maps (q/z, lambda, U, the shapes) as attributes and the
 tangent structures of A and S_A(M) as `A_maps` and `S_maps`.  The maps that
 exist only for M = Omega(A), the affine flip and the torsion shapes, read one
 guard that refuses any other module with `ModuleNotKahler`.
@@ -193,18 +193,15 @@ def _swap(table: dict[str, str]) -> dict[str, str]:
 
 
 def _additive_bundle(A: PresentedAlgebra, B: PresentedAlgebra, names: tuple[str, ...]):
-    """(include, zero, negate) for an additive bundle B over A, all certified.
+    """(include, zero) for an additive bundle B over A, both certified.
 
     B is presented on A's generators plus the fibre generators: S_A(M) (M's
     generators) and `dualnum`'s square-zero bundles (the epsilons).  The p and
-    0 of T(A) and of the dual numbers are the first two tables, built alone.
+    0 of T(A) and of the dual numbers are the same two tables, built alone.
+    Linearity is asked through the lift, so no check reads the negation.
     """
     fibre = [g for g in B.gens if g not in A.gens]
-    return (
-        relabel(A, B, {}, names[0]),
-        relabel(B, A, dict.fromkeys(fibre), names[1]),
-        relabel(B, B, {m: f"-{m}" for m in fibre}, names[2]),
-    )
+    return relabel(A, B, {}, names[0]), relabel(B, A, dict.fromkeys(fibre), names[1])
 
 
 def _vertical_lift(A: PresentedAlgebra, B: PresentedAlgebra, TB: TangentPresentation, name: str) -> AlgebraMorphism:
@@ -224,22 +221,18 @@ def tangent_structure_maps(A: PresentedAlgebra) -> TangentMaps:
 # ---------------------------------------------------------------------------
 
 
-class SymBundle(PresentedAlgebra):
+def _sym_bundle(M: PresentedModule) -> PresentedAlgebra:
     """S_A(M): the affine total space of the bundle determined by M."""
-
-    def __init__(self, M: PresentedModule):
-        A = M.base
-        self.A = A
-        self.M = M
-        gens = A.gens + M.gens
-        roles = {g: GenRole("base", g) for g in A.gens}
-        roles.update({m: GenRole("module", m) for m in M.gens})
-        grading = {g: (0,) for g in A.gens}
-        grading.update({m: (1,) for m in M.gens})
-        relations = [r.change_vars(gens) for r in A.relations]
-        relations += [linear_form(A.field, gens, row, M.gens) for row in M.relations]
-        # no cap: S_A(M) itself carries arbitrary symmetric degrees
-        super().__init__(A.field, gens, relations, roles=roles, grading=grading)
+    A = M.base
+    gens = A.gens + M.gens
+    roles = {g: GenRole("base", g) for g in A.gens}
+    roles.update({m: GenRole("module", m) for m in M.gens})
+    grading = {g: (0,) for g in A.gens}
+    grading.update({m: (1,) for m in M.gens})
+    relations = [r.change_vars(gens) for r in A.relations]
+    relations += [linear_form(A.field, gens, row, M.gens) for row in M.relations]
+    # no cap: S_A(M) itself carries arbitrary symmetric degrees
+    return PresentedAlgebra(A.field, gens, relations, roles=roles, grading=grading)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +304,12 @@ def bracketing(ctx: BundleContext, h: AlgebraMorphism) -> AlgebraMorphism:
     TS, S = ctx.TS, ctx.S
     if h.dom is not TS:
         raise ValueError("bracketing expects a map out of the tangent of the bundle")
-    for x in S.A.gens:
+    for x in ctx.A.gens:
         val = h.image_of(TS.dmap[x])
         if not val.is_zero():
             raise BracketingConditionFailure(x, val.render())
-    images = {x: h.images[x] for x in S.A.gens}
-    images.update({m: h.images[TS.dmap[m]] for m in S.M.gens})
+    images = {x: h.images[x] for x in ctx.A.gens}
+    images.update({m: h.images[TS.dmap[m]] for m in ctx.M.gens})
     out = AlgebraMorphism(S, h.cod, images, certify=False, name=f"{{{h.name}}}")
     out.certified = h.certified
     return out
@@ -424,7 +417,7 @@ class ShapeMap:
 class BundleContext:
     """The bundle S_A(M) of one module M over A, with everything the
     connection machinery needs: the tangent structures of A and S_A(M)
-    (`A_maps`, `S_maps`), q/z/iota and lambda, the tensor T(A) (x)_A S_A(M)
+    (`A_maps`, `S_maps`), q/z and lambda, the tensor T(A) (x)_A S_A(M)
     with U, and the maps the axiom checks share.
 
     One per module (`bundle_context`), shared by every connection on M.  The
@@ -435,11 +428,11 @@ class BundleContext:
     def __init__(self, M: PresentedModule):
         A = self.A = M.base
         self.M = M
-        self.S = SymBundle(M)
+        self.S = _sym_bundle(M)
         self.A_maps = tangent_structure_maps(A)
         self.S_maps = tangent_structure_maps(self.S)
         self.TA, self.TS = self.A_maps.TA, self.S_maps.TA
-        self.q, self.z, self.iota = _additive_bundle(A, self.S, ("q", "z", "iota"))
+        self.q, self.z = _additive_bundle(A, self.S, ("q", "z"))
         self.lam = _vertical_lift(A, self.S, self.TS, "lambda")
         # T(A) (x)_A S_A(M), with its two injections
         self.TAS = tensor_over_base(self.A_maps.p, self.q)

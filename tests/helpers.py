@@ -7,8 +7,9 @@ Below them, the structure that no axiom check reads, rebuilt from the
 engine's builders (`relabel`, `tensor_over_base`, `compose_chain`, and
 `AlgebraMorphism` for the two fibrewise sums): the tangent structure's + and
 - with the swap tau of T(A) (x)_A T(A), the dual numbers' + and -, the
-bundle's fibrewise sum sigma, the affine swap and the torsion-free test on
-the horizontal form, and whether a solved space holds a given connection.
+bundle's fibrewise sum sigma and negation iota, the affine swap and the
+torsion-free test on the horizontal form, and whether a solved space holds a
+given connection.
 `d` and `algebra_pair` are how the tests write tangent values and simple
 tensors of T(A) (x)_A S_A(M).
 """
@@ -208,6 +209,13 @@ def fibrewise_sum(include: AlgebraMorphism, name: str) -> AlgebraMorphism:
         if m not in include.dom.gens:
             images[m] += Polynomial.variable(B2.field, B2.gens, r1[m])
     return AlgebraMorphism(B, B2, images, name=name)
+
+
+def bundle_negation(include: AlgebraMorphism) -> AlgebraMorphism:
+    """iota: B -> B negating each fibre generator, for the inclusion A -> B of
+    an additive bundle: q of a bundle context, z of a `dual_bundle`."""
+    B = include.cod
+    return relabel(B, B, {m: f"-{m}" for m in B.gens if m not in include.dom.gens}, "iota")
 
 
 def tangent_minus(maps) -> AlgebraMorphism:

@@ -29,7 +29,7 @@ import pytest
 import kcx
 from kcx.algebra import PresentedAlgebra, TensorAlgebra
 from kcx.connections import AxiomCheck, Connection
-from kcx.dualnum import DualNumbers
+from kcx.dualnum import DualBundle, DualNumbers
 from kcx.groebner import IdealBasis, ModuleBasis
 from kcx.linsolve import AffineSolutionSpace
 from kcx.modules import TensorModule
@@ -473,6 +473,7 @@ RETIRED = [
     ("cli", "Check"),  # connections.AxiomCheck
     ("cli", "_axiom_check"),  # the residue is rendered where the check fails
     ("solve", "ConnectionSpace"),  # the AffineSolutionSpace itself, keyed (g, idx, exp)
+    ("tangent", "SymBundle"),  # tangent._sym_bundle, a plain PresentedAlgebra
     # read by tests alone, rebuilt in tests/helpers.py from the engine's builders
     ("tangent", "_fibrewise_sum"),  # helpers.fibrewise_sum
     ("curvature", "torsionfree_horizontal_criterion"),  # helpers.torsionfree_horizontal_criterion
@@ -526,6 +527,8 @@ def test_retired_methods_are_gone():
     assert not {"basis", "free", "_solution"} & set(vars(AffineSolutionSpace))
     # the dual numbers' + and - (and +'s domain): tests/helpers.py rebuilds them
     assert not {"T2", "plus", "minus"} & set(DualNumbers._fields)
+    # the bundles' negation: helpers.bundle_negation rebuilds it
+    assert not hasattr(ctx, "iota") and "iota" not in DualBundle._fields
 
 
 # (file, qualified name): why a definition that nothing else in the engine

@@ -5,12 +5,14 @@ T(f) is built once per certified map and kept on it, so the axiom checks,
 module curvature and torsion images are worked out once per connection, and
 each `module_curvature` / `module_torsion` call returns a fresh result over
 them, so the residuals one correspondence check fills in show in no other
-result.
+result.  A module builds its zero and each unit generator once, and every
+caller, a certified correspondence's zero residuals among them, shares them;
+a single standard term is its own module normal form, with no reduction.
 """
 
 import pytest
 
-from kcx import curvature
+from kcx import curvature, groebner
 from kcx.algebra import AlgebraMorphism, make_algebra
 from kcx.connections import (
     connection_equal,
@@ -27,8 +29,9 @@ from kcx.curvature import (
     tangent_curvature,
 )
 from kcx.errors import WellDefinednessFailure
-from kcx.fields import QQ
-from kcx.modules import WedgeSquare
+from kcx.fields import GF, QQ
+from kcx.modules import WedgeSquare, free_module, kahler_module, make_module, tensor_modules
+from kcx.poly import Polynomial
 from kcx.tangent import _tangent_map, tangent_apply_functor
 
 import helpers
@@ -103,3 +106,36 @@ def test_each_call_returns_a_fresh_result(nabla, module_side, check):
     assert again.residuals is not checked.residuals and again.images is not checked.images
     plain.images.clear()
     assert module_side(nabla).images == checked.images
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_a_module_builds_its_zero_and_units_once(field):
+    A = make_algebra(field, ("x", "y"), ["x^2 + y^2 - 1"])
+    omega = kahler_module(A)
+    one = Polynomial.const(field, A.gens, 1)
+    for M in (omega, free_module(A, 2), make_module(A, ("a", "b"), [["x", "y"]]), tensor_modules(omega, omega)):
+        assert M.zero() is M.zero() and M.zero() == M.combine(())
+        for k, g in enumerate(M.gens):
+            assert M.gen(g) is M.gen(g) and M.gen(g) == M.combine([(k, one)])
+
+
+def test_certified_correspondence_residuals_are_the_module_zero(nabla):
+    result = check_curvature_correspondence(nabla)
+    zero = nabla.ctx.curvature_shapes.module.zero()
+    assert result.residuals_zero and set(result.residuals) == set(nabla.module.gens)
+    for first, *rest in result.residuals.values():
+        assert first.is_zero() and rest and all(r is zero for r in rest)
+
+
+def test_a_standard_unit_vector_is_its_own_normal_form(monkeypatch):
+    A = make_algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"])
+    bases = [M.lifted for M in (kahler_module(A), free_module(A, 2))]  # built before counting
+    calls = []
+    reduce = groebner._reduce
+    monkeypatch.setattr(groebner, "_reduce", lambda *a: calls.append(a) or reduce(*a))
+    one, zero = Polynomial.const(QQ, A.gens, 1), Polynomial.zero(QQ, A.gens)
+    for basis in bases:
+        for k in range(basis.rank):
+            unit = tuple(one if i == k else zero for i in range(basis.rank))
+            assert basis.normal_form(unit) == unit == basis._vector(basis.sparse_normal_form({k: dict(one.terms)}))
+    assert calls == []

@@ -232,13 +232,13 @@ def test_dual_bundle_lift(circle):
     m_eps = b.eps_gens[0]
     assert b.lam(b.E.gen(m_eps)) == b.TE.gen(m_eps) * b.TE.gen(b.epsp)
     assert b.q(b.E.gen(m_eps)).is_zero()
-    for m in (b.q, b.z, b.iota, b.lam):
+    for m in (b.q, b.z, helpers.bundle_negation(b.z), b.lam):
         assert m.certified
 
 
 def test_dual_structure_maps_match_their_relabel_tables(circle):
-    """z/q/iota come from `tangent._additive_bundle`, 0 and p (and the
-    tests' -) from `relabel`, and the lifts from raw products; each equals the
+    """z/q come from `tangent._additive_bundle`, 0 and p (and the tests' -
+    and iota) from `relabel`, and the lifts from raw products; each equals the
     map its own table once built."""
     dn = dual_numbers_structure(circle)
     A, TA, TTA, eps = circle, dn.TA, dn.TTA, dn.eps
@@ -250,7 +250,7 @@ def test_dual_structure_maps_match_their_relabel_tables(circle):
         (helpers.dual_minus(dn), relabel(TA, TA, {eps: f"-{eps}"}, "-")),
         (b.q, relabel(E, A, dict.fromkeys(b.eps_gens), "q")),
         (b.z, relabel(A, E, {}, "z")),
-        (b.iota, relabel(E, E, {m: f"-{m}" for m in b.eps_gens}, "iota")),
+        (helpers.bundle_negation(b.z), relabel(E, E, {m: f"-{m}" for m in b.eps_gens}, "iota")),
     ]
     for built, table in pairs:
         assert (built.name, built.certified, built.images) == (table.name, table.certified, table.images)

@@ -166,9 +166,10 @@ def test_sym_bundle_basics(circle):
     row = b.S.gen("x") * b.S.gen("d(x)") * 2 + b.S.gen("y") * b.S.gen("d(y)") * 2
     assert row.is_zero()
     assert b.z(b.S.gen("d(x)")).is_zero()
-    assert b.iota(b.S.gen("d(x)")) == -b.S.gen("d(x)")
+    iota = helpers.bundle_negation(b.q)
+    assert iota(b.S.gen("d(x)")) == -b.S.gen("d(x)")
     assert b.q(circle.gen("x")) == b.S.gen("x")
-    for m in (b.q, b.z, b.iota, helpers.fibrewise_sum(b.q, "sigma"), b.lam):
+    for m in (b.q, b.z, iota, helpers.fibrewise_sum(b.q, "sigma"), b.lam):
         assert m.certified
 
 
@@ -420,7 +421,7 @@ def every_structure_map(A, M) -> list[AlgebraMorphism]:
     maps = [tm.p, tm.zero, plus, helpers.tangent_minus(tm), tm.lift, tm.flip, helpers.tangent_tau(plus)]
     maps += [dn.p, dn.zero, helpers.dual_plus(dn), helpers.dual_minus(dn), dn.lift, dn.flip]
     sigma = helpers.fibrewise_sum(ctx.q, "sigma")
-    maps += [ctx.q, ctx.z, ctx.iota, sigma, ctx.lam, ctx.A_maps.p, ctx.U, ctx.S_maps.flip]
+    maps += [ctx.q, ctx.z, helpers.bundle_negation(ctx.q), sigma, ctx.lam, ctx.A_maps.p, ctx.U, ctx.S_maps.flip]
     maps += axiom_maps(ctx)
     if M.provenance == "kahler":
         maps += [ctx.affine_flip, helpers.affine_swap(ctx)]
